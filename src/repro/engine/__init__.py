@@ -31,6 +31,8 @@ Three layers, each reusable on its own:
   occupancy and linger windows.
 """
 
+from importlib import import_module
+
 from repro.engine.batch import (
     BatchAdditiveScrambler,
     BatchCRC,
@@ -41,47 +43,57 @@ from repro.engine.batch import (
     unpack_bits,
 )
 from repro.engine.cache import (
+    CACHE_DIR_ENV,
     CacheStats,
     CompileCache,
     default_cache,
+    default_cache_dir,
     estimate_entry_bytes,
 )
-from repro.engine.diskcache import (
-    CACHE_DIR_ENV,
-    DiskCacheStats,
-    DiskCompileCache,
-    default_cache_dir,
-)
-from repro.engine.parallel import (
-    WORKERS_ENV,
-    ParallelBatchAdditiveScrambler,
-    ParallelBatchCRC,
-    ShardedCRCPipeline,
-    ShardScheduler,
-    WorkerPool,
-    plan_shards,
-    resolve_workers,
-)
-from repro.engine.microbatch import (
-    BatcherClosed,
-    MicroBatcher,
-    MicroBatchStats,
-    run_ops,
-    submit_all,
-)
 from repro.engine.pipeline import CRCPipeline, ScramblerPipeline
-from repro.engine.planner import (
-    ExecutionPlan,
-    HostProfile,
-    MicroBatchPlan,
-    PlanCandidate,
-    Planner,
-    WorkloadDescriptor,
-    default_planner,
-    get_profile,
-    host_fingerprint,
-    probe_host,
-)
+
+# The serve/parallel stack loads on first use (PEP 562), so a process
+# that only streams CRCs never imports asyncio, multiprocessing or
+# hashlib.
+_LAZY = {
+    "DiskCacheStats": "diskcache",
+    "DiskCompileCache": "diskcache",
+    "WORKERS_ENV": "parallel",
+    "ParallelBatchAdditiveScrambler": "parallel",
+    "ParallelBatchCRC": "parallel",
+    "ShardedCRCPipeline": "parallel",
+    "ShardScheduler": "parallel",
+    "WorkerPool": "parallel",
+    "plan_shards": "parallel",
+    "resolve_workers": "parallel",
+    "BatcherClosed": "microbatch",
+    "MicroBatcher": "microbatch",
+    "MicroBatchStats": "microbatch",
+    "run_ops": "microbatch",
+    "submit_all": "microbatch",
+    "ExecutionPlan": "planner",
+    "HostProfile": "planner",
+    "MicroBatchPlan": "planner",
+    "PlanCandidate": "planner",
+    "Planner": "planner",
+    "WorkloadDescriptor": "planner",
+    "default_planner": "planner",
+    "get_profile": "planner",
+    "host_fingerprint": "planner",
+    "probe_host": "planner",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BatchAdditiveScrambler",

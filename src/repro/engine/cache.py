@@ -30,14 +30,15 @@ workloads touching the same standards share one compile.
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional, Tuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.crc.spec import CRCSpec
-from repro.engine.diskcache import DiskCompileCache, default_cache_dir
 from repro.errors import CompileError, ReproError, ValidationError
 from repro.gf2.matrix import GF2Matrix
 from repro.lfsr.lookahead import (
@@ -49,6 +50,19 @@ from repro.lfsr.statespace import LFSRStateSpace, crc_statespace, scrambler_stat
 from repro.lfsr.transform import DerbyTransform, derby_transform
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import bind_families, default_flight_recorder
+
+if TYPE_CHECKING:
+    from repro.engine.diskcache import DiskCompileCache
+
+#: Environment variable naming the persistent cache directory.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+def default_cache_dir() -> Optional[Path]:
+    """The directory named by ``$REPRO_CACHE_DIR``, or ``None``."""
+    value = os.environ.get(CACHE_DIR_ENV)
+    return Path(value) if value else None
+
 
 # Bound lazily (see repro.telemetry.bind_families) so swapping the
 # default registry after import is observed by every family below.
@@ -472,5 +486,9 @@ def default_cache() -> CompileCache:
     if _DEFAULT.disk is None:
         root = default_cache_dir()
         if root is not None:
+            # Imported only when a disk layer attaches: it pulls in
+            # hashlib, pickle and tempfile.
+            from repro.engine.diskcache import DiskCompileCache
+
             _DEFAULT.attach_disk(DiskCompileCache(root))
     return _DEFAULT

@@ -48,11 +48,9 @@ import threading
 from pathlib import Path
 from typing import Any, Hashable, Optional, Tuple, Union
 
+from repro.engine.cache import CACHE_DIR_ENV, default_cache_dir  # noqa: F401 (re-exported)
 from repro.errors import ValidationError
 from repro.telemetry import bind_families, default_registry
-
-#: Environment variable naming the persistent cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Format version embedded in every content address.  Bump on any change
 #: to artifact pickling layout or key derivation; old entries become
@@ -146,12 +144,6 @@ class DiskCacheStats:
         return "DiskCacheStats(" + ", ".join(
             f"{k}={v}" for k, v in snap.items()
         ) + ")"
-
-
-def default_cache_dir() -> Optional[Path]:
-    """The directory named by ``$REPRO_CACHE_DIR``, or ``None``."""
-    value = os.environ.get(CACHE_DIR_ENV)
-    return Path(value) if value else None
 
 
 def cache_key_string(key: Hashable, version: int = CACHE_VERSION) -> str:

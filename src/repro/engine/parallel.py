@@ -1323,7 +1323,7 @@ class ShardedCRCPipeline:
 
         Groups the ids by home shard under the lock and forwards each
         group to that shard's :meth:`CRCPipeline.finalize_many`, so a
-        round of B digests pays one packed pump per *shard* instead of
+        round of B digests pays one pump per *shard* instead of
         one per stream.  Validation is all-or-nothing (an unknown or
         duplicated id raises before any stream is consumed) and results
         align with ``stream_ids`` order.

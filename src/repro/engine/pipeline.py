@@ -4,15 +4,26 @@ Production traffic rarely arrives as neatly pre-collected batches: frames
 stream in, interleaved across thousands of connections, and each message
 may span many chunks.  :class:`CRCPipeline` and :class:`ScramblerPipeline`
 expose the classic feed/finalize interface per stream while sharing the
-compile cache and the bit-packed kernels underneath — each ``pump`` round
-gathers one M-bit block from every stream that has one buffered and
-advances them all with a single packed matrix product, exactly the
-Kong–Parhi interleaving the paper uses to hide the loop latency (Fig. 5),
-re-enacted in numpy.
+compile cache and the bit-packed kernels underneath.  A ``pump`` round
+takes one M-bit block from every stream that has one buffered, and
+:class:`CRCPipeline` picks the engine per round:
 
-Streams keep their state in the engine's working basis (natural for
-``"lookahead"``, transformed for ``"derby"``); sub-block tails are finished
-serially at ``finalize`` like :class:`repro.crc.parallel.DerbyCRC` does.
+* a round with at least :data:`TABLE_CROSSOVER` ready streams advances
+  them all with a single packed matrix product, exactly the Kong–Parhi
+  interleaving the paper uses to hide the loop latency (Fig. 5),
+  re-enacted in numpy;
+* a narrower round cannot fill the packed lanes, so each of its streams
+  advances through the byte table (:meth:`repro.crc.TableCRC.raw_register`)
+  instead — the paper's Table 1 / Fig. 4 crossover against the
+  table-driven software CRC it cites as [8].  That needs the spec and M
+  to admit the table: M % 8 == 0, equal input/output reflection, and a
+  width of at least 8 unless reflected; otherwise every round is packed.
+
+Each CRC stream keeps its state as its natural-basis register int, which
+is what the table consumes; a packed round converts its ready streams into
+the engine's working basis (transformed for ``"derby"``) and back in one
+vectorized step.  Sub-block tails wait for ``finalize``: whole bytes go
+through the table, the last few bits through the bit-serial core.
 
 Error semantics: unknown / duplicate stream ids raise
 :class:`repro.errors.StreamError`; malformed arguments (non-bit values,
@@ -39,9 +50,10 @@ import numpy as np
 from repro.crc.bitwise import BitwiseCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC
-from repro.engine.batch import gf2_mul_packed, pack_bits, unpack_bits
+from repro.engine.batch import _registers_from_bits, gf2_mul_packed, pack_bits, unpack_bits
 from repro.engine.cache import CompileCache, default_cache
 from repro.errors import StreamError, ValidationError
+from repro.gf2.backend import WORD_BITS
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import bind_families, default_registry
 from repro.validation import check_bits, check_factor, check_method, check_register, check_seed
@@ -49,8 +61,10 @@ from repro.validation import check_bits, check_factor, check_method, check_regis
 # Aggregate gauges: published by per-instance deltas so any number of
 # concurrent pipeline instances sum correctly into one series per kind.
 # Bound lazily so a registry swapped in via set_default_registry() after
-# import is still observed.
-_METRICS = bind_families(lambda reg: {
+# import is still observed.  The second element caches labelled children:
+# ``labels()`` validates and canonicalizes its arguments on every call,
+# which cost more than the rest of a lone stream's pump.
+_FAMILIES = bind_families(lambda reg: ({
     "streams": reg.gauge(
         "engine_pipeline_streams", "Streams currently open across pipelines",
         labels=("kind",),
@@ -69,7 +83,16 @@ _METRICS = bind_families(lambda reg: {
         labels=("kind",),
         buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
     ),
-})
+}, {}))
+
+
+def _metric(name: str, kind: str):
+    """The ``kind``-labelled child of one pipeline family."""
+    families, children = _FAMILIES()
+    child = children.get((name, kind))
+    if child is None:
+        child = children[name, kind] = families[name].labels(kind=kind)
+    return child
 
 
 class _GaugePublisher:
@@ -91,12 +114,11 @@ class _GaugePublisher:
     def publish(self, streams: int, pending: int) -> None:
         if not default_registry().enabled:
             return
-        metrics = _METRICS()
         if streams != self._streams:
-            metrics["streams"].labels(kind=self._kind).inc(streams - self._streams)
+            _metric("streams", self._kind).inc(streams - self._streams)
             self._streams = streams
         if pending != self._pending:
-            metrics["pending"].labels(kind=self._kind).inc(pending - self._pending)
+            _metric("pending", self._kind).inc(pending - self._pending)
             self._pending = pending
 
 
@@ -159,9 +181,32 @@ class _BitBuffer:
         return tail
 
 
+#: Ready streams from which a pump round runs as one packed product.
+#: Rounds with fewer ready streams advance each of them through the byte
+#: table instead, whenever the spec and M admit it.  Read off
+#: ``benchmarks/results/pipeline_crossover.txt``: per stream, the packed
+#: round costs 1.2-1.7x the table at 8 ready streams, 0.7-1.1x at 16 and
+#: 0.3-0.7x at 32, at M = 128 and 1024 alike (docs/ENGINE.md).
+TABLE_CROSSOVER = 16
+
+#: Input bits one packed gather copies out of the stream buffers: a pump
+#: over a deep backlog runs its packed rounds in slabs of at most this
+#: many bits, so the transient copy stays a few MiB whatever the backlog.
+_GATHER_BITS = 1 << 21
+
+
+def _state_bits(registers: Sequence[int], width: int) -> np.ndarray:
+    """``(width, B)`` state bits of B registers (bit i of column b = x_i)."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(
+        b"".join(r.to_bytes(nbytes, "little") for r in registers), dtype=np.uint8
+    ).reshape(len(registers), nbytes)
+    return np.unpackbits(raw, axis=1, count=width, bitorder="little").T
+
+
 @dataclass
 class _CRCStream:
-    state: np.ndarray  # (k,) uint8, in the engine's working basis
+    register: int  # natural-basis raw register, as TableCRC.raw_register uses it
     buffer: _BitBuffer = field(default_factory=_BitBuffer)
 
 
@@ -179,29 +224,34 @@ class CRCPipeline:
         self._M = check_factor(M, what="look-ahead factor M")
         self._method = check_method(method)
         self._cache = cache if cache is not None else default_cache()
-        self._ss = self._cache.crc_statespace(spec)
         if method == "derby":
             dt = self._cache.derby(spec, M)
             update, inject = dt.A_Mt, dt.B_Mt
-            self._into_basis = dt.T_inv.to_array()
-            self._from_basis = dt.T.to_array()
+            self._into_basis = dt.T_inv.to_array().astype(np.int64)
+            self._from_basis = dt.T.to_array().astype(np.int64)
         else:
             la = self._cache.lookahead(spec, M)
             update, inject = la.A_M, la.B_M
             self._into_basis = self._from_basis = None
         self._step = np.hstack([update.to_array(), inject.to_array()[:, ::-1]])
         self._serial = BitwiseCRC(spec)
-        # Byte-at-a-time tail engine for finalize: any 8 consecutive
-        # transmission-order bits regroup into one byte under the spec's
-        # input reflection, so the table engine can chew the byte-aligned
-        # part of a sub-block tail ~8x faster than the bit-serial core.
-        # Mixed-reflection specs keep the bit-serial path (mirrors the
-        # TableCRC routing for them).
-        self._table_tail = (
+        # Byte-at-a-time engine: any 8 consecutive transmission-order bits
+        # regroup into one byte under the spec's input reflection, so the
+        # table engine chews byte-aligned runs ~8x faster than the
+        # bit-serial core.  Mixed-reflection and narrow non-reflected
+        # specs keep the bit-serial path (mirrors TableCRC's routing).
+        self._table = (
             TableCRC(spec)
             if spec.refin == spec.refout and (spec.refin or spec.width >= 8)
             else None
         )
+        self._bitorder = "little" if spec.refin else "big"
+        # Whole M-blocks are whole bytes only when M % 8 == 0.
+        self._table_rounds = self._table is not None and self._M % 8 == 0
+        # Rounds with fewer ready streams than this take the byte table.
+        # Tests and the fuzz oracle override it per instance to pin
+        # either engine; nothing else should.
+        self._crossover = TABLE_CROSSOVER
         self._streams: Dict[Hashable, _CRCStream] = {}
         self._auto_ids = count()
         self._gauges = _GaugePublisher("crc")
@@ -263,13 +313,10 @@ class CRCPipeline:
         if stream_id in self._streams:
             raise StreamError(f"stream {stream_id!r} is already open")
         if register is None:
-            reg = self._spec.init
+            register = self._spec.init
         else:
-            reg = check_register(register, self._spec.width, what="register")
-        state = self._ss.state_from_int(reg)
-        if self._into_basis is not None:
-            state = ((self._into_basis.astype(np.int64) @ state) & 1).astype(np.uint8)
-        self._streams[stream_id] = _CRCStream(state=state)
+            register = check_register(register, self._spec.width, what="register")
+        self._streams[stream_id] = _CRCStream(register=register)
         self._publish()
         return stream_id
 
@@ -291,8 +338,7 @@ class CRCPipeline:
             # memoryview buffers in place — no intermediate bytes() copy on
             # the serving hot path.
             bits = np.unpackbits(
-                np.frombuffer(data, dtype=np.uint8),
-                bitorder="little" if self._spec.refin else "big",
+                np.frombuffer(data, dtype=np.uint8), bitorder=self._bitorder
             )
             stream.buffer.append(bits)
             self._publish()
@@ -311,31 +357,79 @@ class CRCPipeline:
     def pump(self) -> int:
         """Advance every stream with at least one full M-bit block buffered.
 
-        All ready streams step together through one packed matrix product
-        per round (numpy's re-enactment of interleaved issue).  Returns the
+        A round takes one M-bit block from every ready stream.  Rounds
+        with at least the crossover number of ready streams step them
+        all through one packed matrix product (numpy's re-enactment of
+        interleaved issue); below it, each ready stream's remaining
+        whole blocks go through the byte table instead, where the spec
+        and M allow it (see :data:`TABLE_CROSSOVER`).  Returns the
         number of blocks processed.
         """
-        processed = 0
-        while True:
-            ready = [
-                (sid, s) for sid, s in self._streams.items() if len(s.buffer) >= self._M
-            ]
-            if not ready:
-                self._publish()
-                if default_registry().enabled:
-                    metrics = _METRICS()
-                    metrics["blocks"].labels(kind="crc").inc(processed)
-                    metrics["pump_blocks"].labels(kind="crc").observe(processed)
-                return processed
-            states = pack_bits(np.stack([s.state for _, s in ready], axis=1))
-            blocks = np.empty((self._M, len(ready)), dtype=np.uint8)
-            for col, (_, s) in enumerate(ready):
-                s.buffer.take(self._M, out=blocks[:, col])
-            stacked = np.vstack([states, pack_bits(blocks)])
-            new_states = unpack_bits(gf2_mul_packed(self._step, stacked), len(ready))
-            for col, (_, s) in enumerate(ready):
-                s.state = new_states[:, col].copy()
-            processed += len(ready)
+        M = self._M
+        ready = [s for s in self._streams.values() if len(s.buffer) >= M]
+        processed = sum(len(s.buffer) // M for s in ready)
+        if ready and (not self._table_rounds or len(ready) >= self._crossover):
+            # Longest backlog first, so every round's streams are a prefix.
+            ready.sort(key=lambda s: len(s.buffer), reverse=True)
+            # Packed rounds run while ``crossover`` streams are still ready.
+            last = max(self._crossover, 1) - 1 if self._table_rounds else 0
+            rounds = len(ready[last].buffer) // M
+            slab = max(1, _GATHER_BITS // (len(ready) * M))
+            for first in range(0, rounds, slab):
+                self._packed_rounds(ready, min(slab, rounds - first))
+        if self._table_rounds:
+            for s in ready:
+                if len(s.buffer) >= M:
+                    self._table_advance(s, len(s.buffer) // M * M)
+        self._publish()
+        if default_registry().enabled:
+            _metric("blocks", "crc").inc(processed)
+            _metric("pump_blocks", "crc").observe(processed)
+        return processed
+
+    def _packed_rounds(self, ready: List[_CRCStream], rounds: int) -> None:
+        """Advance ``rounds`` rounds of packed products over ``ready``.
+
+        ``ready`` is sorted longest backlog first, so round *r* steps the
+        prefix of streams holding more than *r* blocks.  The registers
+        convert into the working basis once on the way in and back once
+        on the way out; in between the states stay packed.
+        """
+        M, B = self._M, len(ready)
+        taken = [min(len(s.buffer) // M, rounds) for s in ready]
+        rows = np.zeros((B, rounds * M), dtype=np.uint8)
+        for row, s, n in zip(rows, ready, taken):
+            s.buffer.take(n * M, out=row[: n * M])
+        blocks = pack_bits(rows.T)
+        bits = _state_bits([s.register for s in ready], self._spec.width)
+        if self._into_basis is not None:
+            bits = (self._into_basis @ bits) & 1
+        state = pack_bits(bits)
+        active = B
+        for r in range(rounds):
+            while taken[active - 1] <= r:
+                active -= 1
+            words = -(-active // WORD_BITS)
+            new = gf2_mul_packed(
+                self._step,
+                np.vstack([state[:, :words], blocks[r * M:(r + 1) * M, :words]]),
+            )
+            if active < B and active % WORD_BITS:
+                # Lanes past ``active`` in the last word are finished
+                # streams: keep their states.
+                keep = np.uint64((1 << (active % WORD_BITS)) - 1)
+                new[:, -1] = (new[:, -1] & keep) | (state[:, words - 1] & ~keep)
+            state[:, :words] = new
+        bits = unpack_bits(state, B)
+        if self._from_basis is not None:
+            bits = (self._from_basis @ bits) & 1
+        for s, register in zip(ready, _registers_from_bits(bits, B)):
+            s.register = register
+
+    def _table_advance(self, stream: _CRCStream, nbits: int) -> None:
+        """Clock a byte-aligned run of ``nbits`` buffered bits through the table."""
+        data = np.packbits(stream.buffer.take(nbits), bitorder=self._bitorder)
+        stream.register = self._table.raw_register(data.tobytes(), stream.register)
 
     def finalize(self, stream_id: Hashable) -> int:
         """Drain the stream (serial sub-block tail) and return its CRC."""
@@ -348,15 +442,15 @@ class CRCPipeline:
         """Finalize several streams behind **one** pump round.
 
         ``finalize`` costs one :meth:`pump` per call even when the pump
-        advances a single stream — the packed matrix product is the same
-        width either way, so B individual finalizes pay B full-width
-        products where one would do.  This entry point validates every
-        id up front (all-or-nothing: an unknown or duplicated id raises
-        before any stream is consumed), pumps once to advance all of
-        them together, then drains each sub-block tail serially.
-        Results align with ``stream_ids`` order.  This is the wide call
-        the serve path's micro-batch runner packs a round's digests
-        into.
+        advances a single stream, so B individual finalizes pay B pumps
+        where one would do — and that one pump sees all B streams ready,
+        which is what lets a wide round take the packed product.  This
+        entry point validates every id up front (all-or-nothing: an
+        unknown or duplicated id raises before any stream is consumed),
+        pumps once to advance all of them together, then drains each
+        sub-block tail.  Results align with ``stream_ids`` order.  This
+        is the wide call the serve path's micro-batch runner packs a
+        round's digests into.
         """
         ids = list(stream_ids)
         if len(set(ids)) != len(ids):
@@ -380,20 +474,12 @@ class CRCPipeline:
         """
         stream = self._stream(stream_id)
         del self._streams[stream_id]
-        state = stream.state
-        if self._from_basis is not None:
-            state = ((self._from_basis.astype(np.int64) @ state) & 1).astype(np.uint8)
-        register = self._ss.state_to_int(state)
+        if self._table is not None and len(stream.buffer) >= 8:
+            self._table_advance(stream, len(stream.buffer) // 8 * 8)
+        register = stream.register
         tail = stream.buffer.drain()
-        if self._table_tail is not None and len(tail) >= 8:
-            aligned = (len(tail) // 8) * 8
-            packed = np.packbits(
-                tail[:aligned],
-                bitorder="little" if self._spec.refin else "big",
-            ).tobytes()
-            register = self._table_tail.raw_register(packed, register)
-            tail = tail[aligned:]
-        register = self._serial.process_bits(register, tail.tolist())
+        if len(tail):
+            register = self._serial.process_bits(register, tail.tolist())
         return self._spec.finalize(register)
 
     def abort(self, stream_id: Hashable) -> None:
@@ -405,9 +491,9 @@ class CRCPipeline:
     def migrate(self, stream_id: Hashable, target: "CRCPipeline") -> None:
         """Move one open stream (state + buffered bits) into ``target``.
 
-        Both pipelines must run the same ``(spec, M, method)`` so the
-        stream's working-basis state means the same thing on either side
-        — this is the primitive the sharded execution layer's
+        Both pipelines must run the same ``(spec, M, method)``, so the
+        stream's register and buffered bits mean the same thing on either
+        side — this is the primitive the sharded execution layer's
         work-stealing scheduler uses to rebalance shards
         (:class:`repro.engine.parallel.ShardedCRCPipeline`).
         """
@@ -525,7 +611,7 @@ class ScramblerPipeline:
             stream.keystream.extend(int(b) for b in block)
             stream.state = ((self._A @ stream.state.astype(np.int64)) & 1).astype(np.uint8)
             generated += 1
-        _METRICS()["blocks"].labels(kind="scrambler").inc(generated)
+        _metric("blocks", "scrambler").inc(generated)
         out = [(b ^ k) & 1 for b, k in zip(checked, stream.keystream)]
         del stream.keystream[: len(checked)]
         return out

@@ -38,11 +38,9 @@ def reflect_bits(value: int, width: int) -> int:
         raise ValueError("width must be non-negative")
     if value >> width:
         raise ValueError(f"value {value:#x} does not fit in {width} bits")
-    result = 0
-    for _ in range(width):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
+    # One string reversal instead of a width-long shift loop: table CRCs
+    # reflect the register on every raw_register call.
+    return int(format(value, f"0{width}b")[::-1], 2) if width else 0
 
 
 def int_to_bits(value: int, width: int) -> List[int]:

@@ -19,7 +19,7 @@ pipeline:
   ops into wide engine calls — every feed applies with its pump
   deferred, every digest finalizes through
   :meth:`~repro.engine.parallel.ShardedCRCPipeline.finalize_many`
-  behind a single packed pump, and every feed ack shares one
+  behind a single pump, and every feed ack shares one
   pending-bits reading — so both the loop→thread handoff *and* the
   full-width matrix products amortize over the round.  That
   cross-stream reordering is legal because each connection awaits
@@ -55,8 +55,12 @@ from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
 from repro.crc.spec import CRCSpec
-from repro.engine.microbatch import BatcherClosed, MicroBatcher
+from repro.engine.microbatch import DEFAULT_MAX_BATCH, BatcherClosed, MicroBatcher
 from repro.engine.parallel import ShardedCRCPipeline
+# Imported here, on the main thread, rather than inside _build_pipeline:
+# a first import on the pipeline thread allocates in a second malloc
+# arena and raises the server's peak RSS by about a MiB.
+from repro.engine.planner import KIND_CRC_STREAM, WorkloadDescriptor, default_planner
 from repro.errors import ProtocolError, ReproError, StreamError, ValidationError
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -268,12 +272,6 @@ class ReproServer:
         plan = None
         M = self._M
         if self._auto and (M is None or self._workers is None):
-            from repro.engine.planner import (
-                KIND_CRC_STREAM,
-                WorkloadDescriptor,
-                default_planner,
-            )
-
             workload = WorkloadDescriptor(
                 kind=KIND_CRC_STREAM,
                 standard=self._spec.name,
@@ -301,8 +299,6 @@ class ReproServer:
         static defaults, since no host profile is available without
         probing.  Explicit ``batching=True/False`` always wins.
         """
-        from repro.engine.microbatch import DEFAULT_MAX_BATCH
-
         enabled = self._batching
         max_batch = self._batch_max or DEFAULT_MAX_BATCH
         linger_s = self._batch_linger_s if self._batch_linger_s is not None else 0.0
@@ -310,12 +306,6 @@ class ReproServer:
         if enabled is False:
             return False, max_batch, linger_s, crossover
         if self._auto:
-            from repro.engine.planner import (
-                KIND_CRC_STREAM,
-                WorkloadDescriptor,
-                default_planner,
-            )
-
             workload = WorkloadDescriptor(
                 kind=KIND_CRC_STREAM,
                 standard=self._spec.name,
@@ -489,18 +479,21 @@ class ReproServer:
     # Pump loop: coalesces feed signals into pump rounds and maintains
     # the pending-bits gauge that drives backpressure.
     # ------------------------------------------------------------------
+    def _pump_pending(self) -> int:
+        """Pump every whole block, then read the backlog (pipeline thread)."""
+        self._pipeline.pump()
+        return self._pipeline.pending_bits()
+
     async def _pump_loop(self) -> None:
-        pipeline = self._pipeline
+        # One executor call per wake-up: ``pump`` drains every whole
+        # block, so nothing is left for a second pass; feeds that land
+        # meanwhile set ``_work`` again.
         while self._state != "closed":
             await self._work.wait()
             self._work.clear()
             if self._state == "closed":
                 return
-            while True:
-                pumped = await self._call(pipeline.pump)
-                self._pending_bits = await self._call(pipeline.pending_bits)
-                if pumped == 0:
-                    break
+            self._pending_bits = await self._call(self._pump_pending)
             if self._pending_bits <= self._low:
                 self._drained.set()
 

@@ -16,6 +16,7 @@ reported mismatch indicts the parallel/batch/streaming candidate.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -181,14 +182,31 @@ class CRCBatchOracle(Oracle):
 
 class CRCPipelineOracle(Oracle):
     """BitwiseCRC vs the streaming pipeline under the case's chunk schedule,
-    interleaved deliveries and ghost-stream aborts."""
+    interleaved deliveries and ghost-stream aborts — once with every pump
+    round on the packed product and once with every round the spec and M
+    allow on the byte table, since a case's few streams would otherwise
+    only ever reach the table."""
 
     name = "crc:bitwise-vs-pipeline"
     kinds = (KIND_CRC,)
 
+    #: Crossover overrides: 0 sends every round to the packed product,
+    #: sys.maxsize every round the table can take to the table.
+    ENGINES = (("packed", 0), ("table", sys.maxsize))
+
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
+        for engine, crossover in self.ENGINES:
+            found = self._check_engine(case, cache, engine, crossover)
+            if found is not None:
+                return found
+        return None
+
+    def _check_engine(
+        self, case: FuzzCase, cache: CompileCache, engine: str, crossover: int
+    ) -> Optional[Discrepancy]:
         spec, serial = _crc_serial(case)
         pipe = CRCPipeline(spec, case.M, method=case.method, cache=cache)
+        pipe._crossover = crossover
         payloads = case.payloads()
         ids = []
         for i in range(len(payloads)):
@@ -220,7 +238,7 @@ class CRCPipelineOracle(Oracle):
             if got != expected:
                 return Discrepancy(
                     detail=f"pipeline stream {i} chunks={case.chunk_plan(i)} "
-                    f"method={case.method} aborts={case.aborts}",
+                    f"method={case.method} engine={engine} aborts={case.aborts}",
                     expected=f"0x{expected:X}",
                     got=f"0x{got:X}",
                 )

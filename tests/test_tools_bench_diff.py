@@ -167,3 +167,52 @@ class TestMain:
         if len(find_snapshots(root)) < 2:
             pytest.skip("fewer than two committed trajectory snapshots")
         assert main(["--root", str(root)]) == 0
+
+
+class TestCoverageChanges:
+    def test_gated_metric_missing_from_new_is_recorded(self):
+        old = _snapshot(1, {"k": _gated({"speedup": 4.0, "accuracy_old_accuracy": 1.0})})
+        new = _snapshot(2, {"k": _gated({"speedup": 4.0})})
+        diff = diff_snapshots(old, new)
+        assert diff["regressions"] == []
+        (gone,) = [s for s in diff["skipped"] if s.get("metric") == "accuracy_old_accuracy"]
+        assert gone["side"] == "old" and "only in the old" in gone["reason"]
+        assert "accuracy_old_accuracy" in format_diff(diff)
+
+    def test_gated_metric_new_in_new_is_recorded(self):
+        old = _snapshot(1, {"k": _gated({"speedup": 4.0})})
+        new = _snapshot(2, {"k": _gated({"speedup": 4.0, "fresh_speedup": 0.5})})
+        diff = diff_snapshots(old, new)
+        (fresh,) = [s for s in diff["skipped"] if s.get("metric") == "fresh_speedup"]
+        assert fresh["side"] == "new"
+        assert [c["metric"] for c in diff["comparisons"]] == ["speedup"]
+
+    def test_rebased_metric_is_skipped_with_its_reason(self):
+        old = _snapshot(1, {"k": _gated({"speedup": 6.6, "other_speedup": 2.0})})
+        new = _snapshot(2, {"k": _gated(
+            {"speedup": 1.1, "other_speedup": 2.0},
+            params={"rebased": {"speedup": "its denominator got 6x faster"}},
+        )})
+        diff = diff_snapshots(old, new)
+        assert diff["regressions"] == []
+        (skip,) = [s for s in diff["skipped"] if s.get("metric") == "speedup"]
+        assert skip["rebased"] is True
+        assert skip["reason"] == "re-based: its denominator got 6x faster"
+        assert [c["metric"] for c in diff["comparisons"]] == ["other_speedup"]
+        assert "re-based" in format_diff(diff)
+
+    def test_rebase_applies_only_to_the_named_metric(self):
+        old = _snapshot(1, {"k": _gated({"speedup": 6.0, "other_speedup": 2.0})})
+        new = _snapshot(2, {"k": _gated(
+            {"speedup": 1.0, "other_speedup": 1.0},
+            params={"rebased": {"speedup": "redefined"}},
+        )})
+        diff = diff_snapshots(old, new)
+        assert [c["metric"] for c in diff["regressions"]] == ["other_speedup"]
+
+    def test_rebase_in_old_snapshot_does_not_carry_over(self):
+        old = _snapshot(1, {"k": _gated(
+            {"speedup": 6.0}, params={"rebased": {"speedup": "redefined"}},
+        )})
+        new = _snapshot(2, {"k": _gated({"speedup": 1.0})})
+        assert [c["metric"] for c in diff_snapshots(old, new)["regressions"]] == ["speedup"]

@@ -17,7 +17,14 @@ names containing ``speedup`` or ending in ``_accuracy`` — are compared,
 because absolute rates (msgs/s, Gbit/s, seconds) are machine-dependent:
 CI runners differ run to run, but a *ratio* measured on one machine is
 comparable to the same ratio measured on another.  Everything skipped is
-listed in the diff artifact, so a shrinking gate surface is visible.
+listed in the diff artifact, so a shrinking gate surface is visible —
+including a gated metric that one snapshot has and the other lacks.
+
+Re-basing: when a change redefines what a gated metric divides by, its
+new value is not comparable with the old one.  The new report says so
+with a ``rebased`` map in its ``params`` (metric name -> reason); the
+diff then lists that metric under ``skipped`` with the reason instead of
+comparing it.  The map belongs in the one snapshot that re-bases.
 
 Usage::
 
@@ -108,9 +115,10 @@ def diff_snapshots(
         if not _is_gated_kernel(new_k):
             skipped.append({"kernel": name, "reason": "no gate_* opt-in"})
             continue
-        for metric in sorted(set(old_k.get("metrics", {})) & set(new_k.get("metrics", {}))):
-            old_v = old_k["metrics"][metric]
-            new_v = new_k["metrics"][metric]
+        old_m = old_k.get("metrics", {})
+        new_m = new_k.get("metrics", {})
+        rebased = new_k.get("params", {}).get("rebased", {})
+        for metric in sorted(set(old_m) | set(new_m)):
             if not _is_comparable_metric(metric):
                 skipped.append({
                     "kernel": name,
@@ -118,6 +126,25 @@ def diff_snapshots(
                     "reason": "machine-dependent (not a ratio)",
                 })
                 continue
+            if metric in rebased:
+                skipped.append({
+                    "kernel": name,
+                    "metric": metric,
+                    "reason": f"re-based: {rebased[metric]}",
+                    "rebased": True,
+                })
+                continue
+            if metric not in old_m or metric not in new_m:
+                side = "old" if metric in old_m else "new"
+                skipped.append({
+                    "kernel": name,
+                    "metric": metric,
+                    "reason": f"only in the {side} snapshot",
+                    "side": side,
+                })
+                continue
+            old_v = old_m[metric]
+            new_v = new_m[metric]
             if not isinstance(old_v, (int, float)) or old_v <= 0:
                 skipped.append({
                     "kernel": name,
