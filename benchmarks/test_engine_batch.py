@@ -5,10 +5,13 @@ per-message :class:`repro.crc.parallel.DerbyCRC` loop — the same recurrence,
 once bit-sliced across the batch and once in per-message Python — plus the
 compile-cache effect on repeated specs.  The acceptance gate for the engine
 subsystem is >= 10x messages/sec at batch size 1024; results are recorded
-in ``benchmarks/results/engine_batch.txt``.
+in ``benchmarks/results/engine_batch.txt``.  Stdlib ``zlib.crc32`` over the
+same messages is the ceiling row (reported, ungated), so every rate also
+reads as a fraction of it.
 """
 
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -73,10 +76,28 @@ def _timed(fn, subset, expected):
     return elapsed
 
 
-def test_engine_batch_sweep(derby_rate, batch_rates, save_result, save_report):
+@pytest.fixture(scope="module")
+def zlib_rate(messages):
+    """Stdlib ``zlib.crc32`` over the same messages: the CRC-32 ceiling."""
+    sample = messages[:BASELINE_SAMPLE]
+    assert [zlib.crc32(m) for m in sample] == [
+        BitwiseCRC(ETHERNET_CRC32).compute(m) for m in sample
+    ]
+    t0 = time.perf_counter()
+    for _ in range(20):
+        for m in messages:
+            zlib.crc32(m)
+    return 20 * len(messages) / (time.perf_counter() - t0)
+
+
+def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, save_result,
+                            save_report):
     rows = [[f"DerbyCRC loop (sample {BASELINE_SAMPLE})", f"{derby_rate:,.0f}", "1.0x"]]
     for batch, rate in sorted(batch_rates.items()):
         rows.append([f"BatchCRC B={batch}", f"{rate:,.0f}", f"{rate / derby_rate:.1f}x"])
+    rows.append([
+        "zlib.crc32 (ceiling)", f"{zlib_rate:,.0f}", f"{zlib_rate / derby_rate:.0f}x",
+    ])
     text = format_table(
         ["engine", "messages/s", "vs Derby loop"],
         rows,
@@ -100,6 +121,8 @@ def test_engine_batch_sweep(derby_rate, batch_rates, save_result, save_report):
             "derby_msgs_per_s": derby_rate,
             "speedup_b1024": batch_rates[1024] / derby_rate,
             "gate_min_speedup": 10.0,
+            "zlib_msgs_per_s": zlib_rate,
+            "b1024_vs_zlib": batch_rates[1024] / zlib_rate,
         },
         series={
             "batch_msgs_per_s": {str(b): r for b, r in sorted(batch_rates.items())},

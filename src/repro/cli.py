@@ -563,12 +563,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         auto=not args.no_auto,
-        batching=False if args.no_batch else None,
-        batch_max=args.batch_max,
-        batch_linger_s=(
-            args.batch_linger_us * 1e-6
-            if args.batch_linger_us is not None else None
-        ),
         drain_timeout_s=args.drain_timeout,
         telemetry_path=telemetry_path,
         flightrec_path=flightrec_path,
@@ -576,14 +570,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def run_server() -> None:
         await server.start()
-        batch_note = (
-            f"batch<={server.batcher.max_batch}" if server.batching
-            else "no-batch"
-        )
         print(
             f"serving {spec.name} on {server.host}:{server.port} "
-            f"(M={server.pipeline.M}, workers={server.pipeline.workers}, "
-            f"{batch_note}) — SIGTERM drains gracefully",
+            f"(M={server.pipeline.M}, workers={server.pipeline.workers}) "
+            f"— SIGTERM drains gracefully",
             flush=True,
         )
         server.install_signal_handlers()
@@ -860,15 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: planner picks)")
     p.add_argument("--no-auto", action="store_true",
                    help="skip the planner; use M=32 unless -m is given")
-    p.add_argument("--no-batch", action="store_true",
-                   help="disable cross-connection micro-batching "
-                        "(serial per-op executor path)")
-    p.add_argument("--batch-max", type=int, default=None, metavar="B",
-                   help="pin the micro-batch occupancy cap "
-                        "(default: planner picks)")
-    p.add_argument("--batch-linger-us", type=float, default=None, metavar="US",
-                   help="pin the micro-batch straggler window in "
-                        "microseconds (default: planner picks)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to wait for open streams on drain")
     p.add_argument("--drain-after", type=float, default=None, metavar="S",

@@ -26,9 +26,9 @@ Three layers, each reusable on its own:
   deterministic solver picking backend x workers x shard plan x M per
   workload, falling back to serial whenever sharding can't pay.
 * :mod:`repro.engine.microbatch` — a continuous-batching scheduler that
-  coalesces ops from many concurrent submitters (the serve path's
-  connections) into single wide executor calls, with planner-chosen
-  occupancy and linger windows.
+  coalesces ops from many concurrent asyncio submitters into single wide
+  executor calls, with planner-chosen occupancy and linger windows
+  (library code: the digest server calls its pipeline inline instead).
 """
 
 from importlib import import_module

@@ -19,10 +19,10 @@ Mechanics:
 
 * :meth:`MicroBatcher.submit` enqueues ``(key, op)`` on a bounded
   submission queue and returns the op's result.  Ops are opaque to the
-  batcher — the runner registered for ``key`` interprets them (the
-  serve layer submits tagged tuples; :func:`run_ops` handles plain
+  batcher — the runner registered for ``key`` interprets them (a
+  host may submit tagged tuples; :func:`run_ops` handles plain
   callables).  The queue bound is the natural backpressure surface —
-  :attr:`depth` feeds the server's watermarks.
+  a host can pause its readers on :attr:`depth`.
 * A drain task collects up to ``max_batch`` ops per round.  With
   ``linger_s == 0`` (the default) a round dispatches as soon as the
   queue is momentarily empty — **continuous batching**: while a round
@@ -46,9 +46,14 @@ Mechanics:
 
 Ordering contract in one sentence: **ops for one stream execute in
 submission order; ops for different streams may reorder within and
-across rounds.**  See ``docs/SERVE.md`` for the serving walkthrough and
+across rounds.**  See ``docs/ENGINE.md`` for a walkthrough and
 ``docs/OBSERVABILITY.md`` for the ``serve_batch_*`` metric family this
 module publishes.
+
+This is library code.  The digest server (:mod:`repro.serve.server`)
+no longer routes its ops through a batcher: it calls its pipeline
+inline on the event loop, because on 1–2 CPU hosts the loop→thread
+hand-off cost more than rounds saved (``docs/SERVE.md``).
 """
 
 from __future__ import annotations
@@ -235,10 +240,9 @@ class MicroBatcher:
         batcher handoff entirely — serial-path latency for a lone
         caller, with ordering intact because the executor serializes
         direct calls and rounds into one total order.  Hosts that
-        bypass must track their own in-flight direct ops (see
-        ``ReproServer._call_op``): two concurrent submitters both
-        observing ``idle`` is exactly the moment batching starts to
-        pay.
+        bypass must track their own in-flight direct ops: two
+        concurrent submitters both observing ``idle`` is exactly the
+        moment batching starts to pay.
         """
         return not self._pending and not self._dispatching
 
@@ -311,8 +315,8 @@ class MicroBatcher:
         """Flush outstanding work, then stop the drain task.
 
         Idempotent.  Ops submitted after close are refused with
-        :class:`BatcherClosed`; the server falls back to its serial
-        executor path at that point.
+        :class:`BatcherClosed`; a host falls back to its own serial
+        path at that point.
         """
         if self._task is None:
             return

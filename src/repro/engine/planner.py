@@ -808,7 +808,7 @@ class MicroBatchPlan:
 
     ``enabled=False`` means the modeled speedup never clears the
     planner's commitment threshold (engine-bound messages — handoffs are
-    noise) and the server should keep its serial executor path.
+    noise) and a host should keep its serial path.
     ``crossover_occupancy`` is the smallest round size that pays: below
     it the batcher flushes eagerly, so a lone client keeps serial-path
     latency.  See :meth:`Planner.plan_serve_batch` for the model.
@@ -1133,6 +1133,10 @@ class Planner:
         self, workload: WorkloadDescriptor
     ) -> "MicroBatchPlan":
         """The micro-batching decision for a serve-path workload.
+
+        :class:`~repro.serve.ReproServer` no longer consults it: the
+        server calls its pipeline inline on the event loop.  It stays
+        for hosts of a library :class:`~repro.engine.MicroBatcher`.
 
         Models the serve executor's per-op handoff cost (the profile's
         thread ``dispatch_s``) against the per-op engine time implied by

@@ -3,31 +3,24 @@
 One server process owns one :class:`~repro.engine.parallel.ShardedCRCPipeline`
 and multiplexes every client connection onto it, which is exactly the
 paper's operating point: a fixed parallel datapath kept saturated by many
-independent message streams arriving interleaved off the wire.  Three
+independent message streams arriving interleaved off the wire.  Four
 design rules keep the asyncio layer honest about that shared mutable
 pipeline:
 
-* **One pipeline thread.**  Every pipeline call — open, feed, pump,
-  finalize, abort — runs on a single-worker executor, so the event loop
-  never blocks on GF(2) math and pipeline operations have a total order
-  regardless of how many connections interleave.  (The pipeline's own
-  re-entrant lock stays as defense-in-depth for direct library users.)
-* **Micro-batched dispatch.**  Stream ops from all connections funnel
-  through a :class:`~repro.engine.microbatch.MicroBatcher` that
-  coalesces up to B queued ops into *one* executor round (the
-  continuous-batching pattern).  The round runner then *regroups* the
-  ops into wide engine calls — every feed applies with its pump
-  deferred, every digest finalizes through
-  :meth:`~repro.engine.parallel.ShardedCRCPipeline.finalize_many`
-  behind a single pump, and every feed ack shares one
-  pending-bits reading — so both the loop→thread handoff *and* the
-  full-width matrix products amortize over the round.  That
-  cross-stream reordering is legal because each connection awaits
-  every response before its next request: all ops in one round belong
-  to distinct streams.  The planner chooses B and the linger window
-  per host (``batching=None``); ``batching=False`` (CLI ``--no-batch``)
-  keeps the serial per-op path, which also remains the path during
-  drain.
+* **The loop runs the pipeline.**  Every pipeline call — open, feed,
+  pump, finalize, abort, close — runs inline on the event loop, so
+  pipeline operations have one total order however many connections
+  interleave.  There is no executor thread: the byte-table path a
+  served round takes holds the GIL, so a thread would buy no
+  parallelism, and each loop→thread→loop hop costs more than the CRC of
+  a 64-byte message.  The price is that a long call (a 1 MiB frame's
+  table advance) holds every other connection for its duration.
+* **One yield per request.**  After writing each response the handler
+  yields to the loop once.  ``StreamReader.readexactly`` does not
+  suspend on buffered frames and ``drain()`` does not suspend below the
+  write high-water mark, so without it a client that writes frames back
+  to back would be served to the end of its backlog before any other
+  connection got a turn.
 * **Backpressure, not buffering.**  Each ``feed-chunk`` ack carries the
   pipeline-wide pending-bits gauge.  When it crosses the high watermark
   the connection handler *stops reading frames* until the pump loop
@@ -49,17 +42,12 @@ clients never need to coordinate id choice.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from itertools import count
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
 from repro.crc.spec import CRCSpec
-from repro.engine.microbatch import DEFAULT_MAX_BATCH, BatcherClosed, MicroBatcher
 from repro.engine.parallel import ShardedCRCPipeline
-# Imported here, on the main thread, rather than inside _build_pipeline:
-# a first import on the pipeline thread allocates in a second malloc
-# arena and raises the server's peak RSS by about a MiB.
 from repro.engine.planner import KIND_CRC_STREAM, WorkloadDescriptor, default_planner
 from repro.errors import ProtocolError, ReproError, StreamError, ValidationError
 from repro.serve.protocol import (
@@ -82,12 +70,6 @@ from repro.telemetry import (
 DEFAULT_HIGH_WATERMARK_BITS = 1 << 22  # 512 KiB of buffered message data
 #: Resume paused connections once pending bits fall back below this.
 DEFAULT_LOW_WATERMARK_BITS = 1 << 20
-
-#: Pause reading a connection once the micro-batch queue holds this many
-#: ops per allowed round (i.e. ``high = factor * max_batch``) ...
-BATCH_QUEUE_HIGH_FACTOR = 4
-#: ... and resume once depth falls below ``max_batch`` rounds again.
-BATCH_QUEUE_LOW_FACTOR = 1
 
 #: Default expectations fed to the planner when ``auto`` sizing is on and
 #: the caller pinned neither M nor workers: an IMIX-weighted mean frame
@@ -152,9 +134,6 @@ class ReproServer:
         *,
         workers: Union[None, int, str] = None,
         auto: bool = True,
-        batching: Optional[bool] = None,
-        batch_max: Optional[int] = None,
-        batch_linger_s: Optional[float] = None,
         high_watermark_bits: int = DEFAULT_HIGH_WATERMARK_BITS,
         low_watermark_bits: int = DEFAULT_LOW_WATERMARK_BITS,
         drain_timeout_s: float = 30.0,
@@ -173,9 +152,6 @@ class ReproServer:
         self._auto = auto
         self._M = M
         self._workers = workers
-        self._batching = batching
-        self._batch_max = batch_max
-        self._batch_linger_s = batch_linger_s
         self._high = high_watermark_bits
         self._low = low_watermark_bits
         self._drain_timeout = drain_timeout_s
@@ -184,14 +160,8 @@ class ReproServer:
         self._max_frame = max_frame
 
         self._pipeline: Optional[ShardedCRCPipeline] = None
-        self._batcher: Optional[MicroBatcher] = None
-        self._batch_plan = None
-        self._batch_queue_high = 0
-        self._batch_queue_low = 0
-        self._direct_ops = 0  # fast-path stream ops currently in flight
         self._bound_port = 0
         self._server: Optional[asyncio.base_events.Server] = None
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._state = "new"  # new -> serving -> draining -> closed
         self._conn_ids = count(1)
         self._connections: Set[_Connection] = set()
@@ -215,8 +185,6 @@ class ReproServer:
             "stream_errors_total": 0,
             "refused_draining_total": 0,
             "backpressure_pauses_total": 0,
-            "batches_total": 0,
-            "batched_ops_total": 0,
         }
 
     # ------------------------------------------------------------------
@@ -250,25 +218,9 @@ class ReproServer:
         """Streams currently open across all connections."""
         return sum(len(conn.streams) for conn in self._connections)
 
-    @property
-    def batching(self) -> bool:
-        """True when stream ops route through the micro-batcher."""
-        return self._batcher is not None and self._batcher.running
-
-    @property
-    def batcher(self) -> Optional[MicroBatcher]:
-        """The micro-batcher (``None`` when batching is disabled)."""
-        return self._batcher
-
-    @property
-    def batch_plan(self):
-        """The planner's :class:`~repro.engine.planner.MicroBatchPlan`
-        in force (``None`` when batching is off or pinned manually)."""
-        return self._batch_plan
-
     # ------------------------------------------------------------------
     def _build_pipeline(self) -> ShardedCRCPipeline:
-        """Size and construct the shared pipeline (runs off the loop)."""
+        """Size and construct the shared pipeline."""
         plan = None
         M = self._M
         if self._auto and (M is None or self._workers is None):
@@ -288,68 +240,11 @@ class ReproServer:
             M = 32
         return ShardedCRCPipeline(self._spec, M, workers=self._workers, plan=plan)
 
-    def _resolve_batching(self):
-        """Decide the micro-batch shape: pins, then the planner.
-
-        Returns ``(enabled, max_batch, linger_s, crossover)``.  With
-        ``batching=None`` and ``auto`` on, the planner's
-        :meth:`~repro.engine.planner.Planner.plan_serve_batch` decision
-        rules (including its serial fallback for engine-bound message
-        sizes); pinned servers (``auto=False``) default to batching with
-        static defaults, since no host profile is available without
-        probing.  Explicit ``batching=True/False`` always wins.
-        """
-        enabled = self._batching
-        max_batch = self._batch_max or DEFAULT_MAX_BATCH
-        linger_s = self._batch_linger_s if self._batch_linger_s is not None else 0.0
-        crossover = 2
-        if enabled is False:
-            return False, max_batch, linger_s, crossover
-        if self._auto:
-            workload = WorkloadDescriptor(
-                kind=KIND_CRC_STREAM,
-                standard=self._spec.name,
-                message_bits=AUTO_PLAN_MESSAGE_BITS,
-                streams=AUTO_PLAN_STREAMS,
-                M=self._M,
-            )
-            plan = default_planner().plan_serve_batch(workload)
-            self._batch_plan = plan
-            if enabled is None:
-                enabled = plan.enabled
-            if plan.enabled:
-                if self._batch_max is None:
-                    max_batch = plan.max_batch
-                if self._batch_linger_s is None:
-                    linger_s = plan.linger_s
-                crossover = max(1, plan.crossover_occupancy)
-        elif enabled is None:
-            enabled = True
-        return bool(enabled), max_batch, linger_s, crossover
-
     async def start(self) -> None:
         """Build the pipeline, bind the listener, start the pump loop."""
         if self._state != "new":
             raise ValidationError(f"cannot start a server in state {self._state!r}")
-        loop = asyncio.get_running_loop()
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-pipeline"
-        )
-        self._pipeline = await loop.run_in_executor(
-            self._executor, self._build_pipeline
-        )
-        enabled, max_batch, linger_s, crossover = self._resolve_batching()
-        if enabled:
-            self._batcher = MicroBatcher(
-                self._executor,
-                max_batch=max_batch,
-                linger_s=linger_s,
-                linger_min_depth=crossover,
-            )
-            self._batcher.register(self._spec.name, self._run_stream_ops)
-            self._batch_queue_high = BATCH_QUEUE_HIGH_FACTOR * max_batch
-            self._batch_queue_low = BATCH_QUEUE_LOW_FACTOR * max_batch
-            self._batcher.start()
+        self._pipeline = self._build_pipeline()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self._host, port=self._requested_port
         )
@@ -364,141 +259,28 @@ class ReproServer:
                 standard=self._spec.name,
                 M=self._pipeline.M,
                 workers=self._pipeline.workers,
-                batching=enabled,
-                batch_max=max_batch if enabled else 0,
             )
-
-    async def _call(self, fn, *args):
-        """Run one pipeline operation on the dedicated pipeline thread."""
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, fn, *args
-        )
-
-    async def _call_op(self, op, serial_fn):
-        """Run one *stream* op — batched while serving, serial otherwise.
-
-        ``op`` is the tagged tuple :meth:`_run_stream_ops` understands;
-        ``serial_fn`` is the zero-argument equivalent for the per-op
-        path.  The batcher shares the pipeline executor, so batched and
-        serial ops keep one total order; during drain (or with batching
-        off) every op takes the serial path.  Results and exceptions
-        come back exactly as the serial path would deliver them — the
-        batch runner contains failures per op.
-
-        Depth-zero fast path: with at most one connection open there is
-        nothing to coalesce with, so — provided the batcher is idle and
-        no other fast-path op is in flight — the op runs directly on
-        the pipeline executor and the lone connection keeps the serial
-        path's latency instead of paying the batcher handoff.  The
-        connection-count guard matters: gating on batcher idleness
-        alone would let the first waiter woken after each round sneak
-        onto the direct path and fragment the next round's occupancy.
-        Ordering is safe either way because the single pipeline thread
-        serializes direct calls and rounds into one total order, and
-        each connection awaits every response before sending its next
-        op.
-        """
-        if self._batcher is not None and self._state == "serving":
-            if (
-                len(self._connections) <= 1
-                and self._direct_ops == 0
-                and self._batcher.idle
-            ):
-                self._direct_ops += 1
-                try:
-                    return await self._call(serial_fn)
-                finally:
-                    self._direct_ops -= 1
-            try:
-                return await self._batcher.submit(self._spec.name, op)
-            except BatcherClosed:
-                pass  # drain raced the submit; fall through to serial
-        return await self._call(serial_fn)
-
-    def _run_stream_ops(self, ops):
-        """Execute one micro-batch round of tagged stream ops (pipeline
-        thread).
-
-        The round regroups ops into wide engine calls instead of
-        replaying them one by one: opens and closes apply in submission
-        order, feeds apply with their pumps deferred, then every digest
-        finalizes through :meth:`ShardedCRCPipeline.finalize_many` —
-        whose single pump also advances the streams just fed — and all
-        feed acks share one post-round ``pending_bits`` reading.
-        Cross-stream reordering is safe because every op in a round
-        belongs to a distinct stream (each connection awaits its
-        response before sending the next request); per-op failure
-        containment matches the serial path (an exception instance in a
-        result slot fails only that op's future).
-        """
-        pipeline = self._pipeline
-        results = [None] * len(ops)
-        feed_slots = []
-        digest_slots = []
-        for i, op in enumerate(ops):
-            kind = op[0]
-            try:
-                if kind == "feed":
-                    pipeline.feed(op[1], op[2], pump=False)
-                    feed_slots.append(i)
-                elif kind == "digest":
-                    digest_slots.append(i)
-                elif kind == "open":
-                    results[i] = pipeline.open(op[1], op[2])
-                elif kind == "close":
-                    pipeline.abort(op[1])
-                    results[i] = True
-                else:
-                    results[i] = ValidationError(
-                        f"unknown batched op kind {kind!r}"
-                    )
-            except Exception as exc:  # noqa: BLE001 — contained per op
-                results[i] = exc
-        if digest_slots:
-            try:
-                digests = pipeline.finalize_many(
-                    [ops[i][1] for i in digest_slots]
-                )
-                for i, digest in zip(digest_slots, digests):
-                    results[i] = digest
-            except Exception:  # noqa: BLE001 — all-or-nothing group call
-                # failed validation (e.g. one unknown stream): retry per
-                # stream so only the offending op carries the error.
-                for i in digest_slots:
-                    try:
-                        results[i] = pipeline.finalize(ops[i][1])
-                    except Exception as exc:  # noqa: BLE001
-                        results[i] = exc
-        if feed_slots:
-            pending = pipeline.pending_bits()
-            for i in feed_slots:
-                results[i] = pending
-        return results
 
     # ------------------------------------------------------------------
     # Pump loop: coalesces feed signals into pump rounds and maintains
     # the pending-bits gauge that drives backpressure.
     # ------------------------------------------------------------------
-    def _pump_pending(self) -> int:
-        """Pump every whole block, then read the backlog (pipeline thread)."""
-        self._pipeline.pump()
-        return self._pipeline.pending_bits()
-
     async def _pump_loop(self) -> None:
-        # One executor call per wake-up: ``pump`` drains every whole
-        # block, so nothing is left for a second pass; feeds that land
-        # meanwhile set ``_work`` again.
+        # One pump per wake-up: ``pump`` drains every whole block, so
+        # nothing is left for a second pass; feeds that land meanwhile
+        # set ``_work`` again.
         while self._state != "closed":
             await self._work.wait()
             self._work.clear()
             if self._state == "closed":
                 return
-            self._pending_bits = await self._call(self._pump_pending)
+            self._pipeline.pump()
+            self._pending_bits = self._pipeline.pending_bits()
             if self._pending_bits <= self._low:
                 self._drained.set()
 
     def _note_pending(self, pending: int) -> None:
-        """Update the backpressure gauge after a feed's ack round-trip."""
+        """Update the backpressure gauge after a feed."""
         self._pending_bits = pending
         if pending > self._high:
             self._drained.clear()
@@ -533,12 +315,7 @@ class ReproServer:
             self._connections.discard(conn)
             if default_registry().enabled:
                 _METRICS()["connections"].dec()
-            for pipeline_id in list(conn.streams.values()):
-                try:
-                    await self._call(self._pipeline.abort, pipeline_id)
-                except ReproError:
-                    pass
-            conn.streams.clear()
+            self._abort_streams(conn)
             self._check_no_streams()
             writer.close()
             try:
@@ -563,23 +340,23 @@ class ReproServer:
                     writer, error_response(None, "protocol", str(exc))
                 )
                 return
-            response, pause = await self._dispatch(conn, header, payload)
+            response, pause = self._dispatch(conn, header, payload)
             await write_frame(writer, response)
             if not response.get("ok") and response.get("code") == "protocol":
                 return
             if pause:
                 # Stop reading until the pump loop drains below the low
-                # watermark (and, when batching, the submission queue
-                # falls back under a round's worth of ops); unread
-                # frames back-pressure the client via TCP flow control.
+                # watermark; unread frames back-pressure the client via
+                # TCP flow control.
                 self.counters["backpressure_pauses_total"] += 1
                 if default_registry().enabled:
                     _METRICS()["backpressure"].inc()
                 await self._drained.wait()
-                if self.batching:
-                    await self._batcher.wait_depth_below(self._batch_queue_low)
+            # Give every other connection (and the pump loop) a turn
+            # before the next buffered frame of this one.
+            await asyncio.sleep(0)
 
-    async def _dispatch(self, conn, header: dict, payload: bytes):
+    def _dispatch(self, conn, header: dict, payload: bytes):
         """Route one request; returns ``(response_header, pause_reading)``."""
         op = header.get("op")
         self.counters["messages_total"] += 1
@@ -587,13 +364,13 @@ class ReproServer:
             _METRICS()["messages"].labels(op=str(op)).inc()
         try:
             if op == "open-stream":
-                return await self._op_open(conn, header), False
+                return self._op_open(conn, header), False
             if op == "feed-chunk":
-                return await self._op_feed(conn, header, payload)
+                return self._op_feed(conn, header, payload)
             if op == "read-digest":
-                return await self._op_digest(conn, header), False
+                return self._op_digest(conn, header), False
             if op == "close-stream":
-                return await self._op_close(conn, header), False
+                return self._op_close(conn, header), False
             if op == "stats":
                 return self._op_stats(), False
             self._count_error("protocol")
@@ -611,7 +388,7 @@ class ReproServer:
             self._count_error("internal")
             return error_response(op, "internal", str(exc)), False
 
-    async def _op_open(self, conn: _Connection, header: dict) -> dict:
+    def _op_open(self, conn: _Connection, header: dict) -> dict:
         if self._state != "serving":
             self.counters["refused_draining_total"] += 1
             self._count_error("draining")
@@ -629,11 +406,7 @@ class ReproServer:
         if register is not None and not isinstance(register, int):
             raise ValidationError(f"register must be an integer, got {register!r}")
         pipeline_id = f"c{conn.conn_id}:{client_id}"
-        pipeline = self._pipeline
-        await self._call_op(
-            ("open", pipeline_id, register),
-            lambda: pipeline.open(pipeline_id, register),
-        )
+        self._pipeline.open(pipeline_id, register)
         conn.streams[client_id] = pipeline_id
         self._no_streams.clear()
         return {"op": "open-stream", "ok": True, "id": client_id}
@@ -648,15 +421,10 @@ class ReproServer:
                 f"({len(conn.streams)} open)"
             ) from None
 
-    async def _op_feed(self, conn: _Connection, header: dict, payload: bytes):
+    def _op_feed(self, conn: _Connection, header: dict, payload: bytes):
         pipeline_id = self._stream_of(conn, header)
-        pipeline = self._pipeline
-
-        def _feed() -> int:
-            pipeline.feed(pipeline_id, payload, pump=False)
-            return pipeline.pending_bits()
-
-        pending = await self._call_op(("feed", pipeline_id, payload), _feed)
+        self._pipeline.feed(pipeline_id, payload, pump=False)
+        pending = self._pipeline.pending_bits()
         self.counters["bytes_in_total"] += len(payload)
         self._note_pending(pending)
         response = {
@@ -665,18 +433,11 @@ class ReproServer:
             "id": str(header.get("id")),
             "pending_bits": pending,
         }
-        pause = pending > self._high or (
-            self.batching and self._batcher.depth > self._batch_queue_high
-        )
-        return response, pause
+        return response, pending > self._high
 
-    async def _op_digest(self, conn: _Connection, header: dict) -> dict:
+    def _op_digest(self, conn: _Connection, header: dict) -> dict:
         client_id = str(header.get("id"))
-        pipeline_id = self._stream_of(conn, header)
-        pipeline = self._pipeline
-        digest = await self._call_op(
-            ("digest", pipeline_id), lambda: pipeline.finalize(pipeline_id)
-        )
+        digest = self._pipeline.finalize(self._stream_of(conn, header))
         del conn.streams[client_id]
         self.counters["digests_total"] += 1
         self._check_no_streams()
@@ -688,20 +449,15 @@ class ReproServer:
             "width": self._spec.width,
         }
 
-    async def _op_close(self, conn: _Connection, header: dict) -> dict:
+    def _op_close(self, conn: _Connection, header: dict) -> dict:
         client_id = str(header.get("id"))
-        pipeline_id = self._stream_of(conn, header)
-        pipeline = self._pipeline
-        await self._call_op(
-            ("close", pipeline_id), lambda: pipeline.abort(pipeline_id)
-        )
+        self._pipeline.abort(self._stream_of(conn, header))
         del conn.streams[client_id]
         self._check_no_streams()
         return {"op": "close-stream", "ok": True, "id": client_id}
 
     def _op_stats(self) -> dict:
-        self._sync_batch_counters()
-        response = {
+        return {
             "op": "stats",
             "ok": True,
             "state": self._state,
@@ -711,23 +467,8 @@ class ReproServer:
             "connections": len(self._connections),
             "streams": self.stream_count,
             "pending_bits": self._pending_bits,
-            "batching": self.batching,
             "counters": dict(self.counters),
         }
-        if self._batcher is not None:
-            response["batch"] = dict(
-                self._batcher.stats.to_dict(),
-                depth=self._batcher.depth,
-                max_batch=self._batcher.max_batch,
-                linger_s=self._batcher.linger_s,
-            )
-        return response
-
-    def _sync_batch_counters(self) -> None:
-        """Mirror the batcher's round counters into :attr:`counters`."""
-        if self._batcher is not None:
-            self.counters["batches_total"] = self._batcher.stats.batches
-            self.counters["batched_ops_total"] = self._batcher.stats.ops
 
     async def _safe_write(
         self, writer: asyncio.StreamWriter, header: dict
@@ -749,6 +490,15 @@ class ReproServer:
     def _check_no_streams(self) -> None:
         if self.stream_count == 0:
             self._no_streams.set()
+
+    def _abort_streams(self, conn: _Connection) -> None:
+        """Abort every stream ``conn`` still owns (disconnect, drain timeout)."""
+        for pipeline_id in conn.streams.values():
+            try:
+                self._pipeline.abort(pipeline_id)
+            except ReproError:
+                pass
+        conn.streams.clear()
 
     # ------------------------------------------------------------------
     # Drain / shutdown
@@ -793,28 +543,17 @@ class ReproServer:
                 connections=len(self._connections),
             )
         # Stop accepting new connections; existing ones keep their frames
-        # flowing so open streams can finish.
+        # flowing so open streams can finish.  ``wait_closed`` waits for
+        # those connections to drop (Python >= 3.12.1), so it comes last.
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Flush and retire the batcher: queued ops complete as batches,
-        # then every remaining drain-phase op takes the serial path (an
-        # idle batcher records an empty flush — also legal).
-        if self._batcher is not None:
-            await self._batcher.aclose()
-            self._sync_batch_counters()
         self._check_no_streams()
         timeout = self._drain_timeout if timeout_s is None else timeout_s
         try:
             await asyncio.wait_for(self._no_streams.wait(), timeout)
         except asyncio.TimeoutError:
-            for conn in list(self._connections):
-                for pipeline_id in list(conn.streams.values()):
-                    try:
-                        await self._call(self._pipeline.abort, pipeline_id)
-                    except ReproError:
-                        pass
-                conn.streams.clear()
+            for conn in self._connections:
+                self._abort_streams(conn)
             self._no_streams.set()
         self._state = "closed"
         # Unblock any handler parked on backpressure so connections close.
@@ -822,12 +561,12 @@ class ReproServer:
         self._work.set()
         if self._pump_task is not None:
             await self._pump_task
-        for conn in list(self._connections):
+        for conn in self._connections:
             conn.writer.close()
+        if self._server is not None:
+            await self._server.wait_closed()
         self._flush_observability()
-        await self._call(self._pipeline.close)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        self._pipeline.close()
         self._closed_event.set()
 
     def _flush_observability(self) -> None:

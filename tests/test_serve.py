@@ -1,6 +1,6 @@
 """Contract of the async network service layer (:mod:`repro.serve`).
 
-Four properties matter and each gets direct coverage:
+Five properties matter and each gets direct coverage:
 
 * **Framing** — the length-prefixed JSON+binary wire format round-trips
   exactly and every malformation (truncation, oversize, non-JSON header,
@@ -16,6 +16,9 @@ Four properties matter and each gets direct coverage:
 * **Drain** — while draining, open streams complete bit-exact and new
   work is refused with code ``"draining"``; afterwards the server is
   closed and its pipeline released.
+* **Dispatch on the loop** — every pipeline call runs on the event
+  loop's thread, and a client writing frames back to back does not
+  starve another connection.
 
 No pytest-asyncio in the toolchain: each test drives its own event loop
 through ``asyncio.run``.
@@ -23,6 +26,7 @@ through ``asyncio.run``.
 
 import asyncio
 import struct
+import threading
 
 import pytest
 
@@ -40,7 +44,7 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.loadgen import IMIX_MIX, LoadgenReport, percentile
-from repro.serve.protocol import error_response
+from repro.serve.protocol import error_response, read_frame
 
 SPEC = get("CRC-32")
 ORACLE = TableCRC(SPEC)
@@ -284,7 +288,12 @@ class TestServerRoundTrip:
         assert db == ORACLE.compute(b"bbbb")
 
     def test_many_interleaved_connections_bit_exact(self):
-        messages = [bytes([i]) * (13 * i + 1) for i in range(12)]
+        inputs = [
+            # 12 connections, multi-chunk feeds
+            [bytes([i]) * (13 * i + 1) for i in range(12)],
+            # 32 concurrent connections, one feed each
+            [bytes([i]) * (50 + i) for i in range(32)],
+        ]
 
         async def one(server, payload):
             async with await ServeClient.connect(server.host, server.port) as c:
@@ -293,12 +302,13 @@ class TestServerRoundTrip:
                     await c.feed(sid, payload[start:start + 97])
                 return await c.read_digest(sid)
 
-        async def scenario():
+        async def scenario(messages):
             async with make_server() as server:
                 return await asyncio.gather(*(one(server, m) for m in messages))
 
-        digests = run(scenario())
-        assert digests == [ORACLE.compute(m) for m in messages]
+        for messages in inputs:
+            digests = run(scenario(messages))
+            assert digests == [ORACLE.compute(m) for m in messages]
 
     def test_stats_verb_reports_counters(self):
         async def scenario():
@@ -329,6 +339,30 @@ class TestServerRoundTrip:
         serve_streams, pipeline_streams = run(scenario())
         assert serve_streams == 0
         assert pipeline_streams == 0
+
+    def test_connection_drop_with_op_in_flight_aborts_cleanly(self):
+        """A client that vanishes mid-stream must not wedge the server
+        or leak its stream."""
+        async def scenario():
+            async with make_server() as server:
+                client = await ServeClient.connect(server.host, server.port)
+                sid = await client.open_stream()
+                await client.feed(sid, b"half a message")
+                # Hard-drop the transport (no close-stream, no digest).
+                client._writer.transport.abort()
+                await client.aclose()
+                for _ in range(200):
+                    if server.stream_count == 0:
+                        break
+                    await asyncio.sleep(0.01)
+                # The server must still serve new work afterwards.
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    digest = await c.compute(b"still alive")
+                return server.stream_count, digest
+
+        leftover, digest = run(scenario())
+        assert leftover == 0
+        assert digest == ORACLE.compute(b"still alive")
 
 
 # ----------------------------------------------------------------------
@@ -425,114 +459,95 @@ class TestBackpressure:
 
 
 # ----------------------------------------------------------------------
-# Micro-batched dispatch
+# Dispatch on the event loop
 # ----------------------------------------------------------------------
-class TestMicroBatchedServe:
-    def test_default_server_batches_and_stays_bit_exact(self):
-        """32 concurrent connections: every digest matches the oracle
-        and the ops actually flowed through multi-op batch rounds."""
-        payloads = [bytes([i]) * (50 + i) for i in range(32)]
+class TestInlineDispatch:
+    def test_every_pipeline_call_runs_on_the_loop_thread(self, monkeypatch):
+        """Start-up, every verb, connection clean-up, the pump loop and
+        drain all call the pipeline from the event loop's own thread."""
+        from repro.engine.parallel import ShardedCRCPipeline
 
-        async def one(server, payload):
+        calls = []
+        methods = ("__init__", "open", "feed", "pump", "pending_bits",
+                   "finalize", "finalize_many", "abort", "close")
+
+        def recording(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return method(*args, **kwargs)
+            return wrapper
+
+        for name in methods:
+            monkeypatch.setattr(ShardedCRCPipeline, name,
+                                recording(name, getattr(ShardedCRCPipeline, name)))
+
+        async def scenario():
+            server = make_server(drain_timeout_s=0.05)
+            await server.start()
             async with await ServeClient.connect(server.host, server.port) as c:
-                return await c.compute(payload)
+                assert await c.compute(b"on the loop" * 40) == ORACLE.compute(
+                    b"on the loop" * 40)
+                sid = await c.open_stream()
+                await c.feed(sid, b"closed unread")
+                await c.close_stream(sid)
+                await c.stats()
+            orphan = await ServeClient.connect(server.host, server.port)
+            await orphan.feed(await orphan.open_stream(), b"orphaned")
+            await orphan.aclose()
+            for _ in range(200):
+                if server.stream_count == 0:
+                    break
+                await asyncio.sleep(0.01)
+            straggler = await ServeClient.connect(server.host, server.port)
+            await straggler.feed(await straggler.open_stream(), b"left open")
+            await asyncio.wait_for(server.drain(), timeout=10)
+            await straggler.aclose()
+            return threading.get_ident()
+
+        loop_thread = run(scenario())
+        assert {thread for _, thread in calls} == {loop_thread}
+        called = {name for name, _ in calls}
+        assert {"__init__", "open", "feed", "pump", "finalize", "abort",
+                "close"} <= called
+
+    def test_back_to_back_frames_do_not_starve_other_connections(self):
+        """A client that writes a long burst of frames without reading
+        still shares the loop: another connection's digest comes back
+        before the burst has been answered."""
+        burst = 400
 
         async def scenario():
             async with make_server() as server:
-                assert server.batching
-                digests = await asyncio.gather(*(
-                    one(server, p) for p in payloads
-                ))
-                stats = server.batcher.stats
-                return digests, stats.ops, stats.max_occupancy
+                async with await ServeClient.connect(server.host, server.port) as fair:
+                    sid = await fair.open_stream()
+                    await fair.feed(sid, b"fair share")
+                    before = server.counters["messages_total"]
 
-        digests, batched_ops, max_occupancy = run(scenario())
-        assert digests == [ORACLE.compute(p) for p in payloads]
-        assert batched_ops > 0
-        assert max_occupancy > 1  # cross-connection coalescing happened
-
-    def test_no_batch_pin_serves_identically_on_serial_path(self):
-        payload = bytes(range(120))
-
-        async def scenario():
-            async with make_server(batching=False) as server:
-                assert not server.batching
-                assert server.batcher is None
-                async with await ServeClient.connect(server.host, server.port) as c:
-                    digest = await c.compute(payload)
-                    stats = await c.stats()
-                return digest, stats
-
-        digest, stats = run(scenario())
-        assert digest == ORACLE.compute(payload)
-        assert stats["batching"] is False
-        assert stats["counters"]["batches_total"] == 0
-        assert "batch" not in stats
-
-    def test_lone_client_takes_depth_zero_fast_path(self):
-        """A single caller never has anything to coalesce with, so its
-        ops bypass the batcher entirely (serial-path latency) — and the
-        digest is still exact."""
-        payload = bytes(range(90))
-
-        async def scenario():
-            async with make_server() as server:
-                async with await ServeClient.connect(server.host, server.port) as c:
-                    digest = await c.compute(payload)
-                stats = server.batcher.stats
-                return digest, stats.batches, stats.ops
-
-        digest, batches, ops = run(scenario())
-        assert digest == ORACLE.compute(payload)
-        assert batches == 0 and ops == 0  # every op went direct
-
-    def test_stats_verb_reports_batch_block(self):
-        async def scenario():
-            async with make_server(batch_max=16) as server:
-                # A concurrent burst so ops overlap and rounds form (a
-                # lone client would ride the depth-zero fast path).
-                async def one(i):
-                    async with await ServeClient.connect(
+                    reader, writer = await asyncio.open_connection(
                         server.host, server.port
-                    ) as c:
-                        for _ in range(4):
-                            await c.compute(bytes([i]) * 64)
+                    )
+                    await read_frame(reader)  # hello
+                    frames = [encode_frame({"op": "open-stream", "id": "hog"})]
+                    frames += [
+                        encode_frame({"op": "feed-chunk", "id": "hog"}, b"x" * 16)
+                    ] * burst
+                    writer.write(b"".join(frames))
+                    await writer.drain()
+                    for _ in range(3):  # let the burst land and its handler start
+                        await asyncio.sleep(0)
 
-                await asyncio.gather(*(one(i) for i in range(8)))
-                async with await ServeClient.connect(server.host, server.port) as c:
-                    return await c.stats()
+                    digest = await fair.read_digest(sid)
+                    hog_answered = server.counters["messages_total"] - before - 1
+                    for _ in range(burst + 1):
+                        response, _ = await read_frame(reader)
+                        assert response["ok"]
+                    writer.close()
+                    await writer.wait_closed()
+                    return digest, hog_answered
 
-        stats = run(scenario())
-        assert stats["batching"] is True
-        batch = stats["batch"]
-        assert batch["max_batch"] == 16
-        assert batch["ops"] >= 3  # most of the burst flowed through rounds
-        assert batch["depth"] == 0  # idle at stats time
-        assert stats["counters"]["batched_ops_total"] == batch["ops"]
-
-    def test_connection_drop_with_op_in_flight_aborts_cleanly(self):
-        """A client that vanishes mid-stream must not wedge the batcher
-        or leak its stream."""
-        async def scenario():
-            async with make_server() as server:
-                client = await ServeClient.connect(server.host, server.port)
-                sid = await client.open_stream()
-                await client.feed(sid, b"half a message")
-                # Hard-drop the transport (no close-stream, no digest).
-                client._writer.transport.abort()
-                await client.aclose()
-                for _ in range(200):
-                    if server.stream_count == 0:
-                        break
-                    await asyncio.sleep(0.01)
-                # The batcher must still serve new work afterwards.
-                async with await ServeClient.connect(server.host, server.port) as c:
-                    digest = await c.compute(b"still alive")
-                return server.stream_count, digest
-
-        leftover, digest = run(scenario())
-        assert leftover == 0
-        assert digest == ORACLE.compute(b"still alive")
+        digest, hog_answered = run(scenario())
+        assert digest == ORACLE.compute(b"fair share")
+        assert hog_answered < burst + 1
 
 
 # ----------------------------------------------------------------------
@@ -602,6 +617,37 @@ class TestDrain:
         state, streams = run(scenario())
         assert state == "closed"
         assert streams == 0
+
+    def test_drain_with_straggler_finishes_when_wait_closed_waits_for_connections(
+        self, monkeypatch
+    ):
+        """From Python 3.12.1 on, ``Server.wait_closed`` returns only once
+        every connection has dropped.  Drain must still end within its
+        timeout while a straggler keeps its connection open."""
+        from asyncio import base_events
+
+        async def wait_closed(self):  # the body Python 3.12.1 ships
+            if self._waiters is None:
+                return
+            waiter = self._loop.create_future()
+            self._waiters.append(waiter)
+            await waiter
+
+        monkeypatch.setattr(base_events.Server, "wait_closed", wait_closed)
+
+        async def scenario():
+            server = make_server(drain_timeout_s=0.05)
+            await server.start()
+            client = await ServeClient.connect(server.host, server.port)
+            await client.open_stream("straggler")
+            await client.feed("straggler", b"never finalized")
+            try:
+                await asyncio.wait_for(server.drain(), timeout=3)
+            finally:
+                await client.aclose()
+            return server.state, server.pipeline.stream_count
+
+        assert run(scenario()) == ("closed", 0)
 
     def test_drain_is_idempotent(self):
         async def scenario():

@@ -187,6 +187,23 @@ class TestCoverageChanges:
         assert fresh["side"] == "new"
         assert [c["metric"] for c in diff["comparisons"]] == ["speedup"]
 
+    def test_retired_gated_kernel_lists_its_ratio_metrics(self):
+        old = _snapshot(1, {
+            "retired": _gated({"round_speedup": 0.9, "digest_accuracy": 1.0,
+                               "rate_msgs_per_s": 5.0}),
+            "plain": {"params": {}, "metrics": {"speedup": 1.0}},
+        })
+        new = _snapshot(2, {})
+        diff = diff_snapshots(old, new)
+        listed = {(s["kernel"], s.get("metric")): s["side"] for s in diff["skipped"]}
+        assert listed == {
+            ("retired", None): "old",
+            ("retired", "digest_accuracy"): "old",
+            ("retired", "round_speedup"): "old",
+            ("plain", None): "old",
+        }
+        assert "retired.round_speedup" in format_diff(diff)
+
     def test_rebased_metric_is_skipped_with_its_reason(self):
         old = _snapshot(1, {"k": _gated({"speedup": 6.6, "other_speedup": 2.0})})
         new = _snapshot(2, {"k": _gated(

@@ -18,7 +18,8 @@ because absolute rates (msgs/s, Gbit/s, seconds) are machine-dependent:
 CI runners differ run to run, but a *ratio* measured on one machine is
 comparable to the same ratio measured on another.  Everything skipped is
 listed in the diff artifact, so a shrinking gate surface is visible —
-including a gated metric that one snapshot has and the other lacks.
+including a gated metric that one snapshot has and the other lacks, and
+each ratio metric of a gated kernel that only one snapshot has.
 
 Re-basing: when a change redefines what a gated metric divides by, its
 new value is not comparable with the old one.  The new report says so
@@ -106,11 +107,24 @@ def diff_snapshots(
         old_k = old.get("kernels", {}).get(name)
         new_k = new.get("kernels", {}).get(name)
         if old_k is None or new_k is None:
+            side = "new" if old_k is None else "old"
+            only = old_k or new_k
             skipped.append({
                 "kernel": name,
                 "reason": "only in one snapshot",
-                "side": "new" if old_k is None else "old",
+                "side": side,
             })
+            # A retired (or brand-new) gated kernel names each ratio it
+            # took out of (or brings into) the gate.
+            if _is_gated_kernel(only):
+                for metric in sorted(only.get("metrics", {})):
+                    if _is_comparable_metric(metric):
+                        skipped.append({
+                            "kernel": name,
+                            "metric": metric,
+                            "reason": f"kernel only in the {side} snapshot",
+                            "side": side,
+                        })
             continue
         if not _is_gated_kernel(new_k):
             skipped.append({"kernel": name, "reason": "no gate_* opt-in"})
