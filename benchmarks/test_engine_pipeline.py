@@ -1,181 +1,301 @@
-"""Engine choice per pump round: the byte-table / packed-product crossover.
+"""Engine choice per pump round, and the byte engines' constants.
 
-:meth:`~repro.engine.CRCPipeline.pump` advances a round with fewer than
-:data:`~repro.engine.pipeline.TABLE_CROSSOVER` ready streams through the
-byte table (:meth:`~repro.crc.TableCRC.raw_register`, the software CRC
-the paper cites as [8]) and a wider round through one packed GF(2)
-product — the paper's Table 1 / Fig. 4 crossover, in software.  Two
-measurements, both against :class:`~repro.crc.TableCRC` in the same
-process:
+:meth:`~repro.engine.CRCPipeline.pump` runs a wide, shallow round — at
+least :data:`~repro.engine.pipeline.PACKED_MIN_STREAMS` ready streams
+holding at most :data:`~repro.engine.pipeline.PACKED_MAX_BYTES` whole
+bytes each — as one packed GF(2) product, the paper's Fig. 5
+interleaving in software.  Every other round advances stream by stream:
+runs shorter than :data:`~repro.engine.pipeline.SHORT_RUN_BYTES` through
+the byte table (:meth:`~repro.crc.TableCRC.raw_register`, the software
+CRC the paper cites as [8]), longer ones through the byte-sliced
+look-ahead (:class:`~repro.crc.ByteSlicedCRC`, one numpy gather per
+:data:`~repro.crc.slicing.SLICE_DEPTH` bytes).  Four measurements, each
+against :class:`~repro.crc.TableCRC` (the floor) in the same process,
+with stdlib ``zlib.crc32`` as the ceiling where it applies:
 
-1. **Crossover table** (reported; one case on each side of the constant
-   is asserted).  Per-stream microseconds of one ``pump`` on each engine
-   — pinned through the private per-instance override — at occupancy
-   1-256 and M in {128, 1024}, with every stream holding 1 or 8 whole
-   blocks.  ``packed_cost_vs_table_*`` is packed / table: above 1 the
-   table wins.  ``TABLE_CROSSOVER`` is read off this table.
+1. **Crossover table** (reported; one case on each side of each round
+   constant is asserted).  Per-stream microseconds of one ``pump`` on
+   each side — pinned through the private per-instance override — at
+   occupancy 1-256, with every stream holding 1, 2, 4 or 16 blocks at
+   M = 128 or 1 or 8 blocks at M = 1024.  ``packed_cost_vs_stream_*``
+   is packed / stream by stream: above 1 the per-stream side wins.
 
-2. **One-stream gate.**  ``open`` + ``feed`` + ``finalize`` of one
+2. **Short-run sweep** (one case each side of ``SHORT_RUN_BYTES``
+   asserted): ``ByteSlicedCRC`` / ``TableCRC`` ``raw_register`` cost at
+   16-256 bytes.
+
+3. **Depth sweep** (reported): ``ByteSlicedCRC`` at 64-512 rows on a
+   1518-byte and a 1 MiB run, against the table; ``SLICE_DEPTH`` is read
+   off it.
+
+4. **One-stream gate.**  ``open`` + ``feed`` + ``finalize`` of one
    1518-byte message must cost at most ``GATE_MAX_ONE_STREAM_COST`` x
    ``TableCRC.compute`` at every M in {32, 128, 1024}
    (``one_stream_speedup_vs_table_M*`` = table / pipeline, folded into
    ``BENCH_<n>.json`` for ``tools/bench_diff.py``).  The 64- and 594-byte
-   ratios are reported: fixed per-stream cost dominates them.
+   ratios are reported; ``one_stream_vs_zlib_*`` = zlib / pipeline reads
+   every row as a fraction of the ceiling.
 
-Timings alternate the two sides rep by rep and keep each side's best, so
-a host that changes speed mid-run moves both alike.  Every digest is
-checked against ``TableCRC``.
+Timings alternate the sides rep by rep and keep each side's best, so a
+host that changes speed mid-run moves both alike.  Every digest and
+register is checked against ``TableCRC``, and zlib's against the pipeline.
 """
 
 import random
 import sys
 import time
+import zlib
 
 from repro.analysis import format_table
-from repro.crc import TableCRC, get
+from repro.crc import ByteSlicedCRC, TableCRC, build_slicing_tables, get
+from repro.crc.slicing import SLICE_DEPTH
 from repro.engine import CRCPipeline
-from repro.engine.pipeline import TABLE_CROSSOVER
+from repro.engine.pipeline import PACKED_MAX_BYTES, PACKED_MIN_STREAMS, SHORT_RUN_BYTES
 from repro.telemetry import BenchReport
 
 STANDARD = "CRC-32"
-CROSSOVER_M = (128, 1024)
+#: (M, blocks per stream): 16 blocks at M = 128 is stream-interleaved-32's
+#: 256-byte round.
+CROSSOVER_CASES = ((128, 1), (128, 2), (128, 4), (128, 16), (1024, 1), (1024, 8))
 OCCUPANCY = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-BLOCKS_PER_STREAM = (1, 8)
-CROSSOVER_REPS = 9
+CROSSOVER_REPS = 25
+
+SHORT_RUN_SIZES = (16, 32, 48, 64, 96, 128, 256)
+SHORT_RUN_REPS = 300
+
+DEPTHS = (64, 128, 256, 512)
+DEPTH_SIZES = (1518, 1 << 20)
+DEPTH_REPS = 5
 
 ONE_STREAM_M = (32, 128, 1024)
 ONE_STREAM_SIZES = (64, 594, 1518)
 GATED_SIZE = 1518
 ONE_STREAM_REPS = 200
 
-GATE_MAX_ONE_STREAM_COST = 1.5
+#: ~1.6x the upper end of the 1518-byte cost measured on a 2-vCPU x86
+#: host (0.24-0.33x TableCRC.compute over every run).
+GATE_MAX_ONE_STREAM_COST = 0.5
 
-#: Crossover overrides pinning one engine (see CRCPipeline.__init__).
-ENGINES = {"table": sys.maxsize, "packed": 0}
+#: Round-rule overrides pinning one side (see CRCPipeline.__init__).
+SIDES = {
+    "stream": (sys.maxsize, 0, SHORT_RUN_BYTES),
+    "packed": (0, sys.maxsize, SHORT_RUN_BYTES),
+}
+
+
+def _packs(streams, nbytes):
+    """The side the pipeline's round rule picks for a uniform round."""
+    return streams >= PACKED_MIN_STREAMS and nbytes <= PACKED_MAX_BYTES
+
+
+def _best_us(calls, reps):
+    """Best µs of each zero-argument callable, alternating them rep by rep."""
+    best = [float("inf")] * len(calls)
+    for _ in range(reps):
+        for i, call in enumerate(calls):
+            t0 = time.perf_counter()
+            call()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return [t * 1e6 for t in best]
 
 
 def _round_cost_us(spec, oracle, M, streams, blocks):
-    """Best per-stream µs of one pump on each engine, alternating reps."""
+    """Best per-stream µs of one pump on each side, alternating reps."""
     payload = random.Random(f"{M}/{streams}/{blocks}").randbytes(blocks * M // 8)
     pipes = {}
-    for engine, crossover in ENGINES.items():
+    for side, rule in SIDES.items():
         pipe = CRCPipeline(spec, M)
-        pipe._crossover = crossover
+        pipe._rule = rule
         for sid in range(streams):
             pipe.open(sid)
-        pipes[engine] = pipe
-    best = dict.fromkeys(ENGINES, float("inf"))
+        pipes[side] = pipe
+    best = dict.fromkeys(SIDES, float("inf"))
     for _ in range(CROSSOVER_REPS):
-        for engine, pipe in pipes.items():
+        for side, pipe in pipes.items():
             for sid in range(streams):
                 pipe.feed(sid, payload, pump=False)
             t0 = time.perf_counter()
             advanced = pipe.pump()
-            best[engine] = min(best[engine], time.perf_counter() - t0)
+            best[side] = min(best[side], time.perf_counter() - t0)
             assert advanced == streams * blocks
     expected = oracle.compute(payload * CROSSOVER_REPS)
     for pipe in pipes.values():
         assert pipe.finalize_many(range(streams)) == [expected] * streams
-    return {engine: t / streams * 1e6 for engine, t in best.items()}
+    return {side: t / streams * 1e6 for side, t in best.items()}
 
 
 def _one_stream_cost(spec, oracle, M, size):
-    """Best µs of open+feed+finalize and of TableCRC.compute, alternating."""
+    """Best µs of open+feed+finalize, TableCRC.compute and zlib.crc32."""
     payload = random.Random(f"{M}/{size}").randbytes(size)
     expected = oracle.compute(payload)
+    assert zlib.crc32(payload) == expected
     pipe = CRCPipeline(spec, M)
-    best_pipe = best_table = float("inf")
-    for _ in range(ONE_STREAM_REPS):
-        t0 = time.perf_counter()
+
+    def stream():
         sid = pipe.open()
         pipe.feed(sid, payload)
-        digest = pipe.finalize(sid)
-        t1 = time.perf_counter()
-        oracle.compute(payload)
-        t2 = time.perf_counter()
-        assert digest == expected
-        best_pipe = min(best_pipe, t1 - t0)
-        best_table = min(best_table, t2 - t1)
-    return best_pipe * 1e6, best_table * 1e6
+        assert pipe.finalize(sid) == expected
+
+    return _best_us(
+        [stream, lambda: oracle.compute(payload), lambda: zlib.crc32(payload)],
+        ONE_STREAM_REPS,
+    )
 
 
 def test_engine_pipeline_crossover(save_result, save_report):
     spec = get(STANDARD)
     oracle = TableCRC(spec)
+    sliced = ByteSlicedCRC(spec)
     metrics = {}
     rows = []
-    for blocks in BLOCKS_PER_STREAM:
-        for M in CROSSOVER_M:
-            for streams in OCCUPANCY:
-                cost = _round_cost_us(spec, oracle, M, streams, blocks)
-                ratio = cost["packed"] / cost["table"]
-                metrics[f"packed_cost_vs_table_M{M}_B{streams}_blocks{blocks}"] = ratio
-                side = "table" if streams < TABLE_CROSSOVER else "packed"
-                rows.append([
-                    blocks, M, streams, f"{cost['table']:.1f}",
-                    f"{cost['packed']:.1f}", f"{ratio:.2f}", side,
-                ])
+    for M, blocks in CROSSOVER_CASES:
+        nbytes = blocks * M // 8
+        for streams in OCCUPANCY:
+            cost = _round_cost_us(spec, oracle, M, streams, blocks)
+            ratio = cost["packed"] / cost["stream"]
+            metrics[f"packed_cost_vs_stream_M{M}_B{streams}_blocks{blocks}"] = ratio
+            rows.append([
+                M, blocks, nbytes, streams, f"{cost['stream']:.1f}",
+                f"{cost['packed']:.1f}", f"{ratio:.2f}",
+                "packed" if _packs(streams, nbytes) else "stream",
+            ])
+
+    rng = random.Random("short-runs")
+    short_rows = []
+    for size in SHORT_RUN_SIZES:
+        data = rng.randbytes(size)
+        assert sliced.raw_register(data, 7) == oracle.raw_register(data, 7)
+        table_us, sliced_us = _best_us(
+            [lambda: oracle.raw_register(data, 7), lambda: sliced.raw_register(data, 7)],
+            SHORT_RUN_REPS,
+        )
+        metrics[f"sliced_cost_vs_table_{size}B"] = sliced_us / table_us
+        short_rows.append([
+            size, f"{table_us:.1f}", f"{sliced_us:.1f}", f"{sliced_us / table_us:.2f}",
+            "table" if size < SHORT_RUN_BYTES else "sliced",
+        ])
+
+    depth_rows = []
+    for size in DEPTH_SIZES:
+        data = rng.randbytes(size)
+        expected = oracle.raw_register(data, 7)
+        engines = [ByteSlicedCRC(spec, build_slicing_tables(spec, d)) for d in DEPTHS]
+        calls = [lambda e=e: e.raw_register(data, 7) for e in engines]
+        calls.append(lambda: oracle.raw_register(data, 7))
+        assert all(call() == expected for call in calls)
+        *depth_us, table_us = _best_us(calls, DEPTH_REPS if size > 4096 else SHORT_RUN_REPS)
+        for depth, us in zip(DEPTHS, depth_us):
+            metrics[f"sliced_cost_vs_table_D{depth}_{size}B"] = us / table_us
+        depth_rows.append(
+            [size, f"{table_us:.1f}"]
+            + [f"{us:.1f} ({us / table_us:.3f})" for us in depth_us]
+        )
 
     one_rows = []
     for M in ONE_STREAM_M:
         for size in ONE_STREAM_SIZES:
-            pipe_us, table_us = _one_stream_cost(spec, oracle, M, size)
+            pipe_us, table_us, zlib_us = _one_stream_cost(spec, oracle, M, size)
             cost = pipe_us / table_us
             metrics[f"one_stream_cost_vs_table_M{M}_{size}B"] = cost
+            metrics[f"one_stream_vs_zlib_M{M}_{size}B"] = zlib_us / pipe_us
             if size == GATED_SIZE:
                 metrics[f"one_stream_speedup_vs_table_M{M}"] = table_us / pipe_us
-            one_rows.append([M, size, f"{pipe_us:.1f}", f"{table_us:.1f}", f"{cost:.2f}x"])
+            one_rows.append([
+                M, size, f"{pipe_us:.1f}", f"{table_us:.1f}", f"{cost:.2f}x",
+                f"{zlib_us:.2f}", f"{zlib_us / pipe_us:.4f}",
+            ])
 
     save_result(
         "pipeline_crossover",
         format_table(
-            ["blocks/stream", "M", "ready streams", "table us/stream",
-             "packed us/stream", "packed/table", "engine chosen"],
+            ["M", "blocks/stream", "bytes/stream", "ready streams",
+             "stream us/stream", "packed us/stream", "packed/stream", "engine chosen"],
             rows,
             title=(
                 f"CRCPipeline pump, {STANDARD}: per-stream cost of one pump on "
-                f"each engine (TABLE_CROSSOVER = {TABLE_CROSSOVER})"
+                f"each side (packed when >= {PACKED_MIN_STREAMS} ready streams "
+                f"and <= {PACKED_MAX_BYTES} bytes/stream)"
             ),
         )
         + "\n\n"
         + format_table(
-            ["M", "bytes", "pipeline us", "TableCRC us", "cost vs table"],
+            ["bytes", "TableCRC us", "ByteSlicedCRC us", "sliced/table", "engine chosen"],
+            short_rows,
+            title=(
+                "short runs: raw_register on each byte engine "
+                f"(SHORT_RUN_BYTES = {SHORT_RUN_BYTES})"
+            ),
+        )
+        + "\n\n"
+        + format_table(
+            ["bytes", "TableCRC us"] + [f"D={d} us (vs table)" for d in DEPTHS],
+            depth_rows,
+            title=f"ByteSlicedCRC depth sweep (SLICE_DEPTH = {SLICE_DEPTH})",
+        )
+        + "\n\n"
+        + format_table(
+            ["M", "bytes", "pipeline us", "TableCRC us", "cost vs table",
+             "zlib us", "zlib/pipeline"],
             one_rows,
             title=(
-                "one stream, open + feed + finalize vs TableCRC.compute "
-                f"(gate at {GATED_SIZE} B: <= {GATE_MAX_ONE_STREAM_COST}x)"
+                "one stream, open + feed + finalize vs TableCRC.compute and "
+                f"zlib.crc32 (gate at {GATED_SIZE} B: <= {GATE_MAX_ONE_STREAM_COST}x table)"
             ),
         ),
     )
     save_report(BenchReport(
         name="pipeline_crossover",
-        title="CRCPipeline per-round engine choice: byte table vs packed product",
+        title="CRCPipeline per-round engine choice: byte engines vs packed product",
         params={
             "standard": STANDARD,
-            "table_crossover": TABLE_CROSSOVER,
+            "packed_min_streams": PACKED_MIN_STREAMS,
+            "packed_max_bytes": PACKED_MAX_BYTES,
+            "short_run_bytes": SHORT_RUN_BYTES,
+            "slice_depth": SLICE_DEPTH,
             "occupancy": list(OCCUPANCY),
-            "crossover_M": list(CROSSOVER_M),
-            "blocks_per_stream": list(BLOCKS_PER_STREAM),
+            "crossover_cases": [list(case) for case in CROSSOVER_CASES],
+            "short_run_sizes": list(SHORT_RUN_SIZES),
+            "depths": list(DEPTHS),
             "one_stream_M": list(ONE_STREAM_M),
             "gate_max_one_stream_cost": GATE_MAX_ONE_STREAM_COST,
         },
         metrics=metrics,
     ))
 
-    for blocks in BLOCKS_PER_STREAM:
-        for M in CROSSOVER_M:
-            below = metrics[f"packed_cost_vs_table_M{M}_B1_blocks{blocks}"]
-            above = metrics[
-                f"packed_cost_vs_table_M{M}_B{4 * TABLE_CROSSOVER}_blocks{blocks}"
-            ]
-            assert below > 1.0, (
-                f"packed beat the table for a lone stream at M={M} "
-                f"({below:.2f}x): TABLE_CROSSOVER is too high"
-            )
-            assert above < 1.0, (
-                f"the table beat packed at {4 * TABLE_CROSSOVER} streams, M={M} "
-                f"({above:.2f}x): TABLE_CROSSOVER is too low"
-            )
+    def round_ratio(M, streams, blocks):
+        return metrics[f"packed_cost_vs_stream_M{M}_B{streams}_blocks{blocks}"]
+
+    # PACKED_MIN_STREAMS, at PACKED_MAX_BYTES per stream (M = 128).
+    at_limit = PACKED_MAX_BYTES * 8 // 128
+    few = round_ratio(128, PACKED_MIN_STREAMS // 4, at_limit)
+    at = round_ratio(128, PACKED_MIN_STREAMS, at_limit)
+    assert few > 1.0, (
+        f"packed beat the per-stream side at {PACKED_MIN_STREAMS // 4} streams of "
+        f"{PACKED_MAX_BYTES} bytes ({few:.2f}x): PACKED_MIN_STREAMS is too high"
+    )
+    assert at < 1.0, (
+        f"the per-stream side beat packed at {PACKED_MIN_STREAMS} streams of "
+        f"{PACKED_MAX_BYTES} bytes ({at:.2f}x): PACKED_MIN_STREAMS is too low, "
+        "or PACKED_MAX_BYTES too high"
+    )
+    # PACKED_MAX_BYTES, at PACKED_MIN_STREAMS streams of 256 bytes.
+    deep = round_ratio(128, PACKED_MIN_STREAMS, 16)
+    assert deep > 1.0, (
+        f"packed beat the per-stream side at {PACKED_MIN_STREAMS} streams of "
+        f"256 bytes ({deep:.2f}x): PACKED_MAX_BYTES is too low"
+    )
+    # SHORT_RUN_BYTES, at the shortest run swept and at twice the threshold.
+    short_size, long_size = SHORT_RUN_SIZES[0], 2 * SHORT_RUN_BYTES
+    short = metrics[f"sliced_cost_vs_table_{short_size}B"]
+    long = metrics[f"sliced_cost_vs_table_{long_size}B"]
+    assert short > 1.0, (
+        f"the gather beat the table on {short_size} bytes ({short:.2f}x): "
+        "SHORT_RUN_BYTES is too high"
+    )
+    assert long < 1.0, (
+        f"the table beat the gather on {long_size} bytes ({long:.2f}x): "
+        "SHORT_RUN_BYTES is too low"
+    )
     for M in ONE_STREAM_M:
         cost = metrics[f"one_stream_cost_vs_table_M{M}_{GATED_SIZE}B"]
         assert cost <= GATE_MAX_ONE_STREAM_COST, (

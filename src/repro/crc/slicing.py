@@ -1,43 +1,77 @@
-"""Slicing-by-N CRC: N bytes per iteration with N lookup tables.
+"""Slicing-by-N CRC and the byte-sliced look-ahead: many bytes per step.
 
-The natural software scaling of the table method: process an N-byte block
-with N independent table lookups that are XORed together — each table ``j``
-pre-advances a byte's contribution past the remaining ``j`` bytes of the
-block.  This is the strongest pure-software CRC baseline in the Table 1
-comparison (slicing-by-8 is what high-end network stacks use).
+Both engines rest on one table stack: row ``d`` is the byte table pushed
+past ``d`` zero bytes, i.e. the contribution of one input byte to the
+register ``d`` bytes later.  A run of bytes is then the XOR of one row
+lookup per byte, with the register folded into the indices of the run's
+first ``ceil(width / 8)`` bytes.
 
-Supported for byte-multiple widths with ``N >= width/8`` and matching
-reflection (the common cases: CRC-16/32/64, slicing by 4/8/16); other specs
-fall back to the plain table engine.
+* :class:`SlicingCRC` (slicing-by-N) walks the message N bytes per Python
+  iteration.  It is the strongest pure-software CRC baseline in the
+  Table 1 comparison (slicing-by-8 is what high-end network stacks use),
+  supported for byte-multiple widths with ``N >= width/8`` and matching
+  reflection; other specs fall back to the plain table engine.
+* :class:`ByteSlicedCRC` is the same identity at depth
+  :data:`SLICE_DEPTH`, evaluated by numpy: every D-byte block of a run is
+  one gather plus one XOR-reduce, so the input term ``B_M u_M`` of the
+  M = 8D look-ahead is feed-forward work done for all blocks at once.
+  Only the register's fold through ``A^{8D}`` (``ceil(width / 8)``
+  lookups per block) stays serial — the split of Derby's look-ahead,
+  whose feed-forward part PiCoGA pipelines.  Widths up to 64 bits; wider
+  specs keep :class:`~repro.crc.table.TableCRC`'s per-byte loop.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
+
+import numpy as np
 
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC, build_table
 from repro.gf2.bits import reflect_bits
 
+#: Rows of :class:`ByteSlicedCRC`'s table stack: the bytes one gather
+#: covers.  Read off the depth sweep in
+#: ``benchmarks/results/pipeline_crossover.txt``: 64 rows cost ~1.4x 256 at
+#: 1518 B and ~2.5x at 1 MiB; 512 rows gain 6-7 % for twice the memory
+#: (256 KiB per 32-bit spec at 256 rows).
+SLICE_DEPTH = 256
 
-def build_slicing_tables(spec: CRCSpec, n: int) -> List[List[int]]:
-    """``n`` tables; table ``j`` advances a byte past ``j`` zero bytes."""
+#: Blocks gathered per numpy call: a long run's index and gathered words
+#: stay ~1 MiB whatever its length, and cache-resident (the gathers of a
+#: 1 MiB run measured ~35 % faster than one gather over all of it).
+_SLAB_BLOCKS = 256
+
+
+def _register_shift(spec: CRCSpec) -> int:
+    """Bits a forward register is left-aligned by so its top byte is whole."""
+    return 0 if spec.refin else (-spec.width) % 8
+
+
+def build_slicing_tables(spec: CRCSpec, n: int) -> np.ndarray:
+    """``(n, 256)`` table stack; row ``d`` advances a byte past ``d`` zero bytes.
+
+    Row 0 is :func:`~repro.crc.table.build_table`.  Forward (non-reflected)
+    registers are left-aligned by ``(-width) % 8`` bits, so every row is
+    indexed by the register's top whole byte; byte-multiple widths are
+    unchanged by that.  Entries are ``uint32`` up to 32 aligned bits,
+    ``uint64`` up to 64 and Python ints beyond.
+    """
     if n < 1:
         raise ValueError("slice count must be >= 1")
-    base = build_table(spec)
-    tables = [base]
-    if spec.refin:
-        for _ in range(1, n):
-            prev = tables[-1]
-            tables.append([(t >> 8) ^ base[t & 0xFF] for t in prev])
-    else:
-        shift = spec.width - 8
-        for _ in range(1, n):
-            prev = tables[-1]
-            tables.append(
-                [((t << 8) & spec.mask) ^ base[(t >> shift) & 0xFF] for t in prev]
-            )
-    return tables
+    bits = spec.width + _register_shift(spec)
+    dtype = np.uint32 if bits <= 32 else np.uint64 if bits <= 64 else object
+    rows = np.empty((n, 256), dtype=dtype)
+    rows[0] = [t << _register_shift(spec) for t in build_table(spec)]
+    base, mask, top = rows[0], (1 << bits) - 1, bits - 8
+    for d in range(1, n):
+        prev = rows[d - 1]
+        if spec.refin:
+            rows[d] = (prev >> 8) ^ base[(prev & 0xFF).astype(np.intp)]
+        else:
+            rows[d] = ((prev << 8) & mask) ^ base[(prev >> top).astype(np.intp)]
+    return rows
 
 
 class SlicingCRC:
@@ -55,7 +89,9 @@ class SlicingCRC:
             and spec.refin == spec.refout
         )
         self._fallback = TableCRC(spec)
-        self._tables = build_slicing_tables(spec, slices) if self._supported else None
+        self._tables = (
+            build_slicing_tables(spec, slices).tolist() if self._supported else None
+        )
 
     @property
     def spec(self) -> CRCSpec:
@@ -103,6 +139,122 @@ class SlicingCRC:
         if blocks_end < len(data):
             reg = self._fallback.raw_register(data[blocks_end:], reg)
         return reg
+
+    def compute(self, data: bytes) -> int:
+        """The published CRC value of ``data``."""
+        return self._spec.finalize(self.raw_register(data))
+
+    def verify(self, data: bytes, crc: int) -> bool:
+        """True iff ``crc`` is the published CRC of ``data``."""
+        return self.compute(data) == crc
+
+
+class ByteSlicedCRC:
+    """Byte-sliced look-ahead: one numpy gather per :data:`SLICE_DEPTH` bytes.
+
+    A run of n bytes splits into ``ceil(n / D)`` blocks, the first one
+    short.  Byte ``i`` of a block of length L indexes row ``L - 1 - i``;
+    the first block is one gather and XOR-reduce, and every full block
+    after it gathers in one call (per slab) and reduces to one word
+    each.  The register enters the first block through its first
+    ``ceil(width / 8)`` indices, and every later block by
+    ``ceil(width / 8)`` lookups of the register's bytes in the last rows
+    — ``A^{8D}`` applied to the state.  ``tables`` takes a
+    stack from :func:`build_slicing_tables` (any depth), e.g. the one
+    :meth:`repro.engine.CompileCache.slicing_tables` shares; by default
+    the engine builds its own at :data:`SLICE_DEPTH`.
+    """
+
+    def __init__(self, spec: CRCSpec, tables: Optional[np.ndarray] = None):
+        self._spec = spec
+        self._supported = spec.width <= 64
+        if not self._supported:
+            self._fallback = TableCRC(spec)
+            return
+        if tables is None:
+            tables = build_slicing_tables(spec, SLICE_DEPTH)
+        depth = len(tables)
+        self._nbytes = -(-spec.width // 8)
+        if depth < self._nbytes:
+            raise ValueError(
+                f"a {depth}-row stack cannot fold a {spec.width}-bit register"
+            )
+        self._depth = depth
+        self._flat = tables.reshape(-1)
+        # Row offset of byte i of a block into the flattened stack.
+        self._offsets = (depth - 1 - np.arange(depth)) * 256
+        self._shift = _register_shift(spec)
+        self._bits = spec.width + self._shift
+        # (row, shift of the register byte it takes) for the fold through
+        # A^{8D}: reflected registers meet the message low byte first,
+        # aligned forward registers top byte first.
+        self._fold = [
+            (tables[depth - 1 - i].tolist(),
+             8 * i if spec.refin else self._bits - 8 - 8 * i)
+            for i in range(self._nbytes)
+        ]
+
+    @property
+    def spec(self) -> CRCSpec:
+        """The :class:`CRCSpec` this engine realizes."""
+        return self._spec
+
+    @property
+    def supported(self) -> bool:
+        """False when the spec is wider than 64 bits and takes the byte loop."""
+        return self._supported
+
+    # ------------------------------------------------------------------
+    def raw_register(self, data: bytes, register: int = None) -> int:
+        """Register contents after clocking ``data`` (no finalization)."""
+        spec = self._spec
+        reg = spec.init if register is None else register
+        if not self._supported:
+            return self._fallback.raw_register(data, reg)
+        n = len(data)
+        if n == 0:
+            return reg
+        depth, nbytes, bits = self._depth, self._nbytes, self._bits
+        head = (n - 1) % depth + 1  # the first block's length, 1..D
+        k = min(nbytes, head)
+        # Fold the register into the head's first k bytes: the low bytes
+        # of a reflected register, the top bytes of an aligned forward one.
+        if spec.refin:
+            r = reflect_bits(reg, spec.width)
+            first = int.from_bytes(data[:k], "little") ^ (r & ((1 << 8 * k) - 1))
+            first = first.to_bytes(k, "little")
+        else:
+            r = reg << self._shift
+            first = int.from_bytes(data[:k], "big") ^ (r >> (bits - 8 * k))
+            first = first.to_bytes(k, "big")
+        # A head shorter than the register leaves its upper part unfolded.
+        if head >= nbytes:
+            r = 0
+        elif spec.refin:
+            r >>= 8 * head
+        else:
+            r = (r << 8 * head) & ((1 << bits) - 1)
+        lead = np.frombuffer(b"".join((first, memoryview(data)[k:head])), dtype=np.uint8)
+        r ^= int(np.bitwise_xor.reduce(self._flat[self._offsets[depth - head:] + lead]))
+        if n == head:
+            return self._unalign(r)
+        body = np.frombuffer(data, dtype=np.uint8, offset=head).reshape(-1, depth)
+        fold = self._fold
+        for start in range(0, len(body), _SLAB_BLOCKS):
+            words = np.bitwise_xor.reduce(
+                self._flat[self._offsets + body[start:start + _SLAB_BLOCKS]], axis=1
+            ).tolist()
+            for word in words:
+                for row, shift in fold:
+                    word ^= row[(r >> shift) & 0xFF]
+                r = word
+        return self._unalign(r)
+
+    def _unalign(self, r: int) -> int:
+        """The natural-order register of a working (reflected or aligned) one."""
+        if self._spec.refin:
+            return reflect_bits(r, self._spec.width)
+        return r >> self._shift
 
     def compute(self, data: bytes) -> int:
         """The published CRC value of ``data``."""

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
+from repro.crc.slicing import SLICE_DEPTH, build_slicing_tables
 from repro.crc.spec import CRCSpec
 from repro.errors import CompileError, ReproError, ValidationError
 from repro.gf2.matrix import GF2Matrix
@@ -419,6 +420,15 @@ class CompileCache:
         return self.get(
             ("derby", spec, M),
             lambda: derby_transform(self.crc_statespace(spec), M),
+        )
+
+    def slicing_tables(self, spec: CRCSpec) -> np.ndarray:
+        """The :data:`~repro.crc.slicing.SLICE_DEPTH`-row table stack of
+        :class:`~repro.crc.slicing.ByteSlicedCRC` for a CRC, cached (256 KiB
+        for a 32-bit spec), so every pipeline and shard shares one copy."""
+        return self.get(
+            ("slicing-tables", spec),
+            lambda: build_slicing_tables(spec, SLICE_DEPTH),
         )
 
     def scrambler_block(self, spec: ScramblerSpec, M: int) -> Tuple[GF2Matrix, GF2Matrix]:

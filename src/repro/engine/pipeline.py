@@ -4,26 +4,38 @@ Production traffic rarely arrives as neatly pre-collected batches: frames
 stream in, interleaved across thousands of connections, and each message
 may span many chunks.  :class:`CRCPipeline` and :class:`ScramblerPipeline`
 expose the classic feed/finalize interface per stream while sharing the
-compile cache and the bit-packed kernels underneath.  A ``pump`` round
-takes one M-bit block from every stream that has one buffered, and
-:class:`CRCPipeline` picks the engine per round:
+compile cache and the bit-packed kernels underneath.
 
-* a round with at least :data:`TABLE_CROSSOVER` ready streams advances
-  them all with a single packed matrix product, exactly the Kong–Parhi
+A :class:`CRCPipeline` stream buffers the bytes ``feed`` hands it as they
+are.  A ``pump`` round takes one M-bit block from every stream that has
+one buffered, and the pipeline picks the engine per round:
+
+* a round with at least :data:`PACKED_MIN_STREAMS` ready streams and at
+  most :data:`PACKED_MAX_BYTES` whole bytes per ready stream advances them
+  all with a single packed matrix product, exactly the Kong–Parhi
   interleaving the paper uses to hide the loop latency (Fig. 5),
-  re-enacted in numpy;
-* a narrower round cannot fill the packed lanes, so each of its streams
-  advances through the byte table (:meth:`repro.crc.TableCRC.raw_register`)
-  instead — the paper's Table 1 / Fig. 4 crossover against the
-  table-driven software CRC it cites as [8].  That needs the spec and M
-  to admit the table: M % 8 == 0, equal input/output reflection, and a
-  width of at least 8 unless reflected; otherwise every round is packed.
+  re-enacted in numpy; the gathered bytes unpack to bits once per slab;
+* any other round advances each ready stream by itself: a run of fewer
+  than :data:`SHORT_RUN_BYTES` whole bytes through the byte table
+  (:meth:`repro.crc.TableCRC.raw_register`, the software CRC the paper
+  cites as [8]), a longer one through the byte-sliced look-ahead
+  (:class:`repro.crc.ByteSlicedCRC`: one numpy gather per
+  :data:`~repro.crc.slicing.SLICE_DEPTH` bytes, the register folded
+  through ``A^{8D}`` between them).
+
+Both rules were read off ``benchmarks/results/pipeline_crossover.txt``
+(docs/ENGINE.md).  The byte engines need the spec and M to admit them:
+M % 8 == 0, equal input/output reflection, and a width of at least 8
+unless reflected.  Otherwise streams buffer bits from ``open`` and every
+round is packed; so does any stream that was ever fed through
+``feed_bits``, which switches it to bits for the rest of its life.
 
 Each CRC stream keeps its state as its natural-basis register int, which
-is what the table consumes; a packed round converts its ready streams into
-the engine's working basis (transformed for ``"derby"``) and back in one
-vectorized step.  Sub-block tails wait for ``finalize``: whole bytes go
-through the table, the last few bits through the bit-serial core.
+is what the byte engines consume; a packed round converts its ready
+streams into the engine's working basis (transformed for ``"derby"``) and
+back in one vectorized step.  Sub-block tails wait for ``finalize``:
+whole bytes go through the byte engines, the last few bits of a bit
+stream through the bit-serial core.
 
 Error semantics: unknown / duplicate stream ids raise
 :class:`repro.errors.StreamError`; malformed arguments (non-bit values,
@@ -48,6 +60,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 import numpy as np
 
 from repro.crc.bitwise import BitwiseCRC
+from repro.crc.slicing import ByteSlicedCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC
 from repro.engine.batch import _registers_from_bits, gf2_mul_packed, pack_bits, unpack_bits
@@ -125,13 +138,11 @@ class _GaugePublisher:
 class _BitBuffer:
     """FIFO of pending message bits held as uint8 numpy chunks.
 
-    The serving hot path moves thousands of bits per call; a plain
-    ``List[int]`` buffer pays one Python object per bit on every feed
-    (``tolist``), every pump gather (list-slice copy into the block
-    matrix) and every tail drain.  Keeping the bits as the uint8 arrays
-    ``np.unpackbits`` already produced makes feed O(1) appends and pump
-    gathers single vectorized copies — measured ~6× cheaper per round
-    at M=4096 — without changing any observable pipeline behavior.
+    Streams that take raw bits (``feed_bits``, or a spec or M the byte
+    engines do not admit) buffer here.  Keeping the bits as the uint8
+    arrays ``np.unpackbits`` / ``check_bits`` already produced makes feed
+    O(1) appends and pump gathers single vectorized copies, where a
+    ``List[int]`` would pay one Python object per bit.
     """
 
     __slots__ = ("_chunks", "_length")
@@ -181,13 +192,24 @@ class _BitBuffer:
         return tail
 
 
-#: Ready streams from which a pump round runs as one packed product.
-#: Rounds with fewer ready streams advance each of them through the byte
-#: table instead, whenever the spec and M admit it.  Read off
-#: ``benchmarks/results/pipeline_crossover.txt``: per stream, the packed
-#: round costs 1.2-1.7x the table at 8 ready streams, 0.7-1.1x at 16 and
-#: 0.3-0.7x at 32, at M = 128 and 1024 alike (docs/ENGINE.md).
-TABLE_CROSSOVER = 16
+#: Ready streams from which a pump round may run as one packed product.
+#: Read off ``benchmarks/results/pipeline_crossover.txt`` (docs/ENGINE.md):
+#: at 32 bytes per stream the packed round costs ~1.4x the per-stream
+#: side at 16 ready streams and ~0.7x at 64, a full word of lanes.
+PACKED_MIN_STREAMS = 64
+
+#: Whole bytes per ready stream (on average) above which even a wide
+#: round advances stream by stream: the per-stream side's cost barely
+#: grows with the run, the packed product's grows with every block
+#: (~1.4x the per-stream side at 64 streams of 256 bytes).
+PACKED_MAX_BYTES = 32
+
+#: Runs shorter than this many whole bytes take the byte table's
+#: per-byte loop; longer ones the byte-sliced gather, whose ~9-10 µs of
+#: fixed numpy calls the table's ~0.15 µs per byte overtakes here
+#: (short-run sweep: the gather costs ~1.7x the table at 16 bytes,
+#: ~1.2x at 32 and ~0.85x at 48).
+SHORT_RUN_BYTES = 48
 
 #: Input bits one packed gather copies out of the stream buffers: a pump
 #: over a deep backlog runs its packed rounds in slabs of at most this
@@ -206,8 +228,14 @@ def _state_bits(registers: Sequence[int], width: int) -> np.ndarray:
 
 @dataclass
 class _CRCStream:
-    register: int  # natural-basis raw register, as TableCRC.raw_register uses it
-    buffer: _BitBuffer = field(default_factory=_BitBuffer)
+    register: int  # natural-basis raw register, as the byte engines use it
+    data: bytearray = field(default_factory=bytearray)  # buffered bytes
+    bits: Optional[_BitBuffer] = None  # set once the stream buffers bits
+
+    @property
+    def pending(self) -> int:
+        """Buffered input bits (a bit stream's byte buffer stays empty)."""
+        return 8 * len(self.data) + (len(self.bits) if self.bits is not None else 0)
 
 
 class CRCPipeline:
@@ -235,23 +263,27 @@ class CRCPipeline:
             self._into_basis = self._from_basis = None
         self._step = np.hstack([update.to_array(), inject.to_array()[:, ::-1]])
         self._serial = BitwiseCRC(spec)
-        # Byte-at-a-time engine: any 8 consecutive transmission-order bits
-        # regroup into one byte under the spec's input reflection, so the
-        # table engine chews byte-aligned runs ~8x faster than the
-        # bit-serial core.  Mixed-reflection and narrow non-reflected
-        # specs keep the bit-serial path (mirrors TableCRC's routing).
-        self._table = (
-            TableCRC(spec)
-            if spec.refin == spec.refout and (spec.refin or spec.width >= 8)
-            else None
-        )
+        # Byte engines: any 8 consecutive transmission-order bits regroup
+        # into one byte under the spec's input reflection.  Mixed-reflection
+        # and narrow non-reflected specs keep the bit-serial path (mirrors
+        # TableCRC's routing).
+        if spec.refin == spec.refout and (spec.refin or spec.width >= 8):
+            self._table = TableCRC(spec)
+            self._sliced = ByteSlicedCRC(spec, self._cache.slicing_tables(spec))
+        else:
+            self._table = self._sliced = None
         self._bitorder = "little" if spec.refin else "big"
-        # Whole M-blocks are whole bytes only when M % 8 == 0.
-        self._table_rounds = self._table is not None and self._M % 8 == 0
-        # Rounds with fewer ready streams than this take the byte table.
-        # Tests and the fuzz oracle override it per instance to pin
-        # either engine; nothing else should.
-        self._crossover = TABLE_CROSSOVER
+        # Whole M-blocks are whole bytes only when M % 8 == 0: then streams
+        # buffer bytes and rounds may advance stream by stream.
+        self._byte_rounds = self._table is not None and self._M % 8 == 0
+        # Tests and the fuzz oracle override these per instance; nothing
+        # else should.  ``_byte_streams`` False opens bit streams.  ``_rule``
+        # is (min ready streams, max whole bytes per ready stream) of a
+        # packed round plus the shortest run on the gather:
+        # (0, sys.maxsize, _) packs every round, (sys.maxsize, 0, 0) sends
+        # every run to the gather.
+        self._byte_streams = self._byte_rounds
+        self._rule = (PACKED_MIN_STREAMS, PACKED_MAX_BYTES, SHORT_RUN_BYTES)
         self._streams: Dict[Hashable, _CRCStream] = {}
         self._auto_ids = count()
         self._gauges = _GaugePublisher("crc")
@@ -291,7 +323,7 @@ class CRCPipeline:
     def _publish(self) -> None:
         self._gauges.publish(
             len(self._streams),
-            sum(len(s.buffer) for s in self._streams.values()),
+            sum(s.pending for s in self._streams.values()),
         )
 
     def pending_bits(self, stream_id: Optional[Hashable] = None) -> int:
@@ -299,11 +331,11 @@ class CRCPipeline:
 
         With ``stream_id`` the count is that stream's alone; without it,
         the total across every open stream.  Bits below one full M-bit
-        block stay pending until ``finalize`` drains them serially.
+        block stay pending until ``finalize`` drains them.
         """
         if stream_id is not None:
-            return len(self._stream(stream_id).buffer)
-        return sum(len(s.buffer) for s in self._streams.values())
+            return self._stream(stream_id).pending
+        return sum(s.pending for s in self._streams.values())
 
     # ------------------------------------------------------------------
     def open(self, stream_id: Optional[Hashable] = None, register: Optional[int] = None) -> Hashable:
@@ -316,17 +348,22 @@ class CRCPipeline:
             register = self._spec.init
         else:
             register = check_register(register, self._spec.width, what="register")
-        self._streams[stream_id] = _CRCStream(register=register)
+        self._streams[stream_id] = _CRCStream(
+            register=register, bits=None if self._byte_streams else _BitBuffer()
+        )
         self._publish()
         return stream_id
+
+    def _unpack(self, data) -> np.ndarray:
+        """Transmission-order bits of ``data`` under the input reflection."""
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder=self._bitorder)
 
     def feed(self, stream_id: Hashable, data: bytes, pump: bool = True) -> None:
         """Append message bytes to a stream (chunked calls compose).
 
-        Bytes expand to bits vectorized (``np.unpackbits`` honouring the
-        spec's input reflection) rather than through the per-bit
-        ``message_bits`` path — bytes are inherently valid bits, and this
-        is the serve layer's hot path.
+        A byte stream keeps the bytes as they are; a bit stream expands
+        them vectorized (``np.unpackbits`` honouring the spec's input
+        reflection), never through the per-bit ``message_bits`` path.
         """
         stream = self._stream(stream_id)
         if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -334,21 +371,28 @@ class CRCPipeline:
                 f"message must be bytes-like, got {type(data).__name__}"
             )
         if len(data):
-            # Zero-copy expansion: np.frombuffer reads bytes, bytearray and
-            # memoryview buffers in place — no intermediate bytes() copy on
-            # the serving hot path.
-            bits = np.unpackbits(
-                np.frombuffer(data, dtype=np.uint8), bitorder=self._bitorder
-            )
-            stream.buffer.append(bits)
+            if stream.bits is None:
+                stream.data += data
+            else:
+                stream.bits.append(self._unpack(data))
             self._publish()
         if pump:
             self.pump()
 
     def feed_bits(self, stream_id: Hashable, bits: Sequence[int], pump: bool = True) -> None:
-        """Append raw message bits to a stream (chunked calls compose)."""
+        """Append raw message bits to a stream (chunked calls compose).
+
+        The stream holds bits from then on (its buffered bytes expand
+        once); rounds still advance it on either side, packing its whole
+        bytes back for the byte engines.
+        """
         stream = self._stream(stream_id)
-        stream.buffer.append(check_bits(bits))
+        checked = check_bits(bits)
+        if stream.bits is None:
+            stream.bits = _BitBuffer()
+            stream.bits.append(self._unpack(bytes(stream.data)))
+            stream.data.clear()
+        stream.bits.append(checked)
         self._publish()
         if pump:
             self.pump()
@@ -358,29 +402,33 @@ class CRCPipeline:
         """Advance every stream with at least one full M-bit block buffered.
 
         A round takes one M-bit block from every ready stream.  Rounds
-        with at least the crossover number of ready streams step them
-        all through one packed matrix product (numpy's re-enactment of
-        interleaved issue); below it, each ready stream's remaining
-        whole blocks go through the byte table instead, where the spec
-        and M allow it (see :data:`TABLE_CROSSOVER`).  Returns the
-        number of blocks processed.
+        with at least :data:`PACKED_MIN_STREAMS` ready streams holding at
+        most :data:`PACKED_MAX_BYTES` whole bytes each on average step
+        them all through one packed matrix product (numpy's re-enactment
+        of interleaved issue); otherwise each ready stream's whole blocks
+        go through the byte engines by themselves, where the spec and M
+        admit them.  Returns the number of blocks processed.
         """
         M = self._M
-        ready = [s for s in self._streams.values() if len(s.buffer) >= M]
-        processed = sum(len(s.buffer) // M for s in ready)
-        if ready and (not self._table_rounds or len(ready) >= self._crossover):
+        ready = [s for s in self._streams.values() if s.pending >= M]
+        processed = sum(s.pending // M for s in ready)
+        min_streams, max_bytes, _ = self._rule
+        if ready and (
+            not self._byte_rounds
+            or (len(ready) >= min_streams and processed * M <= 8 * max_bytes * len(ready))
+        ):
             # Longest backlog first, so every round's streams are a prefix.
-            ready.sort(key=lambda s: len(s.buffer), reverse=True)
-            # Packed rounds run while ``crossover`` streams are still ready.
-            last = max(self._crossover, 1) - 1 if self._table_rounds else 0
-            rounds = len(ready[last].buffer) // M
+            ready.sort(key=lambda s: s.pending, reverse=True)
+            # Packed rounds run while ``min_streams`` streams are still ready.
+            last = max(min_streams, 1) - 1 if self._byte_rounds else 0
+            rounds = ready[last].pending // M
             slab = max(1, _GATHER_BITS // (len(ready) * M))
             for first in range(0, rounds, slab):
                 self._packed_rounds(ready, min(slab, rounds - first))
-        if self._table_rounds:
+        if self._byte_rounds:
             for s in ready:
-                if len(s.buffer) >= M:
-                    self._table_advance(s, len(s.buffer) // M * M)
+                if s.pending >= M:
+                    self._advance(s, s.pending // M * M // 8)
         self._publish()
         if default_registry().enabled:
             _metric("blocks", "crc").inc(processed)
@@ -391,15 +439,27 @@ class CRCPipeline:
         """Advance ``rounds`` rounds of packed products over ``ready``.
 
         ``ready`` is sorted longest backlog first, so round *r* steps the
-        prefix of streams holding more than *r* blocks.  The registers
-        convert into the working basis once on the way in and back once
-        on the way out; in between the states stay packed.
+        prefix of streams holding more than *r* blocks.  Byte streams'
+        blocks gather into one byte matrix that unpacks to bits in one
+        call.  The registers convert into the working basis once on the
+        way in and back once on the way out; in between the states stay
+        packed.
         """
         M, B = self._M, len(ready)
-        taken = [min(len(s.buffer) // M, rounds) for s in ready]
-        rows = np.zeros((B, rounds * M), dtype=np.uint8)
+        taken = [min(s.pending // M, rounds) for s in ready]
+        if self._byte_rounds:
+            raw = np.zeros((B, rounds * M // 8), dtype=np.uint8)
+            for row, s, n in zip(raw, ready, taken):
+                if s.bits is None and n:
+                    nbytes = n * M // 8
+                    row[:nbytes] = np.frombuffer(s.data, dtype=np.uint8, count=nbytes)
+                    del s.data[:nbytes]
+            rows = np.unpackbits(raw, axis=1, bitorder=self._bitorder)
+        else:
+            rows = np.zeros((B, rounds * M), dtype=np.uint8)
         for row, s, n in zip(rows, ready, taken):
-            s.buffer.take(n * M, out=row[: n * M])
+            if s.bits is not None:
+                s.bits.take(n * M, out=row[: n * M])
         blocks = pack_bits(rows.T)
         bits = _state_bits([s.register for s in ready], self._spec.width)
         if self._into_basis is not None:
@@ -426,13 +486,18 @@ class CRCPipeline:
         for s, register in zip(ready, _registers_from_bits(bits, B)):
             s.register = register
 
-    def _table_advance(self, stream: _CRCStream, nbits: int) -> None:
-        """Clock a byte-aligned run of ``nbits`` buffered bits through the table."""
-        data = np.packbits(stream.buffer.take(nbits), bitorder=self._bitorder)
-        stream.register = self._table.raw_register(data.tobytes(), stream.register)
+    def _advance(self, stream: _CRCStream, nbytes: int) -> None:
+        """Clock a stream's next ``nbytes`` whole bytes through a byte engine."""
+        if stream.bits is None:
+            data = stream.data[:nbytes]
+            del stream.data[:nbytes]
+        else:
+            data = np.packbits(stream.bits.take(8 * nbytes), bitorder=self._bitorder).tobytes()
+        engine = self._table if nbytes < self._rule[2] else self._sliced
+        stream.register = engine.raw_register(data, stream.register)
 
     def finalize(self, stream_id: Hashable) -> int:
-        """Drain the stream (serial sub-block tail) and return its CRC."""
+        """Drain the stream (sub-block tail) and return its CRC."""
         self.pump()
         crc = self._finalize_drained(stream_id)
         self._publish()
@@ -474,12 +539,11 @@ class CRCPipeline:
         """
         stream = self._stream(stream_id)
         del self._streams[stream_id]
-        if self._table is not None and len(stream.buffer) >= 8:
-            self._table_advance(stream, len(stream.buffer) // 8 * 8)
+        if self._table is not None and stream.pending >= 8:
+            self._advance(stream, stream.pending // 8)
         register = stream.register
-        tail = stream.buffer.drain()
-        if len(tail):
-            register = self._serial.process_bits(register, tail.tolist())
+        if stream.bits is not None and len(stream.bits):
+            register = self._serial.process_bits(register, stream.bits.drain().tolist())
         return self._spec.finalize(register)
 
     def abort(self, stream_id: Hashable) -> None:
@@ -489,12 +553,12 @@ class CRCPipeline:
         self._publish()
 
     def migrate(self, stream_id: Hashable, target: "CRCPipeline") -> None:
-        """Move one open stream (state + buffered bits) into ``target``.
+        """Move one open stream (state + buffered input) into ``target``.
 
         Both pipelines must run the same ``(spec, M, method)``, so the
-        stream's register and buffered bits mean the same thing on either
-        side — this is the primitive the sharded execution layer's
-        work-stealing scheduler uses to rebalance shards
+        stream's register and buffered bytes or bits mean the same thing
+        on either side — this is the primitive the sharded execution
+        layer's work-stealing scheduler uses to rebalance shards
         (:class:`repro.engine.parallel.ShardedCRCPipeline`).
         """
         if target is self:

@@ -182,31 +182,36 @@ class CRCBatchOracle(Oracle):
 
 class CRCPipelineOracle(Oracle):
     """BitwiseCRC vs the streaming pipeline under the case's chunk schedule,
-    interleaved deliveries and ghost-stream aborts — once with every pump
-    round on the packed product and once with every round the spec and M
-    allow on the byte table, since a case's few streams would otherwise
-    only ever reach the table."""
+    interleaved deliveries and ghost-stream aborts — once per engine, each
+    pinned through the pipeline's private round rule: every round packed,
+    every run through the byte table, every run through the byte-sliced
+    gather.  A case's few short streams would otherwise only ever reach
+    the table."""
 
     name = "crc:bitwise-vs-pipeline"
     kinds = (KIND_CRC,)
 
-    #: Crossover overrides: 0 sends every round to the packed product,
-    #: sys.maxsize every round the table can take to the table.
-    ENGINES = (("packed", 0), ("table", sys.maxsize))
+    #: Round-rule overrides (min packed streams, max packed bytes per
+    #: stream, first run length on the gather), see CRCPipeline.__init__.
+    ENGINES = (
+        ("packed", (0, sys.maxsize, sys.maxsize)),
+        ("table", (sys.maxsize, 0, sys.maxsize)),
+        ("sliced", (sys.maxsize, 0, 0)),
+    )
 
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
-        for engine, crossover in self.ENGINES:
-            found = self._check_engine(case, cache, engine, crossover)
+        for engine, rule in self.ENGINES:
+            found = self._check_engine(case, cache, engine, rule)
             if found is not None:
                 return found
         return None
 
     def _check_engine(
-        self, case: FuzzCase, cache: CompileCache, engine: str, crossover: int
+        self, case: FuzzCase, cache: CompileCache, engine: str, rule: tuple
     ) -> Optional[Discrepancy]:
         spec, serial = _crc_serial(case)
         pipe = CRCPipeline(spec, case.M, method=case.method, cache=cache)
-        pipe._crossover = crossover
+        pipe._rule = rule
         payloads = case.payloads()
         ids = []
         for i in range(len(payloads)):

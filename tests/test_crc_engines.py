@@ -1,10 +1,15 @@
 """Cross-engine equivalence and per-engine behaviour tests."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.crc import (
+    CATALOG,
     BitwiseCRC,
+    ByteSlicedCRC,
+    CRCSpec,
     DerbyCRC,
     ETHERNET_CRC32,
     GFMACCRC,
@@ -12,9 +17,12 @@ from repro.crc import (
     MPEG2_CRC32,
     SlicingCRC,
     TableCRC,
+    build_slicing_tables,
+    build_table,
     get,
 )
 from repro.crc.gfmac import chunk_message_bits
+from repro.crc.slicing import SLICE_DEPTH
 
 SPECS = [ETHERNET_CRC32, MPEG2_CRC32, get("CRC-16/CCITT-FALSE"), get("CRC-16/ARC")]
 
@@ -52,12 +60,83 @@ class TestSoftwareEngineEquivalence:
         with pytest.raises(ValueError):
             SlicingCRC(ETHERNET_CRC32, 0)
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+    def test_byte_sliced_equals_bitwise(self, spec, messages):
+        bw, bs = BitwiseCRC(spec), ByteSlicedCRC(spec)
+        for m in messages:
+            assert bs.compute(m) == bw.compute(m)
+
     def test_narrow_width_table(self, messages):
         for name in ("CRC-5/USB", "CRC-7/MMC"):
             spec = get(name)
             bw, tb = BitwiseCRC(spec), TableCRC(spec)
             for m in messages:
                 assert tb.compute(m) == bw.compute(m)
+
+
+class TestByteSlicedCRC:
+    """The byte-sliced look-ahead against the bit-serial reference."""
+
+    @pytest.mark.parametrize("depth", [16, SLICE_DEPTH])
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_every_catalog_spec_at_block_edges(self, spec, depth):
+        """Lengths around the register width and the block edges, from
+        seeded random registers (a block shorter than the register
+        leaves part of it unfolded)."""
+        engine = ByteSlicedCRC(spec, build_slicing_tables(spec, depth))
+        assert engine.supported
+        serial = BitwiseCRC(spec)
+        nbytes = -(-spec.width // 8)
+        rng = random.Random(f"{spec.name}/{depth}")
+        lengths = {0, 1, nbytes - 1, nbytes, depth - 1, depth, depth + 1, 3 * depth + 5}
+        for n in sorted(lengths):
+            data = rng.randbytes(n)
+            for _ in range(3):
+                register = rng.getrandbits(spec.width)
+                assert engine.raw_register(data, register) == serial.raw_register(
+                    data, register
+                ), (n, hex(register))
+
+    @pytest.mark.parametrize(
+        "name", ["CRC-32", "CRC-16/ARC", "CRC-12/DECT", "CRC-5/USB", "CRC-64/XZ", "CRC-15/CAN"]
+    )
+    def test_check_values(self, name):
+        spec = get(name)
+        assert ByteSlicedCRC(spec).compute(b"123456789") == spec.check
+
+    def test_row_zero_is_the_aligned_byte_table(self):
+        for name, dtype in (("CRC-32", np.uint32), ("CRC-12/DECT", np.uint32),
+                            ("CRC-64/XZ", np.uint64)):
+            spec = get(name)
+            rows = build_slicing_tables(spec, 4)
+            assert rows.shape == (4, 256) and rows.dtype == dtype
+            shift = 0 if spec.refin else -spec.width % 8
+            assert rows[0].tolist() == [t << shift for t in build_table(spec)]
+
+    def test_wider_than_64_bits_keeps_the_byte_loop(self, messages):
+        spec = CRCSpec(
+            name="CRC-82/DARC", width=82, poly=0x0308C0111011401440411,
+            refin=True, refout=True, check=0x09EA83F625023801FD612,
+        )
+        engine = ByteSlicedCRC(spec)
+        assert not engine.supported
+        assert engine.compute(b"123456789") == spec.check
+        serial = BitwiseCRC(spec)
+        for m in messages:
+            assert engine.raw_register(m, 0x123456789) == serial.raw_register(m, 0x123456789)
+        assert build_slicing_tables(spec, 2).dtype == object
+
+    def test_stack_must_cover_the_register(self):
+        with pytest.raises(ValueError):
+            ByteSlicedCRC(ETHERNET_CRC32, build_slicing_tables(ETHERNET_CRC32, 3))
+        with pytest.raises(ValueError):
+            build_slicing_tables(ETHERNET_CRC32, 0)
+
+    def test_accepts_any_bytes_like(self):
+        engine, data = ByteSlicedCRC(ETHERNET_CRC32), bytes(range(256)) * 3
+        expected = TableCRC(ETHERNET_CRC32).compute(data)
+        for view in (data, bytearray(data), memoryview(data)):
+            assert engine.compute(view) == expected
 
 
 class TestMatrixEngines:

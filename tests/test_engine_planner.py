@@ -268,6 +268,36 @@ class TestProbing:
         assert a.fingerprint == host_fingerprint()
         assert all(v > 0 for v in a.backend_bits_per_s.values())
 
+    def test_one_slow_spawn_reading_keeps_the_batch_plan_sharded(
+        self, fake_clock, monkeypatch
+    ):
+        """The thread spawn cost is the best of the probe's pool starts: a
+        first start delayed to 15 ms must not price the batch-crc-auto
+        shape (1024 x 256 B at M = 128) out of sharding on 2 CPUs."""
+        import dataclasses
+
+        import repro.engine.parallel as parallel_mod
+
+        fake_clock.step = 1e-5
+        real_pool = parallel_mod.WorkerPool
+        starts = []
+
+        class SlowFirstStart(real_pool):
+            def __init__(self, *args, **kwargs):
+                if not starts:
+                    fake_clock.advance(0.015)
+                starts.append(True)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "WorkerPool", SlowFirstStart)
+        profile = probe_host(backends=("packed",), timer=fake_clock, reps=3)
+        assert len(starts) == 3
+        assert profile.spawn_s["thread"] < 1e-3
+        plan = Planner(profile=dataclasses.replace(profile, cpus=2)).plan(
+            _workload(message_bits=2048, batch=1024, M=128)
+        )
+        assert (plan.strategy, plan.workers) == ("shard-batch", 2)
+
     def test_probe_rejects_bad_reps(self):
         with pytest.raises(ValidationError, match="reps"):
             probe_host(backends=("packed",), reps=0)

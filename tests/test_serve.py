@@ -186,6 +186,30 @@ class TestFrameSizeBoundary:
 
         assert run(scenario()) == ORACLE.compute(payload)
 
+    def test_exact_cap_frame_does_not_stall_the_loop(self, caplog):
+        """A 1 MiB frame advances without holding the loop past asyncio's
+        slow-callback threshold: debug mode logs no "Executing ... took"."""
+        import logging
+
+        payload = bytes(range(256)) * (MAX_FRAME_BYTES // 256)
+        CRCPipeline(SPEC, 1024)  # compile off the loop: start-up is not the subject
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_debug(True)
+            loop.slow_callback_duration = 0.1
+            async with make_server(M=1024) as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    return await c.compute(payload)
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            assert run(scenario()) == ORACLE.compute(payload)
+        stalls = [
+            r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.getMessage().startswith("Executing")
+        ]
+        assert stalls == []
+
     def test_server_refuses_oversized_blen_then_hangs_up(self):
         """A frame *declaring* cap+1 payload bytes draws one typed
         ``protocol`` error response and a closed connection."""
