@@ -1,24 +1,19 @@
-"""Engine choice per pump round, and the byte engines' constants.
+"""Engine choice per run, and the byte engines' constants.
 
-:meth:`~repro.engine.CRCPipeline.pump` runs a wide, shallow round — at
-least :data:`~repro.engine.pipeline.PACKED_MIN_STREAMS` ready streams
-holding at most :data:`~repro.engine.pipeline.PACKED_MAX_BYTES` whole
-bytes each — as one packed GF(2) product, the paper's Fig. 5
-interleaving in software.  Every other round advances stream by stream:
-runs shorter than :data:`~repro.engine.pipeline.SHORT_RUN_BYTES` through
-the byte table (:meth:`~repro.crc.TableCRC.raw_register`, the software
-CRC the paper cites as [8]), longer ones through the byte-sliced
-look-ahead (:class:`~repro.crc.ByteSlicedCRC`, one numpy gather per
-:data:`~repro.crc.slicing.SLICE_DEPTH` bytes).  Four measurements, each
-against :class:`~repro.crc.TableCRC` (the floor) in the same process,
-with stdlib ``zlib.crc32`` as the ceiling where it applies:
+:meth:`~repro.engine.CRCPipeline.pump` advances every ready stream by
+itself: runs shorter than :data:`~repro.engine.pipeline.SHORT_RUN_BYTES`
+through the byte table (:meth:`~repro.crc.TableCRC.raw_register`, the
+software CRC the paper cites as [8]), longer ones through the
+byte-sliced look-ahead (:class:`~repro.crc.ByteSlicedCRC`, one numpy
+gather per :data:`~repro.crc.slicing.SLICE_DEPTH` bytes).  Four
+measurements, against :class:`~repro.crc.TableCRC` (the floor) in the
+same process where they compare, with stdlib ``zlib.crc32`` as the
+ceiling where it applies:
 
-1. **Crossover table** (reported; one case on each side of each round
-   constant is asserted).  Per-stream microseconds of one ``pump`` on
-   each side — pinned through the private per-instance override — at
-   occupancy 1-256, with every stream holding 1, 2, 4 or 16 blocks at
-   M = 128 or 1 or 8 blocks at M = 1024.  ``packed_cost_vs_stream_*``
-   is packed / stream by stream: above 1 the per-stream side wins.
+1. **Pump table** (reported).  Per-stream microseconds of one ``pump``
+   at occupancy 1-256, with every stream holding 1, 2, 4 or 16 blocks
+   at M = 128 or 1 or 8 blocks at M = 1024
+   (``pump_us_per_stream_*``).
 
 2. **Short-run sweep** (one case each side of ``SHORT_RUN_BYTES``
    asserted): ``ByteSlicedCRC`` / ``TableCRC`` ``raw_register`` cost at
@@ -36,13 +31,13 @@ with stdlib ``zlib.crc32`` as the ceiling where it applies:
    ratios are reported; ``one_stream_vs_zlib_*`` = zlib / pipeline reads
    every row as a fraction of the ceiling.
 
-Timings alternate the sides rep by rep and keep each side's best, so a
-host that changes speed mid-run moves both alike.  Every digest and
-register is checked against ``TableCRC``, and zlib's against the pipeline.
+The sweeps and the gate alternate their sides rep by rep and keep each
+side's best, so a host that changes speed mid-run moves both alike.
+Every digest and register is checked against ``TableCRC``, and zlib's
+against the pipeline.
 """
 
 import random
-import sys
 import time
 import zlib
 
@@ -50,7 +45,7 @@ from repro.analysis import format_table
 from repro.crc import ByteSlicedCRC, TableCRC, build_slicing_tables, get
 from repro.crc.slicing import SLICE_DEPTH
 from repro.engine import CRCPipeline
-from repro.engine.pipeline import PACKED_MAX_BYTES, PACKED_MIN_STREAMS, SHORT_RUN_BYTES
+from repro.engine.pipeline import SHORT_RUN_BYTES
 from repro.telemetry import BenchReport
 
 STANDARD = "CRC-32"
@@ -76,18 +71,6 @@ ONE_STREAM_REPS = 200
 #: host (0.24-0.33x TableCRC.compute over every run).
 GATE_MAX_ONE_STREAM_COST = 0.5
 
-#: Round-rule overrides pinning one side (see CRCPipeline.__init__).
-SIDES = {
-    "stream": (sys.maxsize, 0, SHORT_RUN_BYTES),
-    "packed": (0, sys.maxsize, SHORT_RUN_BYTES),
-}
-
-
-def _packs(streams, nbytes):
-    """The side the pipeline's round rule picks for a uniform round."""
-    return streams >= PACKED_MIN_STREAMS and nbytes <= PACKED_MAX_BYTES
-
-
 def _best_us(calls, reps):
     """Best µs of each zero-argument callable, alternating them rep by rep."""
     best = [float("inf")] * len(calls)
@@ -100,28 +83,22 @@ def _best_us(calls, reps):
 
 
 def _round_cost_us(spec, oracle, M, streams, blocks):
-    """Best per-stream µs of one pump on each side, alternating reps."""
+    """Best per-stream µs of one pump over ``streams`` ready streams."""
     payload = random.Random(f"{M}/{streams}/{blocks}").randbytes(blocks * M // 8)
-    pipes = {}
-    for side, rule in SIDES.items():
-        pipe = CRCPipeline(spec, M)
-        pipe._rule = rule
-        for sid in range(streams):
-            pipe.open(sid)
-        pipes[side] = pipe
-    best = dict.fromkeys(SIDES, float("inf"))
+    pipe = CRCPipeline(spec, M)
+    for sid in range(streams):
+        pipe.open(sid)
+    best = float("inf")
     for _ in range(CROSSOVER_REPS):
-        for side, pipe in pipes.items():
-            for sid in range(streams):
-                pipe.feed(sid, payload, pump=False)
-            t0 = time.perf_counter()
-            advanced = pipe.pump()
-            best[side] = min(best[side], time.perf_counter() - t0)
-            assert advanced == streams * blocks
+        for sid in range(streams):
+            pipe.feed(sid, payload, pump=False)
+        t0 = time.perf_counter()
+        advanced = pipe.pump()
+        best = min(best, time.perf_counter() - t0)
+        assert advanced == streams * blocks
     expected = oracle.compute(payload * CROSSOVER_REPS)
-    for pipe in pipes.values():
-        assert pipe.finalize_many(range(streams)) == [expected] * streams
-    return {side: t / streams * 1e6 for side, t in best.items()}
+    assert pipe.finalize_many(range(streams)) == [expected] * streams
+    return best / streams * 1e6
 
 
 def _one_stream_cost(spec, oracle, M, size):
@@ -152,12 +129,10 @@ def test_engine_pipeline_crossover(save_result, save_report):
         nbytes = blocks * M // 8
         for streams in OCCUPANCY:
             cost = _round_cost_us(spec, oracle, M, streams, blocks)
-            ratio = cost["packed"] / cost["stream"]
-            metrics[f"packed_cost_vs_stream_M{M}_B{streams}_blocks{blocks}"] = ratio
+            metrics[f"pump_us_per_stream_M{M}_B{streams}_blocks{blocks}"] = cost
             rows.append([
-                M, blocks, nbytes, streams, f"{cost['stream']:.1f}",
-                f"{cost['packed']:.1f}", f"{ratio:.2f}",
-                "packed" if _packs(streams, nbytes) else "stream",
+                M, blocks, nbytes, streams, f"{cost:.1f}",
+                "table" if nbytes < SHORT_RUN_BYTES else "sliced",
             ])
 
     rng = random.Random("short-runs")
@@ -209,13 +184,9 @@ def test_engine_pipeline_crossover(save_result, save_report):
         "pipeline_crossover",
         format_table(
             ["M", "blocks/stream", "bytes/stream", "ready streams",
-             "stream us/stream", "packed us/stream", "packed/stream", "engine chosen"],
+             "us/stream", "engine chosen"],
             rows,
-            title=(
-                f"CRCPipeline pump, {STANDARD}: per-stream cost of one pump on "
-                f"each side (packed when >= {PACKED_MIN_STREAMS} ready streams "
-                f"and <= {PACKED_MAX_BYTES} bytes/stream)"
-            ),
+            title=f"CRCPipeline pump, {STANDARD}: per-stream cost of one pump",
         )
         + "\n\n"
         + format_table(
@@ -245,11 +216,9 @@ def test_engine_pipeline_crossover(save_result, save_report):
     )
     save_report(BenchReport(
         name="pipeline_crossover",
-        title="CRCPipeline per-round engine choice: byte engines vs packed product",
+        title="CRCPipeline per-run engine choice: byte table vs byte-sliced gather",
         params={
             "standard": STANDARD,
-            "packed_min_streams": PACKED_MIN_STREAMS,
-            "packed_max_bytes": PACKED_MAX_BYTES,
             "short_run_bytes": SHORT_RUN_BYTES,
             "slice_depth": SLICE_DEPTH,
             "occupancy": list(OCCUPANCY),
@@ -262,28 +231,6 @@ def test_engine_pipeline_crossover(save_result, save_report):
         metrics=metrics,
     ))
 
-    def round_ratio(M, streams, blocks):
-        return metrics[f"packed_cost_vs_stream_M{M}_B{streams}_blocks{blocks}"]
-
-    # PACKED_MIN_STREAMS, at PACKED_MAX_BYTES per stream (M = 128).
-    at_limit = PACKED_MAX_BYTES * 8 // 128
-    few = round_ratio(128, PACKED_MIN_STREAMS // 4, at_limit)
-    at = round_ratio(128, PACKED_MIN_STREAMS, at_limit)
-    assert few > 1.0, (
-        f"packed beat the per-stream side at {PACKED_MIN_STREAMS // 4} streams of "
-        f"{PACKED_MAX_BYTES} bytes ({few:.2f}x): PACKED_MIN_STREAMS is too high"
-    )
-    assert at < 1.0, (
-        f"the per-stream side beat packed at {PACKED_MIN_STREAMS} streams of "
-        f"{PACKED_MAX_BYTES} bytes ({at:.2f}x): PACKED_MIN_STREAMS is too low, "
-        "or PACKED_MAX_BYTES too high"
-    )
-    # PACKED_MAX_BYTES, at PACKED_MIN_STREAMS streams of 256 bytes.
-    deep = round_ratio(128, PACKED_MIN_STREAMS, 16)
-    assert deep > 1.0, (
-        f"packed beat the per-stream side at {PACKED_MIN_STREAMS} streams of "
-        f"256 bytes ({deep:.2f}x): PACKED_MAX_BYTES is too low"
-    )
     # SHORT_RUN_BYTES, at the shortest run swept and at twice the threshold.
     short_size, long_size = SHORT_RUN_SIZES[0], 2 * SHORT_RUN_BYTES
     short = metrics[f"sliced_cost_vs_table_{short_size}B"]

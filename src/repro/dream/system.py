@@ -221,7 +221,6 @@ class DreamSystem:
         self,
         spec,
         M: Optional[int] = None,
-        method: str = "lookahead",
         workers=None,
         plan=None,
         auto: bool = False,
@@ -241,7 +240,7 @@ class DreamSystem:
 
             spec = _get_crc(spec)
         with default_tracer().span(
-            "dream.crc_pipeline", standard=spec.name, method=method, auto=auto
+            "dream.crc_pipeline", standard=spec.name, auto=auto
         ):
             if auto and plan is None:
                 plan = self._auto_plan("crc-stream", spec, M, workload, planner)
@@ -250,7 +249,7 @@ class DreamSystem:
                     raise ValueError("crc_pipeline needs M= (or plan=/auto=True)")
                 M = plan.M
             return ShardedCRCPipeline(
-                spec, M, method=method, workers=workers, cache=self.cache, plan=plan
+                spec, M, workers=workers, cache=self.cache, plan=plan
             )
 
     # ==================================================================

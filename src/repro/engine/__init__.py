@@ -12,8 +12,8 @@ Three layers, each reusable on its own:
   same head-zero-padding + init-fold tail contract as
   :class:`repro.dream.system.DreamSystem`.
 * :mod:`repro.engine.pipeline` — a chunked feed/finalize streaming API so
-  long messages and many concurrent streams share the cache and the
-  vectorized kernels.
+  long messages and many concurrent streams share the cache; CRC streams
+  advance through the byte table and the byte-sliced gather.
 * :mod:`repro.engine.parallel` — a sharded multi-worker execution layer:
   batch workloads partition across a thread pool (numpy kernels release
   the GIL) or a process pool (pure-Python backends), single messages

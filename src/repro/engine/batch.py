@@ -92,7 +92,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(n, B)`` 0/1 array into ``(n, ceil(B/64))`` uint64 words.
 
     Stream *b* occupies bit ``b % 64`` of word ``b // 64`` in each row.
-    Kept as the numpy-layout entry point for the streaming pipelines; the
+    Kept as the numpy-layout entry point of the public engine API; the
     canonical implementation lives in :mod:`repro.gf2.backend`.
     """
     return get_backend("packed").pack(bits)

@@ -2,18 +2,14 @@
 
 The continuous-batching pattern from inference serving, applied to LFSR
 work: many concurrent connections each contribute small operations
-(open / feed / finalize), and pushing every one through the pipeline
-executor individually pays one loop→thread→loop handoff per op *and*
-runs the engine one stream at a time, so no pump round is ever wide
-enough for the packed matrix product (a lone stream's blocks go through
-the byte table instead).  That per-op dispatch tax, not GF(2) math, is
-what caps the serial serve path near 10³ msgs/s while the batch
-engines do 10⁴–10⁵ in-process.  The fix is the software analogue
-of the paper's wide datapath: coalesce B queued ops into **one**
-executor call whose runner regroups them into wide engine calls (one
-``pump`` for every feed, one ``finalize_many`` for every digest), so
-the handoff amortizes to ``1/B`` per op and the packed kernels see B
-streams' worth of work at once.
+(open / feed / finalize), and pushing every one through a pipeline
+executor individually pays one loop→thread→loop handoff per op.  That
+per-op dispatch tax, not GF(2) math, is what caps a serial serve path
+near 10³ msgs/s while the batch engines do 10⁴–10⁵ in-process.  The
+fix is the software analogue of the paper's wide datapath: coalesce B
+queued ops into **one** executor call whose runner regroups them into
+wide engine calls (one ``pump`` for every feed, one ``finalize_many``
+for every digest), so the handoff amortizes to ``1/B`` per op.
 
 Mechanics:
 

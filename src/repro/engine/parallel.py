@@ -1082,9 +1082,9 @@ class ShardedCRCPipeline:
 
     Each shard is a full :class:`~repro.engine.pipeline.CRCPipeline`
     sharing one compile cache, so shards compile once collectively.
-    ``pump`` dispatches every backlogged shard to the pool concurrently
-    (the packed kernels release the GIL); before dispatch the
-    :class:`ShardScheduler` migrates streams off lagging shards.  The
+    ``pump`` hands every backlogged shard to the thread pool, each shard
+    pumping its own streams through the byte engines; before dispatch
+    the :class:`ShardScheduler` migrates streams off lagging shards.  The
     public surface mirrors ``CRCPipeline`` — ``open`` / ``feed`` /
     ``feed_bits`` / ``pump`` / ``finalize`` / ``abort`` — and is
     bit-exact against it under any delivery schedule, including
@@ -1092,19 +1092,17 @@ class ShardedCRCPipeline:
     drives exactly that).
 
     Every public mutator is serialized on one re-entrant lock, so
-    concurrent callers (the ``repro.serve`` event loop feeding while a
-    pump or rebalance runs on an executor thread) can never observe a
-    stream mid-migration or a half-advanced shard.  :meth:`close` is
-    idempotent and thread-safe; after close, open streams stay intact
-    and every call still computes bit-exact results — pumps simply run
-    serially instead of re-spawning the worker pool.
+    callers on several threads can never observe a stream mid-migration
+    or a half-advanced shard.  :meth:`close` is idempotent and
+    thread-safe; after close, open streams stay intact and every call
+    still computes bit-exact results — pumps simply run serially
+    instead of re-spawning the worker pool.
     """
 
     def __init__(
         self,
         spec: CRCSpec,
         M: int,
-        method: str = "lookahead",
         workers: Union[None, int, str] = None,
         cache: Optional[CompileCache] = None,
         scheduler: Optional[ShardScheduler] = None,
@@ -1116,8 +1114,7 @@ class ShardedCRCPipeline:
         self._cache = cache if cache is not None else default_cache()
         self._workers = resolve_workers(workers)
         self._shards = [
-            CRCPipeline(spec, M, method=method, cache=self._cache)
-            for _ in range(self._workers)
+            CRCPipeline(spec, M, cache=self._cache) for _ in range(self._workers)
         ]
         self._scheduler = scheduler or ShardScheduler(self._workers)
         if self._scheduler.shards != self._workers:
@@ -1133,8 +1130,7 @@ class ShardedCRCPipeline:
         self._spec = spec
         self._M = M
         # Serializes open/feed/pump/rebalance/finalize/abort/close so the
-        # pipeline is safe to drive from multiple threads (the serve
-        # layer pumps on an executor thread while connections feed).
+        # pipeline is safe to drive from several threads at once.
         self._lock = threading.RLock()
         self._closed = False
 

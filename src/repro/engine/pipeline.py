@@ -1,41 +1,34 @@
-"""Chunked streaming front-end over the batch kernels.
+"""Chunked streaming front-end over the CRC and scrambler engines.
 
 Production traffic rarely arrives as neatly pre-collected batches: frames
 stream in, interleaved across thousands of connections, and each message
 may span many chunks.  :class:`CRCPipeline` and :class:`ScramblerPipeline`
 expose the classic feed/finalize interface per stream while sharing the
-compile cache and the bit-packed kernels underneath.
+compile cache underneath.
 
-A :class:`CRCPipeline` stream buffers the bytes ``feed`` hands it as they
-are.  A ``pump`` round takes one M-bit block from every stream that has
-one buffered, and the pipeline picks the engine per round:
+A :class:`CRCPipeline` stream holds its register, the whole bytes it has
+been fed and not yet clocked in, at most 7 trailing bits a partial-byte
+``feed_bits`` left behind, and a count of the buffered bits no pump has
+counted yet.  A ``pump`` takes every whole M-bit block from every stream
+holding one and clocks that stream's counted whole bytes through a byte
+engine in one call:
 
-* a round with at least :data:`PACKED_MIN_STREAMS` ready streams and at
-  most :data:`PACKED_MAX_BYTES` whole bytes per ready stream advances them
-  all with a single packed matrix product, exactly the Kong–Parhi
-  interleaving the paper uses to hide the loop latency (Fig. 5),
-  re-enacted in numpy; the gathered bytes unpack to bits once per slab;
-* any other round advances each ready stream by itself: a run of fewer
-  than :data:`SHORT_RUN_BYTES` whole bytes through the byte table
-  (:meth:`repro.crc.TableCRC.raw_register`, the software CRC the paper
-  cites as [8]), a longer one through the byte-sliced look-ahead
+* a run of fewer than :data:`SHORT_RUN_BYTES` bytes through the byte
+  table (:meth:`repro.crc.TableCRC.raw_register`, the software CRC the
+  paper cites as [8]);
+* a longer one through the byte-sliced look-ahead
   (:class:`repro.crc.ByteSlicedCRC`: one numpy gather per
   :data:`~repro.crc.slicing.SLICE_DEPTH` bytes, the register folded
-  through ``A^{8D}`` between them).
+  through ``A^{8D}`` between them).  Its table rows are the columns of
+  the paper's input matrix ``B_M`` grouped per byte.
 
-Both rules were read off ``benchmarks/results/pipeline_crossover.txt``
-(docs/ENGINE.md).  The byte engines need the spec and M to admit them:
-M % 8 == 0, equal input/output reflection, and a width of at least 8
-unless reflected.  Otherwise streams buffer bits from ``open`` and every
-round is packed; so does any stream that was ever fed through
-``feed_bits``, which switches it to bits for the rest of its life.
-
-Each CRC stream keeps its state as its natural-basis register int, which
-is what the byte engines consume; a packed round converts its ready
-streams into the engine's working basis (transformed for ``"derby"``) and
-back in one vectorized step.  Sub-block tails wait for ``finalize``:
-whole bytes go through the byte engines, the last few bits of a bit
-stream through the bit-serial core.
+The threshold was read off ``benchmarks/results/pipeline_crossover.txt``
+(docs/ENGINE.md).  Every spec takes both engines, whatever its width
+and reflection.  When M % 8 != 0 a block can end inside a byte: the
+pump still counts the whole block, and its last few bits wait in the
+buffer for the next pump or ``finalize``.  ``finalize`` clocks the
+remaining whole bytes through the byte engines and the last bits (fewer
+than 8) through the bit-serial core.
 
 Error semantics: unknown / duplicate stream ids raise
 :class:`repro.errors.StreamError`; malformed arguments (non-bit values,
@@ -52,7 +45,6 @@ drifts permanently if telemetry flips between the two calls).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Hashable, List, Optional, Sequence
@@ -63,13 +55,11 @@ from repro.crc.bitwise import BitwiseCRC
 from repro.crc.slicing import ByteSlicedCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC
-from repro.engine.batch import _registers_from_bits, gf2_mul_packed, pack_bits, unpack_bits
 from repro.engine.cache import CompileCache, default_cache
 from repro.errors import StreamError, ValidationError
-from repro.gf2.backend import WORD_BITS
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import bind_families, default_registry
-from repro.validation import check_bits, check_factor, check_method, check_register, check_seed
+from repro.validation import check_bits, check_factor, check_register, check_seed
 
 # Aggregate gauges: published by per-instance deltas so any number of
 # concurrent pipeline instances sum correctly into one series per kind.
@@ -135,75 +125,6 @@ class _GaugePublisher:
             self._pending = pending
 
 
-class _BitBuffer:
-    """FIFO of pending message bits held as uint8 numpy chunks.
-
-    Streams that take raw bits (``feed_bits``, or a spec or M the byte
-    engines do not admit) buffer here.  Keeping the bits as the uint8
-    arrays ``np.unpackbits`` / ``check_bits`` already produced makes feed
-    O(1) appends and pump gathers single vectorized copies, where a
-    ``List[int]`` would pay one Python object per bit.
-    """
-
-    __slots__ = ("_chunks", "_length")
-
-    def __init__(self):
-        self._chunks: deque = deque()
-        self._length = 0
-
-    def __len__(self) -> int:
-        return self._length
-
-    def append(self, bits: np.ndarray) -> None:
-        """Queue a 1-D uint8 bit array (kept by reference, not copied)."""
-        if len(bits):
-            self._chunks.append(bits)
-            self._length += len(bits)
-
-    def take(self, n: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Pop the first ``n`` bits (into ``out`` when given)."""
-        if out is None:
-            out = np.empty(n, dtype=np.uint8)
-        pos = 0
-        while pos < n:
-            chunk = self._chunks[0]
-            need = n - pos
-            if len(chunk) <= need:
-                out[pos:pos + len(chunk)] = chunk
-                pos += len(chunk)
-                self._chunks.popleft()
-            else:
-                out[pos:] = chunk[:need]
-                self._chunks[0] = chunk[need:]
-                pos = n
-        self._length -= n
-        return out
-
-    def drain(self) -> np.ndarray:
-        """Pop every remaining bit as one array (the finalize tail)."""
-        if not self._chunks:
-            return np.empty(0, dtype=np.uint8)
-        if len(self._chunks) == 1:
-            tail = self._chunks.popleft()
-        else:
-            tail = np.concatenate(self._chunks)
-            self._chunks.clear()
-        self._length = 0
-        return tail
-
-
-#: Ready streams from which a pump round may run as one packed product.
-#: Read off ``benchmarks/results/pipeline_crossover.txt`` (docs/ENGINE.md):
-#: at 32 bytes per stream the packed round costs ~1.4x the per-stream
-#: side at 16 ready streams and ~0.7x at 64, a full word of lanes.
-PACKED_MIN_STREAMS = 64
-
-#: Whole bytes per ready stream (on average) above which even a wide
-#: round advances stream by stream: the per-stream side's cost barely
-#: grows with the run, the packed product's grows with every block
-#: (~1.4x the per-stream side at 64 streams of 256 bytes).
-PACKED_MAX_BYTES = 32
-
 #: Runs shorter than this many whole bytes take the byte table's
 #: per-byte loop; longer ones the byte-sliced gather, whose ~9-10 µs of
 #: fixed numpy calls the table's ~0.15 µs per byte overtakes here
@@ -211,79 +132,36 @@ PACKED_MAX_BYTES = 32
 #: ~1.2x at 32 and ~0.85x at 48).
 SHORT_RUN_BYTES = 48
 
-#: Input bits one packed gather copies out of the stream buffers: a pump
-#: over a deep backlog runs its packed rounds in slabs of at most this
-#: many bits, so the transient copy stays a few MiB whatever the backlog.
-_GATHER_BITS = 1 << 21
-
-
-def _state_bits(registers: Sequence[int], width: int) -> np.ndarray:
-    """``(width, B)`` state bits of B registers (bit i of column b = x_i)."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(
-        b"".join(r.to_bytes(nbytes, "little") for r in registers), dtype=np.uint8
-    ).reshape(len(registers), nbytes)
-    return np.unpackbits(raw, axis=1, count=width, bitorder="little").T
-
 
 @dataclass
 class _CRCStream:
     register: int  # natural-basis raw register, as the byte engines use it
-    data: bytearray = field(default_factory=bytearray)  # buffered bytes
-    bits: Optional[_BitBuffer] = None  # set once the stream buffers bits
-
-    @property
-    def pending(self) -> int:
-        """Buffered input bits (a bit stream's byte buffer stays empty)."""
-        return 8 * len(self.data) + (len(self.bits) if self.bits is not None else 0)
+    data: bytearray = field(default_factory=bytearray)  # whole bytes not yet clocked in
+    tail: List[int] = field(default_factory=list)  # < 8 message bits after ``data``
+    pending: int = 0  # buffered bits no pump has counted into a block yet
 
 
 class CRCPipeline:
-    """Many concurrent CRC streams sharing one compiled recurrence."""
+    """Many concurrent CRC streams sharing one compiled table stack."""
 
     def __init__(
         self,
         spec: CRCSpec,
         M: int,
-        method: str = "lookahead",
         cache: Optional[CompileCache] = None,
     ):
         self._spec = spec
         self._M = check_factor(M, what="look-ahead factor M")
-        self._method = check_method(method)
         self._cache = cache if cache is not None else default_cache()
-        if method == "derby":
-            dt = self._cache.derby(spec, M)
-            update, inject = dt.A_Mt, dt.B_Mt
-            self._into_basis = dt.T_inv.to_array().astype(np.int64)
-            self._from_basis = dt.T.to_array().astype(np.int64)
-        else:
-            la = self._cache.lookahead(spec, M)
-            update, inject = la.A_M, la.B_M
-            self._into_basis = self._from_basis = None
-        self._step = np.hstack([update.to_array(), inject.to_array()[:, ::-1]])
         self._serial = BitwiseCRC(spec)
-        # Byte engines: any 8 consecutive transmission-order bits regroup
-        # into one byte under the spec's input reflection.  Mixed-reflection
-        # and narrow non-reflected specs keep the bit-serial path (mirrors
-        # TableCRC's routing).
-        if spec.refin == spec.refout and (spec.refin or spec.width >= 8):
-            self._table = TableCRC(spec)
-            self._sliced = ByteSlicedCRC(spec, self._cache.slicing_tables(spec))
-        else:
-            self._table = self._sliced = None
+        self._table = TableCRC(spec)
+        self._sliced = ByteSlicedCRC(spec, self._cache.slicing_tables(spec))
+        # Any 8 consecutive transmission-order bits regroup into one byte
+        # under the spec's input reflection.
         self._bitorder = "little" if spec.refin else "big"
-        # Whole M-blocks are whole bytes only when M % 8 == 0: then streams
-        # buffer bytes and rounds may advance stream by stream.
-        self._byte_rounds = self._table is not None and self._M % 8 == 0
-        # Tests and the fuzz oracle override these per instance; nothing
-        # else should.  ``_byte_streams`` False opens bit streams.  ``_rule``
-        # is (min ready streams, max whole bytes per ready stream) of a
-        # packed round plus the shortest run on the gather:
-        # (0, sys.maxsize, _) packs every round, (sys.maxsize, 0, 0) sends
-        # every run to the gather.
-        self._byte_streams = self._byte_rounds
-        self._rule = (PACKED_MIN_STREAMS, PACKED_MAX_BYTES, SHORT_RUN_BYTES)
+        # Tests and the fuzz oracle override this per instance to pin one
+        # engine: sys.maxsize sends every run to the table, 0 to the gather.
+        self._short_run = SHORT_RUN_BYTES
         self._streams: Dict[Hashable, _CRCStream] = {}
         self._auto_ids = count()
         self._gauges = _GaugePublisher("crc")
@@ -300,7 +178,7 @@ class CRCPipeline:
 
     @property
     def cache(self) -> CompileCache:
-        """The compile cache block matrices come from."""
+        """The compile cache the byte-sliced table stack comes from."""
         return self._cache
 
     def __len__(self) -> int:
@@ -348,22 +226,16 @@ class CRCPipeline:
             register = self._spec.init
         else:
             register = check_register(register, self._spec.width, what="register")
-        self._streams[stream_id] = _CRCStream(
-            register=register, bits=None if self._byte_streams else _BitBuffer()
-        )
+        self._streams[stream_id] = _CRCStream(register)
         self._publish()
         return stream_id
-
-    def _unpack(self, data) -> np.ndarray:
-        """Transmission-order bits of ``data`` under the input reflection."""
-        return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder=self._bitorder)
 
     def feed(self, stream_id: Hashable, data: bytes, pump: bool = True) -> None:
         """Append message bytes to a stream (chunked calls compose).
 
-        A byte stream keeps the bytes as they are; a bit stream expands
-        them vectorized (``np.unpackbits`` honouring the spec's input
-        reflection), never through the per-bit ``message_bits`` path.
+        The bytes are kept as they are, unless a partial-byte
+        ``feed_bits`` left the stream off a byte boundary; then they
+        shift behind its trailing bits.
         """
         stream = self._stream(stream_id)
         if not isinstance(data, (bytes, bytearray, memoryview)):
@@ -371,10 +243,14 @@ class CRCPipeline:
                 f"message must be bytes-like, got {type(data).__name__}"
             )
         if len(data):
-            if stream.bits is None:
-                stream.data += data
+            if stream.tail:
+                bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder=self._bitorder)
+                self._append_bits(stream, bits)
+                stream.pending += len(bits)
             else:
-                stream.bits.append(self._unpack(data))
+                before = len(stream.data)
+                stream.data += data
+                stream.pending += 8 * (len(stream.data) - before)
             self._publish()
         if pump:
             self.pump()
@@ -382,122 +258,64 @@ class CRCPipeline:
     def feed_bits(self, stream_id: Hashable, bits: Sequence[int], pump: bool = True) -> None:
         """Append raw message bits to a stream (chunked calls compose).
 
-        The stream holds bits from then on (its buffered bytes expand
-        once); rounds still advance it on either side, packing its whole
-        bytes back for the byte engines.
+        Every 8 bits become one buffered byte under the spec's input
+        reflection; fewer than 8 left over wait for the next feed.
         """
         stream = self._stream(stream_id)
         checked = check_bits(bits)
-        if stream.bits is None:
-            stream.bits = _BitBuffer()
-            stream.bits.append(self._unpack(bytes(stream.data)))
-            stream.data.clear()
-        stream.bits.append(checked)
+        if len(checked):
+            self._append_bits(stream, checked)
+            stream.pending += len(checked)
         self._publish()
         if pump:
             self.pump()
+
+    def _append_bits(self, stream: _CRCStream, bits: np.ndarray) -> None:
+        """Regroup the stream's trailing bits and ``bits`` into whole bytes."""
+        if stream.tail:
+            bits = np.concatenate((np.array(stream.tail, dtype=np.uint8), bits))
+        whole = len(bits) - len(bits) % 8
+        stream.data += np.packbits(bits[:whole], bitorder=self._bitorder).tobytes()
+        stream.tail = bits[whole:].tolist()
 
     # ------------------------------------------------------------------
     def pump(self) -> int:
         """Advance every stream with at least one full M-bit block buffered.
 
-        A round takes one M-bit block from every ready stream.  Rounds
-        with at least :data:`PACKED_MIN_STREAMS` ready streams holding at
-        most :data:`PACKED_MAX_BYTES` whole bytes each on average step
-        them all through one packed matrix product (numpy's re-enactment
-        of interleaved issue); otherwise each ready stream's whole blocks
-        go through the byte engines by themselves, where the spec and M
-        admit them.  Returns the number of blocks processed.
+        Each ready stream's whole blocks are counted at once, and its
+        counted whole bytes go through one byte engine call (the table
+        below :data:`SHORT_RUN_BYTES`, the gather above).  Returns the
+        number of blocks processed.
         """
         M = self._M
-        ready = [s for s in self._streams.values() if s.pending >= M]
-        processed = sum(s.pending // M for s in ready)
-        min_streams, max_bytes, _ = self._rule
-        if ready and (
-            not self._byte_rounds
-            or (len(ready) >= min_streams and processed * M <= 8 * max_bytes * len(ready))
-        ):
-            # Longest backlog first, so every round's streams are a prefix.
-            ready.sort(key=lambda s: s.pending, reverse=True)
-            # Packed rounds run while ``min_streams`` streams are still ready.
-            last = max(min_streams, 1) - 1 if self._byte_rounds else 0
-            rounds = ready[last].pending // M
-            slab = max(1, _GATHER_BITS // (len(ready) * M))
-            for first in range(0, rounds, slab):
-                self._packed_rounds(ready, min(slab, rounds - first))
-        if self._byte_rounds:
-            for s in ready:
-                if s.pending >= M:
-                    self._advance(s, s.pending // M * M // 8)
+        processed = 0
+        for stream in self._streams.values():
+            if stream.pending >= M:
+                blocks = stream.pending // M
+                stream.pending -= blocks * M
+                processed += blocks
+                counted = 8 * len(stream.data) + len(stream.tail) - stream.pending
+                self._absorb(stream, counted // 8)
         self._publish()
         if default_registry().enabled:
             _metric("blocks", "crc").inc(processed)
             _metric("pump_blocks", "crc").observe(processed)
         return processed
 
-    def _packed_rounds(self, ready: List[_CRCStream], rounds: int) -> None:
-        """Advance ``rounds`` rounds of packed products over ``ready``.
-
-        ``ready`` is sorted longest backlog first, so round *r* steps the
-        prefix of streams holding more than *r* blocks.  Byte streams'
-        blocks gather into one byte matrix that unpacks to bits in one
-        call.  The registers convert into the working basis once on the
-        way in and back once on the way out; in between the states stay
-        packed.
-        """
-        M, B = self._M, len(ready)
-        taken = [min(s.pending // M, rounds) for s in ready]
-        if self._byte_rounds:
-            raw = np.zeros((B, rounds * M // 8), dtype=np.uint8)
-            for row, s, n in zip(raw, ready, taken):
-                if s.bits is None and n:
-                    nbytes = n * M // 8
-                    row[:nbytes] = np.frombuffer(s.data, dtype=np.uint8, count=nbytes)
-                    del s.data[:nbytes]
-            rows = np.unpackbits(raw, axis=1, bitorder=self._bitorder)
-        else:
-            rows = np.zeros((B, rounds * M), dtype=np.uint8)
-        for row, s, n in zip(rows, ready, taken):
-            if s.bits is not None:
-                s.bits.take(n * M, out=row[: n * M])
-        blocks = pack_bits(rows.T)
-        bits = _state_bits([s.register for s in ready], self._spec.width)
-        if self._into_basis is not None:
-            bits = (self._into_basis @ bits) & 1
-        state = pack_bits(bits)
-        active = B
-        for r in range(rounds):
-            while taken[active - 1] <= r:
-                active -= 1
-            words = -(-active // WORD_BITS)
-            new = gf2_mul_packed(
-                self._step,
-                np.vstack([state[:, :words], blocks[r * M:(r + 1) * M, :words]]),
-            )
-            if active < B and active % WORD_BITS:
-                # Lanes past ``active`` in the last word are finished
-                # streams: keep their states.
-                keep = np.uint64((1 << (active % WORD_BITS)) - 1)
-                new[:, -1] = (new[:, -1] & keep) | (state[:, words - 1] & ~keep)
-            state[:, :words] = new
-        bits = unpack_bits(state, B)
-        if self._from_basis is not None:
-            bits = (self._from_basis @ bits) & 1
-        for s, register in zip(ready, _registers_from_bits(bits, B)):
-            s.register = register
-
-    def _advance(self, stream: _CRCStream, nbytes: int) -> None:
-        """Clock a stream's next ``nbytes`` whole bytes through a byte engine."""
-        if stream.bits is None:
+    def _absorb(self, stream: _CRCStream, nbytes: int) -> None:
+        """Clock a stream's first ``nbytes`` buffered bytes into its register."""
+        if nbytes:
             data = stream.data[:nbytes]
             del stream.data[:nbytes]
-        else:
-            data = np.packbits(stream.bits.take(8 * nbytes), bitorder=self._bitorder).tobytes()
-        engine = self._table if nbytes < self._rule[2] else self._sliced
-        stream.register = engine.raw_register(data, stream.register)
+            engine = self._table if nbytes < self._short_run else self._sliced
+            stream.register = engine.raw_register(data, stream.register)
 
     def finalize(self, stream_id: Hashable) -> int:
-        """Drain the stream (sub-block tail) and return its CRC."""
+        """Drain the stream (sub-block tail) and return its CRC.
+
+        An unknown id raises before the pump, so no other stream moves.
+        """
+        self._stream(stream_id)
         self.pump()
         crc = self._finalize_drained(stream_id)
         self._publish()
@@ -506,16 +324,13 @@ class CRCPipeline:
     def finalize_many(self, stream_ids: Sequence[Hashable]) -> List[int]:
         """Finalize several streams behind **one** pump round.
 
-        ``finalize`` costs one :meth:`pump` per call even when the pump
-        advances a single stream, so B individual finalizes pay B pumps
-        where one would do — and that one pump sees all B streams ready,
-        which is what lets a wide round take the packed product.  This
-        entry point validates every id up front (all-or-nothing: an
-        unknown or duplicated id raises before any stream is consumed),
-        pumps once to advance all of them together, then drains each
-        sub-block tail.  Results align with ``stream_ids`` order.  This
-        is the wide call the serve path's micro-batch runner packs a
-        round's digests into.
+        ``finalize`` costs one :meth:`pump` per call, so B individual
+        finalizes pay B pumps where one would do.  This entry point
+        validates every id up front (all-or-nothing: an unknown or
+        duplicated id raises before any stream is consumed), pumps once
+        to advance all of them together, then drains each stream's
+        remaining bytes and bits.  Results align with ``stream_ids``
+        order.
         """
         ids = list(stream_ids)
         if len(set(ids)) != len(ids):
@@ -539,11 +354,10 @@ class CRCPipeline:
         """
         stream = self._stream(stream_id)
         del self._streams[stream_id]
-        if self._table is not None and stream.pending >= 8:
-            self._advance(stream, stream.pending // 8)
+        self._absorb(stream, len(stream.data))
         register = stream.register
-        if stream.bits is not None and len(stream.bits):
-            register = self._serial.process_bits(register, stream.bits.drain().tolist())
+        if stream.tail:
+            register = self._serial.process_bits(register, stream.tail)
         return self._spec.finalize(register)
 
     def abort(self, stream_id: Hashable) -> None:
@@ -555,22 +369,18 @@ class CRCPipeline:
     def migrate(self, stream_id: Hashable, target: "CRCPipeline") -> None:
         """Move one open stream (state + buffered input) into ``target``.
 
-        Both pipelines must run the same ``(spec, M, method)``, so the
-        stream's register and buffered bytes or bits mean the same thing
-        on either side — this is the primitive the sharded execution
+        Both pipelines must run the same ``(spec, M)``, so the stream's
+        register, buffered input and block count mean the same thing on
+        either side — this is the primitive the sharded execution
         layer's work-stealing scheduler uses to rebalance shards
         (:class:`repro.engine.parallel.ShardedCRCPipeline`).
         """
         if target is self:
             return
-        if (
-            target._spec != self._spec
-            or target._M != self._M
-            or target._method != self._method
-        ):
+        if target._spec != self._spec or target._M != self._M:
             raise StreamError(
                 f"cannot migrate stream {stream_id!r}: pipelines disagree on "
-                f"(spec, M, method)"
+                f"(spec, M)"
             )
         stream = self._stream(stream_id)
         if stream_id in target._streams:

@@ -25,6 +25,8 @@ KINDS = (KIND_CRC, KIND_SCRAMBLER, KIND_MULTIPLICATIVE)
 
 #: Default spec pools.  All CRC entries support the Derby transform at
 #: every factor in ``DERBY_FACTORS`` (non-cyclic generators excluded).
+#: CRC-12/UMTS mixes input and output reflection, and CRC-7/MMC is
+#: narrower than a byte and not reflected.
 CRC_POOL = (
     "CRC-8",
     "CRC-16/CCITT-FALSE",
@@ -32,6 +34,8 @@ CRC_POOL = (
     "CRC-32",
     "CRC-32/MPEG-2",
     "CRC-32C",
+    "CRC-12/UMTS",
+    "CRC-7/MMC",
 )
 SCRAMBLER_POOL = ("IEEE-802.16e", "DVB", "IEEE-802.11", "SONET", "PRBS9", "PRBS23")
 #: Multiplicative scrambler generators, as exponent tuples.

@@ -30,7 +30,7 @@ from repro.engine import (
     ScramblerPipeline,
 )
 from repro.gf2.backend import get_backend
-from repro.gf2.bits import bytes_to_bits
+from repro.gf2.bits import bits_to_bytes, bytes_to_bits
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr.galois import galois_to_fibonacci_state
 from repro.lfsr.wordlfsr import (
@@ -182,36 +182,61 @@ class CRCBatchOracle(Oracle):
 
 class CRCPipelineOracle(Oracle):
     """BitwiseCRC vs the streaming pipeline under the case's chunk schedule,
-    interleaved deliveries and ghost-stream aborts — once per engine, each
-    pinned through the pipeline's private round rule: every round packed,
-    every run through the byte table, every run through the byte-sliced
-    gather.  A case's few short streams would otherwise only ever reach
-    the table."""
+    interleaved deliveries and ghost-stream aborts — once per byte engine,
+    each pinned through the pipeline's private short-run threshold (every
+    run through the byte table, every run through the byte-sliced
+    gather), and once with sub-byte deliveries: every other stream takes
+    one of its chunks through ``feed_bits`` split at an odd bit offset.
+    The bits before the cut go in first, the whole bytes after it follow
+    as a ``feed`` that lands off the message's byte grid, and the last
+    few bits close the chunk."""
 
     name = "crc:bitwise-vs-pipeline"
     kinds = (KIND_CRC,)
 
-    #: Round-rule overrides (min packed streams, max packed bytes per
-    #: stream, first run length on the gather), see CRCPipeline.__init__.
-    ENGINES = (
-        ("packed", (0, sys.maxsize, sys.maxsize)),
-        ("table", (sys.maxsize, 0, sys.maxsize)),
-        ("sliced", (sys.maxsize, 0, 0)),
-    )
+    #: (pass, short-run threshold override or None for the default), see
+    #: CRCPipeline.__init__.
+    PASSES = (("table", sys.maxsize), ("sliced", 0), ("bits", None))
 
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
-        for engine, rule in self.ENGINES:
-            found = self._check_engine(case, cache, engine, rule)
+        for which, short_run in self.PASSES:
+            found = self._check_pass(case, cache, which, short_run)
             if found is not None:
                 return found
         return None
 
-    def _check_engine(
-        self, case: FuzzCase, cache: CompileCache, engine: str, rule: tuple
+    @staticmethod
+    def _deliveries(case: FuzzCase, spec, split_bits: bool) -> List[List[tuple]]:
+        """Per stream, its chunks in order as ``("bytes", data)`` or
+        ``("bits", bits)`` deliveries."""
+        rng = random.Random(repr(case.to_dict()))
+        out = []
+        for i, payload in enumerate(case.payloads()):
+            plan = case.chunk_plan(i)
+            chunks, offset = [], 0
+            for size in plan:
+                chunks.append(("bytes", payload[offset : offset + size]))
+                offset += size
+            if split_bits and plan and i % 2 == 0:
+                j = rng.randrange(len(plan))
+                bits = spec.message_bits(chunks[j][1])
+                cut = 2 * rng.randrange(len(bits) // 2) + 1
+                end = len(bits) - (len(bits) - cut) % 8
+                chunks[j : j + 1] = [
+                    ("bits", bits[:cut]),
+                    ("bytes", bits_to_bytes(bits[cut:end], reflect=spec.refin)),
+                    ("bits", bits[end:]),
+                ]
+            out.append(chunks)
+        return out
+
+    def _check_pass(
+        self, case: FuzzCase, cache: CompileCache, which: str, short_run: Optional[int]
     ) -> Optional[Discrepancy]:
         spec, serial = _crc_serial(case)
-        pipe = CRCPipeline(spec, case.M, method=case.method, cache=cache)
-        pipe._rule = rule
+        pipe = CRCPipeline(spec, case.M, cache=cache)
+        if short_run is not None:
+            pipe._short_run = short_run
         payloads = case.payloads()
         ids = []
         for i in range(len(payloads)):
@@ -222,18 +247,17 @@ class CRCPipelineOracle(Oracle):
             gid = pipe.open()
             pipe.feed_bits(gid, [1] * nbits, pump=False)
             ghost_ids.append(gid)
-        # Interleave chunk deliveries round-robin across streams; the
-        # schedule is deterministic from the case so replays are exact.
-        cursors = [(i, 0) for i in range(len(payloads)) if case.chunk_plan(i)]
-        while cursors:
-            nxt = []
-            for i, chunk_idx in cursors:
-                plan = case.chunk_plan(i)
-                offset = sum(plan[:chunk_idx])
-                pipe.feed(ids[i], payloads[i][offset : offset + plan[chunk_idx]])
-                if chunk_idx + 1 < len(plan):
-                    nxt.append((i, chunk_idx + 1))
-            cursors = nxt
+        # Interleave deliveries round-robin across streams; the schedule
+        # is deterministic from the case so replays are exact.
+        deliveries = self._deliveries(case, spec, split_bits=which == "bits")
+        for turn in range(max(map(len, deliveries), default=0)):
+            for sid, chunks in zip(ids, deliveries):
+                if turn < len(chunks):
+                    how, chunk = chunks[turn]
+                    if how == "bits":
+                        pipe.feed_bits(sid, chunk)
+                    else:
+                        pipe.feed(sid, chunk)
         for gid in ghost_ids:
             pipe.abort(gid)
         for i, payload in enumerate(payloads):
@@ -243,7 +267,7 @@ class CRCPipelineOracle(Oracle):
             if got != expected:
                 return Discrepancy(
                     detail=f"pipeline stream {i} chunks={case.chunk_plan(i)} "
-                    f"method={case.method} engine={engine} aborts={case.aborts}",
+                    f"pass={which} aborts={case.aborts}",
                     expected=f"0x{expected:X}",
                     got=f"0x{got:X}",
                 )
@@ -527,9 +551,7 @@ class ParallelWorkersOracle(Oracle):
         # 3. Sharded pipeline under the case's chunk schedule with ghost
         # streams aborted mid-flight (they must leave no residue on any
         # shard they were scheduled to or stolen by).
-        pipe = ShardedCRCPipeline(
-            spec, case.M, method=case.method, workers=self.WORKERS, cache=cache
-        )
+        pipe = ShardedCRCPipeline(spec, case.M, workers=self.WORKERS, cache=cache)
         try:
             ids = [pipe.open() for _ in payloads]
             ghost_ids = []

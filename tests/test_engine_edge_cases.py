@@ -66,17 +66,16 @@ def test_batch_crc_empty_batch(cache):
 def test_crc_pipeline_edges(cache):
     spec = get_crc("CRC-32")
     serial = BitwiseCRC(spec)
-    for method in ("lookahead", "derby"):
-        pipe = CRCPipeline(spec, 32, method=method, cache=cache)
-        ids = [pipe.open() for _ in EDGE_MESSAGES]
-        for sid, m in zip(ids, EDGE_MESSAGES):
-            pipe.feed(sid, m)
-        assert [pipe.finalize(sid) for sid in ids] == [
-            serial.compute(m) for m in EDGE_MESSAGES
-        ], method
-        # A stream finalized with no data at all is the CRC of b"".
-        sid = pipe.open()
-        assert pipe.finalize(sid) == serial.compute(b"")
+    pipe = CRCPipeline(spec, 32, cache=cache)
+    ids = [pipe.open() for _ in EDGE_MESSAGES]
+    for sid, m in zip(ids, EDGE_MESSAGES):
+        pipe.feed(sid, m)
+    assert [pipe.finalize(sid) for sid in ids] == [
+        serial.compute(m) for m in EDGE_MESSAGES
+    ]
+    # A stream finalized with no data at all is the CRC of b"".
+    sid = pipe.open()
+    assert pipe.finalize(sid) == serial.compute(b"")
 
 
 def test_dream_executed_crc_edges(cache):

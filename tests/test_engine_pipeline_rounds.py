@@ -1,14 +1,13 @@
-"""Per-round engine choice and byte buffers in :class:`~repro.engine.CRCPipeline`.
+"""Byte streams and the per-run engine choice in :class:`~repro.engine.CRCPipeline`.
 
-A pump round with at least ``PACKED_MIN_STREAMS`` ready streams holding
-at most ``PACKED_MAX_BYTES`` whole bytes each runs one packed GF(2)
-product; any other round advances each ready stream through the byte
-engines (the byte table below ``SHORT_RUN_BYTES``, the byte-sliced
-gather above).  These tests pin either side through the private
-``_rule`` override (``"packed"``: every round packed;
-``"table"``: every round stream by stream) and run streams on byte or
-bit buffers through the private ``_byte_streams`` override, and check
-that neither choice shows: the same digests, the same ``pending_bits``
+Every stream holds its register, its unabsorbed whole bytes, at most 7
+trailing bits a partial-byte ``feed_bits`` left, and its pending-bit
+count.  A pump clocks each ready stream's counted whole bytes through the
+byte table below ``SHORT_RUN_BYTES`` and through the byte-sliced gather
+above it.  These tests pin either engine through the private
+``_short_run`` override (``"table"``: every run on the table;
+``"sliced"``: every run on the gather) and check that the choice never
+shows: the same digests as ``BitwiseCRC``, the same ``pending_bits``
 after every call, the same ``engine_pipeline_blocks_total`` and ``pump``
 return values.
 """
@@ -20,18 +19,19 @@ from pathlib import Path
 
 import pytest
 
-import repro.engine.pipeline as pipeline_mod
-from repro.crc import BitwiseCRC, get as get_crc
+import repro.crc.slicing as slicing_mod
+from repro.crc import CATALOG, BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
 from repro.crc.slicing import SLICE_DEPTH, ByteSlicedCRC
-from repro.engine import CompileCache, CRCPipeline, ShardedCRCPipeline, ShardScheduler
-from repro.engine.pipeline import PACKED_MAX_BYTES, PACKED_MIN_STREAMS, SHORT_RUN_BYTES
+from repro.engine import BatchCRC, CompileCache, CRCPipeline, ShardedCRCPipeline, ShardScheduler
+from repro.engine.pipeline import SHORT_RUN_BYTES
 from repro.errors import StreamError, ValidationError
+from repro.gf2.backend import NumpyPackedBackend
 from repro.telemetry import default_registry
 
-#: Round-rule overrides: "table" pins the per-stream side (byte table or
-#: byte-sliced gather, by run length).
-PACKED, TABLE = (0, sys.maxsize, SHORT_RUN_BYTES), (sys.maxsize, 0, SHORT_RUN_BYTES)
-ENGINES = {"packed": PACKED, "table": TABLE}
+#: Short-run threshold overrides pinning one byte engine.
+ENGINES = {"table": sys.maxsize, "sliced": 0}
+#: The paper's M-bit engines, a second reference at the pipeline's M.
+PAPER_ENGINES = {"lookahead": LookaheadCRC, "derby": DerbyCRC}
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +41,15 @@ def cache():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts packed products issued by pipelines (the kernel entry point)."""
+    """Counts packed GF(2) products issued anywhere (the kernel entry point)."""
     calls = []
-    real = pipeline_mod.gf2_mul_packed
+    real = NumpyPackedBackend.matvec_batch
 
-    def counting(matrix, packed):
+    def counting(self, matrix, packed):
         calls.append(packed.shape[1])
-        return real(matrix, packed)
+        return real(self, matrix, packed)
 
-    monkeypatch.setattr(pipeline_mod, "gf2_mul_packed", counting)
+    monkeypatch.setattr(NumpyPackedBackend, "matvec_batch", counting)
     return calls
 
 
@@ -67,10 +67,11 @@ def sliced_runs(monkeypatch):
     return runs
 
 
-def _pipe(spec, M, rule, cache, method="lookahead", byte_streams=True):
-    pipe = CRCPipeline(spec, M, method=method, cache=cache)
-    pipe._rule = rule
-    pipe._byte_streams = pipe._byte_streams and byte_streams
+def _pipe(spec, M, cache, engine=None):
+    """A pipeline, pinned to one byte engine unless ``engine`` is None."""
+    pipe = CRCPipeline(spec, M, cache=cache)
+    if engine is not None:
+        pipe._short_run = ENGINES[engine]
     return pipe
 
 
@@ -113,55 +114,85 @@ def _replay(pipe, payloads, steps):
 @pytest.mark.parametrize("name", ["CRC-32", "CRC-16/CCITT-FALSE", "CRC-8", "CRC-32/MPEG-2"])
 @pytest.mark.parametrize("M", [8, 32, 128])
 def test_engines_agree_with_bitwise(name, M, method, cache):
-    """Either side of the round rule, on byte or bit buffers: the same
-    digests and the same observable readings."""
+    """Either byte engine pinned, or the default threshold between them:
+    the digests of the bit-serial reference and of the paper's M-bit
+    engine (look-ahead or Derby) at the same M, and the same observable
+    readings every time."""
     spec = get_crc(name)
     serial = BitwiseCRC(spec)
+    paper = PAPER_ENGINES[method](spec, M)
     payloads, steps = _schedule(f"{name}/{M}/{method}", streams=5, max_bytes=300, max_chunk=80)
+    expected = [serial.compute(p) for p in payloads]
+    assert [paper.compute(p) for p in payloads] == expected
     results = {}
-    for engine, rule in ENGINES.items():
-        for byte_streams in (True, False):
-            blocks0 = _blocks_total()
-            pipe = _pipe(spec, M, rule, cache, method, byte_streams)
-            digests, readings = _replay(pipe, payloads, steps)
-            assert digests == [serial.compute(p) for p in payloads], (engine, byte_streams)
-            results[engine, byte_streams] = (readings, _blocks_total() - blocks0)
+    for engine in (None, *ENGINES):
+        blocks0 = _blocks_total()
+        digests, readings = _replay(_pipe(spec, M, cache, engine), payloads, steps)
+        assert digests == expected, engine
+        results[engine] = (readings, _blocks_total() - blocks0)
     assert len(set(map(repr, results.values()))) == 1
 
 
-def test_round_occupancy_crossing_the_constant(cache, kernel_calls):
-    """Packed rounds run while PACKED_MIN_STREAMS streams are ready; the
-    streams still holding blocks after that finish stream by stream."""
+@pytest.mark.parametrize("M", [3, 8, 128])
+@pytest.mark.parametrize("name", [spec.name for spec in CATALOG])
+def test_bytes_bits_bytes_on_every_catalog_spec(name, M, cache):
+    """Bytes, a partial-byte ``feed_bits``, then bytes again into a seeded
+    register: every reading is what the M-bit block count says, and the
+    digest is the bit-serial one, on either byte engine."""
+    spec = get_crc(name)
+    rng = random.Random(f"{name}/{M}")
+    register = rng.randrange(1 << spec.width)
+    head, tail = rng.randbytes(rng.randint(0, 200)), rng.randbytes(rng.randint(1, 200))
+    mid = [rng.randrange(2) for _ in range(rng.choice((1, 3, 5, 7, 13)))]
+    bits = spec.message_bits(head) + mid + spec.message_bits(tail)
+    expected = spec.finalize(BitwiseCRC(spec).process_bits(register, bits))
+    for engine in ENGINES:
+        pipe = _pipe(spec, M, cache, engine)
+        sid = pipe.open(register=register)
+        pending = blocks = 0
+        for how, chunk in (("bytes", head), ("bits", mid), ("bytes", tail)):
+            if how == "bits":
+                pipe.feed_bits(sid, chunk, pump=False)
+                pending += len(chunk)
+            else:
+                pipe.feed(sid, chunk, pump=False)
+                pending += 8 * len(chunk)
+            assert pipe.pending_bits(sid) == pending, (engine, how)
+            blocks0 = _blocks_total()
+            assert pipe.pump() == pending // M, (engine, how)
+            assert _blocks_total() - blocks0 == pending // M
+            blocks += pending // M
+            pending %= M
+            assert pipe.pending_bits(sid) == pipe.pending_bits() == pending, (engine, how)
+            assert pipe.pump() == 0
+        assert blocks == len(bits) // M
+        assert pipe.finalize(sid) == expected, engine
+        assert pipe.stream_count == 0 and pipe.pending_bits() == 0
+
+
+def test_finalize_checks_the_id_before_it_pumps(cache):
+    """An unknown id raises before the pump: no other stream advances and
+    the block counter does not move."""
     spec = get_crc("CRC-32")
-    M = 8
-    streams = PACKED_MIN_STREAMS + 2
-    # One stream holds 1 block, one 2, two 5 and the rest 3: rounds 0..2
-    # have PACKED_MIN_STREAMS + 2 .. PACKED_MIN_STREAMS ready streams.
-    blocks = [1, 2] + [3] * (streams - 4) + [5, 5]
-    payloads = [bytes([i]) * (n * M // 8) for i, n in enumerate(blocks)]
-    assert sum(map(len, payloads)) <= PACKED_MAX_BYTES * streams
-    ids = list(range(streams))
-    pipe = CRCPipeline(spec, M, cache=cache)
-    for sid, payload in zip(ids, payloads):
-        pipe.open(sid)
-        pipe.feed(sid, payload, pump=False)
-    assert pipe.pump() == sum(blocks)
-    # One packed product per round, over 2, 2 and 1 words of lanes.
-    assert kernel_calls == [2, 2, 1]
-    assert pipe.pending_bits() == 0
-    serial = BitwiseCRC(spec)
-    assert pipe.finalize_many(ids) == [serial.compute(p) for p in payloads]
+    pipe = CRCPipeline(spec, 32, cache=cache)
+    sid = pipe.open()
+    pipe.feed(sid, bytes(100), pump=False)
+    blocks0 = _blocks_total()
+    with pytest.raises(StreamError):
+        pipe.finalize("unknown")
+    assert pipe.pending_bits(sid) == 800
+    assert _blocks_total() == blocks0
+    assert pipe.finalize(sid) == BitwiseCRC(spec).compute(bytes(100))
 
 
 def test_deep_rounds_advance_stream_by_stream(cache, kernel_calls, sliced_runs):
-    """Past PACKED_MAX_BYTES per ready stream even a wide round skips the
-    packed product: every stream's whole blocks take one gather."""
+    """A wide round of deep streams advances each stream's whole blocks
+    with one gather, and never through a packed product."""
     spec = get_crc("CRC-32")
     M = 128
     pipe = CRCPipeline(spec, M, cache=cache)
-    ids = [pipe.open() for _ in range(2 * PACKED_MIN_STREAMS)]
+    ids = [pipe.open() for _ in range(128)]
     payload = bytes(range(256)) * 2
-    assert len(payload) > PACKED_MAX_BYTES
     for sid in ids:
         pipe.feed(sid, payload, pump=False)
     assert pipe.pump() == len(ids) * len(payload) * 8 // M
@@ -170,36 +201,43 @@ def test_deep_rounds_advance_stream_by_stream(cache, kernel_calls, sliced_runs):
     assert pipe.finalize_many(ids) == [BitwiseCRC(spec).compute(payload)] * len(ids)
 
 
-def test_deep_backlog_runs_in_slabs(cache, kernel_calls, monkeypatch):
-    """A backlog deeper than one gather runs its packed rounds in slabs;
-    the slab edges must not show in the digests or the round count."""
-    monkeypatch.setattr(pipeline_mod, "_GATHER_BITS", 32 * PACKED_MIN_STREAMS * 3)
-    spec = get_crc("CRC-32")
+def test_deep_backlog_runs_in_slabs(cache, monkeypatch):
+    """A backlog deeper than one gather slab runs through the gather slab
+    by slab; the slab edges must not show in the digests or the block
+    count."""
+    monkeypatch.setattr(slicing_mod, "_SLAB_BLOCKS", 2)
+    spec = get_crc("CRC-32C")
     M = 32
-    pipe = CRCPipeline(spec, M, method="derby", cache=cache)
+    pipe = CRCPipeline(spec, M, cache=cache)
     rng = random.Random(11)
-    payloads = [
-        bytes(rng.randrange(256) for _ in range(rng.randint(8, 40)))
-        for _ in range(PACKED_MIN_STREAMS + 4)
-    ]
+    payloads = [rng.randbytes(rng.randint(5 * SLICE_DEPTH, 9 * SLICE_DEPTH)) for _ in range(6)]
     ids = [pipe.open() for _ in payloads]
     for sid, payload in zip(ids, payloads):
         pipe.feed(sid, payload, pump=False)
-    blocks = sorted((len(p) * 8 // M for p in payloads), reverse=True)
-    assert pipe.pump() == sum(blocks)
-    assert len(kernel_calls) == blocks[PACKED_MIN_STREAMS - 1]
+    assert pipe.pump() == sum(len(p) * 8 // M for p in payloads)
+    assert pipe.pending_bits() == sum(len(p) * 8 % M for p in payloads)
     serial = BitwiseCRC(spec)
     assert pipe.finalize_many(ids) == [serial.compute(p) for p in payloads]
 
 
 def test_lone_streams_never_reach_the_kernel(cache, kernel_calls):
-    spec = get_crc("CRC-32")
-    pipe = CRCPipeline(spec, 128, cache=cache)
-    sids = [pipe.open() for _ in range(PACKED_MIN_STREAMS - 1)]
-    for sid in sids:
-        pipe.feed(sid, bytes(range(200)))
+    """No stream reaches the packed GF(2) product: not byte streams, not
+    partial-byte bits, not M % 8 != 0, not mixed-reflection or narrow
+    non-reflected specs."""
+    for name, M in (("CRC-32", 128), ("CRC-32", 12), ("CRC-12/UMTS", 64), ("CRC-7/MMC", 5)):
+        spec = get_crc(name)
+        pipe = CRCPipeline(spec, M, cache=cache)
+        sids = [pipe.open() for _ in range(63)]
+        for sid in sids:
+            pipe.feed(sid, bytes(range(200)))
+        pipe.feed_bits(sids[0], [1, 0, 1], pump=False)
+        serial = BitwiseCRC(spec)
+        expected = [serial.compute(bytes(range(200)))] * len(sids)
+        expected[0] = spec.finalize(
+            serial.process_bits(spec.init, spec.message_bits(bytes(range(200))) + [1, 0, 1])
+        )
+        assert pipe.finalize_many(sids) == expected, name
     assert kernel_calls == []
-    assert pipe.finalize_many(sids) == [BitwiseCRC(spec).compute(bytes(range(200)))] * len(sids)
 
 
 def test_short_runs_take_the_table_long_runs_the_gather(cache, sliced_runs):
@@ -230,43 +268,64 @@ def test_a_whole_frame_is_one_gather_and_one_buffer(cache, sliced_runs):
 
 
 def test_pipelines_share_one_table_stack():
+    """Pipelines at any M compile one table stack per spec, and nothing
+    else: no ``A^M`` / ``B_M`` or Derby-basis matrices."""
     spec = get_crc("CRC-32C")
     cache = CompileCache()
     a, b = CRCPipeline(spec, 64, cache=cache), CRCPipeline(spec, 128, cache=cache)
     assert a._sliced._flat.base is b._sliced._flat.base is cache.slicing_tables(spec)
-    assert [k for k in cache.keys() if k[0] == "slicing-tables"] == [("slicing-tables", spec)]
+    assert cache.keys() == [("slicing-tables", spec)]
 
 
 @pytest.mark.parametrize("M", [4, 12, 20])
-def test_m_not_a_multiple_of_eight_stays_packed(M, cache, kernel_calls):
+def test_m_not_a_multiple_of_eight_counts_whole_blocks(M, cache):
+    """A block may end inside a byte: the pump counts it whole, and its
+    last bits wait in the buffer for the next pump or ``finalize``."""
     spec = get_crc("CRC-32")
-    pipe = _pipe(spec, M, TABLE, cache)
-    sid = pipe.open()
-    pipe.feed(sid, b"123456789")
-    assert kernel_calls, "a non-byte block must go through the packed product"
-    assert pipe._streams[sid].bits is not None
-    assert pipe.finalize(sid) == 0xCBF43926
+    for engine in ENGINES:
+        pipe = _pipe(spec, M, cache, engine)
+        sid = pipe.open()
+        pending = 0
+        for chunk in (b"1", b"2345", b"", b"6789"):
+            pipe.feed(sid, chunk, pump=False)
+            pending += 8 * len(chunk)
+            assert pipe.pump() == pending // M
+            pending %= M
+            assert pipe.pending_bits(sid) == pending
+        assert pipe.finalize(sid) == 0xCBF43926, engine
 
 
 @pytest.mark.parametrize("name", ["CRC-12/UMTS", "CRC-7/MMC"])
 @pytest.mark.parametrize("method", ["lookahead", "derby"])
-def test_specs_without_a_byte_table_stay_packed(name, method, cache, kernel_calls):
-    # CRC-12/UMTS mixes reflections; CRC-7/MMC is narrow and non-reflected.
+def test_mixed_and_narrow_specs_take_byte_buffers(name, method, cache, kernel_calls):
+    """CRC-12/UMTS mixes reflections; CRC-7/MMC is narrow and non-reflected.
+    Both stay byte buffers with no packed product, and give the digests of
+    the bit-serial reference and of the paper's M-bit engine (``method``)."""
     spec = get_crc(name)
-    pipe = _pipe(spec, 16, TABLE, cache, method)
-    sid = pipe.open()
-    pipe.feed(sid, b"123456789" * 3)
-    assert kernel_calls
-    assert pipe.finalize(sid) == BitwiseCRC(spec).compute(b"123456789" * 3)
+    message = b"123456789" * 7
+    expected = BitwiseCRC(spec).compute(message)
+    for engine in ENGINES:
+        pipe = _pipe(spec, 16, cache, engine)
+        sid = pipe.open()
+        pipe.feed(sid, message, pump=False)
+        assert len(pipe._streams[sid].data) == len(message)
+        assert pipe.pending_bits(sid) == 8 * len(message)
+        assert pipe.pump() == 8 * len(message) // 16
+        assert pipe.pending_bits(sid) == 8 * len(message) % 16
+        assert pipe.finalize(sid) == expected, engine
+    assert kernel_calls == []
+    assert PAPER_ENGINES[method](spec, 16).compute(message) == expected
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("method", ["lookahead", "derby"])
 def test_feed_bits_with_partial_bytes(engine, method, cache):
+    """Bit chunks of any length: the digests of the bit-serial reference
+    and of the batch engine's bit path in either basis (``method``)."""
     spec = get_crc("CRC-16/ARC")
     serial = BitwiseCRC(spec)
-    rng = random.Random(7)
-    pipe = _pipe(spec, 16, ENGINES[engine], cache, method)
+    rng = random.Random(f"7/{method}")
+    pipe = _pipe(spec, 16, cache, engine)
     ids = [pipe.open() for _ in range(3)]
     fed = [[] for _ in ids]
     for _ in range(12):
@@ -274,19 +333,21 @@ def test_feed_bits_with_partial_bytes(engine, method, cache):
             bits = [rng.randrange(2) for _ in range(rng.randint(0, 29))]
             pipe.feed_bits(sid, bits, pump=rng.random() < 0.5)
             fed[i].extend(bits)
-    for sid, bits in zip(ids, fed):
-        expected = spec.finalize(serial.process_bits(spec.init, bits))
-        assert pipe.finalize(sid) == expected
+            assert pipe.pending_bits(sid) <= len(fed[i])
+    expected = [spec.finalize(serial.process_bits(spec.init, bits)) for bits in fed]
+    assert BatchCRC(spec, 16, method=method, cache=cache).compute_bits_batch(fed) == expected
+    assert [pipe.finalize(sid) for sid in ids] == expected
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 @pytest.mark.parametrize("name", ["CRC-32", "CRC-16/CCITT-FALSE"])
 def test_feed_bits_after_byte_feeds_switches_the_stream(name, engine, cache):
-    """Bytes, then bits mid-stream, then bytes again: the stream turns to
-    bits for good, keeps its buffered bytes and counts every bit."""
+    """Bytes, then bits mid-stream, then bytes again: the stream leaves the
+    byte grid, later bytes shift behind its trailing bits, and every bit
+    counts."""
     spec = get_crc(name)
     serial = BitwiseCRC(spec)
-    pipe = _pipe(spec, 32, ENGINES[engine], cache)
+    pipe = _pipe(spec, 32, cache, engine)
     sid, other = pipe.open(), pipe.open()
     head = bytes(range(70))
     pipe.feed(sid, head, pump=False)
@@ -294,28 +355,29 @@ def test_feed_bits_after_byte_feeds_switches_the_stream(name, engine, cache):
     assert pipe.pending_bits(sid) == 8 * len(head)
     mid = [1, 0, 1, 1, 0]
     pipe.feed_bits(sid, mid, pump=False)
-    stream = pipe._streams[sid]
-    assert stream.bits is not None and not stream.data
     assert pipe.pending_bits(sid) == 8 * len(head) + len(mid)
-    assert pipe._streams[other].bits is None
-    pipe.pump()
+    assert pipe.pending_bits(other) == 8 * len(head)
+    assert pipe.pump() == (8 * len(head) + len(mid)) // 32 + 8 * len(head) // 32
     tail = b"after the switch"
     pipe.feed(sid, tail)
     pipe.feed(other, tail)
+    assert pipe.pending_bits(sid) == (8 * len(head + tail) + len(mid)) % 32
     bits = spec.message_bits(head) + mid + spec.message_bits(tail)
     assert pipe.finalize(sid) == spec.finalize(serial.process_bits(spec.init, bits))
     assert pipe.finalize(other) == serial.compute(head + tail)
     fresh = pipe.open()
     with pytest.raises(ValidationError):
         pipe.feed_bits(fresh, [2])
-    assert pipe._streams[fresh].bits is None  # validated before the switch
+    assert pipe.pending_bits(fresh) == 0  # validated before anything buffered
+    pipe.feed(fresh, head)
+    assert pipe.finalize(fresh) == serial.compute(head)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_seeded_registers(engine, cache):
     spec = get_crc("CRC-32C")
     serial = BitwiseCRC(spec)
-    pipe = _pipe(spec, 32, ENGINES[engine], cache, "derby")
+    pipe = _pipe(spec, 32, cache, engine)
     sid = pipe.open(register=0x1234ABCD)
     pipe.feed(sid, b"seeded register" * 4)
     expected = spec.finalize(serial.raw_register(b"seeded register" * 4, 0x1234ABCD))
@@ -327,8 +389,8 @@ def test_seeded_registers(engine, cache):
 def test_migrate_and_abort_mid_stream(src_engine, dst_engine, cache):
     spec = get_crc("CRC-32")
     serial = BitwiseCRC(spec)
-    src = _pipe(spec, 32, ENGINES[src_engine], cache)
-    dst = _pipe(spec, 32, ENGINES[dst_engine], cache)
+    src = _pipe(spec, 32, cache, src_engine)
+    dst = _pipe(spec, 32, cache, dst_engine)
     keep, ghost = src.open("keep"), src.open("ghost")
     src.feed(keep, b"first half, ")
     src.feed(ghost, b"never finished" * 3)
@@ -342,19 +404,32 @@ def test_migrate_and_abort_mid_stream(src_engine, dst_engine, cache):
 @pytest.mark.parametrize("src_bytes", [True, False])
 @pytest.mark.parametrize("dst_bytes", [True, False])
 def test_migrate_keeps_the_stream_buffer(src_bytes, dst_bytes, cache):
-    """A migrated stream keeps its own buffer kind: a byte stream stays
-    bytes in a bit-buffering pipeline, and the other way round."""
+    """A migrated stream keeps its whole buffer: unabsorbed bytes, bits a
+    block counted inside a byte (7 blocks of M = 20), and a partial byte
+    when the source fed bits (``src_bytes`` False).  The target goes on
+    with bytes or bits (``dst_bytes``)."""
     spec = get_crc("CRC-16/ARC")
     serial = BitwiseCRC(spec)
-    src = _pipe(spec, 64, TABLE, cache, byte_streams=src_bytes)
-    dst = _pipe(spec, 64, PACKED, cache, byte_streams=dst_bytes)
+    src, dst = _pipe(spec, 20, cache, "table"), _pipe(spec, 20, cache, "sliced")
     sid = src.open()
-    src.feed(sid, bytes(range(21)), pump=False)
+    head = spec.message_bits(bytes(range(19)))
+    if src_bytes:
+        src.feed(sid, bytes(range(19)))
+    else:
+        head = head[:-3]
+        src.feed_bits(sid, head)
+    pending = src.pending_bits(sid)
+    assert pending == len(head) % 20
     src.migrate(sid, dst)
-    assert (dst._streams[sid].bits is None) == src_bytes
-    assert dst.pending_bits(sid) == 8 * 21
-    dst.feed(sid, bytes(range(100, 190)))
-    assert dst.finalize_many([sid]) == [serial.compute(bytes(range(21)) + bytes(range(100, 190)))]
+    assert dst.pending_bits(sid) == pending and src.pending_bits() == 0
+    tail = spec.message_bits(bytes(range(100, 190)))
+    if dst_bytes:
+        dst.feed(sid, bytes(range(100, 190)))
+    else:
+        dst.feed_bits(sid, tail)
+    assert dst.pending_bits(sid) == (len(head) + len(tail)) % 20
+    expected = spec.finalize(serial.process_bits(spec.init, head + tail))
+    assert dst.finalize_many([sid]) == [expected]
 
 
 def test_sharded_stealing_moves_byte_streams_exactly():
@@ -379,7 +454,6 @@ def test_sharded_stealing_moves_byte_streams_exactly():
         assert min(pipe.shard_pending()) > 0
         for sid, payload in payloads.items():
             pipe.feed(sid, payload[len(payload) // 2:])
-        assert all(s._streams[sid].bits is None for s in pipe.shards for sid in s._streams)
         serial = BitwiseCRC(spec)
         assert pipe.finalize_many([a, b]) == [serial.compute(payloads[a]), serial.compute(payloads[b])]
         pipe.abort(c)
