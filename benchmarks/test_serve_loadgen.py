@@ -1,10 +1,8 @@
 """Network service smoke gate: sustained IMIX throughput over repro.serve.
 
-Starts an in-process :class:`~repro.serve.ReproServer` (pinned to the
-serving shape validated on a 1-CPU host: M=1024, workers=2 — the
-planner's auto pick of M=128/workers=1 leaves ~2x throughput on the
-table for stream serving, see docs/SERVE.md) and drives it with the
-IMIX closed-loop load generator over real TCP connections.
+Starts an in-process :class:`~repro.serve.ReproServer` at M=1024 (the
+block factor the CI serve-smoke steps run) and drives it with the IMIX
+closed-loop load generator over real TCP connections.
 
 The gate: the server must sustain >= 500 messages/s with zero protocol
 errors and zero digest mismatches (every CRC checked against the
@@ -22,10 +20,7 @@ from repro.serve import ReproServer, run_loadgen
 from repro.telemetry import BenchReport
 
 STANDARD = "CRC-32"
-#: Serving shape pinned from the 1-CPU validation run (655 msgs/s with
-#: loadgen sharing the core; the auto plan managed 334).
 M = 1024
-WORKERS = 2
 DURATION_S = 5.0
 CONNECTIONS = 4
 SEED = 3
@@ -33,9 +28,7 @@ GATE_MIN_MSGS_PER_S = 500.0
 
 
 async def _serve_and_drive():
-    async with ReproServer(
-        get(STANDARD), M=M, workers=WORKERS, auto=False, port=0
-    ) as server:
+    async with ReproServer(get(STANDARD), M=M, port=0) as server:
         report = await run_loadgen(
             server.host,
             server.port,
@@ -69,8 +62,7 @@ def test_serve_loadgen_gate(save_result, save_report):
         rows,
         title=(
             f"repro.serve IMIX loadgen: {STANDARD}, M={M}, "
-            f"workers={WORKERS}, {CONNECTIONS} connection(s), "
-            f"{report.duration_s:.1f}s closed loop"
+            f"{CONNECTIONS} connection(s), {report.duration_s:.1f}s closed loop"
         ),
     )
     save_result("serve_loadgen", text)
@@ -81,7 +73,6 @@ def test_serve_loadgen_gate(save_result, save_report):
             params={
                 "standard": STANDARD,
                 "M": M,
-                "workers": WORKERS,
                 "duration_s": DURATION_S,
                 "connections": CONNECTIONS,
                 "seed": SEED,

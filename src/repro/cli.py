@@ -28,8 +28,8 @@ Commands
     recorded span tree instead.
 ``serve``
     Run the async digest server: many client connections multiplexed
-    onto one shared sharded pipeline (planner-sized unless ``-m`` /
-    ``--workers`` pin the shape); SIGTERM drains gracefully.
+    onto one shared pipeline on the event loop (``-m`` sets its block
+    factor); SIGTERM drains gracefully.
 ``loadgen``
     Replay an IMIX frame-size mix against a running server and report
     msgs/s + p50/p99 latency, verifying every digest against a serial
@@ -260,14 +260,13 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
                 t0 = time.perf_counter()
                 par_crcs = par.compute_batch(messages)
                 par_best = min(par_best, time.perf_counter() - t0)
-            par_mode = par.mode
         if par_crcs != crcs:
             print("MISMATCH: sharded engine disagrees with serial batch engine")
             return 1
         par_rate = len(messages) / par_best
         rows.append(
             [
-                f"ParallelBatchCRC x{workers} [{par_mode}]",
+                f"ParallelBatchCRC x{workers}",
                 f"{par_rate:,.0f}",
                 f"{par_rate / loop_rate:.1f}x",
             ]
@@ -550,6 +549,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import os
 
     from repro.serve import ReproServer
+    from repro.serve.server import DEFAULT_M
     from repro.telemetry.export import TELEMETRY_PATH_ENV
     from repro.telemetry.flightrec import FLIGHTREC_PATH_ENV
 
@@ -558,11 +558,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     flightrec_path = args.flight_dump or os.environ.get(FLIGHTREC_PATH_ENV)
     server = ReproServer(
         spec,
-        M=args.m,
+        M=DEFAULT_M if args.m is None else args.m,
         host=args.host,
         port=args.port,
-        workers=args.workers,
-        auto=not args.no_auto,
         drain_timeout_s=args.drain_timeout,
         telemetry_path=telemetry_path,
         flightrec_path=flightrec_path,
@@ -572,8 +570,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         print(
             f"serving {spec.name} on {server.host}:{server.port} "
-            f"(M={server.pipeline.M}, workers={server.pipeline.workers}) "
-            f"— SIGTERM drains gracefully",
+            f"(M={server.pipeline.M}) — SIGTERM drains gracefully",
             flush=True,
         )
         server.install_signal_handlers()
@@ -844,12 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7326,
                    help="listen port (0 = ephemeral)")
     p.add_argument("-m", "--m", type=int, default=None,
-                   help="pin the look-ahead factor (default: planner picks)")
-    p.add_argument("--workers", default=None, metavar="N",
-                   help="pipeline shards; 'auto' = cpu count "
-                   "(default: planner picks)")
-    p.add_argument("--no-auto", action="store_true",
-                   help="skip the planner; use M=32 unless -m is given")
+                   help="pipeline block factor (default: 128)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to wait for open streams on drain")
     p.add_argument("--drain-after", type=float, default=None, metavar="S",
@@ -908,7 +900,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         resolve_workers(args.workers)  # fail fast on bad input
         os.environ[WORKERS_ENV] = str(args.workers)
-    # --cache-dir persists compiles; export it so worker processes and
+    # --cache-dir persists compiles; export it so child processes and
     # the lazily-attached default cache all see the same directory.
     if getattr(args, "cache_dir", None) and args.command != "cache":
         import os

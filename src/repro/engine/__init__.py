@@ -16,9 +16,9 @@ Three layers, each reusable on its own:
   advance through the byte table and the byte-sliced gather.
 * :mod:`repro.engine.parallel` — a sharded multi-worker execution layer:
   batch workloads partition across a thread pool (numpy kernels release
-  the GIL) or a process pool (pure-Python backends), single messages
-  time-shard with exact ``x^k mod G`` recombination, and streaming
-  pipelines spread over shard pipelines with a work-stealing scheduler.
+  the GIL), single messages time-shard with exact ``x^k mod G``
+  recombination, and streaming pipelines spread over shard pipelines
+  with a work-stealing scheduler.
 * :mod:`repro.engine.diskcache` — a content-addressed persistent compile
   cache that warms the in-memory LRU across processes and runs.
 * :mod:`repro.engine.planner` — an adaptive execution planner: per-host
@@ -53,7 +53,7 @@ from repro.engine.cache import (
 from repro.engine.pipeline import CRCPipeline, ScramblerPipeline
 
 # The serve/parallel stack loads on first use (PEP 562), so a process
-# that only streams CRCs never imports asyncio, multiprocessing or
+# that only streams CRCs never imports asyncio, concurrent.futures or
 # hashlib.
 _LAZY = {
     "DiskCacheStats": "diskcache",

@@ -1,8 +1,8 @@
 """Content-addressed persistent compile cache.
 
 :class:`~repro.engine.cache.CompileCache` bounds *resident* compile cost,
-but every fresh process — a CLI invocation, a worker in the process-pool
-fallback of :mod:`repro.engine.parallel`, a CI job — still pays the full
+but every fresh process — a CLI invocation, a served benchmark run, a CI
+job — still pays the full
 Derby/look-ahead compilation once per spec.  :class:`DiskCompileCache`
 removes that cold start: compiled artifacts are pickled under a directory
 keyed by a content address (SHA-256 of the artifact kind, the spec's

@@ -1,10 +1,10 @@
 """Sharded multi-worker execution layer over the batch kernels.
 
 The paper scales CRC throughput *spatially* — M bits per PiCoGA issue —
-and PR 1–4 scaled it *temporally* — B messages per numpy call.  This
-module adds the third axis: independent data shards on independent
-workers.  Two decomposition theorems make sharding a correctness-
-preserving multiplier rather than an approximation:
+and the batch engines scale it *temporally* — B messages per numpy call.
+This module adds a third axis: independent data shards on a thread pool.
+Two decomposition theorems make sharding a correctness-preserving
+multiplier rather than an approximation:
 
 * **Per-stream partitioning.**  Batch CRC / scrambler workloads are
   embarrassingly parallel across streams: any partition of the batch
@@ -19,13 +19,12 @@ preserving multiplier rather than an approximation:
   ``init`` preset folds in once at the end, as in the serial tail
   contract.  The derivation is spelled out in ``docs/PARALLEL.md``.
 
-Worker substrate: the numpy ``"packed"`` backend releases the GIL inside
-its vectorized kernels, so a :class:`~concurrent.futures.ThreadPoolExecutor`
-scales it across cores with zero serialization cost; the pure-Python
-``"reference"`` / ``"packed-int"`` backends hold the GIL, so those fall
-back to a :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-re-build engines from pickled specs — warming from the persistent
-:class:`~repro.engine.diskcache.DiskCompileCache` instead of recompiling.
+Worker substrate: shards run on a
+:class:`~concurrent.futures.ThreadPoolExecutor`.  The numpy ``"packed"``
+backend releases the GIL inside its vectorized kernels, so thread shards
+overlap there; the pure-Python ``"reference"`` backend holds the GIL, so
+its shards run correctly but one at a time, and the planner plans it
+serial.
 
 Worker count resolution order: explicit ``workers=`` argument, else the
 ``REPRO_WORKERS`` environment variable, else ``1`` (serial).  ``0`` or
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from itertools import count
 from time import perf_counter, process_time
 from typing import (
@@ -56,19 +55,15 @@ from repro.engine.batch import BatchAdditiveScrambler, BatchCRC
 from repro.engine.cache import CompileCache, default_cache
 from repro.engine.pipeline import CRCPipeline
 from repro.errors import ReproError, StreamError, ValidationError
-from repro.gf2.backend import GF2Backend, NumpyPackedBackend, resolve_backend
+from repro.gf2.backend import GF2Backend
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import (
-    TraceContext,
-    WorkerCapture,
     attach_flight_dump,
     bind_families,
     default_flight_recorder,
     default_registry,
     default_tracer,
-    merge_worker_payload,
 )
-from repro.telemetry.context import worker_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner probes us)
     from repro.engine.planner import ExecutionPlan
@@ -89,12 +84,10 @@ _METRICS = bind_families(lambda reg: {
     "workers": reg.gauge(
         "engine_parallel_workers",
         "Configured worker slots across live pools",
-        labels=("mode",),
     ),
     "busy": reg.gauge(
         "engine_parallel_busy_workers",
         "Shard tasks currently in flight",
-        labels=("mode",),
     ),
     "tasks": reg.counter(
         "engine_parallel_tasks_total",
@@ -205,152 +198,41 @@ def plan_shards(n_items: int, shards: int) -> List[Tuple[int, int]]:
 
 
 # ----------------------------------------------------------------------
-# Process-pool worker side
-# ----------------------------------------------------------------------
-#: Per-process engine memo for the process-pool fallback: workers are
-#: long-lived, so each (spec, M, method, backend) compiles at most once
-#: per worker — and at most once per *machine* when a disk cache is set.
-_PROC_ENGINES: Dict[Tuple, object] = {}
-
-
-def _proc_initializer(cache_dir: Optional[str]) -> None:
-    """Pool initializer: point the child's default cache at the disk layer."""
-    if cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-
-
-def _proc_engine(kind: str, spec, M: int, method: str, backend: Optional[str]):
-    """The child-process engine for a shard task, built once per worker."""
-    key = (kind, spec, M, method, backend)
-    engine = _PROC_ENGINES.get(key)
-    if engine is None:
-        if kind == "crc":
-            engine = BatchCRC(spec, M, method=method, backend=backend)
-        else:
-            engine = BatchAdditiveScrambler(spec, M, backend=backend)
-        _PROC_ENGINES[key] = engine
-    return engine
-
-
-def _proc_crc_shard(
-    spec: CRCSpec,
-    M: int,
-    method: str,
-    backend: Optional[str],
-    messages: List[bytes],
-) -> List[int]:
-    """Process-pool task: finalized CRCs for one shard of messages."""
-    return _proc_engine("crc", spec, M, method, backend).compute_batch(messages)
-
-
-def _proc_crc_shard_bits(
-    spec: CRCSpec,
-    M: int,
-    method: str,
-    backend: Optional[str],
-    bit_streams: List[List[int]],
-    fold_init: bool,
-) -> List[int]:
-    """Process-pool task: raw registers for one shard of bit streams."""
-    return _proc_engine("crc", spec, M, method, backend).raw_registers_bits(
-        bit_streams, fold_init=fold_init
-    )
-
-
-def _proc_scrambler_shard(
-    spec: ScramblerSpec,
-    M: int,
-    backend: Optional[str],
-    bit_streams: List[List[int]],
-    seeds: Optional[List[int]],
-) -> List[List[int]]:
-    """Process-pool task: scramble one shard of bit streams."""
-    return _proc_engine("scrambler", spec, M, "", backend).scramble_batch(
-        bit_streams, seeds=seeds
-    )
-
-
-def _ctx_shard_call(ctx_dict: dict, shard: int, fn, args: tuple) -> tuple:
-    """Process-pool wrapper: run a shard task under a propagated
-    :class:`~repro.telemetry.TraceContext` and ship telemetry back.
-
-    The worker enables its local registry/tracer/flight recorder per the
-    context, runs ``fn(*args)`` inside a detached ``worker.shard`` span,
-    and returns a tagged tuple: ``("ok", payload, result)`` on success,
-    ``("err", payload, exc, repr)`` on failure — the payload being the
-    picklable delta (metrics / span / events / timings) the parent
-    merges.  Exceptions are *returned*, not raised, so the worker's
-    flight-recorder tail survives the trip even for unpicklable errors
-    (those degrade to their ``repr``).
-    """
-    ctx = TraceContext.from_dict(ctx_dict)
-    cap = WorkerCapture(ctx, worker=worker_id(), shard=shard)
-    cap.begin()
-    try:
-        result = fn(*args)
-    except Exception as exc:  # noqa: BLE001 - shipped back, re-typed by the pool
-        payload = cap.finish(error=exc)
-        try:
-            import pickle
-
-            pickle.dumps(exc)
-            shippable: Optional[BaseException] = exc
-        except Exception:  # pragma: no cover - exotic unpicklable errors
-            shippable = None
-        return ("err", payload, shippable, f"{type(exc).__name__}: {exc}")
-    return ("ok", cap.finish(), result)
-
-
-# ----------------------------------------------------------------------
 # Worker pool
 # ----------------------------------------------------------------------
 class _ShardFailure(Exception):
-    """Internal envelope for a failed thread shard.
+    """Internal envelope for a failed shard: the worker thread's name,
+    its ``worker.shard`` span (``None`` untraced) and the original
+    exception, so :meth:`WorkerPool.run` can graft the span and name the
+    worker before re-typing the error."""
 
-    Carries the worker's name, the captured telemetry payload, and the
-    original exception so :meth:`WorkerPool.run` can merge the partial
-    capture and attribute the crash before re-typing the error.
-    """
-
-    def __init__(self, worker: str, payload: dict, cause: BaseException):
+    def __init__(self, worker: str, span, cause: BaseException):
         super().__init__(str(cause))
         self.worker = worker
-        self.payload = payload
+        self.span = span
         self.cause = cause
 
 
 class WorkerPool:
-    """A lazily started executor with shard-level error containment.
+    """A lazily started thread pool with shard-level error containment.
 
-    ``mode`` is ``"thread"`` (GIL-releasing numpy kernels) or
-    ``"process"`` (pure-Python backends).  The pool publishes its slot
-    count and in-flight task gauges, and :meth:`run` converts *any*
-    worker-side failure — including a worker process dying mid-task
-    (``BrokenProcessPool``) — into :class:`~repro.errors.StreamError`,
-    so callers block on results, never on a wedged queue.
+    The pool publishes its slot count and in-flight task gauges, and
+    :meth:`run` converts *any* worker-side failure into
+    :class:`~repro.errors.StreamError`, so callers block on results,
+    never on a wedged queue.
 
-    Lifecycle contract (the ``repro.serve`` drain path leans on this):
-    :meth:`close` is idempotent and thread-safe — double-close, close
-    from two threads, and close while shards are in flight all raise
-    nothing and never hang (in-flight shards complete; a dispatch that
-    loses the race surfaces as a contained
+    Lifecycle contract: :meth:`close` is idempotent and thread-safe —
+    double-close, close from two threads, and close while shards are in
+    flight all raise nothing and never hang (in-flight shards complete;
+    a dispatch that loses the race surfaces as a contained
     :class:`~repro.errors.StreamError`, never a wedged queue).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mode: str = "thread",
-        cache_dir: Optional[str] = None,
-    ):
-        if mode not in ("thread", "process"):
-            raise ValidationError(f"pool mode must be thread|process, got {mode!r}")
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValidationError(f"pool needs >= 1 worker, got {workers}")
         self._workers = workers
-        self._mode = mode
-        self._cache_dir = cache_dir
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         # Guards executor creation/teardown so close() racing _ensure()
         # (or another close()) can neither leak an executor nor double-
         # decrement the worker-slot gauge.
@@ -362,74 +244,67 @@ class WorkerPool:
         return self._workers
 
     @property
-    def mode(self) -> str:
-        """``"thread"`` or ``"process"``."""
-        return self._mode
-
-    @property
     def started(self) -> bool:
         """Whether the underlying executor exists yet."""
         return self._executor is not None
 
-    def _ensure(self) -> Executor:
+    def _ensure(self) -> ThreadPoolExecutor:
         with self._lifecycle_lock:
             if self._executor is None:
-                if self._mode == "thread":
-                    self._executor = ThreadPoolExecutor(
-                        max_workers=self._workers,
-                        thread_name_prefix="repro-shard",
-                    )
-                else:
-                    self._executor = ProcessPoolExecutor(
-                        max_workers=self._workers,
-                        initializer=_proc_initializer,
-                        initargs=(self._cache_dir,),
-                    )
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self._workers,
+                    thread_name_prefix="repro-shard",
+                )
                 if default_registry().enabled:
-                    _METRICS()["workers"].labels(mode=self._mode).inc(self._workers)
+                    _METRICS()["workers"].inc(self._workers)
             return self._executor
 
-    def _thread_wrapper(self, ctx: TraceContext, shard: int, fn):
-        """The thread-mode shard harness: spans + crash events in place.
+    @staticmethod
+    def _traced(dispatch, shard: int, fn):
+        """The shard harness used while any telemetry default is on.
 
-        Thread shards share the parent's registry and flight recorder,
-        so only the span is *captured* (metrics/events publish directly);
-        a failure is recorded before the exception propagates so the
-        parent can name the worker in the :class:`StreamError` dump.
+        Shards share the parent's registry and flight recorder, so only
+        the ``worker.shard`` span is recorded apart (detached, under the
+        dispatch span's ids) and handed back with the wall and process
+        CPU time; a failure is recorded before the exception propagates
+        so the parent can name the worker in the :class:`StreamError`
+        dump.
         """
+        trace_id = dispatch.trace_id if dispatch is not None else ""
+        parent_id = dispatch.span_id if dispatch is not None else ""
 
         def call(*args):
             worker = threading.current_thread().name
-            cap = WorkerCapture(ctx, worker=worker, shard=shard)
-            cap.begin()
-            try:
-                result = fn(*args)
-            except Exception as exc:
-                payload = cap.finish(error=exc)
-                recorder = default_flight_recorder()
-                if recorder.enabled:
-                    recorder.record(
-                        "worker-crash",
-                        f"{type(exc).__name__}: {exc}",
-                        worker=worker,
-                        shard=shard,
-                    )
-                raise _ShardFailure(worker, payload, exc) from exc
-            return ("ok", cap.finish(), result)
+            t0, c0 = perf_counter(), process_time()
+            with default_tracer().capture(
+                "worker.shard", trace_id=trace_id, parent_id=parent_id,
+                worker=worker, shard=shard,
+            ) as span:
+                try:
+                    result = fn(*args)
+                except Exception as exc:
+                    text = f"{type(exc).__name__}: {exc}"
+                    if span is not None:
+                        span.attributes["error"] = text
+                    recorder = default_flight_recorder()
+                    if recorder.enabled:
+                        recorder.record(
+                            "worker-crash", text, worker=worker, shard=shard,
+                        )
+                    raise _ShardFailure(worker, span, exc) from exc
+            return span, (perf_counter() - t0, process_time() - c0), result
 
         return call
 
     def run(self, fn, shard_args: Sequence[tuple]) -> List:
         """Run ``fn(*args)`` for every shard; results in shard order.
 
-        All shards are submitted before any result is awaited, so thread
-        shards overlap inside the GIL-releasing kernels and process
-        shards overlap fully.  While any telemetry default (registry,
-        tracer, flight recorder) is enabled, each dispatch opens a
-        ``pool.dispatch`` span and every shard travels with a
-        :class:`~repro.telemetry.TraceContext`: workers capture spans
-        (and, in process mode, metric deltas and events) that merge back
-        into the parent under ``worker=<id>`` labels as results arrive.
+        All shards are submitted before any result is awaited, so shards
+        overlap inside the GIL-releasing kernels.  While any telemetry
+        default (registry, tracer, flight recorder) is enabled, each
+        dispatch opens a ``pool.dispatch`` span and every shard records
+        a ``worker.shard`` span (labelled with its worker thread) that
+        is grafted under it as results arrive.
 
         The first failing shard aborts the call with
         :class:`~repro.errors.StreamError` (library-typed errors pass
@@ -444,37 +319,18 @@ class WorkerPool:
         telemetry = registry.enabled
         metrics = _METRICS() if telemetry else None
         wrap = telemetry or tracer.enabled or recorder.enabled
-        with tracer.span(
-            "pool.dispatch", mode=self._mode, shards=len(shard_args)
-        ) as dispatch:
+        with tracer.span("pool.dispatch", shards=len(shard_args)) as dispatch:
             t0 = perf_counter()
             if recorder.enabled:
-                recorder.record(
-                    "dispatch", f"{len(shard_args)} shard(s)", mode=self._mode
-                )
-            remote = self._mode == "process"
-            ctx = (
-                TraceContext.capture(parent_span=dispatch, remote=remote)
-                if wrap
-                else None
-            )
+                recorder.record("dispatch", f"{len(shard_args)} shard(s)")
             futures = []
             results = []
             error: Optional[BaseException] = None
             failed_worker = ""
-            failure_events: Optional[List[dict]] = None
             for shard, args in enumerate(shard_args):
+                task = self._traced(dispatch, shard, fn) if wrap else fn
                 try:
-                    if ctx is not None and remote:
-                        future = executor.submit(
-                            _ctx_shard_call, ctx.to_dict(), shard, fn, tuple(args)
-                        )
-                    elif ctx is not None:
-                        future = executor.submit(
-                            self._thread_wrapper(ctx, shard, fn), *args
-                        )
-                    else:
-                        future = executor.submit(fn, *args)
+                    future = executor.submit(task, *args)
                 except RuntimeError as exc:
                     # A concurrent close() shut this executor down between
                     # _ensure() and submit.  Shards already submitted run
@@ -488,10 +344,8 @@ class WorkerPool:
                 # Busy accounting only after the submit succeeded, so a
                 # lost close/dispatch race can't strand the gauge high.
                 if telemetry:
-                    metrics["busy"].labels(mode=self._mode).inc()
-                    future.add_done_callback(
-                        lambda _f: _METRICS()["busy"].labels(mode=self._mode).dec()
-                    )
+                    metrics["busy"].inc()
+                    future.add_done_callback(lambda _f: _METRICS()["busy"].dec())
                 futures.append(future)
             for future in futures:
                 if error is not None:
@@ -502,30 +356,19 @@ class WorkerPool:
                 except _ShardFailure as failure:
                     error = failure.cause
                     failed_worker = failure.worker
-                    failure_events = (failure.payload or {}).get("events")
-                    merge_worker_payload(failure.payload, parent_span=dispatch)
+                    if dispatch is not None and failure.span is not None:
+                        dispatch.children.append(failure.span)
                 except BaseException as exc:  # noqa: BLE001 - re-typed below
                     error = exc
-                    continue
                 else:
-                    if ctx is None:
+                    if not wrap:
                         results.append(value)
                         continue
-                    tag, payload, *rest = value
-                    self._absorb(payload, dispatch)
-                    if tag == "ok":
-                        results.append(rest[0])
-                    else:
-                        shipped, text = rest
-                        error = shipped if shipped is not None else StreamError(
-                            f"worker shard failed remotely ({text})"
-                        )
-                        failed_worker = str(payload.get("worker", ""))
-                        failure_events = payload.get("events")
-                        if recorder.enabled and not failure_events:
-                            recorder.record(
-                                "worker-crash", text, worker=failed_worker,
-                            )
+                    span, (wall_s, cpu_s), result = value
+                    if dispatch is not None and span is not None:
+                        dispatch.children.append(span)
+                    observe_phase("shard-execute", wall_s, cpu_s)
+                    results.append(result)
             if telemetry:
                 observe_phase("dispatch", perf_counter() - t0)
         if error is not None:
@@ -534,26 +377,13 @@ class WorkerPool:
             else:
                 who = f" (worker {failed_worker})" if failed_worker else ""
                 raised = StreamError(
-                    f"worker shard failed in {self._mode} pool{who} "
-                    f"({type(error).__name__}: {error})"
+                    f"worker shard failed{who} ({type(error).__name__}: {error})"
                 )
                 raised.__cause__ = error
             if recorder.enabled:
-                attach_flight_dump(
-                    raised, worker=failed_worker, events=failure_events or None
-                )
+                attach_flight_dump(raised, worker=failed_worker)
             raise raised
         return results
-
-    def _absorb(self, payload: dict, dispatch) -> None:
-        """Merge one shard payload into the live defaults + phase series."""
-        merge_worker_payload(payload, parent_span=dispatch)
-        if default_registry().enabled:
-            observe_phase(
-                "shard-execute",
-                float(payload.get("wall_s", 0.0)),
-                float(payload.get("cpu_s", 0.0)),
-            )
 
     def close(self) -> None:
         """Shut the executor down; pending work completes.
@@ -570,7 +400,7 @@ class WorkerPool:
             if executor is None:
                 return
             if default_registry().enabled:
-                _METRICS()["workers"].labels(mode=self._mode).dec(self._workers)
+                _METRICS()["workers"].dec(self._workers)
         executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
@@ -581,30 +411,21 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         state = "started" if self.started else "idle"
-        return f"WorkerPool(workers={self._workers}, mode={self._mode!r}, {state})"
+        return f"WorkerPool(workers={self._workers}, {state})"
 
 
-def _pick_mode(backend: GF2Backend) -> str:
-    """Thread pool for GIL-releasing numpy kernels, processes otherwise."""
-    return "thread" if isinstance(backend, NumpyPackedBackend) else "process"
-
-
-def _apply_plan(plan, workers, backend, mode):
+def _apply_plan(plan, workers, backend):
     """Fill engine knobs from an :class:`~repro.engine.planner.
     ExecutionPlan`, without overriding anything the caller set explicitly.
 
-    Returns the effective ``(workers, backend, mode)``.  A serial plan
-    leaves ``mode`` alone (no pool is built for ``workers == 1``, so the
-    substrate choice is moot and ``_pick_mode`` keeps its say)."""
+    Returns the effective ``(workers, backend)``."""
     if plan is None:
-        return workers, backend, mode
+        return workers, backend
     if workers is None:
         workers = plan.workers
     if backend is None:
         backend = plan.backend
-    if mode is None and plan.mode in ("thread", "process"):
-        mode = plan.mode
-    return workers, backend, mode
+    return workers, backend
 
 
 def _observe_shards(kind: str, sizes: Sequence[int], bits: Sequence[int]) -> None:
@@ -639,11 +460,10 @@ class ParallelBatchCRC:
         workers: Union[None, int, str] = None,
         cache: Optional[CompileCache] = None,
         backend: Union[None, str, GF2Backend] = None,
-        mode: Optional[str] = None,
         min_shard_bits: int = 4096,
         plan: Optional["ExecutionPlan"] = None,
     ):
-        workers, backend, mode = _apply_plan(plan, workers, backend, mode)
+        workers, backend = _apply_plan(plan, workers, backend)
         self._plan = plan
         self._cache = cache if cache is not None else default_cache()
         t0, c0 = perf_counter(), process_time()
@@ -652,19 +472,8 @@ class ParallelBatchCRC:
         )
         observe_phase("compile", perf_counter() - t0, process_time() - c0)
         self._workers = resolve_workers(workers)
-        self._backend_name = None if backend is None else self._serial.backend.name
-        self._mode = mode or _pick_mode(self._serial.backend)
         self._min_shard_bits = max(1, min_shard_bits)
-        disk = self._cache.disk
-        self._pool = (
-            WorkerPool(
-                self._workers,
-                mode=self._mode,
-                cache_dir=str(disk.root) if disk is not None else None,
-            )
-            if self._workers > 1
-            else None
-        )
+        self._pool = WorkerPool(self._workers) if self._workers > 1 else None
 
     # ------------------------------------------------------------------
     @property
@@ -686,11 +495,6 @@ class ParallelBatchCRC:
     def workers(self) -> int:
         """Resolved worker count (1 = serial delegation)."""
         return self._workers
-
-    @property
-    def mode(self) -> str:
-        """Worker substrate: ``"thread"`` or ``"process"``."""
-        return self._mode
 
     @property
     def serial_engine(self) -> BatchCRC:
@@ -745,18 +549,9 @@ class ParallelBatchCRC:
             [len(s) for s in shards],
             [sum(8 * len(m) for m in s) for s in shards],
         )
-        if self._mode == "thread":
-            results = self._pool.run(
-                self._serial.compute_batch, [(s,) for s in shards]
-            )
-        else:
-            results = self._pool.run(
-                _proc_crc_shard,
-                [
-                    (self.spec, self.M, self.method, self._backend_name, s)
-                    for s in shards
-                ],
-            )
+        results = self._pool.run(
+            self._serial.compute_batch, [(s,) for s in shards]
+        )
         return [crc for shard in results for crc in shard]
 
     def raw_registers_bits(
@@ -775,19 +570,10 @@ class ParallelBatchCRC:
             [len(s) for s in shards],
             [sum(len(bits) for bits in s) for s in shards],
         )
-        if self._mode == "thread":
-            results = self._pool.run(
-                self._serial.raw_registers_bits,
-                [(s, fold_init) for s in shards],
-            )
-        else:
-            results = self._pool.run(
-                _proc_crc_shard_bits,
-                [
-                    (self.spec, self.M, self.method, self._backend_name, s, fold_init)
-                    for s in shards
-                ],
-            )
+        results = self._pool.run(
+            self._serial.raw_registers_bits,
+            [(s, fold_init) for s in shards],
+        )
         return [reg for shard in results for reg in shard]
 
     def compute_bits_batch(self, bit_streams: Sequence[Sequence[int]]) -> List[int]:
@@ -839,19 +625,10 @@ class ParallelBatchCRC:
         bounds = plan_shards(len(bits), self._workers)
         shards = [bits[a:b] for a, b in bounds]
         _observe_shards("crc-timeshard", [1] * len(shards), [len(s) for s in shards])
-        if self._mode == "thread":
-            results = self._pool.run(
-                self._serial.raw_registers_bits,
-                [([s], False) for s in shards],
-            )
-        else:
-            results = self._pool.run(
-                _proc_crc_shard_bits,
-                [
-                    (self.spec, self.M, self.method, self._backend_name, [s], False)
-                    for s in shards
-                ],
-            )
+        results = self._pool.run(
+            self._serial.raw_registers_bits,
+            [([s], False) for s in shards],
+        )
         raw0 = self._combine_shards(
             [r[0] for r in results], [len(s) for s in shards]
         )
@@ -879,11 +656,10 @@ class ParallelBatchAdditiveScrambler:
         workers: Union[None, int, str] = None,
         cache: Optional[CompileCache] = None,
         backend: Union[None, str, GF2Backend] = None,
-        mode: Optional[str] = None,
         min_shard_bits: int = 4096,
         plan: Optional["ExecutionPlan"] = None,
     ):
-        workers, backend, mode = _apply_plan(plan, workers, backend, mode)
+        workers, backend = _apply_plan(plan, workers, backend)
         self._plan = plan
         self._cache = cache if cache is not None else default_cache()
         t0, c0 = perf_counter(), process_time()
@@ -892,19 +668,8 @@ class ParallelBatchAdditiveScrambler:
         )
         observe_phase("compile", perf_counter() - t0, process_time() - c0)
         self._workers = resolve_workers(workers)
-        self._backend_name = None if backend is None else self._serial.backend.name
-        self._mode = mode or _pick_mode(self._serial.backend)
         self._min_shard_bits = max(1, min_shard_bits)
-        disk = self._cache.disk
-        self._pool = (
-            WorkerPool(
-                self._workers,
-                mode=self._mode,
-                cache_dir=str(disk.root) if disk is not None else None,
-            )
-            if self._workers > 1
-            else None
-        )
+        self._pool = WorkerPool(self._workers) if self._workers > 1 else None
 
     @property
     def spec(self) -> ScramblerSpec:
@@ -973,19 +738,10 @@ class ParallelBatchAdditiveScrambler:
             [len(s) for s in shards],
             [sum(len(bits) for bits in s) for s in shards],
         )
-        if self._mode == "thread":
-            results = self._pool.run(
-                self._serial.scramble_batch,
-                list(zip(shards, shard_seeds)),
-            )
-        else:
-            results = self._pool.run(
-                _proc_scrambler_shard,
-                [
-                    (self.spec, self.M, self._backend_name, s, ss)
-                    for s, ss in zip(shards, shard_seeds)
-                ],
-            )
+        results = self._pool.run(
+            self._serial.scramble_batch,
+            list(zip(shards, shard_seeds)),
+        )
         return [bits for shard in results for bits in shard]
 
     def descramble_batch(
@@ -1125,7 +881,7 @@ class ShardedCRCPipeline:
         self._home: Dict[Hashable, int] = {}
         self._auto_ids = count()
         self._pool = (
-            WorkerPool(self._workers, mode="thread") if self._workers > 1 else None
+            WorkerPool(self._workers) if self._workers > 1 else None
         )
         self._spec = spec
         self._M = M

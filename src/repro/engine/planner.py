@@ -10,11 +10,11 @@ picked wrong.  This module is that mapper turned into a production
 autotuner, split into the two halves that make it testable:
 
 * **Measurement** (:func:`probe_host`) — per-host micro-probes for
-  backend kernel throughput, worker-pool spawn overhead, per-shard
-  dispatch cost, shard-recombination (``x^k mod G``) cost and pickle
-  bandwidth.  The result is a :class:`HostProfile`: *plain data*,
-  serializable, persisted in the :class:`~repro.engine.diskcache.
-  DiskCompileCache` under a host fingerprint so one probe pass serves
+  backend kernel throughput, thread-pool spawn overhead, per-shard
+  dispatch cost and shard-recombination (``x^k mod G``) cost.  The
+  result is a :class:`HostProfile`: *plain data*, serializable,
+  persisted in the :class:`~repro.engine.diskcache.DiskCompileCache`
+  under a host fingerprint so one probe pass serves
   every later process on the same machine.  Every probe takes an
   injectable ``timer``, so tests drive them with a fake clock.
 
@@ -29,7 +29,7 @@ autotuner, split into the two halves that make it testable:
   regression class rather than detecting it after the fact.
 
 Because profiles are plain data, tests feed synthetic hosts (1-CPU
-laptop, 16-core server, slow-spawn process pool) and assert the chosen
+laptop, 16-core server, slow-spawn pool) and assert the chosen
 plan without timing anything; see ``tests/test_engine_planner.py`` and
 ``docs/PLANNER.md`` for the cost-model terms and a worked decision trace.
 """
@@ -37,7 +37,6 @@ plan without timing anything; see ``tests/test_engine_planner.py`` and
 from __future__ import annotations
 
 import os
-import pickle
 import platform
 import sys
 import time
@@ -86,8 +85,9 @@ PROFILE_KEY = ("planner-profile",)
 #: Format version folded into persisted profile/plan payloads; bump on
 #: any cost-model or schema change to orphan stale entries.
 #: v2: keystream cost tables (``keystream_bits_per_s``) + the
-#: ``keystream`` workload kind.
-PLANNER_VERSION = 2
+#: ``keystream`` workload kind.  v3: thread-only pool costs (no
+#: ``backend_mode``, process or pickle terms).
+PLANNER_VERSION = 3
 
 #: Look-ahead factors the solver considers when the workload doesn't pin M.
 M_CANDIDATES = (8, 16, 32, 64, 128)
@@ -98,14 +98,9 @@ M_CANDIDATES = (8, 16, 32, 64, 128)
 #: cost, which is why the paper's mapper pushes M up until area runs out.
 BLOCK_OVERHEAD_BITS = 32.0
 
-#: Conservative default for process-pool spawn when the probe pass runs
-#: without ``full=True`` (forking + interpreter start + engine rebuild).
-DEFAULT_PROCESS_SPAWN_S = 0.25
-
-#: Process-pool per-shard dispatch is dominated by argument pickling and
-#: queue hops; when not measured directly it is scaled off the thread
-#: dispatch probe by this factor.
-PROCESS_DISPATCH_SCALE = 25.0
+#: Backends whose kernels release the GIL, so thread shards overlap.
+#: Every other backend (the pure-Python ``reference``) plans serial.
+THREAD_BACKENDS = ("packed",)
 
 #: Workload kinds the solver understands.
 KIND_CRC_BATCH = "crc-batch"
@@ -187,18 +182,12 @@ class HostProfile:
     ``backend_bits_per_s``
         Steady-state kernel throughput per backend name (payload bits
         per second through the batched matvec path).
-    ``backend_mode``
-        The pool substrate each backend shards onto: ``"thread"`` for
-        GIL-releasing kernels, ``"process"`` for pure-Python ones.
     ``spawn_s`` / ``dispatch_s``
-        One-time pool start cost and per-shard submit/collect cost, per
-        mode.
+        One-time thread-pool start cost and per-shard submit/collect
+        cost.
     ``recombine_s``
         Per-shard ``x^k mod G`` carry-less-multiply fold cost (paid only
         by time-axis sharding).
-    ``pickle_bits_per_s``
-        Payload serialization bandwidth (paid round-trip by process
-        pools).
     ``keystream_bits_per_s``
         Serial keystream generator throughput per source name (the
         :data:`KEYSTREAM_SOURCES` engines: bit-serial Galois reference
@@ -208,11 +197,9 @@ class HostProfile:
     fingerprint: str
     cpus: int
     backend_bits_per_s: Dict[str, float] = field(default_factory=dict)
-    backend_mode: Dict[str, str] = field(default_factory=dict)
-    spawn_s: Dict[str, float] = field(default_factory=dict)
-    dispatch_s: Dict[str, float] = field(default_factory=dict)
+    spawn_s: float = 0.0
+    dispatch_s: float = 0.0
     recombine_s: float = 0.0
-    pickle_bits_per_s: float = float("inf")
     block_overhead_bits: float = BLOCK_OVERHEAD_BITS
     keystream_bits_per_s: Dict[str, float] = field(default_factory=dict)
 
@@ -225,10 +212,6 @@ class HostProfile:
             if rate <= 0:
                 raise ValidationError(
                     f"backend {name!r} rate must be > 0, got {rate}"
-                )
-            if self.backend_mode.get(name) not in ("thread", "process"):
-                raise ValidationError(
-                    f"backend {name!r} needs a mode of thread|process"
                 )
         for name, rate in self.keystream_bits_per_s.items():
             if rate <= 0:
@@ -245,11 +228,8 @@ class HostProfile:
         packed_bits_per_s: float = 2.0e9,
         reference_bits_per_s: Optional[float] = 8.0e6,
         thread_spawn_s: float = 2e-4,
-        process_spawn_s: float = DEFAULT_PROCESS_SPAWN_S,
         thread_dispatch_s: float = 5e-5,
-        process_dispatch_s: float = 2e-3,
         recombine_s: float = 2e-5,
-        pickle_bits_per_s: float = 4.0e9,
         block_overhead_bits: float = BLOCK_OVERHEAD_BITS,
         keystream_bits_per_s: Optional[Dict[str, float]] = None,
     ) -> "HostProfile":
@@ -257,7 +237,7 @@ class HostProfile:
 
         Defaults approximate the BENCH_5 container (packed backend ~2
         Gbit/s, reference ~300x slower); every term is overridable so a
-        test can dial in "slow-spawn pool" or "GIL-bound host" shapes
+        test can dial in a "slow-spawn pool" or "GIL-bound host" shape
         without reciting the whole table.  ``keystream_bits_per_s``
         defaults to the measured ordering on that container: word-oriented
         σ-LFSRs tens of times faster than the bit-serial register.
@@ -269,19 +249,15 @@ class HostProfile:
                 "word64": 8.0e7,
             }
         rates = {"packed": float(packed_bits_per_s)}
-        modes = {"packed": "thread"}
         if reference_bits_per_s is not None:
             rates["reference"] = float(reference_bits_per_s)
-            modes["reference"] = "process"
         return cls(
             fingerprint=fingerprint,
             cpus=cpus,
             backend_bits_per_s=rates,
-            backend_mode=modes,
-            spawn_s={"thread": thread_spawn_s, "process": process_spawn_s},
-            dispatch_s={"thread": thread_dispatch_s, "process": process_dispatch_s},
+            spawn_s=thread_spawn_s,
+            dispatch_s=thread_dispatch_s,
             recombine_s=recombine_s,
-            pickle_bits_per_s=pickle_bits_per_s,
             block_overhead_bits=block_overhead_bits,
             keystream_bits_per_s={
                 str(k): float(v) for k, v in keystream_bits_per_s.items()
@@ -296,11 +272,9 @@ class HostProfile:
             "fingerprint": self.fingerprint,
             "cpus": self.cpus,
             "backend_bits_per_s": dict(self.backend_bits_per_s),
-            "backend_mode": dict(self.backend_mode),
-            "spawn_s": dict(self.spawn_s),
-            "dispatch_s": dict(self.dispatch_s),
+            "spawn_s": self.spawn_s,
+            "dispatch_s": self.dispatch_s,
             "recombine_s": self.recombine_s,
-            "pickle_bits_per_s": self.pickle_bits_per_s,
             "block_overhead_bits": self.block_overhead_bits,
             "keystream_bits_per_s": dict(self.keystream_bits_per_s),
         }
@@ -320,15 +294,9 @@ class HostProfile:
                     str(k): float(v)
                     for k, v in data["backend_bits_per_s"].items()
                 },
-                backend_mode={
-                    str(k): str(v) for k, v in data["backend_mode"].items()
-                },
-                spawn_s={str(k): float(v) for k, v in data["spawn_s"].items()},
-                dispatch_s={
-                    str(k): float(v) for k, v in data["dispatch_s"].items()
-                },
+                spawn_s=float(data["spawn_s"]),
+                dispatch_s=float(data["dispatch_s"]),
                 recombine_s=float(data["recombine_s"]),
-                pickle_bits_per_s=float(data["pickle_bits_per_s"]),
                 block_overhead_bits=float(data["block_overhead_bits"]),
                 keystream_bits_per_s={
                     str(k): float(v)
@@ -348,9 +316,7 @@ class HostProfile:
         )
         return (
             f"{self.cpus} cpu(s), backends [{rates}] bits/s, "
-            f"spawn thread={self.spawn_s.get('thread', 0):.2g}s "
-            f"process={self.spawn_s.get('process', 0):.2g}s "
-            f"({self.fingerprint})"
+            f"pool spawn={self.spawn_s:.2g}s ({self.fingerprint})"
         )
 
 
@@ -389,7 +355,7 @@ def _probe_backend_rate(
 def _probe_thread_costs(
     timer: Callable[[], float], reps: int
 ) -> Tuple[float, float]:
-    """(spawn_s, per-shard dispatch_s) for the thread substrate.
+    """(spawn_s, per-shard dispatch_s) for the thread pool.
 
     The spawn cost is the best of ``reps`` pool starts: every sharded
     candidate pays it on every call, so one start that a busy host
@@ -401,7 +367,7 @@ def _probe_thread_costs(
     spawn = float("inf")
     for rep in range(reps):
         t0 = timer()
-        pool = WorkerPool(2, mode="thread")
+        pool = WorkerPool(2)
         pool.run(int, [("0",)])  # forces executor + thread start
         spawn = min(spawn, max(timer() - t0, 1e-9))
         if rep < reps - 1:
@@ -413,18 +379,6 @@ def _probe_thread_costs(
     pool.close()
     _count_probe("spawn-thread")
     return spawn, dispatch
-
-
-def _probe_process_spawn(timer: Callable[[], float]) -> float:
-    """One-time process-pool start cost (fork + interpreter + import)."""
-    from repro.engine.parallel import WorkerPool
-
-    t0 = timer()
-    with WorkerPool(1, mode="process") as pool:
-        pool.run(int, [("0",)])
-        spawn = max(timer() - t0, 1e-9)
-    _count_probe("spawn-process")
-    return spawn
 
 
 def _probe_recombine(timer: Callable[[], float], reps: int) -> float:
@@ -480,32 +434,16 @@ def _probe_keystream_rates(
     return rates
 
 
-def _probe_pickle_rate(timer: Callable[[], float], reps: int) -> float:
-    """Bits/s through ``pickle.dumps`` for bulk payload bytes."""
-    payload = bytes(range(256)) * 256  # 64 KiB
-    t0 = timer()
-    for _ in range(reps):
-        pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    elapsed = max(timer() - t0, 1e-9)
-    _count_probe("pickle")
-    return reps * 8 * len(payload) / elapsed
-
-
 def probe_host(
     backends: Optional[Sequence[str]] = None,
     timer: Callable[[], float] = time.perf_counter,
-    full: bool = False,
     reps: int = 3,
 ) -> HostProfile:
     """Measure this host's cost tables with bounded micro-probes.
 
-    ``backends`` defaults to every registered GF(2) backend.  ``full``
-    additionally measures process-pool spawn (expensive: a real fork +
-    interpreter start); without it the conservative
-    :data:`DEFAULT_PROCESS_SPAWN_S` stands in, which can only bias the
-    solver *toward* serial — the safe direction.  ``timer`` is the clock
-    every probe reads; tests inject a fake one to make the whole pass
-    deterministic.  The returned profile embeds the current
+    ``backends`` defaults to every registered GF(2) backend.  ``timer``
+    is the clock every probe reads; tests inject a fake one to make the
+    whole pass deterministic.  The returned profile embeds the current
     :func:`host_fingerprint`.
     """
     if backends is None:
@@ -515,34 +453,18 @@ def probe_host(
     if reps < 1:
         raise ValidationError(f"probe reps must be >= 1, got {reps}")
     rates: Dict[str, float] = {}
-    modes: Dict[str, str] = {}
     for name in backends:
-        from repro.gf2.backend import NumpyPackedBackend, get_backend
-
         # The reference bit-loop is ~300x slower; one rep is plenty.
         backend_reps = reps if name == "packed" else 1
         rates[name] = _probe_backend_rate(name, timer, backend_reps)
-        modes[name] = (
-            "thread"
-            if isinstance(get_backend(name), NumpyPackedBackend)
-            else "process"
-        )
-    thread_spawn, thread_dispatch = _probe_thread_costs(timer, reps)
-    process_spawn = (
-        _probe_process_spawn(timer) if full else DEFAULT_PROCESS_SPAWN_S
-    )
+    spawn, dispatch = _probe_thread_costs(timer, reps)
     return HostProfile(
         fingerprint=host_fingerprint(),
         cpus=_usable_cpus(),
         backend_bits_per_s=rates,
-        backend_mode=modes,
-        spawn_s={"thread": thread_spawn, "process": process_spawn},
-        dispatch_s={
-            "thread": thread_dispatch,
-            "process": thread_dispatch * PROCESS_DISPATCH_SCALE,
-        },
+        spawn_s=spawn,
+        dispatch_s=dispatch,
         recombine_s=_probe_recombine(timer, max(reps, 8)),
-        pickle_bits_per_s=_probe_pickle_rate(timer, reps),
         keystream_bits_per_s=_probe_keystream_rates(timer, reps),
     )
 
@@ -714,7 +636,8 @@ class PlanCandidate:
 class ExecutionPlan:
     """The solver's decision: how one workload should execute.
 
-    ``mode`` is the pool substrate (``"serial"`` when ``workers == 1``).
+    ``mode`` is ``"thread"`` for a sharded plan, ``"serial"`` when
+    ``workers == 1``.
     ``predicted_s`` is the chosen plan's modeled wall time per batch
     call, ``serial_s`` the best serial candidate's — their ratio is the
     predicted speedup the benchmark gate holds the plan to.
@@ -946,12 +869,16 @@ class Planner:
         workers: int,
         M: int,
     ) -> Optional[PlanCandidate]:
-        """Modeled parallel wall time, or None when sharding can't apply."""
+        """Modeled parallel wall time, or None when sharding can't apply.
+
+        Only :data:`THREAD_BACKENDS` shard: a GIL-holding backend's
+        thread shards would run one at a time, so it plans serial."""
         profile = self.profile
         total = workload.total_bits
+        if backend not in THREAD_BACKENDS:
+            return None
         if total < self._min_shard_bits:
             return None  # the engines bypass the pool below this floor
-        mode = profile.backend_mode[backend]
         if workload.shardable_items >= 2:
             strategy = STRATEGY_SHARD_BATCH
             shards = min(workers, workload.shardable_items)
@@ -962,16 +889,13 @@ class Planner:
                 return None  # shards thinner than one block each
         compute = self._predict_serial(workload, backend, M)
         t = compute / min(workers, profile.cpus)
-        t += profile.spawn_s.get(mode, 0.0)
-        t += shards * profile.dispatch_s.get(mode, 0.0)
-        if mode == "process":
-            t += total / profile.pickle_bits_per_s
+        t += profile.spawn_s + shards * profile.dispatch_s
         if strategy == STRATEGY_SHARD_TIME:
             t += shards * profile.recombine_s
         return PlanCandidate(
             backend=backend,
             workers=workers,
-            mode=mode,
+            mode="thread",
             M=M,
             strategy=strategy,
             predicted_s=t,
@@ -1149,7 +1073,7 @@ class Planner:
         for hosts of a library :class:`~repro.engine.MicroBatcher`.
 
         Models the serve executor's per-op handoff cost (the profile's
-        thread ``dispatch_s``) against the per-op engine time implied by
+        ``dispatch_s``) against the per-op engine time implied by
         the workload's message size and the fastest probed backend.  A
         round of occupancy ``B`` pays one handoff for ``B`` ops, so the
         modeled speedup at occupancy B is::
@@ -1170,7 +1094,7 @@ class Planner:
         if cached is not None:
             return cached
         profile = self.profile
-        dispatch = profile.dispatch_s.get("thread", 5e-5)
+        dispatch = profile.dispatch_s
         rate = max(profile.backend_bits_per_s.values())
         op_s = max(workload.message_bits, 1) / rate / SERVE_OPS_PER_MESSAGE
 

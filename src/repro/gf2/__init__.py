@@ -31,7 +31,6 @@ from repro.gf2.backend import (
     BACKEND_ENV,
     GF2Backend,
     NumpyPackedBackend,
-    PackedIntBackend,
     ReferenceBackend,
     available_backends,
     default_backend_name,
@@ -62,7 +61,6 @@ __all__ = [
     "GF2Polynomial",
     "GF2mField",
     "NumpyPackedBackend",
-    "PackedIntBackend",
     "ReferenceBackend",
     "available_backends",
     "default_backend_name",

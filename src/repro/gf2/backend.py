@@ -15,11 +15,7 @@ This module makes that layout a pluggable choice behind one registry:
     streams — the software analogue of the paper's "wide and flat"
     PiCoGA datapath.  (Tsaban & Vishne's word-oriented σ-LFSR construction
     proper lives in :mod:`repro.lfsr.wordlfsr`; this backend word-packs the
-    *batch* dimension instead of the register.)  Falls back to
-    :class:`PackedIntBackend` when numpy is unavailable.
-``"packed-int"``
-    The stdlib fallback made explicit: batch rows as arbitrary-width
-    Python ints, XOR still word-parallel, no third-party dependencies.
+    *batch* dimension instead of the register.)
 
 Every backend implements the same five kernels — ``matvec``, ``matmul``,
 ``matpow``, and the batched ``pack``/``matvec_batch``/``unpack`` block
@@ -51,8 +47,7 @@ BACKEND_ENV = "REPRO_GF2_BACKEND"
 WORD_BITS = 64
 
 # Bound lazily (see repro.telemetry.bind_families) so swapping the
-# default registry after import is observed — and so worker processes
-# that receive a fresh registry publish into it, not a stale snapshot.
+# default registry after import is observed.
 _METRICS = bind_families(lambda reg: {
     "ops": reg.counter(
         "gf2_backend_ops_total",
@@ -260,82 +255,6 @@ class ReferenceBackend(GF2Backend):
         return out
 
 
-class PackedIntBackend(GF2Backend):
-    """Stdlib word-packing: each batch row is one arbitrary-width int.
-
-    Bit b of row j belongs to stream b, so a block application is a
-    handful of big-int XORs — word-parallel across the whole batch with
-    no dependencies beyond the standard library.  Serves as the
-    ``"packed"`` implementation when numpy is missing.
-    """
-
-    def __init__(self, alias: str = "packed-int"):
-        self.name = alias
-
-    def matvec(self, matrix, vec) -> np.ndarray:
-        """One AND + parity per output bit, rows as Python ints."""
-        a = _as_matrix(matrix)
-        x = _as_vector(vec, a.shape[1])
-        self._observe("matvec")
-        xi = int.from_bytes(np.packbits(x, bitorder="little").tobytes(), "little")
-        return np.array([parity(r & xi) for r in _rows_as_ints(a)], dtype=np.uint8)
-
-    def matmul(self, a, b) -> np.ndarray:
-        """``A @ B`` via :meth:`matvec_batch` on ``B``'s packed rows."""
-        am = _as_matrix(a)
-        bm = _as_matrix(b)
-        if am.shape[1] != bm.shape[0]:
-            raise ValidationError(f"inner dimension mismatch: {am.shape} @ {bm.shape}")
-        self._observe("matmul")
-        out = self.matvec_batch(am, _rows_as_ints(bm))
-        return self.unpack(out, bm.shape[1])
-
-    def pack(self, bits) -> List[int]:
-        """One arbitrary-width int per row (bit ``b`` = stream ``b``)."""
-        a = np.ascontiguousarray(bits, dtype=np.uint8)
-        if a.ndim != 2:
-            raise ValidationError(f"expected a 2-D (n_bits, batch) array, got shape {a.shape}")
-        return _rows_as_ints(a) if a.shape[0] else []
-
-    def unpack(self, packed, batch: int) -> np.ndarray:
-        """Expand the row ints back to a ``(n, batch)`` bit matrix."""
-        rows = list(packed)
-        if not rows:
-            return np.zeros((0, batch), dtype=np.uint8)
-        return _ints_to_bits(rows, batch)
-
-    def concat(self, parts: Sequence) -> List[int]:
-        """Concatenate the packed row lists."""
-        out: List[int] = []
-        for part in parts:
-            out.extend(part)
-        return out
-
-    def from_rows(self, rows: Sequence) -> List[int]:
-        """Collect single packed rows (ints) into one batch."""
-        return [int(r) for r in rows]
-
-    def matvec_batch(self, matrix, packed) -> List[int]:
-        """XOR together the row ints selected by each matrix row."""
-        a = _as_matrix(matrix)
-        rows = list(packed)
-        if a.shape[1] != len(rows):
-            raise ValidationError(
-                f"shape mismatch: {a.shape} @ packed of {len(rows)} rows"
-            )
-        self._observe("matvec_batch", batch_bits=a.shape[0] * max(
-            (int(r).bit_length() for r in rows), default=0
-        ))
-        out: List[int] = []
-        for i in range(a.shape[0]):
-            acc = 0
-            for j in range(a.shape[1]):
-                if a[i, j]:
-                    acc ^= rows[j]
-            out.append(acc)
-        return out
-
-
 class NumpyPackedBackend(GF2Backend):
     """numpy ``uint64`` bit-slicing — the production word-packed backend.
 
@@ -405,19 +324,9 @@ class NumpyPackedBackend(GF2Backend):
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-def _make_packed() -> GF2Backend:
-    """``"packed"`` resolves to numpy bit-slicing, or the int fallback."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with this repo
-        return PackedIntBackend(alias="packed")
-    return NumpyPackedBackend()
-
-
 _FACTORIES: Dict[str, Callable[[], GF2Backend]] = {
     "reference": ReferenceBackend,
-    "packed": _make_packed,
-    "packed-int": PackedIntBackend,
+    "packed": NumpyPackedBackend,
 }
 _INSTANCES: Dict[str, GF2Backend] = {}
 _DEFAULT_NAME = "packed"

@@ -1,12 +1,12 @@
 """repro.serve — the async network service layer over the engines.
 
-Everything below this package runs in-process: batch kernels, packed
-GF(2) backends, sharded worker pools, the adaptive planner.  This
-package is the "millions of users" front door: a long-running asyncio
-server that multiplexes many client connections onto one shared
-:class:`~repro.engine.parallel.ShardedCRCPipeline`, exactly the shape
-the paper's datapath has — a fixed parallel LFSR kept saturated by many
-independent message streams arriving interleaved off the wire.
+Everything below this package runs in-process: the CRC engines, the
+streaming pipelines, the batch kernels.  This package is the network
+front door: a long-running asyncio server that multiplexes many client
+connections onto one shared :class:`~repro.engine.pipeline.CRCPipeline`,
+exactly the shape the paper's datapath has — a fixed parallel LFSR kept
+saturated by many independent message streams arriving interleaved off
+the wire.
 
 * :mod:`repro.serve.protocol` — the framed, length-prefixed JSON+binary
   wire format and its verbs (``open-stream`` / ``feed-chunk`` /

@@ -45,6 +45,7 @@ from repro.errors import (
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    bound_reads,
     read_frame,
     write_frame,
 )
@@ -63,8 +64,8 @@ class ServeClient:
     """One connection to a :class:`~repro.serve.server.ReproServer`.
 
     Build with :meth:`connect`; use as an async context manager (or call
-    :meth:`aclose`).  Attributes :attr:`standard`, :attr:`width`,
-    :attr:`M` and :attr:`workers` are filled from the server hello.
+    :meth:`aclose`).  Attributes :attr:`standard`, :attr:`width` and
+    :attr:`M` are filled from the server hello.
     """
 
     def __init__(
@@ -84,7 +85,6 @@ class ServeClient:
         self.standard: str = hello.get("standard", "")
         self.width: int = hello.get("width", 0)
         self.M: int = hello.get("M", 0)
-        self.workers: int = hello.get("workers", 0)
         #: pipeline-wide pending bits reported by the last feed ack — the
         #: client-visible backpressure signal.
         self.last_pending_bits: int = 0
@@ -98,6 +98,7 @@ class ServeClient:
     ) -> "ServeClient":
         """Open a connection and consume the server hello."""
         reader, writer = await asyncio.open_connection(host, port)
+        bound_reads(writer)
         hello, _ = await read_frame(reader, max_frame)
         if hello.get("op") != "hello" or not hello.get("ok"):
             writer.close()

@@ -62,6 +62,13 @@ PROTOCOL_VERSION = 1
 #: a frame can therefore never demand more than ~2 MiB of buffering.
 MAX_FRAME_BYTES = 1 << 20
 
+#: Bytes a connection asks its socket for per read.  asyncio's default,
+#: 256 KiB, lies above the C allocator's mmap threshold (128 KiB on
+#: glibc), so each read may map a fresh buffer and unmap it again: two
+#: page faults per read or none, depending on what the process happened
+#: to allocate before.  A frame longer than one read takes several.
+READ_BYTES = 64 * 1024
+
 #: The length prefix: 4 bytes, network byte order, unsigned.
 _PREFIX = struct.Struct("!I")
 
@@ -120,6 +127,15 @@ def decode_frame(buffer: bytes) -> Tuple[dict, bytes, int]:
     if len(buffer) < end + blen:
         raise ProtocolError("incomplete frame: truncated payload")
     return header, bytes(buffer[end:end + blen]), end + blen
+
+
+def bound_reads(writer: asyncio.StreamWriter) -> None:
+    """Cap the per-read buffer of ``writer``'s transport at :data:`READ_BYTES`.
+
+    Sets the ``max_size`` that asyncio's selector transports pass to
+    each ``recv``.
+    """
+    writer.transport.max_size = READ_BYTES
 
 
 async def read_frame(

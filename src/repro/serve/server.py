@@ -1,14 +1,14 @@
 """:class:`ReproServer` — the asyncio front door over a shared pipeline.
 
-One server process owns one :class:`~repro.engine.parallel.ShardedCRCPipeline`
+One server process owns one :class:`~repro.engine.pipeline.CRCPipeline`
 and multiplexes every client connection onto it, which is exactly the
-paper's operating point: a fixed parallel datapath kept saturated by many
+paper's operating point: one fixed datapath kept saturated by many
 independent message streams arriving interleaved off the wire.  Four
 design rules keep the asyncio layer honest about that shared mutable
 pipeline:
 
 * **The loop runs the pipeline.**  Every pipeline call — open, feed,
-  pump, finalize, abort, close — runs inline on the event loop, so
+  pump, finalize, abort — runs inline on the event loop, so
   pipeline operations have one total order however many connections
   interleave.  There is no executor thread: the byte engines a served
   stream takes (the byte table, the byte-sliced gather) mostly hold the
@@ -24,16 +24,18 @@ pipeline:
   connection got a turn.
 * **Backpressure, not buffering.**  Each ``feed-chunk`` ack carries the
   pipeline-wide pending-bits gauge.  When it crosses the high watermark
-  the connection handler *stops reading frames* until the pump loop
-  drains below the low watermark — unread bytes then back-pressure the
-  client through TCP itself, so a fast client cannot balloon server
-  memory.
+  the connection handler *stops reading frames* until the pump loop has
+  run a round — unread bytes then back-pressure the client through TCP
+  itself, so a fast client cannot balloon server memory.  A round
+  clocks in every whole M-bit block, so waiting longer could not lower
+  the gauge: what stays pending are sub-block tails that only more
+  input or a digest moves.
 * **Drain, don't drop.**  On :meth:`ReproServer.drain` (wired to
   ``SIGTERM`` by the CLI) the listener closes, new ``open-stream``
   requests are refused with code ``"draining"``, open streams may keep
   feeding and finalize normally, and once the last stream closes (or the
   drain timeout aborts stragglers) the server flushes a telemetry
-  snapshot and a flight-recorder dump, then closes the pipeline.
+  snapshot and a flight-recorder dump.
 
 Stream ids are namespaced per connection (connection 3's stream ``"a"``
 and connection 7's stream ``"a"`` are distinct pipeline streams), so
@@ -48,13 +50,13 @@ from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
 from repro.crc.spec import CRCSpec
-from repro.engine.parallel import ShardedCRCPipeline
-from repro.engine.planner import KIND_CRC_STREAM, WorkloadDescriptor, default_planner
+from repro.engine.pipeline import CRCPipeline
 from repro.errors import ProtocolError, ReproError, StreamError, ValidationError
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     REQUEST_OPS,
+    bound_reads,
     error_response,
     read_frame,
     write_frame,
@@ -69,14 +71,9 @@ from repro.telemetry import (
 
 #: Pause reading a connection once pipeline-wide pending bits exceed this.
 DEFAULT_HIGH_WATERMARK_BITS = 1 << 22  # 512 KiB of buffered message data
-#: Resume paused connections once pending bits fall back below this.
-DEFAULT_LOW_WATERMARK_BITS = 1 << 20
 
-#: Default expectations fed to the planner when ``auto`` sizing is on and
-#: the caller pinned neither M nor workers: an IMIX-weighted mean frame
-#: (~340 bytes) across a moderate stream population.
-AUTO_PLAN_MESSAGE_BITS = 8 * 340
-AUTO_PLAN_STREAMS = 64
+#: Block factor when the caller pins none.
+DEFAULT_M = 128
 
 # Bound lazily (see repro.telemetry.bind_families) so a registry swapped
 # in after import is still observed.
@@ -113,13 +110,11 @@ class _Connection:
 
 
 class ReproServer:
-    """Serve one shared :class:`ShardedCRCPipeline` over the framed protocol.
+    """Serve one shared :class:`CRCPipeline` over the framed protocol.
 
-    ``auto=True`` (the default) asks the adaptive planner to size the
-    pipeline (workers and block factor M) for a stream workload on this
-    host; pass explicit ``M``/``workers`` to pin either.  ``port=0``
-    binds an ephemeral port (read it back from :attr:`port` after
-    :meth:`start` — the pattern every test uses).
+    ``M`` is the pipeline's block factor (:data:`DEFAULT_M` unless
+    given).  ``port=0`` binds an ephemeral port (read it back from
+    :attr:`port` after :meth:`start` — the pattern every test uses).
 
     Lifecycle: :meth:`start` → serve → :meth:`drain` (graceful, what
     SIGTERM triggers) or :meth:`aclose` (drain with no grace period).
@@ -129,47 +124,35 @@ class ReproServer:
     def __init__(
         self,
         spec: CRCSpec,
-        M: Optional[int] = None,
+        M: int = DEFAULT_M,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: Union[None, int, str] = None,
-        auto: bool = True,
         high_watermark_bits: int = DEFAULT_HIGH_WATERMARK_BITS,
-        low_watermark_bits: int = DEFAULT_LOW_WATERMARK_BITS,
         drain_timeout_s: float = 30.0,
         telemetry_path: Union[None, str, Path] = None,
         flightrec_path: Union[None, str, Path] = None,
         max_frame: int = MAX_FRAME_BYTES,
     ):
-        if low_watermark_bits > high_watermark_bits:
-            raise ValidationError(
-                f"low watermark ({low_watermark_bits}) must not exceed the "
-                f"high watermark ({high_watermark_bits})"
-            )
         self._spec = spec
         self._host = host
         self._requested_port = port
-        self._auto = auto
         self._M = M
-        self._workers = workers
         self._high = high_watermark_bits
-        self._low = low_watermark_bits
         self._drain_timeout = drain_timeout_s
         self._telemetry_path = Path(telemetry_path) if telemetry_path else None
         self._flightrec_path = Path(flightrec_path) if flightrec_path else None
         self._max_frame = max_frame
 
-        self._pipeline: Optional[ShardedCRCPipeline] = None
+        self._pipeline: Optional[CRCPipeline] = None
         self._bound_port = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._state = "new"  # new -> serving -> draining -> closed
         self._conn_ids = count(1)
         self._connections: Set[_Connection] = set()
-        self._pending_bits = 0
         self._work = asyncio.Event()
-        self._drained = asyncio.Event()
-        self._drained.set()
+        self._pumped = asyncio.Event()
+        self._pumped.set()
         self._no_streams = asyncio.Event()
         self._no_streams.set()
         self._closed_event = asyncio.Event()
@@ -200,7 +183,7 @@ class ReproServer:
         return self._spec
 
     @property
-    def pipeline(self) -> Optional[ShardedCRCPipeline]:
+    def pipeline(self) -> Optional[CRCPipeline]:
         """The shared pipeline (``None`` before :meth:`start`)."""
         return self._pipeline
 
@@ -217,35 +200,14 @@ class ReproServer:
     @property
     def stream_count(self) -> int:
         """Streams currently open across all connections."""
-        return sum(len(conn.streams) for conn in self._connections)
+        return self._pipeline.stream_count if self._pipeline is not None else 0
 
     # ------------------------------------------------------------------
-    def _build_pipeline(self) -> ShardedCRCPipeline:
-        """Size and construct the shared pipeline."""
-        plan = None
-        M = self._M
-        if self._auto and (M is None or self._workers is None):
-            workload = WorkloadDescriptor(
-                kind=KIND_CRC_STREAM,
-                standard=self._spec.name,
-                message_bits=AUTO_PLAN_MESSAGE_BITS,
-                streams=AUTO_PLAN_STREAMS,
-                M=self._M,
-            )
-            plan = default_planner().plan(workload)
-            if M is None:
-                M = plan.M
-            if self._workers is None and plan is not None:
-                return ShardedCRCPipeline(self._spec, M, plan=plan)
-        if M is None:
-            M = 32
-        return ShardedCRCPipeline(self._spec, M, workers=self._workers, plan=plan)
-
     async def start(self) -> None:
         """Build the pipeline, bind the listener, start the pump loop."""
         if self._state != "new":
             raise ValidationError(f"cannot start a server in state {self._state!r}")
-        self._pipeline = self._build_pipeline()
+        self._pipeline = CRCPipeline(self._spec, self._M)
         self._server = await asyncio.start_server(
             self._handle_connection, host=self._host, port=self._requested_port
         )
@@ -259,12 +221,11 @@ class ReproServer:
                 f"listening on {self._host}:{self.port}",
                 standard=self._spec.name,
                 M=self._pipeline.M,
-                workers=self._pipeline.workers,
             )
 
     # ------------------------------------------------------------------
-    # Pump loop: coalesces feed signals into pump rounds and maintains
-    # the pending-bits gauge that drives backpressure.
+    # Pump loop: coalesces feed signals into pump rounds and releases
+    # the connections that paused on the watermark.
     # ------------------------------------------------------------------
     async def _pump_loop(self) -> None:
         # One pump per wake-up: ``pump`` drains every whole block, so
@@ -276,16 +237,7 @@ class ReproServer:
             if self._state == "closed":
                 return
             self._pipeline.pump()
-            self._pending_bits = self._pipeline.pending_bits()
-            if self._pending_bits <= self._low:
-                self._drained.set()
-
-    def _note_pending(self, pending: int) -> None:
-        """Update the backpressure gauge after a feed."""
-        self._pending_bits = pending
-        if pending > self._high:
-            self._drained.clear()
-        self._work.set()
+            self._pumped.set()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -293,6 +245,7 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        bound_reads(writer)
         conn = _Connection(next(self._conn_ids), writer)
         self._connections.add(conn)
         self.counters["connections_total"] += 1
@@ -306,7 +259,6 @@ class ReproServer:
                 "standard": self._spec.name,
                 "width": self._spec.width,
                 "M": self._pipeline.M,
-                "workers": self._pipeline.workers,
             })
             await self._serve_frames(conn, reader, writer)
         except (asyncio.IncompleteReadError, ConnectionResetError,
@@ -346,13 +298,13 @@ class ReproServer:
             if not response.get("ok") and response.get("code") == "protocol":
                 return
             if pause:
-                # Stop reading until the pump loop drains below the low
-                # watermark; unread frames back-pressure the client via
-                # TCP flow control.
+                # Stop reading until the pump loop has run a round;
+                # unread frames back-pressure the client via TCP flow
+                # control.
                 self.counters["backpressure_pauses_total"] += 1
                 if default_registry().enabled:
                     _METRICS()["backpressure"].inc()
-                await self._drained.wait()
+                await self._pumped.wait()
             # Give every other connection (and the pump loop) a turn
             # before the next buffered frame of this one.
             await asyncio.sleep(0)
@@ -427,14 +379,17 @@ class ReproServer:
         self._pipeline.feed(pipeline_id, payload, pump=False)
         pending = self._pipeline.pending_bits()
         self.counters["bytes_in_total"] += len(payload)
-        self._note_pending(pending)
+        pause = pending > self._high
+        if pause:
+            self._pumped.clear()
+        self._work.set()
         response = {
             "op": "feed-chunk",
             "ok": True,
             "id": str(header.get("id")),
             "pending_bits": pending,
         }
-        return response, pending > self._high
+        return response, pause
 
     def _op_digest(self, conn: _Connection, header: dict) -> dict:
         client_id = str(header.get("id"))
@@ -464,10 +419,9 @@ class ReproServer:
             "state": self._state,
             "standard": self._spec.name,
             "M": self._pipeline.M,
-            "workers": self._pipeline.workers,
             "connections": len(self._connections),
-            "streams": self.stream_count,
-            "pending_bits": self._pending_bits,
+            "streams": self._pipeline.stream_count,
+            "pending_bits": self._pipeline.pending_bits(),
             "counters": dict(self.counters),
         }
 
@@ -527,7 +481,7 @@ class ReproServer:
         Blocks until every open stream has finalized or been closed (or
         ``timeout_s`` elapses, at which point stragglers are aborted),
         then writes the telemetry snapshot and flight-recorder dump if
-        paths were configured, closes all connections and the pipeline.
+        paths were configured and closes all connections.
         Idempotent: a second call awaits the first drain's completion.
         """
         if self._state == "closed":
@@ -558,7 +512,7 @@ class ReproServer:
             self._no_streams.set()
         self._state = "closed"
         # Unblock any handler parked on backpressure so connections close.
-        self._drained.set()
+        self._pumped.set()
         self._work.set()
         if self._pump_task is not None:
             await self._pump_task
@@ -567,7 +521,6 @@ class ReproServer:
         if self._server is not None:
             await self._server.wait_closed()
         self._flush_observability()
-        self._pipeline.close()
         self._closed_event.set()
 
     def _flush_observability(self) -> None:

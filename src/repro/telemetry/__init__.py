@@ -1,22 +1,19 @@
-"""repro.telemetry — distributed metrics, tracing, and flight recording.
+"""repro.telemetry — metrics, tracing, and flight recording.
 
 A zero-dependency observability layer shared by every hot path in the
 repo: the compile cache, the bit-sliced batch kernels, the streaming
 pipelines, DREAM executed mode, and the PiCoGA instruments
 (:mod:`repro.picoga.trace`, :mod:`repro.picoga.activity`) all publish
 into one process-wide :class:`MetricsRegistry`, one :class:`Tracer`, and
-one :class:`FlightRecorder` — and since the v2 rework those defaults
-stitch across worker pools too: a :class:`TraceContext` travels with
-every shard dispatch, workers capture deltas locally, and the parent
-merges them back under ``worker=<id>`` labels.
+one :class:`FlightRecorder`.  Pool shards run on threads that share
+those defaults; each shard's span is grafted under the dispatch that
+ran it.
 
 * :mod:`repro.telemetry.registry` — thread-safe Counter/Gauge/Histogram
-  families with bounded label cardinality, additive snapshot merging,
-  and near-zero overhead when disabled.
+  families with bounded label cardinality and near-zero overhead when
+  disabled.
 * :mod:`repro.telemetry.tracing` — nestable ``span()`` context manager
   with trace/span ids, serializable span trees, and a bounded buffer.
-* :mod:`repro.telemetry.context` — cross-process context propagation:
-  worker-side capture and parent-side merge.
 * :mod:`repro.telemetry.flightrec` — bounded ring buffer of structured
   events with dump-on-error crash post-mortems.
 * :mod:`repro.telemetry.chrometrace` — Chrome trace-event JSON export
@@ -32,12 +29,6 @@ dump`` and the ``--telemetry`` CLI flag are the command-line surface.
 """
 
 from repro.telemetry.chrometrace import render_chrome_trace, spans_to_chrome
-from repro.telemetry.context import (
-    TraceContext,
-    WorkerCapture,
-    attach_flight_dump,
-    merge_worker_payload,
-)
 from repro.telemetry.export import (
     BenchReport,
     default_snapshot_path,
@@ -51,6 +42,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.flightrec import (
     FlightRecorder,
+    attach_flight_dump,
     default_dump_path,
     default_flight_recorder,
     format_events,
@@ -73,7 +65,6 @@ from repro.telemetry.registry import (
     bind_families,
     default_registry,
     set_default_registry,
-    snapshot_delta,
 )
 from repro.telemetry.tracing import (
     Span,
@@ -93,9 +84,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "Span",
-    "TraceContext",
     "Tracer",
-    "WorkerCapture",
     "attach_flight_dump",
     "bind_families",
     "default_dump_path",
@@ -106,7 +95,6 @@ __all__ = [
     "format_events",
     "format_span_tree",
     "instrumented",
-    "merge_worker_payload",
     "parse_json_lines",
     "parse_spans",
     "read_json_lines",
@@ -120,7 +108,6 @@ __all__ = [
     "set_default_flight_recorder",
     "set_default_registry",
     "set_default_tracer",
-    "snapshot_delta",
     "spans_to_chrome",
     "to_json_lines",
     "write_json_lines",

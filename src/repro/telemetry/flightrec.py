@@ -15,12 +15,11 @@ so the steady-state cost is negligible.  ``disable()`` reduces
 
 Two consumers matter:
 
-* **dump-on-error** — when a shard fails, the worker's recent events
-  ship back with the failure and
-  :func:`repro.telemetry.context.attach_flight_dump` pins the combined
-  dump onto the raised :class:`~repro.errors.StreamError` (its
-  ``context["flight_recorder"]`` entry), so the exception itself names
-  the failed worker and what it was doing;
+* **dump-on-error** — when a shard fails, :func:`attach_flight_dump`
+  pins the recent events onto the raised
+  :class:`~repro.errors.StreamError` (its ``context["flight_recorder"]``
+  entry), so the exception itself names the failed worker and what it
+  was doing;
 * **``repro dump``** — the CLI prints the live ring (or a ring saved
   with :meth:`FlightRecorder.save` by an earlier ``--telemetry`` run).
 """
@@ -33,7 +32,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 #: Environment variable naming where CLI runs persist the event ring.
 FLIGHTREC_PATH_ENV = "REPRO_FLIGHTREC_PATH"
@@ -128,45 +127,11 @@ class FlightRecorder:
                 "attrs": attrs,
             })
 
-    def extend(self, events: Iterable[Dict[str, object]]) -> None:
-        """Merge pre-built events (a worker's shipped tail) into the ring.
-
-        Each event is re-sequenced locally so ``seq`` stays monotonic in
-        this ring; the original ``worker`` field is preserved, which is
-        how worker-side events stay attributable after the merge.
-        Shipped ``ts_mono`` stamps are kept as-is: on Linux
-        ``time.monotonic`` is the system-wide ``CLOCK_MONOTONIC``, so
-        same-machine worker events remain comparable, and attribution
-        never depends on timestamps anyway (``seq`` + ``worker`` do).
-        """
-        if not self._enabled:
-            return
-        with self._lock:
-            for event in events:
-                self._seq += 1
-                merged = dict(event)
-                merged["seq"] = self._seq
-                self._events.append(merged)
-
-    def cursor(self) -> int:
-        """The current sequence number; events recorded after this call
-        have ``seq`` greater than the returned value."""
-        with self._lock:
-            return self._seq
-
     # ------------------------------------------------------------------
-    def events(
-        self, since: Optional[int] = None, limit: Optional[int] = None
-    ) -> List[Dict[str, object]]:
-        """Buffered events, oldest first.
-
-        ``since`` keeps only events with ``seq`` greater than the given
-        cursor; ``limit`` keeps only the newest N of what remains.
-        """
+    def events(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
+        """Buffered events, oldest first; ``limit`` keeps the newest N."""
         with self._lock:
             out = [dict(e) for e in self._events]
-        if since is not None:
-            out = [e for e in out if e["seq"] > since]
         if limit is not None:
             out = out[-limit:]
         return out
@@ -259,3 +224,27 @@ def set_default_flight_recorder(recorder: FlightRecorder) -> FlightRecorder:
     previous = _DEFAULT_RECORDER
     _DEFAULT_RECORDER = recorder
     return previous
+
+
+def attach_flight_dump(
+    exc: BaseException, worker: str = "", limit: int = 32
+) -> BaseException:
+    """Attach a flight-recorder dump to an exception and return it.
+
+    The dump lands in the exception's ``context`` dict (see
+    :meth:`repro.errors.ReproError.with_context`; non-Repro exceptions
+    get a plain ``context`` attribute) under ``"flight_recorder"``:
+    ``{"worker": <failed worker>, "events": [...]}`` — the default
+    recorder's newest ``limit`` events.
+    """
+    dump = {"worker": worker, "events": default_flight_recorder().events(limit=limit)}
+    with_context = getattr(exc, "with_context", None)
+    if callable(with_context):
+        with_context(flight_recorder=dump)
+    else:
+        context = getattr(exc, "context", None)
+        if not isinstance(context, dict):
+            context = {}
+            exc.context = context
+        context["flight_recorder"] = dump
+    return exc

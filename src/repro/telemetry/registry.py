@@ -16,13 +16,10 @@ PiCoGA model keeps per array.  Design constraints, in order:
   sets collapse into a shared ``__overflow__`` child and are counted in
   ``dropped_label_sets`` rather than growing memory without bound.
 
-Since the distributed-telemetry rework, a family's *declared* label
-names are a floor, not a ceiling: :meth:`MetricFamily.sample` accepts
-label sets carrying extra dimensions (the ``worker=<id>`` label the
-cross-process merge adds), Prometheus-style, and
-:meth:`MetricsRegistry.merge_snapshot` folds a worker's delta snapshot
-into the parent additively.  :func:`snapshot_delta` produces exactly
-those deltas on the worker side.
+A family's *declared* label names are a floor, not a ceiling:
+:meth:`MetricFamily.sample` accepts label sets carrying extra
+dimensions, Prometheus-style, so a snapshot restores whatever label
+sets it holds.
 
 Naming follows Prometheus conventions (counters end in ``_total``,
 histograms get ``_bucket``/``_sum``/``_count`` series at export time) so
@@ -193,8 +190,7 @@ class MetricFamily:
     ``registry.counter("x_total").inc()`` works without a ``labels()``
     hop.  Children are keyed by their full ``(name, value)`` label items,
     so one family can hold samples whose label sets extend the declared
-    names — how worker-merged series gain a ``worker`` dimension without
-    re-registering the family.
+    names without re-registering the family.
     """
 
     def __init__(
@@ -261,10 +257,10 @@ class MetricFamily:
         """The child for an arbitrary label mapping (lenient variant).
 
         Unlike :meth:`labels`, the mapping may carry dimensions beyond
-        the declared ``label_names`` — the snapshot importer and the
-        cross-worker merge use this to land ``worker=<id>``-extended
-        series in the same family.  Missing declared names are allowed
-        too (the sample simply omits them).
+        the declared ``label_names`` — the snapshot importer uses this to
+        land whatever series a snapshot holds in the same family.
+        Missing declared names are allowed too (the sample simply omits
+        them).
         """
         return self._locate(self._child_key(labels))
 
@@ -427,103 +423,6 @@ class MetricsRegistry:
                 else:
                     with child._lock:
                         child._value = float(sample["value"])
-
-    def merge_snapshot(
-        self,
-        snapshot: Mapping[str, dict],
-        extra_labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        """Fold a snapshot in *additively*, tagging every sample with
-        ``extra_labels`` (the cross-worker merge: counters and histogram
-        buckets add, gauges add their shipped delta).
-
-        Unlike normal instrument calls this bypasses the enabled gate —
-        the caller already decided the delta should land (it captured it
-        in a worker because telemetry was on when the shard dispatched).
-        """
-        extra = dict(extra_labels or {})
-        for name, fam in snapshot.items():
-            family = self._restore_family(name, fam)
-            for sample in fam.get("samples", []):
-                merged = dict(sample.get("labels", {}))
-                merged.update(extra)
-                child = family.sample(merged)
-                if family.kind == "histogram":
-                    counts = list(sample["bucket_counts"])
-                    with child._lock:
-                        if len(child._counts) != len(counts):
-                            raise ValueError(
-                                f"histogram {name!r} bucket shape mismatch: "
-                                f"{len(child._counts)} vs {len(counts)}"
-                            )
-                        child._counts = [
-                            a + b for a, b in zip(child._counts, counts)
-                        ]
-                        child._sum += float(sample["sum"])
-                        child._count += int(sample["count"])
-                else:
-                    with child._lock:
-                        child._value += float(sample["value"])
-
-
-def snapshot_delta(
-    before: Mapping[str, dict], after: Mapping[str, dict]
-) -> Dict[str, dict]:
-    """The additive difference between two :meth:`MetricsRegistry.snapshot`
-    dumps — what a worker publishes back after one shard task.
-
-    Only families/samples that changed appear; counter and histogram
-    deltas are clamped at zero (a reset between snapshots degrades to
-    "everything since the reset" rather than going negative).  The result
-    is shaped exactly like a snapshot, so it feeds
-    :meth:`MetricsRegistry.merge_snapshot` directly.
-    """
-    out: Dict[str, dict] = {}
-    for name, fam in after.items():
-        base = before.get(name, {})
-        base_samples = {
-            frozenset((k, str(v)) for k, v in s.get("labels", {}).items()): s
-            for s in base.get("samples", [])
-        }
-        samples = []
-        for sample in fam.get("samples", []):
-            key = frozenset(
-                (k, str(v)) for k, v in sample.get("labels", {}).items()
-            )
-            prev = base_samples.get(key)
-            if fam["kind"] == "histogram":
-                prev_counts = prev["bucket_counts"] if prev else [0] * len(
-                    sample["bucket_counts"]
-                )
-                counts = [
-                    max(0, a - b)
-                    for a, b in zip(sample["bucket_counts"], prev_counts)
-                ]
-                count = max(0, sample["count"] - (prev["count"] if prev else 0))
-                if count == 0 and not any(counts):
-                    continue
-                samples.append({
-                    "labels": dict(sample.get("labels", {})),
-                    "count": count,
-                    "sum": sample["sum"] - (prev["sum"] if prev else 0.0),
-                    "edges": list(sample["edges"]),
-                    "bucket_counts": counts,
-                })
-            else:
-                delta = sample["value"] - (prev["value"] if prev else 0.0)
-                if fam["kind"] == "counter":
-                    delta = max(0.0, delta)
-                if delta == 0.0:
-                    continue
-                samples.append({
-                    "labels": dict(sample.get("labels", {})),
-                    "value": delta,
-                })
-        if samples:
-            entry = {k: v for k, v in fam.items() if k != "samples"}
-            entry["samples"] = samples
-            out[name] = entry
-    return out
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()

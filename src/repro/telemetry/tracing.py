@@ -10,12 +10,11 @@ without unbounded growth.
 
 Every span carries a ``trace_id`` (shared by the whole tree) and its own
 ``span_id``; both are random 64-bit hex strings.  Spans serialize with
-:meth:`Span.to_dict` / :meth:`Span.from_dict`, which is how worker
-processes ship their shard spans back to the parent — the
-:class:`~repro.telemetry.context.TraceContext` carries the parent's IDs
-out, :meth:`Tracer.capture` records a detached subtree under them, and
-the parent grafts the subtree into its own open span
-(:func:`repro.telemetry.context.merge_worker_payload`).
+:meth:`Span.to_dict` / :meth:`Span.from_dict`.  Pool shards run on other
+threads, so their spans cannot nest through the thread-local stack:
+:meth:`Tracer.capture` records each shard's span detached, under the
+dispatching span's IDs, and the pool grafts it into that span
+(:meth:`repro.engine.parallel.WorkerPool.run`).
 
 The default tracer starts **disabled**: ``span()`` then costs one flag
 check and yields ``None``.  The CLI's ``--telemetry`` flag (and tests)
@@ -86,23 +85,6 @@ class Span:
             parent_id=data.get("parent_id", ""),
             children=[cls.from_dict(c) for c in data.get("children", [])],
         )
-
-    def retrace(self, trace_id: str, parent_id: str = "") -> "Span":
-        """Re-home this subtree under a new trace (in place; returns self).
-
-        Used when grafting a worker-recorded subtree into the parent's
-        tree: every span adopts the parent's ``trace_id`` and the root's
-        ``parent_id`` is pointed at the graft site.
-        """
-        self.parent_id = parent_id
-        stack = [self]
-        while stack:
-            sp = stack.pop()
-            sp.trace_id = trace_id
-            for child in sp.children:
-                child.parent_id = sp.span_id
-                stack.append(child)
-        return self
 
 
 class Tracer:
@@ -178,11 +160,10 @@ class Tracer:
         """Like :meth:`span`, but the finished span is *detached*: it is
         neither appended to an enclosing span nor recorded as a root.
 
-        The caller owns the yielded span — worker shards use this to
-        record a subtree that ships back to the parent process instead
-        of polluting the worker's own root buffer.  ``trace_id`` /
-        ``parent_id`` seed the IDs from a propagated
-        :class:`~repro.telemetry.context.TraceContext`.
+        The caller owns the yielded span — pool shards use this to
+        record a subtree on a worker thread that the dispatching thread
+        grafts into its own open span.  ``trace_id`` / ``parent_id``
+        seed the IDs from that span.
         """
         if not self._enabled:
             yield None

@@ -499,7 +499,6 @@ class ParallelWorkersOracle(Oracle):
                 method=case.method,
                 workers=self.WORKERS,
                 cache=cache,
-                mode="thread",
                 min_shard_bits=1,
             )
         return engine
@@ -598,9 +597,8 @@ class PlannerAutoOracle(Oracle):
     deterministically from the case — so across a fuzz run the decision
     space (serial fallback, thread sharding, wide/narrow ladders) is
     covered without ever timing anything.  The planned configuration
-    then executes with a thread pool (substrate doesn't affect results,
-    and process pools would blow the fuzz budget) and must reproduce the
-    serial batch result and the bit-serial single-message CRC exactly.
+    then executes on its thread pool and must reproduce the serial batch
+    result and the bit-serial single-message CRC exactly.
     """
 
     name = "planner:auto-vs-serial"
@@ -661,7 +659,6 @@ class PlannerAutoOracle(Oracle):
                 case.M,
                 method=case.method,
                 cache=cache,
-                mode="thread",
                 min_shard_bits=1,
                 plan=plan,
             )

@@ -3,8 +3,8 @@ deterministic parallel-engine scaffolding.
 
 The planner's cost tables are plain data, so tests never need to time
 anything: ``host_profiles`` provides a stable menu of synthetic hosts
-(the BENCH_5 1-CPU container, a 16-core server, a slow-spawn process
-pool, ...) and ``fake_clock`` replaces ``time.perf_counter`` wherever a
+(the BENCH_5 1-CPU container, a 16-core server, a slow-spawn pool,
+...) and ``fake_clock`` replaces ``time.perf_counter`` wherever a
 probe or threshold check would otherwise be timing-flaky.  The
 ``lagged_pipeline`` factory builds the hand-imbalanced sharded pipeline
 the scheduler-stealing tests exercise, and ``crashing_worker`` supplies
@@ -82,20 +82,16 @@ def make_host_profiles():
             fingerprint="slow-spawn-8cpu",
             thread_spawn_s=0.05,
             thread_dispatch_s=5e-3,
-            process_spawn_s=2.0,
-            process_dispatch_s=0.05,
         ),
-        # A GIL-bound host: only the pure-Python reference backend, which
-        # shards onto a process pool with heavy serialization costs.
+        # A GIL-bound host: only the pure-Python reference backend, whose
+        # thread shards would run one at a time — it always plans serial.
         "gil-bound-4cpu": HostProfile(
             fingerprint="gil-bound-4cpu",
             cpus=4,
             backend_bits_per_s={"reference": 8.0e6},
-            backend_mode={"reference": "process"},
-            spawn_s={"thread": 2e-4, "process": 0.25},
-            dispatch_s={"thread": 5e-5, "process": 2e-3},
+            spawn_s=2e-4,
+            dispatch_s=5e-5,
             recombine_s=2e-5,
-            pickle_bits_per_s=5.0e8,
             # Reference backend only, so the only keystream source this
             # host measured is the bit-serial register (partial table).
             keystream_bits_per_s={"galois-bitserial": 2.0e6},

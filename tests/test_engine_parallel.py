@@ -114,18 +114,19 @@ class TestParallelBatchCRC:
         ref = BitwiseCRC(SPEC)
         expected = [ref.compute(m) for m in corpus]
         with ParallelBatchCRC(SPEC, 16, workers=3, min_shard_bits=1) as engine:
-            assert engine.mode == "thread"
             assert engine.compute_batch(corpus) == expected
             bit_streams = [SPEC.message_bits(m) for m in corpus]
             assert engine.compute_bits_batch(bit_streams) == expected
 
-    def test_process_sharding_matches_serial(self, corpus):
+    def test_reference_backend_shards_on_threads(self, corpus):
+        """The GIL-holding backend gains nothing from thread shards, but
+        they must still reproduce the serial result exactly."""
         sample = corpus[:9]
         expected = [BitwiseCRC(SPEC).compute(m) for m in sample]
         with ParallelBatchCRC(
-            SPEC, 16, workers=2, mode="process", min_shard_bits=1
+            SPEC, 16, workers=2, backend="reference", min_shard_bits=1
         ) as engine:
-            assert engine.mode == "process"
+            assert engine.serial_engine.backend.name == "reference"
             assert engine.compute_batch(sample) == expected
 
     @pytest.mark.parametrize("n_bits", [1, 17, 64, 127, 333, 1024, 4097])
@@ -326,7 +327,7 @@ class TestShardedPipeline:
 
 class TestWorkerPool:
     def test_crash_is_stream_error_not_hang(self, crashing_worker):
-        with WorkerPool(2, mode="thread") as pool:
+        with WorkerPool(2) as pool:
             with pytest.raises(StreamError, match="kaboom"):
                 pool.run(crashing_worker, [(1,), (2,), (3,)])
 
@@ -334,17 +335,17 @@ class TestWorkerPool:
         def raise_validation(_):
             raise ValidationError("bad shard input")
 
-        with WorkerPool(2, mode="thread") as pool:
+        with WorkerPool(2) as pool:
             with pytest.raises(ValidationError, match="bad shard input"):
                 pool.run(raise_validation, [(1,)])
 
     def test_results_keep_shard_order(self):
-        with WorkerPool(3, mode="thread") as pool:
+        with WorkerPool(3) as pool:
             out = pool.run(lambda x: x * x, [(i,) for i in range(10)])
         assert out == [i * i for i in range(10)]
 
     def test_close_is_idempotent(self):
-        pool = WorkerPool(2, mode="thread")
+        pool = WorkerPool(2)
         pool.run(len, [("ab",)])
         pool.close()
         pool.close()
@@ -353,8 +354,6 @@ class TestWorkerPool:
     def test_validation(self):
         with pytest.raises(ValidationError):
             WorkerPool(0)
-        with pytest.raises(ValidationError):
-            WorkerPool(2, mode="fiber")
 
 
 class TestDiskCompileCache:
@@ -473,7 +472,7 @@ class TestLifecycleClose:
     """
 
     def test_worker_pool_double_close_raises_nothing(self):
-        pool = WorkerPool(2, mode="thread")
+        pool = WorkerPool(2)
         pool.run(len, [("warm",)])
         pool.close()
         pool.close()
@@ -481,7 +480,7 @@ class TestLifecycleClose:
         assert not pool.started
 
     def test_worker_pool_concurrent_closes_are_safe(self):
-        pool = WorkerPool(4, mode="thread")
+        pool = WorkerPool(4)
         pool.run(len, [("warm",)] * 4)
         errors = []
 
@@ -501,7 +500,7 @@ class TestLifecycleClose:
         assert not pool.started
 
     def test_close_during_dispatch_is_contained_stream_error(self):
-        pool = WorkerPool(2, mode="thread")
+        pool = WorkerPool(2)
         release = threading.Event()
         entered = threading.Event()
 
@@ -535,7 +534,7 @@ class TestLifecycleClose:
             assert result["out"] == list(range(64))
 
     def test_pool_restarts_lazily_after_close(self):
-        pool = WorkerPool(2, mode="thread")
+        pool = WorkerPool(2)
         assert pool.run(len, [("ab",), ("cdef",)]) == [2, 4]
         pool.close()
         assert pool.run(len, [("xyz",)]) == [3]

@@ -48,9 +48,9 @@ class TestPlanSelection:
         # Many cores but a 50 ms pool spawn: overhead dominates a ~1.3 ms
         # compute, so the solver must refuse to shard.
         ("slow-spawn-8cpu", _workload(), "serial", 1),
-        # GIL-bound reference backend on a big workload: process-pool
-        # sharding pays despite spawn + pickle costs.
-        ("gil-bound-4cpu", _workload(message_bits=65536), "shard-batch", 4),
+        # GIL-holding reference backend on a big workload: its thread
+        # shards would run one at a time, so it plans serial.
+        ("gil-bound-4cpu", _workload(message_bits=65536), "serial", 1),
         # Single long message on a big host: time-axis sharding with
         # x^k mod G recombination.
         ("server-16cpu", _workload(message_bits=1_000_000, batch=1),
@@ -106,6 +106,19 @@ class TestPlanSelection:
         assert plan.backend == "packed"  # 2 Gbit/s vs 8 Mbit/s reference
         gil = Planner(profile=host_profiles["gil-bound-4cpu"]).plan(_workload())
         assert gil.backend == "reference"  # the only one the host has
+
+    def test_gil_holding_backends_plan_serial(self, host_profiles):
+        """Thread shards of the pure-Python backend would run one at a
+        time, so no candidate shards it, however big the workload."""
+        big = _workload(message_bits=65536, batch=4096)
+        for name in ("gil-bound-4cpu", "server-16cpu"):
+            candidates = Planner(profile=host_profiles[name]).candidates(big)
+            reference = [c for c in candidates if c.backend == "reference"]
+            assert reference and all(c.workers == 1 for c in reference)
+        plan = Planner(profile=host_profiles["gil-bound-4cpu"]).plan(big)
+        assert (plan.strategy, plan.workers, plan.mode) == ("serial", 1, "serial")
+        sharded = Planner(profile=host_profiles["server-16cpu"]).plan(big)
+        assert (sharded.backend, sharded.mode) == ("packed", "thread")
 
     def test_candidates_are_sorted_and_deterministic(self, host_profiles):
         planner = Planner(profile=host_profiles["server-16cpu"])
@@ -263,7 +276,7 @@ class TestProbing:
             backends=("packed",), timer=FakeClockLike(fake_clock), reps=2
         )
         assert a.backend_bits_per_s == b.backend_bits_per_s
-        assert a.backend_mode == {"packed": "thread"}
+        assert set(a.backend_bits_per_s) == {"packed"}
         assert a.cpus >= 1
         assert a.fingerprint == host_fingerprint()
         assert all(v > 0 for v in a.backend_bits_per_s.values())
@@ -292,7 +305,7 @@ class TestProbing:
         monkeypatch.setattr(parallel_mod, "WorkerPool", SlowFirstStart)
         profile = probe_host(backends=("packed",), timer=fake_clock, reps=3)
         assert len(starts) == 3
-        assert profile.spawn_s["thread"] < 1e-3
+        assert profile.spawn_s < 1e-3
         plan = Planner(profile=dataclasses.replace(profile, cpus=2)).plan(
             _workload(message_bits=2048, batch=1024, M=128)
         )
@@ -340,14 +353,9 @@ class TestValidation:
             HostProfile(
                 fingerprint="x", cpus=1,
                 backend_bits_per_s={"packed": -1.0},
-                backend_mode={"packed": "thread"},
             )
-        with pytest.raises(ValidationError, match="mode"):
-            HostProfile(
-                fingerprint="x", cpus=1,
-                backend_bits_per_s={"packed": 1.0},
-                backend_mode={"packed": "teleport"},
-            )
+        with pytest.raises(ValidationError, match="backend rate"):
+            HostProfile(fingerprint="x", cpus=1, backend_bits_per_s={})
 
     def test_planner_validation(self, host_profiles):
         with pytest.raises(ValidationError, match="min_speedup"):

@@ -1,6 +1,6 @@
 """GF(2) backend registry behavior and cross-backend bit-exactness.
 
-The packed backends are only useful if they are *indistinguishable* from
+The packed backend is only useful if it is *indistinguishable* from
 the pure-Python reference on every kernel and through every engine that
 threads a ``backend=`` argument, so most tests here are parametrized over
 backend names and compare against either the reference backend or the
@@ -27,8 +27,8 @@ from repro.scrambler import AdditiveScrambler
 from repro.scrambler.multiplicative import MultiplicativeScrambler
 from repro.scrambler.specs import get as get_scrambler
 
-BACKENDS = ["reference", "packed", "packed-int"]
-PACKED = ["packed", "packed-int"]
+BACKENDS = ["reference", "packed"]
+PACKED = ["packed"]
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,12 @@ Five properties matter and each gets direct coverage:
   and many interleaved connections, and stream ids are namespaced per
   connection.
 * **Backpressure** — a connection that outruns the pipeline pauses on
-  the pending-bits watermark (counted), and resumes; memory never
-  balloons with unread frames.
+  the pending-bits watermark (counted) and resumes once a pump round
+  has run, even when sub-block tails keep the gauge above the mark;
+  memory never balloons with unread frames.
 * **Drain** — while draining, open streams complete bit-exact and new
   work is refused with code ``"draining"``; afterwards the server is
-  closed and its pipeline released.
+  closed and its pipeline holds no stream.
 * **Dispatch on the loop** — every pipeline call runs on the event
   loop's thread, and a client writing frames back to back does not
   starve another connection.
@@ -44,7 +45,7 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.loadgen import IMIX_MIX, LoadgenReport, percentile
-from repro.serve.protocol import error_response, read_frame
+from repro.serve.protocol import READ_BYTES, error_response, read_frame
 
 SPEC = get("CRC-32")
 ORACLE = TableCRC(SPEC)
@@ -56,8 +57,6 @@ def run(coro):
 
 def make_server(**kwargs):
     kwargs.setdefault("M", 64)
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("auto", False)
     return ReproServer(SPEC, **kwargs)
 
 
@@ -210,6 +209,24 @@ class TestFrameSizeBoundary:
         ]
         assert stalls == []
 
+    def test_both_ends_read_at_most_read_bytes(self):
+        """Client and server transports ask the socket for READ_BYTES at
+        most per read, and a frame spanning several reads still digests
+        bit-exact."""
+        payload = bytes(range(256)) * (3 * READ_BYTES // 256) + b"\x01"
+
+        async def scenario():
+            async with make_server() as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    digest = await c.compute(payload)
+                    (conn,) = server._connections
+                    return (digest, c._writer.transport.max_size,
+                            conn.writer.transport.max_size)
+
+        digest, client_reads, server_reads = run(scenario())
+        assert digest == ORACLE.compute(payload)
+        assert client_reads == server_reads == READ_BYTES
+
     def test_server_refuses_oversized_blen_then_hangs_up(self):
         """A frame *declaring* cap+1 payload bytes draws one typed
         ``protocol`` error response and a closed connection."""
@@ -347,6 +364,34 @@ class TestServerRoundTrip:
         assert stats["counters"]["digests_total"] == 1
         assert stats["counters"]["protocol_errors_total"] == 0
 
+    def test_stats_read_the_pipeline_after_a_digest(self):
+        """The stats verb reads streams and pending bits from the pipeline
+        itself, so a digest is reflected at once."""
+        async def scenario():
+            async with make_server(M=1024) as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    sid = await c.open_stream()
+                    await c.feed(sid, bytes(64))
+                    during = await c.stats()
+                    await c.read_digest(sid)
+                    after = await c.stats()
+                    return during, after, server.pipeline.pending_bits()
+
+        during, after, pipeline_pending = run(scenario())
+        assert (during["streams"], during["pending_bits"]) == (1, 512)
+        assert (after["streams"], after["pending_bits"]) == (0, 0)
+        assert pipeline_pending == 0
+
+    def test_hello_reports_the_default_block_factor(self):
+        async def scenario():
+            async with ReproServer(SPEC) as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    return c.hello, type(server.pipeline)
+
+        hello, pipeline_type = run(scenario())
+        assert hello["M"] == 128 and "workers" not in hello
+        assert pipeline_type is CRCPipeline
+
     def test_disconnect_aborts_orphan_streams(self):
         async def scenario():
             async with make_server() as server:
@@ -456,9 +501,7 @@ class TestBackpressure:
         payload = b"\xa5" * 4096
 
         async def scenario():
-            async with make_server(
-                high_watermark_bits=1024, low_watermark_bits=256
-            ) as server:
+            async with make_server(high_watermark_bits=1024) as server:
                 async with await ServeClient.connect(server.host, server.port) as c:
                     digests = []
                     for _ in range(4):
@@ -481,19 +524,45 @@ class TestBackpressure:
 
         assert run(scenario()) == 40  # 5 bytes buffered, below one M-block
 
+    def test_sub_block_tails_above_the_watermark_do_not_park_a_connection(self):
+        """Nine streams each holding 127 bytes at M = 1024 keep 9,144 bits
+        pending that no pump can advance.  The connection pauses after the
+        ninth feed, then resumes once a pump round has run, so its next
+        request is still read."""
+        async def scenario():
+            async with make_server(M=1024, high_watermark_bits=8192) as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    sids = [await c.open_stream() for _ in range(9)]
+                    pending = [await c.feed(sid, b"\x5a" * 127) for sid in sids]
+                    tenth = await asyncio.wait_for(c.open_stream(), timeout=5)
+                    await c.feed(tenth, b"tenth")
+                    digests = [
+                        await asyncio.wait_for(c.read_digest(sid), timeout=5)
+                        for sid in sids + [tenth]
+                    ]
+                    stats = await c.stats()
+                    return pending, digests, stats
+
+        pending, digests, stats = run(scenario())
+        assert pending[-1] == 9 * 127 * 8 > 8192
+        assert digests == [ORACLE.compute(b"\x5a" * 127)] * 9 + [
+            ORACLE.compute(b"tenth")
+        ]
+        assert stats["counters"]["backpressure_pauses_total"] >= 1
+        assert stats["pending_bits"] == 0
+
 
 # ----------------------------------------------------------------------
 # Dispatch on the event loop
 # ----------------------------------------------------------------------
 class TestInlineDispatch:
     def test_every_pipeline_call_runs_on_the_loop_thread(self, monkeypatch):
-        """Start-up, every verb, connection clean-up, the pump loop and
-        drain all call the pipeline from the event loop's own thread."""
-        from repro.engine.parallel import ShardedCRCPipeline
-
+        """Start-up, every verb, concurrent connections, connection
+        clean-up, the pump loop and drain all call the pipeline from the
+        event loop's own thread."""
         calls = []
         methods = ("__init__", "open", "feed", "pump", "pending_bits",
-                   "finalize", "finalize_many", "abort", "close")
+                   "finalize", "finalize_many", "abort")
 
         def recording(name, method):
             def wrapper(*args, **kwargs):
@@ -502,12 +571,19 @@ class TestInlineDispatch:
             return wrapper
 
         for name in methods:
-            monkeypatch.setattr(ShardedCRCPipeline, name,
-                                recording(name, getattr(ShardedCRCPipeline, name)))
+            monkeypatch.setattr(CRCPipeline, name,
+                                recording(name, getattr(CRCPipeline, name)))
+        frame = bytes(range(256)) * 5 + bytes(238)  # 1518 B
+
+        async def busy(server):
+            async with await ServeClient.connect(server.host, server.port) as c:
+                return [await c.compute(frame) for _ in range(20)]
 
         async def scenario():
             server = make_server(drain_timeout_s=0.05)
             await server.start()
+            served = await asyncio.gather(*(busy(server) for _ in range(8)))
+            assert served == [[ORACLE.compute(frame)] * 20] * 8
             async with await ServeClient.connect(server.host, server.port) as c:
                 assert await c.compute(b"on the loop" * 40) == ORACLE.compute(
                     b"on the loop" * 40)
@@ -531,8 +607,7 @@ class TestInlineDispatch:
         loop_thread = run(scenario())
         assert {thread for _, thread in calls} == {loop_thread}
         called = {name for name, _ in calls}
-        assert {"__init__", "open", "feed", "pump", "finalize", "abort",
-                "close"} <= called
+        assert {"__init__", "open", "feed", "pump", "finalize", "abort"} <= called
 
     def test_back_to_back_frames_do_not_starve_other_connections(self):
         """A client that writes a long burst of frames without reading
@@ -616,16 +691,16 @@ class TestDrain:
             digest_b = await client.read_digest("b")
             await asyncio.wait_for(drain, timeout=10)
             state = server.state
-            pipeline_closed = server.pipeline.closed
+            pipeline_empty = server.pipeline.stream_count == 0
             await client.aclose()
-            return digest_a, digest_b, refused_conn, state, pipeline_closed
+            return digest_a, digest_b, refused_conn, state, pipeline_empty
 
-        digest_a, digest_b, refused_conn, state, pipeline_closed = run(scenario())
+        digest_a, digest_b, refused_conn, state, pipeline_empty = run(scenario())
         assert digest_a == ORACLE.compute(payload_a)
         assert digest_b == ORACLE.compute(payload_b)
         assert refused_conn
         assert state == "closed"
-        assert pipeline_closed
+        assert pipeline_empty
 
     def test_drain_timeout_aborts_stragglers(self):
         async def scenario():

@@ -1,21 +1,18 @@
-"""Cross-worker distributed tracing — the telemetry v2 acceptance suite.
+"""Telemetry across a sharded run — the pool's observability contract.
 
-Drives real worker pools (thread and process mode) and asserts the
-distributed-observability contract end to end:
+Drives real thread pools and asserts the contract end to end:
 
-* a ``batch_crc(auto=True)`` run on a process-backend plan produces ONE
-  merged span tree — ``planner.plan`` through ``pool.dispatch`` down to
-  per-shard ``worker.shard`` spans labeled ``worker=<pid>``;
-* worker-side kernel counters (``gf2_backend_ops_total``) from child
-  processes land in the parent registry snapshot under ``worker=<id>``
-  labels;
+* a ``batch_crc(auto=True)`` run on a thread-sharded plan produces ONE
+  span tree — ``planner.plan`` through ``pool.dispatch`` down to
+  per-shard ``worker.shard`` spans labeled with their worker thread;
+* the per-phase histograms see compile, dispatch and shard execution;
 * the span tree exports as schema-valid Chrome trace-event JSON;
 * a crashing shard raises :class:`~repro.errors.StreamError` carrying a
   flight-recorder dump that names the failed worker and its last events.
 
-Uses the deterministic ``gil-bound-4cpu`` synthetic host profile from
-``conftest.py`` so the planner reliably chooses a reference-backend
-process plan regardless of the machine running the tests.
+Uses the deterministic ``desktop-4cpu`` synthetic host profile from
+``conftest.py`` so the planner reliably chooses a four-way ``packed``
+thread plan regardless of the machine running the tests.
 """
 
 import pytest
@@ -27,7 +24,6 @@ from repro.errors import StreamError
 from repro.telemetry import (
     FlightRecorder,
     MetricsRegistry,
-    TraceContext,
     Tracer,
     set_default_flight_recorder,
     set_default_registry,
@@ -37,12 +33,12 @@ from repro.telemetry import (
 
 
 def _boom(x):
-    """Module-level crasher (must be picklable for process pools)."""
+    """Shard function that always fails."""
     raise RuntimeError(f"kaboom {x}")
 
 
 def _echo(x):
-    """Module-level identity shard function."""
+    """Identity shard function."""
     return x
 
 
@@ -62,8 +58,8 @@ def fresh_defaults():
 
 
 def _run_auto_batch(host_profiles, tracer):
-    """One planner-chosen process-mode batch CRC run under an outer span."""
-    planner = Planner(host_profiles["gil-bound-4cpu"])
+    """One planner-chosen thread-sharded batch CRC run under an outer span."""
+    planner = Planner(host_profiles["desktop-4cpu"])
     workload = WorkloadDescriptor(
         kind="crc-batch", standard="CRC-32", message_bits=1 << 17, batch=64
     )
@@ -72,7 +68,7 @@ def _run_auto_batch(host_profiles, tracer):
         engine = system.batch_crc(
             "CRC-32", auto=True, planner=planner, workload=workload
         )
-        assert engine.mode == "process" and engine.workers >= 2
+        assert engine.plan.mode == "thread" and engine.workers >= 2
         messages = [bytes([i % 256] * 128) for i in range(8)]
         results = engine.compute_batch(messages)
     engine.close()
@@ -108,27 +104,16 @@ class TestDistributedSpanTree:
         plan_span = _find(root, "planner.plan")
         dispatch = _find(root, "pool.dispatch")
         assert plan_span is not None and dispatch is not None
-        assert dispatch.attributes["mode"] == "process"
 
         shards = [c for c in dispatch.children if c.name == "worker.shard"]
         assert len(shards) == engine.workers >= 2
-        workers = {s.attributes["worker"] for s in shards}
-        assert len(workers) >= 2  # distinct child processes
+        assert sorted(s.attributes["shard"] for s in shards) == list(
+            range(engine.workers)
+        )
         for shard in shards:
+            assert shard.attributes["worker"].startswith("repro-shard")
             assert shard.trace_id == dispatch.trace_id
             assert shard.parent_id == dispatch.span_id
-
-    def test_worker_counters_merge_into_parent_registry(
-        self, fresh_defaults, host_profiles
-    ):
-        registry, tracer, recorder = fresh_defaults
-        _run_auto_batch(host_profiles, tracer)
-        samples = registry.snapshot()["gf2_backend_ops_total"]["samples"]
-        worker_samples = [s for s in samples if "worker" in s["labels"]]
-        assert len({s["labels"]["worker"] for s in worker_samples}) >= 2
-        for sample in worker_samples:
-            assert sample["labels"]["backend"] == "reference"
-            assert sample["value"] > 0
 
     def test_phase_histograms_populated(self, fresh_defaults, host_profiles):
         registry, tracer, recorder = fresh_defaults
@@ -147,14 +132,14 @@ class TestDistributedSpanTree:
         for event in xs:
             assert {"name", "cat", "ph", "ts", "dur", "pid", "tid", "args"} <= set(event)
             assert event["ts"] >= 0 and event["dur"] >= 0
-        # One lane per distinct worker plus the parent lane, all labeled.
+        # One lane per worker thread plus the parent lane, all labeled.
         lanes = {e["tid"] for e in xs}
         labeled = {e["tid"] for e in metas}
         assert lanes <= labeled
         shard_lanes = {
             e["tid"] for e in xs if e["name"] == "worker.shard"
         }
-        assert 0 not in shard_lanes and len(shard_lanes) >= 2
+        assert shard_lanes and 0 not in shard_lanes
 
     def test_flight_recorder_saw_plan_and_dispatch(
         self, fresh_defaults, host_profiles
@@ -165,24 +150,10 @@ class TestDistributedSpanTree:
         assert {"plan", "dispatch"} <= kinds
 
 
-class TestTraceContext:
-    def test_round_trip(self):
-        ctx = TraceContext(
-            trace_id="t", span_id="s", metrics=True, spans=True, events=False
-        )
-        assert TraceContext.from_dict(ctx.to_dict()) == ctx
-        assert ctx.active
-
-    def test_thread_mode_disables_metric_shipping(self, fresh_defaults):
-        """Threads share the parent registry; shipping a delta back would
-        double-count, so remote=False captures spans only."""
-        registry, tracer, recorder = fresh_defaults
-        ctx = TraceContext.capture(remote=False)
-        assert ctx.spans and not ctx.metrics and not ctx.events
-        remote = TraceContext.capture(remote=True)
-        assert remote.metrics and remote.spans and remote.events
-
+class TestSharedDefaults:
     def test_thread_pool_does_not_double_count(self, fresh_defaults):
+        """Shards publish straight into the shared registry: no per-worker
+        copies, no merged duplicates."""
         registry, tracer, recorder = fresh_defaults
         counter = registry.counter("thread_work_total")
 
@@ -190,7 +161,7 @@ class TestTraceContext:
             counter.inc()
             return x
 
-        with WorkerPool(2, mode="thread") as pool:
+        with WorkerPool(2) as pool:
             assert sorted(pool.run(work, [(i,) for i in range(4)])) == [0, 1, 2, 3]
         assert registry.get("thread_work_total").value == 4
         samples = registry.snapshot()["thread_work_total"]["samples"]
@@ -198,41 +169,42 @@ class TestTraceContext:
 
 
 class TestCrashContainment:
-    def test_process_crash_dump_names_worker(self, fresh_defaults):
+    def test_thread_crash_dump_names_worker(self, fresh_defaults):
         registry, tracer, recorder = fresh_defaults
-        with WorkerPool(2, mode="process") as pool:
+        with WorkerPool(2) as pool:
             with pytest.raises(StreamError) as excinfo:
                 pool.run(_boom, [(1,), (2,)])
         exc = excinfo.value
-        assert "worker" in str(exc)
         dump = exc.context["flight_recorder"]
-        assert dump["worker"]  # names the failed worker (its pid)
-        assert str(dump["worker"]) in str(exc)
+        assert dump["worker"].startswith("repro-shard")
+        assert dump["worker"] in str(exc)
         crash_events = [
             e for e in dump["events"] if e["kind"] == "worker-crash"
         ]
         assert crash_events and "kaboom" in crash_events[-1]["message"]
         assert isinstance(exc.__cause__, RuntimeError)
 
-    def test_thread_crash_dump_names_worker(self, fresh_defaults):
+    def test_crashed_shard_span_is_grafted_with_its_error(self, fresh_defaults):
         registry, tracer, recorder = fresh_defaults
-        with WorkerPool(2, mode="thread") as pool:
-            with pytest.raises(StreamError) as excinfo:
-                pool.run(_boom, [(1,), (2,)])
-        dump = excinfo.value.context["flight_recorder"]
-        assert dump["worker"]
-        assert any(e["kind"] == "worker-crash" for e in dump["events"])
+        with WorkerPool(2) as pool:
+            with pytest.raises(StreamError):
+                pool.run(_boom, [(1,)])
+        (dispatch,) = tracer.roots()
+        (shard,) = dispatch.children
+        assert shard.name == "worker.shard"
+        assert "kaboom" in shard.attributes["error"]
 
     def test_healthy_run_attaches_nothing(self, fresh_defaults):
         registry, tracer, recorder = fresh_defaults
-        with WorkerPool(2, mode="process") as pool:
+        with WorkerPool(2) as pool:
             assert sorted(pool.run(_echo, [(i,) for i in range(3)])) == [0, 1, 2]
+        assert not [e for e in recorder.events() if e["kind"] == "worker-crash"]
 
 
 class TestDisabledTelemetryFastPath:
     def test_all_off_runs_raw_functions(self):
         """With registry, tracer and recorder all disabled the pool submits
-        the raw shard function — no wrapper, no context, no payloads."""
+        the raw shard function — no wrapper, no spans, no events."""
         registry = MetricsRegistry(enabled=False)
         tracer = Tracer(enabled=False)
         recorder = FlightRecorder(enabled=False)
@@ -240,7 +212,7 @@ class TestDisabledTelemetryFastPath:
         prev_tr = set_default_tracer(tracer)
         prev_rec = set_default_flight_recorder(recorder)
         try:
-            with WorkerPool(2, mode="thread") as pool:
+            with WorkerPool(2) as pool:
                 assert sorted(pool.run(_echo, [(i,) for i in range(4)])) == [0, 1, 2, 3]
             assert registry.snapshot() == {}
             assert tracer.roots() == []
