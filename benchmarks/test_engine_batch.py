@@ -1,15 +1,20 @@
 """Batch-engine throughput sweep (host-side timing, not a paper artifact).
 
-Measures the vectorized :class:`repro.engine.batch.BatchCRC` against the
-per-message :class:`repro.crc.parallel.DerbyCRC` loop — the same recurrence,
-once bit-sliced across the batch and once in per-message Python — plus the
-compile-cache effect on repeated specs.  The acceptance gate for the engine
-subsystem is >= 10x messages/sec at batch size 1024; results are recorded
-in ``benchmarks/results/engine_batch.txt``.  Stdlib ``zlib.crc32`` over the
+Measures the vectorized :class:`repro.engine.batch.BatchCRC` — grouped
+byte-sliced gathers across the batch — against the per-message
+:class:`repro.crc.parallel.DerbyCRC` loop, plus the compile-cache effect
+on repeated specs.  The acceptance gate for the engine subsystem is
+>= 10x messages/sec at batch size 1024; results are recorded in
+``benchmarks/results/engine_batch.txt``.  Stdlib ``zlib.crc32`` over the
 same messages is the ceiling row (reported, ungated), so every rate also
-reads as a fraction of it.
+reads as a fraction of it.  Beside the 64-byte sweep, three batch shapes
+report the engine against their own ``zlib.crc32`` ceilings: 1024 x
+256 B (one equal-length group, the batch-crc-auto shape), 256 x 1518 B
+(six-block messages) and 1024 IMIX frames (64/594/1518 B at 7:4:1, one
+group per size).
 """
 
+import random
 import time
 import zlib
 
@@ -26,6 +31,12 @@ M = 32
 MESSAGE_BYTES = 64
 BATCH_SIZES = (32, 256, 1024)
 BASELINE_SAMPLE = 32
+#: (row name, batch size, message sizes drawn in weighted rotation).
+SHAPES = (
+    ("1024 x 256 B", 1024, ((256, 1),)),
+    ("256 x 1518 B", 256, ((1518, 1),)),
+    ("1024 x IMIX", 1024, ((64, 7), (594, 4), (1518, 1))),
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +101,29 @@ def zlib_rate(messages):
     return 20 * len(messages) / (time.perf_counter() - t0)
 
 
-def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, save_result,
-                            save_report):
+@pytest.fixture(scope="module")
+def shape_rates():
+    """``{row: (BatchCRC msgs/s, zlib.crc32 msgs/s)}`` per batch shape,
+    each the best of five calls on the same messages."""
+    rng = random.Random(13)
+    engine = BatchCRC(ETHERNET_CRC32, 128)
+    rates = {}
+    for name, batch, mix in SHAPES:
+        sizes = [size for size, weight in mix for _ in range(weight)]
+        messages = [rng.randbytes(sizes[i % len(sizes)]) for i in range(batch)]
+        expected = [zlib.crc32(m) for m in messages]
+        engine.compute_batch(messages[:2])  # warm-up
+        best = min(_timed(engine.compute_batch, messages, expected) for _ in range(5))
+        ceiling = min(
+            _timed(lambda ms: [zlib.crc32(m) for m in ms], messages, expected)
+            for _ in range(5)
+        )
+        rates[name] = (batch / best, batch / ceiling)
+    return rates
+
+
+def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, shape_rates,
+                            save_result, save_report):
     rows = [[f"DerbyCRC loop (sample {BASELINE_SAMPLE})", f"{derby_rate:,.0f}", "1.0x"]]
     for batch, rate in sorted(batch_rates.items()):
         rows.append([f"BatchCRC B={batch}", f"{rate:,.0f}", f"{rate / derby_rate:.1f}x"])
@@ -105,6 +137,14 @@ def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, save_result,
             f"Batch engine throughput: {ETHERNET_CRC32.name}, "
             f"{MESSAGE_BYTES}-byte messages, M={M}"
         ),
+    )
+    text += "\n\n" + format_table(
+        ["shape", "BatchCRC msgs/s", "zlib.crc32 msgs/s", "vs zlib"],
+        [
+            [name, f"{rate:,.0f}", f"{ceiling:,.0f}", f"{rate / ceiling:.2f}"]
+            for name, (rate, ceiling) in shape_rates.items()
+        ],
+        title=f"Batch shapes: {ETHERNET_CRC32.name}, M=128",
     )
     save_result("engine_batch", text)
     save_report(BenchReport(
@@ -126,6 +166,8 @@ def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, save_result,
         },
         series={
             "batch_msgs_per_s": {str(b): r for b, r in sorted(batch_rates.items())},
+            "shape_msgs_per_s": {name: r for name, (r, _) in shape_rates.items()},
+            "shape_zlib_msgs_per_s": {name: z for name, (_, z) in shape_rates.items()},
         },
     ))
     assert batch_rates[1024] >= 10 * derby_rate, (

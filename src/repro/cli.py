@@ -225,8 +225,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
     expected = [derby.compute(m) for m in sample]
     loop_rate = len(sample) / (time.perf_counter() - t0)
 
-    engine = BatchCRC(spec, args.m, method=args.method)
-    backend_name = engine.backend.name
+    engine = BatchCRC(spec, args.m)
     engine.compute_batch(messages[:2])  # warm the compile cache and numpy
     best = float("inf")
     for _ in range(args.repeats):
@@ -241,7 +240,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
     rows = [
         [f"DerbyCRC loop (x{len(sample)})", f"{loop_rate:,.0f}", "1.0x"],
         [
-            f"BatchCRC[{args.method}] (B={args.batch})",
+            f"BatchCRC (B={args.batch})",
             f"{batch_rate:,.0f}",
             f"{batch_rate / loop_rate:.1f}x",
         ],
@@ -252,7 +251,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
     workers = resolve_workers(getattr(args, "workers", None))
     if workers > 1:
         with ParallelBatchCRC(
-            spec, args.m, method=args.method, workers=workers, min_shard_bits=1
+            spec, args.m, workers=workers, min_shard_bits=1
         ) as par:
             par.compute_batch(messages[:2])  # start the pool off-clock
             par_best = float("inf")
@@ -285,7 +284,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
             M=args.m,
         )
         plan = planner.plan(workload)
-        with ParallelBatchCRC(spec, args.m, method=args.method, plan=plan) as auto_eng:
+        with ParallelBatchCRC(spec, args.m, plan=plan) as auto_eng:
             auto_eng.compute_batch(messages[:2])  # pool + compile off-clock
             auto_best = float("inf")
             for _ in range(args.repeats):
@@ -314,7 +313,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
         ["engine", "messages/s", "speedup"], rows,
         title=(
             f"{spec.name}, {args.bytes}-byte messages, M={args.m}, "
-            f"backend={backend_name}"
+            f"Derby loop on backend={derby.backend.name}"
         ),
     ))
     stats = cache.stats
@@ -728,7 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch-bench", help="time the vectorized batch engine")
     p.add_argument("--standard", default="CRC-32")
     p.add_argument("-m", "--m", type=int, default=32, help="look-ahead factor")
-    p.add_argument("--method", choices=("lookahead", "derby"), default="lookahead")
     p.add_argument("--batch", type=int, default=1024, help="messages per batch")
     p.add_argument("--bytes", type=int, default=64, help="message size in bytes")
     p.add_argument("--baseline-sample", type=int, default=32,

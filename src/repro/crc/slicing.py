@@ -23,7 +23,7 @@ first ``ceil(width / 8)`` bytes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +38,10 @@ from repro.gf2.bits import reflect_bits
 #: (256 KiB per 32-bit spec at 256 rows).
 SLICE_DEPTH = 256
 
-#: Blocks gathered per numpy call: a long run's index and gathered words
-#: stay ~1 MiB whatever its length, and cache-resident (the gathers of a
-#: 1 MiB run measured ~35 % faster than one gather over all of it).
+#: Blocks gathered per numpy call (a batch slab: rows x blocks of about
+#: this many): a long run's index and gathered words stay ~1 MiB whatever
+#: its length, and cache-resident (the gathers of a 1 MiB run measured
+#: ~35 % faster than one gather over all of it).
 _SLAB_BLOCKS = 256
 
 
@@ -159,7 +160,8 @@ class ByteSlicedCRC:
     each.  The register enters the first block through its first
     ``ceil(width / 8)`` indices, and every later block by
     ``ceil(width / 8)`` lookups of the register's bytes in the last rows
-    — ``A^{8D}`` applied to the state.  ``tables`` takes a
+    — ``A^{8D}`` applied to the state.  :meth:`raw_registers_batch` runs
+    many messages through the same steps at once.  ``tables`` takes a
     stack from :func:`build_slicing_tables` (any depth), e.g. the one
     :meth:`repro.engine.CompileCache.slicing_tables` shares; by default
     the engine builds its own at :data:`SLICE_DEPTH`.
@@ -188,11 +190,13 @@ class ByteSlicedCRC:
         # (row, shift of the register byte it takes) for the fold through
         # A^{8D}: reflected registers meet the message low byte first,
         # aligned forward registers top byte first.
-        self._fold = [
-            (tables[depth - 1 - i].tolist(),
+        self._fold_rows = [
+            (tables[depth - 1 - i],
              8 * i if spec.refin else self._bits - 8 - 8 * i)
             for i in range(self._nbytes)
         ]
+        # The same rows as lists: one message's fold indexes them by int.
+        self._fold = [(row.tolist(), shift) for row, shift in self._fold_rows]
 
     @property
     def spec(self) -> CRCSpec:
@@ -249,6 +253,100 @@ class ByteSlicedCRC:
                     word ^= row[(r >> shift) & 0xFF]
                 r = word
         return self._unalign(r)
+
+    def raw_registers_batch(
+        self,
+        messages: Sequence[bytes],
+        fold: Optional[Callable[[int], int]] = None,
+        bit_lengths: Optional[Sequence[int]] = None,
+        finalize: bool = False,
+    ) -> List[int]:
+        """Registers of many messages, each clocked from a zero register.
+
+        Messages group by block count ``K = ceil(n / D)``, and each group
+        is one byte matrix: every message is zero-padded at the head to
+        ``K * D`` bytes, which a zero register makes transparent, unless
+        the group's lengths are equal, when its first block is simply
+        short.  The input term does not depend on the register, so a
+        group's blocks gather in slabs of about :data:`_SLAB_BLOCKS`; only
+        the ``ceil(width / 8)``-lookup fold through ``A^{8D}`` steps from
+        block to block, vectorized across the group.
+
+        ``fold(n)`` is a natural-order value XORed into every register
+        clocked over ``n`` bits, called once per distinct length: the
+        batch engines pass the spec's init pushed past the message
+        (:meth:`repro.engine.CompileCache.init_fold`).  ``bit_lengths``
+        are the true lengths of head-padded bit streams (default: 8 bits
+        per byte).  With ``finalize=True`` the result is the published
+        CRCs.  Specs wider than 64 bits run
+        :class:`~repro.crc.table.TableCRC` per message.
+        """
+        spec = self._spec
+        lengths = np.fromiter(map(len, messages), np.intp, len(messages))
+        bits = 8 * lengths if bit_lengths is None else np.asarray(bit_lengths, np.intp)
+        if not self._supported:
+            regs = [self._fallback.raw_register(m, 0) for m in messages]
+            if fold is not None:
+                regs = [r ^ fold(n) for r, n in zip(regs, bits.tolist())]
+            return [spec.finalize(r) for r in regs] if finalize else regs
+        work = self._gather_batch(messages, lengths)
+        if fold is not None and len(work):
+            # Sets, not np.unique: its first call imports numpy.ma (~35 ms).
+            distinct = np.array(sorted(set(bits.tolist())))
+            aligned = [self._align(fold(n)) for n in distinct.tolist()]
+            work ^= np.array(aligned, dtype=work.dtype)[np.searchsorted(distinct, bits)]
+        if finalize and spec.refin == spec.refout:
+            return ((work >> self._shift) ^ spec.xorout).tolist()
+        regs = [self._unalign(r) for r in work.tolist()]
+        return [spec.finalize(r) for r in regs] if finalize else regs
+
+    def _gather_batch(self, messages: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
+        """Working registers of ``messages`` from zero, one group per K."""
+        blocks = -(-lengths // self._depth)
+        work = np.zeros(len(messages), dtype=self._flat.dtype)
+        for k in sorted(set(blocks.tolist())):
+            if k == 0:
+                continue  # an empty message leaves the register at zero
+            rows = np.flatnonzero(blocks == k)
+            group = (messages if len(rows) == len(messages)
+                     else [messages[i] for i in rows.tolist()])
+            work[rows] = self._gather_group(group, lengths[rows], k)
+        return work
+
+    def _gather_group(self, group: Sequence[bytes], lengths: np.ndarray, k: int) -> np.ndarray:
+        """Working registers of one group of ``k``-block messages."""
+        depth, flat, offsets = self._depth, self._flat, self._offsets
+        data = np.frombuffer(b"".join(group), dtype=np.uint8)
+        if lengths.min() == lengths.max():
+            data = data.reshape(len(group), -1)
+        else:
+            # Head-pad: row j's last lengths[j] bytes, in row order, take
+            # message j, so one masked store places the joined bytes.
+            width = k * depth
+            padded = np.zeros((len(group), width), dtype=np.uint8)
+            padded[np.arange(width) >= (width - lengths)[:, None]] = data
+            data = padded
+        head = data.shape[1] - (k - 1) * depth
+        out = np.empty(len(group), dtype=flat.dtype)
+        for start in range(0, len(group), _SLAB_BLOCKS):
+            part = data[start:start + _SLAB_BLOCKS]
+            r = np.bitwise_xor.reduce(flat[offsets[depth - head:] + part[:, :head]], axis=1)
+            body = part[:, head:].reshape(len(part), k - 1, depth)
+            step = max(1, _SLAB_BLOCKS // len(part))
+            for b0 in range(0, k - 1, step):
+                words = np.bitwise_xor.reduce(flat[offsets + body[:, b0:b0 + step]], axis=2)
+                for word in words.T:
+                    for row, shift in self._fold_rows:
+                        word ^= row[(r >> shift) & 0xFF]
+                    r = word
+            out[start:start + len(part)] = r
+        return out
+
+    def _align(self, r: int) -> int:
+        """The working (reflected or aligned) register of a natural-order one."""
+        if self._spec.refin:
+            return reflect_bits(r, self._spec.width)
+        return r << self._shift
 
     def _unalign(self, r: int) -> int:
         """The natural-order register of a working (reflected or aligned) one."""

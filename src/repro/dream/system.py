@@ -140,7 +140,6 @@ class DreamSystem:
         self,
         spec,
         M: Optional[int] = None,
-        method: str = "lookahead",
         workers=None,
         plan=None,
         auto: bool = False,
@@ -153,13 +152,14 @@ class DreamSystem:
         (``"CRC-32"``).  ``workers`` resolves per :func:`repro.engine.parallel.resolve_workers`
         (explicit > ``$REPRO_WORKERS`` > 1); ``workers=1`` degenerates to
         the serial :class:`~repro.engine.batch.BatchCRC` path.  Use this
-        for golden-model throughput runs that mirror a DREAM deployment:
-        the same ``(spec, M, method)`` artifacts the netlists were mapped
-        from drive the software kernels, so cache hits are shared.
+        for golden-model throughput runs beside a DREAM deployment: the
+        engine gathers over the spec's byte-sliced table stack, compiled
+        once into this system's cache, and ``M`` is the look-ahead factor
+        the netlists were mapped at.
 
         Pass ``auto=True`` (optionally with a ``workload`` descriptor and
         an injected ``planner``) to let the execution planner pick
-        backend x workers x M — the software analogue of the paper's §2
+        workers x M — the software analogue of the paper's §2
         design-space mapper; or hand in a solved ``plan`` directly.
         Explicit arguments always win over the plan's choices.  ``M``
         may be omitted when a plan supplies it.
@@ -170,9 +170,7 @@ class DreamSystem:
             from repro.crc import get as _get_crc
 
             spec = _get_crc(spec)
-        with default_tracer().span(
-            "dream.batch_crc", standard=spec.name, method=method, auto=auto
-        ):
+        with default_tracer().span("dream.batch_crc", standard=spec.name, auto=auto):
             if auto and plan is None:
                 plan = self._auto_plan("crc-batch", spec, M, workload, planner)
             if M is None:
@@ -180,7 +178,7 @@ class DreamSystem:
                     raise ValueError("batch_crc needs M= (or plan=/auto=True)")
                 M = plan.M
             return ParallelBatchCRC(
-                spec, M, method=method, workers=workers, cache=self.cache, plan=plan
+                spec, M, workers=workers, cache=self.cache, plan=plan
             )
 
     def batch_scrambler(

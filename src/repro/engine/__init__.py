@@ -4,12 +4,14 @@ Three layers, each reusable on its own:
 
 * :mod:`repro.engine.cache` — a bounded LRU compile cache for the linear-
   algebra artifacts every engine needs (state spaces, look-ahead systems,
-  Derby transforms, mapped PiCoGA netlists), keyed by ``(spec, M, method)``
-  with hit/miss counters for the benchmark harness.
-* :mod:`repro.engine.batch` — bit-packed numpy kernels that run the
-  ``x(n+M) = A^M x(n) + B_M u_M(n)`` recurrence over B independent messages
-  simultaneously (CRC, additive and multiplicative scramblers), with the
-  same head-zero-padding + init-fold tail contract as
+  Derby transforms, byte-sliced table stacks, mapped PiCoGA netlists),
+  keyed by ``(spec, M, method)`` with hit/miss counters for the benchmark
+  harness.
+* :mod:`repro.engine.batch` — B independent messages per call: the batch
+  CRC gathers every group of equal block count over the byte-sliced table
+  stack at once, and the scramblers run the ``x(n+M) = A^M x(n) +
+  B_M u_M(n)`` recurrence on bit-packed GF(2) kernels; the CRC keeps the
+  head-zero-padding + init-fold tail contract of
   :class:`repro.dream.system.DreamSystem`.
 * :mod:`repro.engine.pipeline` — a chunked feed/finalize streaming API so
   long messages and many concurrent streams share the cache; CRC streams
@@ -38,9 +40,6 @@ from repro.engine.batch import (
     BatchCRC,
     BatchMultiplicativeScrambler,
     BatchWordScrambler,
-    gf2_mul_packed,
-    pack_bits,
-    unpack_bits,
 )
 from repro.engine.cache import (
     CACHE_DIR_ENV,
@@ -127,13 +126,10 @@ __all__ = [
     "default_planner",
     "estimate_entry_bytes",
     "get_profile",
-    "gf2_mul_packed",
     "host_fingerprint",
-    "pack_bits",
     "plan_shards",
     "probe_host",
     "resolve_workers",
     "run_ops",
     "submit_all",
-    "unpack_bits",
 ]

@@ -1,27 +1,31 @@
-"""Bit-packed numpy batch kernels for LFSR applications.
+"""Batch kernels: B independent messages or streams per call.
 
 The paper exploits the linearity of the M-bit recurrence *spatially* — one
 PiCoGA operation computes ``x(n+M) = A^M x(n) + B_M u_M(n)`` in a single
-pipeline slot.  This module exploits the same structure *temporally*: B
-independent messages advance through the recurrence simultaneously, with
-the batch dimension bit-sliced into 64-bit machine words.
+pipeline slot.  The batch engines exploit the same structure across
+messages, many at once:
 
-Layout: the batch dimension is delegated to a pluggable GF(2) kernel
-backend (:mod:`repro.gf2.backend`).  Under the default ``"packed"``
-backend a batch of B bit-streams is a ``(n_bits, W)`` ``uint64`` array
-with ``W = ceil(B/64)`` — bit *b* of word ``row[b // 64]`` belongs to
-stream *b* — and a GF(2) matrix-vector product over the whole batch is
-``r`` XOR-reductions of W-word rows, so one numpy call advances all B
-streams by M bits.  The ``"reference"`` backend runs the same contract
-bit-by-bit over Python ints (the auditable ground truth); select with
-the ``backend=`` constructor argument or ``$REPRO_GF2_BACKEND``.
+* :class:`BatchCRC` evaluates every call as grouped gathers over the
+  byte-sliced table stack (:meth:`repro.crc.slicing.ByteSlicedCRC.
+  raw_registers_batch`).  The input term ``B_M u_M`` is feed-forward work,
+  independent of the register and of every other message, so each group
+  of equal block count gathers all its blocks at once; only the register
+  fold steps from block to block, vectorized across the group — the
+  paper's Fig. 5 interleaving in the byte basis.
+* The scramblers delegate the batch dimension to a pluggable GF(2) kernel
+  backend (:mod:`repro.gf2.backend`).  Under the default ``"packed"``
+  backend a batch of B bit-streams is a ``(n_bits, W)`` ``uint64`` array
+  with ``W = ceil(B/64)`` — bit *b* of word ``row[b // 64]`` belongs to
+  stream *b* — so one numpy call advances all B streams by M bits.  The
+  ``"reference"`` backend runs the same contract bit-by-bit over Python
+  ints; select with ``backend=`` or ``$REPRO_GF2_BACKEND``.
 
 Tail contract (identical to :class:`repro.dream.system.DreamSystem`):
-streams are zero-padded **at the head** to a multiple of M and run from a
-zero register, which makes the pad transparent (leading zeros do not change
-the message polynomial); the spec's ``init`` preset is folded back in with
-the linear correction ``reg = raw0 ^ (init * x^N mod G)`` per stream, using
-each stream's true bit length N.
+messages are zero-padded **at the head** and run from a zero register,
+which makes the pad transparent (leading zeros do not change the message
+polynomial); the spec's ``init`` preset is folded back in with the linear
+correction ``reg = raw0 ^ (init * x^N mod G)`` per message, using each
+message's true bit length N.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.crc.slicing import ByteSlicedCRC
 from repro.crc.spec import CRCSpec
 from repro.engine.cache import CompileCache, default_cache
 from repro.errors import SpecError
-from repro.gf2.backend import GF2Backend, WORD_BITS, get_backend, resolve_backend
+from repro.gf2.backend import GF2Backend, resolve_backend
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr.wordlfsr import WORD64, WordLFSR, WordLFSRSpec, seed_words_from_bytes
 from repro.scrambler.specs import ScramblerSpec
@@ -45,7 +50,6 @@ from repro.validation import (
     check_bit_streams,
     check_factor,
     check_messages,
-    check_method,
     check_register_list,
 )
 
@@ -72,6 +76,9 @@ _METRICS = bind_families(lambda reg: {
     ),
 })
 
+#: The ``kernel`` label of every :class:`BatchCRC` call.
+CRC_KERNEL = "crc-sliced"
+
 
 def _observe_kernel(kernel: str, bits: int, seconds: float) -> None:
     """Publish one batch call's size and rate (registry already enabled)."""
@@ -83,77 +90,29 @@ def _observe_kernel(kernel: str, bits: int, seconds: float) -> None:
         metrics["throughput"].labels(kernel=kernel).observe(bits / seconds / 1e6)
 
 
-def _n_words(batch: int) -> int:
-    """Packed uint64 words per batch row in the numpy layout."""
-    return (batch + WORD_BITS - 1) // WORD_BITS
-
-
-def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a ``(n, B)`` 0/1 array into ``(n, ceil(B/64))`` uint64 words.
-
-    Stream *b* occupies bit ``b % 64`` of word ``b // 64`` in each row.
-    Kept as the numpy-layout entry point of the public engine API; the
-    canonical implementation lives in :mod:`repro.gf2.backend`.
-    """
-    return get_backend("packed").pack(bits)
-
-
-def unpack_bits(packed: np.ndarray, batch: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits` — recover the ``(n, batch)`` bit array."""
-    return get_backend("packed").unpack(packed, batch)
-
-
-def gf2_mul_packed(matrix: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """GF(2) product of an ``(r, c)`` 0/1 matrix with packed ``(c, W)`` rows.
-
-    Row *i* of the result is the XOR of the packed rows selected by the ones
-    in matrix row *i* — one vectorized select-and-reduce, no per-stream loop.
-    """
-    return get_backend("packed").matvec_batch(matrix, packed)
-
-
-def _registers_from_bits(bits: np.ndarray, batch: int) -> List[int]:
-    """Per-stream register integers from a ``(k, batch)`` state bit array."""
-    by_stream = np.packbits(bits, axis=0, bitorder="little")  # (ceil(k/8), batch)
-    return [int.from_bytes(by_stream[:, b].tobytes(), "little") for b in range(batch)]
-
-
 class BatchCRC:
-    """CRC over B independent messages in one vectorized pass.
+    """CRC over B independent messages, one grouped gather per block.
 
-    ``method`` selects the recurrence basis: ``"lookahead"`` steps the
-    natural-basis ``(A^M, B_M)`` system; ``"derby"`` steps the transformed
-    ``(A_Mt, B_Mt)`` system and anti-transforms once at the end — both are
-    bit-for-bit identical to :class:`repro.crc.bitwise.BitwiseCRC`.
-    ``backend`` selects the GF(2) kernel set (name, instance, or ``None``
-    for the :mod:`repro.gf2.backend` default).
+    Every call runs :meth:`~repro.crc.slicing.ByteSlicedCRC.
+    raw_registers_batch` on the spec's table stack from the compile cache
+    (:meth:`~repro.engine.cache.CompileCache.slicing_tables`, shared with
+    every pipeline), bit-for-bit identical to
+    :class:`repro.crc.bitwise.BitwiseCRC`.  ``M`` is the look-ahead
+    factor the engine stands for — the plan's and the netlists' — and
+    sets the time-shard floor of :class:`~repro.engine.parallel.
+    ParallelBatchCRC`; the gather's own block is the stack's depth.
     """
 
     def __init__(
         self,
         spec: CRCSpec,
         M: int,
-        method: str = "lookahead",
         cache: Optional[CompileCache] = None,
-        backend: Union[None, str, GF2Backend] = None,
     ):
         self._spec = spec
         self._M = check_factor(M, what="look-ahead factor M")
-        self._method = check_method(method)
         self._cache = cache if cache is not None else default_cache()
-        self._backend = resolve_backend(backend)
-        if method == "derby":
-            dt = self._cache.derby(spec, M)
-            update, inject = dt.A_Mt, dt.B_Mt
-            self._anti = dt.T.to_array()
-        else:
-            la = self._cache.lookahead(spec, M)
-            update, inject = la.A_M, la.B_M
-            self._anti = None
-        # One fused step matrix [A | B'] with B's columns reversed so the
-        # input block can be supplied in stream order (u(n) first).
-        self._step = np.hstack([update.to_array(), inject.to_array()[:, ::-1]])
-        self._k = spec.width
+        self._engine = ByteSlicedCRC(spec, self._cache.slicing_tables(spec))
 
     @property
     def spec(self) -> CRCSpec:
@@ -162,50 +121,53 @@ class BatchCRC:
 
     @property
     def M(self) -> int:
-        """Look-ahead block factor (bits consumed per block step)."""
+        """Look-ahead block factor the engine stands for."""
         return self._M
 
     @property
-    def method(self) -> str:
-        """Block recurrence in use: ``"lookahead"`` or ``"derby"``."""
-        return self._method
-
-    @property
     def cache(self) -> CompileCache:
-        """The compile cache the block matrices come from."""
+        """The compile cache the table stack comes from."""
         return self._cache
 
-    @property
-    def backend(self) -> GF2Backend:
-        """The GF(2) kernel backend the block loop runs on."""
-        return self._backend
-
     # ------------------------------------------------------------------
-    def _raw_from_stream(
+    def _run(
         self,
-        stream: np.ndarray,
-        lengths: Sequence[int],
-        fold_init: bool = True,
+        messages: List[bytes],
+        bit_lengths: Optional[List[int]],
+        fold_init: bool,
+        finalize: bool,
     ) -> List[int]:
-        """Registers for a head-aligned ``(padded_len, batch)`` bit matrix."""
-        batch = len(lengths)
-        be = self._backend
-        state = be.pack(np.zeros((self._k, batch), dtype=np.uint8))
-        if stream.shape[0]:
-            packed = be.pack(stream)
-            for off in range(0, stream.shape[0], self._M):
-                stacked = be.concat([state, packed[off : off + self._M]])
-                state = be.matvec_batch(self._step, stacked)
-        if self._anti is not None:
-            state = be.matvec_batch(self._anti, state)
-        raw0 = _registers_from_bits(be.unpack(state, batch), batch)
-        if not fold_init:
-            return raw0
-        folds = {n: self._cache.init_fold(self._spec, n) for n in set(lengths)}
-        return [raw ^ folds[n] for raw, n in zip(raw0, lengths)]
+        """One engine call over head-aligned byte messages, with telemetry;
+        ``bit_lengths`` are the true lengths of padded bit streams."""
+        if not messages:
+            return []
+        telemetry = default_registry().enabled
+        t0 = perf_counter() if telemetry else 0.0
+        fold = self._init_fold if fold_init and self._spec.init else None
+        registers = self._engine.raw_registers_batch(
+            messages, fold, bit_lengths, finalize
+        )
+        if telemetry:
+            bits = sum(bit_lengths) if bit_lengths else 8 * sum(map(len, messages))
+            _observe_kernel(CRC_KERNEL, bits, perf_counter() - t0)
+        return registers
 
-    def _padded_length(self, longest: int) -> int:
-        return -(-longest // self._M) * self._M if longest else 0
+    def _init_fold(self, n_bits: int) -> int:
+        """``init * x^n_bits mod G``, from the compile cache."""
+        return self._cache.init_fold(self._spec, n_bits)
+
+    def _bits_to_bytes(self, bit_streams: Sequence[Sequence[int]]):
+        """Head-pad each stream to whole bytes, packed in the spec's bit order."""
+        checked = check_bit_streams(bit_streams)
+        order = "little" if self._spec.refin else "big"
+        messages = [
+            np.packbits(
+                np.concatenate((np.zeros(-len(bits) % 8, np.uint8), bits)),
+                bitorder=order,
+            ).tobytes()
+            for bits in checked
+        ]
+        return messages, [len(bits) for bits in checked]
 
     def raw_registers_bits(
         self,
@@ -220,62 +182,21 @@ class BatchCRC:
         composes, since only the *first* shard of a message carries the
         spec preset.
         """
-        checked = check_bit_streams(bit_streams)
-        batch = len(checked)
-        if batch == 0:
-            return []
-        telemetry = default_registry().enabled
-        t0 = perf_counter() if telemetry else 0.0
-        lengths = [len(bits) for bits in checked]
-        padded_len = self._padded_length(max(lengths))
-        stream = np.zeros((padded_len, batch), dtype=np.uint8)
-        for b, bits in enumerate(checked):
-            if lengths[b]:
-                stream[padded_len - lengths[b] :, b] = bits
-        registers = self._raw_from_stream(stream, lengths, fold_init=fold_init)
-        if telemetry:
-            _observe_kernel(f"crc-{self._method}", sum(lengths), perf_counter() - t0)
-        return registers
+        messages, lengths = self._bits_to_bytes(bit_streams)
+        return self._run(messages, lengths, fold_init, finalize=False)
 
     def compute_bits_batch(self, bit_streams: Sequence[Sequence[int]]) -> List[int]:
         """Finalized CRCs of raw bit streams (transmission order)."""
-        return [self._spec.finalize(r) for r in self.raw_registers_bits(bit_streams)]
+        messages, lengths = self._bits_to_bytes(bit_streams)
+        return self._run(messages, lengths, True, finalize=True)
 
     def raw_registers(self, messages: Sequence[bytes]) -> List[int]:
-        """Raw registers for byte messages, bypassing per-bit Python lists.
-
-        Byte-to-bit expansion runs through :func:`numpy.unpackbits` (with the
-        spec's per-byte reflection), and equal-length batches expand in one
-        reshaped call — this is the production hot path.
-        """
-        messages = check_messages(messages)
-        batch = len(messages)
-        if batch == 0:
-            return []
-        telemetry = default_registry().enabled
-        t0 = perf_counter() if telemetry else 0.0
-        lengths = [8 * len(m) for m in messages]
-        padded_len = self._padded_length(max(lengths))
-        stream = np.zeros((padded_len, batch), dtype=np.uint8)
-        bitorder = "little" if self._spec.refin else "big"
-        if len(set(lengths)) == 1 and lengths[0]:
-            flat = np.frombuffer(b"".join(messages), dtype=np.uint8)
-            bits = np.unpackbits(flat.reshape(batch, -1), axis=1, bitorder=bitorder)
-            stream[padded_len - lengths[0] :, :] = bits.T
-        else:
-            for b, m in enumerate(messages):
-                if m:
-                    stream[padded_len - lengths[b] :, b] = np.unpackbits(
-                        np.frombuffer(m, dtype=np.uint8), bitorder=bitorder
-                    )
-        registers = self._raw_from_stream(stream, lengths)
-        if telemetry:
-            _observe_kernel(f"crc-{self._method}", sum(lengths), perf_counter() - t0)
-        return registers
+        """Raw registers for byte messages (lengths may differ)."""
+        return self._run(check_messages(messages), None, True, finalize=False)
 
     def compute_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Finalized CRCs of B byte messages (lengths may differ)."""
-        return [self._spec.finalize(r) for r in self.raw_registers(messages)]
+        return self._run(check_messages(messages), None, True, finalize=True)
 
     def compute(self, data: bytes) -> int:
         """Single-message convenience (a batch of one)."""

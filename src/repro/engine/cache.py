@@ -87,8 +87,9 @@ _METRICS = bind_families(lambda reg: {
 
 #: Artifact kinds worth persisting to a :class:`DiskCompileCache`: pure
 #: linear-algebra products of ``(spec, M)`` whose pickles are small and
-#: stable.  Mapped PiCoGA netlists are deliberately absent — they embed
-#: architecture objects and are cheap to re-derive from these inputs.
+#: stable, and the byte-sliced table stack every batch CRC and pipeline
+#: gathers over.  Mapped PiCoGA netlists are deliberately absent — they
+#: embed architecture objects and are cheap to re-derive from these inputs.
 PERSISTED_KINDS = frozenset(
     {
         "statespace",
@@ -96,6 +97,7 @@ PERSISTED_KINDS = frozenset(
         "lookahead",
         "derby",
         "scrambler-block",
+        "slicing-tables",
     }
 )
 

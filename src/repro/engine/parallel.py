@@ -20,10 +20,13 @@ multiplier rather than an approximation:
   contract.  The derivation is spelled out in ``docs/PARALLEL.md``.
 
 Worker substrate: shards run on a
-:class:`~concurrent.futures.ThreadPoolExecutor`.  The numpy ``"packed"``
-backend releases the GIL inside its vectorized kernels, so thread shards
-overlap there; the pure-Python ``"reference"`` backend holds the GIL, so
-its shards run correctly but one at a time, and the planner plans it
+:class:`~concurrent.futures.ThreadPoolExecutor`.  The numpy kernels
+release the GIL only inside each call, and a batch CRC call is a few
+large gathers with Python between them, so on two CPUs its thread shards
+measured slower than one serial call; the planner prices ``crc-batch``
+from the probed batch engine and plans it serial there.  The
+pure-Python ``"reference"`` GF(2) backend holds the GIL, so scrambler
+shards on it run correctly but one at a time, and the planner plans it
 serial.
 
 Worker count resolution order: explicit ``workers=`` argument, else the
@@ -64,6 +67,7 @@ from repro.telemetry import (
     default_registry,
     default_tracer,
 )
+from repro.validation import check_bit_streams, check_bits, check_messages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner probes us)
     from repro.engine.planner import ExecutionPlan
@@ -414,20 +418,6 @@ class WorkerPool:
         return f"WorkerPool(workers={self._workers}, {state})"
 
 
-def _apply_plan(plan, workers, backend):
-    """Fill engine knobs from an :class:`~repro.engine.planner.
-    ExecutionPlan`, without overriding anything the caller set explicitly.
-
-    Returns the effective ``(workers, backend)``."""
-    if plan is None:
-        return workers, backend
-    if workers is None:
-        workers = plan.workers
-    if backend is None:
-        backend = plan.backend
-    return workers, backend
-
-
 def _observe_shards(kind: str, sizes: Sequence[int], bits: Sequence[int]) -> None:
     """Publish per-dispatch shard shape telemetry."""
     if not default_registry().enabled:
@@ -449,27 +439,27 @@ class ParallelBatchCRC:
     independence); :meth:`compute` time-shards a single long message and
     recombines the shard registers with the ``x^k mod G`` composition
     (exact by linearity).  ``workers=1`` *is* the serial engine: no pool
-    is created and every call delegates object-for-object.
+    is created and every call delegates object-for-object.  A ``plan``
+    supplies the worker count unless ``workers`` is given.  Every batch
+    is validated whole before it is split, so an error names the item's
+    index in the caller's batch.
     """
 
     def __init__(
         self,
         spec: CRCSpec,
         M: int,
-        method: str = "lookahead",
         workers: Union[None, int, str] = None,
         cache: Optional[CompileCache] = None,
-        backend: Union[None, str, GF2Backend] = None,
         min_shard_bits: int = 4096,
         plan: Optional["ExecutionPlan"] = None,
     ):
-        workers, backend = _apply_plan(plan, workers, backend)
+        if plan is not None and workers is None:
+            workers = plan.workers
         self._plan = plan
         self._cache = cache if cache is not None else default_cache()
         t0, c0 = perf_counter(), process_time()
-        self._serial = BatchCRC(
-            spec, M, method=method, cache=self._cache, backend=backend
-        )
+        self._serial = BatchCRC(spec, M, cache=self._cache)
         observe_phase("compile", perf_counter() - t0, process_time() - c0)
         self._workers = resolve_workers(workers)
         self._min_shard_bits = max(1, min_shard_bits)
@@ -485,11 +475,6 @@ class ParallelBatchCRC:
     def M(self) -> int:
         """Look-ahead block factor of the underlying kernels."""
         return self._serial.M
-
-    @property
-    def method(self) -> str:
-        """Block recurrence in use: ``"lookahead"`` or ``"derby"``."""
-        return self._serial.method
 
     @property
     def workers(self) -> int:
@@ -508,7 +493,7 @@ class ParallelBatchCRC:
 
     @property
     def cache(self) -> CompileCache:
-        """The compile cache the block matrices come from."""
+        """The compile cache the table stack comes from."""
         return self._cache
 
     @property
@@ -539,7 +524,7 @@ class ParallelBatchCRC:
 
     def compute_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Finalized CRCs of B byte messages, sharded across workers."""
-        messages = list(messages)
+        messages = check_messages(messages)
         bounds = self._shard_batch(messages, lambda m: 8 * len(m))
         if bounds is None:
             return self._serial.compute_batch(messages)
@@ -560,7 +545,7 @@ class ParallelBatchCRC:
         fold_init: bool = True,
     ) -> List[int]:
         """Raw registers for bit streams, sharded across workers."""
-        streams = [list(s) for s in bit_streams]
+        streams = check_bit_streams(bit_streams)
         bounds = self._shard_batch(streams, len)
         if bounds is None:
             return self._serial.raw_registers_bits(streams, fold_init=fold_init)
@@ -614,7 +599,7 @@ class ParallelBatchCRC:
         lengths not divisible by the shard count (the plan just makes
         the leading shards one bit longer).
         """
-        bits = list(bits)
+        bits = check_bits(bits)
         if (
             self._pool is None
             or len(bits) < max(2 * self.M, self._min_shard_bits)
@@ -659,7 +644,9 @@ class ParallelBatchAdditiveScrambler:
         min_shard_bits: int = 4096,
         plan: Optional["ExecutionPlan"] = None,
     ):
-        workers, backend = _apply_plan(plan, workers, backend)
+        if plan is not None:
+            workers = plan.workers if workers is None else workers
+            backend = plan.backend if backend is None else backend
         self._plan = plan
         self._cache = cache if cache is not None else default_cache()
         t0, c0 = perf_counter(), process_time()
@@ -719,9 +706,8 @@ class ParallelBatchAdditiveScrambler:
         seeds: Optional[Sequence[int]] = None,
     ) -> List[List[int]]:
         """XOR each stream with its keystream, shards in parallel."""
-        streams = [list(s) for s in bit_streams]
-        if seeds is not None:
-            seeds = list(seeds)
+        streams = check_bit_streams(bit_streams)
+        seeds = self._serial._check_seeds(len(streams), seeds)
         if (
             self._pool is None
             or len(streams) < 2
@@ -730,9 +716,7 @@ class ParallelBatchAdditiveScrambler:
             return self._serial.scramble_batch(streams, seeds=seeds)
         bounds = plan_shards(len(streams), self._workers)
         shards = [streams[a:b] for a, b in bounds]
-        shard_seeds = [
-            seeds[a:b] if seeds is not None else None for a, b in bounds
-        ]
+        shard_seeds = [seeds[a:b] for a, b in bounds]
         _observe_shards(
             "scrambler-batch",
             [len(s) for s in shards],

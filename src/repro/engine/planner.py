@@ -10,8 +10,9 @@ picked wrong.  This module is that mapper turned into a production
 autotuner, split into the two halves that make it testable:
 
 * **Measurement** (:func:`probe_host`) — per-host micro-probes for
-  backend kernel throughput, thread-pool spawn overhead, per-shard
-  dispatch cost and shard-recombination (``x^k mod G``) cost.  The
+  backend kernel throughput, the batch CRC engine's serial rate and
+  thread-shard gain, thread-pool spawn overhead, per-shard dispatch cost
+  and shard-recombination (``x^k mod G``) cost.  The
   result is a :class:`HostProfile`: *plain data*, serializable,
   persisted in the :class:`~repro.engine.diskcache.DiskCompileCache`
   under a host fingerprint so one probe pass serves
@@ -20,7 +21,8 @@ autotuner, split into the two halves that make it testable:
 
 * **Decision** (:class:`Planner`) — a deterministic solver over a
   :class:`WorkloadDescriptor` (standard, message size, batch, streams).
-  Given a profile it enumerates backend x workers x M candidates,
+  Given a profile it enumerates backend x workers x M candidates (for
+  ``crc-batch``, workers alone: the byte-sliced gather has no backend),
   predicts each one's wall time from the cost tables alone (no timing at
   plan time), and returns an :class:`ExecutionPlan`.  A parallel plan is
   chosen **only** when it is predicted to beat the best serial plan by
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -86,8 +89,10 @@ PROFILE_KEY = ("planner-profile",)
 #: any cost-model or schema change to orphan stale entries.
 #: v2: keystream cost tables (``keystream_bits_per_s``) + the
 #: ``keystream`` workload kind.  v3: thread-only pool costs (no
-#: ``backend_mode``, process or pickle terms).
-PLANNER_VERSION = 3
+#: ``backend_mode``, process or pickle terms).  v4: ``crc-batch`` priced
+#: from the probed batch CRC engine (``crc_batch_bits_per_s``,
+#: ``crc_shard_gain``) instead of the packed matvec rate.
+PLANNER_VERSION = 4
 
 #: Look-ahead factors the solver considers when the workload doesn't pin M.
 M_CANDIDATES = (8, 16, 32, 64, 128)
@@ -101,6 +106,15 @@ BLOCK_OVERHEAD_BITS = 32.0
 #: Backends whose kernels release the GIL, so thread shards overlap.
 #: Every other backend (the pure-Python ``reference``) plans serial.
 THREAD_BACKENDS = ("packed",)
+
+#: The ``backend`` of every ``crc-batch`` candidate: the batch CRC runs on
+#: the byte-sliced gather, whatever GF(2) backend is selected.
+CRC_BATCH_ENGINE = "byte-sliced"
+
+#: The fixed batch :func:`probe_host` times the batch CRC engine on:
+#: CRC-32 messages of this many bytes, this many per call.
+CRC_PROBE_BYTES = 256
+CRC_PROBE_BATCH = 256
 
 #: Workload kinds the solver understands.
 KIND_CRC_BATCH = "crc-batch"
@@ -181,7 +195,14 @@ class HostProfile:
 
     ``backend_bits_per_s``
         Steady-state kernel throughput per backend name (payload bits
-        per second through the batched matvec path).
+        per second through the batched matvec path); prices every kind
+        but ``crc-batch`` and ``keystream``.
+    ``crc_batch_bits_per_s`` / ``crc_shard_gain``
+        Payload bits per second of one serial
+        :meth:`~repro.engine.batch.BatchCRC.compute_batch` call, and the
+        throughput of the same batch split over two thread shards relative
+        to it (2.0 = perfect scaling, below 1.0 = sharding loses); they
+        price ``crc-batch``.  ``0.0`` marks an unmeasured rate.
     ``spawn_s`` / ``dispatch_s``
         One-time thread-pool start cost and per-shard submit/collect
         cost.
@@ -202,6 +223,8 @@ class HostProfile:
     recombine_s: float = 0.0
     block_overhead_bits: float = BLOCK_OVERHEAD_BITS
     keystream_bits_per_s: Dict[str, float] = field(default_factory=dict)
+    crc_batch_bits_per_s: float = 0.0
+    crc_shard_gain: float = 2.0
 
     def __post_init__(self):
         if self.cpus < 1:
@@ -218,6 +241,11 @@ class HostProfile:
                 raise ValidationError(
                     f"keystream source {name!r} rate must be > 0, got {rate}"
                 )
+        if self.crc_batch_bits_per_s < 0 or self.crc_shard_gain <= 0:
+            raise ValidationError(
+                f"batch CRC rate must be >= 0 and shard gain > 0, got "
+                f"{self.crc_batch_bits_per_s} and {self.crc_shard_gain}"
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -232,6 +260,8 @@ class HostProfile:
         recombine_s: float = 2e-5,
         block_overhead_bits: float = BLOCK_OVERHEAD_BITS,
         keystream_bits_per_s: Optional[Dict[str, float]] = None,
+        crc_batch_bits_per_s: float = 1.6e9,
+        crc_shard_gain: float = 2.0,
     ) -> "HostProfile":
         """A ready-made profile for tests and documentation examples.
 
@@ -240,7 +270,10 @@ class HostProfile:
         test can dial in a "slow-spawn pool" or "GIL-bound host" shape
         without reciting the whole table.  ``keystream_bits_per_s``
         defaults to the measured ordering on that container: word-oriented
-        σ-LFSRs tens of times faster than the bit-serial register.
+        σ-LFSRs tens of times faster than the bit-serial register.  The
+        batch CRC defaults (1.6 Gbit/s, perfect two-shard scaling) price
+        ``crc-batch`` as the packed default did at M = 128, so the canned
+        decision tables keep their decisions.
         """
         if keystream_bits_per_s is None:
             keystream_bits_per_s = {
@@ -262,6 +295,8 @@ class HostProfile:
             keystream_bits_per_s={
                 str(k): float(v) for k, v in keystream_bits_per_s.items()
             },
+            crc_batch_bits_per_s=float(crc_batch_bits_per_s),
+            crc_shard_gain=float(crc_shard_gain),
         )
 
     # ------------------------------------------------------------------
@@ -277,6 +312,8 @@ class HostProfile:
             "recombine_s": self.recombine_s,
             "block_overhead_bits": self.block_overhead_bits,
             "keystream_bits_per_s": dict(self.keystream_bits_per_s),
+            "crc_batch_bits_per_s": self.crc_batch_bits_per_s,
+            "crc_shard_gain": self.crc_shard_gain,
         }
 
     @classmethod
@@ -302,6 +339,8 @@ class HostProfile:
                     str(k): float(v)
                     for k, v in data["keystream_bits_per_s"].items()
                 },
+                crc_batch_bits_per_s=float(data["crc_batch_bits_per_s"]),
+                crc_shard_gain=float(data["crc_shard_gain"]),
             )
         except ValidationError:
             raise
@@ -316,6 +355,8 @@ class HostProfile:
         )
         return (
             f"{self.cpus} cpu(s), backends [{rates}] bits/s, "
+            f"batch CRC {self.crc_batch_bits_per_s:.3g} bits/s "
+            f"(x{self.crc_shard_gain:.2f} on 2 shards), "
             f"pool spawn={self.spawn_s:.2g}s ({self.fingerprint})"
         )
 
@@ -352,15 +393,14 @@ def _probe_backend_rate(
     return reps * k * batch / elapsed
 
 
-def _probe_thread_costs(
-    timer: Callable[[], float], reps: int
-) -> Tuple[float, float]:
-    """(spawn_s, per-shard dispatch_s) for the thread pool.
+def _probe_thread_costs(timer: Callable[[], float], reps: int):
+    """(spawn_s, per-shard dispatch_s, the last pool) for the thread pool.
 
     The spawn cost is the best of ``reps`` pool starts: every sharded
     candidate pays it on every call, so one start that a busy host
     delayed (11 ms against a typical 0.5-0.8 ms) would otherwise price
-    sharding out of every plan.
+    sharding out of every plan.  The last two-worker pool is returned
+    running, for :func:`_probe_crc_batch`; the caller closes it.
     """
     from repro.engine.parallel import WorkerPool
 
@@ -376,9 +416,50 @@ def _probe_thread_costs(
     for _ in range(reps):
         pool.run(int, [("1",), ("2",)])
     dispatch = max(timer() - t0, 1e-9) / (2 * reps)
-    pool.close()
     _count_probe("spawn-thread")
-    return spawn, dispatch
+    return spawn, dispatch, pool
+
+
+def _probe_crc_batch(
+    timer: Callable[[], float], reps: int, pool
+) -> Tuple[float, float]:
+    """(bits/s, two-shard gain) of the batch CRC engine on the probe batch.
+
+    Times :meth:`~repro.engine.batch.BatchCRC.compute_batch` on
+    :data:`CRC_PROBE_BATCH` CRC-32 messages of :data:`CRC_PROBE_BYTES`,
+    then the same batch halved over the warm two-worker ``pool``, as
+    :class:`~repro.engine.parallel.ParallelBatchCRC` shards it, then an
+    empty two-shard dispatch, ``max(reps, 5)`` rounds.  The rate is the
+    best serial call.  A round's gain is its serial time over its sharded
+    time less the best dispatch (which the solver charges apart), capped
+    at perfect scaling (2.0), and the gain is the rounds' median: a burst
+    that slows one round's calls cannot price sharding in.
+    """
+    from repro.crc import ETHERNET_CRC32
+    from repro.engine.batch import BatchCRC
+
+    engine = BatchCRC(ETHERNET_CRC32, M_CANDIDATES[-1])
+    messages = [bytes(i % 256 for i in range(CRC_PROBE_BYTES))] * CRC_PROBE_BATCH
+    half = CRC_PROBE_BATCH // 2
+    shards = [(messages[:half],), (messages[half:],)]
+    engine.compute_batch(messages)  # first-call numpy costs off the clock
+    rounds = []
+    for _ in range(max(reps, 5)):
+        t0 = timer()
+        engine.compute_batch(messages)
+        t1 = timer()
+        pool.run(engine.compute_batch, shards)
+        t2 = timer()
+        pool.run(int, [("1",), ("2",)])
+        t3 = timer()
+        rounds.append((max(t1 - t0, 1e-9), t2 - t1, t3 - t2))
+    serial = min(one for one, _, _ in rounds)
+    dispatch = min(empty for _, _, empty in rounds)
+    gain = statistics.median(
+        one / max(two - dispatch, one / 2) for one, two, _ in rounds
+    )
+    _count_probe("crc-batch")
+    return 8 * CRC_PROBE_BYTES * CRC_PROBE_BATCH / serial, gain
 
 
 def _probe_recombine(timer: Callable[[], float], reps: int) -> float:
@@ -457,7 +538,9 @@ def probe_host(
         # The reference bit-loop is ~300x slower; one rep is plenty.
         backend_reps = reps if name == "packed" else 1
         rates[name] = _probe_backend_rate(name, timer, backend_reps)
-    spawn, dispatch = _probe_thread_costs(timer, reps)
+    spawn, dispatch, pool = _probe_thread_costs(timer, reps)
+    with pool:
+        crc_rate, crc_gain = _probe_crc_batch(timer, reps, pool)
     return HostProfile(
         fingerprint=host_fingerprint(),
         cpus=_usable_cpus(),
@@ -466,6 +549,8 @@ def probe_host(
         dispatch_s=dispatch,
         recombine_s=_probe_recombine(timer, max(reps, 8)),
         keystream_bits_per_s=_probe_keystream_rates(timer, reps),
+        crc_batch_bits_per_s=crc_rate,
+        crc_shard_gain=crc_gain,
     )
 
 
@@ -858,6 +943,8 @@ class Planner:
     def _predict_serial(self, workload: WorkloadDescriptor, backend: str, M: int) -> float:
         """Modeled serial wall time for one batch call."""
         profile = self.profile
+        if workload.kind == KIND_CRC_BATCH:
+            return max(workload.total_bits, 1) / profile.crc_batch_bits_per_s
         rate = profile.backend_bits_per_s[backend]
         eff = M / (M + profile.block_overhead_bits)
         return max(workload.total_bits, 1) / (rate * eff)
@@ -871,11 +958,16 @@ class Planner:
     ) -> Optional[PlanCandidate]:
         """Modeled parallel wall time, or None when sharding can't apply.
 
-        Only :data:`THREAD_BACKENDS` shard: a GIL-holding backend's
-        thread shards would run one at a time, so it plans serial."""
+        Only :data:`THREAD_BACKENDS` and the batch CRC engine shard: a
+        GIL-holding backend's thread shards would run one at a time, so it
+        plans serial.  Backend kernels are assumed to scale with cores;
+        the batch CRC scales by its probed two-shard gain."""
         profile = self.profile
         total = workload.total_bits
-        if backend not in THREAD_BACKENDS:
+        gain = 2.0
+        if workload.kind == KIND_CRC_BATCH:
+            gain = profile.crc_shard_gain
+        elif backend not in THREAD_BACKENDS:
             return None
         if total < self._min_shard_bits:
             return None  # the engines bypass the pool below this floor
@@ -888,7 +980,7 @@ class Planner:
             if total < 2 * M * shards:
                 return None  # shards thinner than one block each
         compute = self._predict_serial(workload, backend, M)
-        t = compute / min(workers, profile.cpus)
+        t = compute * 2.0 / (gain * min(workers, profile.cpus))
         t += profile.spawn_s + shards * profile.dispatch_s
         if strategy == STRATEGY_SHARD_TIME:
             t += shards * profile.recombine_s
@@ -939,6 +1031,9 @@ class Planner:
         ascending) plus strict-improvement selection makes the winner
         deterministic even under exact ties.  Keystream workloads explore
         the source axis instead (see :meth:`_keystream_candidates`).
+        ``crc-batch`` explores workers alone: the batch CRC engine is
+        :data:`CRC_BATCH_ENGINE` whatever the backend, and M does not
+        change its cost, so M is the pinned one or the largest candidate.
         """
         if workload.kind == KIND_KEYSTREAM:
             return self._keystream_candidates(workload)
@@ -946,8 +1041,16 @@ class Planner:
         ms = (
             (workload.M,) if workload.M is not None else self._m_candidates
         )
+        engines = sorted(profile.backend_bits_per_s)
+        if workload.kind == KIND_CRC_BATCH:
+            if not profile.crc_batch_bits_per_s:
+                raise ValidationError(
+                    "host profile has no batch CRC rate (re-probe with "
+                    "planner version >= 4)"
+                )
+            engines, ms = [CRC_BATCH_ENGINE], ms[-1:]
         out: List[PlanCandidate] = []
-        for backend in sorted(profile.backend_bits_per_s):
+        for backend in engines:
             for M in ms:
                 out.append(
                     PlanCandidate(

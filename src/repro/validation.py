@@ -21,7 +21,6 @@ __all__ = [
     "check_factor",
     "check_message",
     "check_messages",
-    "check_method",
     "check_register",
     "check_register_list",
     "check_seed",
@@ -35,14 +34,6 @@ def check_factor(M: int, what: str = "block factor M") -> int:
     if M < 1:
         raise ValidationError(f"{what} must be >= 1, got {M}")
     return int(M)
-
-
-def check_method(method: str, allowed: Sequence[str] = ("lookahead", "derby")) -> str:
-    if method not in allowed:
-        raise ValidationError(
-            f"method must be one of {tuple(allowed)}, got {method!r}"
-        )
-    return method
 
 
 def check_register(value: int, width: int, what: str = "register") -> int:
@@ -143,10 +134,18 @@ def check_message(data: bytes, what: str = "message") -> bytes:
 def check_messages(
     messages: Sequence[bytes], what: str = "messages"
 ) -> List[bytes]:
+    """A batch of byte payloads, each validated via :func:`check_message`."""
     try:
         items = list(messages)
     except TypeError:
         raise ValidationError(
             f"{what} must be a sequence of byte strings, got {messages!r}"
         ) from None
-    return [check_message(m, what=f"{what}[{i}]") for i, m in enumerate(items)]
+    # A batch of bytes passes in one C-level pass; otherwise only the
+    # items that are not ``bytes`` pay for a checked copy and its label.
+    if set(map(type, items)) <= {bytes}:
+        return items
+    for i, m in enumerate(items):
+        if type(m) is not bytes:
+            items[i] = check_message(m, what=f"{what}[{i}]")
+    return items

@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crc import BitwiseCRC, DerbyCRC, TableCRC, get as get_crc
+from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, TableCRC, get as get_crc
 from repro.engine import (
     BatchAdditiveScrambler,
     BatchCRC,
@@ -149,22 +149,21 @@ class CRCDerbyOracle(Oracle):
 
 
 class CRCBatchOracle(Oracle):
-    """BitwiseCRC vs the bit-sliced batch kernel (both byte and bit paths)."""
+    """BitwiseCRC vs the batch engine's grouped gather (byte and bit doors)."""
 
     name = "crc:bitwise-vs-batch"
     kinds = (KIND_CRC,)
 
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         spec, serial = _crc_serial(case)
-        engine = BatchCRC(spec, case.M, method=case.method, cache=cache)
+        engine = BatchCRC(spec, case.M, cache=cache)
         payloads = case.payloads()
         expected = [serial.compute(m) for m in payloads]
         got = engine.compute_batch(payloads)
         if got != expected:
             i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
             return Discrepancy(
-                detail=f"compute_batch stream {i} ({len(payloads[i])} bytes, "
-                f"method={case.method})",
+                detail=f"compute_batch stream {i} ({len(payloads[i])} bytes)",
                 expected=f"0x{expected[i]:X}",
                 got=f"0x{got[i]:X}",
             )
@@ -173,7 +172,7 @@ class CRCBatchOracle(Oracle):
         if got_bits != expected:
             i = next(j for j, (a, b) in enumerate(zip(expected, got_bits)) if a != b)
             return Discrepancy(
-                detail=f"compute_bits_batch stream {i} (method={case.method})",
+                detail=f"compute_bits_batch stream {i}",
                 expected=f"0x{expected[i]:X}",
                 got=f"0x{got_bits[i]:X}",
             )
@@ -378,7 +377,8 @@ class MultiplicativeScramblerOracle(Oracle):
 
 class PackedBackendOracle(Oracle):
     """Reference vs packed GF(2) backend on the raw kernel operations and
-    on the full batch CRC engine.
+    on a full CRC: the case's matrix engine (:class:`LookaheadCRC` or
+    :class:`DerbyCRC`, by the case's method), compiled once per backend.
 
     The other oracles pit parallel engines against the bit-serial ground
     truth under whatever backend is the process default; this one pins the
@@ -389,6 +389,19 @@ class PackedBackendOracle(Oracle):
 
     name = "gf2:reference-vs-packed"
     kinds = (KIND_CRC,)
+
+    def __init__(self):
+        self._engines: Dict[Tuple[str, int, str, str], object] = {}
+
+    def _crc(self, case: FuzzCase, backend: str):
+        key = (case.spec, case.M, case.method, backend)
+        engine = self._engines.get(key)
+        if engine is None:
+            cls = LookaheadCRC if case.method == "lookahead" else DerbyCRC
+            engine = self._engines[key] = cls(
+                get_crc(case.spec), case.M, backend=backend
+            )
+        return engine
 
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         import numpy as np
@@ -450,15 +463,14 @@ class PackedBackendOracle(Oracle):
                 got=f"{int(got_b.sum())} ones",
             )
 
-        # Full engine: the same batch CRC under both backends.
-        exp_crcs = BatchCRC(spec, case.M, method=case.method, cache=cache,
-                            backend="reference").compute_batch(payloads)
-        got_crcs = BatchCRC(spec, case.M, method=case.method, cache=cache,
-                            backend="packed").compute_batch(payloads)
+        # Full engine: the case's matrix CRC under both backends.
+        ref_crc, packed_crc = self._crc(case, "reference"), self._crc(case, "packed")
+        exp_crcs = [ref_crc.compute(m) for m in payloads]
+        got_crcs = [packed_crc.compute(m) for m in payloads]
         if got_crcs != exp_crcs:
             i = next(j for j, (a, b) in enumerate(zip(exp_crcs, got_crcs)) if a != b)
             return Discrepancy(
-                detail=f"BatchCRC backend pair stream {i} (method={case.method})",
+                detail=f"{type(ref_crc).__name__} backend pair stream {i}",
                 expected=f"0x{exp_crcs[i]:X}",
                 got=f"0x{got_crcs[i]:X}",
             )
@@ -485,18 +497,17 @@ class ParallelWorkersOracle(Oracle):
     WORKERS = 3
 
     def __init__(self):
-        self._engines: Dict[Tuple[str, int, str], "ParallelBatchCRC"] = {}
+        self._engines: Dict[Tuple[str, int], "ParallelBatchCRC"] = {}
 
     def _engine(self, case: FuzzCase, cache: CompileCache) -> "ParallelBatchCRC":
         from repro.engine import ParallelBatchCRC
 
-        key = (case.spec, case.M, case.method)
+        key = (case.spec, case.M)
         engine = self._engines.get(key)
         if engine is None:
             engine = self._engines[key] = ParallelBatchCRC(
                 get_crc(case.spec),
                 case.M,
-                method=case.method,
                 workers=self.WORKERS,
                 cache=cache,
                 min_shard_bits=1,
@@ -508,7 +519,7 @@ class ParallelWorkersOracle(Oracle):
 
         spec, serial_ref = _crc_serial(case)
         engine = self._engine(case, cache)
-        serial = BatchCRC(spec, case.M, method=case.method, cache=cache)
+        serial = BatchCRC(spec, case.M, cache=cache)
         payloads = case.payloads()
 
         # 1. Batch-dimension sharding: byte and bit front doors.
@@ -651,13 +662,12 @@ class PlannerAutoOracle(Oracle):
     ) -> "ParallelBatchCRC":
         from repro.engine import ParallelBatchCRC
 
-        key = (case.spec, case.M, case.method, plan.workers)
+        key = (case.spec, case.M, plan.workers)
         engine = self._engines.get(key)
         if engine is None:
             engine = self._engines[key] = ParallelBatchCRC(
                 get_crc(case.spec),
                 case.M,
-                method=case.method,
                 cache=cache,
                 min_shard_bits=1,
                 plan=plan,
@@ -668,7 +678,7 @@ class PlannerAutoOracle(Oracle):
         spec, serial_ref = _crc_serial(case)
         plan = self._plan(case)
         engine = self._engine(case, plan, cache)
-        serial = BatchCRC(spec, case.M, method=case.method, cache=cache)
+        serial = BatchCRC(spec, case.M, cache=cache)
         payloads = case.payloads()
 
         expected = serial.compute_batch(payloads)

@@ -23,6 +23,7 @@ from repro.crc import (
 )
 from repro.crc.gfmac import chunk_message_bits
 from repro.crc.slicing import SLICE_DEPTH
+from repro.engine import BatchCRC, CompileCache
 
 SPECS = [ETHERNET_CRC32, MPEG2_CRC32, get("CRC-16/CCITT-FALSE"), get("CRC-16/ARC")]
 
@@ -259,3 +260,105 @@ class TestErrorDetectionProperties:
             engine = engine_cls(ETHERNET_CRC32)
             assert engine.verify(b"data", engine.compute(b"data"))
             assert not engine.verify(b"data", engine.compute(b"data") ^ 1)
+
+
+DARC82 = CRCSpec(
+    name="CRC-82/DARC", width=82, poly=0x0308C0111011401440411,
+    refin=True, refout=True, check=0x09EA83F625023801FD612,
+)
+
+
+@pytest.fixture(scope="module")
+def batch_cache():
+    return CompileCache(capacity=128)
+
+
+def _mixed_lengths(spec):
+    """One call's byte lengths: empty, shorter than the register, around
+    one, two, three and four blocks; three equal ``D + 1`` messages make an
+    equal-length group beside the ragged single-block one."""
+    D = SLICE_DEPTH
+    return [0, 1, max(-(-spec.width // 8) - 1, 0), D - 1, D,
+            D + 1, D + 1, D + 1, 2 * D + 1, 3 * D + 5]
+
+
+def _bit_lengths(spec):
+    """Bit lengths off the byte grid, around the register and the blocks."""
+    D = 8 * SLICE_DEPTH
+    return [0, 1, 7, 9, spec.width - 3 if spec.width > 3 else 2,
+            D - 1, D + 3, D + 3, 2 * D + 13]
+
+
+class TestBatchGather:
+    """``BatchCRC``: every call one grouped gather over the table stack."""
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_byte_door_mixes_lengths_in_one_call(self, spec, batch_cache):
+        rng = random.Random(spec.name)
+        messages = [rng.randbytes(n) for n in _mixed_lengths(spec)]
+        engine = BatchCRC(spec, 32, cache=batch_cache)
+        serial = BitwiseCRC(spec)
+        assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
+        assert engine.raw_registers(messages) == [
+            serial.raw_register(m) for m in messages
+        ]
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_bit_door_off_the_byte_grid(self, spec, batch_cache):
+        """Bit streams head-pad to whole bytes: with the init fold they
+        match the reference CRC, without it the zero-start register the
+        time shards compose."""
+        rng = random.Random(f"bits/{spec.name}")
+        streams = [[rng.randrange(2) for _ in range(n)] for n in _bit_lengths(spec)]
+        engine = BatchCRC(spec, 32, cache=batch_cache)
+        serial = BitwiseCRC(spec)
+        assert engine.compute_bits_batch(streams) == [
+            serial.compute_bits(s) for s in streams
+        ]
+        assert engine.raw_registers_bits(streams, fold_init=False) == [
+            serial.process_bits(0, s) for s in streams
+        ]
+
+    def test_wider_than_64_bits_runs_per_message(self, batch_cache):
+        rng = random.Random(82)
+        messages = [rng.randbytes(n) for n in _mixed_lengths(DARC82)]
+        streams = [[rng.randrange(2) for _ in range(n)] for n in _bit_lengths(DARC82)]
+        engine = BatchCRC(DARC82, 32, cache=batch_cache)
+        serial = BitwiseCRC(DARC82)
+        assert engine.compute(b"123456789") == DARC82.check
+        assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
+        assert engine.compute_bits_batch(streams) == [
+            serial.compute_bits(s) for s in streams
+        ]
+        assert engine.raw_registers_bits(streams, fold_init=False) == [
+            serial.process_bits(0, s) for s in streams
+        ]
+
+    @pytest.mark.parametrize("name", ["CRC-32", "CRC-16/ARC", "CRC-12/UMTS"])
+    def test_row_and_block_slabs_at_a_shallow_stack(self, name):
+        """300 rows of 7-block messages on a 16-row stack: the rows split
+        into slabs, and each slab gathers several blocks at once."""
+        spec = get(name)
+        engine = ByteSlicedCRC(spec, build_slicing_tables(spec, 16))
+        rng = random.Random(name)
+        messages = [rng.randbytes(100) for _ in range(300)]
+        messages += [rng.randbytes(rng.randrange(97, 113)) for _ in range(40)]
+        table = TableCRC(spec)
+        assert engine.raw_registers_batch(messages, finalize=False) == [
+            table.raw_register(m, 0) for m in messages
+        ]
+
+    def test_never_reaches_the_packed_matvec(self, monkeypatch, batch_cache):
+        from repro.gf2.backend import NumpyPackedBackend
+
+        calls = []
+        monkeypatch.setattr(
+            NumpyPackedBackend, "matvec_batch", lambda *args: calls.append(args)
+        )
+        engine = BatchCRC(ETHERNET_CRC32, 128, cache=batch_cache)
+        messages = [bytes(range(256))] * 64 + [b"", b"abc"]
+        assert engine.compute_batch(messages)[-1] == BitwiseCRC(ETHERNET_CRC32).compute(b"abc")
+        engine.raw_registers(messages)
+        engine.compute_bits_batch([[1, 0, 1]] * 5)
+        engine.raw_registers_bits([[1] * 100], fold_init=False)
+        assert calls == []

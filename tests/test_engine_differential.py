@@ -3,7 +3,8 @@
 Randomized draws of ``(spec, M, batch size, message length)`` must agree
 bit-for-bit across every implementation chain:
 
-* CRC: ``BatchCRC`` (both bases) == ``BitwiseCRC`` == ``DerbyCRC``;
+* CRC: ``BatchCRC`` == ``BitwiseCRC`` == ``LookaheadCRC`` / ``DerbyCRC``
+  (the paper's two bases, spot-checked);
 * additive scrambler: ``BatchAdditiveScrambler`` == ``AdditiveScrambler``
   (including per-stream seeds) and the ``ScramblerPipeline``;
 * multiplicative scrambler: ``BatchMultiplicativeScrambler`` ==
@@ -18,7 +19,7 @@ so one run checks well over 200 randomized cases with zero tolerance.
 import numpy as np
 import pytest
 
-from repro.crc import BitwiseCRC, DerbyCRC, get as get_crc
+from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
 from repro.engine import (
     BatchAdditiveScrambler,
     BatchCRC,
@@ -69,23 +70,24 @@ def _draw_messages(rng, batch):
 def test_crc_differential(method, cache, rng):
     """>= 200 randomized messages per method, three engines, 0 mismatches."""
     serial_engines = {}
-    derby_engines = {}
+    paper_engines = {}
+    paper = LookaheadCRC if method == "lookahead" else DerbyCRC
     checked = 0
     for _ in range(N_DRAWS):
         spec = get_crc(CRC_NAMES[int(rng.integers(len(CRC_NAMES)))])
         M = int(FACTORS[int(rng.integers(len(FACTORS)))])
         batch = int(rng.integers(*BATCH_RANGE)) + 8
         messages = _draw_messages(rng, batch)
-        engine = BatchCRC(spec, M, method=method, cache=cache)
+        engine = BatchCRC(spec, M, cache=cache)
         got = engine.compute_batch(messages)
         serial = serial_engines.setdefault(spec.name, BitwiseCRC(spec))
         expected = [serial.compute(m) for m in messages]
         assert got == expected, (spec.name, M, method)
-        # DerbyCRC is the slow per-message reference: spot-check two
-        # messages per draw rather than the whole batch.
-        derby = derby_engines.setdefault((spec.name, M), DerbyCRC(spec, M))
-        for m in messages[:2]:
-            assert derby.compute(m) == serial.compute(m), (spec.name, M)
+        # The matrix engines are the slow per-message references:
+        # spot-check two messages per draw rather than the whole batch.
+        matrix = paper_engines.setdefault((spec.name, M), paper(spec, M))
+        for m, crc in zip(messages[:2], got):
+            assert matrix.compute(m) == crc, (spec.name, M, method)
         checked += len(messages)
     assert checked >= 200
 

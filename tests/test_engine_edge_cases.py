@@ -6,11 +6,13 @@ than M (a single partial block), and a non-multiple-of-M tail.  Each
 engine handles them differently — ``DerbyCRC`` finishes serially,
 ``BatchCRC``/``DreamSystem`` head-zero-pad and fold the init back —
 but all of them must agree with :class:`repro.crc.bitwise.BitwiseCRC`.
+``BatchCRC`` has no blocks of M bits at all (it gathers bytes), so its
+edge cases are checked against the look-ahead and Derby engines too.
 """
 
 import pytest
 
-from repro.crc import BitwiseCRC, DerbyCRC, get as get_crc
+from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
 from repro.dream.system import DreamSystem
 from repro.engine import (
     BatchAdditiveScrambler,
@@ -47,12 +49,16 @@ def test_derby_crc_edges(name, M):
 @pytest.mark.parametrize("name", SPEC_NAMES)
 @pytest.mark.parametrize("method", ["lookahead", "derby"])
 def test_batch_crc_edges(name, method, cache):
+    """The batch engine against the bit-serial reference and the paper's
+    ``method`` engine at the same M."""
     spec = get_crc(name)
     serial = BitwiseCRC(spec)
     for M in (4, 8, 32):
-        engine = BatchCRC(spec, M, method=method, cache=cache)
+        paper = (LookaheadCRC if method == "lookahead" else DerbyCRC)(spec, M)
+        engine = BatchCRC(spec, M, cache=cache)
         got = engine.compute_batch(list(EDGE_MESSAGES))
         assert got == [serial.compute(m) for m in EDGE_MESSAGES], (name, M)
+        assert got == [paper.compute(m) for m in EDGE_MESSAGES], (name, M)
         # Singleton API agrees with the batch path.
         assert engine.compute(b"") == serial.compute(b"")
 

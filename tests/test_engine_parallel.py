@@ -118,16 +118,23 @@ class TestParallelBatchCRC:
             bit_streams = [SPEC.message_bits(m) for m in corpus]
             assert engine.compute_bits_batch(bit_streams) == expected
 
-    def test_reference_backend_shards_on_threads(self, corpus):
-        """The GIL-holding backend gains nothing from thread shards, but
-        they must still reproduce the serial result exactly."""
+    def test_reference_backend_shards_on_threads(self, corpus, monkeypatch):
+        """The batch CRC gathers bytes whatever GF(2) backend the process
+        selects: under the GIL-holding ``reference`` default its thread
+        shards still reproduce the serial result exactly, and never reach
+        a backend kernel."""
+        from repro.gf2.backend import BACKEND_ENV, ReferenceBackend
+
+        monkeypatch.setenv(BACKEND_ENV, "reference")
+        calls = []
+        monkeypatch.setattr(
+            ReferenceBackend, "matvec_batch", lambda *a: calls.append(a)
+        )
         sample = corpus[:9]
         expected = [BitwiseCRC(SPEC).compute(m) for m in sample]
-        with ParallelBatchCRC(
-            SPEC, 16, workers=2, backend="reference", min_shard_bits=1
-        ) as engine:
-            assert engine.serial_engine.backend.name == "reference"
+        with ParallelBatchCRC(SPEC, 16, workers=2, min_shard_bits=1) as engine:
             assert engine.compute_batch(sample) == expected
+        assert calls == []
 
     @pytest.mark.parametrize("n_bits", [1, 17, 64, 127, 333, 1024, 4097])
     def test_time_axis_sharding_is_exact(self, n_bits):
@@ -163,6 +170,37 @@ class TestParallelBatchCRC:
             )
             with pytest.raises(StreamError, match="kaboom"):
                 engine.compute_batch(corpus)
+
+
+class TestShardedValidation:
+    """A sharded engine validates the whole batch before splitting it:
+    bad items raise :class:`ValidationError` naming their index in the
+    caller's batch, never a raw ``TypeError`` from the shard planner or an
+    index inside one shard."""
+
+    def test_non_bytes_message_is_a_validation_error(self):
+        with ParallelBatchCRC(SPEC, 16, workers=2, min_shard_bits=1) as engine:
+            with pytest.raises(ValidationError, match=r"messages\[1\]"):
+                engine.compute_batch([b"ab", 5])
+
+    def test_error_names_the_index_in_the_whole_batch(self):
+        with ParallelBatchCRC(SPEC, 16, workers=2, min_shard_bits=1) as engine:
+            with pytest.raises(ValidationError, match=r"messages\[1\] must be bytes-like"):
+                engine.compute_batch([b"ab", "x"])
+
+    def test_non_sequence_bit_stream_is_a_validation_error(self):
+        with ParallelBatchCRC(SPEC, 16, workers=2, min_shard_bits=1) as engine:
+            with pytest.raises(ValidationError, match=r"bit_streams\[1\]"):
+                engine.compute_bits_batch([[0, 1], 7])
+
+    def test_scrambler_validates_before_sharding(self):
+        with ParallelBatchAdditiveScrambler(
+            get_scrambler("DVB"), 16, workers=2, min_shard_bits=1
+        ) as engine:
+            with pytest.raises(ValidationError, match=r"bit_streams\[1\]"):
+                engine.scramble_batch([[0, 1], 7])
+            with pytest.raises(ValidationError, match="need 3 seeds, got 2"):
+                engine.scramble_batch([[0, 1]] * 3, seeds=[1, 2])
 
 
 class TestParallelScrambler:

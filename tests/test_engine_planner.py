@@ -12,6 +12,7 @@ import pytest
 
 from repro.engine import CompileCache, DiskCompileCache
 from repro.engine.planner import (
+    CRC_BATCH_ENGINE,
     PLANNER_VERSION,
     PROFILE_KEY,
     ExecutionPlan,
@@ -48,9 +49,11 @@ class TestPlanSelection:
         # Many cores but a 50 ms pool spawn: overhead dominates a ~1.3 ms
         # compute, so the solver must refuse to shard.
         ("slow-spawn-8cpu", _workload(), "serial", 1),
-        # GIL-holding reference backend on a big workload: its thread
-        # shards would run one at a time, so it plans serial.
-        ("gil-bound-4cpu", _workload(message_bits=65536), "serial", 1),
+        # GIL-holding reference backend on a big scrambler workload (the
+        # kinds priced by backend rates): its thread shards would run one
+        # at a time, so it plans serial.
+        ("gil-bound-4cpu",
+         _workload(message_bits=65536, kind="scrambler-batch"), "serial", 1),
         # Single long message on a big host: time-axis sharding with
         # x^k mod G recombination.
         ("server-16cpu", _workload(message_bits=1_000_000, batch=1),
@@ -102,15 +105,21 @@ class TestPlanSelection:
         assert plan.M == 16
 
     def test_backend_choice_follows_rates(self, host_profiles):
-        plan = Planner(profile=host_profiles["desktop-4cpu"]).plan(_workload())
+        """Kinds priced by backend rates pick the fastest backend; the
+        batch CRC runs on the byte-sliced gather whatever the rates."""
+        scrambler = _workload(kind="scrambler-batch")
+        plan = Planner(profile=host_profiles["desktop-4cpu"]).plan(scrambler)
         assert plan.backend == "packed"  # 2 Gbit/s vs 8 Mbit/s reference
-        gil = Planner(profile=host_profiles["gil-bound-4cpu"]).plan(_workload())
+        gil = Planner(profile=host_profiles["gil-bound-4cpu"]).plan(scrambler)
         assert gil.backend == "reference"  # the only one the host has
+        for name in ("desktop-4cpu", "gil-bound-4cpu"):
+            crc = Planner(profile=host_profiles[name]).plan(_workload())
+            assert crc.backend == CRC_BATCH_ENGINE
 
     def test_gil_holding_backends_plan_serial(self, host_profiles):
         """Thread shards of the pure-Python backend would run one at a
         time, so no candidate shards it, however big the workload."""
-        big = _workload(message_bits=65536, batch=4096)
+        big = _workload(message_bits=65536, batch=4096, kind="scrambler-batch")
         for name in ("gil-bound-4cpu", "server-16cpu"):
             candidates = Planner(profile=host_profiles[name]).candidates(big)
             reference = [c for c in candidates if c.backend == "reference"]
@@ -285,8 +294,10 @@ class TestProbing:
         self, fake_clock, monkeypatch
     ):
         """The thread spawn cost is the best of the probe's pool starts: a
-        first start delayed to 15 ms must not price the batch-crc-auto
-        shape (1024 x 256 B at M = 128) out of sharding on 2 CPUs."""
+        first start delayed to 15 ms must not price a backend-priced batch
+        of the batch-crc-auto shape (1024 x 256 B at M = 128) out of
+        sharding on 2 CPUs.  The CRC batch of that shape is priced by the
+        batch CRC probe instead, and plans serial on these hosts."""
         import dataclasses
 
         import repro.engine.parallel as parallel_mod
@@ -307,7 +318,7 @@ class TestProbing:
         assert len(starts) == 3
         assert profile.spawn_s < 1e-3
         plan = Planner(profile=dataclasses.replace(profile, cpus=2)).plan(
-            _workload(message_bits=2048, batch=1024, M=128)
+            _workload(message_bits=2048, batch=1024, M=128, kind="scrambler-batch")
         )
         assert (plan.strategy, plan.workers) == ("shard-batch", 2)
 
@@ -516,3 +527,70 @@ class TestKeystreamWorkloads:
         record["version"] = PLANNER_VERSION - 1
         with pytest.raises(ValidationError):
             HostProfile.from_dict(record)
+
+
+class TestBatchCRCPricing:
+    """The v4 cost model: ``crc-batch`` priced from the probed batch CRC
+    engine (serial rate and two-shard gain), not from backend rates."""
+
+    SHAPE = dict(message_bits=2048, batch=1024, M=128)  # batch-crc-auto
+
+    def test_serial_time_is_the_batch_engine_rate(self):
+        profile = HostProfile.synthetic(
+            cpus=1, fingerprint="fast-packed", packed_bits_per_s=1e12,
+            crc_batch_bits_per_s=1e9,
+        )
+        plan = Planner(profile=profile).plan(_workload(**self.SHAPE))
+        assert plan.backend == CRC_BATCH_ENGINE
+        assert plan.serial_s == pytest.approx(2048 * 1024 / 1e9)
+
+    def test_one_candidate_per_worker_count(self, host_profiles):
+        """No backend or M axis: the gather costs the same at every M."""
+        planner = Planner(profile=host_profiles["server-16cpu"])
+        cands = planner.candidates(_workload())
+        assert {c.backend for c in cands} == {CRC_BATCH_ENGINE}
+        assert {c.M for c in cands} == {max(planner._m_candidates)}
+        assert len({c.workers for c in cands}) == len(cands)
+        pinned = planner.candidates(_workload(M=16))
+        assert {c.M for c in pinned} == {16}
+
+    def test_measured_shard_loss_plans_serial(self):
+        """Two vCPUs whose threads delivered half the serial throughput:
+        the batch CRC stays serial, a backend-priced batch still shards."""
+        profile = HostProfile.synthetic(
+            cpus=2, fingerprint="two-vcpu", crc_shard_gain=0.5
+        )
+        planner = Planner(profile=profile)
+        crc = planner.plan(_workload(**self.SHAPE))
+        assert (crc.strategy, crc.workers) == ("serial", 1)
+        sharded = [c for c in planner.candidates(crc.workload) if c.workers > 1]
+        assert sharded and all(c.predicted_s > crc.predicted_s for c in sharded)
+        scrambler = planner.plan(_workload(kind="scrambler-batch", **self.SHAPE))
+        assert (scrambler.strategy, scrambler.workers) == ("shard-batch", 2)
+
+    def test_probe_measures_rate_and_gain(self, fake_clock):
+        profile = probe_host(backends=("packed",), timer=fake_clock, reps=2)
+        assert profile.crc_batch_bits_per_s > 0
+        assert 0 < profile.crc_shard_gain <= 2.0
+        again = probe_host(backends=("packed",), timer=FakeClockLike(fake_clock), reps=2)
+        assert again.crc_batch_bits_per_s == profile.crc_batch_bits_per_s
+        assert again.crc_shard_gain == profile.crc_shard_gain
+
+    def test_profile_without_batch_crc_rate_raises(self):
+        bare = HostProfile(
+            fingerprint="bare", cpus=2, backend_bits_per_s={"packed": 2e9}
+        )
+        with pytest.raises(ValidationError, match="batch CRC rate"):
+            Planner(bare).plan(_workload())
+        assert Planner(bare).plan(_workload(kind="scrambler-batch")).backend == "packed"
+
+    def test_rates_are_validated_and_round_trip(self, host_profiles):
+        with pytest.raises(ValidationError, match="shard gain"):
+            HostProfile.synthetic(cpus=2, crc_shard_gain=0.0)
+        with pytest.raises(ValidationError, match="batch CRC rate"):
+            HostProfile.synthetic(cpus=2, crc_batch_bits_per_s=-1.0)
+        profile = HostProfile.synthetic(
+            cpus=2, fingerprint="rt", crc_batch_bits_per_s=7e8, crc_shard_gain=0.6
+        )
+        assert HostProfile.from_dict(profile.to_dict()) == profile
+        assert PLANNER_VERSION == 4

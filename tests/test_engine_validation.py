@@ -33,7 +33,9 @@ class TestFactorAndMethod:
             BatchCRC(ETHERNET_CRC32, bad)
 
     def test_bad_method_rejected(self):
-        with pytest.raises(ValidationError, match="lookahead"):
+        """The batch engine has one method, the byte-sliced gather: a
+        ``method=`` argument is no longer accepted at all."""
+        with pytest.raises(TypeError, match="method"):
             BatchCRC(ETHERNET_CRC32, 8, method="quantum")
 
     def test_pipeline_bad_factor(self):

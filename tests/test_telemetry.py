@@ -373,14 +373,19 @@ class TestLazyFamilyBinding:
         from repro.engine.batch import BatchCRC
         from repro.telemetry import set_default_registry
 
+        from repro.engine.batch import BatchAdditiveScrambler
+        from repro.scrambler import IEEE80216E
+
         replacement = MetricsRegistry()
         previous = set_default_registry(replacement)
         try:
             engine = BatchCRC(ETHERNET_CRC32, 8)
             engine.compute_batch([b"123456789"])
             assert replacement.get("engine_batch_calls_total").labels(
-                kernel="crc-lookahead"
+                kernel="crc-sliced"
             ).value >= 1
+            # The batch CRC reaches no GF(2) backend; a scrambler batch does.
+            BatchAdditiveScrambler(IEEE80216E, 8).scramble_batch([[1, 0, 1]])
             assert replacement.get("gf2_backend_ops_total") is not None
         finally:
             set_default_registry(previous)

@@ -102,11 +102,11 @@ class TestCacheStatsThreadSafety:
 # ----------------------------------------------------------------------
 class TestBatchKernelMetrics:
     def test_crc_batch_publishes_bits_and_throughput(self):
-        kernel = "crc-lookahead"
+        kernel = "crc-sliced"
         calls0 = _counter_value("engine_batch_calls_total", kernel=kernel)
         bits0 = _counter_value("engine_batch_bits_total", kernel=kernel)
         tp0 = _hist_count("engine_batch_throughput_mbps", kernel=kernel)
-        engine = BatchCRC(ETHERNET_CRC32, 32, method="lookahead")
+        engine = BatchCRC(ETHERNET_CRC32, 32)
         messages = [bytes(range(64))] * 16
         crcs = engine.compute_batch(messages)
         assert crcs[0] == BitwiseCRC(ETHERNET_CRC32).compute(messages[0])
