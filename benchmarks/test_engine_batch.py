@@ -7,11 +7,12 @@ on repeated specs.  The acceptance gate for the engine subsystem is
 >= 10x messages/sec at batch size 1024; results are recorded in
 ``benchmarks/results/engine_batch.txt``.  Stdlib ``zlib.crc32`` over the
 same messages is the ceiling row (reported, ungated), so every rate also
-reads as a fraction of it.  Beside the 64-byte sweep, three batch shapes
+reads as a fraction of it.  Beside the 64-byte sweep, four batch shapes
 report the engine against their own ``zlib.crc32`` ceilings: 1024 x
 256 B (one equal-length group, the batch-crc-auto shape), 256 x 1518 B
-(six-block messages) and 1024 IMIX frames (64/594/1518 B at 7:4:1, one
-group per size).
+(six-block messages), 1024 IMIX frames (64/594/1518 B at 7:4:1, one
+group per size) and 1024 ragged messages of 1-1518 B drawn uniformly
+(about 720 distinct lengths, each folding the init once per call).
 """
 
 import random
@@ -31,11 +32,14 @@ M = 32
 MESSAGE_BYTES = 64
 BATCH_SIZES = (32, 256, 1024)
 BASELINE_SAMPLE = 32
+#: The mix of a ragged row: sizes drawn uniformly from 1-1518 B.
+RAGGED = None
 #: (row name, batch size, message sizes drawn in weighted rotation).
 SHAPES = (
     ("1024 x 256 B", 1024, ((256, 1),)),
     ("256 x 1518 B", 256, ((1518, 1),)),
     ("1024 x IMIX", 1024, ((64, 7), (594, 4), (1518, 1))),
+    ("1024 x 1-1518 B", 1024, RAGGED),
 )
 
 
@@ -109,8 +113,12 @@ def shape_rates():
     engine = BatchCRC(ETHERNET_CRC32, 128)
     rates = {}
     for name, batch, mix in SHAPES:
-        sizes = [size for size, weight in mix for _ in range(weight)]
-        messages = [rng.randbytes(sizes[i % len(sizes)]) for i in range(batch)]
+        if mix is RAGGED:
+            sizes = [rng.randint(1, 1518) for _ in range(batch)]
+        else:
+            rotation = [size for size, weight in mix for _ in range(weight)]
+            sizes = [rotation[i % len(rotation)] for i in range(batch)]
+        messages = [rng.randbytes(n) for n in sizes]
         expected = [zlib.crc32(m) for m in messages]
         engine.compute_batch(messages[:2])  # warm-up
         best = min(_timed(engine.compute_batch, messages, expected) for _ in range(5))

@@ -31,7 +31,14 @@ ceiling where it applies:
    ratios are reported; ``one_stream_vs_zlib_*`` = zlib / pipeline reads
    every row as a fraction of the ceiling.
 
-The sweeps and the gate alternate their sides rep by rep and keep each
+5. **Telemetry gate.**  ``open`` + ``feed`` + ``finalize`` of one
+   64-byte stream at M = 1024 with the default registry enabled must
+   cost at most ``GATE_MAX_TELEMETRY_COST`` x the same with it disabled
+   (``one_stream_telemetry_cost_M1024_64B``): the registry reads the
+   pipeline's gauges and counts when it is read, so no stream operation
+   pays for them.
+
+The sweeps and the gates alternate their sides rep by rep and keep each
 side's best, so a host that changes speed mid-run moves both alike.
 Every digest and register is checked against ``TableCRC``, and zlib's
 against the pipeline.
@@ -46,7 +53,7 @@ from repro.crc import ByteSlicedCRC, TableCRC, build_slicing_tables, get
 from repro.crc.slicing import SLICE_DEPTH
 from repro.engine import CRCPipeline
 from repro.engine.pipeline import SHORT_RUN_BYTES
-from repro.telemetry import BenchReport
+from repro.telemetry import BenchReport, default_registry
 
 STANDARD = "CRC-32"
 #: (M, blocks per stream): 16 blocks at M = 128 is stream-interleaved-32's
@@ -70,6 +77,12 @@ ONE_STREAM_REPS = 200
 #: ~1.6x the upper end of the 1518-byte cost measured on a 2-vCPU x86
 #: host (0.24-0.33x TableCRC.compute over every run).
 GATE_MAX_ONE_STREAM_COST = 0.5
+
+#: The lone stream the telemetry gate times, and its ceiling: enabled /
+#: disabled registry cost (pushed gauges measured 1.43-1.53 on a 2-vCPU
+#: x86 host; read at scrape time, ~1.0).
+TELEMETRY_M, TELEMETRY_SIZE = 1024, 64
+GATE_MAX_TELEMETRY_COST = 1.15
 
 def _best_us(calls, reps):
     """Best µs of each zero-argument callable, alternating them rep by rep."""
@@ -117,6 +130,30 @@ def _one_stream_cost(spec, oracle, M, size):
         [stream, lambda: oracle.compute(payload), lambda: zlib.crc32(payload)],
         ONE_STREAM_REPS,
     )
+
+
+def _telemetry_cost(spec, oracle):
+    """Best µs of one lone stream with the default registry enabled and
+    disabled, alternating rep by rep."""
+    payload = random.Random("telemetry").randbytes(TELEMETRY_SIZE)
+    expected = oracle.compute(payload)
+    pipe = CRCPipeline(spec, TELEMETRY_M)
+    registry = default_registry()
+    was = registry.enabled
+    best = {True: float("inf"), False: float("inf")}
+    try:
+        for _ in range(ONE_STREAM_REPS):
+            for enabled in best:
+                registry.set_enabled(enabled)
+                t0 = time.perf_counter()
+                sid = pipe.open()
+                pipe.feed(sid, payload)
+                digest = pipe.finalize(sid)
+                best[enabled] = min(best[enabled], time.perf_counter() - t0)
+                assert digest == expected
+    finally:
+        registry.set_enabled(was)
+    return best[True] * 1e6, best[False] * 1e6
 
 
 def test_engine_pipeline_crossover(save_result, save_report):
@@ -180,6 +217,9 @@ def test_engine_pipeline_crossover(save_result, save_report):
                 f"{zlib_us:.2f}", f"{zlib_us / pipe_us:.4f}",
             ])
 
+    on_us, off_us = _telemetry_cost(spec, oracle)
+    metrics[f"one_stream_telemetry_cost_M{TELEMETRY_M}_{TELEMETRY_SIZE}B"] = on_us / off_us
+
     save_result(
         "pipeline_crossover",
         format_table(
@@ -212,6 +252,16 @@ def test_engine_pipeline_crossover(save_result, save_report):
                 "one stream, open + feed + finalize vs TableCRC.compute and "
                 f"zlib.crc32 (gate at {GATED_SIZE} B: <= {GATE_MAX_ONE_STREAM_COST}x table)"
             ),
+        )
+        + "\n\n"
+        + format_table(
+            ["M", "bytes", "registry enabled us", "registry disabled us", "enabled/disabled"],
+            [[TELEMETRY_M, TELEMETRY_SIZE, f"{on_us:.1f}", f"{off_us:.1f}",
+              f"{on_us / off_us:.2f}x"]],
+            title=(
+                "one stream, open + feed + finalize with the default registry "
+                f"enabled vs disabled (gate: <= {GATE_MAX_TELEMETRY_COST}x)"
+            ),
         ),
     )
     save_report(BenchReport(
@@ -227,6 +277,7 @@ def test_engine_pipeline_crossover(save_result, save_report):
             "depths": list(DEPTHS),
             "one_stream_M": list(ONE_STREAM_M),
             "gate_max_one_stream_cost": GATE_MAX_ONE_STREAM_COST,
+            "gate_max_telemetry_cost": GATE_MAX_TELEMETRY_COST,
         },
         metrics=metrics,
     ))
@@ -242,6 +293,11 @@ def test_engine_pipeline_crossover(save_result, save_report):
     assert long < 1.0, (
         f"the table beat the gather on {long_size} bytes ({long:.2f}x): "
         "SHORT_RUN_BYTES is too low"
+    )
+    assert on_us / off_us <= GATE_MAX_TELEMETRY_COST, (
+        f"one {TELEMETRY_SIZE}-byte stream at M={TELEMETRY_M} costs "
+        f"{on_us / off_us:.2f}x with the registry enabled "
+        f"(gate: {GATE_MAX_TELEMETRY_COST}x)"
     )
     for M in ONE_STREAM_M:
         cost = metrics[f"one_stream_cost_vs_table_M{M}_{GATED_SIZE}B"]

@@ -23,10 +23,11 @@ first ``ceil(width / 8)`` bytes.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.crc.bitwise import BitwiseCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC, build_table
 from repro.gf2.bits import reflect_bits
@@ -257,11 +258,12 @@ class ByteSlicedCRC:
     def raw_registers_batch(
         self,
         messages: Sequence[bytes],
-        fold: Optional[Callable[[int], int]] = None,
+        fold_init: bool = False,
         bit_lengths: Optional[Sequence[int]] = None,
         finalize: bool = False,
     ) -> List[int]:
-        """Registers of many messages, each clocked from a zero register.
+        """Registers of many messages, each clocked from a zero register,
+        or from ``spec.init`` with ``fold_init=True``.
 
         Messages group by block count ``K = ceil(n / D)``, and each group
         is one byte matrix: every message is zero-padded at the head to
@@ -272,33 +274,39 @@ class ByteSlicedCRC:
         the ``ceil(width / 8)``-lookup fold through ``A^{8D}`` steps from
         block to block, vectorized across the group.
 
-        ``fold(n)`` is a natural-order value XORed into every register
-        clocked over ``n`` bits, called once per distinct length: the
-        batch engines pass the spec's init pushed past the message
-        (:meth:`repro.engine.CompileCache.init_fold`).  ``bit_lengths``
-        are the true lengths of head-padded bit streams (default: 8 bits
-        per byte).  With ``finalize=True`` the result is the published
-        CRCs.  Specs wider than 64 bits run
+        ``fold_init`` XORs in the spec's init clocked over each message's
+        length (:meth:`_init_after`), once per distinct length in the
+        call, which by linearity is the register clocked from ``init``.
+        ``bit_lengths`` are the true lengths of head-padded bit streams
+        (default: 8 bits per byte).  With ``finalize=True`` the result is
+        the published CRCs.  Specs wider than 64 bits run
         :class:`~repro.crc.table.TableCRC` per message.
         """
         spec = self._spec
+        fold_init = fold_init and spec.init != 0
         lengths = np.fromiter(map(len, messages), np.intp, len(messages))
         bits = 8 * lengths if bit_lengths is None else np.asarray(bit_lengths, np.intp)
         if not self._supported:
             regs = [self._fallback.raw_register(m, 0) for m in messages]
-            if fold is not None:
-                regs = [r ^ fold(n) for r, n in zip(regs, bits.tolist())]
+            if fold_init:
+                regs = [r ^ self._init_after(n) for r, n in zip(regs, bits.tolist())]
             return [spec.finalize(r) for r in regs] if finalize else regs
         work = self._gather_batch(messages, lengths)
-        if fold is not None and len(work):
+        if fold_init and len(work):
             # Sets, not np.unique: its first call imports numpy.ma (~35 ms).
             distinct = np.array(sorted(set(bits.tolist())))
-            aligned = [self._align(fold(n)) for n in distinct.tolist()]
+            aligned = [self._align(self._init_after(n)) for n in distinct.tolist()]
             work ^= np.array(aligned, dtype=work.dtype)[np.searchsorted(distinct, bits)]
         if finalize and spec.refin == spec.refout:
             return ((work >> self._shift) ^ spec.xorout).tolist()
         regs = [self._unalign(r) for r in work.tolist()]
         return [spec.finalize(r) for r in regs] if finalize else regs
+
+    def _init_after(self, n_bits: int) -> int:
+        """``spec.init`` clocked through ``n_bits`` zero bits (natural order):
+        ``n_bits // 8`` zero bytes through this engine, the rest bit-serially."""
+        reg = self.raw_register(bytes(n_bits // 8), self._spec.init)
+        return BitwiseCRC(self._spec).process_bits(reg, [0] * (n_bits % 8))
 
     def _gather_batch(self, messages: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
         """Working registers of ``messages`` from zero, one group per K."""

@@ -25,7 +25,9 @@ messages are zero-padded **at the head** and run from a zero register,
 which makes the pad transparent (leading zeros do not change the message
 polynomial); the spec's ``init`` preset is folded back in with the linear
 correction ``reg = raw0 ^ (init * x^N mod G)`` per message, using each
-message's true bit length N.
+message's true bit length N.  The batch CRC clocks that correction on
+its own engine, once per distinct length in a call, so a ragged batch
+adds nothing to the compile cache.
 """
 
 from __future__ import annotations
@@ -143,18 +145,13 @@ class BatchCRC:
             return []
         telemetry = default_registry().enabled
         t0 = perf_counter() if telemetry else 0.0
-        fold = self._init_fold if fold_init and self._spec.init else None
         registers = self._engine.raw_registers_batch(
-            messages, fold, bit_lengths, finalize
+            messages, fold_init, bit_lengths, finalize
         )
         if telemetry:
             bits = sum(bit_lengths) if bit_lengths else 8 * sum(map(len, messages))
             _observe_kernel(CRC_KERNEL, bits, perf_counter() - t0)
         return registers
-
-    def _init_fold(self, n_bits: int) -> int:
-        """``init * x^n_bits mod G``, from the compile cache."""
-        return self._cache.init_fold(self._spec, n_bits)
 
     def _bits_to_bytes(self, bit_streams: Sequence[Sequence[int]]):
         """Head-pad each stream to whole bytes, packed in the spec's bit order."""

@@ -14,8 +14,8 @@ helpers for each artifact family, and it exposes hit/miss/eviction
 counters so the benchmark harness can assert near-zero recompile cost.
 Residency is bounded two ways: by entry count (``capacity``) and — since
 artifact cost scales with matrix area, not count — by an estimated byte
-budget (``max_bytes``, see :func:`estimate_entry_bytes`), published on
-the ``engine_compile_cache_bytes`` gauge.  An optional
+budget (``max_bytes``, see :func:`estimate_entry_bytes`), which the
+``engine_compile_cache_bytes`` gauge reads from every live cache.  An optional
 :class:`~repro.engine.diskcache.DiskCompileCache` layer persists the
 pure linear-algebra artifact families across processes, so cold CLI
 invocations and pool workers warm the LRU from disk instead of
@@ -50,7 +50,12 @@ from repro.lfsr.lookahead import (
 from repro.lfsr.statespace import LFSRStateSpace, crc_statespace, scrambler_statespace
 from repro.lfsr.transform import DerbyTransform, derby_transform
 from repro.scrambler.specs import ScramblerSpec
-from repro.telemetry import bind_families, default_flight_recorder
+from repro.telemetry import (
+    Owners,
+    bind_families,
+    default_flight_recorder,
+    default_registry,
+)
 
 if TYPE_CHECKING:
     from repro.engine.diskcache import DiskCompileCache
@@ -65,9 +70,23 @@ def default_cache_dir() -> Optional[Path]:
     return Path(value) if value else None
 
 
+def _cache_gauges(reg) -> Owners:
+    """Bind the residency gauges to the live caches; returns their Owners."""
+    caches = Owners()
+    reg.gauge(
+        "engine_compile_cache_entries", "Compiled artifacts resident across caches"
+    ).bind(lambda: caches.sum(len))
+    reg.gauge(
+        "engine_compile_cache_bytes",
+        "Estimated bytes of compiled artifacts resident across caches",
+    ).bind(lambda: caches.sum(lambda cache: cache.size_bytes))
+    return caches
+
+
 # Bound lazily (see repro.telemetry.bind_families) so swapping the
 # default registry after import is observed by every family below.
 _METRICS = bind_families(lambda reg: {
+    "caches": _cache_gauges(reg),
     "lookups": reg.counter(
         "engine_compile_cache_lookups_total",
         "Compile-cache lookups by result",
@@ -75,13 +94,6 @@ _METRICS = bind_families(lambda reg: {
     ),
     "evictions": reg.counter(
         "engine_compile_cache_evictions_total", "Compile-cache LRU evictions"
-    ),
-    "entries": reg.gauge(
-        "engine_compile_cache_entries", "Compiled artifacts resident across caches"
-    ),
-    "bytes": reg.gauge(
-        "engine_compile_cache_bytes",
-        "Estimated bytes of compiled artifacts resident across caches",
     ),
 })
 
@@ -236,7 +248,9 @@ class CompileCache:
     guarantee that :meth:`mapped_crc` documents (a
     :class:`~repro.picoga.array.PicogaArray` must resolve repeated loads
     to the identical netlist object, like the hardware configuration
-    cache serving one bitstream).
+    cache serving one bitstream).  The ``engine_compile_cache_entries`` and
+    ``engine_compile_cache_bytes`` gauges read ``len(cache)`` and
+    :attr:`size_bytes` of every live cache when the registry is read.
     """
 
     def __init__(
@@ -257,6 +271,8 @@ class CompileCache:
         self._lock = threading.Lock()
         self._disk = disk
         self.stats = CacheStats()
+        if default_registry().enabled:
+            _METRICS()["caches"].add(self)
 
     # ------------------------------------------------------------------
     @property
@@ -303,11 +319,9 @@ class CompileCache:
             return list(self._entries)
 
     def clear(self) -> None:
-        """Drop every resident entry (stats kept, disk layer untouched)."""
+        """Drop every resident entry and zero :attr:`stats` (the disk
+        layer is untouched)."""
         with self._lock:
-            metrics = _METRICS()
-            metrics["entries"].dec(len(self._entries))
-            metrics["bytes"].dec(self._bytes)
             self._entries.clear()
             self._costs.clear()
             self._bytes = 0
@@ -337,9 +351,6 @@ class CompileCache:
                 self._entries.move_to_end(key)
                 return self._entries[key], False
             cost = estimate_entry_bytes(value)
-            metrics = _METRICS()
-            metrics["entries"].inc()
-            metrics["bytes"].inc(cost)
             self._entries[key] = value
             self._costs[key] = cost
             self._bytes += cost
@@ -352,9 +363,7 @@ class CompileCache:
                 evicted_cost = self._costs.pop(evicted_key, 0)
                 self._bytes -= evicted_cost
                 self.stats.record_eviction()
-                metrics["evictions"].inc()
-                metrics["entries"].dec()
-                metrics["bytes"].dec(evicted_cost)
+                _METRICS()["evictions"].inc()
         return value, True
 
     def get(self, key: Hashable, builder: Callable[[], Any]) -> Any:

@@ -61,6 +61,7 @@ from repro.errors import ReproError, StreamError, ValidationError
 from repro.gf2.backend import GF2Backend
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import (
+    Owners,
     attach_flight_dump,
     bind_families,
     default_flight_recorder,
@@ -81,18 +82,26 @@ PHASE_BUCKETS = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
+
+def _pool_gauges(reg) -> Owners:
+    """Bind the pool gauges to the live pools; returns their Owners."""
+    pools = Owners()
+    reg.gauge(
+        "engine_parallel_workers", "Configured worker slots across live pools",
+    ).bind(lambda: pools.sum(lambda pool: pool.workers if pool.started else 0))
+    reg.gauge(
+        "engine_parallel_busy_workers", "Shard tasks currently in flight",
+    ).bind(lambda: pools.sum(
+        lambda pool: sum(not future.done() for future in list(pool._inflight))
+    ))
+    return pools
+
+
 # Families resolve against the *current* default registry at use sites
 # (never snapshotted at import), so swapping/enabling the registry after
 # this module is imported is always observed.
 _METRICS = bind_families(lambda reg: {
-    "workers": reg.gauge(
-        "engine_parallel_workers",
-        "Configured worker slots across live pools",
-    ),
-    "busy": reg.gauge(
-        "engine_parallel_busy_workers",
-        "Shard tasks currently in flight",
-    ),
+    "pools": _pool_gauges(reg),
     "tasks": reg.counter(
         "engine_parallel_tasks_total",
         "Shard tasks dispatched to worker pools",
@@ -220,8 +229,10 @@ class _ShardFailure(Exception):
 class WorkerPool:
     """A lazily started thread pool with shard-level error containment.
 
-    The pool publishes its slot count and in-flight task gauges, and
-    :meth:`run` converts *any* worker-side failure into
+    The ``engine_parallel_workers`` and ``engine_parallel_busy_workers``
+    gauges read the pool's slots (while started) and its in-flight
+    futures when the registry is read, and :meth:`run` converts *any*
+    worker-side failure into
     :class:`~repro.errors.StreamError`, so callers block on results,
     never on a wedged queue.
 
@@ -238,9 +249,12 @@ class WorkerPool:
         self._workers = workers
         self._executor: Optional[ThreadPoolExecutor] = None
         # Guards executor creation/teardown so close() racing _ensure()
-        # (or another close()) can neither leak an executor nor double-
-        # decrement the worker-slot gauge.
+        # (or another close()) can neither leak nor shut down twice.
         self._lifecycle_lock = threading.Lock()
+        # Submitted shard futures not yet done (done callbacks discard).
+        self._inflight: set = set()
+        if default_registry().enabled:
+            _METRICS()["pools"].add(self)
 
     @property
     def workers(self) -> int:
@@ -259,8 +273,6 @@ class WorkerPool:
                     max_workers=self._workers,
                     thread_name_prefix="repro-shard",
                 )
-                if default_registry().enabled:
-                    _METRICS()["workers"].inc(self._workers)
             return self._executor
 
     @staticmethod
@@ -321,7 +333,6 @@ class WorkerPool:
         registry, tracer = default_registry(), default_tracer()
         recorder = default_flight_recorder()
         telemetry = registry.enabled
-        metrics = _METRICS() if telemetry else None
         wrap = telemetry or tracer.enabled or recorder.enabled
         with tracer.span("pool.dispatch", shards=len(shard_args)) as dispatch:
             t0 = perf_counter()
@@ -345,11 +356,10 @@ class WorkerPool:
                         f"worker pool closed during dispatch ({exc})"
                     )
                     break
-                # Busy accounting only after the submit succeeded, so a
-                # lost close/dispatch race can't strand the gauge high.
-                if telemetry:
-                    metrics["busy"].inc()
-                    future.add_done_callback(lambda _f: _METRICS()["busy"].dec())
+                # Tracked only after the submit succeeded, so a lost
+                # close/dispatch race can't strand a future in flight.
+                self._inflight.add(future)
+                future.add_done_callback(self._inflight.discard)
                 futures.append(future)
             for future in futures:
                 if error is not None:
@@ -393,8 +403,8 @@ class WorkerPool:
         """Shut the executor down; pending work completes.
 
         Idempotent and thread-safe: the executor handle is atomically
-        detached under the lifecycle lock (so exactly one closer
-        decrements the slot gauge and shuts it down), and the blocking
+        detached under the lifecycle lock (so exactly one closer shuts
+        it down), and the blocking
         ``shutdown(wait=True)`` happens outside the lock so a concurrent
         second close — or a concurrent :meth:`run` — can never deadlock
         against it.  A later :meth:`run` lazily restarts the pool.
@@ -403,8 +413,6 @@ class WorkerPool:
             executor, self._executor = self._executor, None
             if executor is None:
                 return
-            if default_registry().enabled:
-                _METRICS()["workers"].dec(self._workers)
         executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":

@@ -35,18 +35,20 @@ Error semantics: unknown / duplicate stream ids raise
 wrong-width registers or seeds, bad factors) raise
 :class:`repro.errors.ValidationError`.
 
-Telemetry: the ``engine_pipeline_streams`` / ``engine_pipeline_pending_bits``
-gauges are published by *reconciliation* — after every mutation each
-pipeline pushes the delta between its true totals and what it last
-published.  That keeps increments and decrements symmetric even when the
-registry is toggled mid-stream (a naive inc-on-feed/dec-on-pump pairing
-drifts permanently if telemetry flips between the two calls).
+Telemetry is read, not pushed: each pipeline adds itself to its kind's
+:class:`~repro.telemetry.Owners` once, at construction, and the
+registry reads ``engine_pipeline_streams`` / ``engine_pipeline_pending_bits``
+(:attr:`~CRCPipeline.stream_count`, :meth:`~CRCPipeline.pending_bits`)
+and the block and pump counts the pipeline keeps whenever it is read.
+No stream operation makes a registry call, and no toggle of the
+registry can leave a gauge drifted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -58,71 +60,39 @@ from repro.crc.table import TableCRC
 from repro.engine.cache import CompileCache, default_cache
 from repro.errors import StreamError, ValidationError
 from repro.scrambler.specs import ScramblerSpec
-from repro.telemetry import bind_families, default_registry
+from repro.telemetry import Owners, bind_families, default_registry
 from repro.validation import check_bits, check_factor, check_register, check_seed
 
-# Aggregate gauges: published by per-instance deltas so any number of
-# concurrent pipeline instances sum correctly into one series per kind.
-# Bound lazily so a registry swapped in via set_default_registry() after
-# import is still observed.  The second element caches labelled children:
-# ``labels()`` validates and canonicalizes its arguments on every call,
-# which cost more than the rest of a lone stream's pump.
-_FAMILIES = bind_families(lambda reg: ({
-    "streams": reg.gauge(
+
+def _bind(reg) -> Dict[str, Owners]:
+    """Bind the pipeline families to the live pipelines of each kind."""
+    owners = {"crc": Owners(), "scrambler": Owners()}
+    crc = owners["crc"]
+    streams = reg.gauge(
         "engine_pipeline_streams", "Streams currently open across pipelines",
         labels=("kind",),
-    ),
-    "pending": reg.gauge(
+    )
+    blocks = reg.counter(
+        "engine_pipeline_blocks_total", "M-bit blocks advanced by pump rounds",
+        labels=("kind",),
+    )
+    for kind, live in owners.items():
+        streams.labels(kind=kind).bind(lambda live=live: live.sum(len))
+        blocks.labels(kind=kind).bind(lambda live=live: live.total("blocks"))
+    reg.gauge(
         "engine_pipeline_pending_bits",
         "Input bits buffered and awaiting a full M-bit block",
         labels=("kind",),
-    ),
-    "blocks": reg.counter(
-        "engine_pipeline_blocks_total", "M-bit blocks advanced by pump rounds",
+    ).labels(kind="crc").bind(lambda: crc.sum(CRCPipeline.pending_bits))
+    reg.counter(
+        "engine_pipeline_pumps_total", "pump() calls across pipelines",
         labels=("kind",),
-    ),
-    "pump_blocks": reg.histogram(
-        "engine_pipeline_blocks_per_pump", "Blocks advanced per pump() call",
-        labels=("kind",),
-        buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
-    ),
-}, {}))
+    ).labels(kind="crc").bind(lambda: crc.total("pumps"))
+    return owners
 
 
-def _metric(name: str, kind: str):
-    """The ``kind``-labelled child of one pipeline family."""
-    families, children = _FAMILIES()
-    child = children.get((name, kind))
-    if child is None:
-        child = children[name, kind] = families[name].labels(kind=kind)
-    return child
-
-
-class _GaugePublisher:
-    """Reconciles one pipeline's stream/pending totals into the gauges.
-
-    Remembers what this instance last pushed and publishes only the
-    difference, so toggling the registry between a feed and the matching
-    pump can never leave the shared gauges negative or inflated: the next
-    mutation while telemetry is enabled re-syncs them.
-    """
-
-    __slots__ = ("_kind", "_streams", "_pending")
-
-    def __init__(self, kind: str):
-        self._kind = kind
-        self._streams = 0
-        self._pending = 0
-
-    def publish(self, streams: int, pending: int) -> None:
-        if not default_registry().enabled:
-            return
-        if streams != self._streams:
-            _metric("streams", self._kind).inc(streams - self._streams)
-            self._streams = streams
-        if pending != self._pending:
-            _metric("pending", self._kind).inc(pending - self._pending)
-            self._pending = pending
+# Bound lazily per registry (see repro.telemetry.bind_families).
+_OWNERS = bind_families(_bind)
 
 
 #: Runs shorter than this many whole bytes take the byte table's
@@ -164,7 +134,9 @@ class CRCPipeline:
         self._short_run = SHORT_RUN_BYTES
         self._streams: Dict[Hashable, _CRCStream] = {}
         self._auto_ids = count()
-        self._gauges = _GaugePublisher("crc")
+        self._counts = {"blocks": 0, "pumps": 0}
+        if default_registry().enabled:
+            _OWNERS()["crc"].add(self, self._counts)
 
     @property
     def spec(self) -> CRCSpec:
@@ -198,12 +170,6 @@ class CRCPipeline:
                 f"({len(self._streams)} streams currently open)"
             ) from None
 
-    def _publish(self) -> None:
-        self._gauges.publish(
-            len(self._streams),
-            sum(s.pending for s in self._streams.values()),
-        )
-
     def pending_bits(self, stream_id: Optional[Hashable] = None) -> int:
         """Buffered input bits awaiting processing — the pipeline backlog.
 
@@ -213,7 +179,8 @@ class CRCPipeline:
         """
         if stream_id is not None:
             return self._stream(stream_id).pending
-        return sum(s.pending for s in self._streams.values())
+        # One C-level pass: a scrape on another thread reads this too.
+        return sum(map(attrgetter("pending"), self._streams.values()))
 
     # ------------------------------------------------------------------
     def open(self, stream_id: Optional[Hashable] = None, register: Optional[int] = None) -> Hashable:
@@ -227,7 +194,6 @@ class CRCPipeline:
         else:
             register = check_register(register, self._spec.width, what="register")
         self._streams[stream_id] = _CRCStream(register)
-        self._publish()
         return stream_id
 
     def feed(self, stream_id: Hashable, data: bytes, pump: bool = True) -> None:
@@ -251,7 +217,6 @@ class CRCPipeline:
                 before = len(stream.data)
                 stream.data += data
                 stream.pending += 8 * (len(stream.data) - before)
-            self._publish()
         if pump:
             self.pump()
 
@@ -266,7 +231,6 @@ class CRCPipeline:
         if len(checked):
             self._append_bits(stream, checked)
             stream.pending += len(checked)
-        self._publish()
         if pump:
             self.pump()
 
@@ -296,10 +260,9 @@ class CRCPipeline:
                 processed += blocks
                 counted = 8 * len(stream.data) + len(stream.tail) - stream.pending
                 self._absorb(stream, counted // 8)
-        self._publish()
-        if default_registry().enabled:
-            _metric("blocks", "crc").inc(processed)
-            _metric("pump_blocks", "crc").observe(processed)
+        counts = self._counts
+        counts["blocks"] += processed
+        counts["pumps"] += 1
         return processed
 
     def _absorb(self, stream: _CRCStream, nbytes: int) -> None:
@@ -317,9 +280,7 @@ class CRCPipeline:
         """
         self._stream(stream_id)
         self.pump()
-        crc = self._finalize_drained(stream_id)
-        self._publish()
-        return crc
+        return self._finalize_drained(stream_id)
 
     def finalize_many(self, stream_ids: Sequence[Hashable]) -> List[int]:
         """Finalize several streams behind **one** pump round.
@@ -340,17 +301,12 @@ class CRCPipeline:
         for sid in ids:
             self._stream(sid)
         self.pump()
-        crcs = [self._finalize_drained(sid) for sid in ids]
-        if crcs:
-            self._publish()
-        return crcs
+        return [self._finalize_drained(sid) for sid in ids]
 
     def _finalize_drained(self, stream_id: Hashable) -> int:
         """Consume an already-pumped stream: tail drain + final XOR.
 
-        Caller is responsible for :meth:`pump` beforehand and
-        ``_publish`` afterwards (batched callers publish once per
-        round, not once per stream).
+        The caller runs :meth:`pump` beforehand.
         """
         stream = self._stream(stream_id)
         del self._streams[stream_id]
@@ -364,7 +320,6 @@ class CRCPipeline:
         """Drop a stream without computing its CRC."""
         self._stream(stream_id)
         del self._streams[stream_id]
-        self._publish()
 
     def migrate(self, stream_id: Hashable, target: "CRCPipeline") -> None:
         """Move one open stream (state + buffered input) into ``target``.
@@ -389,8 +344,6 @@ class CRCPipeline:
             )
         del self._streams[stream_id]
         target._streams[stream_id] = stream
-        self._publish()
-        target._publish()
 
 
 @dataclass
@@ -423,7 +376,9 @@ class ScramblerPipeline:
         self._ss = self._cache.scrambler_statespace(spec)
         self._streams: Dict[Hashable, _ScramblerStream] = {}
         self._auto_ids = count()
-        self._gauges = _GaugePublisher("scrambler")
+        self._counts = {"blocks": 0}
+        if default_registry().enabled:
+            _OWNERS()["scrambler"].add(self, self._counts)
 
     @property
     def spec(self) -> ScramblerSpec:
@@ -452,9 +407,6 @@ class ScramblerPipeline:
                 f"({len(self._streams)} streams currently open)"
             ) from None
 
-    def _publish(self) -> None:
-        self._gauges.publish(len(self._streams), 0)
-
     def pending_keystream_bits(self, stream_id: Hashable) -> int:
         """Generated-but-unused keystream bits carried to the next chunk."""
         return len(self._stream(stream_id).keystream)
@@ -472,7 +424,6 @@ class ScramblerPipeline:
             seed = check_seed(seed, self._spec.degree, allow_zero=False)
         state = self._ss.state_from_int(seed)
         self._streams[stream_id] = _ScramblerStream(state=state)
-        self._publish()
         return stream_id
 
     def feed(self, stream_id: Hashable, bits: Sequence[int]) -> List[int]:
@@ -485,7 +436,7 @@ class ScramblerPipeline:
             stream.keystream.extend(int(b) for b in block)
             stream.state = ((self._A @ stream.state.astype(np.int64)) & 1).astype(np.uint8)
             generated += 1
-        _metric("blocks", "scrambler").inc(generated)
+        self._counts["blocks"] += generated
         out = [(b ^ k) & 1 for b, k in zip(checked, stream.keystream)]
         del stream.keystream[: len(checked)]
         return out
@@ -494,4 +445,3 @@ class ScramblerPipeline:
         """Close a stream and discard its state."""
         self._stream(stream_id)
         del self._streams[stream_id]
-        self._publish()

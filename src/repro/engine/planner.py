@@ -91,8 +91,10 @@ PROFILE_KEY = ("planner-profile",)
 #: ``keystream`` workload kind.  v3: thread-only pool costs (no
 #: ``backend_mode``, process or pickle terms).  v4: ``crc-batch`` priced
 #: from the probed batch CRC engine (``crc_batch_bits_per_s``,
-#: ``crc_shard_gain``) instead of the packed matvec rate.
-PLANNER_VERSION = 4
+#: ``crc_shard_gain``) instead of the packed matvec rate.  v5:
+#: ``crc-stream`` priced the same way (``CRCPipeline`` runs the byte
+#: table and the byte-sliced gather, not the packed product).
+PLANNER_VERSION = 5
 
 #: Look-ahead factors the solver considers when the workload doesn't pin M.
 M_CANDIDATES = (8, 16, 32, 64, 128)
@@ -107,8 +109,9 @@ BLOCK_OVERHEAD_BITS = 32.0
 #: Every other backend (the pure-Python ``reference``) plans serial.
 THREAD_BACKENDS = ("packed",)
 
-#: The ``backend`` of every ``crc-batch`` candidate: the batch CRC runs on
-#: the byte-sliced gather, whatever GF(2) backend is selected.
+#: The ``backend`` of every ``crc-batch`` and ``crc-stream`` candidate:
+#: the batch CRC and the pipeline run on the byte-sliced gather, whatever
+#: GF(2) backend is selected.
 CRC_BATCH_ENGINE = "byte-sliced"
 
 #: The fixed batch :func:`probe_host` times the batch CRC engine on:
@@ -127,6 +130,8 @@ WORKLOAD_KINDS = (
     KIND_SCRAMBLER_BATCH,
     KIND_KEYSTREAM,
 )
+#: The kinds priced from the probed batch CRC engine.
+_CRC_KINDS = (KIND_CRC_BATCH, KIND_CRC_STREAM)
 
 #: Keystream sources the planner knows how to cost (see
 #: :mod:`repro.lfsr.wordlfsr` and :mod:`repro.lfsr.reference`).  These are
@@ -195,14 +200,15 @@ class HostProfile:
 
     ``backend_bits_per_s``
         Steady-state kernel throughput per backend name (payload bits
-        per second through the batched matvec path); prices every kind
-        but ``crc-batch`` and ``keystream``.
+        per second through the batched matvec path); prices
+        ``scrambler-batch``.
     ``crc_batch_bits_per_s`` / ``crc_shard_gain``
         Payload bits per second of one serial
         :meth:`~repro.engine.batch.BatchCRC.compute_batch` call, and the
         throughput of the same batch split over two thread shards relative
         to it (2.0 = perfect scaling, below 1.0 = sharding loses); they
-        price ``crc-batch``.  ``0.0`` marks an unmeasured rate.
+        price ``crc-batch`` and ``crc-stream``.  ``0.0`` marks an
+        unmeasured rate.
     ``spawn_s`` / ``dispatch_s``
         One-time thread-pool start cost and per-shard submit/collect
         cost.
@@ -943,7 +949,7 @@ class Planner:
     def _predict_serial(self, workload: WorkloadDescriptor, backend: str, M: int) -> float:
         """Modeled serial wall time for one batch call."""
         profile = self.profile
-        if workload.kind == KIND_CRC_BATCH:
+        if workload.kind in _CRC_KINDS:
             return max(workload.total_bits, 1) / profile.crc_batch_bits_per_s
         rate = profile.backend_bits_per_s[backend]
         eff = M / (M + profile.block_overhead_bits)
@@ -961,11 +967,11 @@ class Planner:
         Only :data:`THREAD_BACKENDS` and the batch CRC engine shard: a
         GIL-holding backend's thread shards would run one at a time, so it
         plans serial.  Backend kernels are assumed to scale with cores;
-        the batch CRC scales by its probed two-shard gain."""
+        the CRC kinds scale by the batch engine's probed two-shard gain."""
         profile = self.profile
         total = workload.total_bits
         gain = 2.0
-        if workload.kind == KIND_CRC_BATCH:
+        if workload.kind in _CRC_KINDS:
             gain = profile.crc_shard_gain
         elif backend not in THREAD_BACKENDS:
             return None
@@ -1031,7 +1037,7 @@ class Planner:
         ascending) plus strict-improvement selection makes the winner
         deterministic even under exact ties.  Keystream workloads explore
         the source axis instead (see :meth:`_keystream_candidates`).
-        ``crc-batch`` explores workers alone: the batch CRC engine is
+        ``crc-batch`` and ``crc-stream`` explore workers alone: both run
         :data:`CRC_BATCH_ENGINE` whatever the backend, and M does not
         change its cost, so M is the pinned one or the largest candidate.
         """
@@ -1042,7 +1048,7 @@ class Planner:
             (workload.M,) if workload.M is not None else self._m_candidates
         )
         engines = sorted(profile.backend_bits_per_s)
-        if workload.kind == KIND_CRC_BATCH:
+        if workload.kind in _CRC_KINDS:
             if not profile.crc_batch_bits_per_s:
                 raise ValidationError(
                     "host profile has no batch CRC rate (re-probe with "

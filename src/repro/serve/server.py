@@ -40,14 +40,20 @@ pipeline:
 Stream ids are namespaced per connection (connection 3's stream ``"a"``
 and connection 7's stream ``"a"`` are distinct pipeline streams), so
 clients never need to coordinate id choice.
+
+Counts live once, in the server: :attr:`ReproServer.counters` (the stats
+verb) and the ``serve_*`` families both read them, so the two cannot
+disagree, and a request makes no registry call.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 from itertools import count
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Set, Union
 
 from repro.crc.spec import CRCSpec
 from repro.engine.pipeline import CRCPipeline
@@ -62,6 +68,7 @@ from repro.serve.protocol import (
     write_frame,
 )
 from repro.telemetry import (
+    Owners,
     bind_families,
     default_flight_recorder,
     default_registry,
@@ -75,25 +82,39 @@ DEFAULT_HIGH_WATERMARK_BITS = 1 << 22  # 512 KiB of buffered message data
 #: Block factor when the caller pins none.
 DEFAULT_M = 128
 
-# Bound lazily (see repro.telemetry.bind_families) so a registry swapped
-# in after import is still observed.
-_METRICS = bind_families(lambda reg: {
-    "messages": reg.counter(
+#: ``serve_messages_total`` labels: any verb not in REQUEST_OPS is "unknown".
+MESSAGE_OPS = (*REQUEST_OPS, "unknown")
+#: ``serve_errors_total`` labels: the error taxonomy.
+ERROR_CODES = ("protocol", "validation", "stream", "internal", "draining")
+
+
+def _bind(reg) -> Owners:
+    """Bind the ``serve_*`` families to the counts of the live servers."""
+    live = Owners()
+    messages = reg.counter(
         "serve_messages_total", "Request frames handled, by verb",
         labels=("op",),
-    ),
-    "errors": reg.counter(
+    )
+    for op in MESSAGE_OPS:
+        messages.labels(op=op).bind(lambda op=op: live.total(("messages", op)))
+    errors = reg.counter(
         "serve_errors_total", "Error responses sent, by error code",
         labels=("code",),
-    ),
-    "connections": reg.gauge(
+    )
+    for code in ERROR_CODES:
+        errors.labels(code=code).bind(lambda code=code: live.total(("errors", code)))
+    reg.gauge(
         "serve_connections", "Client connections currently open",
-    ),
-    "backpressure": reg.counter(
+    ).bind(lambda: live.sum(lambda server: len(server._connections)))
+    reg.counter(
         "serve_backpressure_pauses_total",
         "Times a connection paused reading on the pending-bits watermark",
-    ),
-})
+    ).bind(lambda: live.total("backpressure_pauses"))
+    return live
+
+
+# Bound lazily per registry (see repro.telemetry.bind_families).
+_OWNERS = bind_families(_bind)
 
 
 class _Connection:
@@ -119,6 +140,9 @@ class ReproServer:
     Lifecycle: :meth:`start` → serve → :meth:`drain` (graceful, what
     SIGTERM triggers) or :meth:`aclose` (drain with no grace period).
     :meth:`serve_until_closed` parks until a drain completes.
+
+    The server keeps the only copy of its counts, which :attr:`counters`
+    and the ``serve_*`` metric families read.
     """
 
     def __init__(
@@ -158,18 +182,10 @@ class ReproServer:
         self._closed_event = asyncio.Event()
         self._pump_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
-        # Deterministic counters mirrored into the stats verb (the
-        # telemetry registry may be disabled; these always count).
-        self.counters = {
-            "connections_total": 0,
-            "messages_total": 0,
-            "bytes_in_total": 0,
-            "digests_total": 0,
-            "protocol_errors_total": 0,
-            "stream_errors_total": 0,
-            "refused_draining_total": 0,
-            "backpressure_pauses_total": 0,
-        }
+        # The one copy of every count; the registry reads it (see _bind).
+        self._counts: Counter = Counter()
+        if default_registry().enabled:
+            _OWNERS().add(self, self._counts)
 
     # ------------------------------------------------------------------
     @property
@@ -201,6 +217,21 @@ class ReproServer:
     def stream_count(self) -> int:
         """Streams currently open across all connections."""
         return self._pipeline.stream_count if self._pipeline is not None else 0
+
+    @property
+    def counters(self) -> Mapping[str, int]:
+        """The stats verb's counts: a read-only view of the server's own."""
+        counts = self._counts
+        return MappingProxyType({
+            "connections_total": counts["connections"],
+            "messages_total": sum(counts["messages", op] for op in MESSAGE_OPS),
+            "bytes_in_total": counts["bytes_in"],
+            "digests_total": counts["digests"],
+            "protocol_errors_total": counts["errors", "protocol"],
+            "stream_errors_total": counts["errors", "stream"],
+            "refused_draining_total": counts["errors", "draining"],
+            "backpressure_pauses_total": counts["backpressure_pauses"],
+        })
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -248,9 +279,7 @@ class ReproServer:
         bound_reads(writer)
         conn = _Connection(next(self._conn_ids), writer)
         self._connections.add(conn)
-        self.counters["connections_total"] += 1
-        if default_registry().enabled:
-            _METRICS()["connections"].inc()
+        self._counts["connections"] += 1
         try:
             await write_frame(writer, {
                 "op": "hello",
@@ -266,8 +295,6 @@ class ReproServer:
             pass  # peer went away; cleanup below
         finally:
             self._connections.discard(conn)
-            if default_registry().enabled:
-                _METRICS()["connections"].dec()
             self._abort_streams(conn)
             self._check_no_streams()
             writer.close()
@@ -288,7 +315,7 @@ class ReproServer:
             except ProtocolError as exc:
                 # After a framing error the byte stream has no safe
                 # resynchronization point: answer once, then hang up.
-                self._count_error("protocol")
+                self._counts["errors", "protocol"] += 1
                 await self._safe_write(
                     writer, error_response(None, "protocol", str(exc))
                 )
@@ -301,9 +328,7 @@ class ReproServer:
                 # Stop reading until the pump loop has run a round;
                 # unread frames back-pressure the client via TCP flow
                 # control.
-                self.counters["backpressure_pauses_total"] += 1
-                if default_registry().enabled:
-                    _METRICS()["backpressure"].inc()
+                self._counts["backpressure_pauses"] += 1
                 await self._pumped.wait()
             # Give every other connection (and the pump loop) a turn
             # before the next buffered frame of this one.
@@ -312,9 +337,8 @@ class ReproServer:
     def _dispatch(self, conn, header: dict, payload: bytes):
         """Route one request; returns ``(response_header, pause_reading)``."""
         op = header.get("op")
-        self.counters["messages_total"] += 1
-        if default_registry().enabled:
-            _METRICS()["messages"].labels(op=str(op)).inc()
+        # The verb is client input: anything else counts as "unknown".
+        self._counts["messages", op if op in REQUEST_OPS else "unknown"] += 1
         try:
             if op == "open-stream":
                 return self._op_open(conn, header), False
@@ -326,25 +350,24 @@ class ReproServer:
                 return self._op_close(conn, header), False
             if op == "stats":
                 return self._op_stats(), False
-            self._count_error("protocol")
+            self._counts["errors", "protocol"] += 1
             return error_response(
                 op, "protocol",
                 f"unknown verb {op!r} (expected one of {', '.join(REQUEST_OPS)})",
             ), False
         except StreamError as exc:
-            self._count_error("stream")
+            self._counts["errors", "stream"] += 1
             return error_response(op, "stream", str(exc)), False
         except (ValidationError, ValueError) as exc:
-            self._count_error("validation")
+            self._counts["errors", "validation"] += 1
             return error_response(op, "validation", str(exc)), False
         except ReproError as exc:
-            self._count_error("internal")
+            self._counts["errors", "internal"] += 1
             return error_response(op, "internal", str(exc)), False
 
     def _op_open(self, conn: _Connection, header: dict) -> dict:
         if self._state != "serving":
-            self.counters["refused_draining_total"] += 1
-            self._count_error("draining")
+            self._counts["errors", "draining"] += 1
             return error_response(
                 "open-stream", "draining",
                 "server is draining: no new streams accepted",
@@ -378,7 +401,7 @@ class ReproServer:
         pipeline_id = self._stream_of(conn, header)
         self._pipeline.feed(pipeline_id, payload, pump=False)
         pending = self._pipeline.pending_bits()
-        self.counters["bytes_in_total"] += len(payload)
+        self._counts["bytes_in"] += len(payload)
         pause = pending > self._high
         if pause:
             self._pumped.clear()
@@ -395,7 +418,7 @@ class ReproServer:
         client_id = str(header.get("id"))
         digest = self._pipeline.finalize(self._stream_of(conn, header))
         del conn.streams[client_id]
-        self.counters["digests_total"] += 1
+        self._counts["digests"] += 1
         self._check_no_streams()
         return {
             "op": "read-digest",
@@ -433,14 +456,6 @@ class ReproServer:
             await write_frame(writer, header)
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
-
-    def _count_error(self, code: str) -> None:
-        if code == "protocol":
-            self.counters["protocol_errors_total"] += 1
-        elif code == "stream":
-            self.counters["stream_errors_total"] += 1
-        if default_registry().enabled:
-            _METRICS()["errors"].labels(code=code).inc()
 
     def _check_no_streams(self) -> None:
         if self.stream_count == 0:

@@ -11,7 +11,7 @@ ran it.
 
 * :mod:`repro.telemetry.registry` — thread-safe Counter/Gauge/Histogram
   families with bounded label cardinality and near-zero overhead when
-  disabled.
+  disabled; values an object owns are read from it (:class:`Owners`).
 * :mod:`repro.telemetry.tracing` — nestable ``span()`` context manager
   with trace/span ids, serializable span trees, and a bounded buffer.
 * :mod:`repro.telemetry.flightrec` — bounded ring buffer of structured
@@ -62,6 +62,7 @@ from repro.telemetry.registry import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
+    Owners,
     bind_families,
     default_registry,
     set_default_registry,
@@ -83,6 +84,7 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
+    "Owners",
     "Span",
     "Tracer",
     "attach_flight_dump",

@@ -14,7 +14,10 @@ PiCoGA model keeps per array.  Design constraints, in order:
 * **bounded label cardinality** — each metric family caps its distinct
   label sets (default :data:`MAX_LABEL_SETS`); once full, unseen label
   sets collapse into a shared ``__overflow__`` child and are counted in
-  ``dropped_label_sets`` rather than growing memory without bound.
+  ``dropped_label_sets`` rather than growing memory without bound;
+* **pull, don't push** — a value that lives in an object is not
+  mirrored: its series is bound to a reader (usually over
+  :class:`Owners`) and read when the registry is read.
 
 A family's *declared* label names are a floor, not a ceiling:
 :meth:`MetricFamily.sample` accepts label sets carrying extra
@@ -28,9 +31,11 @@ histograms get ``_bucket``/``_sum``/``_count`` series at export time) so
 
 from __future__ import annotations
 
+import collections
 import threading
+import weakref
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 MAX_LABEL_SETS = 64
 OVERFLOW_LABEL = "__overflow__"
@@ -55,15 +60,37 @@ class _Child:
         self._lock = threading.Lock()
 
 
-class Counter(_Child):
-    """Monotonically increasing count."""
+class _Scalar(_Child):
+    """A counter or gauge value: stored, or read from a bound function."""
 
-    __slots__ = ("_value",)
-    kind = "counter"
+    __slots__ = ("_value", "_read")
 
     def __init__(self, registry: "MetricsRegistry"):
         super().__init__(registry)
         self._value = 0.0
+        self._read: Optional[Callable[[], float]] = None
+
+    def bind(self, read: Callable[[], float]) -> None:
+        """Read this series from ``read()`` whenever it is read (the
+        Prometheus ``set_function``); it then records nothing and
+        ignores the registry's ``enabled`` switch."""
+        self._read = read
+
+    @property
+    def value(self) -> float:
+        """Current value (the bound reader's, if any)."""
+        read = self._read
+        if read is not None:
+            return float(read())
+        with self._lock:
+            return self._value
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count."""
+
+    __slots__ = ()
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (default 1); no-op while the registry is off."""
@@ -74,22 +101,12 @@ class Counter(_Child):
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self) -> float:
-        """Current count."""
-        with self._lock:
-            return self._value
 
-
-class Gauge(_Child):
+class Gauge(_Scalar):
     """A value that can go up and down (open streams, buffered bits)."""
 
-    __slots__ = ("_value",)
+    __slots__ = ()
     kind = "gauge"
-
-    def __init__(self, registry: "MetricsRegistry"):
-        super().__init__(registry)
-        self._value = 0.0
 
     def set(self, value: float) -> None:
         """Replace the gauge value; no-op while the registry is off."""
@@ -108,12 +125,6 @@ class Gauge(_Child):
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount``; no-op while the registry is off."""
         self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        """Current gauge value."""
-        with self._lock:
-            return self._value
 
 
 class Histogram(_Child):
@@ -287,6 +298,8 @@ class MetricsRegistry:
         self._max_label_sets = max_label_sets
         self._lock = threading.Lock()
         self._families: "Dict[str, MetricFamily]" = {}
+        # bind_families builder -> the container it built for this registry
+        self._bound: Dict[Callable, object] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -425,6 +438,56 @@ class MetricsRegistry:
                         child._value = float(sample["value"])
 
 
+class Owners:
+    """The live objects some bound series read, held by weak reference.
+
+    A gauge bound to :meth:`sum` reads the objects still alive; a counter
+    bound to :meth:`total` reads the ``counts`` dicts the objects bump
+    themselves, and keeps what collected objects had counted, so it never
+    goes backwards.  Entries are copied under the lock and read outside
+    it, because a scrape may run on any thread.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: List[Tuple[weakref.ref, Optional[dict]]] = []
+        self._retired: "collections.Counter" = collections.Counter()
+        self._fold_at = 16
+
+    def add(self, obj: object, counts: Optional[dict] = None) -> None:
+        """Track ``obj`` and, for counters, the running totals it owns."""
+        with self._lock:
+            if len(self._entries) >= self._fold_at:
+                self._fold()
+                self._fold_at = 2 * len(self._entries) + 16
+            self._entries.append((weakref.ref(obj), counts))
+
+    def _fold(self) -> None:
+        """Drop collected objects, keeping what they counted (lock held)."""
+        live = []
+        for entry in self._entries:
+            if entry[0]() is not None:
+                live.append(entry)
+            elif entry[1]:
+                self._retired.update(entry[1])
+        self._entries = live
+
+    def _copy(self):
+        with self._lock:
+            self._fold()
+            return list(self._entries), self._retired.copy()
+
+    def sum(self, read: Callable[[object], float]) -> float:
+        """``read(obj)`` summed over the tracked objects still alive."""
+        objs = [ref() for ref, _ in self._copy()[0]]
+        return sum(read(obj) for obj in objs if obj is not None)
+
+    def total(self, key: Hashable) -> float:
+        """``counts[key]`` summed over every object added, collected ones too."""
+        entries, retired = self._copy()
+        return retired[key] + sum(c.get(key, 0) for _, c in entries if c)
+
+
 _DEFAULT_REGISTRY = MetricsRegistry()
 
 
@@ -454,19 +517,24 @@ def bind_families(builder: Callable[[MetricsRegistry], object]):
     registry.
 
     ``builder(registry)`` constructs the module's family handles (any
-    container).  The returned zero-arg callable yields that container,
-    rebuilding it iff :func:`default_registry` now returns a different
-    object than last time — so a module pays one identity check per
-    call instead of snapshotting the registry at import time (the bug
-    class where :func:`set_default_registry` was silently ignored).
+    container), once per registry.  The returned zero-arg callable yields
+    the container of the current default registry, looking it up only
+    when :func:`default_registry` returns a different object than last
+    time — so a module pays one identity check per call instead of
+    snapshotting the registry at import time (the bug class where
+    :func:`set_default_registry` was silently ignored).  Objects add
+    themselves to a container's :class:`Owners` in ``__init__`` while the
+    registry is enabled, so a registry reads the objects built under it.
     """
     cell: Dict[str, object] = {"registry": None, "families": None}
 
     def resolve():
         registry = default_registry()
         if cell["registry"] is not registry:
-            cell["families"] = builder(registry)
-            cell["registry"] = registry
+            families = registry._bound.get(builder)
+            if families is None:
+                families = registry._bound[builder] = builder(registry)
+            cell["families"], cell["registry"] = families, registry
         return cell["families"]
 
     return resolve

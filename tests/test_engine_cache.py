@@ -135,6 +135,24 @@ def test_init_fold_zero_init_short_circuits():
     assert cache.stats.lookups == lookups  # early return, no lookup
 
 
+def test_ragged_batch_leaves_the_cache_alone():
+    """A batch with more distinct lengths than the cache holds folds its
+    init on the batch engine, not through ``init_fold``: bit-exact, no
+    eviction, and the table stack stays resident."""
+    import random
+
+    from repro.crc import BitwiseCRC
+
+    cache = CompileCache(capacity=8)
+    engine = BatchCRC(ETHERNET_CRC32, 128, cache=cache)
+    rng = random.Random("ragged")
+    messages = [rng.randbytes(n) for n in rng.sample(range(1, 1519), 64)]
+    serial = BitwiseCRC(ETHERNET_CRC32)
+    assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
+    assert cache.stats.evictions == 0
+    assert ("slicing-tables", ETHERNET_CRC32) in cache
+
+
 def test_racing_cold_key_compiles_keep_one_identity():
     """Regression: two threads racing on the same cold key used to each
     insert their own artifact, the second silently replacing the first —

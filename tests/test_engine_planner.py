@@ -544,6 +544,21 @@ class TestBatchCRCPricing:
         assert plan.backend == CRC_BATCH_ENGINE
         assert plan.serial_s == pytest.approx(2048 * 1024 / 1e9)
 
+    def test_crc_stream_is_priced_from_the_batch_engine(self):
+        """The pipeline runs the byte table and the gather, so a stream
+        plan follows the batch CRC rate, not a tiny packed rate."""
+        profile = HostProfile.synthetic(
+            cpus=2, fingerprint="slow-packed", packed_bits_per_s=1e3,
+            crc_batch_bits_per_s=1e9, crc_shard_gain=0.5,
+        )
+        planner = Planner(profile=profile)
+        workload = _workload(kind="crc-stream", message_bits=2048, batch=1, streams=8)
+        plan = planner.plan(workload)
+        assert plan.backend == CRC_BATCH_ENGINE
+        assert plan.M == max(planner._m_candidates)
+        assert plan.serial_s == pytest.approx(2048 * 8 / 1e9)
+        assert plan.strategy == "serial"  # the probed gain says threads lose
+
     def test_one_candidate_per_worker_count(self, host_profiles):
         """No backend or M axis: the gather costs the same at every M."""
         planner = Planner(profile=host_profiles["server-16cpu"])
@@ -593,4 +608,4 @@ class TestBatchCRCPricing:
             cpus=2, fingerprint="rt", crc_batch_bits_per_s=7e8, crc_shard_gain=0.6
         )
         assert HostProfile.from_dict(profile.to_dict()) == profile
-        assert PLANNER_VERSION == 4
+        assert PLANNER_VERSION == 5
