@@ -13,9 +13,17 @@ report the engine against their own ``zlib.crc32`` ceilings: 1024 x
 (six-block messages), 1024 IMIX frames (64/594/1518 B at 7:4:1, one
 group per size) and 1024 ragged messages of 1-1518 B drawn uniformly
 (about 720 distinct lengths, each folding the init once per call).
+
+A rows x length sweep times a block-count group through the vectorized
+fold (every group gathered) against a loop of the single-message
+:class:`~repro.crc.slicing.ByteSlicedCRC`; where the ratio crosses 1 is
+where :data:`~repro.crc.slicing.GATHER_MIN_ROWS` comes from.  A gated
+row holds one 1 MiB message through ``BatchCRC.compute_batch`` to
+<= 1.5x the single-message engine.
 """
 
 import random
+import statistics
 import time
 import zlib
 
@@ -23,7 +31,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.crc import BitwiseCRC, DerbyCRC, ETHERNET_CRC32
+import repro.crc.slicing as slicing
+from repro.crc import BitwiseCRC, ByteSlicedCRC, DerbyCRC, ETHERNET_CRC32
 from repro.engine import BatchAdditiveScrambler, BatchCRC, CompileCache
 from repro.scrambler import AdditiveScrambler, IEEE80216E
 from repro.telemetry import BenchReport
@@ -41,6 +50,13 @@ SHAPES = (
     ("1024 x IMIX", 1024, ((64, 7), (594, 4), (1518, 1))),
     ("1024 x 1-1518 B", 1024, RAGGED),
 )
+#: The gather-floor sweep: rows of one block-count group x message bytes.
+SWEEP_ROWS = (1, 2, 4, 8, 16, 32, 64)
+SWEEP_BYTES = (64, 1518, 4096, 65536)
+#: One long message through the batch engine costs at most this many
+#: times the single-message engine.
+ONE_MESSAGE_BYTES = 1 << 20
+GATE_ONE_MESSAGE_RATIO = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +146,55 @@ def shape_rates():
     return rates
 
 
+def _median_time(fn, reps):
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+@pytest.fixture(scope="module")
+def gather_floor():
+    """``({bytes: {rows: vectorized / loop}}, one-message ratio)``.
+
+    The vectorized column runs ``BatchCRC.compute_batch`` with every group
+    gathered (the floor set to 1); the loop column runs
+    ``ByteSlicedCRC.compute`` per message.  The one-message ratio is the
+    shipped ``BatchCRC.compute_batch`` on one 1 MiB message over
+    ``ByteSlicedCRC.compute`` on the same bytes, medians of alternated
+    calls."""
+    rng = random.Random(17)
+    engine = BatchCRC(ETHERNET_CRC32, 128, cache=CompileCache())
+    single = ByteSlicedCRC(ETHERNET_CRC32)
+    sweep = {}
+    shipped = slicing.GATHER_MIN_ROWS
+    slicing.GATHER_MIN_ROWS = 1
+    try:
+        for n in SWEEP_BYTES:
+            sweep[n] = {}
+            for rows in SWEEP_ROWS:
+                msgs = [rng.randbytes(n) for _ in range(rows)]
+                assert engine.compute_batch(msgs) == [zlib.crc32(m) for m in msgs]
+                reps = max(3, min(25, (1 << 21) // (n * rows)))
+                vectorized = _median_time(lambda: engine.compute_batch(msgs), reps)
+                loop = _median_time(lambda: [single.compute(m) for m in msgs], reps)
+                sweep[n][rows] = vectorized / loop
+    finally:
+        slicing.GATHER_MIN_ROWS = shipped
+    big = rng.randbytes(ONE_MESSAGE_BYTES)
+    assert engine.compute_batch([big]) == [zlib.crc32(big)]
+    ratios = []
+    for _ in range(7):
+        batch = _median_time(lambda: engine.compute_batch([big]), 1)
+        ratios.append(batch / _median_time(lambda: single.compute(big), 1))
+    return sweep, statistics.median(ratios)
+
+
 def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, shape_rates,
-                            save_result, save_report):
+                            gather_floor, save_result, save_report):
+    sweep, one_message = gather_floor
     rows = [[f"DerbyCRC loop (sample {BASELINE_SAMPLE})", f"{derby_rate:,.0f}", "1.0x"]]
     for batch, rate in sorted(batch_rates.items()):
         rows.append([f"BatchCRC B={batch}", f"{rate:,.0f}", f"{rate / derby_rate:.1f}x"])
@@ -154,6 +217,20 @@ def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, shape_rates,
         ],
         title=f"Batch shapes: {ETHERNET_CRC32.name}, M=128",
     )
+    text += "\n\n" + format_table(
+        ["bytes"] + [f"{rows} rows" for rows in SWEEP_ROWS],
+        [[n] + [f"{sweep[n][rows]:.2f}" for rows in SWEEP_ROWS] for n in SWEEP_BYTES],
+        title=(
+            "Gather floor: one block-count group through the vectorized fold "
+            "/ a ByteSlicedCRC.compute loop (below 1 the gather wins; "
+            f"GATHER_MIN_ROWS = {slicing.GATHER_MIN_ROWS})"
+        ),
+    )
+    text += (
+        f"\n\nOne {ONE_MESSAGE_BYTES >> 20} MiB message: BatchCRC.compute_batch "
+        f"/ ByteSlicedCRC.compute = {one_message:.2f} "
+        f"(gate: <= {GATE_ONE_MESSAGE_RATIO})"
+    )
     save_result("engine_batch", text)
     save_report(BenchReport(
         name="engine_batch",
@@ -164,6 +241,7 @@ def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, shape_rates,
             "message_bytes": MESSAGE_BYTES,
             "baseline_sample": BASELINE_SAMPLE,
             "batch_sizes": list(BATCH_SIZES),
+            "gather_min_rows": slicing.GATHER_MIN_ROWS,
         },
         metrics={
             "derby_msgs_per_s": derby_rate,
@@ -171,16 +249,27 @@ def test_engine_batch_sweep(derby_rate, batch_rates, zlib_rate, shape_rates,
             "gate_min_speedup": 10.0,
             "zlib_msgs_per_s": zlib_rate,
             "b1024_vs_zlib": batch_rates[1024] / zlib_rate,
+            "one_mib_batch_vs_single": one_message,
+            "gate_max_one_mib_batch_vs_single": GATE_ONE_MESSAGE_RATIO,
         },
         series={
             "batch_msgs_per_s": {str(b): r for b, r in sorted(batch_rates.items())},
             "shape_msgs_per_s": {name: r for name, (r, _) in shape_rates.items()},
             "shape_zlib_msgs_per_s": {name: z for name, (_, z) in shape_rates.items()},
+            "gather_vs_loop": {
+                str(n): {str(rows): r for rows, r in by_rows.items()}
+                for n, by_rows in sweep.items()
+            },
         },
     ))
     assert batch_rates[1024] >= 10 * derby_rate, (
         f"batch engine {batch_rates[1024]:.0f} msg/s is below 10x the "
         f"Derby loop {derby_rate:.0f} msg/s"
+    )
+    assert one_message <= GATE_ONE_MESSAGE_RATIO, (
+        f"one {ONE_MESSAGE_BYTES}-byte message through the batch engine costs "
+        f"{one_message:.2f}x the single-message engine "
+        f"(gate: <= {GATE_ONE_MESSAGE_RATIO}x)"
     )
 
 

@@ -2,24 +2,25 @@
 
 Two gates guard the parallel subsystem:
 
-* **Planner auto-plan throughput** — the adaptive execution planner
-  probes this host, picks workers x M for the standard batch workload
-  (B=1024, 256-byte messages; priced from the probed batch CRC engine),
-  and the planned engine runs against the serial baseline, call by call
-  in alternated pairs.  The gate applies on *every* host with no
-  skips: the auto plan must deliver >= 0.95x serial always (the planner
-  may never make things slower — on a 1-CPU host it must fall back to
-  serial by construction), and >= 2x on hosts with >= 4 usable CPUs
-  (where sharding must actually multiply).  This replaces the earlier
-  fixed ``workers=4`` gate whose ``gate_applied: 0.0`` escape hatch let
-  the BENCH_5 0.79x regression through on single-CPU hosts.
+* **Planner auto-plan throughput** — a fresh planner probes this host
+  (it times each engine serially and sharded on a fixed probe batch)
+  and plans two workloads: the batch CRC (B=1024, 256-byte messages, the
+  batch-crc-auto shape) and the batch scrambler at DreamSystem's default
+  shape (256 DVB streams of 2048 bits).  Each planned engine then runs
+  against the serial engine, call by call in alternated pairs, and the
+  table reports the probe's measured speedup beside the one the gate
+  measures.  The gate applies on *every* host with no skips: each plan
+  must deliver >= 0.95x serial always (the planner may never make things
+  slower — on a 1-CPU host it must fall back to serial by construction),
+  and the CRC plan >= 2x on hosts with >= 4 usable CPUs (where sharding
+  must actually multiply).
 * **Persistent compile cache** — a warm start (artifacts unpickled from
   a populated :class:`~repro.engine.diskcache.DiskCompileCache`) must
   beat the cold start (full Derby/look-ahead compilation) by >= 5x.
   This one is hardware-independent: it is pure deserialization-vs-
   compute and must hold everywhere.
 
-Results (including the recorded planner decision) land under
+Results (including the recorded planner decisions) land under
 ``benchmarks/results/engine_parallel.json`` (+ ``.txt``) and fold into
 the top-level ``BENCH_<n>.json`` trajectory.
 """
@@ -33,19 +34,24 @@ import pytest
 
 from repro.analysis import format_table
 from repro.crc import BitwiseCRC, ETHERNET_CRC32
+from repro.dream import DreamSystem
 from repro.engine import (
     CompileCache,
     DiskCompileCache,
+    ParallelBatchAdditiveScrambler,
     ParallelBatchCRC,
     Planner,
     WorkloadDescriptor,
-    probe_host,
 )
+from repro.scrambler import DVB, AdditiveScrambler
 from repro.telemetry import BenchReport
 
 M = 128
 BATCH = 1024
 MESSAGE_BYTES = 256
+#: DreamSystem's default ``scrambler-batch`` workload: 256 x 2048 bits.
+SCRAMBLER_STREAMS = 256
+SCRAMBLER_BITS = 2048
 REPEATS = 3
 #: Adjacent (serial, planned) call pairs the auto-plan gate times.  A
 #: serial plan runs the very engine it is compared with, so the ratio is
@@ -54,16 +60,8 @@ REPEATS = 3
 #: alternated calls 0.88-1.10x, while the median of 50 pairs' time ratios
 #: read 0.995-1.021x.
 RATE_PAIRS = 50
-
-#: Gated metrics whose base this snapshot changed (``tools/bench_diff.py``
-#: lists them instead of comparing them); the next snapshot drops the map.
-REBASED = {
-    "prediction_accuracy": (
-        "crc-batch is predicted from the probed batch CRC engine's rate "
-        "instead of the packed matvec rate, and the measured time is the "
-        "median call instead of the best of three"
-    ),
-}
+#: The scrambler's calls are ~40x the CRC batch's, so fewer pairs.
+SCRAMBLER_PAIRS = 20
 
 
 def _usable_cpus() -> int:
@@ -81,43 +79,35 @@ def messages():
     ]
 
 
-def _paired_rates(serial, planned, messages):
-    """(serial msgs/s, planned msgs/s, speedup) over :data:`RATE_PAIRS`
-    adjacent call pairs, the order alternating.  Each rate is from the
-    side's median call; the speedup is the median of the pairs' time
-    ratios, so drift and bursts that reach a pair's two calls alike
-    cancel."""
-    for engine in (serial, planned):
-        engine.compute_batch(messages[:2])  # warm compile cache + pool
-    # Spot-check every call against the bit-serial reference.
-    spots = (0, len(messages) // 2, -1)
-    want = [BitwiseCRC(ETHERNET_CRC32).compute(messages[j]) for j in spots]
-    times = {serial: [], planned: []}
-    for i in range(RATE_PAIRS):
-        for engine in (serial, planned) if i % 2 == 0 else (planned, serial):
+@pytest.fixture(scope="module")
+def streams():
+    rng = np.random.default_rng(6)
+    return rng.integers(0, 2, size=(SCRAMBLER_STREAMS, SCRAMBLER_BITS)).tolist()
+
+
+def _paired(serial, planned, check, pairs):
+    """(serial median s, planned median s, speedup) over ``pairs``
+    adjacent calls of each, the order alternating.  The speedup is the
+    median of the pairs' time ratios, so drift and bursts that reach a
+    pair's two calls alike cancel.  ``check`` sees every call's result."""
+    serial()
+    planned()  # warm compile cache + pool
+    times = ([], [])
+    for i in range(pairs):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
             t0 = time.perf_counter()
-            crcs = engine.compute_batch(messages)
-            times[engine].append(time.perf_counter() - t0)
-            assert [crcs[j] for j in spots] == want
-    speedup = statistics.median(
-        s / p for s, p in zip(times[serial], times[planned])
-    )
-    return (
-        len(messages) / statistics.median(times[serial]),
-        len(messages) / statistics.median(times[planned]),
-        speedup,
-    )
+            result = (serial, planned)[side]()
+            times[side].append(time.perf_counter() - t0)
+            check(result)
+    speedup = statistics.median(s / p for s, p in zip(*times))
+    return statistics.median(times[0]), statistics.median(times[1]), speedup
 
 
-def test_planner_auto_gate(messages, save_result, save_report):
+def test_planner_auto_gate(messages, streams, save_result, save_report):
     cpus = _usable_cpus()
     cache = CompileCache()
+    planner = Planner()  # measures this host, each kind when first planned
 
-    # Probe the real host (the batch CRC probe prices crc-batch; the
-    # packed backend rate is what other kinds use) and plan the benchmark
-    # workload with M pinned to the gate's.
-    profile = probe_host(backends=("packed",))
-    planner = Planner(profile=profile)
     plan = planner.plan(
         WorkloadDescriptor(
             kind="crc-batch",
@@ -127,57 +117,105 @@ def test_planner_auto_gate(messages, save_result, save_report):
             M=M,
         )
     )
-
     serial = ParallelBatchCRC(ETHERNET_CRC32, M, workers=1, cache=cache)
-    with ParallelBatchCRC(ETHERNET_CRC32, M, cache=cache, plan=plan) as auto:
-        serial_rate, auto_rate, speedup = _paired_rates(serial, auto, messages)
-    # Model accuracy: how close reality came to the predicted wall time.
-    accuracy = planner.record_actual(plan, len(messages) / auto_rate)
+    # Spot-check every call against the bit-serial reference.
+    spots = (0, BATCH // 2, -1)
+    want = [BitwiseCRC(ETHERNET_CRC32).compute(messages[j]) for j in spots]
 
+    def crc_ok(crcs):
+        assert [crcs[j] for j in spots] == want
+
+    with ParallelBatchCRC(ETHERNET_CRC32, M, cache=cache, plan=plan) as auto:
+        serial_s, auto_s, speedup = _paired(
+            lambda: serial.compute_batch(messages),
+            lambda: auto.compute_batch(messages),
+            crc_ok,
+            RATE_PAIRS,
+        )
+
+    system = DreamSystem(cache=cache)
+    scrambler = system.batch_scrambler("DVB", auto=True, planner=planner)
+    scrambler_plan = scrambler.plan
+    serial_scrambler = ParallelBatchAdditiveScrambler(
+        DVB, scrambler_plan.M, workers=1, cache=cache, backend="packed"
+    )
+    reference = AdditiveScrambler(DVB)
+    stream_spots = (0, SCRAMBLER_STREAMS // 2, -1)
+    expected = [reference.scramble_bits(streams[j]) for j in stream_spots]
+
+    def scrambler_ok(out):
+        assert [out[j] for j in stream_spots] == expected
+
+    with scrambler:
+        scr_serial_s, scr_auto_s, scr_speedup = _paired(
+            lambda: serial_scrambler.scramble_batch(streams),
+            lambda: scrambler.scramble_batch(streams),
+            scrambler_ok,
+            SCRAMBLER_PAIRS,
+        )
+
+    probed = planner.profile.speedup
     rows = [
-        ["serial (workers=1)", f"{serial_rate:,.0f}", "1.0x"],
+        ["CRC serial (workers=1)", f"{BATCH / serial_s:,.0f}", "1.0x", "-"],
         [
-            f"auto plan [{plan.strategy} x{plan.workers}]",
-            f"{auto_rate:,.0f}",
+            f"CRC auto plan [{plan.strategy} x{plan.workers}]",
+            f"{BATCH / auto_s:,.0f}",
             f"{speedup:.2f}x",
+            f"{probed['crc-batch']:.2f}x",
+        ],
+        ["scrambler serial (workers=1)", f"{SCRAMBLER_STREAMS / scr_serial_s:,.0f}",
+         "1.0x", "-"],
+        [
+            f"scrambler auto plan [{scrambler_plan.strategy} "
+            f"x{scrambler_plan.workers}]",
+            f"{SCRAMBLER_STREAMS / scr_auto_s:,.0f}",
+            f"{scr_speedup:.2f}x",
+            f"{probed['scrambler-batch']:.2f}x",
         ],
     ]
     text = format_table(
-        ["engine", "messages/s", "speedup"],
+        ["engine", "items/s", "speedup", "probe: sharded vs serial"],
         rows,
         title=(
-            f"ParallelBatchCRC auto plan: CRC-32, B={BATCH}, "
-            f"{MESSAGE_BYTES}-byte messages, M={M}, {cpus} cpu(s), "
-            f"planner chose {plan.strategy} (predicted "
-            f"{plan.predicted_speedup:.2f}x, accuracy {accuracy:.2f})"
+            f"Auto plans vs serial on {cpus} cpu(s): CRC-32, B={BATCH}, "
+            f"{MESSAGE_BYTES}-byte messages, M={M}; DVB scrambler, "
+            f"{SCRAMBLER_STREAMS} x {SCRAMBLER_BITS} bits, "
+            f"M={scrambler_plan.M}"
         ),
     )
     save_result("engine_parallel", text)
     save_report(
         BenchReport(
             name="engine_parallel",
-            title="Planner auto-plan batch CRC throughput vs serial",
+            title="Planner auto plans (batch CRC, batch scrambler) vs serial",
             params={
                 "standard": "CRC-32",
                 "M": M,
                 "batch": BATCH,
                 "message_bytes": MESSAGE_BYTES,
                 "cpu_count": cpus,
-                "crc_batch_bits_per_s": profile.crc_batch_bits_per_s,
-                "crc_shard_gain": profile.crc_shard_gain,
+                "probe_speedup_crc_batch": probed["crc-batch"],
+                "probe_speedup_scrambler_batch": probed["scrambler-batch"],
                 "plan_strategy": plan.strategy,
                 "plan_workers": plan.workers,
                 "plan_backend": plan.backend,
                 "plan_mode": plan.mode,
                 "plan_M": plan.M,
-                "rebased": REBASED,
+                "scrambler": "DVB",
+                "scrambler_streams": SCRAMBLER_STREAMS,
+                "scrambler_bits": SCRAMBLER_BITS,
+                "scrambler_plan_strategy": scrambler_plan.strategy,
+                "scrambler_plan_workers": scrambler_plan.workers,
+                "scrambler_plan_backend": scrambler_plan.backend,
+                "scrambler_plan_M": scrambler_plan.M,
             },
             metrics={
-                "serial_rate_msgs_per_s": serial_rate,
-                "auto_rate_msgs_per_s": auto_rate,
+                "serial_rate_msgs_per_s": BATCH / serial_s,
+                "auto_rate_msgs_per_s": BATCH / auto_s,
                 "speedup": speedup,
-                "predicted_speedup": plan.predicted_speedup,
-                "prediction_accuracy": accuracy,
+                "scrambler_serial_streams_per_s": SCRAMBLER_STREAMS / scr_serial_s,
+                "scrambler_auto_streams_per_s": SCRAMBLER_STREAMS / scr_auto_s,
+                "scrambler_speedup": scr_speedup,
                 "gate_applied": 1.0,
             },
         )
@@ -185,10 +223,14 @@ def test_planner_auto_gate(messages, save_result, save_report):
 
     # Universal gate: the planner may never make things slower.  0.95x
     # absorbs run-to-run noise when the plan degenerates to serial.
-    assert speedup >= 0.95, (
-        f"auto plan ({plan.strategy}, workers={plan.workers}) delivered "
-        f"{speedup:.2f}x vs serial on {cpus} CPUs (floor: >= 0.95x)"
-    )
+    for name, chosen, ratio in (
+        ("CRC", plan, speedup),
+        ("scrambler", scrambler_plan, scr_speedup),
+    ):
+        assert ratio >= 0.95, (
+            f"{name} auto plan ({chosen.strategy}, workers={chosen.workers}) "
+            f"delivered {ratio:.2f}x vs serial on {cpus} CPUs (floor: >= 0.95x)"
+        )
     if cpus >= 4:
         # Multi-core gate: with cores to shard onto, the planner must
         # actually multiply throughput.

@@ -15,11 +15,11 @@ Commands
 ``batch-bench``
     Time the vectorized batch engine against the per-message Derby loop
     (``--auto`` additionally runs the execution planner's pick and
-    reports predicted vs actual throughput).
+    prints the speedup the planner measured).
 ``plan``
-    Run the adaptive execution planner for a workload: probe (or load)
-    the host cost profile and print the chosen backend x workers x M
-    with its decision trace (``--json`` writes the full artifact).
+    Run the execution planner for a workload: time the engine serially
+    and sharded on this host, and print the CPUs, the measured speedup
+    and the plan (``--json`` writes plan + profile).
 ``cache``
     Inspect (or clear) the persistent compile-cache directory.
 ``stats``
@@ -51,11 +51,11 @@ sets the process default, so it also covers engines built internally by
 the fuzzer.  The ``REPRO_GF2_BACKEND`` environment variable does the same
 without a flag.
 
-``batch-bench`` and ``fuzz`` accept ``--workers`` to shard work across a
-pool (``$REPRO_WORKERS`` without a flag; ``auto`` = cpu count) and
-``--cache-dir`` to persist compiled artifacts across runs
-(``$REPRO_CACHE_DIR`` without a flag) — both flags set the process
-default, so engines built internally inherit them.
+``batch-bench`` accepts ``--workers N`` to add a row sharded across N
+pool workers.  ``batch-bench`` and ``fuzz`` accept ``--cache-dir`` to
+persist compiled artifacts across runs (``$REPRO_CACHE_DIR`` without a
+flag); it sets the process default, so engines built internally inherit
+it.
 """
 
 from __future__ import annotations
@@ -205,13 +205,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _speedup_line(profile, kind: str) -> str:
+    """The measured speedup a ``kind`` plan read, as the CLI prints it."""
+    speedup = profile.speedup_of(kind)
+    if speedup is None:
+        return f"sharding not measured on {profile.cpus} cpu(s)"
+    return f"sharded measured {speedup:.2f}x serial on {profile.cpus} cpu(s)"
+
+
 def cmd_batch_bench(args: argparse.Namespace) -> int:
     import time
 
     import numpy as np
 
-    from repro.engine import BatchCRC, default_cache
+    from repro.engine import BatchCRC, ParallelBatchCRC, default_cache, resolve_workers
 
+    workers = resolve_workers(args.workers)
     spec = get(args.standard)
     rng = np.random.default_rng(args.seed)
     messages = [
@@ -246,9 +255,6 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
         ],
     ]
 
-    from repro.engine import ParallelBatchCRC, resolve_workers
-
-    workers = resolve_workers(getattr(args, "workers", None))
     if workers > 1:
         with ParallelBatchCRC(
             spec, args.m, workers=workers, min_shard_bits=1
@@ -271,8 +277,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
             ]
         )
 
-    if getattr(args, "auto", False):
-        from repro.engine import ParallelBatchCRC
+    if args.auto:
         from repro.engine.planner import WorkloadDescriptor, default_planner
 
         planner = default_planner()
@@ -295,7 +300,6 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
             print("MISMATCH: planned engine disagrees with serial batch engine")
             return 1
         auto_rate = len(messages) / auto_best
-        ratio = planner.record_actual(plan, auto_best)
         rows.append(
             [
                 f"auto plan [{plan.strategy} x{plan.workers}]",
@@ -305,8 +309,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
         )
         print(
             f"planner: {plan.strategy} backend={plan.backend} "
-            f"workers={plan.workers} (predicted {plan.predicted_speedup:.2f}x "
-            f"vs serial; model accuracy {ratio:.2f})"
+            f"workers={plan.workers} ({_speedup_line(planner.profile, plan.workload.kind)})"
         )
 
     print(format_table(
@@ -329,46 +332,34 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     import json as _json
+    from dataclasses import asdict
 
-    from repro.engine import DiskCompileCache, default_cache_dir
-    from repro.engine.planner import Planner, WorkloadDescriptor, get_profile
+    from repro.engine.planner import WorkloadDescriptor, default_planner
 
     spec = get(args.standard)
-    workload = WorkloadDescriptor(
+    planner = default_planner()
+    plan = planner.plan(WorkloadDescriptor(
         kind=args.kind,
         standard=spec.name,
         message_bits=8 * args.bytes,
         batch=args.batch,
         streams=args.streams,
         M=args.m,
+    ))
+    profile = planner.profile
+    print(f"host:      {profile.cpus} cpu(s)")
+    print(f"measured:  {_speedup_line(profile, args.kind)}")
+    print(
+        f"decision:  {plan.strategy} — backend={plan.backend} "
+        f"workers={plan.workers} mode={plan.mode} M={plan.M}"
     )
-    root = args.cache_dir or default_cache_dir()
-    disk = DiskCompileCache(root) if root is not None else None
-    profile = get_profile(disk=disk, refresh=args.refresh)
-    planner = Planner(profile=profile, disk=disk)
-    plan = planner.plan(workload)
-    print(f"host:      {profile.describe()}")
-    for line in plan.describe():
-        print(line)
-    if args.trace:
-        rows = [
-            [c.strategy, c.backend, c.workers, c.mode, c.M,
-             f"{1e3 * c.predicted_s:.4f}"]
-            for c in planner.candidates(workload)
-        ]
-        print(format_table(
-            ["strategy", "backend", "workers", "mode", "M", "predicted ms"],
-            rows, title=f"{len(rows)} candidates explored",
-        ))
     if args.json:
-        payload = {
-            "plan": plan.to_dict(),
-            "profile": profile.to_dict(),
-            "candidates": [c.to_dict() for c in planner.candidates(workload)],
-        }
         with open(args.json, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"decision trace written to {args.json}")
+            _json.dump(
+                {"plan": asdict(plan), "profile": asdict(profile)},
+                handle, indent=2, sort_keys=True,
+            )
+        print(f"plan written to {args.json}")
     return 0
 
 
@@ -477,14 +468,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_keystream(args: argparse.Namespace) -> int:
     import json as _json
+    from dataclasses import asdict
 
-    from repro.engine import DiskCompileCache, default_cache_dir
-    from repro.engine.planner import (
-        KIND_KEYSTREAM,
-        Planner,
-        WorkloadDescriptor,
-        get_profile,
-    )
+    from repro.engine.planner import KIND_KEYSTREAM, WorkloadDescriptor, default_planner
     from repro.gf2.polynomial import GF2Polynomial
     from repro.lfsr.reference import GaloisLFSR
     from repro.lfsr.wordlfsr import WordLFSR, WordLFSRReference
@@ -496,16 +482,13 @@ def cmd_keystream(args: argparse.Namespace) -> int:
     source = args.source
     plan = None
     if source == "auto":
-        root = args.cache_dir or default_cache_dir()
-        disk = DiskCompileCache(root) if root is not None else None
-        profile = get_profile(disk=disk)
-        planner = Planner(profile=profile, disk=disk)
+        planner = default_planner()
         plan = planner.plan(WorkloadDescriptor(
             kind=KIND_KEYSTREAM, standard="keystream", message_bits=8 * nbytes,
         ))
         source = plan.backend
-        print(f"planner picked {source} "
-              f"(predicted {1e3 * plan.predicted_s:.3f} ms for {nbytes} bytes)")
+        rate = planner.profile.keystream_bits_per_s[source]
+        print(f"planner picked {source} (measured {rate:.3g} bits/s)")
     if source == "galois-bitserial":
         # The PRBS-31 generator, MSB-first bits packed to bytes — the
         # bit-serial baseline the word engines are gated against.
@@ -535,7 +518,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
             "source": source,
             "bytes": nbytes,
             "hex": data.hex(),
-            "plan": plan.to_dict() if plan is not None else None,
+            "plan": asdict(plan) if plan is not None else None,
         }
         with open(args.json, "w") as handle:
             _json.dump(payload, handle, indent=2, sort_keys=True)
@@ -660,14 +643,7 @@ def _add_backend_option(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_parallel_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        default=None,
-        metavar="N",
-        help="shard work across N workers; 'auto' = cpu count "
-        "(default: $REPRO_WORKERS or 1)",
-    )
+def _add_cache_dir_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cache-dir",
         default=None,
@@ -735,15 +711,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--auto", action="store_true",
                    help="also run the execution planner's chosen configuration "
-                   "and report predicted vs actual throughput")
+                   "and print the speedup it measured")
+    p.add_argument("--workers", default=None, metavar="N",
+                   help="add a row sharded across N pool workers (default: 1)")
     _add_backend_option(p)
-    _add_parallel_options(p)
+    _add_cache_dir_option(p)
     p.add_argument("--telemetry", action="store_true",
                    help="trace the run and snapshot the metrics registry")
     p.set_defaults(func=cmd_batch_bench)
 
     p = sub.add_parser(
-        "plan", help="pick backend x workers x M for a workload (design-space mapper)"
+        "plan", help="plan a workload from speedups measured on this host"
     )
     p.add_argument("--standard", default="CRC-32")
     p.add_argument("--kind", choices=("crc-batch", "crc-stream", "scrambler-batch"),
@@ -753,17 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", type=int, default=1,
                    help="concurrent streams (crc-stream workloads)")
     p.add_argument("-m", "--m", type=int, default=None,
-                   help="pin the look-ahead factor (default: solver picks)")
-    p.add_argument("--refresh", action="store_true",
-                   help="re-probe the host even if a cached profile matches")
-    p.add_argument("--trace", action="store_true",
-                   help="print every candidate the solver explored")
+                   help="pin the look-ahead factor (default: 128)")
     p.add_argument("--json", metavar="PATH",
-                   help="write the full decision trace (plan + profile + "
-                   "candidates) to PATH")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist the host profile and plans under DIR "
-                   "(default: $REPRO_CACHE_DIR)")
+                   help="write the plan and the host profile to PATH")
     p.add_argument("--telemetry", action="store_true",
                    help="trace the run and snapshot the metrics registry")
     p.set_defaults(func=cmd_plan)
@@ -782,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-failures", type=int, default=5,
                    help="stop after this many confirmed mismatches")
     _add_backend_option(p)
-    _add_parallel_options(p)
+    _add_cache_dir_option(p)
     p.add_argument("--no-shrink", action="store_true",
                    help="skip minimizing failing cases")
     p.add_argument("--telemetry", action="store_true",
@@ -797,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "word8", "word32", "word64",
                             "galois-bitserial"),
                    default="auto",
-                   help="keystream engine (auto = planner cost-table pick)")
+                   help="keystream engine (auto = the fastest measured source)")
     p.add_argument("--bytes", type=int, default=64,
                    help="keystream bytes to emit")
     p.add_argument("--seed", default="repro",
@@ -807,9 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "bit-serial state-matrix reference")
     p.add_argument("--json", metavar="PATH",
                    help="write source, hex keystream and plan to PATH")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="persist the host profile under DIR for --source auto "
-                   "(default: $REPRO_CACHE_DIR)")
     p.set_defaults(func=cmd_keystream)
 
     p = sub.add_parser("cache", help="inspect the persistent compile cache")
@@ -891,13 +858,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_default_backend(args.backend)
         # The flag must also beat an inherited REPRO_GF2_BACKEND setting.
         os.environ[BACKEND_ENV] = args.backend
-    if getattr(args, "workers", None) is not None:
-        import os
-
-        from repro.engine.parallel import WORKERS_ENV, resolve_workers
-
-        resolve_workers(args.workers)  # fail fast on bad input
-        os.environ[WORKERS_ENV] = str(args.workers)
     # --cache-dir persists compiles; export it so child processes and
     # the lazily-attached default cache all see the same directory.
     if getattr(args, "cache_dir", None) and args.command != "cache":

@@ -45,6 +45,13 @@ SLICE_DEPTH = 256
 #: ~35 % faster than one gather over all of it).
 _SLAB_BLOCKS = 256
 
+#: A batch group of fewer messages than this runs each one through
+#: :meth:`ByteSlicedCRC.raw_register`: the group's vectorized fold steps
+#: block by block with numpy calls on arrays of one row per message, and
+#: for a few rows that overhead outweighs the work.  Read off the rows x
+#: length sweep in ``benchmarks/results/engine_batch.txt``.
+GATHER_MIN_ROWS = 16
+
 
 def _register_shift(spec: CRCSpec) -> int:
     """Bits a forward register is left-aligned by so its top byte is whole."""
@@ -272,11 +279,15 @@ class ByteSlicedCRC:
         short.  The input term does not depend on the register, so a
         group's blocks gather in slabs of about :data:`_SLAB_BLOCKS`; only
         the ``ceil(width / 8)``-lookup fold through ``A^{8D}`` steps from
-        block to block, vectorized across the group.
+        block to block, vectorized across the group.  A group of fewer
+        than :data:`GATHER_MIN_ROWS` messages runs each one through
+        :meth:`raw_register` instead.
 
         ``fold_init`` XORs in the spec's init clocked over each message's
         length (:meth:`_init_after`), once per distinct length in the
-        call, which by linearity is the register clocked from ``init``.
+        call, which by linearity is the register clocked from ``init``;
+        the byte messages of a group below :data:`GATHER_MIN_ROWS` clock
+        from ``init`` itself instead.
         ``bit_lengths`` are the true lengths of head-padded bit streams
         (default: 8 bits per byte).  With ``finalize=True`` the result is
         the published CRCs.  Specs wider than 64 bits run
@@ -291,12 +302,18 @@ class ByteSlicedCRC:
             if fold_init:
                 regs = [r ^ self._init_after(n) for r, n in zip(regs, bits.tolist())]
             return [spec.finalize(r) for r in regs] if finalize else regs
-        work = self._gather_batch(messages, lengths)
-        if fold_init and len(work):
+        # Byte messages of a group below GATHER_MIN_ROWS clock from the init
+        # itself; gathered rows and head-padded bit streams fold it in after.
+        start = spec.init if fold_init and bit_lengths is None else 0
+        work, from_zero = self._gather_batch(messages, lengths, start)
+        if fold_init and from_zero.any():
             # Sets, not np.unique: its first call imports numpy.ma (~35 ms).
-            distinct = np.array(sorted(set(bits.tolist())))
+            owing = bits[from_zero]
+            distinct = np.array(sorted(set(owing.tolist())))
             aligned = [self._align(self._init_after(n)) for n in distinct.tolist()]
-            work ^= np.array(aligned, dtype=work.dtype)[np.searchsorted(distinct, bits)]
+            work[from_zero] ^= np.array(aligned, dtype=work.dtype)[
+                np.searchsorted(distinct, owing)
+            ]
         if finalize and spec.refin == spec.refout:
             return ((work >> self._shift) ^ spec.xorout).tolist()
         regs = [self._unalign(r) for r in work.tolist()]
@@ -308,18 +325,34 @@ class ByteSlicedCRC:
         reg = self.raw_register(bytes(n_bits // 8), self._spec.init)
         return BitwiseCRC(self._spec).process_bits(reg, [0] * (n_bits % 8))
 
-    def _gather_batch(self, messages: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
-        """Working registers of ``messages`` from zero, one group per K."""
+    def _gather_batch(
+        self, messages: Sequence[bytes], lengths: np.ndarray, start: int
+    ):
+        """Working registers of ``messages``, one group per K, and a mask of
+        the rows clocked from zero.
+
+        A group of fewer than :data:`GATHER_MIN_ROWS` messages runs each
+        through :meth:`raw_register` from ``start``; the others gather from
+        zero.
+        """
         blocks = -(-lengths // self._depth)
         work = np.zeros(len(messages), dtype=self._flat.dtype)
+        from_zero = np.ones(len(messages), dtype=bool)
         for k in sorted(set(blocks.tolist())):
             if k == 0:
                 continue  # an empty message leaves the register at zero
             rows = np.flatnonzero(blocks == k)
+            if len(rows) < GATHER_MIN_ROWS:
+                work[rows] = [
+                    self._align(self.raw_register(messages[i], start))
+                    for i in rows.tolist()
+                ]
+                from_zero[rows] = start == 0
+                continue
             group = (messages if len(rows) == len(messages)
                      else [messages[i] for i in rows.tolist()])
             work[rows] = self._gather_group(group, lengths[rows], k)
-        return work
+        return work, from_zero
 
     def _gather_group(self, group: Sequence[bytes], lengths: np.ndarray, k: int) -> np.ndarray:
         """Working registers of one group of ``k``-block messages."""

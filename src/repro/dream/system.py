@@ -119,8 +119,10 @@ class DreamSystem:
         ``workload`` overrides the default descriptor (2048-bit messages,
         batch 256 / 8 streams — the telecom frame regime the paper
         benchmarks); ``planner`` overrides :func:`~repro.engine.planner.
-        default_planner` so tests can inject synthetic host profiles.
-        An explicit ``M`` pins the look-ahead factor the solver may pick.
+        default_planner`, which times the engine on this host the first
+        time a kind is planned, so tests can inject measured host
+        profiles instead.  An explicit ``M`` pins the plan's look-ahead
+        factor (128 otherwise).
         """
         from repro.engine.planner import WorkloadDescriptor, default_planner
 
@@ -149,20 +151,21 @@ class DreamSystem:
         """A host-side sharded CRC engine wired to this system's cache.
 
         ``spec`` is a :class:`~repro.crc.CRCSpec` or a catalog name
-        (``"CRC-32"``).  ``workers`` resolves per :func:`repro.engine.parallel.resolve_workers`
-        (explicit > ``$REPRO_WORKERS`` > 1); ``workers=1`` degenerates to
-        the serial :class:`~repro.engine.batch.BatchCRC` path.  Use this
+        (``"CRC-32"``).  ``workers`` is a positive int, else the plan's,
+        else 1 (:func:`repro.engine.parallel.resolve_workers`);
+        ``workers=1`` degenerates to the serial
+        :class:`~repro.engine.batch.BatchCRC` path.  Use this
         for golden-model throughput runs beside a DREAM deployment: the
         engine gathers over the spec's byte-sliced table stack, compiled
         once into this system's cache, and ``M`` is the look-ahead factor
         the netlists were mapped at.
 
         Pass ``auto=True`` (optionally with a ``workload`` descriptor and
-        an injected ``planner``) to let the execution planner pick
-        workers x M — the software analogue of the paper's §2
-        design-space mapper; or hand in a solved ``plan`` directly.
-        Explicit arguments always win over the plan's choices.  ``M``
-        may be omitted when a plan supplies it.
+        an injected ``planner``) to let the execution planner pick the
+        worker count from the speedup it measured for this engine; or
+        hand in a ``plan`` directly.  Explicit arguments always win over
+        the plan's choices.  ``M`` may be omitted when a plan supplies
+        it.
         """
         from repro.engine.parallel import ParallelBatchCRC
 

@@ -23,10 +23,9 @@ Three layers, each reusable on its own:
   with a work-stealing scheduler.
 * :mod:`repro.engine.diskcache` — a content-addressed persistent compile
   cache that warms the in-memory LRU across processes and runs.
-* :mod:`repro.engine.planner` — an adaptive execution planner: per-host
-  micro-probed cost tables (persisted under a host fingerprint) and a
-  deterministic solver picking backend x workers x shard plan x M per
-  workload, falling back to serial whenever sharding can't pay.
+* :mod:`repro.engine.planner` — an execution planner: it times the
+  engine a plan would run, serially and sharded across the host's CPUs,
+  and shards only when that measured speedup pays.
 * :mod:`repro.engine.microbatch` — a continuous-batching scheduler that
   coalesces ops from many concurrent asyncio submitters into single wide
   executor calls, with planner-chosen occupancy and linger windows
@@ -57,7 +56,6 @@ from repro.engine.pipeline import CRCPipeline, ScramblerPipeline
 _LAZY = {
     "DiskCacheStats": "diskcache",
     "DiskCompileCache": "diskcache",
-    "WORKERS_ENV": "parallel",
     "ParallelBatchAdditiveScrambler": "parallel",
     "ParallelBatchCRC": "parallel",
     "ShardedCRCPipeline": "parallel",
@@ -73,12 +71,9 @@ _LAZY = {
     "ExecutionPlan": "planner",
     "HostProfile": "planner",
     "MicroBatchPlan": "planner",
-    "PlanCandidate": "planner",
     "Planner": "planner",
     "WorkloadDescriptor": "planner",
     "default_planner": "planner",
-    "get_profile": "planner",
-    "host_fingerprint": "planner",
     "probe_host": "planner",
 }
 
@@ -113,20 +108,16 @@ __all__ = [
     "MicroBatchStats",
     "ParallelBatchAdditiveScrambler",
     "ParallelBatchCRC",
-    "PlanCandidate",
     "Planner",
     "ScramblerPipeline",
     "ShardedCRCPipeline",
     "ShardScheduler",
     "WorkerPool",
     "WorkloadDescriptor",
-    "WORKERS_ENV",
     "default_cache",
     "default_cache_dir",
     "default_planner",
     "estimate_entry_bytes",
-    "get_profile",
-    "host_fingerprint",
     "plan_shards",
     "probe_host",
     "resolve_workers",

@@ -21,23 +21,20 @@ multiplier rather than an approximation:
 
 Worker substrate: shards run on a
 :class:`~concurrent.futures.ThreadPoolExecutor`.  The numpy kernels
-release the GIL only inside each call, and a batch CRC call is a few
-large gathers with Python between them, so on two CPUs its thread shards
-measured slower than one serial call; the planner prices ``crc-batch``
-from the probed batch engine and plans it serial there.  The
-pure-Python ``"reference"`` GF(2) backend holds the GIL, so scrambler
-shards on it run correctly but one at a time, and the planner plans it
-serial.
+release the GIL only inside each call, with Python between them, so on
+two CPUs the thread shards of a batch CRC or a batch scrambler measured
+slower than one serial call; the planner times each engine serially and
+sharded, and plans it serial there.  The pure-Python ``"reference"``
+GF(2) backend holds the GIL, so scrambler shards on it run correctly but
+one at a time.
 
-Worker count resolution order: explicit ``workers=`` argument, else the
-``REPRO_WORKERS`` environment variable, else ``1`` (serial).  ``0`` or
-``"auto"`` selects :func:`os.cpu_count`.  Any worker failure surfaces as
+A worker count is an explicit positive ``workers=``, else the plan's,
+else ``1`` (serial).  Any worker failure surfaces as
 :class:`~repro.errors.StreamError` — never a hang.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count
@@ -72,9 +69,6 @@ from repro.validation import check_bit_streams, check_bits, check_messages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner probes us)
     from repro.engine.planner import ExecutionPlan
-
-#: Environment variable consulted when no explicit worker count is given.
-WORKERS_ENV = "REPRO_WORKERS"
 
 #: Bucket edges for the per-phase wall/CPU breakdown histograms.
 PHASE_BUCKETS = (
@@ -143,9 +137,8 @@ _METRICS = bind_families(lambda reg: {
 def observe_phase(phase: str, wall_s: float, cpu_s: Optional[float] = None) -> None:
     """Publish one phase timing into the wall/CPU breakdown histograms.
 
-    The planner's ``record_actual`` consumes the same numbers; keeping
-    the publish path here means every front-end (batch engines, pools,
-    DREAM) feeds one consistent ``engine_phase_seconds`` family.
+    Keeping the publish path here means every front-end (batch engines,
+    pools, DREAM) feeds one consistent ``engine_phase_seconds`` family.
     """
     if not default_registry().enabled:
         return
@@ -156,35 +149,26 @@ def observe_phase(phase: str, wall_s: float, cpu_s: Optional[float] = None) -> N
 
 
 def resolve_workers(workers: Union[None, int, str] = None) -> int:
-    """Resolve a worker count: argument, else ``$REPRO_WORKERS``, else 1.
+    """A worker count: ``workers`` when given, else 1.
 
-    ``0`` or ``"auto"`` (either source) selects :func:`os.cpu_count`.
-    The result is always >= 1; anything unparseable or negative raises
+    ``workers`` is a positive int, or its decimal string (a CLI flag's
+    value).  Anything else, ``0`` and ``"auto"`` included, raises
     :class:`~repro.errors.ValidationError`.
     """
-    source: Union[None, int, str] = workers
-    if source is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is None or not env.strip():
-            return 1
-        source = env.strip()
-    if isinstance(source, str):
-        if source.lower() == "auto":
-            source = 0
-        else:
-            try:
-                source = int(source, 10)
-            except ValueError:
-                raise ValidationError(
-                    f"worker count must be an integer or 'auto', got {source!r}"
-                ) from None
-    if not isinstance(source, int) or isinstance(source, bool):
-        raise ValidationError(f"worker count must be an integer, got {source!r}")
-    if source == 0:
-        return max(1, os.cpu_count() or 1)
-    if source < 0:
-        raise ValidationError(f"worker count must be >= 0, got {source}")
-    return source
+    if workers is None:
+        return 1
+    if isinstance(workers, str):
+        try:
+            workers = int(workers, 10)
+        except ValueError:
+            raise ValidationError(
+                f"worker count must be a positive integer, got {workers!r}"
+            ) from None
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValidationError(
+            f"worker count must be a positive integer, got {workers!r}"
+        )
+    return workers
 
 
 def plan_shards(n_items: int, shards: int) -> List[Tuple[int, int]]:

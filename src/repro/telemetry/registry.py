@@ -226,6 +226,10 @@ class MetricFamily:
         self._lock = threading.Lock()
         self._children: "Dict[_ChildKey, _Child]" = {}
         self.dropped_label_sets = 0
+        if not self.label_names and kind != "histogram":
+            # A label-less counter or gauge exports 0 from registration,
+            # so a scrape can tell "zero" from "missing".
+            self._children[()] = self._new_child()
 
     # ------------------------------------------------------------------
     def _new_child(self) -> _Child:

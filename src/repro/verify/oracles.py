@@ -600,24 +600,25 @@ class ParallelWorkersOracle(Oracle):
 class PlannerAutoOracle(Oracle):
     """Planner-chosen execution vs serial ground truth, bit-exact.
 
-    The adaptive planner decides backend x workers x M from a cost model
-    — this oracle checks that *whatever* it decides, the planned engine
-    is still bit-exact.  Each case is turned into a workload descriptor
+    The planner decides the worker count from a measured speedup — this
+    oracle checks that *whatever* it decides, the planned engine is
+    still bit-exact.  Each case is turned into a workload descriptor
     (the case's own batch shape and payload sizes, M pinned so compiles
-    are shared) and planned against a synthetic host profile drawn
-    deterministically from the case — so across a fuzz run the decision
-    space (serial fallback, thread sharding, wide/narrow ladders) is
-    covered without ever timing anything.  The planned configuration
-    then executes on its thread pool and must reproduce the serial batch
-    result and the bit-serial single-message CRC exactly.
+    are shared) and planned against a measured host profile drawn
+    deterministically from the case — so across a fuzz run both serial
+    and sharded plans (narrow and wide) are covered without ever timing
+    anything.  The planned configuration then executes on its thread
+    pool and must reproduce the serial batch result and the bit-serial
+    single-message CRC exactly.
     """
 
     name = "planner:auto-vs-serial"
     kinds = (KIND_CRC,)
 
-    #: Synthetic hosts the cases cycle through: a 1-CPU laptop (always
-    #: plans serial), a 4-core desktop, and a 16-core server with a
-    #: cheap pool (plans wide).  Built lazily to keep import light.
+    #: Measured hosts the cases cycle through, by CPUs: a 1-CPU laptop
+    #: (always plans serial), a 4-core desktop and a 16-core server whose
+    #: batch CRC shards measured faster than serial (plan wide whenever
+    #: a case has items to shard).  Built lazily to keep import light.
     PROFILE_CPUS = (1, 4, 16)
 
     def __init__(self):
@@ -629,12 +630,7 @@ class PlannerAutoOracle(Oracle):
 
         planner = self._planners.get(cpus)
         if planner is None:
-            profile = HostProfile.synthetic(
-                cpus=cpus,
-                fingerprint=f"fuzz-{cpus}cpu",
-                thread_spawn_s=1e-5,
-                thread_dispatch_s=1e-6,
-            )
+            profile = HostProfile(cpus=cpus, speedup={"crc-batch": 0.4 * cpus + 0.6})
             planner = self._planners[cpus] = Planner(
                 profile=profile, min_shard_bits=1
             )

@@ -1,14 +1,15 @@
 """Shared test fixtures: canned host profiles, a fake clock, and
 deterministic parallel-engine scaffolding.
 
-The planner's cost tables are plain data, so tests never need to time
-anything: ``host_profiles`` provides a stable menu of synthetic hosts
-(the BENCH_5 1-CPU container, a 16-core server, a slow-spawn pool,
-...) and ``fake_clock`` replaces ``time.perf_counter`` wherever a
-probe or threshold check would otherwise be timing-flaky.  The
-``lagged_pipeline`` factory builds the hand-imbalanced sharded pipeline
-the scheduler-stealing tests exercise, and ``crashing_worker`` supplies
-the deterministic failing shard function for crash-containment tests.
+The planner decides from measurements held as plain data, so tests never
+need to time anything: ``host_profiles`` provides a stable menu of
+measured hosts (the BENCH_5 1-CPU container, a 16-core server, a pool
+that measured slower than serial, ...) and ``fake_clock`` replaces
+``time.perf_counter`` wherever a probe or threshold check would
+otherwise be timing-flaky.  The ``lagged_pipeline`` factory builds the
+hand-imbalanced sharded pipeline the scheduler-stealing tests exercise,
+and ``crashing_worker`` supplies the deterministic failing shard
+function for crash-containment tests.
 """
 
 import pytest
@@ -48,62 +49,54 @@ def fake_clock():
     return FakeClock()
 
 
+#: The measured ordering of the keystream sources on the BENCH_5
+#: container: word-oriented σ-LFSRs tens of times the bit-serial register.
+KEYSTREAM_RATES = {"galois-bitserial": 1.5e6, "word32": 4.0e7, "word64": 8.0e7}
+
+
+def _measured(cpus, crc, scrambler, keystream=KEYSTREAM_RATES):
+    """A host whose batch CRC and scrambler shards measured ``crc`` and
+    ``scrambler`` times serial."""
+    return HostProfile(
+        cpus=cpus,
+        speedup={"crc-batch": crc, "scrambler-batch": scrambler},
+        keystream_bits_per_s=dict(keystream),
+    )
+
+
 def make_host_profiles():
-    """The canned synthetic host menu (plain dict, importable directly).
+    """The canned measured host menu (plain dict, importable directly).
 
     Each entry is a :class:`~repro.engine.planner.HostProfile` shaped to
     force one corner of the plan space; tests assert decisions against
     them without timing anything.
     """
     return {
-        # The BENCH_5 container: one CPU, fast packed kernels.  Parallel
-        # can never pay here — the planner must return serial.
-        "bench5-1cpu": HostProfile.synthetic(cpus=1, fingerprint="bench5-1cpu"),
-        # A small laptop: two cores, ordinary pool costs.
-        "laptop-2cpu": HostProfile.synthetic(cpus=2, fingerprint="laptop-2cpu"),
+        # The BENCH_5 container: one CPU.  Parallel can never pay here —
+        # the planner must return serial whatever was measured.
+        "bench5-1cpu": _measured(1, crc=1.0, scrambler=1.0),
+        # A small laptop: two cores whose shards measured a modest gain.
+        "laptop-2cpu": _measured(2, crc=1.6, scrambler=1.5),
         # A desktop: four cores, cheap threads.
-        "desktop-4cpu": HostProfile.synthetic(
-            cpus=4,
-            fingerprint="desktop-4cpu",
-            thread_spawn_s=1e-4,
-            thread_dispatch_s=2e-5,
-        ),
+        "desktop-4cpu": _measured(4, crc=3.1, scrambler=2.9),
         # A big server: sixteen cores, very cheap pool machinery.
-        "server-16cpu": HostProfile.synthetic(
-            cpus=16,
-            fingerprint="server-16cpu",
-            thread_spawn_s=5e-5,
-            thread_dispatch_s=5e-6,
-        ),
-        # Many cores but a pathologically slow pool: spawn and dispatch
-        # dominate, so sharding only pays for very large workloads.
-        "slow-spawn-8cpu": HostProfile.synthetic(
-            cpus=8,
-            fingerprint="slow-spawn-8cpu",
-            thread_spawn_s=0.05,
-            thread_dispatch_s=5e-3,
-        ),
-        # A GIL-bound host: only the pure-Python reference backend, whose
-        # thread shards would run one at a time — it always plans serial.
-        "gil-bound-4cpu": HostProfile(
-            fingerprint="gil-bound-4cpu",
-            cpus=4,
-            backend_bits_per_s={"reference": 8.0e6},
-            spawn_s=2e-4,
-            dispatch_s=5e-5,
-            recombine_s=2e-5,
-            # Reference backend only, so the only keystream source this
-            # host measured is the bit-serial register (partial table).
-            keystream_bits_per_s={"galois-bitserial": 2.0e6},
-            # The batch CRC gathers on numpy whatever the GF(2) backend.
-            crc_batch_bits_per_s=1.6e9,
+        "server-16cpu": _measured(16, crc=11.0, scrambler=9.5),
+        # Many cores but a pathologically slow pool: its sharded calls
+        # measured slower than serial, so it plans serial.
+        "slow-spawn-8cpu": _measured(8, crc=0.6, scrambler=0.7),
+        # A GIL-bound host: its scrambler shards ran one at a time (the
+        # batch CRC's numpy gathers still overlap), and only the
+        # bit-serial keystream source was measured (partial table).
+        "gil-bound-4cpu": _measured(
+            4, crc=2.5, scrambler=0.98,
+            keystream={"galois-bitserial": 2.0e6},
         ),
     }
 
 
 @pytest.fixture(scope="session")
 def host_profiles():
-    """Canned synthetic host profiles, keyed by a descriptive name."""
+    """Canned measured host profiles, keyed by a descriptive name."""
     return make_host_profiles()
 
 

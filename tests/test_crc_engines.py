@@ -22,7 +22,7 @@ from repro.crc import (
     get,
 )
 from repro.crc.gfmac import chunk_message_bits
-from repro.crc.slicing import SLICE_DEPTH
+from repro.crc.slicing import GATHER_MIN_ROWS, SLICE_DEPTH
 from repro.engine import BatchCRC, CompileCache
 
 SPECS = [ETHERNET_CRC32, MPEG2_CRC32, get("CRC-16/CCITT-FALSE"), get("CRC-16/ARC")]
@@ -275,8 +275,10 @@ def batch_cache():
 
 def _mixed_lengths(spec):
     """One call's byte lengths: empty, shorter than the register, around
-    one, two, three and four blocks; three equal ``D + 1`` messages make an
-    equal-length group beside the ragged single-block one."""
+    one, two, three and four blocks, three of them an equal ``D + 1``.
+    Every block-count group here is smaller than ``GATHER_MIN_ROWS``, so
+    each message runs on its own; ``test_groups_either_side_of_the_gather_floor``
+    gathers groups."""
     D = SLICE_DEPTH
     return [0, 1, max(-(-spec.width // 8) - 1, 0), D - 1, D,
             D + 1, D + 1, D + 1, 2 * D + 1, 3 * D + 5]
@@ -301,6 +303,32 @@ class TestBatchGather:
         assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
         assert engine.raw_registers(messages) == [
             serial.raw_register(m) for m in messages
+        ]
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_groups_either_side_of_the_gather_floor(self, spec, batch_cache):
+        """A block-count group of ``GATHER_MIN_ROWS`` messages gathers, and
+        a smaller one runs message by message: through the byte door a
+        ragged two-block group gathers beside one message fewer of one
+        block, through the bit door a one-block group beside two
+        two-block streams."""
+        rng = random.Random(f"floor/{spec.name}")
+        D = SLICE_DEPTH
+        sizes = [D + rng.randrange(1, 17) for _ in range(GATHER_MIN_ROWS)]
+        sizes += [rng.randrange(1, 65) for _ in range(GATHER_MIN_ROWS - 1)]
+        rng.shuffle(sizes)
+        messages = [rng.randbytes(n) for n in sizes]
+        engine = BatchCRC(spec, 32, cache=batch_cache)
+        serial = BitwiseCRC(spec)
+        assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
+        bit_sizes = [rng.randrange(1, 130) for _ in range(GATHER_MIN_ROWS)]
+        bit_sizes += [8 * D + rng.randrange(1, 40) for _ in range(2)]
+        streams = [[rng.randrange(2) for _ in range(n)] for n in bit_sizes]
+        assert engine.compute_bits_batch(streams) == [
+            serial.compute_bits(s) for s in streams
+        ]
+        assert engine.raw_registers_bits(streams, fold_init=False) == [
+            serial.process_bits(0, s) for s in streams
         ]
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)

@@ -1,27 +1,27 @@
-"""The adaptive execution planner: decisions as pure functions of data.
+"""The execution planner: one rule over measured speedups.
 
-Everything here runs without timing anything: cost tables come from the
-canned synthetic hosts in ``conftest.py`` (plus a few built inline), the
-probe pass runs against the deterministic fake clock, and plan selection
-is asserted table-driven — profile in, expected decision out.  The
-BENCH_5 regression class gets a named row: on a 1-CPU profile the
-planner must return ``workers=1``/serial, by construction.
+Everything here but the real-probe checks runs without timing anything:
+measurements come from the canned hosts in ``conftest.py`` (plus a few
+built inline), the probes run against the deterministic fake clock, and
+plan selection is asserted table-driven — profile in, expected decision
+out.  The BENCH_5 regression class gets a named row: on a 1-CPU profile
+the planner must return ``workers=1``/serial, by construction.
 """
+
+from dataclasses import asdict
 
 import pytest
 
-from repro.engine import CompileCache, DiskCompileCache
+from repro.engine import CompileCache
 from repro.engine.planner import (
     CRC_BATCH_ENGINE,
-    PLANNER_VERSION,
-    PROFILE_KEY,
+    CRC_PROBE_BATCH,
+    CRC_PROBE_BYTES,
     ExecutionPlan,
     HostProfile,
-    PlanCandidate,
     Planner,
     WorkloadDescriptor,
-    get_profile,
-    host_fingerprint,
+    _time_pair,
     probe_host,
 )
 from repro.errors import ValidationError
@@ -36,7 +36,7 @@ def _workload(message_bits=2048, batch=1024, **kw):
 
 
 class TestPlanSelection:
-    """Table-driven: one row per synthetic host, decision fully pinned."""
+    """Table-driven: one row per measured host, decision fully pinned."""
 
     # (profile name, workload, expected strategy, expected workers)
     TABLE = [
@@ -46,18 +46,14 @@ class TestPlanSelection:
         ("laptop-2cpu", _workload(), "shard-batch", 2),
         ("desktop-4cpu", _workload(), "shard-batch", 4),
         ("server-16cpu", _workload(), "shard-batch", 16),
-        # Many cores but a 50 ms pool spawn: overhead dominates a ~1.3 ms
-        # compute, so the solver must refuse to shard.
+        # Many cores, but its sharded calls measured slower than serial.
         ("slow-spawn-8cpu", _workload(), "serial", 1),
-        # GIL-holding reference backend on a big scrambler workload (the
-        # kinds priced by backend rates): its thread shards would run one
-        # at a time, so it plans serial.
+        # Scrambler shards that took turns on the GIL measured no gain.
         ("gil-bound-4cpu",
          _workload(message_bits=65536, kind="scrambler-batch"), "serial", 1),
-        # Single long message on a big host: time-axis sharding with
-        # x^k mod G recombination.
+        # A single long message has nothing to shard across.
         ("server-16cpu", _workload(message_bits=1_000_000, batch=1),
-         "shard-time", 4),
+         "serial", 1),
     ]
 
     @pytest.mark.parametrize("profile_name,workload,strategy,workers", TABLE)
@@ -71,266 +67,178 @@ class TestPlanSelection:
         )
 
     def test_bench5_profile_is_serial_by_construction(self, host_profiles):
-        """The headline acceptance criterion: 1 CPU -> workers=1."""
-        planner = Planner(profile=host_profiles["bench5-1cpu"])
-        for workload in (
-            _workload(),
-            _workload(message_bits=1_000_000, batch=1),
-            _workload(message_bits=65536, batch=4096),
-        ):
-            plan = planner.plan(workload)
-            assert plan.is_serial
-            assert plan.workers == 1
-            assert plan.predicted_speedup == pytest.approx(1.0)
+        """The headline acceptance criterion: 1 CPU -> workers=1, even
+        when its measured speedup would clear the threshold."""
+        profile = HostProfile(cpus=1, speedup={"crc-batch": 50.0})
+        for planner in (Planner(profile), Planner(host_profiles["bench5-1cpu"])):
+            for workload in (
+                _workload(),
+                _workload(message_bits=1_000_000, batch=1),
+                _workload(message_bits=65536, batch=4096),
+            ):
+                plan = planner.plan(workload)
+                assert plan.is_serial
+                assert (plan.strategy, plan.workers, plan.mode) == (
+                    "serial", 1, "serial"
+                )
 
-    def test_parallel_needs_min_speedup_margin(self, host_profiles):
-        """A parallel candidate predicted barely faster still loses."""
-        profile = host_profiles["laptop-2cpu"]
-        plan = Planner(profile=profile, min_speedup=1.05).plan(_workload())
-        assert plan.strategy == "shard-batch"
-        # The same host under an extreme margin falls back to serial.
-        strict = Planner(profile=profile, min_speedup=100.0).plan(_workload())
-        assert strict.is_serial
+    def test_parallel_needs_min_speedup_margin(self):
+        """A measured 1.04x stays serial; 1.05x shards over every CPU."""
+        for cpus in (2, 8):
+            below = Planner(HostProfile(cpus=cpus, speedup={"crc-batch": 1.04}))
+            assert below.plan(_workload()).is_serial
+            at = Planner(HostProfile(cpus=cpus, speedup={"crc-batch": 1.05}))
+            plan = at.plan(_workload())
+            assert (plan.strategy, plan.workers, plan.mode) == (
+                "shard-batch", cpus, "thread"
+            )
 
     def test_tiny_workloads_stay_serial_everywhere(self, host_profiles):
+        """Below the shard floor, or with one item to shard, every host
+        plans serial; one shard per item caps the rest."""
         tiny = _workload(message_bits=8, batch=4)
+        single = _workload(message_bits=1 << 20, batch=1)
         for name, profile in host_profiles.items():
-            plan = Planner(profile=profile).plan(tiny)
-            assert plan.is_serial, f"{name} sharded a 32-bit workload"
+            planner = Planner(profile=profile)
+            assert planner.plan(tiny).is_serial, f"{name} sharded 32 bits"
+            assert planner.plan(single).is_serial, f"{name} sharded one item"
+        three = _workload(message_bits=1 << 16, batch=3)
+        assert Planner(host_profiles["server-16cpu"]).plan(three).workers == 3
+        floor = Planner(host_profiles["server-16cpu"], min_shard_bits=1)
+        assert floor.plan(tiny).workers == 4
 
     def test_pinned_M_is_respected(self, host_profiles):
-        plan = Planner(profile=host_profiles["server-16cpu"]).plan(
-            _workload(M=16)
-        )
-        assert plan.M == 16
+        planner = Planner(profile=host_profiles["server-16cpu"])
+        assert planner.plan(_workload(M=16)).M == 16
+        assert planner.plan(_workload()).M == 128
+        scrambler = planner.plan(_workload(kind="scrambler-batch"))
+        assert scrambler.M == 128
 
     def test_backend_choice_follows_rates(self, host_profiles):
-        """Kinds priced by backend rates pick the fastest backend; the
-        batch CRC runs on the byte-sliced gather whatever the rates."""
-        scrambler = _workload(kind="scrambler-batch")
-        plan = Planner(profile=host_profiles["desktop-4cpu"]).plan(scrambler)
-        assert plan.backend == "packed"  # 2 Gbit/s vs 8 Mbit/s reference
-        gil = Planner(profile=host_profiles["gil-bound-4cpu"]).plan(scrambler)
-        assert gil.backend == "reference"  # the only one the host has
+        """A keystream plan names the fastest measured source; the batch
+        kinds run fixed engines: the byte-sliced gather for CRCs and the
+        packed GF(2) backend for scramblers."""
+        planner = Planner(profile=host_profiles["desktop-4cpu"])
+        keystream = _workload(kind="keystream", standard="keystream", batch=1)
+        assert planner.plan(keystream).backend == "word64"
+        gil = Planner(profile=host_profiles["gil-bound-4cpu"])
+        assert gil.plan(keystream).backend == "galois-bitserial"
         for name in ("desktop-4cpu", "gil-bound-4cpu"):
-            crc = Planner(profile=host_profiles[name]).plan(_workload())
-            assert crc.backend == CRC_BATCH_ENGINE
+            planner = Planner(profile=host_profiles[name])
+            assert planner.plan(_workload()).backend == CRC_BATCH_ENGINE
+            assert planner.plan(_workload(kind="crc-stream", streams=8)).backend == (
+                CRC_BATCH_ENGINE
+            )
+            assert planner.plan(_workload(kind="scrambler-batch")).backend == "packed"
 
     def test_gil_holding_backends_plan_serial(self, host_profiles):
-        """Thread shards of the pure-Python backend would run one at a
-        time, so no candidate shards it, however big the workload."""
+        """Scrambler shards that ran one at a time measured no gain, so
+        the scrambler plans serial however big; the same host's batch CRC
+        measured a gain and shards."""
         big = _workload(message_bits=65536, batch=4096, kind="scrambler-batch")
-        for name in ("gil-bound-4cpu", "server-16cpu"):
-            candidates = Planner(profile=host_profiles[name]).candidates(big)
-            reference = [c for c in candidates if c.backend == "reference"]
-            assert reference and all(c.workers == 1 for c in reference)
-        plan = Planner(profile=host_profiles["gil-bound-4cpu"]).plan(big)
-        assert (plan.strategy, plan.workers, plan.mode) == ("serial", 1, "serial")
+        gil = Planner(profile=host_profiles["gil-bound-4cpu"])
+        assert (gil.plan(big).strategy, gil.plan(big).workers) == ("serial", 1)
+        assert gil.plan(_workload()).workers == 4
         sharded = Planner(profile=host_profiles["server-16cpu"]).plan(big)
-        assert (sharded.backend, sharded.mode) == ("packed", "thread")
-
-    def test_candidates_are_sorted_and_deterministic(self, host_profiles):
-        planner = Planner(profile=host_profiles["server-16cpu"])
-        a = planner.candidates(_workload())
-        b = planner.candidates(_workload())
-        assert a == b
-        assert all(
-            x.predicted_s <= y.predicted_s for x, y in zip(a, a[1:])
+        assert (sharded.backend, sharded.mode, sharded.workers) == (
+            "packed", "thread", 16
         )
-        assert any(c.workers == 1 for c in a)  # serial always explored
 
-
-class TestMonotonicity:
-    """More cores never produce a strictly slower predicted decision."""
-
-    CPUS = (1, 2, 4, 8, 16, 32, 64)
-
-    def test_predicted_time_non_increasing_in_cores(self):
-        workload = _workload()
-        times = [
-            Planner(
-                profile=HostProfile.synthetic(cpus=c, fingerprint=f"mono-{c}")
-            ).plan(workload).predicted_s
-            for c in self.CPUS
-        ]
-        for prev, cur in zip(times, times[1:]):
-            assert cur <= prev + 1e-12, f"{times}"
-
-    def test_predicted_speedup_non_decreasing_in_cores(self):
-        workload = _workload(message_bits=65536, batch=512)
-        speedups = [
-            Planner(
-                profile=HostProfile.synthetic(cpus=c, fingerprint=f"mono-{c}")
-            ).plan(workload).predicted_speedup
-            for c in self.CPUS
-        ]
-        for prev, cur in zip(speedups, speedups[1:]):
-            assert cur >= prev - 1e-12, f"{speedups}"
+    def test_scrambler_batch_follows_its_own_measurement(self):
+        """A 2-CPU host whose scrambler shards measured 0.8x serial plans
+        the scrambler serial, whatever its batch CRC measured."""
+        profile = HostProfile(
+            cpus=2, speedup={"crc-batch": 1.6, "scrambler-batch": 0.8}
+        )
+        planner = Planner(profile)
+        shape = dict(message_bits=2048, batch=256)
+        scrambler = planner.plan(_workload(kind="scrambler-batch", **shape))
+        assert (scrambler.strategy, scrambler.workers) == ("serial", 1)
+        crc = planner.plan(_workload(**shape))
+        assert (crc.strategy, crc.workers) == ("shard-batch", 2)
 
 
 class TestPlanCache:
-    def test_plan_round_trips_through_disk(self, tmp_path, host_profiles):
-        profile = host_profiles["desktop-4cpu"]
-        disk = DiskCompileCache(tmp_path)
-        workload = _workload()
-        first = Planner(profile=profile, disk=disk).plan(workload)
-        assert disk.stats.stores >= 1
-        # A fresh planner on the same host loads the persisted plan
-        # instead of re-solving.
-        reread = Planner(profile=profile, disk=disk).plan(workload)
-        assert reread == first
-        assert disk.stats.hits >= 1
-
     def test_in_memory_memo_returns_same_object(self, host_profiles):
         planner = Planner(profile=host_profiles["laptop-2cpu"])
         workload = _workload()
         assert planner.plan(workload) is planner.plan(workload)
 
-    def test_stale_fingerprint_plan_is_ignored(self, tmp_path, host_profiles):
-        disk = DiskCompileCache(tmp_path)
-        workload = _workload()
-        old = Planner(profile=host_profiles["bench5-1cpu"], disk=disk)
-        old_plan = old.plan(workload)
-        # Same workload on a different host: the persisted plan's key
-        # embeds the fingerprint, so the new host solves fresh.
-        new = Planner(profile=host_profiles["server-16cpu"], disk=disk)
-        new_plan = new.plan(workload)
-        assert new_plan.fingerprint != old_plan.fingerprint
-        assert new_plan.workers != old_plan.workers
-
     def test_plan_dict_round_trip(self, host_profiles):
+        """The plan's dict form (what ``repro plan --json`` writes) keeps
+        every field."""
         plan = Planner(profile=host_profiles["server-16cpu"]).plan(_workload())
-        back = ExecutionPlan.from_dict(plan.to_dict())
-        assert back == plan
-
-    def test_malformed_plan_record_rejected(self):
-        with pytest.raises(ValidationError, match="malformed"):
-            ExecutionPlan.from_dict({"version": PLANNER_VERSION})
-        with pytest.raises(ValidationError, match="version"):
-            ExecutionPlan.from_dict({"version": 99})
+        record = asdict(plan)
+        workload = WorkloadDescriptor(**record.pop("workload"))
+        assert ExecutionPlan(workload=workload, **record) == plan
 
 
 class TestHostProfilePersistence:
     def test_profile_round_trips(self, host_profiles):
+        """A profile's dict form (the ``profile`` of ``repro plan --json``)
+        rebuilds it."""
         for profile in host_profiles.values():
-            assert HostProfile.from_dict(profile.to_dict()) == profile
-
-    def test_get_profile_stores_and_reloads(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        probed = []
-
-        def prober():
-            probed.append(True)
-            return HostProfile.synthetic(
-                cpus=2, fingerprint=host_fingerprint()
-            )
-
-        first = get_profile(disk=disk, prober=prober)
-        assert len(probed) == 1
-        # Second call: fingerprint matches, no re-probe.
-        second = get_profile(disk=disk, prober=prober)
-        assert len(probed) == 1
-        assert second == first
-
-    def test_fingerprint_mismatch_triggers_reprobe(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        # Seed the cache with a profile from "another machine".
-        stale = HostProfile.synthetic(cpus=64, fingerprint="other-host")
-        disk.store(PROFILE_KEY, stale.to_dict())
-        probed = []
-
-        def prober():
-            probed.append(True)
-            return HostProfile.synthetic(
-                cpus=1, fingerprint=host_fingerprint()
-            )
-
-        profile = get_profile(disk=disk, prober=prober)
-        assert probed  # mismatch forced a fresh probe
-        assert profile.fingerprint == host_fingerprint()
-        # The fresh result replaced the stale entry.
-        found, data = disk.load(PROFILE_KEY)
-        assert found and data["fingerprint"] == host_fingerprint()
-
-    def test_refresh_forces_reprobe(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        calls = []
-
-        def prober():
-            calls.append(True)
-            return HostProfile.synthetic(
-                cpus=1, fingerprint=host_fingerprint()
-            )
-
-        get_profile(disk=disk, prober=prober)
-        get_profile(disk=disk, prober=prober, refresh=True)
-        assert len(calls) == 2
-
-    def test_corrupt_profile_record_degrades_to_reprobe(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        disk.store(PROFILE_KEY, {"not": "a profile"})
-        profile = get_profile(
-            disk=disk,
-            prober=lambda: HostProfile.synthetic(
-                cpus=1, fingerprint=host_fingerprint()
-            ),
-        )
-        assert profile.cpus == 1
+            assert HostProfile(**asdict(profile)) == profile
 
 
 class TestProbing:
     def test_probe_host_with_fake_clock_is_deterministic(self, fake_clock):
-        a = probe_host(backends=("packed",), timer=fake_clock, reps=2)
-        b = probe_host(
-            backends=("packed",), timer=FakeClockLike(fake_clock), reps=2
-        )
-        assert a.backend_bits_per_s == b.backend_bits_per_s
-        assert set(a.backend_bits_per_s) == {"packed"}
+        a = probe_host(timer=fake_clock, reps=2)
+        b = probe_host(timer=FakeClockLike(fake_clock), reps=2)
+        assert a == b
         assert a.cpus >= 1
-        assert a.fingerprint == host_fingerprint()
-        assert all(v > 0 for v in a.backend_bits_per_s.values())
+        assert set(a.speedup) == {"crc-batch", "scrambler-batch"}
+        assert a.keystream_bits_per_s and a.crc_batch_bits_per_s > 0
 
-    def test_one_slow_spawn_reading_keeps_the_batch_plan_sharded(
-        self, fake_clock, monkeypatch
-    ):
-        """The thread spawn cost is the best of the probe's pool starts: a
-        first start delayed to 15 ms must not price a backend-priced batch
-        of the batch-crc-auto shape (1024 x 256 B at M = 128) out of
-        sharding on 2 CPUs.  The CRC batch of that shape is priced by the
-        batch CRC probe instead, and plans serial on these hosts."""
-        import dataclasses
-
-        import repro.engine.parallel as parallel_mod
-
-        fake_clock.step = 1e-5
-        real_pool = parallel_mod.WorkerPool
-        starts = []
-
-        class SlowFirstStart(real_pool):
-            def __init__(self, *args, **kwargs):
-                if not starts:
-                    fake_clock.advance(0.015)
-                starts.append(True)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(parallel_mod, "WorkerPool", SlowFirstStart)
-        profile = probe_host(backends=("packed",), timer=fake_clock, reps=3)
-        assert len(starts) == 3
-        assert profile.spawn_s < 1e-3
-        plan = Planner(profile=dataclasses.replace(profile, cpus=2)).plan(
-            _workload(message_bits=2048, batch=1024, M=128, kind="scrambler-batch")
+    def test_speedup_is_the_median_ratio_with_dispatch(self):
+        """Serial ÷ sharded per round, median over rounds: nothing is
+        subtracted from the sharded time and nothing caps the ratio."""
+        # An untimed warm-up pair, then (serial, sharded) rounds of
+        # ratios 5, 2 and 10.
+        durations = iter([9.0, 9.0, 1.0, 0.2, 0.8, 0.4, 1.0, 0.1])
+        clock = ScriptedClock()
+        speedup, serial_s = _time_pair(
+            lambda: clock.spend(next(durations)),
+            lambda: clock.spend(next(durations)),
+            clock,
+            rounds=3,
         )
-        assert (plan.strategy, plan.workers) == ("shard-batch", 2)
+        assert speedup == pytest.approx(5.0)
+        assert serial_s == pytest.approx(0.8)
+
+    def test_planning_one_crc_batch_probes_only_the_batch_crc(self, monkeypatch):
+        """A fresh planner times only what its decision reads: one batch
+        CRC probe, once, whatever else it plans of that kind."""
+        import repro.engine.planner as planner_mod
+        from repro.telemetry import MetricsRegistry, set_default_registry
+
+        monkeypatch.setattr(planner_mod, "_usable_cpus", lambda: 2)
+        registry = MetricsRegistry()
+        previous = set_default_registry(registry)
+        try:
+            planner = Planner()
+            planner.plan(_workload(M=128))
+            planner.plan(_workload(message_bits=4096, batch=512))
+            planner.plan(_workload(kind="crc-stream", batch=1, streams=8))
+        finally:
+            set_default_registry(previous)
+        probes = registry.snapshot()["engine_planner_probes_total"]["samples"]
+        assert probes == [{"labels": {"kind": "crc-batch"}, "value": 1.0}]
+        assert set(planner.profile.speedup) == {"crc-batch"}
+        assert not planner.profile.keystream_bits_per_s
 
     def test_probe_rejects_bad_reps(self):
         with pytest.raises(ValidationError, match="reps"):
-            probe_host(backends=("packed",), reps=0)
+            probe_host(reps=0)
 
     def test_real_probe_yields_usable_profile(self):
-        profile = probe_host(backends=("packed",))
+        profile = probe_host(reps=1)
+        assert all(s > 0 for s in profile.speedup.values())
         plan = Planner(profile=profile).plan(_workload())
-        assert plan.predicted_s > 0
-        assert plan.serial_s > 0
+        assert plan.workers in (1, min(profile.cpus, 1024))
+        assert plan.is_serial == (
+            profile.cpus < 2 or profile.speedup["crc-batch"] < 1.05
+        )
 
 
 class FakeClockLike:
@@ -346,6 +254,19 @@ class FakeClockLike:
         return t
 
 
+class ScriptedClock:
+    """A clock that only moves when a timed call spends time on it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def spend(self, seconds):
+        self.now += seconds
+
+
 class TestValidation:
     def test_workload_validation(self):
         with pytest.raises(ValidationError, match="kind"):
@@ -359,28 +280,17 @@ class TestValidation:
 
     def test_profile_validation(self):
         with pytest.raises(ValidationError, match="cpu"):
-            HostProfile.synthetic(cpus=0)
-        with pytest.raises(ValidationError, match="rate"):
-            HostProfile(
-                fingerprint="x", cpus=1,
-                backend_bits_per_s={"packed": -1.0},
-            )
-        with pytest.raises(ValidationError, match="backend rate"):
-            HostProfile(fingerprint="x", cpus=1, backend_bits_per_s={})
+            HostProfile(cpus=0)
+        with pytest.raises(ValidationError, match="crc-batch"):
+            HostProfile(cpus=2, speedup={"crc-batch": 0.0})
+        with pytest.raises(ValidationError, match="word64"):
+            HostProfile(cpus=2, keystream_bits_per_s={"word64": -1.0})
+        with pytest.raises(ValidationError, match="dispatch"):
+            HostProfile(cpus=2, dispatch_s=-1e-6)
 
     def test_planner_validation(self, host_profiles):
-        with pytest.raises(ValidationError, match="min_speedup"):
-            Planner(profile=host_profiles["bench5-1cpu"], min_speedup=0.5)
-        with pytest.raises(ValidationError, match="M candidate"):
-            Planner(profile=host_profiles["bench5-1cpu"], m_candidates=())
-
-    def test_record_actual_validation(self, host_profiles):
-        planner = Planner(profile=host_profiles["bench5-1cpu"])
-        plan = planner.plan(_workload())
-        with pytest.raises(ValidationError, match="actual_s"):
-            planner.record_actual(plan, 0.0)
-        ratio = planner.record_actual(plan, plan.predicted_s)
-        assert ratio == pytest.approx(1.0)
+        with pytest.raises(ValidationError, match="min_shard_bits"):
+            Planner(profile=host_profiles["bench5-1cpu"], min_shard_bits=0)
 
 
 class TestEngineWiring:
@@ -421,6 +331,9 @@ class TestEngineWiring:
         assert engine.M == engine.plan.M
         pipe = system.crc_pipeline(get_crc("CRC-32"), auto=True, planner=planner)
         assert pipe.workers == 1
+        slow = Planner(HostProfile(cpus=2, speedup={"scrambler-batch": 0.8}))
+        scrambler = system.batch_scrambler("DVB", auto=True, planner=slow)
+        assert (scrambler.workers, scrambler.M) == (1, 128)
 
     def test_dream_system_requires_m_or_plan(self):
         from repro.crc import get as get_crc
@@ -461,7 +374,7 @@ class TestTelemetry:
 
 
 class TestKeystreamWorkloads:
-    """The v2 cost model: keystream rates + the `keystream` workload kind."""
+    """The ``keystream`` kind: the fastest measured source, always serial."""
 
     def _workload(self, message_bits=8 * (1 << 20)):
         from repro.engine.planner import KIND_KEYSTREAM
@@ -475,7 +388,7 @@ class TestKeystreamWorkloads:
 
         for profile in host_profiles.values():
             # Every canned host measured at least one source (the
-            # gil-bound host carries a partial, reference-only table).
+            # gil-bound host carries a partial, bit-serial-only table).
             assert profile.keystream_bits_per_s
             assert set(profile.keystream_bits_per_s) <= set(KEYSTREAM_SOURCES)
             assert all(r > 0 for r in profile.keystream_bits_per_s.values())
@@ -485,14 +398,14 @@ class TestKeystreamWorkloads:
         assert plan.backend == "galois-bitserial"
 
     def test_plan_picks_the_fastest_source(self, host_profiles):
-        plan = Planner(host_profiles["bench5-1cpu"]).plan(self._workload())
-        assert plan.strategy == "serial"
-        assert plan.backend == "word64"  # fastest synthetic rate
+        plan = Planner(host_profiles["server-16cpu"]).plan(self._workload())
+        assert (plan.strategy, plan.workers, plan.M) == ("serial", 1, 1)
+        assert plan.backend == "word64"  # fastest measured rate
 
     def test_plan_follows_the_cost_table(self):
-        slow_word = HostProfile.synthetic(
+        """The measured rates decide, not which engine is word-oriented."""
+        slow_word = HostProfile(
             cpus=4,
-            fingerprint="slow-word",
             keystream_bits_per_s={
                 "galois-bitserial": 5.0e7,
                 "word32": 1.0e6,
@@ -502,110 +415,77 @@ class TestKeystreamWorkloads:
         plan = Planner(slow_word).plan(self._workload())
         assert plan.backend == "galois-bitserial"
 
-    def test_candidates_are_sorted_and_serial_only(self, host_profiles):
-        cands = Planner(host_profiles["server-16cpu"]).candidates(
-            self._workload()
-        )
-        assert len(cands) == 3
-        assert all(c.strategy == "serial" and c.workers == 1 for c in cands)
-        predictions = [c.predicted_s for c in cands]
-        assert predictions == sorted(predictions)
-
     def test_profile_without_rates_raises(self):
-        bare = HostProfile.synthetic(cpus=2, fingerprint="bare")
-        object.__setattr__(bare, "keystream_bits_per_s", {})
-        with pytest.raises(ValidationError, match="keystream rates"):
+        bare = HostProfile(cpus=2, speedup={"crc-batch": 1.5})
+        with pytest.raises(ValidationError, match="keystream"):
             Planner(bare).plan(self._workload())
 
     def test_profile_round_trip_keeps_rates(self, host_profiles):
         profile = host_profiles["laptop-2cpu"]
-        back = HostProfile.from_dict(profile.to_dict())
+        back = HostProfile(**asdict(profile))
         assert back.keystream_bits_per_s == profile.keystream_bits_per_s
-
-    def test_version_1_profile_is_rejected(self, host_profiles):
-        record = host_profiles["laptop-2cpu"].to_dict()
-        record["version"] = PLANNER_VERSION - 1
-        with pytest.raises(ValidationError):
-            HostProfile.from_dict(record)
 
 
 class TestBatchCRCPricing:
-    """The v4 cost model: ``crc-batch`` priced from the probed batch CRC
-    engine (serial rate and two-shard gain), not from backend rates."""
+    """``crc-batch`` and ``crc-stream`` read the batch CRC probe, which
+    times the engine itself."""
 
     SHAPE = dict(message_bits=2048, batch=1024, M=128)  # batch-crc-auto
 
-    def test_serial_time_is_the_batch_engine_rate(self):
-        profile = HostProfile.synthetic(
-            cpus=1, fingerprint="fast-packed", packed_bits_per_s=1e12,
-            crc_batch_bits_per_s=1e9,
-        )
-        plan = Planner(profile=profile).plan(_workload(**self.SHAPE))
-        assert plan.backend == CRC_BATCH_ENGINE
-        assert plan.serial_s == pytest.approx(2048 * 1024 / 1e9)
+    def test_serial_time_is_the_batch_engine_rate(self, fake_clock):
+        """The profile's batch CRC rate is the probe batch's bits over the
+        best timed serial call (one fake-clock step)."""
+        profile = probe_host(timer=fake_clock, reps=2)
+        bits = 8 * CRC_PROBE_BYTES * CRC_PROBE_BATCH
+        assert profile.crc_batch_bits_per_s == pytest.approx(bits / fake_clock.step)
 
     def test_crc_stream_is_priced_from_the_batch_engine(self):
         """The pipeline runs the byte table and the gather, so a stream
-        plan follows the batch CRC rate, not a tiny packed rate."""
-        profile = HostProfile.synthetic(
-            cpus=2, fingerprint="slow-packed", packed_bits_per_s=1e3,
-            crc_batch_bits_per_s=1e9, crc_shard_gain=0.5,
-        )
-        planner = Planner(profile=profile)
-        workload = _workload(kind="crc-stream", message_bits=2048, batch=1, streams=8)
-        plan = planner.plan(workload)
-        assert plan.backend == CRC_BATCH_ENGINE
-        assert plan.M == max(planner._m_candidates)
-        assert plan.serial_s == pytest.approx(2048 * 8 / 1e9)
-        assert plan.strategy == "serial"  # the probed gain says threads lose
-
-    def test_one_candidate_per_worker_count(self, host_profiles):
-        """No backend or M axis: the gather costs the same at every M."""
-        planner = Planner(profile=host_profiles["server-16cpu"])
-        cands = planner.candidates(_workload())
-        assert {c.backend for c in cands} == {CRC_BATCH_ENGINE}
-        assert {c.M for c in cands} == {max(planner._m_candidates)}
-        assert len({c.workers for c in cands}) == len(cands)
-        pinned = planner.candidates(_workload(M=16))
-        assert {c.M for c in pinned} == {16}
+        plan follows the batch CRC's measured speedup."""
+        streams = _workload(kind="crc-stream", message_bits=2048, batch=1, streams=8)
+        for speedup, expected in ((0.5, ("serial", 1)), (1.8, ("shard-batch", 2))):
+            profile = HostProfile(cpus=2, speedup={"crc-batch": speedup})
+            plan = Planner(profile=profile).plan(streams)
+            assert plan.backend == CRC_BATCH_ENGINE
+            assert plan.M == 128
+            assert (plan.strategy, plan.workers) == expected
 
     def test_measured_shard_loss_plans_serial(self):
         """Two vCPUs whose threads delivered half the serial throughput:
-        the batch CRC stays serial, a backend-priced batch still shards."""
-        profile = HostProfile.synthetic(
-            cpus=2, fingerprint="two-vcpu", crc_shard_gain=0.5
+        the batch CRC stays serial, while a scrambler measured faster
+        sharded still shards."""
+        profile = HostProfile(
+            cpus=2, speedup={"crc-batch": 0.5, "scrambler-batch": 1.4}
         )
         planner = Planner(profile=profile)
         crc = planner.plan(_workload(**self.SHAPE))
         assert (crc.strategy, crc.workers) == ("serial", 1)
-        sharded = [c for c in planner.candidates(crc.workload) if c.workers > 1]
-        assert sharded and all(c.predicted_s > crc.predicted_s for c in sharded)
         scrambler = planner.plan(_workload(kind="scrambler-batch", **self.SHAPE))
         assert (scrambler.strategy, scrambler.workers) == ("shard-batch", 2)
 
     def test_probe_measures_rate_and_gain(self, fake_clock):
-        profile = probe_host(backends=("packed",), timer=fake_clock, reps=2)
-        assert profile.crc_batch_bits_per_s > 0
-        assert 0 < profile.crc_shard_gain <= 2.0
-        again = probe_host(backends=("packed",), timer=FakeClockLike(fake_clock), reps=2)
+        profile = probe_host(timer=fake_clock, reps=2)
+        assert profile.crc_batch_bits_per_s > 0 and profile.dispatch_s > 0
+        assert profile.speedup["crc-batch"] == pytest.approx(1.0)  # equal steps
+        again = probe_host(timer=FakeClockLike(fake_clock), reps=2)
         assert again.crc_batch_bits_per_s == profile.crc_batch_bits_per_s
-        assert again.crc_shard_gain == profile.crc_shard_gain
+        assert again.speedup == profile.speedup
 
     def test_profile_without_batch_crc_rate_raises(self):
-        bare = HostProfile(
-            fingerprint="bare", cpus=2, backend_bits_per_s={"packed": 2e9}
-        )
-        with pytest.raises(ValidationError, match="batch CRC rate"):
+        bare = HostProfile(cpus=2, speedup={"scrambler-batch": 1.5})
+        with pytest.raises(ValidationError, match="crc-batch"):
             Planner(bare).plan(_workload())
         assert Planner(bare).plan(_workload(kind="scrambler-batch")).backend == "packed"
+        # One CPU never reads a measurement, so it plans without one.
+        assert Planner(HostProfile(cpus=1)).plan(_workload()).is_serial
 
-    def test_rates_are_validated_and_round_trip(self, host_profiles):
-        with pytest.raises(ValidationError, match="shard gain"):
-            HostProfile.synthetic(cpus=2, crc_shard_gain=0.0)
+    def test_rates_are_validated_and_round_trip(self):
+        with pytest.raises(ValidationError, match="crc-batch"):
+            HostProfile(cpus=2, speedup={"crc-batch": -0.5})
         with pytest.raises(ValidationError, match="batch CRC rate"):
-            HostProfile.synthetic(cpus=2, crc_batch_bits_per_s=-1.0)
-        profile = HostProfile.synthetic(
-            cpus=2, fingerprint="rt", crc_batch_bits_per_s=7e8, crc_shard_gain=0.6
+            HostProfile(cpus=2, crc_batch_bits_per_s=-1.0)
+        profile = HostProfile(
+            cpus=2, speedup={"crc-batch": 0.6},
+            crc_batch_bits_per_s=7e8, dispatch_s=4e-5,
         )
-        assert HostProfile.from_dict(profile.to_dict()) == profile
-        assert PLANNER_VERSION == 5
+        assert HostProfile(**asdict(profile)) == profile

@@ -258,6 +258,22 @@ class TestPrometheus:
         text = render_prometheus(reg)
         assert r'x_total{p="a\"b\\c\nd"} 1' in text
 
+    def test_untouched_label_less_series_export_zero(self):
+        """A scrape tells zero from missing: a label-less counter or gauge
+        exports 0 from registration, a labelled family no child."""
+        reg = MetricsRegistry()
+        reg.counter("evictions_total", "never bumped")
+        reg.gauge("depth", "never set")
+        reg.counter("hits_total", labels=("result",))
+        snap = reg.snapshot()
+        assert snap["evictions_total"]["samples"] == [{"labels": {}, "value": 0.0}]
+        assert snap["depth"]["samples"] == [{"labels": {}, "value": 0.0}]
+        assert snap["hits_total"]["samples"] == []
+        lines = render_prometheus(reg).splitlines()
+        assert "evictions_total 0" in lines
+        assert "depth 0" in lines
+        assert not any(line.startswith("hits_total") for line in lines)
+
 
 class TestBenchReport:
     def test_write_and_load(self, tmp_path):

@@ -10,9 +10,9 @@ Drives real thread pools and asserts the contract end to end:
 * a crashing shard raises :class:`~repro.errors.StreamError` carrying a
   flight-recorder dump that names the failed worker and its last events.
 
-Uses the deterministic ``desktop-4cpu`` synthetic host profile from
-``conftest.py`` so the planner reliably chooses a four-way ``packed``
-thread plan regardless of the machine running the tests.
+Uses the deterministic ``desktop-4cpu`` measured host profile from
+``conftest.py`` so the planner reliably chooses a four-way thread plan
+regardless of the machine running the tests.
 """
 
 import pytest
