@@ -33,8 +33,7 @@ import pytest
 from repro.analysis import format_table
 import repro.crc.slicing as slicing
 from repro.crc import BitwiseCRC, ByteSlicedCRC, DerbyCRC, ETHERNET_CRC32
-from repro.engine import BatchAdditiveScrambler, BatchCRC, CompileCache
-from repro.scrambler import AdditiveScrambler, IEEE80216E
+from repro.engine import BatchCRC, CompileCache
 from repro.telemetry import BenchReport
 
 M = 32
@@ -289,22 +288,6 @@ def test_recompile_cost_near_zero():
     warm = (time.perf_counter() - t0) / 10
     assert cache.stats.misses > 0 and cache.stats.hits > 0
     assert warm < cold / 10, f"warm {warm * 1e6:.0f}us vs cold {cold * 1e6:.0f}us"
-
-
-def test_batch_scrambler_faster_than_serial():
-    rng = np.random.default_rng(12)
-    streams = [[int(b) for b in rng.integers(0, 2, size=2048)] for _ in range(256)]
-    serial = AdditiveScrambler(IEEE80216E)
-    t0 = time.perf_counter()
-    expected = [serial.scramble_bits(s) for s in streams[:16]]
-    serial_rate = 16 / (time.perf_counter() - t0)
-    engine = BatchAdditiveScrambler(IEEE80216E, M)
-    engine.scramble_batch(streams[:2])  # warm-up
-    t0 = time.perf_counter()
-    out = engine.scramble_batch(streams)
-    batch_rate = len(streams) / (time.perf_counter() - t0)
-    assert out[:16] == expected
-    assert batch_rate > serial_rate
 
 
 def test_benchmark_batch_crc(benchmark, messages):

@@ -3,17 +3,16 @@
 Two gates guard the parallel subsystem:
 
 * **Planner auto-plan throughput** — a fresh planner probes this host
-  (it times each engine serially and sharded on a fixed probe batch)
-  and plans two workloads: the batch CRC (B=1024, 256-byte messages, the
-  batch-crc-auto shape) and the batch scrambler at DreamSystem's default
-  shape (256 DVB streams of 2048 bits).  Each planned engine then runs
-  against the serial engine, call by call in alternated pairs, and the
-  table reports the probe's measured speedup beside the one the gate
-  measures.  The gate applies on *every* host with no skips: each plan
-  must deliver >= 0.95x serial always (the planner may never make things
-  slower — on a 1-CPU host it must fall back to serial by construction),
-  and the CRC plan >= 2x on hosts with >= 4 usable CPUs (where sharding
-  must actually multiply).
+  (it times the batch CRC serially and sharded on a fixed probe batch)
+  and plans the batch CRC (B=1024, 256-byte messages, the
+  batch-crc-auto shape).  The planned engine then runs against the
+  serial engine, call by call in alternated pairs, and the table reports
+  the probe's measured speedup beside the one the gate measures.  The
+  gate applies on *every* host with no skips: the plan must deliver
+  >= 0.95x serial always (the planner may never make things slower — on
+  a 1-CPU host it must fall back to serial by construction), and >= 2x
+  on hosts with >= 4 usable CPUs (where sharding must actually
+  multiply).
 * **Persistent compile cache** — a warm start (artifacts unpickled from
   a populated :class:`~repro.engine.diskcache.DiskCompileCache`) must
   beat the cold start (full Derby/look-ahead compilation) by >= 5x.
@@ -34,24 +33,18 @@ import pytest
 
 from repro.analysis import format_table
 from repro.crc import BitwiseCRC, ETHERNET_CRC32
-from repro.dream import DreamSystem
 from repro.engine import (
     CompileCache,
     DiskCompileCache,
-    ParallelBatchAdditiveScrambler,
     ParallelBatchCRC,
     Planner,
     WorkloadDescriptor,
 )
-from repro.scrambler import DVB, AdditiveScrambler
 from repro.telemetry import BenchReport
 
 M = 128
 BATCH = 1024
 MESSAGE_BYTES = 256
-#: DreamSystem's default ``scrambler-batch`` workload: 256 x 2048 bits.
-SCRAMBLER_STREAMS = 256
-SCRAMBLER_BITS = 2048
 REPEATS = 3
 #: Adjacent (serial, planned) call pairs the auto-plan gate times.  A
 #: serial plan runs the very engine it is compared with, so the ratio is
@@ -60,8 +53,6 @@ REPEATS = 3
 #: alternated calls 0.88-1.10x, while the median of 50 pairs' time ratios
 #: read 0.995-1.021x.
 RATE_PAIRS = 50
-#: The scrambler's calls are ~40x the CRC batch's, so fewer pairs.
-SCRAMBLER_PAIRS = 20
 
 
 def _usable_cpus() -> int:
@@ -77,12 +68,6 @@ def messages():
         bytes(rng.integers(0, 256, size=MESSAGE_BYTES).tolist())
         for _ in range(BATCH)
     ]
-
-
-@pytest.fixture(scope="module")
-def streams():
-    rng = np.random.default_rng(6)
-    return rng.integers(0, 2, size=(SCRAMBLER_STREAMS, SCRAMBLER_BITS)).tolist()
 
 
 def _paired(serial, planned, check, pairs):
@@ -103,7 +88,7 @@ def _paired(serial, planned, check, pairs):
     return statistics.median(times[0]), statistics.median(times[1]), speedup
 
 
-def test_planner_auto_gate(messages, streams, save_result, save_report):
+def test_planner_auto_gate(messages, save_result, save_report):
     cpus = _usable_cpus()
     cache = CompileCache()
     planner = Planner()  # measures this host, each kind when first planned
@@ -133,27 +118,6 @@ def test_planner_auto_gate(messages, streams, save_result, save_report):
             RATE_PAIRS,
         )
 
-    system = DreamSystem(cache=cache)
-    scrambler = system.batch_scrambler("DVB", auto=True, planner=planner)
-    scrambler_plan = scrambler.plan
-    serial_scrambler = ParallelBatchAdditiveScrambler(
-        DVB, scrambler_plan.M, workers=1, cache=cache, backend="packed"
-    )
-    reference = AdditiveScrambler(DVB)
-    stream_spots = (0, SCRAMBLER_STREAMS // 2, -1)
-    expected = [reference.scramble_bits(streams[j]) for j in stream_spots]
-
-    def scrambler_ok(out):
-        assert [out[j] for j in stream_spots] == expected
-
-    with scrambler:
-        scr_serial_s, scr_auto_s, scr_speedup = _paired(
-            lambda: serial_scrambler.scramble_batch(streams),
-            lambda: scrambler.scramble_batch(streams),
-            scrambler_ok,
-            SCRAMBLER_PAIRS,
-        )
-
     probed = planner.profile.speedup
     rows = [
         ["CRC serial (workers=1)", f"{BATCH / serial_s:,.0f}", "1.0x", "-"],
@@ -163,31 +127,20 @@ def test_planner_auto_gate(messages, streams, save_result, save_report):
             f"{speedup:.2f}x",
             f"{probed['crc-batch']:.2f}x",
         ],
-        ["scrambler serial (workers=1)", f"{SCRAMBLER_STREAMS / scr_serial_s:,.0f}",
-         "1.0x", "-"],
-        [
-            f"scrambler auto plan [{scrambler_plan.strategy} "
-            f"x{scrambler_plan.workers}]",
-            f"{SCRAMBLER_STREAMS / scr_auto_s:,.0f}",
-            f"{scr_speedup:.2f}x",
-            f"{probed['scrambler-batch']:.2f}x",
-        ],
     ]
     text = format_table(
         ["engine", "items/s", "speedup", "probe: sharded vs serial"],
         rows,
         title=(
-            f"Auto plans vs serial on {cpus} cpu(s): CRC-32, B={BATCH}, "
-            f"{MESSAGE_BYTES}-byte messages, M={M}; DVB scrambler, "
-            f"{SCRAMBLER_STREAMS} x {SCRAMBLER_BITS} bits, "
-            f"M={scrambler_plan.M}"
+            f"Auto plan vs serial on {cpus} cpu(s): CRC-32, B={BATCH}, "
+            f"{MESSAGE_BYTES}-byte messages, M={M}"
         ),
     )
     save_result("engine_parallel", text)
     save_report(
         BenchReport(
             name="engine_parallel",
-            title="Planner auto plans (batch CRC, batch scrambler) vs serial",
+            title="Planner auto plan (batch CRC) vs serial",
             params={
                 "standard": "CRC-32",
                 "M": M,
@@ -195,27 +148,16 @@ def test_planner_auto_gate(messages, streams, save_result, save_report):
                 "message_bytes": MESSAGE_BYTES,
                 "cpu_count": cpus,
                 "probe_speedup_crc_batch": probed["crc-batch"],
-                "probe_speedup_scrambler_batch": probed["scrambler-batch"],
                 "plan_strategy": plan.strategy,
                 "plan_workers": plan.workers,
                 "plan_backend": plan.backend,
                 "plan_mode": plan.mode,
                 "plan_M": plan.M,
-                "scrambler": "DVB",
-                "scrambler_streams": SCRAMBLER_STREAMS,
-                "scrambler_bits": SCRAMBLER_BITS,
-                "scrambler_plan_strategy": scrambler_plan.strategy,
-                "scrambler_plan_workers": scrambler_plan.workers,
-                "scrambler_plan_backend": scrambler_plan.backend,
-                "scrambler_plan_M": scrambler_plan.M,
             },
             metrics={
                 "serial_rate_msgs_per_s": BATCH / serial_s,
                 "auto_rate_msgs_per_s": BATCH / auto_s,
                 "speedup": speedup,
-                "scrambler_serial_streams_per_s": SCRAMBLER_STREAMS / scr_serial_s,
-                "scrambler_auto_streams_per_s": SCRAMBLER_STREAMS / scr_auto_s,
-                "scrambler_speedup": scr_speedup,
                 "gate_applied": 1.0,
             },
         )
@@ -223,14 +165,10 @@ def test_planner_auto_gate(messages, streams, save_result, save_report):
 
     # Universal gate: the planner may never make things slower.  0.95x
     # absorbs run-to-run noise when the plan degenerates to serial.
-    for name, chosen, ratio in (
-        ("CRC", plan, speedup),
-        ("scrambler", scrambler_plan, scr_speedup),
-    ):
-        assert ratio >= 0.95, (
-            f"{name} auto plan ({chosen.strategy}, workers={chosen.workers}) "
-            f"delivered {ratio:.2f}x vs serial on {cpus} CPUs (floor: >= 0.95x)"
-        )
+    assert speedup >= 0.95, (
+        f"auto plan ({plan.strategy}, workers={plan.workers}) delivered "
+        f"{speedup:.2f}x vs serial on {cpus} CPUs (floor: >= 0.95x)"
+    )
     if cpus >= 4:
         # Multi-core gate: with cores to shard onto, the planner must
         # actually multiply throughput.

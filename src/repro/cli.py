@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plan", help="plan a workload from speedups measured on this host"
     )
     p.add_argument("--standard", default="CRC-32")
-    p.add_argument("--kind", choices=("crc-batch", "crc-stream", "scrambler-batch"),
+    p.add_argument("--kind", choices=("crc-batch", "crc-stream"),
                    default="crc-batch", help="workload shape to plan for")
     p.add_argument("--bytes", type=int, default=256, help="message size in bytes")
     p.add_argument("--batch", type=int, default=1024, help="messages per batch")

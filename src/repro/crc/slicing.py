@@ -31,13 +31,7 @@ from repro.crc.bitwise import BitwiseCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC, build_table
 from repro.gf2.bits import reflect_bits
-
-#: Rows of :class:`ByteSlicedCRC`'s table stack: the bytes one gather
-#: covers.  Read off the depth sweep in
-#: ``benchmarks/results/pipeline_crossover.txt``: 64 rows cost ~1.4x 256 at
-#: 1518 B and ~2.5x at 1 MiB; 512 rows gain 6-7 % for twice the memory
-#: (256 KiB per 32-bit spec at 256 rows).
-SLICE_DEPTH = 256
+from repro.lfsr.slicing import SLICE_DEPTH  # the stack's rows, one gather's bytes
 
 #: Blocks gathered per numpy call (a batch slab: rows x blocks of about
 #: this many): a long run's index and gathered words stay ~1 MiB whatever

@@ -104,10 +104,10 @@ class DreamSystem:
     def attach_disk_cache(self, root) -> None:
         """Back this system's compile cache with a persistent directory.
 
-        Every artifact compiled afterwards (and every batch engine built
-        by :meth:`batch_crc` / :meth:`batch_scrambler`) stores to and
-        warms from ``root`` — so a second DREAM run for the same
-        standards skips compilation entirely.
+        Every persistable artifact compiled afterwards (and the table
+        stack of every batch CRC built by :meth:`batch_crc`) stores to
+        and warms from ``root`` — so a second DREAM run for the same
+        standards skips those compiles.
         """
         from repro.engine.diskcache import DiskCompileCache
 
@@ -184,39 +184,22 @@ class DreamSystem:
                 spec, M, workers=workers, cache=self.cache, plan=plan
             )
 
-    def batch_scrambler(
-        self,
-        spec,
-        M: Optional[int] = None,
-        workers=None,
-        plan=None,
-        auto: bool = False,
-        workload=None,
-        planner=None,
-    ):
-        """A host-side sharded additive scrambler on this system's cache.
+    def batch_scrambler(self, spec, M: int):
+        """A host-side batch additive scrambler on this system's cache.
 
-        ``spec`` is a scrambler spec or a registry name (``"DVB"``);
-        ``plan=`` / ``auto=True`` behave exactly as on :meth:`batch_crc`.
+        ``spec`` is a scrambler spec or a registry name (``"DVB"``); the
+        :class:`~repro.engine.batch.BatchAdditiveScrambler` gathers over
+        the spec's keystream tables, compiled once into this system's
+        cache, and ``M`` is the factor the netlists were mapped at.
         """
-        from repro.engine.parallel import ParallelBatchAdditiveScrambler
+        from repro.engine.batch import BatchAdditiveScrambler
 
         if isinstance(spec, str):
             from repro.scrambler.specs import get as _get_scrambler
 
             spec = _get_scrambler(spec)
-        with default_tracer().span(
-            "dream.batch_scrambler", standard=spec.name, auto=auto
-        ):
-            if auto and plan is None:
-                plan = self._auto_plan("scrambler-batch", spec, M, workload, planner)
-            if M is None:
-                if plan is None:
-                    raise ValueError("batch_scrambler needs M= (or plan=/auto=True)")
-                M = plan.M
-            return ParallelBatchAdditiveScrambler(
-                spec, M, workers=workers, cache=self.cache, plan=plan
-            )
+        with default_tracer().span("dream.batch_scrambler", standard=spec.name):
+            return BatchAdditiveScrambler(spec, M, cache=self.cache)
 
     def crc_pipeline(
         self,

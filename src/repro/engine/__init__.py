@@ -4,15 +4,17 @@ Three layers, each reusable on its own:
 
 * :mod:`repro.engine.cache` — a bounded LRU compile cache for the linear-
   algebra artifacts every engine needs (state spaces, look-ahead systems,
-  Derby transforms, byte-sliced table stacks, mapped PiCoGA netlists),
+  Derby transforms, byte-sliced CRC and keystream table stacks, mapped
+  PiCoGA netlists),
   keyed by ``(spec, M, method)`` with hit/miss counters for the benchmark
   harness.
 * :mod:`repro.engine.batch` — B independent messages per call: the batch
   CRC gathers every group of equal block count over the byte-sliced table
-  stack at once, and the scramblers run the ``x(n+M) = A^M x(n) +
-  B_M u_M(n)`` recurrence on bit-packed GF(2) kernels; the CRC keeps the
-  head-zero-padding + init-fold tail contract of
-  :class:`repro.dream.system.DreamSystem`.
+  stack at once, the additive scrambler gathers every stream's keystream
+  blocks over the byte-sliced keystream tables at once, and the
+  multiplicative scrambler runs its delay lines on bit-packed GF(2)
+  kernels; the CRC keeps the head-zero-padding + init-fold tail contract
+  of :class:`repro.dream.system.DreamSystem`.
 * :mod:`repro.engine.pipeline` — a chunked feed/finalize streaming API so
   long messages and many concurrent streams share the cache; CRC streams
   advance through the byte table and the byte-sliced gather.
@@ -56,7 +58,6 @@ from repro.engine.pipeline import CRCPipeline, ScramblerPipeline
 _LAZY = {
     "DiskCacheStats": "diskcache",
     "DiskCompileCache": "diskcache",
-    "ParallelBatchAdditiveScrambler": "parallel",
     "ParallelBatchCRC": "parallel",
     "ShardedCRCPipeline": "parallel",
     "ShardScheduler": "parallel",
@@ -106,7 +107,6 @@ __all__ = [
     "MicroBatcher",
     "MicroBatchPlan",
     "MicroBatchStats",
-    "ParallelBatchAdditiveScrambler",
     "ParallelBatchCRC",
     "Planner",
     "ScramblerPipeline",

@@ -12,13 +12,18 @@ messages, many at once:
   of equal block count gathers all its blocks at once; only the register
   fold steps from block to block, vectorized across the group — the
   paper's Fig. 5 interleaving in the byte basis.
-* The scramblers delegate the batch dimension to a pluggable GF(2) kernel
-  backend (:mod:`repro.gf2.backend`).  Under the default ``"packed"``
-  backend a batch of B bit-streams is a ``(n_bits, W)`` ``uint64`` array
-  with ``W = ceil(B/64)`` — bit *b* of word ``row[b // 64]`` belongs to
-  stream *b* — so one numpy call advances all B streams by M bits.  The
-  ``"reference"`` backend runs the same contract bit-by-bit over Python
-  ints; select with ``backend=`` or ``$REPRO_GF2_BACKEND``.
+* :class:`BatchAdditiveScrambler` runs the byte-sliced keystream's batch
+  door (:meth:`repro.lfsr.slicing.ByteSlicedScrambler.keystream_batch`):
+  every stream's seed steps through the ``A^{8D}`` fold together, and
+  every block's keystream rows gather in one call.
+* :class:`BatchMultiplicativeScrambler` delegates the batch dimension to
+  a pluggable GF(2) kernel backend (:mod:`repro.gf2.backend`).  Under
+  the default ``"packed"`` backend a batch of B bit-streams is a
+  ``(n_bits, W)`` ``uint64`` array with ``W = ceil(B/64)`` — bit *b* of
+  word ``row[b // 64]`` belongs to stream *b* — so one numpy call clocks
+  all B delay lines.  The ``"reference"`` backend runs the same contract
+  bit-by-bit over Python ints; select with ``backend=`` or
+  ``$REPRO_GF2_BACKEND``.
 
 Tail contract (identical to :class:`repro.dream.system.DreamSystem`):
 messages are zero-padded **at the head** and run from a zero register,
@@ -45,6 +50,7 @@ from repro.engine.cache import CompileCache, default_cache
 from repro.errors import SpecError
 from repro.gf2.backend import GF2Backend, resolve_backend
 from repro.gf2.polynomial import GF2Polynomial
+from repro.lfsr.slicing import ByteSlicedScrambler
 from repro.lfsr.wordlfsr import WORD64, WordLFSR, WordLFSRSpec, seed_words_from_bytes
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import bind_families, default_registry
@@ -203,11 +209,13 @@ class BatchCRC:
 class BatchAdditiveScrambler:
     """Frame-synchronous scrambling of B independent streams at once.
 
-    Per-stream seeds are supported (each column of the packed state holds
-    one stream's register); the keystream block is ``Y @ state`` and the
-    autonomous update ``A^M @ state``, both batched through the selected
-    GF(2) backend's block kernel.  Scrambling is an involution, so
-    descrambling is the same call.
+    Every call runs :class:`~repro.lfsr.slicing.ByteSlicedScrambler`'s
+    batch door on the spec's keystream tables from the compile cache
+    (:meth:`~repro.engine.cache.CompileCache.scrambler_tables`, shared
+    with every pipeline), one seed per stream.  ``M`` is the block factor
+    the engine stands for — the netlists' — and the gather's block is the
+    stack's depth.  Scrambling is an involution, so descrambling is the
+    same call.
     """
 
     def __init__(
@@ -215,16 +223,11 @@ class BatchAdditiveScrambler:
         spec: ScramblerSpec,
         M: int,
         cache: Optional[CompileCache] = None,
-        backend: Union[None, str, GF2Backend] = None,
     ):
         self._spec = spec
         self._M = check_factor(M, what="block factor M")
         self._cache = cache if cache is not None else default_cache()
-        self._backend = resolve_backend(backend)
-        A_M, Y = self._cache.scrambler_block(spec, M)
-        self._A = A_M.to_array()
-        self._Y = Y.to_array()
-        self._ss = self._cache.scrambler_statespace(spec)
+        self._engine = ByteSlicedScrambler(spec.poly, self._cache.scrambler_tables(spec))
 
     @property
     def spec(self) -> ScramblerSpec:
@@ -233,13 +236,8 @@ class BatchAdditiveScrambler:
 
     @property
     def M(self) -> int:
-        """Keystream bits produced per block step."""
+        """Block factor the engine stands for."""
         return self._M
-
-    @property
-    def backend(self) -> GF2Backend:
-        """The GF(2) kernel backend the block loop runs on."""
-        return self._backend
 
     # ------------------------------------------------------------------
     def _check_seeds(self, batch: int, seeds: Optional[Sequence[int]]) -> List[int]:
@@ -247,55 +245,35 @@ class BatchAdditiveScrambler:
         if seeds is None:
             return [self._spec.seed] * batch
         return check_register_list(
-            seeds, batch, self._ss.order, what="seeds", allow_zero=False
+            seeds, batch, self._spec.degree, what="seeds", allow_zero=False
         )
-
-    def _initial_state(self, seeds: Sequence[int]):
-        cols = [self._ss.state_from_int(s) for s in seeds]
-        return self._backend.pack(np.stack(cols, axis=1))
 
     def keystream_batch(self, nbits: int, batch: int, seeds: Optional[Sequence[int]] = None) -> np.ndarray:
         """``(nbits, batch)`` keystream bits, one column per stream."""
         telemetry = default_registry().enabled
         t0 = perf_counter() if telemetry else 0.0
-        be = self._backend
-        state = self._initial_state(self._check_seeds(batch, seeds))
-        blocks = -(-nbits // self._M) if nbits else 0
-        parts = []
-        for _ in range(blocks):
-            parts.append(be.matvec_batch(self._Y, state))
-            state = be.matvec_batch(self._A, state)
+        packed = self._engine.keystream_batch(self._check_seeds(batch, seeds), -(-nbits // 8))
+        bits = np.unpackbits(packed, axis=1, count=nbits, bitorder="little").T
         if telemetry:
             _observe_kernel("scrambler-additive", nbits * batch, perf_counter() - t0)
-        if not blocks:
-            return np.zeros((0, batch), dtype=np.uint8)
-        return be.unpack(be.concat(parts), batch)[:nbits]
+        return bits
 
     def scramble_batch(
         self,
         bit_streams: Sequence[Sequence[int]],
         seeds: Optional[Sequence[int]] = None,
     ) -> List[List[int]]:
+        """XOR each stream with its keystream; returns per-stream bit lists."""
         # Validate arguments *before* any early return, so an invalid seed
         # list is rejected even when every stream happens to be empty.
-        """XOR each stream with its keystream; returns per-stream bit lists."""
         checked = check_bit_streams(bit_streams)
         batch = len(checked)
         seeds = self._check_seeds(batch, seeds)
-        if batch == 0:
-            return []
-        lengths = [len(bits) for bits in checked]
-        longest = max(lengths)
+        longest = max(map(len, checked), default=0)
         if longest == 0:
             return [[] for _ in checked]
-        # Tail padding is safe here: the keystream never depends on the data.
-        data = np.zeros((longest, batch), dtype=np.uint8)
-        for b, bits in enumerate(checked):
-            if lengths[b]:
-                data[: lengths[b], b] = bits
         ks = self.keystream_batch(longest, batch, seeds)
-        out = data ^ ks
-        return [out[: lengths[b], b].tolist() for b in range(batch)]
+        return [(bits ^ ks[: len(bits), b]).tolist() for b, bits in enumerate(checked)]
 
     def descramble_batch(
         self,
@@ -310,8 +288,8 @@ class BatchWordScrambler:
     """Frame-synchronous scrambling of B streams on word-oriented keystreams.
 
     An alternative keystream source to :class:`BatchAdditiveScrambler`:
-    instead of expanding a catalog LFSR through ``Y``/``A^M`` block
-    matrices, each stream gets its own Tsaban–Vishne
+    instead of a catalog LFSR's keystream tables, each stream gets its
+    own Tsaban–Vishne
     :class:`~repro.lfsr.wordlfsr.WordLFSR` emitting one machine word per
     step, and the batch XOR runs as one numpy operation.  Per-stream seeds
     are word lists or byte material (stretched through

@@ -42,12 +42,9 @@ from repro.crc.slicing import SLICE_DEPTH, build_slicing_tables
 from repro.crc.spec import CRCSpec
 from repro.errors import CompileError, ReproError, ValidationError
 from repro.gf2.matrix import GF2Matrix
-from repro.lfsr.lookahead import (
-    LookaheadSystem,
-    expand_lookahead,
-    scrambler_output_matrix,
-)
-from repro.lfsr.statespace import LFSRStateSpace, crc_statespace, scrambler_statespace
+from repro.lfsr.lookahead import LookaheadSystem, expand_lookahead
+from repro.lfsr.slicing import build_scrambler_tables
+from repro.lfsr.statespace import LFSRStateSpace, crc_statespace
 from repro.lfsr.transform import DerbyTransform, derby_transform
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import (
@@ -105,10 +102,8 @@ _METRICS = bind_families(lambda reg: {
 PERSISTED_KINDS = frozenset(
     {
         "statespace",
-        "scrambler-statespace",
         "lookahead",
         "derby",
-        "scrambler-block",
         "slicing-tables",
     }
 )
@@ -413,12 +408,6 @@ class CompileCache:
         """State-space realization of a CRC generator, cached."""
         return self.get(("statespace", spec), lambda: crc_statespace(spec.generator()))
 
-    def scrambler_statespace(self, spec: ScramblerSpec) -> LFSRStateSpace:
-        """State-space realization of a scrambler polynomial, cached."""
-        return self.get(
-            ("scrambler-statespace", spec), lambda: scrambler_statespace(spec.poly)
-        )
-
     def lookahead(self, spec: CRCSpec, M: int) -> LookaheadSystem:
         """M-level look-ahead expansion for a CRC, cached."""
         return self.get(
@@ -442,15 +431,16 @@ class CompileCache:
             lambda: build_slicing_tables(spec, SLICE_DEPTH),
         )
 
-    def scrambler_block(self, spec: ScramblerSpec, M: int) -> Tuple[GF2Matrix, GF2Matrix]:
-        """``(A^M, Y)`` for an additive scrambler — the autonomous block
-        update and the M×k output matrix (row j = C A^j, stream order)."""
-
-        def build() -> Tuple[GF2Matrix, GF2Matrix]:
-            ss = self.scrambler_statespace(spec)
-            return ss.A ** M, scrambler_output_matrix(ss, M)
-
-        return self.get(("scrambler-block", spec, M), build)
+    def scrambler_tables(self, spec: ScramblerSpec) -> Tuple[np.ndarray, np.ndarray]:
+        """The :data:`~repro.lfsr.slicing.SLICE_DEPTH`-byte keystream table
+        stack of :class:`~repro.lfsr.slicing.ByteSlicedScrambler` for an
+        additive scrambler, cached per generator polynomial (128 KiB for
+        the 15-bit 802.16e register), so every batch engine and pipeline
+        shares one copy."""
+        return self.get(
+            ("scrambler-tables", spec.poly),
+            lambda: build_scrambler_tables(spec.poly, SLICE_DEPTH),
+        )
 
     def mapped_crc(self, spec: CRCSpec, M: int, method: str = "derby", arch=None):
         """The compiled PiCoGA netlists for a CRC (see ``mapping.map_crc``).

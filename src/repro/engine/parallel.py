@@ -6,10 +6,9 @@ This module adds a third axis: independent data shards on a thread pool.
 Two decomposition theorems make sharding a correctness-preserving
 multiplier rather than an approximation:
 
-* **Per-stream partitioning.**  Batch CRC / scrambler workloads are
-  embarrassingly parallel across streams: any partition of the batch
-  computes exactly the serial result, shard by shard, because streams
-  never interact.
+* **Per-stream partitioning.**  Batch CRC workloads are embarrassingly
+  parallel across messages: any partition of the batch computes exactly
+  the serial result, shard by shard, because messages never interact.
 * **``A^k`` state composition.**  A *single* message also splits: for a
   zero-start register, feeding ``s1 || s2`` gives
   ``raw(s1||s2) = raw(s1) · x^{|s2|} ⊕ raw(s2)  (mod G)`` — advancing a
@@ -22,11 +21,9 @@ multiplier rather than an approximation:
 Worker substrate: shards run on a
 :class:`~concurrent.futures.ThreadPoolExecutor`.  The numpy kernels
 release the GIL only inside each call, with Python between them, so on
-two CPUs the thread shards of a batch CRC or a batch scrambler measured
-slower than one serial call; the planner times each engine serially and
-sharded, and plans it serial there.  The pure-Python ``"reference"``
-GF(2) backend holds the GIL, so scrambler shards on it run correctly but
-one at a time.
+two CPUs the thread shards of a batch CRC measured slower than one
+serial call; the planner times the engine serially and sharded, and
+plans it serial there.
 
 A worker count is an explicit positive ``workers=``, else the plan's,
 else ``1`` (serial).  Any worker failure surfaces as
@@ -51,12 +48,10 @@ from typing import (
 )
 
 from repro.crc.spec import CRCSpec
-from repro.engine.batch import BatchAdditiveScrambler, BatchCRC
+from repro.engine.batch import BatchCRC
 from repro.engine.cache import CompileCache, default_cache
 from repro.engine.pipeline import CRCPipeline
 from repro.errors import ReproError, StreamError, ValidationError
-from repro.gf2.backend import GF2Backend
-from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import (
     Owners,
     attach_flight_dump,
@@ -615,118 +610,6 @@ class ParallelBatchCRC:
     def compute(self, data: bytes) -> int:
         """Single-message CRC; long messages are time-sharded across workers."""
         return self.compute_sharded_bits(self.spec.message_bits(data))
-
-
-class ParallelBatchAdditiveScrambler:
-    """:class:`~repro.engine.batch.BatchAdditiveScrambler` sharded by stream.
-
-    Scrambler streams are autonomous (the keystream never reads data), so
-    per-stream partitioning is trivially exact; each shard carries its own
-    seed slice.  Scrambling stays an involution shard-by-shard, so
-    :meth:`descramble_batch` is the same dispatch.
-    """
-
-    def __init__(
-        self,
-        spec: ScramblerSpec,
-        M: int,
-        workers: Union[None, int, str] = None,
-        cache: Optional[CompileCache] = None,
-        backend: Union[None, str, GF2Backend] = None,
-        min_shard_bits: int = 4096,
-        plan: Optional["ExecutionPlan"] = None,
-    ):
-        if plan is not None:
-            workers = plan.workers if workers is None else workers
-            backend = plan.backend if backend is None else backend
-        self._plan = plan
-        self._cache = cache if cache is not None else default_cache()
-        t0, c0 = perf_counter(), process_time()
-        self._serial = BatchAdditiveScrambler(
-            spec, M, cache=self._cache, backend=backend
-        )
-        observe_phase("compile", perf_counter() - t0, process_time() - c0)
-        self._workers = resolve_workers(workers)
-        self._min_shard_bits = max(1, min_shard_bits)
-        self._pool = WorkerPool(self._workers) if self._workers > 1 else None
-
-    @property
-    def spec(self) -> ScramblerSpec:
-        """The scrambler standard (polynomial + default seed)."""
-        return self._serial.spec
-
-    @property
-    def M(self) -> int:
-        """Keystream bits produced per block step."""
-        return self._serial.M
-
-    @property
-    def workers(self) -> int:
-        """Resolved worker count (1 = serial delegation)."""
-        return self._workers
-
-    @property
-    def serial_engine(self) -> BatchAdditiveScrambler:
-        """The underlying serial batch engine (shared by thread shards)."""
-        return self._serial
-
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The worker pool, or ``None`` when ``workers == 1``."""
-        return self._pool
-
-    @property
-    def plan(self) -> Optional["ExecutionPlan"]:
-        """The planner decision this engine was built from, if any."""
-        return self._plan
-
-    def close(self) -> None:
-        """Release pool workers (safe to call at any time, repeatedly)."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "ParallelBatchAdditiveScrambler":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def scramble_batch(
-        self,
-        bit_streams: Sequence[Sequence[int]],
-        seeds: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
-        """XOR each stream with its keystream, shards in parallel."""
-        streams = check_bit_streams(bit_streams)
-        seeds = self._serial._check_seeds(len(streams), seeds)
-        if (
-            self._pool is None
-            or len(streams) < 2
-            or sum(len(s) for s in streams) < self._min_shard_bits
-        ):
-            return self._serial.scramble_batch(streams, seeds=seeds)
-        bounds = plan_shards(len(streams), self._workers)
-        shards = [streams[a:b] for a, b in bounds]
-        shard_seeds = [seeds[a:b] for a, b in bounds]
-        _observe_shards(
-            "scrambler-batch",
-            [len(s) for s in shards],
-            [sum(len(bits) for bits in s) for s in shards],
-        )
-        results = self._pool.run(
-            self._serial.scramble_batch,
-            list(zip(shards, shard_seeds)),
-        )
-        return [bits for shard in results for bits in shard]
-
-    def descramble_batch(
-        self,
-        bit_streams: Sequence[Sequence[int]],
-        seeds: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
-        """Identical to :meth:`scramble_batch` (XOR is an involution)."""
-        return self.scramble_batch(bit_streams, seeds=seeds)
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,7 @@ from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC
 from repro.engine.cache import CompileCache, default_cache
 from repro.errors import StreamError, ValidationError
+from repro.lfsr.slicing import ByteSlicedScrambler
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import Owners, bind_families, default_registry
 from repro.validation import check_bits, check_factor, check_register, check_seed
@@ -348,17 +349,22 @@ class CRCPipeline:
 
 @dataclass
 class _ScramblerStream:
-    state: np.ndarray  # (k,) uint8, natural basis
-    keystream: List[int] = field(default_factory=list)
+    state: int  # register at the start of the next keystream block
+    keystream: np.ndarray  # generated keystream bits no feed has used yet
+    fed: int = 0  # bits fed so far
 
 
 class ScramblerPipeline:
-    """Many concurrent additive-scrambler streams on one cached compile.
+    """Many concurrent additive-scrambler streams on one cached table stack.
 
     ``feed`` returns the scrambled bits immediately (the keystream never
-    depends on the data, so there is nothing to buffer); leftover keystream
-    bits from the last generated block carry over to the next call, so
-    chunk boundaries are invisible.  Descrambling is the same operation.
+    depends on the data, so there is nothing to buffer).  A stream's
+    keystream comes whole blocks at a time from
+    :class:`~repro.lfsr.slicing.ByteSlicedScrambler`'s single-stream door,
+    and the bits a feed leaves unused carry over to the next one, so chunk
+    boundaries are invisible.  A stream counts ``ceil(bits fed / M)``
+    blocks on ``engine_pipeline_blocks_total``.  Descrambling is the same
+    operation.
     """
 
     def __init__(
@@ -370,10 +376,7 @@ class ScramblerPipeline:
         self._spec = spec
         self._M = check_factor(M, what="block factor M")
         self._cache = cache if cache is not None else default_cache()
-        A_M, Y = self._cache.scrambler_block(spec, M)
-        self._A = A_M.to_array().astype(np.int64)
-        self._Y = Y.to_array().astype(np.int64)
-        self._ss = self._cache.scrambler_statespace(spec)
+        self._engine = ByteSlicedScrambler(spec.poly, self._cache.scrambler_tables(spec))
         self._streams: Dict[Hashable, _ScramblerStream] = {}
         self._auto_ids = count()
         self._counts = {"blocks": 0}
@@ -387,7 +390,7 @@ class ScramblerPipeline:
 
     @property
     def M(self) -> int:
-        """Keystream bits generated per block step."""
+        """Block factor: input bits per counted block."""
         return self._M
 
     def __len__(self) -> int:
@@ -407,10 +410,6 @@ class ScramblerPipeline:
                 f"({len(self._streams)} streams currently open)"
             ) from None
 
-    def pending_keystream_bits(self, stream_id: Hashable) -> int:
-        """Generated-but-unused keystream bits carried to the next chunk."""
-        return len(self._stream(stream_id).keystream)
-
     # ------------------------------------------------------------------
     def open(self, stream_id: Optional[Hashable] = None, seed: Optional[int] = None) -> Hashable:
         """Open a stream with its own seed; returns the stream id."""
@@ -422,24 +421,26 @@ class ScramblerPipeline:
             seed = self._spec.seed
         else:
             seed = check_seed(seed, self._spec.degree, allow_zero=False)
-        state = self._ss.state_from_int(seed)
-        self._streams[stream_id] = _ScramblerStream(state=state)
+        self._streams[stream_id] = _ScramblerStream(seed, np.zeros(0, dtype=np.uint8))
         return stream_id
 
     def feed(self, stream_id: Hashable, bits: Sequence[int]) -> List[int]:
         """Scramble (or descramble) one chunk; returns the output bits."""
         stream = self._stream(stream_id)
-        checked = check_bits(bits).tolist()
-        generated = 0
-        while len(stream.keystream) < len(checked):
-            block = (self._Y @ stream.state.astype(np.int64)) & 1
-            stream.keystream.extend(int(b) for b in block)
-            stream.state = ((self._A @ stream.state.astype(np.int64)) & 1).astype(np.uint8)
-            generated += 1
-        self._counts["blocks"] += generated
-        out = [(b ^ k) & 1 for b, k in zip(checked, stream.keystream)]
-        del stream.keystream[: len(checked)]
-        return out
+        checked = check_bits(bits)
+        n = len(checked)
+        short = n - len(stream.keystream)
+        if short > 0:
+            blocks = -(-short // (8 * self._engine.depth))
+            packed, stream.state = self._engine.run(stream.state, blocks)
+            fresh = np.unpackbits(packed, bitorder="little")
+            stream.keystream = np.concatenate((stream.keystream, fresh))
+        out = checked ^ stream.keystream[:n]
+        stream.keystream = stream.keystream[n:]
+        counted = -(-stream.fed // self._M)
+        stream.fed += n
+        self._counts["blocks"] += -(-stream.fed // self._M) - counted
+        return out.tolist()
 
     def close(self, stream_id: Hashable) -> None:
         """Close a stream and discard its state."""

@@ -56,20 +56,10 @@ DEFAULT_M = 128
 #: GF(2) backend is selected.
 CRC_BATCH_ENGINE = "byte-sliced"
 
-#: The ``backend`` of every ``scrambler-batch`` plan: the GF(2) backend
-#: whose kernels release the GIL, so thread shards can overlap.
-SCRAMBLER_BACKEND = "packed"
-
 #: The fixed batch the batch CRC probe times: CRC-32 messages of this
 #: many bytes, this many per call.
 CRC_PROBE_BYTES = 256
 CRC_PROBE_BATCH = 256
-
-#: The fixed batch the scrambler probe times: DVB streams of this many
-#: bits, this many per call (a serial call takes ~5 ms on a 2-vCPU x86
-#: host, so the probe costs tens of milliseconds).
-SCRAMBLER_PROBE_BITS = 2048
-SCRAMBLER_PROBE_STREAMS = 16
 
 #: Timed (serial, sharded) call pairs per probe.
 PROBE_ROUNDS = 5
@@ -77,7 +67,6 @@ PROBE_ROUNDS = 5
 #: Workload kinds the planner understands.
 KIND_CRC_BATCH = "crc-batch"
 KIND_CRC_STREAM = "crc-stream"
-KIND_SCRAMBLER_BATCH = "scrambler-batch"
 KIND_KEYSTREAM = "keystream"
 #: The probe each kind reads: ``crc-stream`` reads the batch CRC probe,
 #: since :class:`~repro.engine.parallel.ShardedCRCPipeline` runs the same
@@ -85,12 +74,9 @@ KIND_KEYSTREAM = "keystream"
 _PROBE_OF = {
     KIND_CRC_BATCH: KIND_CRC_BATCH,
     KIND_CRC_STREAM: KIND_CRC_BATCH,
-    KIND_SCRAMBLER_BATCH: KIND_SCRAMBLER_BATCH,
     KIND_KEYSTREAM: KIND_KEYSTREAM,
 }
 WORKLOAD_KINDS = tuple(_PROBE_OF)
-#: The kinds that run on the byte-sliced gather.
-_CRC_KINDS = (KIND_CRC_BATCH, KIND_CRC_STREAM)
 
 #: Keystream sources the probe times (see :mod:`repro.lfsr.wordlfsr` and
 #: :mod:`repro.lfsr.reference`).  These are serial generators, so their
@@ -126,7 +112,7 @@ class HostProfile:
     ``cpus``
         Usable CPUs (affinity-aware).
     ``speedup``
-        Per probe kind (``crc-batch``, ``scrambler-batch``): the median,
+        Per sharded probe kind (``crc-batch``): the median,
         over the probe's rounds, of serial time ÷ sharded time, pool
         dispatch included.  Below 1.0 sharding loses.
     ``keystream_bits_per_s``
@@ -237,44 +223,6 @@ def _probe_crc_batch(
     )
 
 
-def _probe_scrambler_batch(
-    profile: HostProfile, timer: Callable[[], float], rounds: int
-) -> HostProfile:
-    """``profile`` with the batch scrambler's speedup measured.
-
-    Times :class:`~repro.engine.parallel.ParallelBatchAdditiveScrambler`
-    on the :data:`SCRAMBLER_BACKEND` over :data:`SCRAMBLER_PROBE_STREAMS`
-    DVB streams of :data:`SCRAMBLER_PROBE_BITS`, with one worker and with
-    ``max(2, cpus)``.
-    """
-    import numpy as np
-
-    from repro.engine.parallel import ParallelBatchAdditiveScrambler
-    from repro.scrambler.specs import DVB
-
-    rng = np.random.default_rng(12345)
-    streams = rng.integers(
-        0, 2, size=(SCRAMBLER_PROBE_STREAMS, SCRAMBLER_PROBE_BITS)
-    ).tolist()
-    serial, sharded = (
-        ParallelBatchAdditiveScrambler(
-            DVB, DEFAULT_M, workers=workers, backend=SCRAMBLER_BACKEND
-        )
-        for workers in (1, max(2, profile.cpus))
-    )
-    with sharded:
-        speedup, _ = _time_pair(
-            lambda: serial.scramble_batch(streams),
-            lambda: sharded.scramble_batch(streams),
-            timer,
-            rounds,
-        )
-    _count_probe(KIND_SCRAMBLER_BATCH)
-    return replace(
-        profile, speedup={**profile.speedup, KIND_SCRAMBLER_BATCH: speedup}
-    )
-
-
 def _probe_keystream_rates(
     profile: HostProfile, timer: Callable[[], float], rounds: int
 ) -> HostProfile:
@@ -314,7 +262,6 @@ def _probe_keystream_rates(
 #: The probe behind each probe kind of :data:`_PROBE_OF`.
 _PROBES = {
     KIND_CRC_BATCH: _probe_crc_batch,
-    KIND_SCRAMBLER_BATCH: _probe_scrambler_batch,
     KIND_KEYSTREAM: _probe_keystream_rates,
 }
 
@@ -504,7 +451,7 @@ class Planner:
         )
         return ExecutionPlan(
             workload=workload,
-            backend=CRC_BATCH_ENGINE if kind in _CRC_KINDS else SCRAMBLER_BACKEND,
+            backend=CRC_BATCH_ENGINE,
             workers=workers if shard else 1,
             mode="thread" if shard else "serial",
             M=DEFAULT_M if workload.M is None else workload.M,

@@ -16,7 +16,10 @@ This package implements the mathematical core of the paper:
 * Dubrova's Fibonacci ↔ Galois transformation with matching initial
   states (:mod:`repro.lfsr.galois`);
 * Tsaban–Vishne word-oriented σ-LFSRs stepping one machine word per
-  clock (:mod:`repro.lfsr.wordlfsr`).
+  clock (:mod:`repro.lfsr.wordlfsr`);
+* the byte-sliced keystream, the additive scrambler's ``Y`` and
+  ``A^{8D}`` grouped per state byte into lookup tables
+  (:mod:`repro.lfsr.slicing`).
 """
 
 from repro.lfsr.berlekamp import (
@@ -57,13 +60,16 @@ from repro.lfsr.wordlfsr import (
     sigma_matrix,
 )
 from repro.lfsr.reference import FibonacciLFSR, GaloisLFSR
+from repro.lfsr.slicing import ByteSlicedScrambler, build_scrambler_tables
 from repro.lfsr.statespace import LFSRStateSpace, crc_statespace, scrambler_statespace
 from repro.lfsr.transform import DerbyTransform, TransformError, derby_transform
 
 __all__ = [
+    "ByteSlicedScrambler",
     "DerbyTransform",
     "LFSRSynthesis",
     "berlekamp_massey",
+    "build_scrambler_tables",
     "linear_complexity",
     "linear_complexity_profile",
     "FibonacciLFSR",

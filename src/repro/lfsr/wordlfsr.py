@@ -1,7 +1,7 @@
 """Tsaban–Vishne word-oriented LFSRs (σ-LFSRs) over GF(2^w).
 
 A classic LFSR clocks one *bit* per step; every software engine built on it
-(`FibonacciLFSR`, `GaloisLFSR`, the blockwise matrix paths) pays for that
+(`FibonacciLFSR`, `GaloisLFSR`, the look-ahead matrix paths) pays for that
 bit-orientation somewhere.  Tsaban & Vishne's observation (PAPERS.md,
 *"Efficient linear feedback shift registers with maximal period"*) is that
 the recurrence can instead run over whole machine words: take the state to

@@ -5,54 +5,48 @@ the paper's second block diagram in Fig. 1 (``b = 0``, ``C`` a single-1
 selector, ``d = [1]``).  Because XOR is an involution, descrambling is the
 same operation with the same seed.
 
-Keystream generation honours the GF(2) backend selection: the
-``"reference"`` backend walks the Galois LFSR bit by bit, while the packed
-backends expand 64 keystream bits per block step through the look-ahead
-matrices ``Y`` and ``A^64`` (bit-identical output, verified by the
+Keystream comes from :class:`~repro.lfsr.slicing.ByteSlicedScrambler`:
+one gather of the per-state-byte tables of ``Y`` per 256 keystream bytes,
+bit-identical to the bit-serial Galois register (verified by the
 differential fuzzer's scrambler oracles).
 
 :class:`WordAdditiveScrambler` swaps the catalog LFSR for a Tsaban–Vishne
 word-oriented register (:mod:`repro.lfsr.wordlfsr`): one machine word of
-keystream per Python-level step, byte-stream XOR through numpy — the
-highest-throughput keystream path in the library (see ``docs/KERNELS.md``).
+keystream per Python-level step, byte-stream XOR through numpy — a
+different (non-standard) sequence at word-per-step speed (see
+``docs/KERNELS.md``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.gf2.backend import GF2Backend, resolve_backend
-from repro.gf2.bits import bits_to_bytes, bytes_to_bits
-from repro.lfsr.lookahead import BackendLike, scrambler_output_matrix
 from repro.lfsr.reference import GaloisLFSR
-from repro.lfsr.statespace import scrambler_statespace
+from repro.lfsr.slicing import ByteSlicedScrambler
 from repro.lfsr.wordlfsr import WORD64, WordLFSR, WordLFSRSpec, seed_words_from_bytes
 from repro.scrambler.specs import ScramblerSpec
 from repro.validation import check_bits, check_seed
-
-_BLOCK = 64  # keystream bits produced per block step on packed backends
 
 #: Default seed material for word-oriented keystreams when none is given.
 _WORD_DEFAULT_SEED = b"repro-wordlfsr"
 
 
 class AdditiveScrambler:
-    """Bit- and byte-level frame-synchronous scrambling."""
+    """Bit- and byte-level frame-synchronous scrambling.
 
-    def __init__(
-        self,
-        spec: ScramblerSpec,
-        seed: Optional[int] = None,
-        backend: BackendLike = None,
-    ):
+    Every call restarts the keystream from the seed.  The instance builds
+    its :class:`~repro.lfsr.slicing.ByteSlicedScrambler` table stack on
+    first use and runs its single-stream door.
+    """
+
+    def __init__(self, spec: ScramblerSpec, seed: Optional[int] = None):
         self._spec = spec
         self._seed = check_seed(
             spec.seed if seed is None else seed, spec.degree, allow_zero=False
         )
-        self._backend = resolve_backend(backend)
-        self._block_system: Optional[Tuple[object, np.ndarray, np.ndarray]] = None
+        self._engine: Optional[ByteSlicedScrambler] = None
 
     @property
     def spec(self) -> ScramblerSpec:
@@ -62,38 +56,25 @@ class AdditiveScrambler:
     def seed(self) -> int:
         return self._seed
 
-    @property
-    def backend(self) -> GF2Backend:
-        """The GF(2) kernel backend keystream expansion runs on."""
-        return self._backend
-
     # ------------------------------------------------------------------
-    def _blockwise_keystream(self, nbits: int) -> List[int]:
-        """Expand the keystream ``_BLOCK`` bits at a time via ``Y``/``A^64``."""
-        if self._block_system is None:
-            ss = scrambler_statespace(self._spec.poly)
-            Y = scrambler_output_matrix(ss, _BLOCK).to_array()
-            A_B = (ss.A ** _BLOCK).to_array()
-            self._block_system = (ss, Y, A_B)
-        ss, Y, A_B = self._block_system
-        state = ss.state_from_int(self._seed)
-        be = self._backend
-        out: List[int] = []
-        for _ in range(-(-nbits // _BLOCK)):
-            out.extend(int(b) for b in be.matvec(Y, state))
-            state = be.matvec(A_B, state)
-        return out[:nbits]
+    def _keystream_bytes(self, nbytes: int, lsb_first: bool = True) -> np.ndarray:
+        if self._engine is None:
+            self._engine = ByteSlicedScrambler(self._spec.poly)
+        ks = self._engine.keystream_bytes(self._seed, nbytes, lsb_first)
+        return np.frombuffer(ks, dtype=np.uint8)
+
+    def _keystream_bits(self, nbits: int) -> np.ndarray:
+        ks = self._keystream_bytes(-(-nbits // 8))
+        return np.unpackbits(ks, count=nbits, bitorder="little")
 
     def keystream(self, nbits: int) -> List[int]:
-        """The raw pseudo-random sequence (for spreading / correlation)."""
-        if self._backend.name == "reference":
-            return GaloisLFSR(self._spec.poly, self._seed).keystream(nbits)
-        return self._blockwise_keystream(nbits)
+        """The raw pseudo-random sequence (for spreading / correlation);
+        empty for ``nbits <= 0``, as the bit-serial register's."""
+        return self._keystream_bits(max(nbits, 0)).tolist()
 
     def scramble_bits(self, bits: Sequence[int]) -> List[int]:
         checked = check_bits(bits, what="bits")
-        ks = self.keystream(len(checked))
-        return [(int(b) ^ k) & 1 for b, k in zip(checked, ks)]
+        return (checked ^ self._keystream_bits(len(checked))).tolist()
 
     def descramble_bits(self, bits: Sequence[int]) -> List[int]:
         """Identical to scrambling — XOR with the same keystream."""
@@ -101,8 +82,8 @@ class AdditiveScrambler:
 
     def scramble_bytes(self, data: bytes, lsb_first: bool = True) -> bytes:
         """Byte-stream convenience wrapper (serial order selectable)."""
-        bits = bytes_to_bits(data, reflect=lsb_first)
-        return bits_to_bytes(self.scramble_bits(bits), reflect=lsb_first)
+        buf = np.frombuffer(bytes(data), dtype=np.uint8)
+        return (buf ^ self._keystream_bytes(len(buf), lsb_first)).tobytes()
 
     def descramble_bytes(self, data: bytes, lsb_first: bool = True) -> bytes:
         return self.scramble_bytes(data, lsb_first)

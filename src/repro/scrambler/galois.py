@@ -104,8 +104,8 @@ class FibonacciAdditiveScrambler(_AdditiveBase):
     This is the many-to-one form the 802.16e / DVB / PRBS figures draw.
     It exists as the auditable reference for
     :class:`GaloisFormAdditiveScrambler`; production code should use
-    :class:`~repro.scrambler.additive.AdditiveScrambler` (blockwise) or the
-    Galois form below.
+    :class:`~repro.scrambler.additive.AdditiveScrambler` (byte-sliced) or
+    the Galois form below.
     """
 
     def keystream(self, nbits: int) -> List[int]:

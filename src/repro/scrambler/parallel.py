@@ -25,17 +25,18 @@ from repro.lfsr.lookahead import scrambler_output_matrix
 from repro.lfsr.statespace import scrambler_statespace
 from repro.scrambler.additive import AdditiveScrambler
 from repro.scrambler.specs import ScramblerSpec
+from repro.validation import check_factor, check_seed
 
 
 class ParallelScrambler:
     """Generates/applies the keystream M bits per block step."""
 
     def __init__(self, spec: ScramblerSpec, M: int, seed: Optional[int] = None):
-        if M < 1:
-            raise ValueError("block factor M must be >= 1")
         self._spec = spec
-        self._M = M
-        self._seed = spec.seed if seed is None else seed
+        self._M = check_factor(M)
+        self._seed = check_seed(
+            spec.seed if seed is None else seed, spec.degree, allow_zero=False
+        )
         self._statespace = scrambler_statespace(spec.poly)
         self._A_M: GF2Matrix = self._statespace.A ** M
         self._Y: GF2Matrix = scrambler_output_matrix(self._statespace, M)

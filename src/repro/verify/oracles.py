@@ -33,6 +33,7 @@ from repro.gf2.backend import get_backend
 from repro.gf2.bits import bits_to_bytes, bytes_to_bits
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr.galois import galois_to_fibonacci_state
+from repro.lfsr.reference import GaloisLFSR
 from repro.lfsr.wordlfsr import (
     CURATED,
     WordLFSR,
@@ -273,9 +274,16 @@ class CRCPipelineOracle(Oracle):
         return None
 
 
+def _bitserial_scramble(spec, seed: int, bits: Sequence[int]) -> List[int]:
+    """``bits`` XOR the bit-serial Galois register's keystream from ``seed``."""
+    keystream = GaloisLFSR(spec.poly, seed).keystream(len(bits))
+    return [b ^ k for b, k in zip(bits, keystream)]
+
+
 class AdditiveScramblerOracle(Oracle):
-    """Serial AdditiveScrambler vs the batch kernel, plus the involution
-    property (descramble(scramble(x)) == x)."""
+    """Bit-serial Galois keystream vs the batch engine and the
+    single-stream :class:`AdditiveScrambler`, plus the involution property
+    (descramble(scramble(x)) == x)."""
 
     name = "scrambler:serial-vs-batch"
     kinds = (KIND_SCRAMBLER,)
@@ -288,17 +296,21 @@ class AdditiveScramblerOracle(Oracle):
             _case_seed(case, i, spec.seed) for i in range(len(streams))
         ]
         expected = [
+            _bitserial_scramble(spec, seed, s) for s, seed in zip(streams, seeds)
+        ]
+        got = engine.scramble_batch(streams, seeds=seeds)
+        single = [
             AdditiveScrambler(spec, seed).scramble_bits(s)
             for s, seed in zip(streams, seeds)
         ]
-        got = engine.scramble_batch(streams, seeds=seeds)
-        if got != expected:
-            i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
-            return Discrepancy(
-                detail=f"scramble_batch stream {i} seed=0x{seeds[i]:X}",
-                expected="".join(map(str, expected[i][:64])),
-                got="".join(map(str, got[i][:64])),
-            )
+        for door, result in (("scramble_batch", got), ("AdditiveScrambler", single)):
+            if result != expected:
+                i = next(j for j, (a, b) in enumerate(zip(expected, result)) if a != b)
+                return Discrepancy(
+                    detail=f"{door} stream {i} seed=0x{seeds[i]:X}",
+                    expected="".join(map(str, expected[i][:64])),
+                    got="".join(map(str, result[i][:64])),
+                )
         back = engine.descramble_batch(got, seeds=seeds)
         if back != streams:
             i = next(j for j, (a, b) in enumerate(zip(streams, back)) if a != b)
@@ -311,7 +323,7 @@ class AdditiveScramblerOracle(Oracle):
 
 
 class ScramblerPipelineOracle(Oracle):
-    """Serial AdditiveScrambler vs the streaming pipeline, chunked feeds."""
+    """Bit-serial Galois keystream vs the streaming pipeline, chunked feeds."""
 
     name = "scrambler:serial-vs-pipeline"
     kinds = (KIND_SCRAMBLER,)
@@ -329,7 +341,7 @@ class ScramblerPipelineOracle(Oracle):
                 out.extend(pipe.feed(sid, bits[offset : offset + 8 * nbytes]))
                 offset += 8 * nbytes
             pipe.close(sid)
-            expected = AdditiveScrambler(spec, seed).scramble_bits(bits)
+            expected = _bitserial_scramble(spec, seed, bits)
             if out != expected:
                 return Discrepancy(
                     detail=f"pipeline stream {i} seed=0x{seed:X} "

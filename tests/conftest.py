@@ -54,12 +54,11 @@ def fake_clock():
 KEYSTREAM_RATES = {"galois-bitserial": 1.5e6, "word32": 4.0e7, "word64": 8.0e7}
 
 
-def _measured(cpus, crc, scrambler, keystream=KEYSTREAM_RATES):
-    """A host whose batch CRC and scrambler shards measured ``crc`` and
-    ``scrambler`` times serial."""
+def _measured(cpus, crc, keystream=KEYSTREAM_RATES):
+    """A host whose batch CRC shards measured ``crc`` times serial."""
     return HostProfile(
         cpus=cpus,
-        speedup={"crc-batch": crc, "scrambler-batch": scrambler},
+        speedup={"crc-batch": crc},
         keystream_bits_per_s=dict(keystream),
     )
 
@@ -74,22 +73,20 @@ def make_host_profiles():
     return {
         # The BENCH_5 container: one CPU.  Parallel can never pay here —
         # the planner must return serial whatever was measured.
-        "bench5-1cpu": _measured(1, crc=1.0, scrambler=1.0),
+        "bench5-1cpu": _measured(1, crc=1.0),
         # A small laptop: two cores whose shards measured a modest gain.
-        "laptop-2cpu": _measured(2, crc=1.6, scrambler=1.5),
+        "laptop-2cpu": _measured(2, crc=1.6),
         # A desktop: four cores, cheap threads.
-        "desktop-4cpu": _measured(4, crc=3.1, scrambler=2.9),
+        "desktop-4cpu": _measured(4, crc=3.1),
         # A big server: sixteen cores, very cheap pool machinery.
-        "server-16cpu": _measured(16, crc=11.0, scrambler=9.5),
+        "server-16cpu": _measured(16, crc=11.0),
         # Many cores but a pathologically slow pool: its sharded calls
         # measured slower than serial, so it plans serial.
-        "slow-spawn-8cpu": _measured(8, crc=0.6, scrambler=0.7),
-        # A GIL-bound host: its scrambler shards ran one at a time (the
-        # batch CRC's numpy gathers still overlap), and only the
-        # bit-serial keystream source was measured (partial table).
-        "gil-bound-4cpu": _measured(
-            4, crc=2.5, scrambler=0.98,
-            keystream={"galois-bitserial": 2.0e6},
+        "slow-spawn-8cpu": _measured(8, crc=0.6),
+        # Only the bit-serial keystream source was measured (a partial
+        # rate table); its batch CRC shards measured a gain.
+        "bitserial-only-4cpu": _measured(
+            4, crc=2.5, keystream={"galois-bitserial": 2.0e6},
         ),
     }
 

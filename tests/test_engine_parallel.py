@@ -25,10 +25,8 @@ from repro.engine import (
     CompileCache,
     CRCPipeline,
     DiskCompileCache,
-    ParallelBatchAdditiveScrambler,
     ParallelBatchCRC,
     BatchCRC,
-    BatchAdditiveScrambler,
     ShardedCRCPipeline,
     ShardScheduler,
     WorkerPool,
@@ -37,7 +35,6 @@ from repro.engine import (
 )
 from repro.engine.diskcache import cache_key_string
 from repro.errors import StreamError, ValidationError
-from repro.scrambler.specs import get as get_scrambler
 
 SPEC = get_crc("CRC-32")
 SPEC16 = get_crc("CRC-16/ARC")
@@ -180,39 +177,6 @@ class TestShardedValidation:
         with ParallelBatchCRC(SPEC, 16, workers=2, min_shard_bits=1) as engine:
             with pytest.raises(ValidationError, match=r"bit_streams\[1\]"):
                 engine.compute_bits_batch([[0, 1], 7])
-
-    def test_scrambler_validates_before_sharding(self):
-        with ParallelBatchAdditiveScrambler(
-            get_scrambler("DVB"), 16, workers=2, min_shard_bits=1
-        ) as engine:
-            with pytest.raises(ValidationError, match=r"bit_streams\[1\]"):
-                engine.scramble_batch([[0, 1], 7])
-            with pytest.raises(ValidationError, match="need 3 seeds, got 2"):
-                engine.scramble_batch([[0, 1]] * 3, seeds=[1, 2])
-
-
-class TestParallelScrambler:
-    def test_sharded_scramble_matches_serial_and_inverts(self):
-        import random
-
-        rng = random.Random(3)
-        spec = get_scrambler("DVB")
-        streams = [
-            [rng.randrange(2) for _ in range(rng.randrange(1, 150))]
-            for _ in range(17)
-        ]
-        seeds = [rng.randrange(1, 1 << spec.degree) for _ in streams]
-        serial = BatchAdditiveScrambler(spec, 8)
-        with ParallelBatchAdditiveScrambler(
-            spec, 8, workers=3, min_shard_bits=1
-        ) as engine:
-            got = engine.scramble_batch(streams, seeds=seeds)
-            assert got == serial.scramble_batch(streams, seeds=seeds)
-            assert engine.descramble_batch(got, seeds=seeds) == streams
-
-    def test_workers1_has_no_pool(self):
-        engine = ParallelBatchAdditiveScrambler(get_scrambler("DVB"), 8, workers=1)
-        assert engine.pool is None
 
 
 class TestShardScheduler:

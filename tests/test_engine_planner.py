@@ -48,9 +48,6 @@ class TestPlanSelection:
         ("server-16cpu", _workload(), "shard-batch", 16),
         # Many cores, but its sharded calls measured slower than serial.
         ("slow-spawn-8cpu", _workload(), "serial", 1),
-        # Scrambler shards that took turns on the GIL measured no gain.
-        ("gil-bound-4cpu",
-         _workload(message_bits=65536, kind="scrambler-batch"), "serial", 1),
         # A single long message has nothing to shard across.
         ("server-16cpu", _workload(message_bits=1_000_000, batch=1),
          "serial", 1),
@@ -111,51 +108,21 @@ class TestPlanSelection:
         planner = Planner(profile=host_profiles["server-16cpu"])
         assert planner.plan(_workload(M=16)).M == 16
         assert planner.plan(_workload()).M == 128
-        scrambler = planner.plan(_workload(kind="scrambler-batch"))
-        assert scrambler.M == 128
 
     def test_backend_choice_follows_rates(self, host_profiles):
         """A keystream plan names the fastest measured source; the batch
-        kinds run fixed engines: the byte-sliced gather for CRCs and the
-        packed GF(2) backend for scramblers."""
+        kinds run one fixed engine, the byte-sliced gather."""
         planner = Planner(profile=host_profiles["desktop-4cpu"])
         keystream = _workload(kind="keystream", standard="keystream", batch=1)
         assert planner.plan(keystream).backend == "word64"
-        gil = Planner(profile=host_profiles["gil-bound-4cpu"])
-        assert gil.plan(keystream).backend == "galois-bitserial"
-        for name in ("desktop-4cpu", "gil-bound-4cpu"):
+        partial = Planner(profile=host_profiles["bitserial-only-4cpu"])
+        assert partial.plan(keystream).backend == "galois-bitserial"
+        for name in ("desktop-4cpu", "bitserial-only-4cpu"):
             planner = Planner(profile=host_profiles[name])
             assert planner.plan(_workload()).backend == CRC_BATCH_ENGINE
             assert planner.plan(_workload(kind="crc-stream", streams=8)).backend == (
                 CRC_BATCH_ENGINE
             )
-            assert planner.plan(_workload(kind="scrambler-batch")).backend == "packed"
-
-    def test_gil_holding_backends_plan_serial(self, host_profiles):
-        """Scrambler shards that ran one at a time measured no gain, so
-        the scrambler plans serial however big; the same host's batch CRC
-        measured a gain and shards."""
-        big = _workload(message_bits=65536, batch=4096, kind="scrambler-batch")
-        gil = Planner(profile=host_profiles["gil-bound-4cpu"])
-        assert (gil.plan(big).strategy, gil.plan(big).workers) == ("serial", 1)
-        assert gil.plan(_workload()).workers == 4
-        sharded = Planner(profile=host_profiles["server-16cpu"]).plan(big)
-        assert (sharded.backend, sharded.mode, sharded.workers) == (
-            "packed", "thread", 16
-        )
-
-    def test_scrambler_batch_follows_its_own_measurement(self):
-        """A 2-CPU host whose scrambler shards measured 0.8x serial plans
-        the scrambler serial, whatever its batch CRC measured."""
-        profile = HostProfile(
-            cpus=2, speedup={"crc-batch": 1.6, "scrambler-batch": 0.8}
-        )
-        planner = Planner(profile)
-        shape = dict(message_bits=2048, batch=256)
-        scrambler = planner.plan(_workload(kind="scrambler-batch", **shape))
-        assert (scrambler.strategy, scrambler.workers) == ("serial", 1)
-        crc = planner.plan(_workload(**shape))
-        assert (crc.strategy, crc.workers) == ("shard-batch", 2)
 
 
 class TestPlanCache:
@@ -187,7 +154,7 @@ class TestProbing:
         b = probe_host(timer=FakeClockLike(fake_clock), reps=2)
         assert a == b
         assert a.cpus >= 1
-        assert set(a.speedup) == {"crc-batch", "scrambler-batch"}
+        assert set(a.speedup) == {"crc-batch"}
         assert a.keystream_bits_per_s and a.crc_batch_bits_per_s > 0
 
     def test_speedup_is_the_median_ratio_with_dispatch(self):
@@ -331,9 +298,6 @@ class TestEngineWiring:
         assert engine.M == engine.plan.M
         pipe = system.crc_pipeline(get_crc("CRC-32"), auto=True, planner=planner)
         assert pipe.workers == 1
-        slow = Planner(HostProfile(cpus=2, speedup={"scrambler-batch": 0.8}))
-        scrambler = system.batch_scrambler("DVB", auto=True, planner=slow)
-        assert (scrambler.workers, scrambler.M) == (1, 128)
 
     def test_dream_system_requires_m_or_plan(self):
         from repro.crc import get as get_crc
@@ -388,13 +352,13 @@ class TestKeystreamWorkloads:
 
         for profile in host_profiles.values():
             # Every canned host measured at least one source (the
-            # gil-bound host carries a partial, bit-serial-only table).
+            # bitserial-only host carries a partial, bit-serial-only table).
             assert profile.keystream_bits_per_s
             assert set(profile.keystream_bits_per_s) <= set(KEYSTREAM_SOURCES)
             assert all(r > 0 for r in profile.keystream_bits_per_s.values())
 
     def test_partial_rate_table_still_plans(self, host_profiles):
-        plan = Planner(host_profiles["gil-bound-4cpu"]).plan(self._workload())
+        plan = Planner(host_profiles["bitserial-only-4cpu"]).plan(self._workload())
         assert plan.backend == "galois-bitserial"
 
     def test_plan_picks_the_fastest_source(self, host_profiles):
@@ -452,16 +416,10 @@ class TestBatchCRCPricing:
 
     def test_measured_shard_loss_plans_serial(self):
         """Two vCPUs whose threads delivered half the serial throughput:
-        the batch CRC stays serial, while a scrambler measured faster
-        sharded still shards."""
-        profile = HostProfile(
-            cpus=2, speedup={"crc-batch": 0.5, "scrambler-batch": 1.4}
-        )
-        planner = Planner(profile=profile)
+        the batch CRC stays serial."""
+        planner = Planner(profile=HostProfile(cpus=2, speedup={"crc-batch": 0.5}))
         crc = planner.plan(_workload(**self.SHAPE))
         assert (crc.strategy, crc.workers) == ("serial", 1)
-        scrambler = planner.plan(_workload(kind="scrambler-batch", **self.SHAPE))
-        assert (scrambler.strategy, scrambler.workers) == ("shard-batch", 2)
 
     def test_probe_measures_rate_and_gain(self, fake_clock):
         profile = probe_host(timer=fake_clock, reps=2)
@@ -472,10 +430,9 @@ class TestBatchCRCPricing:
         assert again.speedup == profile.speedup
 
     def test_profile_without_batch_crc_rate_raises(self):
-        bare = HostProfile(cpus=2, speedup={"scrambler-batch": 1.5})
+        bare = HostProfile(cpus=2)
         with pytest.raises(ValidationError, match="crc-batch"):
             Planner(bare).plan(_workload())
-        assert Planner(bare).plan(_workload(kind="scrambler-batch")).backend == "packed"
         # One CPU never reads a measurement, so it plans without one.
         assert Planner(HostProfile(cpus=1)).plan(_workload()).is_serial
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
-from repro.engine import BatchAdditiveScrambler, BatchCRC, BatchMultiplicativeScrambler
+from repro.engine import BatchCRC, BatchMultiplicativeScrambler
 from repro.errors import ValidationError
 from repro.gf2.backend import (
     BACKEND_ENV,
@@ -23,9 +23,7 @@ from repro.gf2.backend import (
     resolve_backend,
 )
 from repro.gf2.polynomial import GF2Polynomial
-from repro.scrambler import AdditiveScrambler
 from repro.scrambler.multiplicative import MultiplicativeScrambler
-from repro.scrambler.specs import get as get_scrambler
 
 BACKENDS = ["reference", "packed"]
 PACKED = ["packed"]
@@ -182,22 +180,6 @@ class TestCRCEnginesAcrossBackends:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestScramblersAcrossBackends:
-    def test_additive_keystream_and_involution(self, backend):
-        spec = get_scrambler("DVB")
-        serial = AdditiveScrambler(spec, backend="reference")
-        engine = AdditiveScrambler(spec, backend=backend)
-        for n in (0, 1, 63, 64, 65, 130):
-            assert engine.keystream(n) == serial.keystream(n)
-        bits = [(i * 5 + 1) % 2 for i in range(100)]
-        assert engine.descramble_bits(engine.scramble_bits(bits)) == bits
-
-    def test_batch_additive_matches_serial(self, backend):
-        spec = get_scrambler("SONET")
-        engine = BatchAdditiveScrambler(spec, 16, backend=backend)
-        streams = [[1, 0, 1] * 10, [0] * 17, []]
-        expected = [AdditiveScrambler(spec).scramble_bits(s) for s in streams]
-        assert engine.scramble_batch(streams) == expected
-
     def test_multiplicative_descramble_and_state(self, backend):
         poly = GF2Polynomial((1 << 7) | (1 << 4) | 1)
         data = [(3 * i + 1) % 2 for i in range(90)]

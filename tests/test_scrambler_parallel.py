@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ValidationError
 from repro.scrambler import AdditiveScrambler, IEEE80211, IEEE80216E, ParallelScrambler
 
 
@@ -44,6 +45,18 @@ class TestBlockKeystream:
     def test_invalid_m(self):
         with pytest.raises(ValueError):
             ParallelScrambler(IEEE80216E, 0)
+
+    @pytest.mark.parametrize("M", [0, 1.5, True, "8"], ids=repr)
+    def test_bad_factor_is_a_validation_error(self, M):
+        """A fractional, boolean or string M is rejected up front, as
+        every engine rejects it, not deep inside the matrix power."""
+        with pytest.raises(ValidationError, match="block factor M"):
+            ParallelScrambler(IEEE80216E, M)
+
+    @pytest.mark.parametrize("seed", [0, True, 1 << 15, 2.0], ids=repr)
+    def test_bad_seed_is_a_validation_error(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            ParallelScrambler(IEEE80216E, 16, seed=seed)
 
 
 class TestStructure:

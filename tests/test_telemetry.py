@@ -389,6 +389,7 @@ class TestLazyFamilyBinding:
         from repro.engine.batch import BatchCRC
         from repro.telemetry import set_default_registry
 
+        from repro.crc import LookaheadCRC
         from repro.engine.batch import BatchAdditiveScrambler
         from repro.scrambler import IEEE80216E
 
@@ -400,8 +401,13 @@ class TestLazyFamilyBinding:
             assert replacement.get("engine_batch_calls_total").labels(
                 kernel="crc-sliced"
             ).value >= 1
-            # The batch CRC reaches no GF(2) backend; a scrambler batch does.
             BatchAdditiveScrambler(IEEE80216E, 8).scramble_batch([[1, 0, 1]])
+            assert replacement.get("engine_batch_calls_total").labels(
+                kernel="scrambler-additive"
+            ).value >= 1
+            # The batch CRC and the additive scrambler gather tables on no
+            # GF(2) backend; the look-ahead CRC's matrices run on one.
+            LookaheadCRC(ETHERNET_CRC32, 8).compute(b"123456789")
             assert replacement.get("gf2_backend_ops_total") is not None
         finally:
             set_default_registry(previous)
