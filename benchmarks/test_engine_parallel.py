@@ -1,23 +1,15 @@
-"""Planner-gated execution + persistent-cache acceptance gates (host-side).
+"""Planner auto-plan throughput gate (host-side).
 
-Two gates guard the parallel subsystem:
-
-* **Planner auto-plan throughput** — a fresh planner probes this host
-  (it times the batch CRC serially and sharded on a fixed probe batch)
-  and plans the batch CRC (B=1024, 256-byte messages, the
-  batch-crc-auto shape).  The planned engine then runs against the
-  serial engine, call by call in alternated pairs, and the table reports
-  the probe's measured speedup beside the one the gate measures.  The
-  gate applies on *every* host with no skips: the plan must deliver
-  >= 0.95x serial always (the planner may never make things slower — on
-  a 1-CPU host it must fall back to serial by construction), and >= 2x
-  on hosts with >= 4 usable CPUs (where sharding must actually
-  multiply).
-* **Persistent compile cache** — a warm start (artifacts unpickled from
-  a populated :class:`~repro.engine.diskcache.DiskCompileCache`) must
-  beat the cold start (full Derby/look-ahead compilation) by >= 5x.
-  This one is hardware-independent: it is pure deserialization-vs-
-  compute and must hold everywhere.
+A fresh planner probes this host (it times the batch CRC serially and
+sharded on a fixed probe batch) and plans the batch CRC (B=1024,
+256-byte messages, the batch-crc-auto shape).  The planned engine then
+runs against the serial engine, call by call in alternated pairs, and
+the table reports the probe's measured speedup beside the one the gate
+measures.  The gate applies on *every* host with no skips: the plan must
+deliver >= 0.95x serial always (the planner may never make things
+slower — on a 1-CPU host it must fall back to serial by construction),
+and >= 2x on hosts with >= 4 usable CPUs (where sharding must actually
+multiply).
 
 Results (including the recorded planner decisions) land under
 ``benchmarks/results/engine_parallel.json`` (+ ``.txt``) and fold into
@@ -35,7 +27,6 @@ from repro.analysis import format_table
 from repro.crc import BitwiseCRC, ETHERNET_CRC32
 from repro.engine import (
     CompileCache,
-    DiskCompileCache,
     ParallelBatchCRC,
     Planner,
     WorkloadDescriptor,
@@ -45,7 +36,6 @@ from repro.telemetry import BenchReport
 M = 128
 BATCH = 1024
 MESSAGE_BYTES = 256
-REPEATS = 3
 #: Adjacent (serial, planned) call pairs the auto-plan gate times.  A
 #: serial plan runs the very engine it is compared with, so the ratio is
 #: measurement noise around 1.0: on a busy 2-vCPU host, best-of-3
@@ -176,56 +166,3 @@ def test_planner_auto_gate(messages, save_result, save_report):
             f"auto plan ({plan.strategy}, workers={plan.workers}) delivered "
             f"only {speedup:.2f}x on {cpus} CPUs (gate: >= 2x)"
         )
-
-
-def _compile_all(cache: CompileCache) -> None:
-    """The artifact set a CRC-32/M=128 deployment compiles."""
-    cache.crc_statespace(ETHERNET_CRC32)
-    cache.lookahead(ETHERNET_CRC32, M)
-    cache.derby(ETHERNET_CRC32, M)
-
-
-def test_disk_cache_warm_start_gate(tmp_path, save_result, save_report):
-    cold_times = []
-    warm_times = []
-    for i in range(REPEATS):
-        root = tmp_path / f"run{i}"
-        t0 = time.perf_counter()
-        _compile_all(CompileCache(disk=DiskCompileCache(root)))
-        cold_times.append(time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        warm_cache = CompileCache(disk=DiskCompileCache(root))
-        _compile_all(warm_cache)
-        warm_times.append(time.perf_counter() - t0)
-        # The warm pass must have come from disk, not the builders.
-        assert warm_cache.disk.stats.hits >= 3
-        assert warm_cache.disk.stats.corrupt == 0
-
-    cold, warm = min(cold_times), min(warm_times)
-    ratio = cold / warm
-    rows = [
-        ["cold (compile + persist)", f"{1e3 * cold:.2f}", "1.0x"],
-        ["warm (disk load)", f"{1e3 * warm:.2f}", f"{ratio:.1f}x"],
-    ]
-    text = format_table(
-        ["start", "time (ms)", "speedup"],
-        rows,
-        title=f"Compile cache cold vs warm start: CRC-32 statespace+lookahead+derby, M={M}",
-    )
-    save_result("engine_disk_cache", text)
-    save_report(
-        BenchReport(
-            name="engine_disk_cache",
-            title="Persistent compile cache: cold vs warm start",
-            params={"standard": "CRC-32", "M": M, "repeats": REPEATS},
-            metrics={
-                "cold_seconds": cold,
-                "warm_seconds": warm,
-                "warm_speedup": ratio,
-            },
-        )
-    )
-    assert ratio >= 5.0, (
-        f"warm start only {ratio:.1f}x faster than cold (gate: >= 5x)"
-    )

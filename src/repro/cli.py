@@ -13,15 +13,12 @@ Commands
 ``perf``
     Predict DREAM throughput for a message length across factors.
 ``batch-bench``
-    Time the vectorized batch engine against the per-message Derby loop
-    (``--auto`` additionally runs the execution planner's pick and
-    prints the speedup the planner measured).
-``plan``
-    Run the execution planner for a workload: time the engine serially
-    and sharded on this host, and print the CPUs, the measured speedup
-    and the plan (``--json`` writes plan + profile).
-``cache``
-    Inspect (or clear) the persistent compile-cache directory.
+    Time the vectorized batch engine against the per-message Derby loop.
+``fuzz``
+    Cross-check every engine against its bit-serial oracle on seeded
+    random cases.
+``keystream``
+    Emit keystream bytes from a word-oriented or bit-serial LFSR.
 ``stats``
     Dump the telemetry registry as JSON, JSON lines, Prometheus text or
     a Chrome trace (``--format chrome``); ``--spans`` prints the
@@ -51,11 +48,9 @@ sets the process default, so it also covers engines built internally by
 the fuzzer.  The ``REPRO_GF2_BACKEND`` environment variable does the same
 without a flag.
 
-``batch-bench`` accepts ``--workers N`` to add a row sharded across N
-pool workers.  ``batch-bench`` and ``fuzz`` accept ``--cache-dir`` to
-persist compiled artifacts across runs (``$REPRO_CACHE_DIR`` without a
-flag); it sets the process default, so engines built internally inherit
-it.
+Counts (``--batch``, ``--repeats``, ``--cases``, ...) below 1 and a
+``--seconds`` budget that is not positive are usage errors: argparse
+rejects them with exit status 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -205,22 +200,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _speedup_line(profile, kind: str) -> str:
-    """The measured speedup a ``kind`` plan read, as the CLI prints it."""
-    speedup = profile.speedup_of(kind)
-    if speedup is None:
-        return f"sharding not measured on {profile.cpus} cpu(s)"
-    return f"sharded measured {speedup:.2f}x serial on {profile.cpus} cpu(s)"
-
-
 def cmd_batch_bench(args: argparse.Namespace) -> int:
     import time
 
     import numpy as np
 
-    from repro.engine import BatchCRC, ParallelBatchCRC, default_cache, resolve_workers
+    from repro.engine import BatchCRC, default_cache
 
-    workers = resolve_workers(args.workers)
     spec = get(args.standard)
     rng = np.random.default_rng(args.seed)
     messages = [
@@ -254,64 +240,6 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
             f"{batch_rate / loop_rate:.1f}x",
         ],
     ]
-
-    if workers > 1:
-        with ParallelBatchCRC(
-            spec, args.m, workers=workers, min_shard_bits=1
-        ) as par:
-            par.compute_batch(messages[:2])  # start the pool off-clock
-            par_best = float("inf")
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                par_crcs = par.compute_batch(messages)
-                par_best = min(par_best, time.perf_counter() - t0)
-        if par_crcs != crcs:
-            print("MISMATCH: sharded engine disagrees with serial batch engine")
-            return 1
-        par_rate = len(messages) / par_best
-        rows.append(
-            [
-                f"ParallelBatchCRC x{workers}",
-                f"{par_rate:,.0f}",
-                f"{par_rate / loop_rate:.1f}x",
-            ]
-        )
-
-    if args.auto:
-        from repro.engine.planner import WorkloadDescriptor, default_planner
-
-        planner = default_planner()
-        workload = WorkloadDescriptor(
-            kind="crc-batch",
-            standard=spec.name,
-            message_bits=8 * args.bytes,
-            batch=args.batch,
-            M=args.m,
-        )
-        plan = planner.plan(workload)
-        with ParallelBatchCRC(spec, args.m, plan=plan) as auto_eng:
-            auto_eng.compute_batch(messages[:2])  # pool + compile off-clock
-            auto_best = float("inf")
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                auto_crcs = auto_eng.compute_batch(messages)
-                auto_best = min(auto_best, time.perf_counter() - t0)
-        if auto_crcs != crcs:
-            print("MISMATCH: planned engine disagrees with serial batch engine")
-            return 1
-        auto_rate = len(messages) / auto_best
-        rows.append(
-            [
-                f"auto plan [{plan.strategy} x{plan.workers}]",
-                f"{auto_rate:,.0f}",
-                f"{auto_rate / loop_rate:.1f}x",
-            ]
-        )
-        print(
-            f"planner: {plan.strategy} backend={plan.backend} "
-            f"workers={plan.workers} ({_speedup_line(planner.profile, plan.workload.kind)})"
-        )
-
     print(format_table(
         ["engine", "messages/s", "speedup"], rows,
         title=(
@@ -322,61 +250,6 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
     stats = cache.stats
     print(f"compile cache: {stats.hits} hits / {stats.misses} misses "
           f"({stats.hit_rate:.0%} hit rate, {len(cache)}/{cache.capacity} entries)")
-    if cache.disk is not None:
-        dstats = cache.disk.stats.snapshot()
-        print(f"disk cache [{cache.disk.root}]: {dstats['hits']} hits / "
-              f"{dstats['misses']} misses / {dstats['stores']} stores "
-              f"({len(cache.disk)} entries, {cache.disk.size_bytes():,} bytes)")
-    return 0
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
-    import json as _json
-    from dataclasses import asdict
-
-    from repro.engine.planner import WorkloadDescriptor, default_planner
-
-    spec = get(args.standard)
-    planner = default_planner()
-    plan = planner.plan(WorkloadDescriptor(
-        kind=args.kind,
-        standard=spec.name,
-        message_bits=8 * args.bytes,
-        batch=args.batch,
-        streams=args.streams,
-        M=args.m,
-    ))
-    profile = planner.profile
-    print(f"host:      {profile.cpus} cpu(s)")
-    print(f"measured:  {_speedup_line(profile, args.kind)}")
-    print(
-        f"decision:  {plan.strategy} — backend={plan.backend} "
-        f"workers={plan.workers} mode={plan.mode} M={plan.M}"
-    )
-    if args.json:
-        with open(args.json, "w") as handle:
-            _json.dump(
-                {"plan": asdict(plan), "profile": asdict(profile)},
-                handle, indent=2, sort_keys=True,
-            )
-        print(f"plan written to {args.json}")
-    return 0
-
-
-def cmd_cache(args: argparse.Namespace) -> int:
-    from repro.engine import DiskCompileCache, default_cache_dir
-
-    root = args.cache_dir or default_cache_dir()
-    if root is None:
-        print("no cache directory: pass --cache-dir or set $REPRO_CACHE_DIR")
-        return 1
-    disk = DiskCompileCache(root)
-    if args.clear:
-        removed = disk.clear()
-        print(f"cleared {removed} entries from {disk.root}")
-        return 0
-    print(f"compile cache at {disk.root} (format v{disk.version}): "
-          f"{len(disk)} entries, {disk.size_bytes():,} bytes")
     return 0
 
 
@@ -468,9 +341,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_keystream(args: argparse.Namespace) -> int:
     import json as _json
-    from dataclasses import asdict
 
-    from repro.engine.planner import KIND_KEYSTREAM, WorkloadDescriptor, default_planner
     from repro.gf2.polynomial import GF2Polynomial
     from repro.lfsr.reference import GaloisLFSR
     from repro.lfsr.wordlfsr import WordLFSR, WordLFSRReference
@@ -479,17 +350,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
 
     nbytes = args.bytes
     material = args.seed.encode()
-    source = args.source
-    plan = None
-    if source == "auto":
-        planner = default_planner()
-        plan = planner.plan(WorkloadDescriptor(
-            kind=KIND_KEYSTREAM, standard="keystream", message_bits=8 * nbytes,
-        ))
-        source = plan.backend
-        rate = planner.profile.keystream_bits_per_s[source]
-        print(f"planner picked {source} (measured {rate:.3g} bits/s)")
-    if source == "galois-bitserial":
+    if args.source == "galois-bitserial":
         # The PRBS-31 generator, MSB-first bits packed to bytes — the
         # bit-serial baseline the word engines are gated against.
         poly = GF2Polynomial.from_exponents([31, 28, 0])
@@ -500,7 +361,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
             for i in range(0, len(bits), 8)
         )
     else:
-        wspec = get_wordspec(source)
+        wspec = get_wordspec(args.source)
         seed = seed_words_from_bytes(wspec, material)
         data = WordLFSR(wspec, seed).keystream_bytes(nbytes)
         if args.verify:
@@ -514,12 +375,7 @@ def cmd_keystream(args: argparse.Namespace) -> int:
                   f"state-matrix reference")
     print(data.hex())
     if args.json:
-        payload = {
-            "source": source,
-            "bytes": nbytes,
-            "hex": data.hex(),
-            "plan": asdict(plan) if plan is not None else None,
-        }
+        payload = {"source": args.source, "bytes": nbytes, "hex": data.hex()}
         with open(args.json, "w") as handle:
             _json.dump(payload, handle, indent=2, sort_keys=True)
         print(f"keystream report written to {args.json}")
@@ -643,14 +499,20 @@ def _add_backend_option(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_dir_option(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist compiled artifacts under DIR across runs "
-        "(default: $REPRO_CACHE_DIR or no persistence)",
-    )
+def _count(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type for a time budget: a positive number of seconds."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,56 +565,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch-bench", help="time the vectorized batch engine")
     p.add_argument("--standard", default="CRC-32")
     p.add_argument("-m", "--m", type=int, default=32, help="look-ahead factor")
-    p.add_argument("--batch", type=int, default=1024, help="messages per batch")
+    p.add_argument("--batch", type=_count, default=1024, help="messages per batch")
     p.add_argument("--bytes", type=int, default=64, help="message size in bytes")
-    p.add_argument("--baseline-sample", type=int, default=32,
+    p.add_argument("--baseline-sample", type=_count, default=32,
                    help="messages timed through the per-message Derby loop")
-    p.add_argument("--repeats", type=int, default=3, help="batch timing repeats")
+    p.add_argument("--repeats", type=_count, default=3, help="batch timing repeats")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--auto", action="store_true",
-                   help="also run the execution planner's chosen configuration "
-                   "and print the speedup it measured")
-    p.add_argument("--workers", default=None, metavar="N",
-                   help="add a row sharded across N pool workers (default: 1)")
     _add_backend_option(p)
-    _add_cache_dir_option(p)
     p.add_argument("--telemetry", action="store_true",
                    help="trace the run and snapshot the metrics registry")
     p.set_defaults(func=cmd_batch_bench)
 
     p = sub.add_parser(
-        "plan", help="plan a workload from speedups measured on this host"
-    )
-    p.add_argument("--standard", default="CRC-32")
-    p.add_argument("--kind", choices=("crc-batch", "crc-stream"),
-                   default="crc-batch", help="workload shape to plan for")
-    p.add_argument("--bytes", type=int, default=256, help="message size in bytes")
-    p.add_argument("--batch", type=int, default=1024, help="messages per batch")
-    p.add_argument("--streams", type=int, default=1,
-                   help="concurrent streams (crc-stream workloads)")
-    p.add_argument("-m", "--m", type=int, default=None,
-                   help="pin the look-ahead factor (default: 128)")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the plan and the host profile to PATH")
-    p.add_argument("--telemetry", action="store_true",
-                   help="trace the run and snapshot the metrics registry")
-    p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser(
         "fuzz", help="cross-check all engines with differential fuzzing"
     )
-    p.add_argument("--seconds", type=float, default=None,
+    p.add_argument("--seconds", type=_seconds, default=None,
                    help="wall-clock budget (default: 5s unless --cases given)")
-    p.add_argument("--cases", type=int, default=None,
+    p.add_argument("--cases", type=_count, default=None,
                    help="case budget (combined with --seconds: first exhausted wins)")
     p.add_argument("--seed", type=int, default=0,
                    help="generator seed; same seed + --cases replays exactly")
     p.add_argument("--json", metavar="PATH",
                    help="write the machine-readable report to PATH")
-    p.add_argument("--max-failures", type=int, default=5,
+    p.add_argument("--max-failures", type=_count, default=5,
                    help="stop after this many confirmed mismatches")
     _add_backend_option(p)
-    _add_cache_dir_option(p)
     p.add_argument("--no-shrink", action="store_true",
                    help="skip minimizing failing cases")
     p.add_argument("--telemetry", action="store_true",
@@ -764,10 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate keystream bytes from a word-oriented or bit-serial LFSR",
     )
     p.add_argument("--source",
-                   choices=("auto", "word8", "word32", "word64",
-                            "galois-bitserial"),
-                   default="auto",
-                   help="keystream engine (auto = the fastest measured source)")
+                   choices=("word8", "word32", "word64", "galois-bitserial"),
+                   default="word64",
+                   help="keystream engine (default: word64, one 64-bit word "
+                   "per step)")
     p.add_argument("--bytes", type=int, default=64,
                    help="keystream bytes to emit")
     p.add_argument("--seed", default="repro",
@@ -776,14 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check the fast word engine against the "
                    "bit-serial state-matrix reference")
     p.add_argument("--json", metavar="PATH",
-                   help="write source, hex keystream and plan to PATH")
+                   help="write source, byte count and hex keystream to PATH")
     p.set_defaults(func=cmd_keystream)
-
-    p = sub.add_parser("cache", help="inspect the persistent compile cache")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="cache directory (default: $REPRO_CACHE_DIR)")
-    p.add_argument("--clear", action="store_true", help="delete every entry")
-    p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("stats", help="dump the telemetry registry")
     p.add_argument(
@@ -858,14 +689,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_default_backend(args.backend)
         # The flag must also beat an inherited REPRO_GF2_BACKEND setting.
         os.environ[BACKEND_ENV] = args.backend
-    # --cache-dir persists compiles; export it so child processes and
-    # the lazily-attached default cache all see the same directory.
-    if getattr(args, "cache_dir", None) and args.command != "cache":
-        import os
-
-        from repro.engine.diskcache import CACHE_DIR_ENV
-
-        os.environ[CACHE_DIR_ENV] = str(args.cache_dir)
     if getattr(args, "telemetry", False):
         return _run_with_telemetry(args)
     return args.func(args)

@@ -101,88 +101,24 @@ class DreamSystem:
     # ==================================================================
     # Host-side batch engines (share this system's compile cache)
     # ==================================================================
-    def attach_disk_cache(self, root) -> None:
-        """Back this system's compile cache with a persistent directory.
-
-        Every persistable artifact compiled afterwards (and the table
-        stack of every batch CRC built by :meth:`batch_crc`) stores to
-        and warms from ``root`` — so a second DREAM run for the same
-        standards skips those compiles.
-        """
-        from repro.engine.diskcache import DiskCompileCache
-
-        self.cache.attach_disk(DiskCompileCache(root))
-
-    def _auto_plan(self, kind, spec, M, workload, planner):
-        """Resolve the execution plan for an ``auto=True`` engine request.
-
-        ``workload`` overrides the default descriptor (2048-bit messages,
-        batch 256 / 8 streams — the telecom frame regime the paper
-        benchmarks); ``planner`` overrides :func:`~repro.engine.planner.
-        default_planner`, which times the engine on this host the first
-        time a kind is planned, so tests can inject measured host
-        profiles instead.  An explicit ``M`` pins the plan's look-ahead
-        factor (128 otherwise).
-        """
-        from repro.engine.planner import WorkloadDescriptor, default_planner
-
-        if workload is None:
-            workload = WorkloadDescriptor(
-                kind=kind,
-                standard=spec.name,
-                message_bits=2048,
-                batch=256 if kind != "crc-stream" else 1,
-                streams=8 if kind == "crc-stream" else 1,
-                M=M,
-            )
-        active = planner if planner is not None else default_planner()
-        return active.plan(workload)
-
-    def batch_crc(
-        self,
-        spec,
-        M: Optional[int] = None,
-        workers=None,
-        plan=None,
-        auto: bool = False,
-        workload=None,
-        planner=None,
-    ):
-        """A host-side sharded CRC engine wired to this system's cache.
+    def batch_crc(self, spec, M: int):
+        """A host-side batch CRC engine on this system's cache.
 
         ``spec`` is a :class:`~repro.crc.CRCSpec` or a catalog name
-        (``"CRC-32"``).  ``workers`` is a positive int, else the plan's,
-        else 1 (:func:`repro.engine.parallel.resolve_workers`);
-        ``workers=1`` degenerates to the serial
-        :class:`~repro.engine.batch.BatchCRC` path.  Use this
-        for golden-model throughput runs beside a DREAM deployment: the
-        engine gathers over the spec's byte-sliced table stack, compiled
-        once into this system's cache, and ``M`` is the look-ahead factor
-        the netlists were mapped at.
-
-        Pass ``auto=True`` (optionally with a ``workload`` descriptor and
-        an injected ``planner``) to let the execution planner pick the
-        worker count from the speedup it measured for this engine; or
-        hand in a ``plan`` directly.  Explicit arguments always win over
-        the plan's choices.  ``M`` may be omitted when a plan supplies
-        it.
+        (``"CRC-32"``).  Use this for golden-model throughput runs beside
+        a DREAM deployment: the :class:`~repro.engine.batch.BatchCRC`
+        gathers over the spec's byte-sliced table stack, compiled once
+        into this system's cache, and ``M`` is the look-ahead factor the
+        netlists were mapped at.
         """
-        from repro.engine.parallel import ParallelBatchCRC
+        from repro.engine.batch import BatchCRC
 
         if isinstance(spec, str):
             from repro.crc import get as _get_crc
 
             spec = _get_crc(spec)
-        with default_tracer().span("dream.batch_crc", standard=spec.name, auto=auto):
-            if auto and plan is None:
-                plan = self._auto_plan("crc-batch", spec, M, workload, planner)
-            if M is None:
-                if plan is None:
-                    raise ValueError("batch_crc needs M= (or plan=/auto=True)")
-                M = plan.M
-            return ParallelBatchCRC(
-                spec, M, workers=workers, cache=self.cache, plan=plan
-            )
+        with default_tracer().span("dream.batch_crc", standard=spec.name):
+            return BatchCRC(spec, M, cache=self.cache)
 
     def batch_scrambler(self, spec, M: int):
         """A host-side batch additive scrambler on this system's cache.
@@ -201,40 +137,22 @@ class DreamSystem:
         with default_tracer().span("dream.batch_scrambler", standard=spec.name):
             return BatchAdditiveScrambler(spec, M, cache=self.cache)
 
-    def crc_pipeline(
-        self,
-        spec,
-        M: Optional[int] = None,
-        workers=None,
-        plan=None,
-        auto: bool = False,
-        workload=None,
-        planner=None,
-    ):
-        """A sharded streaming CRC pipeline on this system's cache.
+    def crc_pipeline(self, spec, M: int):
+        """A streaming CRC pipeline on this system's cache.
 
-        ``spec`` is a :class:`~repro.crc.CRCSpec` or a catalog name;
-        ``plan=`` / ``auto=True`` behave exactly as on :meth:`batch_crc`
-        (the auto workload defaults to the ``crc-stream`` kind).
+        ``spec`` is a :class:`~repro.crc.CRCSpec` or a catalog name; the
+        :class:`~repro.engine.pipeline.CRCPipeline` multiplexes many
+        chunk-fed streams over the spec's byte table and byte-sliced
+        table stack, and ``M`` is its block factor.
         """
-        from repro.engine.parallel import ShardedCRCPipeline
+        from repro.engine.pipeline import CRCPipeline
 
         if isinstance(spec, str):
             from repro.crc import get as _get_crc
 
             spec = _get_crc(spec)
-        with default_tracer().span(
-            "dream.crc_pipeline", standard=spec.name, auto=auto
-        ):
-            if auto and plan is None:
-                plan = self._auto_plan("crc-stream", spec, M, workload, planner)
-            if M is None:
-                if plan is None:
-                    raise ValueError("crc_pipeline needs M= (or plan=/auto=True)")
-                M = plan.M
-            return ShardedCRCPipeline(
-                spec, M, workers=workers, cache=self.cache, plan=plan
-            )
+        with default_tracer().span("dream.crc_pipeline", standard=spec.name):
+            return CRCPipeline(spec, M, cache=self.cache)
 
     # ==================================================================
     # Analytic mode

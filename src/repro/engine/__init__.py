@@ -23,11 +23,9 @@ Three layers, each reusable on its own:
   the GIL), single messages time-shard with exact ``x^k mod G``
   recombination, and streaming pipelines spread over shard pipelines
   with a work-stealing scheduler.
-* :mod:`repro.engine.diskcache` — a content-addressed persistent compile
-  cache that warms the in-memory LRU across processes and runs.
-* :mod:`repro.engine.planner` — an execution planner: it times the
-  engine a plan would run, serially and sharded across the host's CPUs,
-  and shards only when that measured speedup pays.
+* :mod:`repro.engine.planner` — an execution planner for the batch CRC:
+  it times the engine serially and sharded across the host's CPUs, and
+  shards only when that measured speedup pays.
 * :mod:`repro.engine.microbatch` — a continuous-batching scheduler that
   coalesces ops from many concurrent asyncio submitters into single wide
   executor calls, with planner-chosen occupancy and linger windows
@@ -43,21 +41,16 @@ from repro.engine.batch import (
     BatchWordScrambler,
 )
 from repro.engine.cache import (
-    CACHE_DIR_ENV,
     CacheStats,
     CompileCache,
     default_cache,
-    default_cache_dir,
     estimate_entry_bytes,
 )
 from repro.engine.pipeline import CRCPipeline, ScramblerPipeline
 
 # The serve/parallel stack loads on first use (PEP 562), so a process
-# that only streams CRCs never imports asyncio, concurrent.futures or
-# hashlib.
+# that only streams CRCs never imports asyncio or concurrent.futures.
 _LAZY = {
-    "DiskCacheStats": "diskcache",
-    "DiskCompileCache": "diskcache",
     "ParallelBatchCRC": "parallel",
     "ShardedCRCPipeline": "parallel",
     "ShardScheduler": "parallel",
@@ -96,12 +89,9 @@ __all__ = [
     "BatcherClosed",
     "BatchMultiplicativeScrambler",
     "BatchWordScrambler",
-    "CACHE_DIR_ENV",
     "CacheStats",
     "CompileCache",
     "CRCPipeline",
-    "DiskCacheStats",
-    "DiskCompileCache",
     "ExecutionPlan",
     "HostProfile",
     "MicroBatcher",
@@ -115,7 +105,6 @@ __all__ = [
     "WorkerPool",
     "WorkloadDescriptor",
     "default_cache",
-    "default_cache_dir",
     "default_planner",
     "estimate_entry_bytes",
     "plan_shards",

@@ -15,11 +15,10 @@ counters so the benchmark harness can assert near-zero recompile cost.
 Residency is bounded two ways: by entry count (``capacity``) and — since
 artifact cost scales with matrix area, not count — by an estimated byte
 budget (``max_bytes``, see :func:`estimate_entry_bytes`), which the
-``engine_compile_cache_bytes`` gauge reads from every live cache.  An optional
-:class:`~repro.engine.diskcache.DiskCompileCache` layer persists the
-pure linear-algebra artifact families across processes, so cold CLI
-invocations and pool workers warm the LRU from disk instead of
-recompiling (see ``docs/PARALLEL.md``).
+``engine_compile_cache_bytes`` gauge reads from every live cache.  Nothing
+persists across processes: the artifacts the served and batch engines
+use (the byte-sliced CRC and keystream table stacks) build in a few
+milliseconds.
 
 A module-level :func:`default_cache` instance is shared by
 :class:`~repro.engine.batch.BatchCRC`, the streaming pipelines and
@@ -30,11 +29,9 @@ workloads touching the same standards share one compile.
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 from collections import OrderedDict
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Tuple
+from typing import Any, Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -53,19 +50,6 @@ from repro.telemetry import (
     default_flight_recorder,
     default_registry,
 )
-
-if TYPE_CHECKING:
-    from repro.engine.diskcache import DiskCompileCache
-
-#: Environment variable naming the persistent cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-
-def default_cache_dir() -> Optional[Path]:
-    """The directory named by ``$REPRO_CACHE_DIR``, or ``None``."""
-    value = os.environ.get(CACHE_DIR_ENV)
-    return Path(value) if value else None
-
 
 def _cache_gauges(reg) -> Owners:
     """Bind the residency gauges to the live caches; returns their Owners."""
@@ -93,21 +77,6 @@ _METRICS = bind_families(lambda reg: {
         "engine_compile_cache_evictions_total", "Compile-cache LRU evictions"
     ),
 })
-
-#: Artifact kinds worth persisting to a :class:`DiskCompileCache`: pure
-#: linear-algebra products of ``(spec, M)`` whose pickles are small and
-#: stable, and the byte-sliced table stack every batch CRC and pipeline
-#: gathers over.  Mapped PiCoGA netlists are deliberately absent — they
-#: embed architecture objects and are cheap to re-derive from these inputs.
-PERSISTED_KINDS = frozenset(
-    {
-        "statespace",
-        "lookahead",
-        "derby",
-        "slicing-tables",
-    }
-)
-
 
 def estimate_entry_bytes(value: Any) -> int:
     """Estimated resident cost of one cached artifact, in bytes.
@@ -252,7 +221,6 @@ class CompileCache:
         self,
         capacity: int = 64,
         max_bytes: Optional[int] = None,
-        disk: Optional["DiskCompileCache"] = None,
     ):
         if capacity < 1:
             raise ValidationError("cache capacity must be >= 1")
@@ -264,7 +232,6 @@ class CompileCache:
         self._costs: dict = {}
         self._bytes = 0
         self._lock = threading.Lock()
-        self._disk = disk
         self.stats = CacheStats()
         if default_registry().enabled:
             _METRICS()["caches"].add(self)
@@ -287,20 +254,6 @@ class CompileCache:
         with self._lock:
             return self._bytes
 
-    @property
-    def disk(self) -> Optional["DiskCompileCache"]:
-        """The persistent layer consulted on misses, if attached."""
-        return self._disk
-
-    def attach_disk(self, disk: Optional["DiskCompileCache"]) -> None:
-        """Attach (or detach, with ``None``) a persistent layer.
-
-        Later lookups of persistable artifact kinds (see
-        :data:`PERSISTED_KINDS`) try the disk before compiling and
-        write through after compiling.
-        """
-        self._disk = disk
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -314,8 +267,7 @@ class CompileCache:
             return list(self._entries)
 
     def clear(self) -> None:
-        """Drop every resident entry and zero :attr:`stats` (the disk
-        layer is untouched)."""
+        """Drop every resident entry and zero :attr:`stats`."""
         with self._lock:
             self._entries.clear()
             self._costs.clear()
@@ -323,17 +275,8 @@ class CompileCache:
             self.stats.reset()
 
     # ------------------------------------------------------------------
-    def _persistable(self, key: Hashable) -> bool:
-        """Whether a key's artifact family goes through the disk layer."""
-        return (
-            self._disk is not None
-            and isinstance(key, tuple)
-            and bool(key)
-            and key[0] in PERSISTED_KINDS
-        )
-
-    def _insert(self, key: Hashable, value: Any) -> Tuple[Any, bool]:
-        """Insert under the lock; returns ``(resident value, we_won)``.
+    def _insert(self, key: Hashable, value: Any) -> Any:
+        """Insert under the lock; returns the resident value.
 
         The first insert wins any cold-key race, preserving same-object
         identity for every caller; the byte estimate and both budget
@@ -344,7 +287,7 @@ class CompileCache:
                 # Another thread populated the same cold key first; keep
                 # its artifact so every caller holds the identical object.
                 self._entries.move_to_end(key)
-                return self._entries[key], False
+                return self._entries[key]
             cost = estimate_entry_bytes(value)
             self._entries[key] = value
             self._costs[key] = cost
@@ -359,17 +302,14 @@ class CompileCache:
                 self._bytes -= evicted_cost
                 self.stats.record_eviction()
                 _METRICS()["evictions"].inc()
-        return value, True
+        return value
 
     def get(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Return the cached artifact for ``key``, compiling on first use.
 
-        Misses on persistable artifact kinds consult the attached
-        :class:`DiskCompileCache` (if any) before running the builder,
-        and write freshly compiled artifacts through to it.  Builder
-        failures are reported as :class:`~repro.errors.CompileError`
-        (library-typed errors pass through unchanged); nothing is cached
-        on failure.
+        Builder failures are reported as
+        :class:`~repro.errors.CompileError` (library-typed errors pass
+        through unchanged); nothing is cached on failure.
         """
         with self._lock:
             if key in self._entries:
@@ -379,12 +319,6 @@ class CompileCache:
                 return self._entries[key]
             self.stats.record_miss()
             _METRICS()["lookups"].labels(result="miss").inc()
-        persistable = self._persistable(key)
-        if persistable:
-            found, value = self._disk.load(key)
-            if found:
-                resident, _ = self._insert(key, value)
-                return resident
         try:
             value = builder()
         except ReproError:
@@ -395,11 +329,7 @@ class CompileCache:
         if recorder.enabled:
             family = key[0] if isinstance(key, tuple) and key else "artifact"
             recorder.record("compile", f"built cache entry {family}", artifact=str(family))
-        resident, won = self._insert(key, value)
-        if won and persistable:
-            # Best-effort write-through; a full disk can only cost speed.
-            self._disk.store(key, resident)
-        return resident
+        return self._insert(key, value)
 
     # ------------------------------------------------------------------
     # Typed helpers — one per artifact family
@@ -488,18 +418,5 @@ _DEFAULT = CompileCache(capacity=128)
 
 
 def default_cache() -> CompileCache:
-    """The process-wide shared compile cache.
-
-    If ``$REPRO_CACHE_DIR`` names a directory and no persistent layer is
-    attached yet, one is attached on first use, so every engine built
-    through the default cache warms from (and feeds) the disk.
-    """
-    if _DEFAULT.disk is None:
-        root = default_cache_dir()
-        if root is not None:
-            # Imported only when a disk layer attaches: it pulls in
-            # hashlib, pickle and tempfile.
-            from repro.engine.diskcache import DiskCompileCache
-
-            _DEFAULT.attach_disk(DiskCompileCache(root))
+    """The process-wide shared compile cache."""
     return _DEFAULT

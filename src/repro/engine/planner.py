@@ -3,13 +3,12 @@
 The paper's §2 mapper prices every look-ahead factor M before a
 configuration is committed to the PiCoGA, and it can, because the array
 runs at a fixed 200 MHz.  A software host has no such clock, so this
-planner predicts nothing.  For each workload kind it times the engine a
-plan would run on a fixed probe batch, serially and split across the
-host's CPUs, and shards only when that measured speedup reaches
-:data:`MIN_SPEEDUP`; for a keystream it times the sources and takes the
-fastest.  A :class:`HostProfile` holds the measurements as plain data, so
-tests and the fuzz oracle inject measured hosts and assert decisions
-without timing anything.  See ``docs/PLANNER.md``.
+planner predicts nothing.  It plans one workload kind, the batch CRC:
+it times that engine on a fixed probe batch, serially and split across
+the host's CPUs, and shards only when the measured speedup reaches
+:data:`MIN_SPEEDUP`.  A :class:`HostProfile` holds the measurements as
+plain data, so tests and the fuzz oracle inject measured hosts and
+assert decisions without timing anything.  See ``docs/PLANNER.md``.
 """
 
 from __future__ import annotations
@@ -51,9 +50,8 @@ MIN_SPEEDUP = 1.05
 #: byte-sliced gather costs the same at every M).
 DEFAULT_M = 128
 
-#: The ``backend`` of every ``crc-batch`` and ``crc-stream`` plan: the
-#: batch CRC and the pipeline run on the byte-sliced gather, whatever
-#: GF(2) backend is selected.
+#: The ``backend`` of every ``crc-batch`` plan: the batch CRC runs on the
+#: byte-sliced gather, whatever GF(2) backend is selected.
 CRC_BATCH_ENGINE = "byte-sliced"
 
 #: The fixed batch the batch CRC probe times: CRC-32 messages of this
@@ -66,22 +64,7 @@ PROBE_ROUNDS = 5
 
 #: Workload kinds the planner understands.
 KIND_CRC_BATCH = "crc-batch"
-KIND_CRC_STREAM = "crc-stream"
-KIND_KEYSTREAM = "keystream"
-#: The probe each kind reads: ``crc-stream`` reads the batch CRC probe,
-#: since :class:`~repro.engine.parallel.ShardedCRCPipeline` runs the same
-#: gather per stream.
-_PROBE_OF = {
-    KIND_CRC_BATCH: KIND_CRC_BATCH,
-    KIND_CRC_STREAM: KIND_CRC_BATCH,
-    KIND_KEYSTREAM: KIND_KEYSTREAM,
-}
-WORKLOAD_KINDS = tuple(_PROBE_OF)
-
-#: Keystream sources the probe times (see :mod:`repro.lfsr.wordlfsr` and
-#: :mod:`repro.lfsr.reference`).  These are serial generators, so their
-#: plans never shard.
-KEYSTREAM_SOURCES = ("galois-bitserial", "word32", "word64")
+WORKLOAD_KINDS = (KIND_CRC_BATCH,)
 
 #: Plan strategies.
 STRATEGY_SERIAL = "serial"
@@ -115,9 +98,6 @@ class HostProfile:
         Per sharded probe kind (``crc-batch``): the median,
         over the probe's rounds, of serial time ÷ sharded time, pool
         dispatch included.  Below 1.0 sharding loses.
-    ``keystream_bits_per_s``
-        Serial throughput per keystream source in
-        :data:`KEYSTREAM_SOURCES`.
     ``crc_batch_bits_per_s`` / ``dispatch_s``
         The batch CRC probe's best serial rate and its pool's per-shard
         empty-dispatch time (:meth:`Planner.plan_serve_batch` reads
@@ -126,14 +106,13 @@ class HostProfile:
 
     cpus: int
     speedup: Dict[str, float] = field(default_factory=dict)
-    keystream_bits_per_s: Dict[str, float] = field(default_factory=dict)
     crc_batch_bits_per_s: float = 0.0
     dispatch_s: float = 0.0
 
     def __post_init__(self):
         if self.cpus < 1:
             raise ValidationError(f"profile needs >= 1 cpu, got {self.cpus}")
-        for name, value in {**self.speedup, **self.keystream_bits_per_s}.items():
+        for name, value in self.speedup.items():
             if value <= 0:
                 raise ValidationError(
                     f"measured {name!r} must be > 0, got {value}"
@@ -143,10 +122,6 @@ class HostProfile:
                 f"batch CRC rate and dispatch time must be >= 0, got "
                 f"{self.crc_batch_bits_per_s} and {self.dispatch_s}"
             )
-
-    def speedup_of(self, kind: str) -> Optional[float]:
-        """The measured speedup a ``kind`` plan reads, or ``None``."""
-        return self.speedup.get(_PROBE_OF.get(kind, kind))
 
 
 # ----------------------------------------------------------------------
@@ -223,65 +198,19 @@ def _probe_crc_batch(
     )
 
 
-def _probe_keystream_rates(
-    profile: HostProfile, timer: Callable[[], float], rounds: int
-) -> HostProfile:
-    """``profile`` with the rate of each source in
-    :data:`KEYSTREAM_SOURCES` measured.
-
-    The word-oriented engines are probed through their byte hot path
-    (:meth:`~repro.lfsr.wordlfsr.WordLFSR.keystream_bytes`); the
-    bit-serial baseline walks :class:`~repro.lfsr.reference.GaloisLFSR`
-    for proportionally fewer bits, since it is the one the word engines
-    are gated ≥20x against.
-    """
-    from repro.gf2.polynomial import GF2Polynomial
-    from repro.lfsr.reference import GaloisLFSR
-    from repro.lfsr.wordlfsr import WORD32, WORD64, WordLFSR, seed_words_from_bytes
-
-    rates: Dict[str, float] = {}
-    nbytes = 2048
-    for spec in (WORD32, WORD64):
-        seed = seed_words_from_bytes(spec, b"planner-probe")
-        engine = WordLFSR(spec, seed)
-        engine.keystream_bytes(64)  # warm the specialized loop off the clock
-        t0 = timer()
-        for _ in range(rounds):
-            engine.keystream_bytes(nbytes)
-        rates[spec.name] = rounds * 8 * nbytes / max(timer() - t0, 1e-9)
-    poly = GF2Polynomial.from_exponents([31, 28, 0])  # PRBS-31 generator
-    nbits = 2048
-    t0 = timer()
-    for _ in range(rounds):
-        GaloisLFSR(poly, 1).keystream(nbits)
-    rates["galois-bitserial"] = rounds * nbits / max(timer() - t0, 1e-9)
-    _count_probe(KIND_KEYSTREAM)
-    return replace(profile, keystream_bits_per_s=rates)
-
-
-#: The probe behind each probe kind of :data:`_PROBE_OF`.
-_PROBES = {
-    KIND_CRC_BATCH: _probe_crc_batch,
-    KIND_KEYSTREAM: _probe_keystream_rates,
-}
-
-
 def probe_host(
     timer: Callable[[], float] = time.perf_counter,
     reps: int = PROBE_ROUNDS,
 ) -> HostProfile:
-    """Every measurement at once: each probe, ``reps`` rounds each.
+    """Every measurement at once: the batch CRC probe, ``reps`` rounds.
 
-    ``timer`` is the clock every probe reads; tests inject a fake one to
+    ``timer`` is the clock the probe reads; tests inject a fake one to
     make the whole pass deterministic.  A :class:`Planner` without a
-    profile runs only the probes its decisions read.
+    profile probes the first time a decision reads the measurement.
     """
     if reps < 1:
         raise ValidationError(f"probe reps must be >= 1, got {reps}")
-    profile = HostProfile(cpus=_usable_cpus())
-    for probe in _PROBES.values():
-        profile = probe(profile, timer, reps)
-    return profile
+    return _probe_crc_batch(HostProfile(cpus=_usable_cpus()), timer, reps)
 
 
 # ----------------------------------------------------------------------
@@ -291,9 +220,8 @@ def probe_host(
 class WorkloadDescriptor:
     """What is about to run.
 
-    ``message_bits`` is the (average) payload length per message/stream;
-    ``batch`` the messages per batch call; ``streams`` the concurrent
-    stream count for pipeline workloads.  ``M`` pins the look-ahead
+    ``message_bits`` is the (average) payload length per message;
+    ``batch`` the messages per batch call.  ``M`` pins the look-ahead
     factor when the caller has already chosen one (``None`` takes
     :data:`DEFAULT_M`).
     """
@@ -302,7 +230,6 @@ class WorkloadDescriptor:
     standard: str
     message_bits: int
     batch: int = 1
-    streams: int = 1
     M: Optional[int] = None
 
     def __post_init__(self):
@@ -314,24 +241,15 @@ class WorkloadDescriptor:
             raise ValidationError(
                 f"message_bits must be >= 0, got {self.message_bits}"
             )
-        if self.batch < 1 or self.streams < 1:
-            raise ValidationError("batch and streams must be >= 1")
+        if self.batch < 1:
+            raise ValidationError(f"batch must be >= 1, got {self.batch}")
         if self.M is not None and self.M < 1:
             raise ValidationError(f"M must be >= 1, got {self.M}")
 
     @property
     def total_bits(self) -> int:
-        """Payload bits one batch call (or pump cycle) moves."""
-        if self.kind == KIND_CRC_STREAM:
-            return self.message_bits * self.streams
+        """Payload bits one batch call moves."""
         return self.message_bits * self.batch
-
-    @property
-    def shardable_items(self) -> int:
-        """Independent units the batch dimension can split into."""
-        if self.kind == KIND_CRC_STREAM:
-            return self.streams
-        return self.batch
 
 
 @dataclass(frozen=True)
@@ -413,41 +331,27 @@ class Planner:
         """The measurements so far (or the injected profile)."""
         return self._profile
 
-    def _measured(self, kind: str) -> HostProfile:
-        """The profile with ``kind``'s probe measured, probing it once if
-        this planner measures its host."""
-        probe = _PROBE_OF[kind]
+    def _measured(self) -> HostProfile:
+        """The profile with the batch CRC probe measured, probing it once
+        if this planner measures its host."""
         profile = self._profile
-        if probe == KIND_KEYSTREAM:
-            measured = bool(profile.keystream_bits_per_s)
-        else:
-            measured = probe in profile.speedup
-        if not measured:
+        if KIND_CRC_BATCH not in profile.speedup:
             if not self._probing:
-                raise ValidationError(f"host profile has no {probe} measurement")
-            profile = self._profile = _PROBES[probe](
+                raise ValidationError(
+                    f"host profile has no {KIND_CRC_BATCH} measurement"
+                )
+            profile = self._profile = _probe_crc_batch(
                 profile, time.perf_counter, PROBE_ROUNDS
             )
         return profile
 
     def _decide(self, workload: WorkloadDescriptor) -> ExecutionPlan:
         """The rule (see the module docstring)."""
-        kind = workload.kind
-        if kind == KIND_KEYSTREAM:
-            rates = self._measured(kind).keystream_bits_per_s
-            return ExecutionPlan(
-                workload=workload,
-                backend=max(sorted(rates), key=rates.__getitem__),
-                workers=1,
-                mode="serial",
-                M=1 if workload.M is None else workload.M,
-                strategy=STRATEGY_SERIAL,
-            )
-        workers = min(self._profile.cpus, workload.shardable_items)
+        workers = min(self._profile.cpus, workload.batch)
         shard = (
             workers >= 2
             and workload.total_bits >= self._min_shard_bits
-            and self._measured(kind).speedup_of(kind) >= MIN_SPEEDUP
+            and self._measured().speedup[KIND_CRC_BATCH] >= MIN_SPEEDUP
         )
         return ExecutionPlan(
             workload=workload,
@@ -522,7 +426,7 @@ class Planner:
         cached = self._microbatch.get(workload)
         if cached is not None:
             return cached
-        profile = self._measured(KIND_CRC_BATCH)
+        profile = self._measured()
         if profile.crc_batch_bits_per_s <= 0:
             raise ValidationError("host profile has no batch CRC rate")
         dispatch = profile.dispatch_s

@@ -3,7 +3,7 @@
 Renders finished :class:`~repro.telemetry.tracing.Span` trees in the
 Chrome trace-event format (the ``{"traceEvents": [...]}`` JSON object
 ``chrome://tracing`` and https://ui.perfetto.dev load directly), so a
-``batch_crc(auto=True)`` run's planner → dispatch → per-worker shard
+planned ``ParallelBatchCRC`` run's planner → dispatch → per-worker shard
 timeline can be inspected visually.
 
 Mapping:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
+from repro.lfsr.slicing import SLICE_DEPTH
 
 #: Case kinds, matching the oracle families in :mod:`repro.verify.oracles`.
 KIND_CRC = "crc"
@@ -45,6 +46,11 @@ LOOKAHEAD_FACTORS = (2, 3, 4, 5, 8, 16, 32)
 DERBY_FACTORS = (4, 8, 16, 32)
 MAX_STREAMS = 6
 MAX_BYTES = 40
+#: Additive-scrambler payloads run up to this many bytes: past the
+#: keystream engine's :data:`~repro.lfsr.slicing.SLICE_DEPTH`-byte
+#: block, so its ``A^{8D}`` state fold and the pipeline's carried
+#: keystream are exercised.
+MAX_SCRAMBLER_BYTES = 3 * SLICE_DEPTH
 
 
 @dataclass(frozen=True)
@@ -153,7 +159,12 @@ class CaseGenerator:
         self._scrambler_pool = tuple(scrambler_pool)
 
     # ------------------------------------------------------------------
-    def _draw_payloads(self, rng: random.Random, batch: int) -> Tuple[str, ...]:
+    def _draw_payloads(
+        self, rng: random.Random, batch: int, max_bytes: int = MAX_BYTES
+    ) -> Tuple[str, ...]:
+        """``batch`` hex payloads; with ``max_bytes`` above
+        :data:`MAX_BYTES`, a quarter of them run past one keystream
+        block."""
         payloads = []
         for _ in range(batch):
             shape = rng.random()
@@ -161,12 +172,17 @@ class CaseGenerator:
                 n = 0  # empty message
             elif shape < 0.45:
                 n = rng.randint(1, 4)  # shorter than one M-bit block
-            else:
+            elif shape < 0.75 or max_bytes <= MAX_BYTES:
                 n = rng.randint(5, MAX_BYTES)  # spans several blocks
+            else:
+                n = rng.randint(SLICE_DEPTH + 1, max_bytes)
             payloads.append(bytes(rng.randrange(256) for _ in range(n)).hex())
         return tuple(payloads)
 
     def _draw_chunks(self, rng: random.Random, messages: Tuple[str, ...]) -> Tuple[Tuple[int, ...], ...]:
+        """Per-payload chunk byte counts of 1-9; no cut falls on a
+        multiple of :data:`SLICE_DEPTH`, so a chunk straddles every
+        keystream block edge inside a payload."""
         plans = []
         for m in messages:
             nbytes = len(m) // 2
@@ -174,6 +190,8 @@ class CaseGenerator:
             remaining = nbytes
             while remaining > 0:
                 step = min(remaining, rng.randint(1, 9))
+                if step < remaining and (nbytes - remaining + step) % SLICE_DEPTH == 0:
+                    step += 1
                 cuts.append(step)
                 remaining -= step
             plans.append(tuple(cuts))
@@ -214,7 +232,7 @@ class CaseGenerator:
             spec = get_scrambler(spec_name)
             M = rng.choice((2, 4, 8, 16, 32))
             batch = rng.randint(1, MAX_STREAMS)
-            messages = self._draw_payloads(rng, batch)
+            messages = self._draw_payloads(rng, batch, MAX_SCRAMBLER_BYTES)
             seeds = ()
             if rng.random() < 0.6:
                 seeds = tuple(

@@ -280,6 +280,20 @@ def _bitserial_scramble(spec, seed: int, bits: Sequence[int]) -> List[int]:
     return [b ^ k for b, k in zip(bits, keystream)]
 
 
+def _bit_discrepancy(detail: str, expected: List[int], got: List[int]) -> Discrepancy:
+    """A bit-stream mismatch shown as 64-bit windows from the first
+    differing bit (a long stream can agree on its first 64)."""
+    at = next(
+        (j for j, (a, b) in enumerate(zip(expected, got)) if a != b),
+        min(len(expected), len(got)),
+    )
+    return Discrepancy(
+        detail=f"{detail} from bit {at}",
+        expected="".join(map(str, expected[at : at + 64])),
+        got="".join(map(str, got[at : at + 64])),
+    )
+
+
 class AdditiveScramblerOracle(Oracle):
     """Bit-serial Galois keystream vs the batch engine and the
     single-stream :class:`AdditiveScrambler`, plus the involution property
@@ -306,18 +320,14 @@ class AdditiveScramblerOracle(Oracle):
         for door, result in (("scramble_batch", got), ("AdditiveScrambler", single)):
             if result != expected:
                 i = next(j for j, (a, b) in enumerate(zip(expected, result)) if a != b)
-                return Discrepancy(
-                    detail=f"{door} stream {i} seed=0x{seeds[i]:X}",
-                    expected="".join(map(str, expected[i][:64])),
-                    got="".join(map(str, result[i][:64])),
+                return _bit_discrepancy(
+                    f"{door} stream {i} seed=0x{seeds[i]:X}", expected[i], result[i]
                 )
         back = engine.descramble_batch(got, seeds=seeds)
         if back != streams:
             i = next(j for j, (a, b) in enumerate(zip(streams, back)) if a != b)
-            return Discrepancy(
-                detail=f"involution violated on stream {i}",
-                expected="".join(map(str, streams[i][:64])),
-                got="".join(map(str, back[i][:64])),
+            return _bit_discrepancy(
+                f"involution violated on stream {i}", streams[i], back[i]
             )
         return None
 
@@ -343,11 +353,8 @@ class ScramblerPipelineOracle(Oracle):
             pipe.close(sid)
             expected = _bitserial_scramble(spec, seed, bits)
             if out != expected:
-                return Discrepancy(
-                    detail=f"pipeline stream {i} seed=0x{seed:X} "
-                    f"chunks={case.chunk_plan(i)}",
-                    expected="".join(map(str, expected[:64])),
-                    got="".join(map(str, out[:64])),
+                return _bit_discrepancy(
+                    f"pipeline stream {i} seed=0x{seed:X}", expected, out
                 )
         return None
 

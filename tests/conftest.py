@@ -49,18 +49,9 @@ def fake_clock():
     return FakeClock()
 
 
-#: The measured ordering of the keystream sources on the BENCH_5
-#: container: word-oriented σ-LFSRs tens of times the bit-serial register.
-KEYSTREAM_RATES = {"galois-bitserial": 1.5e6, "word32": 4.0e7, "word64": 8.0e7}
-
-
-def _measured(cpus, crc, keystream=KEYSTREAM_RATES):
+def _measured(cpus, crc):
     """A host whose batch CRC shards measured ``crc`` times serial."""
-    return HostProfile(
-        cpus=cpus,
-        speedup={"crc-batch": crc},
-        keystream_bits_per_s=dict(keystream),
-    )
+    return HostProfile(cpus=cpus, speedup={"crc-batch": crc})
 
 
 def make_host_profiles():
@@ -83,11 +74,6 @@ def make_host_profiles():
         # Many cores but a pathologically slow pool: its sharded calls
         # measured slower than serial, so it plans serial.
         "slow-spawn-8cpu": _measured(8, crc=0.6),
-        # Only the bit-serial keystream source was measured (a partial
-        # rate table); its batch CRC shards measured a gain.
-        "bitserial-only-4cpu": _measured(
-            4, crc=2.5, keystream={"galois-bitserial": 2.0e6},
-        ),
     }
 
 

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.crc import BitwiseCRC, ETHERNET_CRC32, MPEG2_CRC32
+from repro.crc import BitwiseCRC, ETHERNET_CRC32, MPEG2_CRC32, TableCRC
 from repro.dream import (
     CRCAccelerator,
     DreamSystem,
     RiscControlModel,
     ScramblerAccelerator,
 )
+from repro.engine import BatchCRC, CompileCache, CRCPipeline
 from repro.mapping import map_crc, map_scrambler
 from repro.scrambler import AdditiveScrambler, IEEE80216E
 
@@ -229,6 +230,43 @@ class TestAccelerators:
         bits = [1, 0, 1] * 50
         assert acc.scramble_bits(bits) == AdditiveScrambler(IEEE80216E).scramble_bits(bits)
         assert acc.kernel_bandwidth_gbps() == pytest.approx(6.4)
+
+
+class TestHostEngines:
+    """``batch_crc`` and ``crc_pipeline`` build the plain engines on the
+    system's own compile cache."""
+
+    # A reflected and a non-reflected 32-bit standard.
+    SPECS = (ETHERNET_CRC32, MPEG2_CRC32)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_batch_crc_is_a_batch_engine(self, spec, messages):
+        system = DreamSystem(cache=CompileCache())
+        engine = system.batch_crc(spec.name, 128)
+        assert type(engine) is BatchCRC
+        assert engine.cache is system.cache
+        table = TableCRC(spec)
+        assert engine.compute_batch(messages) == [table.compute(m) for m in messages]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+    def test_crc_pipeline_is_a_plain_pipeline(self, spec, messages):
+        system = DreamSystem(cache=CompileCache())
+        pipe = system.crc_pipeline(spec, 32)
+        assert type(pipe) is CRCPipeline
+        assert pipe.cache is system.cache
+        ids = [pipe.open() for _ in messages]
+        for sid, message in zip(ids, messages):
+            for at in range(0, len(message), 37):
+                pipe.feed(sid, message[at : at + 37])
+        table = TableCRC(spec)
+        assert [pipe.finalize(sid) for sid in ids] == [
+            table.compute(m) for m in messages
+        ]
+
+    @pytest.mark.parametrize("method", ("batch_crc", "crc_pipeline"))
+    def test_m_is_required(self, method):
+        with pytest.raises(TypeError):
+            getattr(DreamSystem(cache=CompileCache()), method)(ETHERNET_CRC32)
 
 
 class TestControlModel:

@@ -1,21 +1,15 @@
-"""Contract of the sharded execution layer and the persistent disk cache.
+"""Contract of the sharded execution layer.
 
-Three properties matter and each gets direct coverage:
+Two properties matter and each gets direct coverage:
 
 * **Invisibility** — any shard plan (batch-dimension, time-axis, or
   pipeline assignment) reproduces the serial result bit-exactly,
   including lengths that do not divide evenly and ``workers=1``
   degenerating to the serial path object-for-object.
 * **Containment** — a worker crash surfaces as
-  :class:`~repro.errors.StreamError` at the call site, never a hang; a
-  corrupt disk-cache entry degrades to a recompile with the corruption
-  counted, never a wrong artifact.
-* **Persistence** — compile artifacts round-trip through the
-  content-addressed disk cache and a second cache warms from it without
-  invoking the builder.
+  :class:`~repro.errors.StreamError` at the call site, never a hang.
 """
 
-import pickle
 import threading
 
 import pytest
@@ -24,7 +18,6 @@ from repro.crc import BitwiseCRC, get as get_crc
 from repro.engine import (
     CompileCache,
     CRCPipeline,
-    DiskCompileCache,
     ParallelBatchCRC,
     BatchCRC,
     ShardedCRCPipeline,
@@ -33,7 +26,6 @@ from repro.engine import (
     plan_shards,
     resolve_workers,
 )
-from repro.engine.diskcache import cache_key_string
 from repro.errors import StreamError, ValidationError
 
 SPEC = get_crc("CRC-32")
@@ -346,112 +338,6 @@ class TestWorkerPool:
             WorkerPool(0)
 
 
-class TestDiskCompileCache:
-    def test_round_trip(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        key = ("lookahead", SPEC, 32)
-        assert disk.load(key) == (False, None)
-        path = disk.store(key, {"payload": list(range(50))})
-        assert path is not None and path.exists()
-        found, value = disk.load(key)
-        assert found and value == {"payload": list(range(50))}
-        assert disk.stats.snapshot()["hits"] == 1
-        assert len(disk) == 1 and disk.size_bytes() > 0
-
-    def test_corruption_degrades_to_counted_miss(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        key = ("lookahead", SPEC, 32)
-        path = disk.store(key, "artifact")
-        path.write_bytes(b"\x80garbage-not-a-pickle")
-        found, value = disk.load(key)
-        assert not found and value is None
-        assert disk.stats.corrupt == 1
-        assert not path.exists()  # bad entry removed for rewrite
-
-    def test_truncated_entry_is_corrupt(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        key = ("derby", SPEC, 64)
-        path = disk.store(key, bytes(4096))
-        path.write_bytes(path.read_bytes()[:100])
-        assert disk.load(key) == (False, None)
-        assert disk.stats.corrupt == 1
-
-    def test_key_mismatch_inside_envelope_is_corrupt(self, tmp_path):
-        """A renamed/copied entry file must not satisfy a different key."""
-        disk = DiskCompileCache(tmp_path)
-        key_a = ("lookahead", SPEC, 8)
-        key_b = ("lookahead", SPEC, 16)
-        path_a = disk.store(key_a, "A")
-        disk.path_for(key_b).write_bytes(path_a.read_bytes())
-        assert disk.load(key_b) == (False, None)
-        assert disk.stats.corrupt == 1
-
-    def test_version_skew_isolates_entries(self, tmp_path):
-        old = DiskCompileCache(tmp_path, version=1)
-        new = DiskCompileCache(tmp_path, version=2)
-        key = ("lookahead", SPEC, 32)
-        old.store(key, "v1-artifact")
-        assert new.load(key) == (False, None)  # different content address
-        assert old.load(key) == (True, "v1-artifact")
-
-    def test_key_string_is_deterministic(self):
-        key = ("lookahead", SPEC, 32)
-        assert cache_key_string(key) == cache_key_string(("lookahead", SPEC, 32))
-        assert cache_key_string(key, version=1) != cache_key_string(key, version=2)
-
-    def test_concurrent_stores_stay_atomic(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        key = ("statespace", SPEC)
-        value = bytes(100_000)
-        threads = [
-            threading.Thread(target=lambda: disk.store(key, value))
-            for _ in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert disk.load(key) == (True, value)
-        assert len(disk) == 1  # one entry, no stray temp leftovers visible
-        assert disk.clear() == 1
-
-
-class TestDiskWarmedCompileCache:
-    def test_second_cache_warms_from_disk_without_builder(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        cold = CompileCache(disk=disk)
-        artifact = cold.lookahead(SPEC, 32)
-        stores = disk.stats.stores
-        assert stores > 0
-
-        warm = CompileCache(disk=DiskCompileCache(tmp_path))
-        loaded = warm.lookahead(SPEC, 32)
-        assert warm.disk.stats.hits > 0
-        # Same mathematical content arrives without recompiling.
-        assert loaded.A_M.to_array().tolist() == artifact.A_M.to_array().tolist()
-
-    def test_corrupt_disk_entry_falls_back_to_recompile(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        CompileCache(disk=disk).lookahead(SPEC, 16)
-        # Garble every entry on disk.
-        for path in tmp_path.glob("*.pkl"):
-            path.write_bytes(b"not a pickle at all")
-        fresh_disk = DiskCompileCache(tmp_path)
-        fresh = CompileCache(disk=fresh_disk)
-        rebuilt = fresh.lookahead(SPEC, 16)  # must not raise
-        assert rebuilt.A_M.to_array().shape == (SPEC.width, SPEC.width)
-        assert fresh_disk.stats.corrupt >= 1  # warning counter fired
-
-    def test_engine_end_to_end_with_disk_cache(self, tmp_path, corpus):
-        expected = [BitwiseCRC(SPEC).compute(m) for m in corpus[:10]]
-        cache = CompileCache(disk=DiskCompileCache(tmp_path))
-        with ParallelBatchCRC(
-            SPEC, 32, workers=2, cache=cache, min_shard_bits=1
-        ) as engine:
-            assert engine.compute_batch(corpus[:10]) == expected
-        assert len(cache.disk) > 0
-
-
 class TestLifecycleClose:
     """Satellite regression: close is idempotent and safe with work in flight.
 
@@ -578,60 +464,6 @@ class TestLifecycleClose:
         pipe.feed("keep", b"after close")
         expected = BitwiseCRC(SPEC).compute(b"before close after close")
         assert pipe.finalize("keep") == expected
-
-
-class TestDiskCacheFullDisk:
-    """Satellite regression: a full disk must raise, not silently skip."""
-
-    def _store_with_failing_replace(self, tmp_path, monkeypatch, error):
-        import os as os_module
-
-        disk = DiskCompileCache(tmp_path)
-
-        def failing_replace(src, dst):
-            raise error
-
-        monkeypatch.setattr(os_module, "replace", failing_replace)
-        return disk
-
-    def test_enospc_propagates_from_store(self, tmp_path, monkeypatch):
-        import errno
-
-        disk = self._store_with_failing_replace(
-            tmp_path, monkeypatch,
-            OSError(errno.ENOSPC, "No space left on device"),
-        )
-        with pytest.raises(OSError) as info:
-            disk.store(("kind", "key"), {"value": 1})
-        assert info.value.errno == errno.ENOSPC
-        assert disk.stats.errors == 1
-        # The failed temp file was cleaned up, not leaked.
-        assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_read_only_filesystem_propagates(self, tmp_path, monkeypatch):
-        import errno
-
-        disk = self._store_with_failing_replace(
-            tmp_path, monkeypatch,
-            OSError(errno.EROFS, "Read-only file system"),
-        )
-        with pytest.raises(OSError):
-            disk.store(("kind", "key"), {"value": 1})
-
-    def test_transient_oserror_stays_soft(self, tmp_path, monkeypatch):
-        import errno
-
-        disk = self._store_with_failing_replace(
-            tmp_path, monkeypatch,
-            OSError(errno.EACCES, "Permission denied"),
-        )
-        assert disk.store(("kind", "key"), {"value": 1}) is None
-        assert disk.stats.errors == 1
-
-    def test_unpicklable_value_stays_soft(self, tmp_path):
-        disk = DiskCompileCache(tmp_path)
-        assert disk.store(("kind", "key"), lambda: None) is None
-        assert disk.stats.errors == 1
 
 
 class TestMigrateConcurrency:

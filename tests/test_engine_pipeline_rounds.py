@@ -490,8 +490,7 @@ def test_pipeline_import_leaves_the_serve_stack_unloaded():
         "sid = pipe.open(); pipe.feed(sid, b'123456789')\n"
         "assert pipe.finalize(sid) == 0xCBF43926\n"
         "heavy = ['asyncio', 'multiprocessing', 'hashlib', 'repro.engine.planner',\n"
-        "         'repro.engine.parallel', 'repro.engine.microbatch',\n"
-        "         'repro.engine.diskcache']\n"
+        "         'repro.engine.parallel', 'repro.engine.microbatch']\n"
         "print(','.join(m for m in heavy if m in sys.modules))\n"
     )
     out = subprocess.run(

@@ -12,7 +12,6 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.engine import CompileCache
 from repro.engine.planner import (
     CRC_BATCH_ENGINE,
     CRC_PROBE_BATCH,
@@ -109,20 +108,11 @@ class TestPlanSelection:
         assert planner.plan(_workload(M=16)).M == 16
         assert planner.plan(_workload()).M == 128
 
-    def test_backend_choice_follows_rates(self, host_profiles):
-        """A keystream plan names the fastest measured source; the batch
-        kinds run one fixed engine, the byte-sliced gather."""
-        planner = Planner(profile=host_profiles["desktop-4cpu"])
-        keystream = _workload(kind="keystream", standard="keystream", batch=1)
-        assert planner.plan(keystream).backend == "word64"
-        partial = Planner(profile=host_profiles["bitserial-only-4cpu"])
-        assert partial.plan(keystream).backend == "galois-bitserial"
-        for name in ("desktop-4cpu", "bitserial-only-4cpu"):
-            planner = Planner(profile=host_profiles[name])
-            assert planner.plan(_workload()).backend == CRC_BATCH_ENGINE
-            assert planner.plan(_workload(kind="crc-stream", streams=8)).backend == (
-                CRC_BATCH_ENGINE
-            )
+    def test_batch_backend_is_the_byte_sliced_gather(self, host_profiles):
+        """Serial or sharded, a batch CRC plan runs one engine."""
+        for profile in host_profiles.values():
+            plan = Planner(profile=profile).plan(_workload())
+            assert plan.backend == CRC_BATCH_ENGINE
 
 
 class TestPlanCache:
@@ -132,8 +122,7 @@ class TestPlanCache:
         assert planner.plan(workload) is planner.plan(workload)
 
     def test_plan_dict_round_trip(self, host_profiles):
-        """The plan's dict form (what ``repro plan --json`` writes) keeps
-        every field."""
+        """The plan's dict form keeps every field."""
         plan = Planner(profile=host_profiles["server-16cpu"]).plan(_workload())
         record = asdict(plan)
         workload = WorkloadDescriptor(**record.pop("workload"))
@@ -142,8 +131,7 @@ class TestPlanCache:
 
 class TestHostProfilePersistence:
     def test_profile_round_trips(self, host_profiles):
-        """A profile's dict form (the ``profile`` of ``repro plan --json``)
-        rebuilds it."""
+        """A profile's dict form rebuilds it."""
         for profile in host_profiles.values():
             assert HostProfile(**asdict(profile)) == profile
 
@@ -155,7 +143,7 @@ class TestProbing:
         assert a == b
         assert a.cpus >= 1
         assert set(a.speedup) == {"crc-batch"}
-        assert a.keystream_bits_per_s and a.crc_batch_bits_per_s > 0
+        assert a.crc_batch_bits_per_s > 0
 
     def test_speedup_is_the_median_ratio_with_dispatch(self):
         """Serial ÷ sharded per round, median over rounds: nothing is
@@ -186,13 +174,11 @@ class TestProbing:
             planner = Planner()
             planner.plan(_workload(M=128))
             planner.plan(_workload(message_bits=4096, batch=512))
-            planner.plan(_workload(kind="crc-stream", batch=1, streams=8))
         finally:
             set_default_registry(previous)
         probes = registry.snapshot()["engine_planner_probes_total"]["samples"]
         assert probes == [{"labels": {"kind": "crc-batch"}, "value": 1.0}]
         assert set(planner.profile.speedup) == {"crc-batch"}
-        assert not planner.profile.keystream_bits_per_s
 
     def test_probe_rejects_bad_reps(self):
         with pytest.raises(ValidationError, match="reps"):
@@ -250,8 +236,6 @@ class TestValidation:
             HostProfile(cpus=0)
         with pytest.raises(ValidationError, match="crc-batch"):
             HostProfile(cpus=2, speedup={"crc-batch": 0.0})
-        with pytest.raises(ValidationError, match="word64"):
-            HostProfile(cpus=2, keystream_bits_per_s={"word64": -1.0})
         with pytest.raises(ValidationError, match="dispatch"):
             HostProfile(cpus=2, dispatch_s=-1e-6)
 
@@ -286,26 +270,6 @@ class TestEngineWiring:
         engine = ParallelBatchCRC(get_crc("CRC-32"), 32, workers=1, plan=plan)
         assert engine.workers == 1  # caller's explicit choice wins
 
-    def test_dream_system_auto_uses_injected_planner(self, host_profiles):
-        from repro.crc import get as get_crc
-        from repro.dream.system import DreamSystem
-
-        system = DreamSystem(cache=CompileCache())
-        planner = Planner(profile=host_profiles["bench5-1cpu"])
-        engine = system.batch_crc(get_crc("CRC-32"), auto=True, planner=planner)
-        assert engine.workers == 1
-        assert engine.plan.strategy == "serial"
-        assert engine.M == engine.plan.M
-        pipe = system.crc_pipeline(get_crc("CRC-32"), auto=True, planner=planner)
-        assert pipe.workers == 1
-
-    def test_dream_system_requires_m_or_plan(self):
-        from repro.crc import get as get_crc
-        from repro.dream.system import DreamSystem
-
-        with pytest.raises(ValueError, match="M="):
-            DreamSystem(cache=CompileCache()).batch_crc(get_crc("CRC-32"))
-
 
 class TestTelemetry:
     def test_plan_decisions_are_counted_and_traced(self, host_profiles):
@@ -337,62 +301,9 @@ class TestTelemetry:
                 tracer.disable()
 
 
-class TestKeystreamWorkloads:
-    """The ``keystream`` kind: the fastest measured source, always serial."""
-
-    def _workload(self, message_bits=8 * (1 << 20)):
-        from repro.engine.planner import KIND_KEYSTREAM
-
-        return WorkloadDescriptor(
-            kind=KIND_KEYSTREAM, standard="keystream", message_bits=message_bits
-        )
-
-    def test_synthetic_profile_carries_keystream_rates(self, host_profiles):
-        from repro.engine.planner import KEYSTREAM_SOURCES
-
-        for profile in host_profiles.values():
-            # Every canned host measured at least one source (the
-            # bitserial-only host carries a partial, bit-serial-only table).
-            assert profile.keystream_bits_per_s
-            assert set(profile.keystream_bits_per_s) <= set(KEYSTREAM_SOURCES)
-            assert all(r > 0 for r in profile.keystream_bits_per_s.values())
-
-    def test_partial_rate_table_still_plans(self, host_profiles):
-        plan = Planner(host_profiles["bitserial-only-4cpu"]).plan(self._workload())
-        assert plan.backend == "galois-bitserial"
-
-    def test_plan_picks_the_fastest_source(self, host_profiles):
-        plan = Planner(host_profiles["server-16cpu"]).plan(self._workload())
-        assert (plan.strategy, plan.workers, plan.M) == ("serial", 1, 1)
-        assert plan.backend == "word64"  # fastest measured rate
-
-    def test_plan_follows_the_cost_table(self):
-        """The measured rates decide, not which engine is word-oriented."""
-        slow_word = HostProfile(
-            cpus=4,
-            keystream_bits_per_s={
-                "galois-bitserial": 5.0e7,
-                "word32": 1.0e6,
-                "word64": 2.0e6,
-            },
-        )
-        plan = Planner(slow_word).plan(self._workload())
-        assert plan.backend == "galois-bitserial"
-
-    def test_profile_without_rates_raises(self):
-        bare = HostProfile(cpus=2, speedup={"crc-batch": 1.5})
-        with pytest.raises(ValidationError, match="keystream"):
-            Planner(bare).plan(self._workload())
-
-    def test_profile_round_trip_keeps_rates(self, host_profiles):
-        profile = host_profiles["laptop-2cpu"]
-        back = HostProfile(**asdict(profile))
-        assert back.keystream_bits_per_s == profile.keystream_bits_per_s
-
-
 class TestBatchCRCPricing:
-    """``crc-batch`` and ``crc-stream`` read the batch CRC probe, which
-    times the engine itself."""
+    """``crc-batch`` reads the batch CRC probe, which times the engine
+    itself."""
 
     SHAPE = dict(message_bits=2048, batch=1024, M=128)  # batch-crc-auto
 
@@ -402,17 +313,6 @@ class TestBatchCRCPricing:
         profile = probe_host(timer=fake_clock, reps=2)
         bits = 8 * CRC_PROBE_BYTES * CRC_PROBE_BATCH
         assert profile.crc_batch_bits_per_s == pytest.approx(bits / fake_clock.step)
-
-    def test_crc_stream_is_priced_from_the_batch_engine(self):
-        """The pipeline runs the byte table and the gather, so a stream
-        plan follows the batch CRC's measured speedup."""
-        streams = _workload(kind="crc-stream", message_bits=2048, batch=1, streams=8)
-        for speedup, expected in ((0.5, ("serial", 1)), (1.8, ("shard-batch", 2))):
-            profile = HostProfile(cpus=2, speedup={"crc-batch": speedup})
-            plan = Planner(profile=profile).plan(streams)
-            assert plan.backend == CRC_BATCH_ENGINE
-            assert plan.M == 128
-            assert (plan.strategy, plan.workers) == expected
 
     def test_measured_shard_loss_plans_serial(self):
         """Two vCPUs whose threads delivered half the serial throughput:

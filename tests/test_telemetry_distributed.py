@@ -2,7 +2,8 @@
 
 Drives real thread pools and asserts the contract end to end:
 
-* a ``batch_crc(auto=True)`` run on a thread-sharded plan produces ONE
+* a planned batch CRC run (``Planner.plan`` feeding
+  ``ParallelBatchCRC(plan=)``) on a thread-sharded plan produces ONE
   span tree — ``planner.plan`` through ``pool.dispatch`` down to
   per-shard ``worker.shard`` spans labeled with their worker thread;
 * the per-phase histograms see compile, dispatch and shard execution;
@@ -17,8 +18,8 @@ regardless of the machine running the tests.
 
 import pytest
 
-from repro.dream.system import DreamSystem
-from repro.engine.parallel import WorkerPool
+from repro.crc import get as get_crc
+from repro.engine.parallel import ParallelBatchCRC, WorkerPool
 from repro.engine.planner import Planner, WorkloadDescriptor
 from repro.errors import StreamError
 from repro.telemetry import (
@@ -63,11 +64,9 @@ def _run_auto_batch(host_profiles, tracer):
     workload = WorkloadDescriptor(
         kind="crc-batch", standard="CRC-32", message_bits=1 << 17, batch=64
     )
-    system = DreamSystem()
     with tracer.span("run"):
-        engine = system.batch_crc(
-            "CRC-32", auto=True, planner=planner, workload=workload
-        )
+        plan = planner.plan(workload)
+        engine = ParallelBatchCRC(get_crc("CRC-32"), plan.M, plan=plan)
         assert engine.plan.mode == "thread" and engine.workers >= 2
         messages = [bytes([i % 256] * 128) for i in range(8)]
         results = engine.compute_batch(messages)

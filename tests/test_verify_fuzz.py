@@ -6,6 +6,8 @@ injected fault is caught and shrunk to a minimal reproducer, and reports
 survive a JSON round-trip.
 """
 
+from itertools import accumulate
+
 import pytest
 
 from repro.engine import CompileCache
@@ -22,7 +24,8 @@ from repro.verify import (
     run_fuzz,
     shrink,
 )
-from repro.verify.cases import KIND_CRC, KINDS
+from repro.lfsr.slicing import SLICE_DEPTH
+from repro.verify.cases import KIND_CRC, KIND_SCRAMBLER, KINDS, MAX_BYTES
 
 
 class TestCaseGeneration:
@@ -59,6 +62,23 @@ class TestCaseGeneration:
                 continue
             for i, m in enumerate(case.messages):
                 assert sum(case.chunk_plan(i)) == len(m) // 2
+
+    def test_scrambler_cases_cross_a_keystream_block(self):
+        """A share of scrambler payloads run past one keystream block, and
+        no chunk cut lands on a block edge; other payloads stay short."""
+        gen = CaseGenerator(seed=0)
+        long_streams = 0
+        for _ in range(200):
+            case = gen.draw()
+            for i, m in enumerate(case.messages):
+                nbytes = len(m) // 2
+                if case.kind != KIND_SCRAMBLER:
+                    assert nbytes <= MAX_BYTES
+                    continue
+                long_streams += nbytes > SLICE_DEPTH
+                cuts = list(accumulate(case.chunk_plan(i)))[:-1]
+                assert all(cut % SLICE_DEPTH for cut in cuts), cuts
+        assert long_streams >= 20
 
 
 class _FaultInjector(Oracle):
