@@ -26,7 +26,7 @@ from repro.crc import (
     SlicingCRC,
     TableCRC,
 )
-from repro.gf2.backend import get_backend
+from repro.gf2.backend import NumpyPackedBackend, ReferenceBackend
 from repro.telemetry import BenchReport
 
 PAYLOAD = bytes(np.random.default_rng(0).integers(0, 256, size=4096).tolist())
@@ -82,8 +82,8 @@ def test_backend_matvec_batch_speedup(save_result, save_report):
     matrix = rng.integers(0, 2, size=(BACKEND_MATRIX_BITS, BACKEND_MATRIX_BITS)).astype(np.uint8)
     block = rng.integers(0, 2, size=(BACKEND_MATRIX_BITS, BACKEND_BATCH)).astype(np.uint8)
 
-    reference = get_backend("reference")
-    packed = get_backend("packed")
+    reference = ReferenceBackend()
+    packed = NumpyPackedBackend()
 
     # Bit-exactness first: the speedup is meaningless if the kernels differ.
     expected = reference.unpack(

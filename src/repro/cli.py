@@ -42,15 +42,11 @@ span trees are snapshotted to ``$REPRO_TELEMETRY_PATH`` (default
 them, and the flight-recorder ring is saved to ``$REPRO_FLIGHTREC_PATH``
 (default ``.repro-flightrec.jsonl``) for ``dump``.
 
-``crc``, ``batch-bench`` and ``fuzz`` accept ``--backend`` to pick the
-GF(2) kernel set (``reference``, ``packed``, ...) for the whole run; it
-sets the process default, so it also covers engines built internally by
-the fuzzer.  The ``REPRO_GF2_BACKEND`` environment variable does the same
-without a flag.
-
-Counts (``--batch``, ``--repeats``, ``--cases``, ...) below 1 and a
-``--seconds`` budget that is not positive are usage errors: argparse
-rejects them with exit status 2 before anything runs.
+Counts (``--batch``, ``--repeats``, ``--cases``, ...), sizes (``--bytes``,
+``--bits``) and look-ahead factors (``-m``, ``--factors``) below 1, a
+negative ``batch-bench --bytes`` and a ``--seconds`` budget that is not
+positive are usage errors: argparse rejects them with exit status 2
+before anything runs.
 """
 
 from __future__ import annotations
@@ -242,10 +238,7 @@ def cmd_batch_bench(args: argparse.Namespace) -> int:
     ]
     print(format_table(
         ["engine", "messages/s", "speedup"], rows,
-        title=(
-            f"{spec.name}, {args.bytes}-byte messages, M={args.m}, "
-            f"Derby loop on backend={derby.backend.name}"
-        ),
+        title=f"{spec.name}, {args.bytes}-byte messages, M={args.m}",
     ))
     stats = cache.stats
     print(f"compile cache: {stats.hits} hits / {stats.misses} misses "
@@ -487,23 +480,19 @@ def _run_with_telemetry(args: argparse.Namespace) -> int:
     return rc
 
 
-def _add_backend_option(p: argparse.ArgumentParser) -> None:
-    from repro.gf2.backend import available_backends
-
-    p.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="GF(2) kernel backend for this run (default: "
-        "$REPRO_GF2_BACKEND or 'packed')",
-    )
-
-
 def _count(text: str) -> int:
-    """argparse type for a count: an integer of at least 1."""
+    """argparse type for a count, size or factor: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _size(text: str) -> int:
+    """argparse type for a size that may be empty: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -533,21 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="payload from a file")
     p.add_argument("--text", help="payload as UTF-8 text")
     p.add_argument("--verify", help="expected CRC (exit 1 on mismatch)")
-    _add_backend_option(p)
     p.add_argument("--telemetry", action="store_true",
                    help="trace the run and snapshot the metrics registry")
     p.set_defaults(func=cmd_crc)
 
     p = sub.add_parser("map", help="compile a CRC onto PiCoGA")
     p.add_argument("--standard", default="CRC-32")
-    p.add_argument("-m", "--m", type=int, default=128, help="look-ahead factor")
+    p.add_argument("-m", "--m", type=_count, default=128, help="look-ahead factor")
     p.add_argument("--method", choices=("derby", "direct"), default="derby")
     p.add_argument("--report", action="store_true", help="print the placement report")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("explore", help="sweep look-ahead factors")
     p.add_argument("--standard", default="CRC-32")
-    p.add_argument("--factors", type=int, nargs="+", default=[8, 16, 32, 64, 128, 256])
+    p.add_argument("--factors", type=_count, nargs="+", default=[8, 16, 32, 64, 128, 256])
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("analyze", help="factor and characterize CRC generators")
@@ -556,22 +544,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perf", help="predict DREAM throughput")
     p.add_argument("--standard", default="CRC-32")
-    p.add_argument("--bits", type=int, default=12144)
-    p.add_argument("--factors", type=int, nargs="+", default=[32, 64, 128])
+    p.add_argument("--bits", type=_count, default=12144)
+    p.add_argument("--factors", type=_count, nargs="+", default=[32, 64, 128])
     p.add_argument("--telemetry", action="store_true",
                    help="trace the run and snapshot the metrics registry")
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("batch-bench", help="time the vectorized batch engine")
     p.add_argument("--standard", default="CRC-32")
-    p.add_argument("-m", "--m", type=int, default=32, help="look-ahead factor")
+    p.add_argument("-m", "--m", type=_count, default=32, help="look-ahead factor")
     p.add_argument("--batch", type=_count, default=1024, help="messages per batch")
-    p.add_argument("--bytes", type=int, default=64, help="message size in bytes")
+    p.add_argument("--bytes", type=_size, default=64, help="message size in bytes")
     p.add_argument("--baseline-sample", type=_count, default=32,
                    help="messages timed through the per-message Derby loop")
     p.add_argument("--repeats", type=_count, default=3, help="batch timing repeats")
     p.add_argument("--seed", type=int, default=0)
-    _add_backend_option(p)
     p.add_argument("--telemetry", action="store_true",
                    help="trace the run and snapshot the metrics registry")
     p.set_defaults(func=cmd_batch_bench)
@@ -589,7 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the machine-readable report to PATH")
     p.add_argument("--max-failures", type=_count, default=5,
                    help="stop after this many confirmed mismatches")
-    _add_backend_option(p)
     p.add_argument("--no-shrink", action="store_true",
                    help="skip minimizing failing cases")
     p.add_argument("--telemetry", action="store_true",
@@ -605,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="word64",
                    help="keystream engine (default: word64, one 64-bit word "
                    "per step)")
-    p.add_argument("--bytes", type=int, default=64,
+    p.add_argument("--bytes", type=_count, default=64,
                    help="keystream bytes to emit")
     p.add_argument("--seed", default="repro",
                    help="seed material (stretched across the register words)")
@@ -636,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7326,
                    help="listen port (0 = ephemeral)")
-    p.add_argument("-m", "--m", type=int, default=None,
+    p.add_argument("-m", "--m", type=_count, default=None,
                    help="pipeline block factor (default: 128)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to wait for open streams on drain")
@@ -681,14 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "backend", None):
-        import os
-
-        from repro.gf2.backend import BACKEND_ENV, set_default_backend
-
-        set_default_backend(args.backend)
-        # The flag must also beat an inherited REPRO_GF2_BACKEND setting.
-        os.environ[BACKEND_ENV] = args.backend
     if getattr(args, "telemetry", False):
         return _run_with_telemetry(args)
     return args.func(args)

@@ -25,9 +25,8 @@ import numpy as np
 
 from repro.crc.bitwise import BitwiseCRC
 from repro.crc.spec import CRCSpec
-from repro.gf2.backend import GF2Backend, resolve_backend
 from repro.lfsr.statespace import LFSRStateSpace, crc_statespace
-from repro.lfsr.lookahead import BackendLike, LookaheadSystem, expand_lookahead
+from repro.lfsr.lookahead import LookaheadSystem, expand_lookahead
 from repro.lfsr.transform import DerbyTransform, derby_transform
 from repro.validation import check_factor
 
@@ -35,12 +34,11 @@ from repro.validation import check_factor
 class _MatrixCRCBase:
     """Shared spec plumbing for the matrix engines."""
 
-    def __init__(self, spec: CRCSpec, M: int, backend: BackendLike = None):
+    def __init__(self, spec: CRCSpec, M: int):
         self._spec = spec
         self._M = check_factor(M, what="look-ahead factor M")
         self._statespace = crc_statespace(spec.generator())
         self._serial = BitwiseCRC(spec)
-        self._backend = resolve_backend(backend)
 
     @property
     def spec(self) -> CRCSpec:
@@ -49,11 +47,6 @@ class _MatrixCRCBase:
     @property
     def M(self) -> int:
         return self._M
-
-    @property
-    def backend(self) -> GF2Backend:
-        """The GF(2) kernel backend the block loop runs on."""
-        return self._backend
 
     @property
     def statespace(self) -> LFSRStateSpace:
@@ -85,8 +78,8 @@ class _MatrixCRCBase:
 class LookaheadCRC(_MatrixCRCBase):
     """Direct (untransformed) M-bit parallel CRC."""
 
-    def __init__(self, spec: CRCSpec, M: int, backend: BackendLike = None):
-        super().__init__(spec, M, backend=backend)
+    def __init__(self, spec: CRCSpec, M: int):
+        super().__init__(spec, M)
         self._system: LookaheadSystem = expand_lookahead(self._statespace, M)
 
     @property
@@ -95,7 +88,7 @@ class LookaheadCRC(_MatrixCRCBase):
         return self._system
 
     def _run_blocks(self, state: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-        return self._system.run(state, bits, backend=self._backend)
+        return self._system.run(state, bits)
 
 
 class DerbyCRC(_MatrixCRCBase):
@@ -106,17 +99,9 @@ class DerbyCRC(_MatrixCRCBase):
     (the paper's second PGAOP, triggered once per message).
     """
 
-    def __init__(
-        self,
-        spec: CRCSpec,
-        M: int,
-        f: Optional[np.ndarray] = None,
-        backend: BackendLike = None,
-    ):
-        super().__init__(spec, M, backend=backend)
-        self._transform: DerbyTransform = derby_transform(
-            self._statespace, M, f=f, backend=self._backend
-        )
+    def __init__(self, spec: CRCSpec, M: int, f: Optional[np.ndarray] = None):
+        super().__init__(spec, M)
+        self._transform: DerbyTransform = derby_transform(self._statespace, M, f=f)
 
     @property
     def transform(self) -> DerbyTransform:
@@ -124,21 +109,17 @@ class DerbyCRC(_MatrixCRCBase):
         return self._transform
 
     def _run_blocks(self, state: np.ndarray, bits: Sequence[int]) -> np.ndarray:
-        return self._transform.run(state, bits, backend=self._backend)
+        return self._transform.run(state, bits)
 
     # ------------------------------------------------------------------
     def stream_state(self, register: int) -> np.ndarray:
         """Enter streaming mode: the transformed state for ``register``."""
-        return self._transform.to_transformed(
-            self._statespace.state_from_int(register), backend=self._backend
-        )
+        return self._transform.to_transformed(self._statespace.state_from_int(register))
 
     def stream_block(self, state_t: np.ndarray, chunk: Sequence[int]) -> np.ndarray:
         """Process one M-bit chunk fully in the transformed basis."""
-        return self._transform.block_step(state_t, chunk, backend=self._backend)
+        return self._transform.block_step(state_t, chunk)
 
     def stream_finish(self, state_t: np.ndarray) -> int:
         """Anti-transform and return the raw register (pre-finalize)."""
-        return self._statespace.state_to_int(
-            self._transform.from_transformed(state_t, backend=self._backend)
-        )
+        return self._statespace.state_to_int(self._transform.from_transformed(state_t))

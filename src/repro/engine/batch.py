@@ -16,14 +16,11 @@ messages, many at once:
   door (:meth:`repro.lfsr.slicing.ByteSlicedScrambler.keystream_batch`):
   every stream's seed steps through the ``A^{8D}`` fold together, and
   every block's keystream rows gather in one call.
-* :class:`BatchMultiplicativeScrambler` delegates the batch dimension to
-  a pluggable GF(2) kernel backend (:mod:`repro.gf2.backend`).  Under
-  the default ``"packed"`` backend a batch of B bit-streams is a
-  ``(n_bits, W)`` ``uint64`` array with ``W = ceil(B/64)`` — bit *b* of
-  word ``row[b // 64]`` belongs to stream *b* — so one numpy call clocks
-  all B delay lines.  The ``"reference"`` backend runs the same contract
-  bit-by-bit over Python ints; select with ``backend=`` or
-  ``$REPRO_GF2_BACKEND``.
+* :class:`BatchMultiplicativeScrambler` packs the batch dimension into
+  machine words (:class:`repro.gf2.backend.NumpyPackedBackend`): a batch
+  of B bit-streams is a ``(n_bits, W)`` ``uint64`` array with
+  ``W = ceil(B/64)`` — bit *b* of word ``row[b // 64]`` belongs to stream
+  *b* — so one numpy call clocks all B delay lines.
 
 Tail contract (identical to :class:`repro.dream.system.DreamSystem`):
 messages are zero-padded **at the head** and run from a zero register,
@@ -40,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from functools import reduce
 from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +45,7 @@ from repro.crc.slicing import ByteSlicedCRC
 from repro.crc.spec import CRCSpec
 from repro.engine.cache import CompileCache, default_cache
 from repro.errors import SpecError
-from repro.gf2.backend import GF2Backend, resolve_backend
+from repro.gf2.backend import NumpyPackedBackend
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr.slicing import ByteSlicedScrambler
 from repro.lfsr.wordlfsr import WORD64, WordLFSR, WordLFSRSpec, seed_words_from_bytes
@@ -387,16 +384,12 @@ class BatchMultiplicativeScrambler:
     bit-for-bit per stream.
     """
 
-    def __init__(
-        self,
-        poly: GF2Polynomial,
-        backend: Union[None, str, GF2Backend] = None,
-    ):
+    def __init__(self, poly: GF2Polynomial):
         if poly.degree < 1:
             raise SpecError("polynomial degree must be >= 1")
         self._poly = poly
         self._k = poly.degree
-        self._backend = resolve_backend(backend)
+        self._kernel = NumpyPackedBackend()
         # Delay positions, as in the serial engine: exponent t reads the
         # stream bit from t clocks ago (delay-line slot t-1).
         self._taps = [
@@ -407,11 +400,6 @@ class BatchMultiplicativeScrambler:
     def poly(self) -> GF2Polynomial:
         """The generator polynomial ``g(x)``."""
         return self._poly
-
-    @property
-    def backend(self) -> GF2Backend:
-        """The GF(2) kernel backend the delay lines run on."""
-        return self._backend
 
     # ------------------------------------------------------------------
     def _check_states(self, batch: int, states: Optional[Sequence[int]]) -> List[int]:
@@ -427,7 +415,7 @@ class BatchMultiplicativeScrambler:
         for b, s in enumerate(states):
             for j in range(self._k):
                 rows[j, b] = (s >> j) & 1
-        packed = self._backend.pack(rows)
+        packed = self._kernel.pack(rows)
         return deque(packed[j] for j in range(self._k))
 
     def _run(
@@ -453,8 +441,8 @@ class BatchMultiplicativeScrambler:
         for b, bits in enumerate(checked):
             if lengths[b]:
                 data[: lengths[b], b] = bits
-        be = self._backend
-        packed = be.pack(data)
+        kernel = self._kernel
+        packed = kernel.pack(data)
         line = self._delay_lines(states)
         out_rows = []
         for n in range(longest):
@@ -467,7 +455,7 @@ class BatchMultiplicativeScrambler:
             shift_in = packed[n] if descramble else row
             line.pop()
             line.appendleft(shift_in)
-        bits_out = be.unpack(be.from_rows(out_rows), batch)
+        bits_out = kernel.unpack(kernel.from_rows(out_rows), batch)
         if telemetry:
             _observe_kernel(
                 "scrambler-multiplicative", sum(lengths), perf_counter() - t0

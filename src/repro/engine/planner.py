@@ -51,7 +51,7 @@ MIN_SPEEDUP = 1.05
 DEFAULT_M = 128
 
 #: The ``backend`` of every ``crc-batch`` plan: the batch CRC runs on the
-#: byte-sliced gather, whatever GF(2) backend is selected.
+#: byte-sliced gather.
 CRC_BATCH_ENGINE = "byte-sliced"
 
 #: The fixed batch the batch CRC probe times: CRC-32 messages of this

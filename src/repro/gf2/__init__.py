@@ -10,35 +10,24 @@ Public API
 ----------
 :class:`GF2Matrix`
     Dense matrix over GF(2) with multiplication, exponentiation, inversion,
-    rank and linear solving.
+    rank and linear solving; it carries every single-vector GF(2) product
+    of the look-ahead and Derby engines.
 :class:`GF2Polynomial`
     Polynomial over GF(2) stored as a Python int (bit *i* holds the
     coefficient of ``x**i``).
 :class:`GF2mField`
     Extension field GF(2^m) with a multiply-accumulate (GFMAC) primitive.
 :mod:`repro.gf2.backend`
-    Pluggable kernel registry (``"reference"`` pure-Python bit loops,
-    ``"packed"`` word-packed bit-slicing) behind :func:`get_backend`;
-    selection threads through every engine via the ``backend=``
-    constructor arguments and the ``REPRO_GF2_BACKEND`` environment
-    variable.
+    The B-stream block kernel, applying one matrix to B column vectors
+    at once: :class:`NumpyPackedBackend` (word-packed bit-slicing) and
+    :class:`ReferenceBackend` (the pure-Python bit loop it is checked
+    against).
 Carry-less multiply helpers (:func:`clmul`, :func:`clmod`, :func:`cldivmod`)
 and bit utilities (:func:`reflect_bits`, :func:`int_to_bits`,
 :func:`bits_to_int`, :func:`bytes_to_bits`).
 """
 
-from repro.gf2.backend import (
-    BACKEND_ENV,
-    GF2Backend,
-    NumpyPackedBackend,
-    ReferenceBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.gf2.backend import GF2Backend, NumpyPackedBackend, ReferenceBackend
 from repro.gf2.bits import (
     bits_to_bytes,
     bits_to_int,
@@ -55,19 +44,12 @@ from repro.gf2.matrix import GF2Matrix
 from repro.gf2.polynomial import GF2Polynomial
 
 __all__ = [
-    "BACKEND_ENV",
     "GF2Backend",
     "GF2Matrix",
     "GF2Polynomial",
     "GF2mField",
     "NumpyPackedBackend",
     "ReferenceBackend",
-    "available_backends",
-    "default_backend_name",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "set_default_backend",
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",

@@ -19,15 +19,12 @@ the class reverses them internally to form ``u_M``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.gf2.backend import GF2Backend, resolve_backend
 from repro.gf2.matrix import GF2Matrix
 from repro.lfsr.statespace import LFSRStateSpace
-
-BackendLike = Union[None, str, GF2Backend]
 
 
 @dataclass(frozen=True)
@@ -51,30 +48,17 @@ class LookaheadSystem:
             raise ValueError(f"chunk length {len(chunk)} != M = {self.M}")
         return np.array(list(chunk)[::-1], dtype=np.uint8)
 
-    def block_step(
-        self, state: np.ndarray, chunk: Sequence[int], backend: BackendLike = None
-    ) -> np.ndarray:
-        """Advance M serial steps in one block operation.
+    def block_step(self, state: np.ndarray, chunk: Sequence[int]) -> np.ndarray:
+        """Advance M serial steps in one block operation."""
+        return (self.A_M @ state) ^ (self.B_M @ self.input_vector(chunk))
 
-        ``backend`` selects the GF(2) kernel set used for the two
-        matrix-vector products (:mod:`repro.gf2.backend` default when
-        ``None``).
-        """
-        be = resolve_backend(backend)
-        u = self.input_vector(chunk)
-        s = np.asarray(state, dtype=np.uint8)
-        return (be.matvec(self.A_M.to_array(), s) ^ be.matvec(self.B_M.to_array(), u)).astype(np.uint8)
-
-    def run(
-        self, state: np.ndarray, bits: Sequence[int], backend: BackendLike = None
-    ) -> np.ndarray:
+    def run(self, state: np.ndarray, bits: Sequence[int]) -> np.ndarray:
         """Process a bit sequence whose length is a multiple of M."""
         if len(bits) % self.M:
             raise ValueError(f"bit count {len(bits)} is not a multiple of M = {self.M}")
-        be = resolve_backend(backend)
         s = np.asarray(state, dtype=np.uint8)
         for off in range(0, len(bits), self.M):
-            s = self.block_step(s, bits[off : off + self.M], backend=be)
+            s = self.block_step(s, bits[off : off + self.M])
         return s
 
     # ------------------------------------------------------------------

@@ -23,9 +23,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.errors import CompileError
-from repro.gf2.backend import resolve_backend
 from repro.gf2.matrix import GF2Matrix
-from repro.lfsr.lookahead import BackendLike, LookaheadSystem, expand_lookahead
+from repro.lfsr.lookahead import LookaheadSystem, expand_lookahead
 from repro.lfsr.statespace import LFSRStateSpace
 
 
@@ -85,38 +84,26 @@ class DerbyTransform:
         return self.lookahead.order
 
     # ------------------------------------------------------------------
-    def to_transformed(self, state: np.ndarray, backend: BackendLike = None) -> np.ndarray:
+    def to_transformed(self, state: np.ndarray) -> np.ndarray:
         """Map a natural-basis state into the transformed basis."""
-        be = resolve_backend(backend)
-        return be.matvec(self.T_inv.to_array(), np.asarray(state, dtype=np.uint8))
+        return self.T_inv @ state
 
-    def from_transformed(self, state_t: np.ndarray, backend: BackendLike = None) -> np.ndarray:
+    def from_transformed(self, state_t: np.ndarray) -> np.ndarray:
         """The anti-transformation ``x = T x_t`` (the paper's 2nd PGAOP)."""
-        be = resolve_backend(backend)
-        return be.matvec(self.T.to_array(), np.asarray(state_t, dtype=np.uint8))
+        return self.T @ state_t
 
-    def block_step(
-        self, state_t: np.ndarray, chunk: Sequence[int], backend: BackendLike = None
-    ) -> np.ndarray:
+    def block_step(self, state_t: np.ndarray, chunk: Sequence[int]) -> np.ndarray:
         """One M-bit update entirely in the transformed basis."""
-        be = resolve_backend(backend)
-        u = self.lookahead.input_vector(chunk)
-        s = np.asarray(state_t, dtype=np.uint8)
-        return (be.matvec(self.A_Mt.to_array(), s) ^ be.matvec(self.B_Mt.to_array(), u)).astype(
-            np.uint8
-        )
+        return (self.A_Mt @ state_t) ^ (self.B_Mt @ self.lookahead.input_vector(chunk))
 
-    def run(
-        self, state: np.ndarray, bits: Sequence[int], backend: BackendLike = None
-    ) -> np.ndarray:
+    def run(self, state: np.ndarray, bits: Sequence[int]) -> np.ndarray:
         """Process bits (multiple of M) and return the *natural* final state."""
         if len(bits) % self.M:
             raise ValueError(f"bit count {len(bits)} is not a multiple of M = {self.M}")
-        be = resolve_backend(backend)
-        s = self.to_transformed(state, backend=be)
+        s = self.to_transformed(state)
         for off in range(0, len(bits), self.M):
-            s = self.block_step(s, bits[off : off + self.M], backend=be)
-        return self.from_transformed(s, backend=be)
+            s = self.block_step(s, bits[off : off + self.M])
+        return self.from_transformed(s)
 
     # ------------------------------------------------------------------
     def loop_complexity(self) -> int:
@@ -133,27 +120,21 @@ def derby_transform(
     base: LFSRStateSpace,
     M: int,
     f: Optional[np.ndarray] = None,
-    backend: BackendLike = None,
 ) -> DerbyTransform:
     """Construct the Derby-transformed M-level look-ahead system.
 
     If ``f`` is given it must make the Krylov matrix invertible; otherwise
-    candidates are tried starting from ``f = e_0``.  ``backend`` selects the
-    GF(2) kernel set used for the similarity products (the search for ``f``
-    and the inversion stay on :class:`~repro.gf2.matrix.GF2Matrix`).
+    candidates are tried starting from ``f = e_0``.
     """
     la = expand_lookahead(base, M)
     k = base.order
-    be = resolve_backend(backend)
 
     def build(fv: np.ndarray) -> Optional[DerbyTransform]:
         T = krylov_matrix(la.A_M, fv)
         if not T.is_invertible():
             return None
         T_inv = T.inverse()
-        A_Mt = GF2Matrix(
-            be.matmul(be.matmul(T_inv.to_array(), la.A_M.to_array()), T.to_array())
-        )
+        A_Mt = T_inv @ la.A_M @ T
         if not A_Mt.is_companion():
             # By construction the Krylov basis always yields companion form
             # when T is invertible; reaching this means a library bug.
@@ -164,7 +145,7 @@ def derby_transform(
             T=T,
             T_inv=T_inv,
             A_Mt=A_Mt,
-            B_Mt=GF2Matrix(be.matmul(T_inv.to_array(), la.B_M.to_array())),
+            B_Mt=T_inv @ la.B_M,
         )
 
     if f is not None:

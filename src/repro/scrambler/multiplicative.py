@@ -13,10 +13,9 @@ the transfer function is 1/g(x) on the scramble side and g(x) on the
 descramble side.
 
 The descramble direction is pure feed-forward (``u(n) = s(n) ^ sum_t
-s(n-t)``), so on the packed GF(2) backends it runs as a handful of
-big-integer shift/XOR operations over the whole stream at once.  The
-scramble direction has a data-dependent feedback loop and always runs
-serially, whatever the backend.
+s(n-t)``), so it runs as a handful of big-integer shift/XOR operations
+over the whole stream at once.  The scramble direction has a
+data-dependent feedback loop and runs serially.
 """
 
 from __future__ import annotations
@@ -24,17 +23,15 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.errors import SpecError
-from repro.gf2.backend import GF2Backend, resolve_backend
 from repro.gf2.bits import bits_to_int, int_to_bits, reflect_bits
 from repro.gf2.polynomial import GF2Polynomial
-from repro.lfsr.lookahead import BackendLike
 from repro.validation import check_bits, check_register
 
 
 class MultiplicativeScrambler:
     """Self-synchronizing scrambler/descrambler pair."""
 
-    def __init__(self, poly: GF2Polynomial, state: int = 0, backend: BackendLike = None):
+    def __init__(self, poly: GF2Polynomial, state: int = 0):
         if poly.degree < 1:
             raise SpecError("polynomial degree must be >= 1")
         self._poly = poly
@@ -43,7 +40,6 @@ class MultiplicativeScrambler:
         # Delay-line positions read by the feedback: exponent t -> bit t-1
         # (bit j holds the stream bit from j+1 clocks ago).
         self._taps = [t - 1 for t in range(1, self._k + 1) if t == self._k or poly.coefficient(t)]
-        self._backend = resolve_backend(backend)
         self.state = state
 
     @property
@@ -53,11 +49,6 @@ class MultiplicativeScrambler:
     @property
     def degree(self) -> int:
         return self._k
-
-    @property
-    def backend(self) -> GF2Backend:
-        """The GF(2) kernel backend the descramble direction runs on."""
-        return self._backend
 
     @property
     def state(self) -> int:
@@ -86,17 +77,6 @@ class MultiplicativeScrambler:
         return out
 
     def descramble_bits(self, bits: Sequence[int]) -> List[int]:
-        checked = check_bits(bits, what="bits").tolist()
-        if self._backend.name == "reference":
-            out = []
-            for s in checked:
-                u = s ^ self._feedback()
-                self._shift_in(s)
-                out.append(u)
-            return out
-        return self._descramble_packed(checked)
-
-    def _descramble_packed(self, bits: List[int]) -> List[int]:
         """Feed-forward descramble as big-integer shift/XOR operations.
 
         The scrambled stream (bit ``n`` = ``s(n)``) is extended below bit 0
@@ -104,6 +84,7 @@ class MultiplicativeScrambler:
         reflected register), so every tap read becomes one right shift of
         ``ext``; the final register is read back off the top of ``ext``.
         """
+        bits = check_bits(bits, what="bits").tolist()
         n = len(bits)
         k = self._k
         ext = (bits_to_int(bits) << k) | reflect_bits(self._state, k)

@@ -273,6 +273,18 @@ class CaseGenerator:
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
+def _clip_plan(plan: Tuple[int, ...], cut: int) -> Tuple[int, ...]:
+    """The chunk sizes of ``plan`` that cover its first ``cut`` bytes: the
+    chunk that crosses ``cut`` is shortened, the ones after it dropped."""
+    clipped: List[int] = []
+    for size in plan:
+        if cut <= 0:
+            break
+        clipped.append(min(size, cut))
+        cut -= clipped[-1]
+    return tuple(clipped)
+
+
 def _shrink_candidates(case: FuzzCase) -> List[FuzzCase]:
     """Simpler variants of ``case``, most aggressive first."""
     out: List[FuzzCase] = []
@@ -297,9 +309,9 @@ def _shrink_candidates(case: FuzzCase) -> List[FuzzCase]:
             if cut < nbytes:
                 shorter = list(case.messages)
                 shorter[i] = m[: 2 * cut]
-                chunks = list(case.chunks) if case.chunks else []
+                chunks = list(case.chunks)
                 if i < len(chunks):
-                    chunks[i] = (cut,) if cut else ()
+                    chunks[i] = _clip_plan(chunks[i], cut)
                 out.append(
                     replace(case, messages=tuple(shorter), chunks=tuple(chunks))
                 )
@@ -314,6 +326,11 @@ def _shrink_candidates(case: FuzzCase) -> List[FuzzCase]:
                 chunks=tuple((len(m) // 2,) if m else () for m in case.messages),
             )
         )
+    for i, plan in enumerate(case.chunks):
+        for j in range(len(plan) - 1):
+            chunks = list(case.chunks)
+            chunks[i] = plan[:j] + (plan[j] + plan[j + 1],) + plan[j + 2:]
+            out.append(replace(case, chunks=tuple(chunks)))
     return out
 
 
@@ -327,7 +344,8 @@ def shrink(
     Returns ``(minimal_case, probes_used)``.  The predicate is never
     trusted to be cheap, so the probe budget bounds total work; the result
     is locally minimal with respect to the candidate moves (drop a stream,
-    halve/truncate a payload, drop seeds/aborts, merge chunks).
+    halve/truncate a payload with its chunk plan clipped to match, drop
+    seeds/aborts, merge all of the chunks or two adjacent ones).
     """
     probes = 0
     best = case

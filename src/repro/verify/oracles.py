@@ -29,7 +29,7 @@ from repro.engine import (
     CRCPipeline,
     ScramblerPipeline,
 )
-from repro.gf2.backend import get_backend
+from repro.gf2.backend import NumpyPackedBackend, ReferenceBackend
 from repro.gf2.bits import bits_to_bytes, bytes_to_bits
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr.galois import galois_to_fibonacci_state
@@ -395,76 +395,43 @@ class MultiplicativeScramblerOracle(Oracle):
 
 
 class PackedBackendOracle(Oracle):
-    """Reference vs packed GF(2) backend on the raw kernel operations and
-    on a full CRC: the case's matrix engine (:class:`LookaheadCRC` or
-    :class:`DerbyCRC`, by the case's method), compiled once per backend.
+    """Reference vs packed GF(2) batch kernel on payload-derived bit
+    blocks, plus the case's matrix CRC (:class:`LookaheadCRC` or
+    :class:`DerbyCRC`, by the case's method) against :class:`BitwiseCRC`.
 
-    The other oracles pit parallel engines against the bit-serial ground
-    truth under whatever backend is the process default; this one pins the
-    two backends against *each other* on the same look-ahead matrices and
-    payload-derived bit blocks, so a word-packing bug is indicted directly
-    rather than through an engine mismatch.
+    The kernel half pins the two batch kernels against *each other* on
+    the case's look-ahead input matrix ``B_M``, so a word-packing bug is
+    indicted directly rather than through an engine mismatch; the engine
+    half keeps the direct look-ahead engine, which no other oracle runs,
+    under the fuzzer.
     """
 
     name = "gf2:reference-vs-packed"
     kinds = (KIND_CRC,)
 
     def __init__(self):
-        self._engines: Dict[Tuple[str, int, str, str], object] = {}
+        self._reference = ReferenceBackend()
+        self._packed = NumpyPackedBackend()
+        self._engines: Dict[Tuple[str, int, str], object] = {}
 
-    def _crc(self, case: FuzzCase, backend: str):
-        key = (case.spec, case.M, case.method, backend)
+    def _crc(self, case: FuzzCase):
+        key = (case.spec, case.M, case.method)
         engine = self._engines.get(key)
         if engine is None:
             cls = LookaheadCRC if case.method == "lookahead" else DerbyCRC
-            engine = self._engines[key] = cls(
-                get_crc(case.spec), case.M, backend=backend
-            )
+            engine = self._engines[key] = cls(get_crc(case.spec), case.M)
         return engine
 
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         import numpy as np
 
-        spec = get_crc(case.spec)
-        ref = get_backend("reference")
-        packed = get_backend("packed")
-        la = cache.lookahead(spec, case.M)
-        A = la.A_M.to_array()
-        B = la.B_M.to_array()
+        spec, serial = _crc_serial(case)
+        ref, packed = self._reference, self._packed
+        B = cache.lookahead(spec, case.M).B_M.to_array()
 
-        # Bit material derived deterministically from the case payloads.
+        # An (M, batch) bit block cut deterministically from the payloads.
         payloads = case.payloads()
-        bits = [spec.message_bits(m) for m in payloads]
-        pool = [b for stream in bits for b in stream]
-        k = A.shape[0]
-        vec = np.array([(pool[i % len(pool)] if pool else 0) for i in range(k)], dtype=np.uint8)
-
-        got = packed.matvec(A, vec)
-        expected = ref.matvec(A, vec)
-        if got.tolist() != expected.tolist():
-            return Discrepancy(
-                detail=f"matvec A^{case.M} ({case.spec})",
-                expected="".join(map(str, expected.tolist())),
-                got="".join(map(str, got.tolist())),
-            )
-        got_m = packed.matmul(A, A)
-        exp_m = ref.matmul(A, A)
-        if got_m.tolist() != exp_m.tolist():
-            return Discrepancy(
-                detail=f"matmul A^{case.M} @ A^{case.M} ({case.spec})",
-                expected=f"{exp_m.sum()} ones",
-                got=f"{got_m.sum()} ones",
-            )
-        got_p = packed.matpow(A, 3)
-        exp_p = ref.matpow(A, 3)
-        if got_p.tolist() != exp_p.tolist():
-            return Discrepancy(
-                detail=f"matpow (A^{case.M})^3 ({case.spec})",
-                expected=f"{exp_p.sum()} ones",
-                got=f"{got_p.sum()} ones",
-            )
-
-        # Batched block kernel on a (M, batch) block cut from the payloads.
+        pool = [b for m in payloads for b in spec.message_bits(m)]
         batch = max(1, len(payloads))
         block = np.array(
             [
@@ -482,17 +449,16 @@ class PackedBackendOracle(Oracle):
                 got=f"{int(got_b.sum())} ones",
             )
 
-        # Full engine: the case's matrix CRC under both backends.
-        ref_crc, packed_crc = self._crc(case, "reference"), self._crc(case, "packed")
-        exp_crcs = [ref_crc.compute(m) for m in payloads]
-        got_crcs = [packed_crc.compute(m) for m in payloads]
-        if got_crcs != exp_crcs:
-            i = next(j for j, (a, b) in enumerate(zip(exp_crcs, got_crcs)) if a != b)
-            return Discrepancy(
-                detail=f"{type(ref_crc).__name__} backend pair stream {i}",
-                expected=f"0x{exp_crcs[i]:X}",
-                got=f"0x{got_crcs[i]:X}",
-            )
+        engine = self._crc(case)
+        for i, payload in enumerate(payloads):
+            expected = serial.compute(payload)
+            got = engine.compute(payload)
+            if got != expected:
+                return Discrepancy(
+                    detail=f"{type(engine).__name__} stream {i} ({len(payload)} bytes)",
+                    expected=f"0x{expected:X}",
+                    got=f"0x{got:X}",
+                )
         return None
 
 

@@ -312,6 +312,36 @@ def test_counts_below_one_are_usage_errors(argv, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["batch-bench", "--bytes", "-1"],
+    ["batch-bench", "-m", "0"],
+    ["keystream", "--bytes", "0"],
+    ["keystream", "--bytes", "-1"],
+    ["map", "-m", "0"],
+    ["serve", "-m", "0"],
+    ["perf", "--factors", "0"],
+    ["perf", "--bits", "0"],
+    ["explore", "--factors", "0"],
+], ids=lambda argv: "_".join(arg.removeprefix("--") for arg in argv))
+def test_sizes_and_factors_out_of_range_are_usage_errors(argv, capsys):
+    """A negative size, an empty keystream, a zero-bit message or a zero
+    look-ahead factor stops at parse time (exit 2) instead of ending in a
+    traceback or printing an empty or infeasible result."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["crc", "batch-bench", "fuzz"])
+def test_backend_flag_is_a_usage_error(command):
+    """Every single-vector GF(2) product runs on GF2Matrix: there is no
+    kernel to pick."""
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--backend", "packed"])
+    assert excinfo.value.code == 2
+
+
 class TestKeystreamCommand:
     def test_word_source_with_verify(self, capsys):
         assert main(

@@ -95,24 +95,6 @@ class TestParallelBatchCRC:
             bit_streams = [SPEC.message_bits(m) for m in corpus]
             assert engine.compute_bits_batch(bit_streams) == expected
 
-    def test_reference_backend_shards_on_threads(self, corpus, monkeypatch):
-        """The batch CRC gathers bytes whatever GF(2) backend the process
-        selects: under the GIL-holding ``reference`` default its thread
-        shards still reproduce the serial result exactly, and never reach
-        a backend kernel."""
-        from repro.gf2.backend import BACKEND_ENV, ReferenceBackend
-
-        monkeypatch.setenv(BACKEND_ENV, "reference")
-        calls = []
-        monkeypatch.setattr(
-            ReferenceBackend, "matvec_batch", lambda *a: calls.append(a)
-        )
-        sample = corpus[:9]
-        expected = [BitwiseCRC(SPEC).compute(m) for m in sample]
-        with ParallelBatchCRC(SPEC, 16, workers=2, min_shard_bits=1) as engine:
-            assert engine.compute_batch(sample) == expected
-        assert calls == []
-
     @pytest.mark.parametrize("n_bits", [1, 17, 64, 127, 333, 1024, 4097])
     def test_time_axis_sharding_is_exact(self, n_bits):
         """Single-message sharding with x^k recombination, at lengths that

@@ -188,10 +188,17 @@ class TestFrameSizeBoundary:
     def test_exact_cap_frame_does_not_stall_the_loop(self, caplog):
         """A 1 MiB frame advances without holding the loop past asyncio's
         slow-callback threshold: debug mode logs no "Executing ... took"."""
+        import gc
         import logging
 
         payload = bytes(range(256)) * (MAX_FRAME_BYTES // 256)
         CRCPipeline(SPEC, 1024)  # compile off the loop: start-up is not the subject
+        # Nor is the heap the rest of the suite left behind: one full
+        # collection of it can take over 0.1 s and would be charged to
+        # whichever callback it lands in.  Collect it here and freeze the
+        # survivors, so a collection on the loop sees only this frame's work.
+        gc.collect()
+        gc.freeze()
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -201,8 +208,11 @@ class TestFrameSizeBoundary:
                 async with await ServeClient.connect(server.host, server.port) as c:
                     return await c.compute(payload)
 
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            assert run(scenario()) == ORACLE.compute(payload)
+        try:
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                assert run(scenario()) == ORACLE.compute(payload)
+        finally:
+            gc.unfreeze()
         stalls = [
             r.getMessage() for r in caplog.records
             if r.name == "asyncio" and r.getMessage().startswith("Executing")

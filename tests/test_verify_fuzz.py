@@ -6,6 +6,7 @@ injected fault is caught and shrunk to a minimal reproducer, and reports
 survive a JSON round-trip.
 """
 
+import random
 from itertools import accumulate
 
 import pytest
@@ -121,6 +122,43 @@ class TestShrinking:
         assert minimal.seeds == ()
         assert minimal.aborts == ()
         assert probes > 0
+
+    def test_multi_chunk_failure_shrinks(self):
+        """A failure that needs keystream carried across chunks (some chunk
+        of stream 0 starts after byte 0 and ends past byte 256, the shape of
+        a dropped-carry failure) keeps its chunk plan while the payloads
+        shrink, so the default probe budget cuts it to the minimum."""
+        rng = random.Random(0)
+
+        def plan(nbytes):
+            sizes = []
+            while nbytes > 0:
+                sizes.append(min(nbytes, rng.randint(1, 9)))
+                nbytes -= sizes[-1]
+            return tuple(sizes)
+
+        sizes = (3 * SLICE_DEPTH, 2 * SLICE_DEPTH + 40)
+        messages = tuple(bytes(rng.randrange(256) for _ in range(n)).hex() for n in sizes)
+        case = FuzzCase(
+            kind=KIND_SCRAMBLER, spec="DVB", M=8, method="", seeds=(1, 2),
+            messages=messages, chunks=tuple(plan(n) for n in sizes), aborts=(),
+        )
+
+        def carries_past_a_block(c):
+            start = 0
+            for size in c.chunk_plan(0):
+                if start > 0 and start + size > SLICE_DEPTH:
+                    return True
+                start += size
+            return False
+
+        assert carries_past_a_block(case)
+        minimal, _ = shrink(case, carries_past_a_block)
+        # Locally minimal: one stream of 257 bytes in two chunks.
+        assert carries_past_a_block(minimal)
+        assert minimal.batch == 1
+        assert len(minimal.messages[0]) // 2 == SLICE_DEPTH + 1
+        assert len(minimal.chunk_plan(0)) == 2
 
     def test_probe_budget_bounds_work(self):
         oracle = _FaultInjector(threshold=1)
