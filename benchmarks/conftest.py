@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,20 @@ def write_trajectory_snapshot(results_dir: Path) -> Path:
     path = repo_root / f"BENCH_{index}.json"
     path.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     return path
+
+
+@pytest.fixture(scope="session")
+def previous_snapshot() -> dict:
+    """The latest ``BENCH_<n>.json`` before this PR's own, or ``{}``: the
+    snapshot ``tools/bench_diff.py`` compares this PR's reports with."""
+    repo_root = RESULTS_DIR.parent.parent
+    index = _bench_index(repo_root)
+    earlier = []
+    for path in repo_root.glob("BENCH_*.json"):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        if match and int(match.group(1)) < index:
+            earlier.append((int(match.group(1)), path))
+    return json.loads(max(earlier)[1].read_text()) if earlier else {}
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,9 @@ first ``ceil(width / 8)`` bytes.
 
 from __future__ import annotations
 
+import sys
+import threading
+from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,8 +36,8 @@ from repro.crc.table import TableCRC, build_table
 from repro.gf2.bits import reflect_bits
 from repro.lfsr.slicing import SLICE_DEPTH  # the stack's rows, one gather's bytes
 
-#: Blocks gathered per numpy call (a batch slab: rows x blocks of about
-#: this many): a long run's index and gathered words stay ~1 MiB whatever
+#: Blocks gathered per numpy call (a batch slab: whole rows of about this
+#: many blocks): a long run's index and gathered words stay ~1 MiB whatever
 #: its length, and cache-resident (the gathers of a 1 MiB run measured
 #: ~35 % faster than one gather over all of it).
 _SLAB_BLOCKS = 256
@@ -43,8 +46,13 @@ _SLAB_BLOCKS = 256
 #: :meth:`ByteSlicedCRC.raw_register`: the group's vectorized fold steps
 #: block by block with numpy calls on arrays of one row per message, and
 #: for a few rows that overhead outweighs the work.  Read off the rows x
-#: length sweep in ``benchmarks/results/engine_batch.txt``.
-GATHER_MIN_ROWS = 16
+#: length sweep in ``benchmarks/results/engine_batch.txt``: the gather
+#: wins from 8 rows up to 4 KiB (:data:`_SHORT_BLOCKS` blocks).
+GATHER_MIN_ROWS = 8
+_SHORT_BLOCKS = 16
+#: The floor for groups of longer messages: at 64 KiB the same sweep has
+#: the gather win from 16 rows, and 8 rows lose from about 8 KiB.
+LONG_GATHER_MIN_ROWS = 16
 
 
 def _register_shift(spec: CRCSpec) -> int:
@@ -187,18 +195,31 @@ class ByteSlicedCRC:
         self._flat = tables.reshape(-1)
         # Row offset of byte i of a block into the flattened stack.
         self._offsets = (depth - 1 - np.arange(depth)) * 256
+        # The same offsets as the batch gather's indices: 16 bits while the
+        # stack fits.  Computing them narrow and widening them for np.take
+        # beats computing intp ones, which made a 1024 x 256 B call 11-15 %
+        # slower.
+        self._narrow = self._offsets.astype(np.uint16 if depth <= 256 else np.intp)
         self._shift = _register_shift(spec)
         self._bits = spec.width + self._shift
         # (row, shift of the register byte it takes) for the fold through
         # A^{8D}: reflected registers meet the message low byte first,
-        # aligned forward registers top byte first.
-        self._fold_rows = [
-            (tables[depth - 1 - i],
+        # aligned forward registers top byte first.  One message's fold
+        # indexes the rows as lists by int.
+        self._fold = [
+            (tables[depth - 1 - i].tolist(),
              8 * i if spec.refin else self._bits - 8 - 8 * i)
             for i in range(self._nbytes)
         ]
-        # The same rows as lists: one message's fold indexes them by int.
-        self._fold = [(row.tolist(), shift) for row, shift in self._fold_rows]
+        # A batch's fold reads each byte in place from the registers'
+        # memory: (row, the byte's index within one register).
+        size = self._flat.itemsize
+        self._fold_rows = [
+            (tables[depth - 1 - i],
+             shift // 8 if sys.byteorder == "little" else size - 1 - shift // 8)
+            for i, (_, shift) in enumerate(self._fold)
+        ]
+        self._local = threading.local()  # per-thread slab buffers (_buffers)
 
     @property
     def spec(self) -> CRCSpec:
@@ -266,48 +287,61 @@ class ByteSlicedCRC:
         """Registers of many messages, each clocked from a zero register,
         or from ``spec.init`` with ``fold_init=True``.
 
-        Messages group by block count ``K = ceil(n / D)``, and each group
-        is one byte matrix: every message is zero-padded at the head to
-        ``K * D`` bytes, which a zero register makes transparent, unless
-        the group's lengths are equal, when its first block is simply
-        short.  The input term does not depend on the register, so a
-        group's blocks gather in slabs of about :data:`_SLAB_BLOCKS`; only
-        the ``ceil(width / 8)``-lookup fold through ``A^{8D}`` steps from
-        block to block, vectorized across the group.  A group of fewer
-        than :data:`GATHER_MIN_ROWS` messages runs each one through
-        :meth:`raw_register` instead.
+        Messages group by block count ``K = ceil(n / D)``, and a group's
+        rows are head-padded with zeros to its longest message, which a
+        zero register makes transparent; an equal-length group needs no
+        pad, and its first block is simply short.  The input term does not
+        depend on the register, so a group's blocks gather slab by slab:
+        whole rows, about :data:`_SLAB_BLOCKS` blocks a slab, joined when
+        the loop reaches them and gathered through buffers each thread
+        keeps, so a call's temporaries stay bounded.  Only the
+        ``ceil(width / 8)``-lookup fold through ``A^{8D}`` steps from block
+        to block, vectorized across the group.  A group of fewer than
+        :data:`GATHER_MIN_ROWS` messages (:data:`LONG_GATHER_MIN_ROWS` for
+        messages over 4 KiB), or of messages longer than one slab, runs
+        each one through :meth:`raw_register` instead.
 
-        ``fold_init`` XORs in the spec's init clocked over each message's
-        length (:meth:`_init_after`), once per distinct length in the
-        call, which by linearity is the register clocked from ``init``;
-        the byte messages of a group below :data:`GATHER_MIN_ROWS` clock
-        from ``init`` itself instead.
-        ``bit_lengths`` are the true lengths of head-padded bit streams
-        (default: 8 bits per byte).  With ``finalize=True`` the result is
-        the published CRCs.  Specs wider than 64 bits run
+        With ``fold_init`` a byte message clocks from the init, which
+        enters its first ``ceil(width / 8)`` bytes as in
+        :meth:`raw_register`; a message shorter than that keeps the rest of
+        the init.  ``bit_lengths`` are the true lengths of head-padded bit
+        streams, whose init would enter mid-byte: they clock from zero, and
+        the init clocked over each distinct length (:meth:`_init_after`)
+        is XORed in after.  With ``finalize=True`` the result is the
+        published CRCs.  Specs wider than 64 bits run
         :class:`~repro.crc.table.TableCRC` per message.
         """
+        return self._registers_batch(
+            messages, list(map(len, messages)), fold_init, bit_lengths, finalize
+        )
+
+    def _registers_batch(
+        self,
+        messages: Sequence[bytes],
+        lengths: List[int],
+        fold_init: bool,
+        bit_lengths: Optional[Sequence[int]],
+        finalize: bool,
+    ) -> List[int]:
+        """:meth:`raw_registers_batch` of messages whose byte lengths the
+        caller has taken (:class:`~repro.engine.batch.BatchCRC` counts
+        them for its telemetry too)."""
         spec = self._spec
         fold_init = fold_init and spec.init != 0
-        lengths = np.fromiter(map(len, messages), np.intp, len(messages))
-        bits = 8 * lengths if bit_lengths is None else np.asarray(bit_lengths, np.intp)
-        if not self._supported:
-            regs = [self._fallback.raw_register(m, 0) for m in messages]
-            if fold_init:
-                regs = [r ^ self._init_after(n) for r, n in zip(regs, bits.tolist())]
-            return [spec.finalize(r) for r in regs] if finalize else regs
-        # Byte messages of a group below GATHER_MIN_ROWS clock from the init
-        # itself; gathered rows and head-padded bit streams fold it in after.
         start = spec.init if fold_init and bit_lengths is None else 0
-        work, from_zero = self._gather_batch(messages, lengths, start)
-        if fold_init and from_zero.any():
+        late = fold_init and bit_lengths is not None
+        if not self._supported:
+            regs = [self._fallback.raw_register(m, start) for m in messages]
+            if late:
+                regs = [r ^ self._init_after(n) for r, n in zip(regs, bit_lengths)]
+            return [spec.finalize(r) for r in regs] if finalize else regs
+        work = self._gather_batch(messages, lengths, start)
+        if late:
             # Sets, not np.unique: its first call imports numpy.ma (~35 ms).
-            owing = bits[from_zero]
-            distinct = np.array(sorted(set(owing.tolist())))
+            bits = np.asarray(bit_lengths, np.intp)
+            distinct = np.array(sorted(set(bits.tolist())))
             aligned = [self._align(self._init_after(n)) for n in distinct.tolist()]
-            work[from_zero] ^= np.array(aligned, dtype=work.dtype)[
-                np.searchsorted(distinct, owing)
-            ]
+            work ^= np.array(aligned, dtype=work.dtype)[np.searchsorted(distinct, bits)]
         if finalize and spec.refin == spec.refout:
             return ((work >> self._shift) ^ spec.xorout).tolist()
         regs = [self._unalign(r) for r in work.tolist()]
@@ -320,62 +354,112 @@ class ByteSlicedCRC:
         return BitwiseCRC(self._spec).process_bits(reg, [0] * (n_bits % 8))
 
     def _gather_batch(
-        self, messages: Sequence[bytes], lengths: np.ndarray, start: int
-    ):
-        """Working registers of ``messages``, one group per K, and a mask of
-        the rows clocked from zero.
-
-        A group of fewer than :data:`GATHER_MIN_ROWS` messages runs each
-        through :meth:`raw_register` from ``start``; the others gather from
-        zero.
-        """
-        blocks = -(-lengths // self._depth)
-        work = np.zeros(len(messages), dtype=self._flat.dtype)
-        from_zero = np.ones(len(messages), dtype=bool)
-        for k in sorted(set(blocks.tolist())):
-            if k == 0:
-                continue  # an empty message leaves the register at zero
+        self, messages: Sequence[bytes], lengths: List[int], start: int
+    ) -> np.ndarray:
+        """Working registers of ``messages`` clocked from ``start``, one
+        group per block count; a batch of one group is gathered whole."""
+        depth = self._depth
+        sizes = {}  # block count -> its distinct lengths
+        for n in set(lengths):
+            sizes.setdefault(-(-n // depth), []).append(n)
+        if len(sizes) == 1:
+            (k, distinct), = sizes.items()
+            if self._gathers(len(messages), k):
+                return self._gather_group(messages, lengths, distinct, start)
+        work = np.empty(len(messages), dtype=self._flat.dtype)
+        blocks = -(-np.array(lengths) // depth)
+        for k in sorted(sizes):
             rows = np.flatnonzero(blocks == k)
-            if len(rows) < GATHER_MIN_ROWS:
-                work[rows] = [
-                    self._align(self.raw_register(messages[i], start))
-                    for i in rows.tolist()
-                ]
-                from_zero[rows] = start == 0
-                continue
-            group = (messages if len(rows) == len(messages)
-                     else [messages[i] for i in rows.tolist()])
-            work[rows] = self._gather_group(group, lengths[rows], k)
-        return work, from_zero
+            picked = rows.tolist()
+            if self._gathers(len(picked), k):
+                work[rows] = self._gather_group(
+                    [messages[i] for i in picked], [lengths[i] for i in picked], sizes[k], start
+                )
+            else:
+                work[rows] = [self._align(self.raw_register(messages[i], start)) for i in picked]
+        return work
 
-    def _gather_group(self, group: Sequence[bytes], lengths: np.ndarray, k: int) -> np.ndarray:
-        """Working registers of one group of ``k``-block messages."""
-        depth, flat, offsets = self._depth, self._flat, self._offsets
-        data = np.frombuffer(b"".join(group), dtype=np.uint8)
-        if lengths.min() == lengths.max():
-            data = data.reshape(len(group), -1)
-        else:
-            # Head-pad: row j's last lengths[j] bytes, in row order, take
-            # message j, so one masked store places the joined bytes.
-            width = k * depth
-            padded = np.zeros((len(group), width), dtype=np.uint8)
-            padded[np.arange(width) >= (width - lengths)[:, None]] = data
-            data = padded
-        head = data.shape[1] - (k - 1) * depth
-        out = np.empty(len(group), dtype=flat.dtype)
-        for start in range(0, len(group), _SLAB_BLOCKS):
-            part = data[start:start + _SLAB_BLOCKS]
-            r = np.bitwise_xor.reduce(flat[offsets[depth - head:] + part[:, :head]], axis=1)
-            body = part[:, head:].reshape(len(part), k - 1, depth)
-            step = max(1, _SLAB_BLOCKS // len(part))
-            for b0 in range(0, k - 1, step):
-                words = np.bitwise_xor.reduce(flat[offsets + body[:, b0:b0 + step]], axis=2)
-                for word in words.T:
-                    for row, shift in self._fold_rows:
-                        word ^= row[(r >> shift) & 0xFF]
-                    r = word
-            out[start:start + len(part)] = r
-        return out
+    @staticmethod
+    def _gathers(rows: int, k: int) -> bool:
+        """Whether a group of ``rows`` messages of ``k`` blocks gathers: at
+        least :data:`GATHER_MIN_ROWS` of them (:data:`LONG_GATHER_MIN_ROWS`
+        past :data:`_SHORT_BLOCKS` blocks), each fitting in one slab."""
+        floor = GATHER_MIN_ROWS if k <= _SHORT_BLOCKS else LONG_GATHER_MIN_ROWS
+        return rows >= floor and 0 < k <= _SLAB_BLOCKS
+
+    def _gather_group(
+        self, group: Sequence[bytes], lengths: List[int], distinct: List[int], start: int
+    ) -> np.ndarray:
+        """Working registers of one group of messages of one block count
+        (``distinct`` lengths) clocked from ``start``, gathered slab by slab
+        and folded across the group."""
+        depth, flat, nbytes = self._depth, self._flat, self._nbytes
+        rows, longest = len(group), max(distinct)
+        ragged = len(distinct) > 1
+        k = -(-longest // depth)
+        head = longest - (k - 1) * depth  # the first block of a padded row
+        reg = self._align(start)
+        # The register's bytes in message order, XORed into the indices of
+        # each row's first bytes (a row offset is a multiple of 256).
+        fill = np.array([(reg >> shift) & 0xFF for _, shift in self._fold], self._narrow.dtype)
+        words = np.empty((k, rows), dtype=flat.dtype)  # one row per block
+        per = _SLAB_BLOCKS * depth // longest  # rows a slab
+        narrow, index, gathered = self._buffers(min(rows, per) * longest)
+        zeros = bytes(longest) if ragged else b""
+        for r0 in range(0, rows, per):
+            part, sizes = group[r0:r0 + per], lengths[r0:r0 + per]
+            slab, cells = len(part), len(part) * longest
+            if ragged:
+                part = chain.from_iterable(zip([zeros[n:] for n in sizes], part))
+            data = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(slab, longest)
+            idx = narrow[:cells].reshape(slab, longest)
+            np.add(self._narrow[depth - head:], data[:, :head], out=idx[:, :head])
+            if k > 1:
+                np.add(self._narrow, data[:, head:].reshape(slab, k - 1, depth),
+                       out=idx[:, head:].reshape(slab, k - 1, depth))
+            if reg and ragged:
+                sizes = np.array(sizes)
+                at = (np.arange(slab) * longest + longest - sizes)[:, None] + np.arange(nbytes)
+                owed = np.arange(nbytes) < sizes[:, None]
+                narrow[at[owed]] ^= np.broadcast_to(fill, at.shape)[owed]
+            elif reg:
+                idx[:, :nbytes] ^= fill[:longest]
+            # np.take would widen other indices into a fresh array, and
+            # with out= its default mode gathers into one as well.
+            np.copyto(index[:cells], narrow[:cells])
+            np.take(flat, index[:cells], out=gathered[:cells], mode="clip")
+            got = gathered[:cells].reshape(slab, longest)
+            np.bitwise_xor.reduce(got[:, :head], axis=1, out=words[0, r0:r0 + slab])
+            if k > 1:
+                np.bitwise_xor.reduce(got[:, head:].reshape(slab, k - 1, depth), axis=2,
+                                      out=words[1:, r0:r0 + slab].T)
+        size = flat.itemsize
+        r = words[0]
+        for word in words[1:]:
+            for row, byte in self._fold_rows:
+                word ^= row.take(r.view(np.uint8)[byte::size])
+            r = word
+        # A message shorter than the register leaves the init's rest unfolded.
+        if reg and min(distinct) < nbytes:
+            rows_of = np.array(lengths)
+            for n in (n for n in distinct if n < nbytes):
+                rest = reg >> 8 * n if self._spec.refin else (reg << 8 * n) & ((1 << self._bits) - 1)
+                r[rows_of == n] ^= rest
+        return r
+
+    def _buffers(self, cells: int):
+        """This thread's slab buffers of at least ``cells`` entries: narrow
+        and ``intp`` gather indices and the gathered words.  Every call
+        reuses them, so its heap peak does not depend on what the process
+        allocated before (a call that allocates them afresh can land on
+        glibc's trim threshold and fault its pages in again every time)."""
+        held = getattr(self._local, "buffers", None)
+        if held is None or len(held[0]) < cells:
+            held = self._local.buffers = tuple(
+                np.empty(cells, dtype=dtype)
+                for dtype in (self._narrow.dtype, np.intp, self._flat.dtype)
+            )
+        return held
 
     def _align(self, r: int) -> int:
         """The working (reflected or aligned) register of a natural-order one."""

@@ -9,9 +9,10 @@ messages, many at once:
   byte-sliced table stack (:meth:`repro.crc.slicing.ByteSlicedCRC.
   raw_registers_batch`).  The input term ``B_M u_M`` is feed-forward work,
   independent of the register and of every other message, so each group
-  of equal block count gathers all its blocks at once; only the register
-  fold steps from block to block, vectorized across the group — the
-  paper's Fig. 5 interleaving in the byte basis.
+  of equal block count gathers its blocks slab by slab, whole rows at a
+  time through buffers each thread keeps; only the register fold steps
+  from block to block, vectorized across the group — the paper's Fig. 5
+  interleaving in the byte basis.
 * :class:`BatchAdditiveScrambler` runs the byte-sliced keystream's batch
   door (:meth:`repro.lfsr.slicing.ByteSlicedScrambler.keystream_batch`):
   every stream's seed steps through the ``A^{8D}`` fold together, and
@@ -23,13 +24,15 @@ messages, many at once:
   *b* — so one numpy call clocks all B delay lines.
 
 Tail contract (identical to :class:`repro.dream.system.DreamSystem`):
-messages are zero-padded **at the head** and run from a zero register,
-which makes the pad transparent (leading zeros do not change the message
-polynomial); the spec's ``init`` preset is folded back in with the linear
-correction ``reg = raw0 ^ (init * x^N mod G)`` per message, using each
-message's true bit length N.  The batch CRC clocks that correction on
-its own engine, once per distinct length in a call, so a ragged batch
-adds nothing to the compile cache.
+messages are zero-padded **at the head** and the pad runs from a zero
+register, which makes it transparent (leading zeros do not change the
+message polynomial).  The spec's ``init`` preset enters a byte message
+where its register would start: XORed into its first ``ceil(w / 8)``
+gathered bytes.  A bit stream's preset would enter mid-byte, so the bit
+door folds it back in with the linear correction
+``reg = raw0 ^ (init * x^N mod G)``, N the stream's true bit length,
+clocked on the batch CRC's own engine once per distinct length in a
+call; a ragged batch adds nothing to the compile cache.
 """
 
 from __future__ import annotations
@@ -58,41 +61,59 @@ from repro.validation import (
     check_register_list,
 )
 
+
+def _families(reg) -> dict:
+    """The batch kernels' metric families in ``reg``, by role."""
+    return {
+        "calls": reg.counter(
+            "engine_batch_calls_total", "Vectorized batch kernel invocations",
+            labels=("kernel",),
+        ),
+        "bits_total": reg.counter(
+            "engine_batch_bits_total", "Payload bits processed by the batch kernels",
+            labels=("kernel",),
+        ),
+        "call_bits": reg.histogram(
+            "engine_batch_call_bits", "Payload bits per batch kernel call",
+            labels=("kernel",),
+            buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 1 << 22, 1 << 24),
+        ),
+        "throughput": reg.histogram(
+            "engine_batch_throughput_mbps", "Per-call bit throughput (Mbit/s)",
+            labels=("kernel",),
+            buckets=(1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000),
+        ),
+    }
+
+
 # Bound lazily (see repro.telemetry.bind_families) so swapping the
 # default registry after import is observed by every family below.
-_METRICS = bind_families(lambda reg: {
-    "calls": reg.counter(
-        "engine_batch_calls_total", "Vectorized batch kernel invocations",
-        labels=("kernel",),
-    ),
-    "bits_total": reg.counter(
-        "engine_batch_bits_total", "Payload bits processed by the batch kernels",
-        labels=("kernel",),
-    ),
-    "call_bits": reg.histogram(
-        "engine_batch_call_bits", "Payload bits per batch kernel call",
-        labels=("kernel",),
-        buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 1 << 22, 1 << 24),
-    ),
-    "throughput": reg.histogram(
-        "engine_batch_throughput_mbps", "Per-call bit throughput (Mbit/s)",
-        labels=("kernel",),
-        buckets=(1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 50000),
-    ),
-})
+_METRICS = bind_families(_families)
 
 #: The ``kernel`` label of every :class:`BatchCRC` call.
 CRC_KERNEL = "crc-sliced"
 
+# BatchCRC's series, resolved once per registry: a call looks up no labels.
+_CRC_SERIES = bind_families(lambda reg: {
+    name: family.labels(kernel=CRC_KERNEL) for name, family in _families(reg).items()
+})
+
+
+def _observe(series: dict, bits: int, seconds: float) -> None:
+    """Publish one batch call's size and rate (registry already enabled)."""
+    series["calls"].inc()
+    series["bits_total"].inc(bits)
+    series["call_bits"].observe(bits)
+    if seconds > 0:
+        series["throughput"].observe(bits / seconds / 1e6)
+
 
 def _observe_kernel(kernel: str, bits: int, seconds: float) -> None:
-    """Publish one batch call's size and rate (registry already enabled)."""
-    metrics = _METRICS()
-    metrics["calls"].labels(kernel=kernel).inc()
-    metrics["bits_total"].labels(kernel=kernel).inc(bits)
-    metrics["call_bits"].labels(kernel=kernel).observe(bits)
-    if seconds > 0:
-        metrics["throughput"].labels(kernel=kernel).observe(bits / seconds / 1e6)
+    """Publish one batch call of ``kernel`` (registry already enabled)."""
+    _observe(
+        {name: family.labels(kernel=kernel) for name, family in _METRICS().items()},
+        bits, seconds,
+    )
 
 
 class BatchCRC:
@@ -148,12 +169,13 @@ class BatchCRC:
             return []
         telemetry = default_registry().enabled
         t0 = perf_counter() if telemetry else 0.0
-        registers = self._engine.raw_registers_batch(
-            messages, fold_init, bit_lengths, finalize
+        lengths = list(map(len, messages))
+        registers = self._engine._registers_batch(
+            messages, lengths, fold_init, bit_lengths, finalize
         )
         if telemetry:
-            bits = sum(bit_lengths) if bit_lengths else 8 * sum(map(len, messages))
-            _observe_kernel(CRC_KERNEL, bits, perf_counter() - t0)
+            bits = sum(bit_lengths) if bit_lengths else 8 * sum(lengths)
+            _observe(_CRC_SERIES(), bits, perf_counter() - t0)
         return registers
 
     def _bits_to_bytes(self, bit_streams: Sequence[Sequence[int]]):

@@ -511,6 +511,8 @@ class ParallelBatchCRC:
 
     def compute_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Finalized CRCs of B byte messages, sharded across workers."""
+        if self._pool is None:
+            return self._serial.compute_batch(messages)  # validates the batch
         messages = check_messages(messages)
         bounds = self._shard_batch(messages, lambda m: 8 * len(m))
         if bounds is None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, TableCRC, get as get_crc
+from repro.crc.slicing import GATHER_MIN_ROWS, SLICE_DEPTH
 from repro.engine import (
     BatchAdditiveScrambler,
     BatchCRC,
@@ -150,33 +151,51 @@ class CRCDerbyOracle(Oracle):
 
 
 class CRCBatchOracle(Oracle):
-    """BitwiseCRC vs the batch engine's grouped gather (byte and bit doors)."""
+    """BitwiseCRC vs the batch engine's grouped gather, through the byte
+    and the bit door.  The case's few short payloads alone form groups
+    below :data:`~repro.crc.slicing.GATHER_MIN_ROWS`, which run message by
+    message, so batches built from them follow that reach the gather:
+    each payload repeated to that many rows (an equal-length group), all
+    of them cycled to that many rows (a head-padded group), and those
+    rows tiled past one :data:`~repro.crc.slicing.SLICE_DEPTH`-byte block."""
 
     name = "crc:bitwise-vs-batch"
     kinds = (KIND_CRC,)
 
+    @staticmethod
+    def _batches(payloads: List[bytes]):
+        """``(label, batch)``: the payloads, then the gathered batches."""
+        yield "payloads", payloads
+        if not payloads:
+            return
+        for i, payload in enumerate(payloads):
+            yield f"stream {i} x{GATHER_MIN_ROWS}", [payload] * GATHER_MIN_ROWS
+        rows = max(GATHER_MIN_ROWS, len(payloads))
+        cycled = [payloads[i % len(payloads)] for i in range(rows)]
+        yield "cycled", cycled
+        yield "tiled", [m * (SLICE_DEPTH // max(len(m), 1) + 1) for m in cycled]
+
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         spec, serial = _crc_serial(case)
         engine = BatchCRC(spec, case.M, cache=cache)
-        payloads = case.payloads()
-        expected = [serial.compute(m) for m in payloads]
-        got = engine.compute_batch(payloads)
-        if got != expected:
-            i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
-            return Discrepancy(
-                detail=f"compute_batch stream {i} ({len(payloads[i])} bytes)",
-                expected=f"0x{expected[i]:X}",
-                got=f"0x{got[i]:X}",
-            )
-        bit_streams = [spec.message_bits(m) for m in payloads]
-        got_bits = engine.compute_bits_batch(bit_streams)
-        if got_bits != expected:
-            i = next(j for j, (a, b) in enumerate(zip(expected, got_bits)) if a != b)
-            return Discrepancy(
-                detail=f"compute_bits_batch stream {i}",
-                expected=f"0x{expected[i]:X}",
-                got=f"0x{got_bits[i]:X}",
-            )
+        crcs: Dict[bytes, int] = {}
+        for label, batch in self._batches(case.payloads()):
+            for m in batch:
+                if m not in crcs:
+                    crcs[m] = serial.compute(m)
+            expected = [crcs[m] for m in batch]
+            for door, got in (
+                ("compute_batch", engine.compute_batch(batch)),
+                ("compute_bits_batch",
+                 engine.compute_bits_batch([spec.message_bits(m) for m in batch])),
+            ):
+                if got != expected:
+                    i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
+                    return Discrepancy(
+                        detail=f"{door} {label} row {i} ({len(batch[i])} bytes)",
+                        expected=f"0x{expected[i]:X}",
+                        got=f"0x{got[i]:X}",
+                    )
         return None
 
 

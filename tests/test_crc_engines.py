@@ -21,6 +21,7 @@ from repro.crc import (
     build_table,
     get,
 )
+import repro.crc.slicing as slicing
 from repro.crc.gfmac import chunk_message_bits
 from repro.crc.slicing import GATHER_MIN_ROWS, SLICE_DEPTH
 from repro.engine import BatchCRC, CompileCache
@@ -332,6 +333,84 @@ class TestBatchGather:
         ]
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_equal_length_groups_at_the_edges(self, spec, batch_cache, monkeypatch):
+        """Equal-length groups at the register's and the blocks' edges,
+        of ``GATHER_MIN_ROWS`` rows and of one slab + 1 rows (on a 4-block
+        slab, so the last slab holds one row), through every door.  Rows
+        cycle through five payloads, each checked once bit-serially."""
+        rng = random.Random(f"edges/{spec.name}")
+        D, nbytes = SLICE_DEPTH, -(-spec.width // 8)
+        engine = BatchCRC(spec, 32, cache=batch_cache)
+        serial = BitwiseCRC(spec)
+        monkeypatch.setattr(slicing, "_SLAB_BLOCKS", 4)
+        for n in sorted({1, max(nbytes - 1, 1), nbytes, D - 1, D, D + 1, 2 * D + 1}):
+            pool = [rng.randbytes(n) for _ in range(5)]
+            raws = {m: serial.raw_register(m) for m in pool}
+            zero_start = {m: serial.raw_register(m, 0) for m in pool}
+            bits = {m: spec.message_bits(m) for m in pool}
+            per_slab = slicing._SLAB_BLOCKS * D // n
+            for rows in (GATHER_MIN_ROWS, max(GATHER_MIN_ROWS, per_slab) + 1):
+                batch = [pool[i % len(pool)] for i in range(rows)]
+                streams = [bits[m] for m in batch]
+                assert engine.compute_batch(batch) == [spec.finalize(raws[m]) for m in batch]
+                assert engine.raw_registers(batch) == [raws[m] for m in batch]
+                assert engine.compute_bits_batch(streams) == [
+                    spec.finalize(raws[m]) for m in batch
+                ]
+                assert engine.raw_registers_bits(streams, fold_init=False) == [
+                    zero_start[m] for m in batch
+                ]
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_ragged_init_folds_into_the_gathered_bytes(self, spec, batch_cache, monkeypatch):
+        """Byte messages take the init in their first gathered bytes: a
+        ragged batch whose every block-count group gathers, rows shorter
+        than the register among them, clocks no single message."""
+        rng = random.Random(f"ragged/{spec.name}")
+        D, nbytes = SLICE_DEPTH, -(-spec.width // 8)
+        sizes = [rng.randrange(1, nbytes + 1) for _ in range(4)]
+        sizes += [rng.randrange(1, D + 1) for _ in range(GATHER_MIN_ROWS)]
+        sizes += [rng.randrange(D + 1, 2 * D + 1) for _ in range(GATHER_MIN_ROWS)]
+        rng.shuffle(sizes)
+        messages = [rng.randbytes(n) for n in sizes]
+        serial = BitwiseCRC(spec)
+        raws = [serial.raw_register(m) for m in messages]
+        engine = BatchCRC(spec, 32, cache=batch_cache)
+        clocked = []
+        single = ByteSlicedCRC.raw_register
+        monkeypatch.setattr(
+            ByteSlicedCRC, "raw_register",
+            lambda self, data, register=None: clocked.append(len(data)) or single(self, data, register),
+        )
+        assert engine.compute_batch(messages) == [spec.finalize(r) for r in raws]
+        assert engine.raw_registers(messages) == raws
+        assert clocked == []
+
+    def test_long_messages_gather_from_the_long_floor(self, monkeypatch):
+        """Past ``_SHORT_BLOCKS`` blocks a group of ``GATHER_MIN_ROWS``
+        messages runs message by message, and one of
+        ``LONG_GATHER_MIN_ROWS`` gathers."""
+        rng = random.Random("long-floor")
+        short = slicing._SHORT_BLOCKS * SLICE_DEPTH
+        engine = ByteSlicedCRC(ETHERNET_CRC32)
+        table = TableCRC(ETHERNET_CRC32)
+        clocked = []
+        single = ByteSlicedCRC.raw_register
+        monkeypatch.setattr(
+            ByteSlicedCRC, "raw_register",
+            lambda self, data, register=None: clocked.append(len(data)) or single(self, data, register),
+        )
+        for n, rows, alone in ((short, GATHER_MIN_ROWS, 0),
+                               (short + 1, GATHER_MIN_ROWS, GATHER_MIN_ROWS),
+                               (short + 1, slicing.LONG_GATHER_MIN_ROWS, 0)):
+            messages = [rng.randbytes(n) for _ in range(rows)]
+            clocked.clear()
+            assert engine.raw_registers_batch(messages, fold_init=True, finalize=True) == [
+                table.compute(m) for m in messages
+            ]
+            assert len(clocked) == alone
+
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
     def test_bit_door_off_the_byte_grid(self, spec, batch_cache):
         """Bit streams head-pad to whole bytes: with the init fold they
         match the reference CRC, without it the zero-start register the
@@ -375,6 +454,41 @@ class TestBatchGather:
         assert engine.raw_registers_batch(messages, finalize=False) == [
             table.raw_register(m, 0) for m in messages
         ]
+
+    def test_threads_sharing_one_engine_keep_their_own_slabs(self, batch_cache):
+        """Thread shards share one serial engine: calls on several threads
+        at once, switching every microsecond, each get their own batch's
+        CRCs (the slab buffers are per thread)."""
+        import sys
+        import threading
+
+        spec = get("CRC-32C")
+        serial = BitwiseCRC(spec)
+        rng = random.Random(5)
+        pools = [[rng.randbytes(n) for _ in range(3)] for n in (40, 300, 600, 1000)]
+        crcs = {m: serial.compute(m) for pool in pools for m in pool}
+        engine = BatchCRC(spec, 32, cache=batch_cache)
+        wrong, done = [], []
+
+        def worker(pool):
+            batch = [pool[i % len(pool)] for i in range(64)]
+            for _ in range(30):
+                if engine.compute_batch(batch) != [crcs[m] for m in batch]:
+                    wrong.append(len(pool[0]))
+            done.append(len(pool[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(pool,)) for pool in pools]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [40, 300, 600, 1000] and wrong == []
 
     def test_never_reaches_the_packed_matvec(self, monkeypatch, batch_cache):
         from repro.gf2.backend import NumpyPackedBackend

@@ -195,6 +195,22 @@ class TestRunFuzz:
         assert report.ok
         assert report.pairs_exercised >= 4
 
+    def test_batch_oracle_reaches_the_gather(self, monkeypatch):
+        """A case's few short payloads form groups below the gather floor;
+        the batch oracle's own batches built from them gather."""
+        from repro.crc.slicing import ByteSlicedCRC
+
+        gathered = []
+        gather = ByteSlicedCRC._gather_group
+        monkeypatch.setattr(
+            ByteSlicedCRC, "_gather_group",
+            lambda self, group, *args: gathered.append(len(group)) or gather(self, group, *args),
+        )
+        batch = [o for o in default_oracles() if o.name == "crc:bitwise-vs-batch"]
+        report = run_fuzz(seed=0, max_cases=30, oracles=batch)
+        assert report.ok and report.pair_cases["crc:bitwise-vs-batch"] > 0
+        assert gathered
+
     def test_injected_fault_is_caught_and_shrunk(self):
         oracle = _FaultInjector(threshold=8)
         report = run_fuzz(

@@ -11,7 +11,7 @@ the snapshot that introduces it is generated.
 
 What counts as *gated*: a kernel opts its metrics into the gate by
 carrying a ``gate_*`` key in its report ``params`` or ``metrics`` (e.g.
-``gate_speedup`` on the GF(2) microbench, ``gate_min_speedup`` on the
+``gate_speedup`` on the GF(2) microbench, ``gate_min_b1024_vs_derby`` on the
 batch engine).  Within a gated kernel only dimensionless ratio metrics —
 names containing ``speedup`` or ending in ``_accuracy`` — are compared,
 because absolute rates (msgs/s, Gbit/s, seconds) are machine-dependent:
