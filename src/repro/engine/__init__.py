@@ -14,15 +14,17 @@ Three layers, each reusable on its own:
   blocks over the byte-sliced keystream tables at once, and the
   multiplicative scrambler runs its delay lines on bit-packed GF(2)
   kernels; the CRC keeps the head-zero-padding + init-fold tail contract
-  of :class:`repro.dream.system.DreamSystem`.
+  of :class:`repro.dream.system.DreamSystem`.  An engine's ``M`` is the
+  plan's look-ahead factor; the gather's block is the table stack's
+  depth.
 * :mod:`repro.engine.pipeline` — a chunked feed/finalize streaming API so
   long messages and many concurrent streams share the cache; CRC streams
   advance through the byte table and the byte-sliced gather.
-* :mod:`repro.engine.parallel` — a sharded multi-worker execution layer:
-  batch workloads partition across a thread pool (numpy kernels release
-  the GIL), single messages time-shard with exact ``x^k mod G``
-  recombination, and streaming pipelines spread over shard pipelines
-  with a work-stealing scheduler.
+* :mod:`repro.engine.parallel` — a sharded multi-worker execution layer
+  that partitions by message only: batches split across a thread pool
+  (numpy kernels release the GIL), and streaming pipelines spread their
+  streams over shard pipelines, each stream on the least-loaded shard
+  for its whole life.
 * :mod:`repro.engine.planner` — an execution planner for the batch CRC:
   it times the engine serially and sharded across the host's CPUs, and
   shards only when that measured speedup pays.
@@ -53,7 +55,6 @@ from repro.engine.pipeline import CRCPipeline, ScramblerPipeline
 _LAZY = {
     "ParallelBatchCRC": "parallel",
     "ShardedCRCPipeline": "parallel",
-    "ShardScheduler": "parallel",
     "WorkerPool": "parallel",
     "plan_shards": "parallel",
     "resolve_workers": "parallel",
@@ -101,7 +102,6 @@ __all__ = [
     "Planner",
     "ScramblerPipeline",
     "ShardedCRCPipeline",
-    "ShardScheduler",
     "WorkerPool",
     "WorkloadDescriptor",
     "default_cache",

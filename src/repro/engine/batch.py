@@ -125,8 +125,7 @@ class BatchCRC:
     every pipeline), bit-for-bit identical to
     :class:`repro.crc.bitwise.BitwiseCRC`.  ``M`` is the look-ahead
     factor the engine stands for — the plan's and the netlists' — and
-    sets the time-shard floor of :class:`~repro.engine.parallel.
-    ParallelBatchCRC`; the gather's own block is the stack's depth.
+    the gather's own block is the stack's depth.
     """
 
     def __init__(
@@ -160,7 +159,6 @@ class BatchCRC:
         self,
         messages: List[bytes],
         bit_lengths: Optional[List[int]],
-        fold_init: bool,
         finalize: bool,
     ) -> List[int]:
         """One engine call over head-aligned byte messages, with telemetry;
@@ -171,7 +169,7 @@ class BatchCRC:
         t0 = perf_counter() if telemetry else 0.0
         lengths = list(map(len, messages))
         registers = self._engine._registers_batch(
-            messages, lengths, fold_init, bit_lengths, finalize
+            messages, lengths, True, bit_lengths, finalize
         )
         if telemetry:
             bits = sum(bit_lengths) if bit_lengths else 8 * sum(lengths)
@@ -191,34 +189,18 @@ class BatchCRC:
         ]
         return messages, [len(bits) for bits in checked]
 
-    def raw_registers_bits(
-        self,
-        bit_streams: Sequence[Sequence[int]],
-        fold_init: bool = True,
-    ) -> List[int]:
-        """Raw (pre-finalize) registers for raw bit streams of any lengths.
-
-        ``fold_init=False`` skips the per-stream init correction and
-        returns zero-start registers — the shard form the parallel
-        layer's ``x^k`` combine (see :mod:`repro.engine.parallel`)
-        composes, since only the *first* shard of a message carries the
-        spec preset.
-        """
-        messages, lengths = self._bits_to_bytes(bit_streams)
-        return self._run(messages, lengths, fold_init, finalize=False)
-
     def compute_bits_batch(self, bit_streams: Sequence[Sequence[int]]) -> List[int]:
         """Finalized CRCs of raw bit streams (transmission order)."""
         messages, lengths = self._bits_to_bytes(bit_streams)
-        return self._run(messages, lengths, True, finalize=True)
+        return self._run(messages, lengths, finalize=True)
 
     def raw_registers(self, messages: Sequence[bytes]) -> List[int]:
         """Raw registers for byte messages (lengths may differ)."""
-        return self._run(check_messages(messages), None, True, finalize=False)
+        return self._run(check_messages(messages), None, finalize=False)
 
     def compute_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Finalized CRCs of B byte messages (lengths may differ)."""
-        return self._run(check_messages(messages), None, True, finalize=True)
+        return self._run(check_messages(messages), None, finalize=True)
 
     def compute(self, data: bytes) -> int:
         """Single-message convenience (a batch of one)."""

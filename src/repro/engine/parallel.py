@@ -1,22 +1,12 @@
 """Sharded multi-worker execution layer over the batch kernels.
 
 The paper scales CRC throughput *spatially* — M bits per PiCoGA issue —
-and the batch engines scale it *temporally* — B messages per numpy call.
-This module adds a third axis: independent data shards on a thread pool.
-Two decomposition theorems make sharding a correctness-preserving
-multiplier rather than an approximation:
-
-* **Per-stream partitioning.**  Batch CRC workloads are embarrassingly
-  parallel across messages: any partition of the batch computes exactly
-  the serial result, shard by shard, because messages never interact.
-* **``A^k`` state composition.**  A *single* message also splits: for a
-  zero-start register, feeding ``s1 || s2`` gives
-  ``raw(s1||s2) = raw(s1) · x^{|s2|} ⊕ raw(s2)  (mod G)`` — advancing a
-  register by ``k`` data-free clocks is multiplication by ``A^k``, which
-  in the quotient-ring basis is ``x^k mod G`` (a carry-less multiply).
-  Shards computed independently from zero recombine exactly; the spec's
-  ``init`` preset folds in once at the end, as in the serial tail
-  contract.  The derivation is spelled out in ``docs/PARALLEL.md``.
+and interleaves independent messages through one datapath (Fig. 5); the
+batch engines scale it *temporally* — B messages per numpy call.  This
+module partitions that work across a thread pool by message, and only by
+message: messages never interact, so any partition of a batch, and any
+assignment of streams to pipeline shards, computes exactly the serial
+result, shard by shard (``docs/PARALLEL.md``).
 
 Worker substrate: shards run on a
 :class:`~concurrent.futures.ThreadPoolExecutor`.  The numpy kernels
@@ -44,7 +34,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.crc.spec import CRCSpec
@@ -60,7 +49,7 @@ from repro.telemetry import (
     default_registry,
     default_tracer,
 )
-from repro.validation import check_bit_streams, check_bits, check_messages
+from repro.validation import check_messages
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner probes us)
     from repro.engine.planner import ExecutionPlan
@@ -108,15 +97,10 @@ _METRICS = bind_families(lambda reg: {
         labels=("kind",),
         buckets=(64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20, 1 << 22),
     ),
-    "steals": reg.counter(
-        "engine_parallel_steals_total",
-        "Streams migrated between pipeline shards by the scheduler",
-        labels=("kind",),
-    ),
     "phase": reg.histogram(
         "engine_phase_seconds",
         "Wall-clock seconds per execution phase "
-        "(compile / dispatch / shard-execute / recombine)",
+        "(compile / dispatch / shard-execute)",
         labels=("phase",),
         buckets=PHASE_BUCKETS,
     ),
@@ -143,22 +127,14 @@ def observe_phase(phase: str, wall_s: float, cpu_s: Optional[float] = None) -> N
         metrics["phase_cpu"].labels(phase=phase).observe(cpu_s)
 
 
-def resolve_workers(workers: Union[None, int, str] = None) -> int:
+def resolve_workers(workers: Optional[int] = None) -> int:
     """A worker count: ``workers`` when given, else 1.
 
-    ``workers`` is a positive int, or its decimal string (a CLI flag's
-    value).  Anything else, ``0`` and ``"auto"`` included, raises
-    :class:`~repro.errors.ValidationError`.
+    ``workers`` is a positive int; anything else, ``0`` and ``"auto"``
+    included, raises :class:`~repro.errors.ValidationError`.
     """
     if workers is None:
         return 1
-    if isinstance(workers, str):
-        try:
-            workers = int(workers, 10)
-        except ValueError:
-            raise ValidationError(
-                f"worker count must be a positive integer, got {workers!r}"
-            ) from None
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise ValidationError(
             f"worker count must be a positive integer, got {workers!r}"
@@ -171,8 +147,7 @@ def plan_shards(n_items: int, shards: int) -> List[Tuple[int, int]]:
 
     Returns ``(start, stop)`` half-open index pairs, at most ``shards``
     of them, never empty, sizes differing by at most one — the static
-    round-robin plan the batch front-ends use (the streaming scheduler
-    handles dynamic imbalance separately).
+    plan the batch front-end splits a batch by.
     """
     if shards < 1:
         raise ValidationError(f"shard count must be >= 1, got {shards}")
@@ -422,21 +397,19 @@ def _observe_shards(kind: str, sizes: Sequence[int], bits: Sequence[int]) -> Non
 class ParallelBatchCRC:
     """:class:`~repro.engine.batch.BatchCRC` sharded over a worker pool.
 
-    Batch calls partition across the stream dimension (exact by stream
-    independence); :meth:`compute` time-shards a single long message and
-    recombines the shard registers with the ``x^k mod G`` composition
-    (exact by linearity).  ``workers=1`` *is* the serial engine: no pool
-    is created and every call delegates object-for-object.  A ``plan``
-    supplies the worker count unless ``workers`` is given.  Every batch
-    is validated whole before it is split, so an error names the item's
-    index in the caller's batch.
+    A batch call partitions across the message dimension (exact because
+    messages are independent).  ``workers=1`` *is* the serial engine: no
+    pool is created and every call delegates object-for-object.  A
+    ``plan`` supplies the worker count unless ``workers`` is given.
+    Every batch is validated whole before it is split, so an error names
+    the item's index in the caller's batch.
     """
 
     def __init__(
         self,
         spec: CRCSpec,
         M: int,
-        workers: Union[None, int, str] = None,
+        workers: Optional[int] = None,
         cache: Optional[CompileCache] = None,
         min_shard_bits: int = 4096,
         plan: Optional["ExecutionPlan"] = None,
@@ -500,24 +473,18 @@ class ParallelBatchCRC:
         self.close()
 
     # ------------------------------------------------------------------
-    def _shard_batch(self, items: Sequence, bits_of) -> Optional[List[Tuple[int, int]]]:
-        """The shard plan for a batch call, or ``None`` to run serially."""
-        if self._pool is None or len(items) < 2:
-            return None
-        total_bits = sum(bits_of(item) for item in items)
-        if total_bits < self._min_shard_bits:
-            return None
-        return plan_shards(len(items), self._workers)
-
     def compute_batch(self, messages: Sequence[bytes]) -> List[int]:
-        """Finalized CRCs of B byte messages, sharded across workers."""
+        """Finalized CRCs of B byte messages, sharded across workers.
+
+        A batch of fewer than two messages, or of fewer than
+        ``min_shard_bits`` payload bits, runs serially.
+        """
         if self._pool is None:
             return self._serial.compute_batch(messages)  # validates the batch
         messages = check_messages(messages)
-        bounds = self._shard_batch(messages, lambda m: 8 * len(m))
-        if bounds is None:
+        if len(messages) < 2 or 8 * sum(map(len, messages)) < self._min_shard_bits:
             return self._serial.compute_batch(messages)
-        shards = [messages[a:b] for a, b in bounds]
+        shards = [messages[a:b] for a, b in plan_shards(len(messages), self._workers)]
         _observe_shards(
             "crc-batch",
             [len(s) for s in shards],
@@ -528,201 +495,38 @@ class ParallelBatchCRC:
         )
         return [crc for shard in results for crc in shard]
 
-    def raw_registers_bits(
-        self,
-        bit_streams: Sequence[Sequence[int]],
-        fold_init: bool = True,
-    ) -> List[int]:
-        """Raw registers for bit streams, sharded across workers."""
-        streams = check_bit_streams(bit_streams)
-        bounds = self._shard_batch(streams, len)
-        if bounds is None:
-            return self._serial.raw_registers_bits(streams, fold_init=fold_init)
-        shards = [streams[a:b] for a, b in bounds]
-        _observe_shards(
-            "crc-bits",
-            [len(s) for s in shards],
-            [sum(len(bits) for bits in s) for s in shards],
-        )
-        results = self._pool.run(
-            self._serial.raw_registers_bits,
-            [(s, fold_init) for s in shards],
-        )
-        return [reg for shard in results for reg in shard]
-
-    def compute_bits_batch(self, bit_streams: Sequence[Sequence[int]]) -> List[int]:
-        """Finalized CRCs of raw bit streams, sharded across workers."""
-        return [
-            self.spec.finalize(r) for r in self.raw_registers_bits(bit_streams)
-        ]
-
-    # ------------------------------------------------------------------
-    def _combine_shards(self, raws: Sequence[int], lengths: Sequence[int]) -> int:
-        """Fold zero-start shard registers left-to-right via ``x^k mod G``."""
-        from repro.gf2.clmul import clmulmod
-
-        t0, c0 = perf_counter(), process_time()
-        g = self.spec.generator().coeffs
-        acc = 0
-        for raw, nbits in zip(raws, lengths):
-            acc = clmulmod(acc, self._xpow(nbits), g) ^ raw
-        observe_phase("recombine", perf_counter() - t0, process_time() - c0)
-        return acc
-
-    def _xpow(self, n_bits: int) -> int:
-        """``x^n mod G`` — the register-advance multiplier, cached."""
-        from repro.gf2.clmul import clpowmod
-
-        g = self.spec.generator().coeffs
-        return self._cache.get(
-            ("xpow", self.spec, n_bits), lambda: clpowmod(2, n_bits, g)
-        )
-
-    def compute_sharded_bits(self, bits: Sequence[int]) -> int:
-        """One message's CRC via time-axis sharding + ``A^k`` recombination.
-
-        The bit stream (transmission order) splits into ``workers``
-        contiguous shards; each worker computes its shard's zero-start
-        register independently and the shard registers are composed with
-        carry-less multiplies.  Bit-exact for every length, including
-        lengths not divisible by the shard count (the plan just makes
-        the leading shards one bit longer).
-        """
-        bits = check_bits(bits)
-        if (
-            self._pool is None
-            or len(bits) < max(2 * self.M, self._min_shard_bits)
-        ):
-            return self.spec.finalize(
-                self._serial.raw_registers_bits([bits])[0]
-            )
-        bounds = plan_shards(len(bits), self._workers)
-        shards = [bits[a:b] for a, b in bounds]
-        _observe_shards("crc-timeshard", [1] * len(shards), [len(s) for s in shards])
-        results = self._pool.run(
-            self._serial.raw_registers_bits,
-            [([s], False) for s in shards],
-        )
-        raw0 = self._combine_shards(
-            [r[0] for r in results], [len(s) for s in shards]
-        )
-        raw = raw0 ^ self._cache.init_fold(self.spec, len(bits))
-        return self.spec.finalize(raw)
-
-    def compute(self, data: bytes) -> int:
-        """Single-message CRC; long messages are time-sharded across workers."""
-        return self.compute_sharded_bits(self.spec.message_bits(data))
-
 
 # ----------------------------------------------------------------------
-# Streaming: work-aware shard scheduler + sharded pipeline
+# Streaming: pipeline shards
 # ----------------------------------------------------------------------
-class ShardScheduler:
-    """Least-pending assignment with threshold-gated stealing.
-
-    New streams land on the shard with the fewest pending bits (ties
-    break round-robin, so an idle start spreads arrivals evenly).  When
-    the heaviest shard's backlog exceeds ``steal_ratio`` times the
-    lightest's **and** the gap is worth at least one block, the
-    scheduler plans migrations that move whole streams from the heavy
-    shard to the light one until the gap closes — cheap to decide (one
-    pass over pending gauges), and exact because CRC streams are
-    independent and carry their state with them.
-    """
-
-    def __init__(self, shards: int, steal_ratio: float = 2.0):
-        if shards < 1:
-            raise ValidationError(f"scheduler needs >= 1 shard, got {shards}")
-        if steal_ratio < 1.0:
-            raise ValidationError(
-                f"steal ratio must be >= 1.0, got {steal_ratio}"
-            )
-        self._shards = shards
-        self._ratio = steal_ratio
-        self._rr = count()
-
-    @property
-    def shards(self) -> int:
-        """Number of shards being scheduled."""
-        return self._shards
-
-    def assign(self, pending_bits: Sequence[int]) -> int:
-        """Pick the shard for a newly opened stream."""
-        if len(pending_bits) != self._shards:
-            raise ValidationError(
-                f"expected {self._shards} pending gauges, got {len(pending_bits)}"
-            )
-        low = min(pending_bits)
-        candidates = [i for i, p in enumerate(pending_bits) if p == low]
-        return candidates[next(self._rr) % len(candidates)]
-
-    def plan_steals(
-        self,
-        pending_bits: Sequence[int],
-        stream_bits: Sequence[Dict[Hashable, int]],
-        min_gap: int,
-    ) -> List[Tuple[Hashable, int, int]]:
-        """Plan ``(stream_id, src, dst)`` migrations to close a lag gap.
-
-        ``stream_bits`` maps stream id -> buffered bits per shard.  The
-        plan greedily moves the largest streams off the heaviest shard
-        while the imbalance stays above both the ratio and ``min_gap``;
-        it never empties the source below the destination.
-        """
-        pending = list(pending_bits)
-        moves: List[Tuple[Hashable, int, int]] = []
-        for _ in range(sum(len(m) for m in stream_bits)):
-            src = max(range(len(pending)), key=pending.__getitem__)
-            dst = min(range(len(pending)), key=pending.__getitem__)
-            gap = pending[src] - pending[dst]
-            if gap < min_gap or pending[src] < self._ratio * max(pending[dst], 1):
-                break
-            movable = {
-                sid: bits
-                for sid, bits in stream_bits[src].items()
-                if 0 < bits
-                and (bits <= gap // 2 or (bits <= gap and len(stream_bits[src]) > 1))
-            }
-            if not movable:
-                break
-            sid = max(movable, key=movable.__getitem__)
-            bits = stream_bits[src].pop(sid)
-            stream_bits[dst][sid] = bits
-            pending[src] -= bits
-            pending[dst] += bits
-            moves.append((sid, src, dst))
-        return moves
-
-
 class ShardedCRCPipeline:
     """Many concurrent CRC streams over N pipeline shards and a thread pool.
 
     Each shard is a full :class:`~repro.engine.pipeline.CRCPipeline`
-    sharing one compile cache, so shards compile once collectively.
-    ``pump`` hands every backlogged shard to the thread pool, each shard
-    pumping its own streams through the byte engines; before dispatch
-    the :class:`ShardScheduler` migrates streams off lagging shards.  The
-    public surface mirrors ``CRCPipeline`` — ``open`` / ``feed`` /
-    ``feed_bits`` / ``pump`` / ``finalize`` / ``abort`` — and is
-    bit-exact against it under any delivery schedule, including
+    sharing one compile cache, so shards compile once collectively.  A
+    stream lives on the shard :meth:`open` put it on until it is
+    finalized or aborted.  ``pump`` hands every backlogged shard to the
+    thread pool, each shard pumping its own streams through the byte
+    engines.  The public surface mirrors ``CRCPipeline`` — ``open`` /
+    ``feed`` / ``feed_bits`` / ``pump`` / ``finalize`` / ``abort`` — and
+    is bit-exact against it under any delivery schedule, including
     mid-stream aborts (the ``parallel:workers1-vs-workersN`` fuzz oracle
     drives exactly that).
 
     Every public mutator is serialized on one re-entrant lock, so
-    callers on several threads can never observe a stream mid-migration
-    or a half-advanced shard.  :meth:`close` is idempotent and
-    thread-safe; after close, open streams stay intact and every call
-    still computes bit-exact results — pumps simply run serially
-    instead of re-spawning the worker pool.
+    callers on several threads can never observe a half-advanced
+    shard.  :meth:`close` is idempotent and thread-safe; after close,
+    open streams stay intact and every call still computes bit-exact
+    results — pumps simply run serially instead of re-spawning the
+    worker pool.
     """
 
     def __init__(
         self,
         spec: CRCSpec,
         M: int,
-        workers: Union[None, int, str] = None,
+        workers: Optional[int] = None,
         cache: Optional[CompileCache] = None,
-        scheduler: Optional[ShardScheduler] = None,
         plan: Optional["ExecutionPlan"] = None,
     ):
         if plan is not None and workers is None:
@@ -733,20 +537,15 @@ class ShardedCRCPipeline:
         self._shards = [
             CRCPipeline(spec, M, cache=self._cache) for _ in range(self._workers)
         ]
-        self._scheduler = scheduler or ShardScheduler(self._workers)
-        if self._scheduler.shards != self._workers:
-            raise ValidationError(
-                f"scheduler plans {self._scheduler.shards} shards but the "
-                f"pipeline has {self._workers}"
-            )
         self._home: Dict[Hashable, int] = {}
         self._auto_ids = count()
+        self._ties = count()  # round-robin among equally loaded shards
         self._pool = (
             WorkerPool(self._workers) if self._workers > 1 else None
         )
         self._spec = spec
         self._M = M
-        # Serializes open/feed/pump/rebalance/finalize/abort/close so the
+        # Serializes open/feed/pump/finalize/abort/close so the
         # pipeline is safe to drive from several threads at once.
         self._lock = threading.RLock()
         self._closed = False
@@ -793,7 +592,7 @@ class ShardedCRCPipeline:
             return sum(s.pending_bits() for s in self._shards)
 
     def shard_pending(self) -> List[int]:
-        """Per-shard pending-bits gauges (the scheduler's lag signal)."""
+        """Per-shard pending-bits gauges (what :meth:`open` balances)."""
         with self._lock:
             return [s.pending_bits() for s in self._shards]
 
@@ -839,13 +638,24 @@ class ShardedCRCPipeline:
         stream_id: Optional[Hashable] = None,
         register: Optional[int] = None,
     ) -> Hashable:
-        """Open a stream on the least-loaded shard; returns its id."""
+        """Open a stream on the least-loaded shard; returns its id.
+
+        The shard with the fewest pending bits takes the stream; ties
+        break round-robin, so an idle start spreads arrivals evenly.  An
+        omitted id is the first ``shard-auto-N`` not already open.
+        """
         with self._lock:
             if stream_id is None:
-                stream_id = f"shard-auto-{next(self._auto_ids)}"
+                stream_id = next(
+                    sid for sid in map("shard-auto-{}".format, self._auto_ids)
+                    if sid not in self._home
+                )
             if stream_id in self._home:
                 raise StreamError(f"stream {stream_id!r} is already open")
-            shard = self._scheduler.assign(self.shard_pending())
+            pending = self.shard_pending()
+            low = min(pending)
+            candidates = [i for i, p in enumerate(pending) if p == low]
+            shard = candidates[next(self._ties) % len(candidates)]
             self._shards[shard].open(stream_id=stream_id, register=register)
             self._home[stream_id] = shard
             return stream_id
@@ -866,51 +676,14 @@ class ShardedCRCPipeline:
             if pump:
                 self.pump()
 
-    def rebalance(self) -> int:
-        """Steal streams from lagging shards; returns migrations made."""
-        with self._lock:
-            return self._rebalance_locked()
-
-    def _rebalance_locked(self) -> int:
-        if self._workers < 2:
-            return 0
-        stream_bits: List[Dict[Hashable, int]] = []
-        for idx, shard in enumerate(self._shards):
-            stream_bits.append(
-                {
-                    sid: shard.pending_bits(sid)
-                    for sid, home in self._home.items()
-                    if home == idx
-                }
-            )
-        moves = self._scheduler.plan_steals(
-            self.shard_pending(), stream_bits, min_gap=self._M
-        )
-        for sid, src, dst in moves:
-            self._shards[src].migrate(sid, self._shards[dst])
-            self._home[sid] = dst
-        if moves:
-            if default_registry().enabled:
-                _METRICS()["steals"].labels(kind="crc").inc(len(moves))
-            recorder = default_flight_recorder()
-            if recorder.enabled:
-                recorder.record(
-                    "steal",
-                    f"{len(moves)} stream(s) migrated",
-                    pipeline="crc",
-                    moves=[(str(sid), src, dst) for sid, src, dst in moves],
-                )
-        return len(moves)
-
     def pump(self) -> int:
-        """Rebalance, then advance every backlogged shard concurrently.
+        """Advance every backlogged shard concurrently.
 
         Returns the total number of M-bit blocks processed across shards.
         After :meth:`close`, pump rounds run serially (same results, no
         pool re-spawn).
         """
         with self._lock:
-            self._rebalance_locked()
             busy = [s for s in self._shards if s.pending_bits() >= self._M]
             if not busy:
                 return 0

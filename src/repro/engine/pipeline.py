@@ -185,9 +185,9 @@ class CRCPipeline:
 
     # ------------------------------------------------------------------
     def open(self, stream_id: Optional[Hashable] = None, register: Optional[int] = None) -> Hashable:
-        """Start a stream; returns its id (auto-allocated when omitted)."""
+        """Start a stream; returns its id (the first free 0, 1, … when omitted)."""
         if stream_id is None:
-            stream_id = next(self._auto_ids)
+            stream_id = next(i for i in self._auto_ids if i not in self._streams)
         if stream_id in self._streams:
             raise StreamError(f"stream {stream_id!r} is already open")
         if register is None:
@@ -322,30 +322,6 @@ class CRCPipeline:
         self._stream(stream_id)
         del self._streams[stream_id]
 
-    def migrate(self, stream_id: Hashable, target: "CRCPipeline") -> None:
-        """Move one open stream (state + buffered input) into ``target``.
-
-        Both pipelines must run the same ``(spec, M)``, so the stream's
-        register, buffered input and block count mean the same thing on
-        either side — this is the primitive the sharded execution
-        layer's work-stealing scheduler uses to rebalance shards
-        (:class:`repro.engine.parallel.ShardedCRCPipeline`).
-        """
-        if target is self:
-            return
-        if target._spec != self._spec or target._M != self._M:
-            raise StreamError(
-                f"cannot migrate stream {stream_id!r}: pipelines disagree on "
-                f"(spec, M)"
-            )
-        stream = self._stream(stream_id)
-        if stream_id in target._streams:
-            raise StreamError(
-                f"stream {stream_id!r} is already open in the target pipeline"
-            )
-        del self._streams[stream_id]
-        target._streams[stream_id] = stream
-
 
 @dataclass
 class _ScramblerStream:
@@ -412,9 +388,10 @@ class ScramblerPipeline:
 
     # ------------------------------------------------------------------
     def open(self, stream_id: Optional[Hashable] = None, seed: Optional[int] = None) -> Hashable:
-        """Open a stream with its own seed; returns the stream id."""
+        """Open a stream with its own seed; returns the stream id (the
+        first free 0, 1, … when omitted)."""
         if stream_id is None:
-            stream_id = next(self._auto_ids)
+            stream_id = next(i for i in self._auto_ids if i not in self._streams)
         if stream_id in self._streams:
             raise StreamError(f"stream {stream_id!r} is already open")
         if seed is None:

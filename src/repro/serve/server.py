@@ -374,7 +374,10 @@ class ReproServer:
             )
         client_id = header.get("id")
         if client_id is None:
-            client_id = f"auto-{next(conn.auto_ids)}"
+            client_id = next(
+                cid for cid in map("auto-{}".format, conn.auto_ids)
+                if cid not in conn.streams
+            )
         client_id = str(client_id)
         if client_id in conn.streams:
             raise StreamError(f"stream {client_id!r} is already open")

@@ -3,9 +3,9 @@
 Where the metrics registry answers "how much" and the tracer answers
 "how long", the flight recorder answers "what just happened" — the last
 N structured events (compile/cache operations, plan decisions, shard
-dispatches, worker crashes, steals/migrations, validation failures)
-kept in a fixed-size ring so a crash can be explained after the fact
-without any always-on logging cost.
+dispatches, worker crashes, validation failures) kept in a fixed-size
+ring so a crash can be explained after the fact without any always-on
+logging cost.
 
 The recorder is **enabled by default**: recording one event is a lock,
 a dict build, and a deque append, and events are emitted at

@@ -305,16 +305,17 @@ def _shrink_candidates(case: FuzzCase) -> List[FuzzCase]:
         nbytes = len(m) // 2
         if nbytes == 0:
             continue
-        for cut in (nbytes // 2, nbytes - 1):
-            if cut < nbytes:
-                shorter = list(case.messages)
-                shorter[i] = m[: 2 * cut]
-                chunks = list(case.chunks)
-                if i < len(chunks):
-                    chunks[i] = _clip_plan(chunks[i], cut)
-                out.append(
-                    replace(case, messages=tuple(shorter), chunks=tuple(chunks))
-                )
+        # Keep half the payload, or cut ever shorter tails off it: a
+        # quarter, an eighth, ... down to one byte.
+        cuts = {nbytes // 2, nbytes - 1}
+        cuts.update(nbytes - (nbytes >> k) for k in range(2, nbytes.bit_length()))
+        for cut in sorted(cuts):
+            shorter = list(case.messages)
+            shorter[i] = m[: 2 * cut]
+            chunks = list(case.chunks)
+            if i < len(chunks):
+                chunks[i] = _clip_plan(chunks[i], cut)
+            out.append(replace(case, messages=tuple(shorter), chunks=tuple(chunks)))
     if case.seeds:
         out.append(replace(case, seeds=()))
     if case.aborts:
@@ -326,12 +327,15 @@ def _shrink_candidates(case: FuzzCase) -> List[FuzzCase]:
                 chunks=tuple((len(m) // 2,) if m else () for m in case.messages),
             )
         )
-    for i, plan in enumerate(case.chunks):
-        for j in range(len(plan) - 1):
-            chunks = list(case.chunks)
-            chunks[i] = plan[:j] + (plan[j] + plan[j + 1],) + plan[j + 2:]
-            out.append(replace(case, chunks=tuple(chunks)))
     return out
+
+
+def _merge_chunks(case: FuzzCase, i: int, j: int) -> FuzzCase:
+    """``case`` with chunks ``j`` and ``j + 1`` of stream ``i`` merged."""
+    chunks = list(case.chunks)
+    plan = chunks[i]
+    chunks[i] = plan[:j] + (plan[j] + plan[j + 1],) + plan[j + 2:]
+    return replace(case, chunks=tuple(chunks))
 
 
 def shrink(
@@ -343,11 +347,23 @@ def shrink(
 
     Returns ``(minimal_case, probes_used)``.  The predicate is never
     trusted to be cheap, so the probe budget bounds total work; the result
-    is locally minimal with respect to the candidate moves (drop a stream,
-    halve/truncate a payload with its chunk plan clipped to match, drop
-    seeds/aborts, merge all of the chunks or two adjacent ones).
+    is locally minimal with respect to the candidate moves (drop a stream;
+    halve a payload or cut a quarter, an eighth, ... or one byte off its
+    tail, with its chunk plan clipped to match; drop seeds/aborts; merge
+    all of the chunks or two adjacent ones).
     """
     probes = 0
+
+    def fails(cand: FuzzCase) -> bool:
+        nonlocal probes
+        probes += 1
+        try:
+            return bool(still_fails(cand))
+        except Exception:
+            # A candidate that crashes an engine is a different bug;
+            # don't let it hijack the shrink.
+            return False
+
     best = case
     improved = True
     while improved and probes < max_probes:
@@ -355,16 +371,23 @@ def shrink(
         for cand in sorted(_shrink_candidates(best), key=_case_sort_key):
             if probes >= max_probes:
                 break
-            probes += 1
-            failed = False
-            try:
-                failed = still_fails(cand)
-            except Exception:
-                # A candidate that crashes an engine is a different bug;
-                # don't let it hijack the shrink.
-                failed = False
-            if failed:
+            if fails(cand):
                 best = cand
                 improved = True
                 break
+        else:
+            # An adjacent merge sorts after every other move, so it is
+            # tried only once they all pass.  One pass walks each
+            # stream's chunks, merging in place while the case keeps
+            # failing: one probe a merge, where a restart would re-probe
+            # every other move before the next merge.
+            for i in range(len(best.chunks)):
+                j = 0
+                while j < len(best.chunks[i]) - 1 and probes < max_probes:
+                    cand = _merge_chunks(best, i, j)
+                    if fails(cand):
+                        best = cand
+                        improved = True
+                    else:
+                        j += 1
     return best, probes

@@ -6,10 +6,8 @@ need to time anything: ``host_profiles`` provides a stable menu of
 measured hosts (the BENCH_5 1-CPU container, a 16-core server, a pool
 that measured slower than serial, ...) and ``fake_clock`` replaces
 ``time.perf_counter`` wherever a probe or threshold check would
-otherwise be timing-flaky.  The ``lagged_pipeline`` factory builds the
-hand-imbalanced sharded pipeline the scheduler-stealing tests exercise,
-and ``crashing_worker`` supplies the deterministic failing shard
-function for crash-containment tests.
+otherwise be timing-flaky.  ``crashing_worker`` supplies the
+deterministic failing shard function for crash-containment tests.
 """
 
 import pytest
@@ -81,49 +79,6 @@ def make_host_profiles():
 def host_profiles():
     """Canned measured host profiles, keyed by a descriptive name."""
     return make_host_profiles()
-
-
-@pytest.fixture
-def lagged_pipeline():
-    """Factory: a 2-shard CRC pipeline with all load piled on one shard.
-
-    Returns ``(pipe, streams)`` where ``streams`` maps ``"a"``/``"b"``/
-    ``"c"`` to stream ids — ``a`` and ``b`` carry the given bit loads on
-    the *same* shard (forced by hand-migration), ``c`` is an empty
-    stream on the other shard.  ``pipe.shard_pending()`` is therefore
-    maximally imbalanced on return, deterministically, with no sleeps or
-    cross-thread races involved.
-    """
-    from repro.engine import CompileCache, ShardedCRCPipeline, ShardScheduler
-    from repro.crc import get as get_crc
-
-    pipes = []
-
-    def build(heavy_bits=2000, light_bits=1564, steal_ratio=1.0):
-        spec = get_crc("CRC-16/ARC")
-        cache = CompileCache()
-        sched = ShardScheduler(2, steal_ratio=steal_ratio)
-        pipe = ShardedCRCPipeline(spec, 8, workers=2, cache=cache, scheduler=sched)
-        a = pipe.open("a")
-        b = pipe.open("b")
-        pipe.feed_bits(a, [1] * heavy_bits, pump=False)
-        pipe.feed_bits(b, [0] * 64, pump=False)
-        c = pipe.open("c")  # lands on the lighter shard
-        # Force every loaded stream onto a's shard so one shard holds
-        # all pending bits and the other none.
-        home_a = pipe._home[a]
-        heavy_shard = pipe.shards[home_a]
-        for sid in (b, c):
-            if pipe._home[sid] != home_a:
-                pipe.shards[pipe._home[sid]].migrate(sid, heavy_shard)
-                pipe._home[sid] = home_a
-        pipe.feed_bits(b, [1] * (light_bits - 64), pump=False)
-        pipes.append(pipe)
-        return pipe, {"a": a, "b": b, "c": c}
-
-    yield build
-    for pipe in pipes:
-        pipe.close()
 
 
 @pytest.fixture

@@ -328,9 +328,6 @@ class TestBatchGather:
         assert engine.compute_bits_batch(streams) == [
             serial.compute_bits(s) for s in streams
         ]
-        assert engine.raw_registers_bits(streams, fold_init=False) == [
-            serial.process_bits(0, s) for s in streams
-        ]
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
     def test_equal_length_groups_at_the_edges(self, spec, batch_cache, monkeypatch):
@@ -346,7 +343,6 @@ class TestBatchGather:
         for n in sorted({1, max(nbytes - 1, 1), nbytes, D - 1, D, D + 1, 2 * D + 1}):
             pool = [rng.randbytes(n) for _ in range(5)]
             raws = {m: serial.raw_register(m) for m in pool}
-            zero_start = {m: serial.raw_register(m, 0) for m in pool}
             bits = {m: spec.message_bits(m) for m in pool}
             per_slab = slicing._SLAB_BLOCKS * D // n
             for rows in (GATHER_MIN_ROWS, max(GATHER_MIN_ROWS, per_slab) + 1):
@@ -356,9 +352,6 @@ class TestBatchGather:
                 assert engine.raw_registers(batch) == [raws[m] for m in batch]
                 assert engine.compute_bits_batch(streams) == [
                     spec.finalize(raws[m]) for m in batch
-                ]
-                assert engine.raw_registers_bits(streams, fold_init=False) == [
-                    zero_start[m] for m in batch
                 ]
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
@@ -412,18 +405,14 @@ class TestBatchGather:
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
     def test_bit_door_off_the_byte_grid(self, spec, batch_cache):
-        """Bit streams head-pad to whole bytes: with the init fold they
-        match the reference CRC, without it the zero-start register the
-        time shards compose."""
+        """Bit streams head-pad to whole bytes, and the init folds back in
+        at each stream's true length: the reference CRC."""
         rng = random.Random(f"bits/{spec.name}")
         streams = [[rng.randrange(2) for _ in range(n)] for n in _bit_lengths(spec)]
         engine = BatchCRC(spec, 32, cache=batch_cache)
         serial = BitwiseCRC(spec)
         assert engine.compute_bits_batch(streams) == [
             serial.compute_bits(s) for s in streams
-        ]
-        assert engine.raw_registers_bits(streams, fold_init=False) == [
-            serial.process_bits(0, s) for s in streams
         ]
 
     def test_wider_than_64_bits_runs_per_message(self, batch_cache):
@@ -436,9 +425,6 @@ class TestBatchGather:
         assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
         assert engine.compute_bits_batch(streams) == [
             serial.compute_bits(s) for s in streams
-        ]
-        assert engine.raw_registers_bits(streams, fold_init=False) == [
-            serial.process_bits(0, s) for s in streams
         ]
 
     @pytest.mark.parametrize("name", ["CRC-32", "CRC-16/ARC", "CRC-12/UMTS"])
@@ -501,6 +487,5 @@ class TestBatchGather:
         messages = [bytes(range(256))] * 64 + [b"", b"abc"]
         assert engine.compute_batch(messages)[-1] == BitwiseCRC(ETHERNET_CRC32).compute(b"abc")
         engine.raw_registers(messages)
-        engine.compute_bits_batch([[1, 0, 1]] * 5)
-        engine.raw_registers_bits([[1] * 100], fold_init=False)
+        engine.compute_bits_batch([[1, 0, 1]] * 5 + [[1] * 100])
         assert calls == []

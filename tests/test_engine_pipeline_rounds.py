@@ -22,7 +22,7 @@ import pytest
 import repro.crc.slicing as slicing_mod
 from repro.crc import CATALOG, BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
 from repro.crc.slicing import SLICE_DEPTH, ByteSlicedCRC
-from repro.engine import BatchCRC, CompileCache, CRCPipeline, ShardedCRCPipeline, ShardScheduler
+from repro.engine import BatchCRC, CompileCache, CRCPipeline
 from repro.engine.pipeline import SHORT_RUN_BYTES
 from repro.errors import StreamError, ValidationError
 from repro.gf2.backend import NumpyPackedBackend
@@ -383,84 +383,6 @@ def test_seeded_registers(engine, cache):
     pipe.feed(sid, b"seeded register" * 4)
     expected = spec.finalize(serial.raw_register(b"seeded register" * 4, 0x1234ABCD))
     assert pipe.finalize(sid) == expected
-
-
-@pytest.mark.parametrize("src_engine", sorted(ENGINES))
-@pytest.mark.parametrize("dst_engine", sorted(ENGINES))
-def test_migrate_and_abort_mid_stream(src_engine, dst_engine, cache):
-    spec = get_crc("CRC-32")
-    serial = BitwiseCRC(spec)
-    src = _pipe(spec, 32, cache, src_engine)
-    dst = _pipe(spec, 32, cache, dst_engine)
-    keep, ghost = src.open("keep"), src.open("ghost")
-    src.feed(keep, b"first half, ")
-    src.feed(ghost, b"never finished" * 3)
-    src.migrate(keep, dst)
-    src.abort(ghost)
-    assert src.stream_count == 0 and src.pending_bits() == 0
-    dst.feed(keep, b"second half")
-    assert dst.finalize(keep) == serial.compute(b"first half, second half")
-
-
-@pytest.mark.parametrize("src_bytes", [True, False])
-@pytest.mark.parametrize("dst_bytes", [True, False])
-def test_migrate_keeps_the_stream_buffer(src_bytes, dst_bytes, cache):
-    """A migrated stream keeps its whole buffer: unabsorbed bytes, bits a
-    block counted inside a byte (7 blocks of M = 20), and a partial byte
-    when the source fed bits (``src_bytes`` False).  The target goes on
-    with bytes or bits (``dst_bytes``)."""
-    spec = get_crc("CRC-16/ARC")
-    serial = BitwiseCRC(spec)
-    src, dst = _pipe(spec, 20, cache, "table"), _pipe(spec, 20, cache, "sliced")
-    sid = src.open()
-    head = spec.message_bits(bytes(range(19)))
-    if src_bytes:
-        src.feed(sid, bytes(range(19)))
-    else:
-        head = head[:-3]
-        src.feed_bits(sid, head)
-    pending = src.pending_bits(sid)
-    assert pending == len(head) % 20
-    src.migrate(sid, dst)
-    assert dst.pending_bits(sid) == pending and src.pending_bits() == 0
-    tail = spec.message_bits(bytes(range(100, 190)))
-    if dst_bytes:
-        dst.feed(sid, bytes(range(100, 190)))
-    else:
-        dst.feed_bits(sid, tail)
-    assert dst.pending_bits(sid) == (len(head) + len(tail)) % 20
-    expected = spec.finalize(serial.process_bits(spec.init, head + tail))
-    assert dst.finalize_many([sid]) == [expected]
-
-
-def test_sharded_stealing_moves_byte_streams_exactly():
-    """Work stealing migrates byte streams between shards mid-message."""
-    spec = get_crc("CRC-32")
-    pipe = ShardedCRCPipeline(
-        spec, 64, workers=2, cache=CompileCache(), scheduler=ShardScheduler(2, steal_ratio=1.0)
-    )
-    try:
-        a, b = pipe.open("a"), pipe.open("b")
-        c = pipe.open("c")
-        home = pipe._home[a]
-        for sid in (b, c):
-            if pipe._home[sid] != home:
-                pipe.shards[pipe._home[sid]].migrate(sid, pipe.shards[home])
-                pipe._home[sid] = home
-        payloads = {a: bytes(range(250)) * 3, b: b"light" * 40, c: b""}
-        for sid, payload in payloads.items():
-            pipe.feed(sid, payload[: len(payload) // 2], pump=False)
-        assert min(pipe.shard_pending()) == 0
-        assert pipe.rebalance() >= 1
-        assert min(pipe.shard_pending()) > 0
-        for sid, payload in payloads.items():
-            pipe.feed(sid, payload[len(payload) // 2:])
-        serial = BitwiseCRC(spec)
-        assert pipe.finalize_many([a, b]) == [serial.compute(payloads[a]), serial.compute(payloads[b])]
-        pipe.abort(c)
-        assert pipe.stream_count == 0 and pipe.pending_bits() == 0
-    finally:
-        pipe.close()
 
 
 def test_abort_and_finalize_many_release_byte_buffers(cache):

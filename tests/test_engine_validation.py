@@ -113,6 +113,18 @@ class TestStreamIds:
         with pytest.raises(StreamError, match="already open"):
             pipe.open("s")
 
+    def test_crc_pipeline_auto_ids_skip_open_ids(self):
+        pipe = CRCPipeline(ETHERNET_CRC32, 8)
+        pipe.open(0)
+        pipe.open(2)
+        assert [pipe.open(), pipe.open()] == [1, 3]
+
+    def test_scrambler_pipeline_auto_ids_skip_open_ids(self):
+        pipe = ScramblerPipeline(IEEE, 8)
+        pipe.open(0)
+        pipe.open(2)
+        assert [pipe.open(), pipe.open()] == [1, 3]
+
     def test_scrambler_pipeline_unknown_stream(self):
         pipe = ScramblerPipeline(IEEE, 8)
         with pytest.raises(StreamError):

@@ -469,6 +469,17 @@ class TestServerErrors:
 
         run(scenario())
 
+    def test_omitted_id_skips_ids_already_open(self):
+        async def scenario():
+            async with make_server() as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    await c.open_stream("auto-0")
+                    sid = await c.open_stream()
+                    await c.feed(sid, b"auto")
+                    return sid, await c.read_digest(sid)
+
+        assert run(scenario()) == ("auto-1", ORACLE.compute(b"auto"))
+
     def test_unknown_verb_drops_connection(self):
         from repro.serve.protocol import read_frame, write_frame
 

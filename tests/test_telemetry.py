@@ -482,9 +482,9 @@ class TestFlightRecorder:
 
         rec = FlightRecorder()
         assert format_events(rec.events()) == "(no events recorded)"
-        rec.record("steal", "2 stream(s) migrated", worker="w0", n=2)
+        rec.record("dispatch", "2 shard(s)", worker="w0", n=2)
         text = format_events(rec.events())
-        assert "steal" in text and "worker=w0" in text and "n=2" in text
+        assert "dispatch" in text and "worker=w0" in text and "n=2" in text
 
     def test_attach_flight_dump_names_worker(self):
         from repro.errors import StreamError

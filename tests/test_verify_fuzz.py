@@ -160,6 +160,31 @@ class TestShrinking:
         assert len(minimal.messages[0]) // 2 == SLICE_DEPTH + 1
         assert len(minimal.chunk_plan(0)) == 2
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_multi_chunk_failure_reaches_two_chunks(self, seed):
+        """A dropped-carry failure (stream 0 holds more than one block in
+        at least two chunks) shrinks from 757 bytes in 155 chunks to one
+        block + 1 byte in two chunks within the default probe budget:
+        tails are cut in ever smaller steps, and a chunk merge costs one
+        probe."""
+        rng = random.Random(seed)
+        cuts = sorted(rng.sample(range(1, 757), 154))
+        plan = tuple(b - a for a, b in zip([0, *cuts], [*cuts, 757]))
+        case = FuzzCase(
+            kind=KIND_SCRAMBLER, spec="DVB", M=8, method="", seeds=(1, 2),
+            messages=(rng.randbytes(757).hex(), rng.randbytes(90).hex()),
+            chunks=(plan, (40, 50)), aborts=(),
+        )
+
+        def dropped_carry(c):
+            return len(c.messages[0]) // 2 > SLICE_DEPTH and len(c.chunk_plan(0)) >= 2
+
+        minimal, probes = shrink(case, dropped_carry)
+        assert len(minimal.messages[0]) // 2 == SLICE_DEPTH + 1
+        assert len(minimal.chunk_plan(0)) == 2
+        assert minimal.batch == 1
+        assert probes < 400
+
     def test_probe_budget_bounds_work(self):
         oracle = _FaultInjector(threshold=1)
         cache = CompileCache()
