@@ -62,12 +62,12 @@ async def _dispatch_rate(server, expected):
         server._connections.add(conn)
         try:
             for _ in range(DISPATCH_MSGS):
-                opened, _ = server._dispatch(conn, {"op": "open-stream"}, b"")
+                opened = server._dispatch(conn, {"op": "open-stream"}, b"")
                 await asyncio.sleep(0)
                 sid = opened["id"]
                 server._dispatch(conn, {"op": "feed-chunk", "id": sid}, PAYLOAD)
                 await asyncio.sleep(0)
-                response, _ = server._dispatch(
+                response = server._dispatch(
                     conn, {"op": "read-digest", "id": sid}, b""
                 )
                 await asyncio.sleep(0)

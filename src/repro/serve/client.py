@@ -13,15 +13,15 @@ responses strictly alternate on the one TCP stream (the protocol has no
 request ids to correlate pipelined replies).  Open several clients for
 concurrency — that is exactly what the server's multiplexing is for.
 
-Frames are consumed by one background **reader task** per connection
-rather than inline in each request: the task parks on the socket
-permanently, resolves the in-flight request's future when its response
-lands, and surfaces connection loss or an unsolicited server frame
-*immediately* — including between requests, when an inline read would
-not be running — so a dropped server fails the next request with the
-real cause instead of a timeout.  A ``draining`` refusal raises the
-dedicated :class:`~repro.errors.DrainingError` (retryable; see its
-``retryable`` attribute) rather than a generic stream error.
+Each request writes its frame and then reads its own reply, inline.
+Any exception or cancellation while a request awaits its reply (a
+dropped server, ``asyncio.wait_for`` timing the call out) closes the
+connection for good: the reply may still be on its way and would
+otherwise answer the next request.  Every later request raises
+:class:`~repro.errors.ProtocolError` naming that cause.  A ``draining``
+refusal raises the dedicated :class:`~repro.errors.DrainingError`
+(retryable; see its ``retryable`` attribute) rather than a generic
+stream error.
 
 >>> # doctest-style sketch (the real round-trip needs a running server):
 >>> # async with await ServeClient.connect("127.0.0.1", port) as client:
@@ -78,16 +78,12 @@ class ServeClient:
         self._reader = reader
         self._writer = writer
         self._max_frame = max_frame
-        self._pending: Optional[asyncio.Future] = None
+        self._in_flight = False
         self._conn_exc: Optional[BaseException] = None
-        self._reader_task: Optional[asyncio.Task] = None
         self.hello = hello
         self.standard: str = hello.get("standard", "")
         self.width: int = hello.get("width", 0)
         self.M: int = hello.get("M", 0)
-        #: pipeline-wide pending bits reported by the last feed ack — the
-        #: client-visible backpressure signal.
-        self.last_pending_bits: int = 0
 
     @classmethod
     async def connect(
@@ -110,71 +106,32 @@ class ServeClient:
                 f"server speaks protocol version {version!r}, "
                 f"client speaks {PROTOCOL_VERSION}"
             )
-        client = cls(reader, writer, hello, max_frame)
-        client._start_reader()
-        return client
+        return cls(reader, writer, hello, max_frame)
 
     # ------------------------------------------------------------------
-    def _start_reader(self) -> None:
-        """Arm the per-connection reader task (idempotent)."""
-        if self._reader_task is None:
-            self._reader_task = asyncio.get_running_loop().create_task(
-                self._read_loop()
-            )
-
-    async def _read_loop(self) -> None:
-        """Pull every frame off the socket; route it to the in-flight
-        request.
-
-        Because requests and responses strictly alternate, exactly one
-        future can be pending; a frame with no pending request means the
-        server broke the protocol.  Any read failure (EOF from a server
-        drain, a reset, an oversized frame) is recorded so the current
-        *and* every subsequent request fail fast with the root cause.
-        """
-        try:
-            while True:
-                response, payload = await read_frame(
-                    self._reader, self._max_frame
-                )
-                future, self._pending = self._pending, None
-                if future is None or future.done():
-                    raise ProtocolError(
-                        f"unsolicited frame from server: {response!r}"
-                    )
-                future.set_result((response, payload))
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:  # noqa: BLE001 — recorded, re-raised
-            self._conn_exc = exc
-            future, self._pending = self._pending, None
-            if future is not None and not future.done():
-                future.set_exception(exc)
-
     async def _request(self, header: dict, payload: bytes = b"") -> dict:
         """One request/response round trip; raises on error responses."""
         if self._conn_exc is not None:
             raise ProtocolError(
-                f"connection is closed: {self._conn_exc}"
+                f"connection is closed: {self._conn_exc!r}"
             ) from self._conn_exc
-        if self._pending is not None:
+        if self._in_flight:
             raise ProtocolError(
                 "a request is already in flight on this connection "
                 "(ServeClient is single-caller; open one client per task)"
             )
-        if self._reader_task is None:
-            # Constructed directly (not via connect()): inline round trip.
-            await write_frame(self._writer, header, payload)
-            response, _ = await read_frame(self._reader, self._max_frame)
-            return self._check_response(response)
-        future = asyncio.get_running_loop().create_future()
-        self._pending = future
+        self._in_flight = True
         try:
             await write_frame(self._writer, header, payload)
-            response, _ = await future
+            response, _ = await read_frame(self._reader, self._max_frame)
+        except BaseException as exc:
+            # Cut short mid-exchange, the connection is out of step: a
+            # late reply would answer the next request.
+            self._conn_exc = exc
+            self._writer.close()
+            raise
         finally:
-            if self._pending is future:
-                self._pending = None
+            self._in_flight = False
         return self._check_response(response)
 
     def _check_response(self, response: dict) -> dict:
@@ -214,8 +171,7 @@ class ServeClient:
         response = await self._request(
             {"op": "feed-chunk", "id": stream_id}, payload=data
         )
-        self.last_pending_bits = response.get("pending_bits", 0)
-        return self.last_pending_bits
+        return response.get("pending_bits", 0)
 
     async def read_digest(self, stream_id: str) -> int:
         """Finalize the stream and return its digest (closes the stream)."""
@@ -246,13 +202,6 @@ class ServeClient:
     # ------------------------------------------------------------------
     async def aclose(self) -> None:
         """Close the connection (server aborts any streams left open)."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._reader_task = None
         self._writer.close()
         try:
             await self._writer.wait_closed()

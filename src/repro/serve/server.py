@@ -22,14 +22,15 @@ pipeline:
   write high-water mark, so without it a client that writes frames back
   to back would be served to the end of its backlog before any other
   connection got a turn.
-* **Backpressure, not buffering.**  Each ``feed-chunk`` ack carries the
-  pipeline-wide pending-bits gauge.  When it crosses the high watermark
-  the connection handler *stops reading frames* until the pump loop has
-  run a round — unread bytes then back-pressure the client through TCP
-  itself, so a fast client cannot balloon server memory.  A round
-  clocks in every whole M-bit block, so waiting longer could not lower
-  the gauge: what stays pending are sub-block tails that only more
-  input or a digest moves.
+* **Backpressure, not buffering.**  Feeds buffer their bytes, and a
+  digest pumps every ready stream before it finalizes.  A feed that
+  lifts the pipeline-wide pending bits over the high watermark pumps
+  inline before the connection reads its next frame — unread bytes
+  then back-pressure the client through TCP itself, so pending bits
+  exceed the watermark by at most one frame.  A pump clocks in every
+  whole M-bit block; what stays pending are sub-block tails that only
+  more input or a digest moves.  Each ``feed-chunk`` ack carries the
+  pending-bits gauge the feed left.
 * **Drain, don't drop.**  On :meth:`ReproServer.drain` (wired to
   ``SIGTERM`` by the CLI) the listener closes, new ``open-stream``
   requests are refused with code ``"draining"``, open streams may keep
@@ -76,7 +77,7 @@ from repro.telemetry import (
     write_json_lines,
 )
 
-#: Pause reading a connection once pipeline-wide pending bits exceed this.
+#: A feed that lifts pipeline-wide pending bits over this pumps inline.
 DEFAULT_HIGH_WATERMARK_BITS = 1 << 22  # 512 KiB of buffered message data
 
 #: Block factor when the caller pins none.
@@ -108,7 +109,7 @@ def _bind(reg) -> Owners:
     ).bind(lambda: live.sum(lambda server: len(server._connections)))
     reg.counter(
         "serve_backpressure_pauses_total",
-        "Times a connection paused reading on the pending-bits watermark",
+        "Feeds that lifted pending bits over the watermark and pumped inline",
     ).bind(lambda: live.total("backpressure_pauses"))
     return live
 
@@ -174,13 +175,9 @@ class ReproServer:
         self._state = "new"  # new -> serving -> draining -> closed
         self._conn_ids = count(1)
         self._connections: Set[_Connection] = set()
-        self._work = asyncio.Event()
-        self._pumped = asyncio.Event()
-        self._pumped.set()
         self._no_streams = asyncio.Event()
         self._no_streams.set()
         self._closed_event = asyncio.Event()
-        self._pump_task: Optional[asyncio.Task] = None
         self._drain_task: Optional[asyncio.Task] = None
         # The one copy of every count; the registry reads it (see _bind).
         self._counts: Counter = Counter()
@@ -235,7 +232,7 @@ class ReproServer:
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Build the pipeline, bind the listener, start the pump loop."""
+        """Build the pipeline and bind the listener."""
         if self._state != "new":
             raise ValidationError(f"cannot start a server in state {self._state!r}")
         self._pipeline = CRCPipeline(self._spec, self._M)
@@ -244,7 +241,6 @@ class ReproServer:
         )
         self._bound_port = self._server.sockets[0].getsockname()[1]
         self._state = "serving"
-        self._pump_task = asyncio.create_task(self._pump_loop())
         recorder = default_flight_recorder()
         if recorder.enabled:
             recorder.record(
@@ -253,22 +249,6 @@ class ReproServer:
                 standard=self._spec.name,
                 M=self._pipeline.M,
             )
-
-    # ------------------------------------------------------------------
-    # Pump loop: coalesces feed signals into pump rounds and releases
-    # the connections that paused on the watermark.
-    # ------------------------------------------------------------------
-    async def _pump_loop(self) -> None:
-        # One pump per wake-up: ``pump`` drains every whole block, so
-        # nothing is left for a second pass; feeds that land meanwhile
-        # set ``_work`` again.
-        while self._state != "closed":
-            await self._work.wait()
-            self._work.clear()
-            if self._state == "closed":
-                return
-            self._pipeline.pump()
-            self._pumped.set()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -320,50 +300,44 @@ class ReproServer:
                     writer, error_response(None, "protocol", str(exc))
                 )
                 return
-            response, pause = self._dispatch(conn, header, payload)
+            response = self._dispatch(conn, header, payload)
             await write_frame(writer, response)
             if not response.get("ok") and response.get("code") == "protocol":
                 return
-            if pause:
-                # Stop reading until the pump loop has run a round;
-                # unread frames back-pressure the client via TCP flow
-                # control.
-                self._counts["backpressure_pauses"] += 1
-                await self._pumped.wait()
-            # Give every other connection (and the pump loop) a turn
-            # before the next buffered frame of this one.
+            # Give every other connection a turn before the next
+            # buffered frame of this one.
             await asyncio.sleep(0)
 
-    def _dispatch(self, conn, header: dict, payload: bytes):
-        """Route one request; returns ``(response_header, pause_reading)``."""
+    def _dispatch(self, conn, header: dict, payload: bytes) -> dict:
+        """Route one request; returns the response header."""
         op = header.get("op")
         # The verb is client input: anything else counts as "unknown".
         self._counts["messages", op if op in REQUEST_OPS else "unknown"] += 1
         try:
             if op == "open-stream":
-                return self._op_open(conn, header), False
+                return self._op_open(conn, header)
             if op == "feed-chunk":
                 return self._op_feed(conn, header, payload)
             if op == "read-digest":
-                return self._op_digest(conn, header), False
+                return self._op_digest(conn, header)
             if op == "close-stream":
-                return self._op_close(conn, header), False
+                return self._op_close(conn, header)
             if op == "stats":
-                return self._op_stats(), False
+                return self._op_stats()
             self._counts["errors", "protocol"] += 1
             return error_response(
                 op, "protocol",
                 f"unknown verb {op!r} (expected one of {', '.join(REQUEST_OPS)})",
-            ), False
+            )
         except StreamError as exc:
             self._counts["errors", "stream"] += 1
-            return error_response(op, "stream", str(exc)), False
+            return error_response(op, "stream", str(exc))
         except (ValidationError, ValueError) as exc:
             self._counts["errors", "validation"] += 1
-            return error_response(op, "validation", str(exc)), False
+            return error_response(op, "validation", str(exc))
         except ReproError as exc:
             self._counts["errors", "internal"] += 1
-            return error_response(op, "internal", str(exc)), False
+            return error_response(op, "internal", str(exc))
 
     def _op_open(self, conn: _Connection, header: dict) -> dict:
         if self._state != "serving":
@@ -400,22 +374,22 @@ class ReproServer:
                 f"({len(conn.streams)} open)"
             ) from None
 
-    def _op_feed(self, conn: _Connection, header: dict, payload: bytes):
+    def _op_feed(self, conn: _Connection, header: dict, payload: bytes) -> dict:
         pipeline_id = self._stream_of(conn, header)
         self._pipeline.feed(pipeline_id, payload, pump=False)
         pending = self._pipeline.pending_bits()
         self._counts["bytes_in"] += len(payload)
-        pause = pending > self._high
-        if pause:
-            self._pumped.clear()
-        self._work.set()
-        response = {
+        if pending > self._high:
+            # The connection reads no frame until this pump has run, so
+            # its unread frames back-pressure the client via TCP.
+            self._counts["backpressure_pauses"] += 1
+            self._pipeline.pump()
+        return {
             "op": "feed-chunk",
             "ok": True,
             "id": str(header.get("id")),
             "pending_bits": pending,
         }
-        return response, pause
 
     def _op_digest(self, conn: _Connection, header: dict) -> dict:
         client_id = str(header.get("id"))
@@ -529,11 +503,6 @@ class ReproServer:
                 self._abort_streams(conn)
             self._no_streams.set()
         self._state = "closed"
-        # Unblock any handler parked on backpressure so connections close.
-        self._pumped.set()
-        self._work.set()
-        if self._pump_task is not None:
-            await self._pump_task
         for conn in self._connections:
             conn.writer.close()
         if self._server is not None:

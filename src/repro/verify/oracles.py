@@ -499,35 +499,20 @@ class ParallelWorkersOracle(Oracle):
     #: most batch sizes and exercises the pipeline's tiebreak paths.
     WORKERS = 3
 
-    def __init__(self):
-        self._engines: Dict[Tuple[str, int], "ParallelBatchCRC"] = {}
-
-    def _engine(self, case: FuzzCase, cache: CompileCache) -> "ParallelBatchCRC":
-        from repro.engine import ParallelBatchCRC
-
-        key = (case.spec, case.M)
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = self._engines[key] = ParallelBatchCRC(
-                get_crc(case.spec),
-                case.M,
-                workers=self.WORKERS,
-                cache=cache,
-                min_shard_bits=1,
-            )
-        return engine
-
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
-        from repro.engine import ShardedCRCPipeline
+        from repro.engine import ParallelBatchCRC, ShardedCRCPipeline
 
         spec, serial_ref = _crc_serial(case)
-        engine = self._engine(case, cache)
         serial = BatchCRC(spec, case.M, cache=cache)
         payloads = case.payloads()
 
-        # 1. Batch-dimension sharding through the byte door.
+        # 1. Batch-dimension sharding through the byte door.  Each check
+        # closes the engines it starts, so no pool outlives its case.
         expected = serial.compute_batch(payloads)
-        got = engine.compute_batch(payloads)
+        with ParallelBatchCRC(
+            spec, case.M, workers=self.WORKERS, cache=cache, min_shard_bits=1
+        ) as engine:
+            got = engine.compute_batch(payloads)
         if got != expected:
             i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
             return Discrepancy(
@@ -601,7 +586,6 @@ class PlannerAutoOracle(Oracle):
 
     def __init__(self):
         self._planners: Dict[int, object] = {}
-        self._engines: Dict[Tuple, "ParallelBatchCRC"] = {}
 
     def _planner(self, cpus: int):
         from repro.engine.planner import HostProfile, Planner
@@ -631,31 +615,19 @@ class PlannerAutoOracle(Oracle):
         ]
         return self._planner(cpus).plan(workload)
 
-    def _engine(
-        self, case: FuzzCase, plan, cache: CompileCache
-    ) -> "ParallelBatchCRC":
+    def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         from repro.engine import ParallelBatchCRC
 
-        key = (case.spec, case.M, plan.workers)
-        engine = self._engines.get(key)
-        if engine is None:
-            engine = self._engines[key] = ParallelBatchCRC(
-                get_crc(case.spec),
-                case.M,
-                cache=cache,
-                min_shard_bits=1,
-                plan=plan,
-            )
-        return engine
-
-    def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         plan = self._plan(case)
-        engine = self._engine(case, plan, cache)
-        serial = BatchCRC(get_crc(case.spec), case.M, cache=cache)
+        spec = get_crc(case.spec)
+        serial = BatchCRC(spec, case.M, cache=cache)
         payloads = case.payloads()
 
         expected = serial.compute_batch(payloads)
-        got = engine.compute_batch(payloads)
+        with ParallelBatchCRC(
+            spec, case.M, cache=cache, min_shard_bits=1, plan=plan
+        ) as engine:
+            got = engine.compute_batch(payloads)
         if got != expected:
             i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
             return Discrepancy(

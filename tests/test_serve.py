@@ -1,6 +1,6 @@
 """Contract of the async network service layer (:mod:`repro.serve`).
 
-Five properties matter and each gets direct coverage:
+Six properties matter and each gets direct coverage:
 
 * **Framing** — the length-prefixed JSON+binary wire format round-trips
   exactly and every malformation (truncation, oversize, non-JSON header,
@@ -10,16 +10,20 @@ Five properties matter and each gets direct coverage:
   bit-exact against a serial oracle, for whole messages, chunked feeds,
   and many interleaved connections, and stream ids are namespaced per
   connection.
-* **Backpressure** — a connection that outruns the pipeline pauses on
-  the pending-bits watermark (counted) and resumes once a pump round
-  has run, even when sub-block tails keep the gauge above the mark;
-  memory never balloons with unread frames.
+* **Backpressure** — a feed that lifts the pending bits over the
+  watermark is counted and pumped before its connection reads another
+  frame, even when sub-block tails keep the gauge above the mark, so
+  pending bits exceed the watermark by at most one frame and memory
+  never balloons with unread frames.
 * **Drain** — while draining, open streams complete bit-exact and new
   work is refused with code ``"draining"``; afterwards the server is
   closed and its pipeline holds no stream.
 * **Dispatch on the loop** — every pipeline call runs on the event
   loop's thread, and a client writing frames back to back does not
   starve another connection.
+* **Client** — a request cut short (cancelled, or its connection
+  dropped) closes the client's connection for good, so no later request
+  waits forever or reads another request's reply.
 
 No pytest-asyncio in the toolchain: each test drives its own event loop
 through ``asyncio.run``.
@@ -45,7 +49,7 @@ from repro.serve import (
     run_loadgen,
 )
 from repro.serve.loadgen import IMIX_MIX, LoadgenReport, percentile
-from repro.serve.protocol import READ_BYTES, error_response, read_frame
+from repro.serve.protocol import READ_BYTES, error_response, read_frame, write_frame
 
 SPEC = get("CRC-32")
 ORACLE = TableCRC(SPEC)
@@ -515,6 +519,66 @@ class TestServerErrors:
 
 
 # ----------------------------------------------------------------------
+# Client connection
+# ----------------------------------------------------------------------
+class TestClientConnection:
+    def test_a_cancelled_request_closes_the_connection(self):
+        """A request cut short leaves its reply on the way, so the next
+        request must not take it for its own.  This fake server answers
+        the first ``stats`` only once a second request arrives."""
+        async def fake(reader, writer):
+            try:
+                await write_frame(writer, {
+                    "op": "hello", "ok": True, "version": PROTOCOL_VERSION,
+                })
+                await read_frame(reader)
+                await read_frame(reader)
+                for n in (1, 2):
+                    await write_frame(writer, {"op": "stats", "ok": True, "reply": n})
+            except (asyncio.IncompleteReadError, ConnectionError):
+                pass  # the client hung up instead of asking again
+            finally:
+                writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(fake, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await ServeClient.connect("127.0.0.1", port)
+            try:
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client.stats(), timeout=0.05)
+                with pytest.raises(ProtocolError,
+                                   match="connection is closed: CancelledError"):
+                    await asyncio.wait_for(client.stats(), timeout=5)
+            finally:
+                await client.aclose()
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+    def test_a_dropped_connection_fails_the_next_request(self):
+        """The server drops the connection between two requests: the next
+        request raises instead of waiting for a reply, and every later one
+        names the cause."""
+        async def scenario():
+            async with make_server() as server:
+                client = await ServeClient.connect(server.host, server.port)
+                try:
+                    await client.stats()
+                    (conn,) = server._connections
+                    conn.writer.transport.abort()
+                    with pytest.raises((asyncio.IncompleteReadError, ConnectionError)):
+                        await asyncio.wait_for(client.stats(), timeout=5)
+                    with pytest.raises(ProtocolError, match="connection is closed"):
+                        await client.compute(b"too late")
+                finally:
+                    await client.aclose()
+
+        run(scenario())
+
+
+# ----------------------------------------------------------------------
 # Backpressure
 # ----------------------------------------------------------------------
 class TestBackpressure:
@@ -544,6 +608,26 @@ class TestBackpressure:
                     return pending
 
         assert run(scenario()) == 40  # 5 bytes buffered, below one M-block
+
+    def test_a_feed_over_the_watermark_pumps_before_the_next_frame(self):
+        """One 4 KiB feed lifts the pending bits far over the watermark.
+        The next request already sees every whole block clocked in, in
+        every stream: at most one sub-block tail each."""
+        async def scenario():
+            async with make_server(M=128, high_watermark_bits=8192) as server:
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    a, b = await c.open_stream(), await c.open_stream()
+                    await c.feed(b, b"\x5a" * 100)  # 800 bits: below the mark
+                    acked = await c.feed(a, bytes(4096))
+                    stats = await c.stats()
+                    digests = [await c.read_digest(a), await c.read_digest(b)]
+                    return acked, stats, digests
+
+        acked, stats, digests = run(scenario())
+        assert acked == 8 * (4096 + 100) > 8192
+        assert stats["pending_bits"] < 2 * 128
+        assert stats["counters"]["backpressure_pauses_total"] == 1
+        assert digests == [ORACLE.compute(bytes(4096)), ORACLE.compute(b"\x5a" * 100)]
 
     def test_sub_block_tails_above_the_watermark_do_not_park_a_connection(self):
         """Nine streams each holding 127 bytes at M = 1024 keep 9,144 bits
@@ -579,8 +663,8 @@ class TestBackpressure:
 class TestInlineDispatch:
     def test_every_pipeline_call_runs_on_the_loop_thread(self, monkeypatch):
         """Start-up, every verb, concurrent connections, connection
-        clean-up, the pump loop and drain all call the pipeline from the
-        event loop's own thread."""
+        clean-up and drain all call the pipeline from the event loop's
+        own thread."""
         calls = []
         methods = ("__init__", "open", "feed", "pump", "pending_bits",
                    "finalize", "finalize_many", "abort")

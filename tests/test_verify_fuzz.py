@@ -273,6 +273,23 @@ class TestRunFuzz:
         report = run_fuzz(seed=0, max_cases=10)
         assert total() - before == report.checks
 
+    def test_battery_leaves_no_shard_threads(self):
+        """The sharded oracles close every pool a check starts, so a
+        battery kept alive between runs holds no worker thread."""
+        import threading
+
+        def shard_threads():
+            return {t for t in threading.enumerate() if t.name.startswith("repro-shard")}
+
+        before = shard_threads()
+        battery = default_oracles()
+        report = run_fuzz(seed=0, max_cases=100, oracles=battery)
+        assert report.ok
+        assert report.pair_cases["parallel:workers1-vs-workersN"] > 0
+        assert report.pair_cases["planner:auto-vs-serial"] > 0
+        assert shard_threads() - before == set()
+        assert len(battery) == 12  # still referenced while the threads are counted
+
     def test_default_battery_names_are_unique(self):
         names = [o.name for o in default_oracles()]
         assert len(names) == len(set(names))
