@@ -15,11 +15,19 @@ Tsaban–Vishne word64 keystream (a different sequence, one 64-bit word
 per step), and Fig. 8's modelled PiCoGA rate at M = 128 for the same
 block lengths.  Rates are best-of-:data:`REPEATS`.
 
-The gate: the PRBS-31 batch keystream against the floor, as the median
-ratio of :data:`PAIRS` alternated (floor, batch) call pairs, must stay
-at or above :data:`GATE_BATCH_VS_FLOOR`.  Every engine output is checked
-against :class:`~repro.lfsr.reference.GaloisLFSR` before timing.
-Results land in ``benchmarks/results/scrambler_engine.{json,txt}``.
+Two gates, each the median ratio of :data:`PAIRS` alternated call pairs:
+
+* the PRBS-31 batch keystream against the floor must stay at or above
+  :data:`GATE_BATCH_VS_FLOOR`;
+* :meth:`~repro.engine.BatchAdditiveScrambler.scramble_batch` on the
+  same batch of byte messages (802.16e) against that engine's own
+  ``keystream_batch`` must stay at or below
+  :data:`GATE_SCRAMBLE_VS_KEYSTREAM`: the byte door adds one XOR per
+  message to the keystream.
+
+Every engine output is checked against
+:class:`~repro.lfsr.reference.GaloisLFSR` before timing.  Results land in
+``benchmarks/results/scrambler_engine.{json,txt}``.
 """
 
 import statistics
@@ -29,6 +37,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.dream import DreamSystem
+from repro.engine import BatchAdditiveScrambler
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr import ByteSlicedScrambler, FibonacciLFSR, GaloisLFSR
 from repro.lfsr.wordlfsr import WORD64, WordLFSR, seed_words_from_bytes
@@ -50,6 +59,11 @@ PAIRS = 21
 #: ``speedup`` name and only this floor gates it, at under a third of
 #: the lowest reading.
 GATE_BATCH_VS_FLOOR = 800.0
+#: A ceiling on the batch byte door's cost in keystreams of the same
+#: batch: a byte-door prototype read ~13x on a 2-vCPU x86 host, where the
+#: bit-list door it replaced read ~800x.  Not a trended ratio (no
+#: ``speedup`` in its name).
+GATE_SCRAMBLE_VS_KEYSTREAM = 50.0
 #: Fig. 8's widest look-ahead.
 PICOGA_M = 128
 
@@ -68,6 +82,30 @@ def _bitserial(poly, seed, nbytes):
     """The Galois register's first ``nbytes`` keystream bytes, lsb-first."""
     bits = GaloisLFSR(poly, seed).keystream(8 * nbytes)
     return np.packbits(np.array(bits, dtype=np.uint8), bitorder="little").tobytes()
+
+
+def _scramble_vs_keystream(seeds, nbytes):
+    """Median time of ``scramble_batch`` over ``keystream_batch`` on one
+    802.16e batch of byte messages, in alternated pairs, after checking
+    the door against the bit-serial register."""
+    engine = BatchAdditiveScrambler(IEEE80216E, PICOGA_M)
+    messages = [bytes((b + i) % 256 for i in range(nbytes)) for b in range(len(seeds))]
+    out = engine.scramble_batch(messages, seeds=seeds)
+    for b in (0, len(seeds) // 2, len(seeds) - 1):
+        keystream = _bitserial(IEEE80216E.poly, seeds[b], nbytes)
+        assert out[b] == bytes(m ^ k for m, k in zip(messages[b], keystream))
+    ratios = []
+    for i in range(PAIRS):
+        times = {}
+        for side in ("keystream", "scramble") if i % 2 == 0 else ("scramble", "keystream"):
+            t0 = time.perf_counter()
+            if side == "keystream":
+                engine.keystream_batch(nbytes, len(seeds), seeds)
+            else:
+                engine.scramble_batch(messages, seeds=seeds)
+            times[side] = time.perf_counter() - t0
+        ratios.append(times["scramble"] / times["keystream"])
+    return statistics.median(ratios)
 
 
 def test_scrambler_engine_vs_floor(save_result, save_report):
@@ -117,6 +155,7 @@ def test_scrambler_engine_vs_floor(save_result, save_report):
             (STREAMS * STREAM_BITS / times["batch"]) / (FLOOR_BITS / times["floor"])
         )
     batch_vs_floor = statistics.median(ratios)
+    scramble_vs_keystream = _scramble_vs_keystream(seeds, nbytes)
 
     system = DreamSystem()
     mapped = system.cache.mapped_scrambler(IEEE80216E, PICOGA_M)
@@ -144,9 +183,11 @@ def test_scrambler_engine_vs_floor(save_result, save_report):
         ["keystream", "spec", "shape", "Gbit/s", "vs floor"],
         rows,
         title=(
-            f"Additive-scrambler keystream (best of {REPEATS}); PRBS-31 batch "
-            f"vs floor, median of {PAIRS} alternated pairs: "
-            f"{batch_vs_floor:,.0f}x (gate >= {GATE_BATCH_VS_FLOOR:,.0f}x)"
+            f"Additive-scrambler keystream (best of {REPEATS}); medians of "
+            f"{PAIRS} alternated pairs: PRBS-31 batch vs floor "
+            f"{batch_vs_floor:,.0f}x (gate >= {GATE_BATCH_VS_FLOOR:,.0f}x), "
+            f"802.16e scramble_batch vs its keystream "
+            f"{scramble_vs_keystream:.1f}x (gate <= {GATE_SCRAMBLE_VS_KEYSTREAM:.0f}x)"
         ),
     )
     save_result("scrambler_engine", text)
@@ -163,6 +204,7 @@ def test_scrambler_engine_vs_floor(save_result, save_report):
                 "pairs": PAIRS,
                 "picoga_M": PICOGA_M,
                 "floor_batch_vs_floor": GATE_BATCH_VS_FLOOR,
+                "ceiling_scramble_vs_keystream": GATE_SCRAMBLE_VS_KEYSTREAM,
             },
             metrics={
                 "floor_bits_per_s": floor_rate,
@@ -174,10 +216,15 @@ def test_scrambler_engine_vs_floor(save_result, save_report):
                 "picoga_gbps_m128_2048_bits": picoga[STREAM_BITS],
                 "picoga_gbps_m128_64kib": picoga[8 * SINGLE_BYTES],
                 "batch_vs_floor": batch_vs_floor,
+                "scramble_vs_keystream": scramble_vs_keystream,
             },
         )
     )
     assert batch_vs_floor >= GATE_BATCH_VS_FLOOR, (
         f"PRBS-31 batch keystream only {batch_vs_floor:,.0f}x the bit-serial "
         f"floor (gate >= {GATE_BATCH_VS_FLOOR:,.0f}x)"
+    )
+    assert scramble_vs_keystream <= GATE_SCRAMBLE_VS_KEYSTREAM, (
+        f"802.16e scramble_batch costs {scramble_vs_keystream:.1f}x its keystream "
+        f"(gate <= {GATE_SCRAMBLE_VS_KEYSTREAM:.0f}x)"
     )

@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.crc.bitwise import BitwiseCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC, build_table
 from repro.gf2.bits import reflect_bits
@@ -278,80 +277,47 @@ class ByteSlicedCRC:
         return self._unalign(r)
 
     def raw_registers_batch(
-        self,
-        messages: Sequence[bytes],
-        fold_init: bool = False,
-        bit_lengths: Optional[Sequence[int]] = None,
-        finalize: bool = False,
+        self, messages: Sequence[bytes], finalize: bool = False
     ) -> List[int]:
-        """Registers of many messages, each clocked from a zero register,
-        or from ``spec.init`` with ``fold_init=True``.
+        """Registers of many messages, each clocked from ``spec.init`` as
+        :meth:`raw_register` clocks one, or with ``finalize=True`` their
+        published CRCs.
 
         Messages group by block count ``K = ceil(n / D)``, and a group's
         rows are head-padded with zeros to its longest message, which a
         zero register makes transparent; an equal-length group needs no
-        pad, and its first block is simply short.  The input term does not
-        depend on the register, so a group's blocks gather slab by slab:
-        whole rows, about :data:`_SLAB_BLOCKS` blocks a slab, joined when
-        the loop reaches them and gathered through buffers each thread
-        keeps, so a call's temporaries stay bounded.  Only the
-        ``ceil(width / 8)``-lookup fold through ``A^{8D}`` steps from block
-        to block, vectorized across the group.  A group of fewer than
-        :data:`GATHER_MIN_ROWS` messages (:data:`LONG_GATHER_MIN_ROWS` for
-        messages over 4 KiB), or of messages longer than one slab, runs
-        each one through :meth:`raw_register` instead.
-
-        With ``fold_init`` a byte message clocks from the init, which
-        enters its first ``ceil(width / 8)`` bytes as in
-        :meth:`raw_register`; a message shorter than that keeps the rest of
-        the init.  ``bit_lengths`` are the true lengths of head-padded bit
-        streams, whose init would enter mid-byte: they clock from zero, and
-        the init clocked over each distinct length (:meth:`_init_after`)
-        is XORed in after.  With ``finalize=True`` the result is the
-        published CRCs.  Specs wider than 64 bits run
+        pad, and its first block is simply short.  The init enters each
+        row's first ``ceil(width / 8)`` message bytes, as in
+        :meth:`raw_register`; a message shorter than that keeps the rest
+        of the init.  The input term does not depend on the register, so a
+        group's blocks gather slab by slab: whole rows, about
+        :data:`_SLAB_BLOCKS` blocks a slab, joined when the loop reaches
+        them and gathered through buffers each thread keeps, so a call's
+        temporaries stay bounded.  Only the ``ceil(width / 8)``-lookup fold
+        through ``A^{8D}`` steps from block to block, vectorized across the
+        group.  A group of fewer than :data:`GATHER_MIN_ROWS` messages
+        (:data:`LONG_GATHER_MIN_ROWS` for messages over 4 KiB), or of
+        messages longer than one slab, runs each one through
+        :meth:`raw_register` instead.  Specs wider than 64 bits run
         :class:`~repro.crc.table.TableCRC` per message.
         """
-        return self._registers_batch(
-            messages, list(map(len, messages)), fold_init, bit_lengths, finalize
-        )
+        return self._registers_batch(messages, list(map(len, messages)), finalize)
 
     def _registers_batch(
-        self,
-        messages: Sequence[bytes],
-        lengths: List[int],
-        fold_init: bool,
-        bit_lengths: Optional[Sequence[int]],
-        finalize: bool,
+        self, messages: Sequence[bytes], lengths: List[int], finalize: bool
     ) -> List[int]:
         """:meth:`raw_registers_batch` of messages whose byte lengths the
         caller has taken (:class:`~repro.engine.batch.BatchCRC` counts
         them for its telemetry too)."""
         spec = self._spec
-        fold_init = fold_init and spec.init != 0
-        start = spec.init if fold_init and bit_lengths is None else 0
-        late = fold_init and bit_lengths is not None
         if not self._supported:
-            regs = [self._fallback.raw_register(m, start) for m in messages]
-            if late:
-                regs = [r ^ self._init_after(n) for r, n in zip(regs, bit_lengths)]
+            regs = [self._fallback.raw_register(m, spec.init) for m in messages]
             return [spec.finalize(r) for r in regs] if finalize else regs
-        work = self._gather_batch(messages, lengths, start)
-        if late:
-            # Sets, not np.unique: its first call imports numpy.ma (~35 ms).
-            bits = np.asarray(bit_lengths, np.intp)
-            distinct = np.array(sorted(set(bits.tolist())))
-            aligned = [self._align(self._init_after(n)) for n in distinct.tolist()]
-            work ^= np.array(aligned, dtype=work.dtype)[np.searchsorted(distinct, bits)]
+        work = self._gather_batch(messages, lengths, spec.init)
         if finalize and spec.refin == spec.refout:
             return ((work >> self._shift) ^ spec.xorout).tolist()
         regs = [self._unalign(r) for r in work.tolist()]
         return [spec.finalize(r) for r in regs] if finalize else regs
-
-    def _init_after(self, n_bits: int) -> int:
-        """``spec.init`` clocked through ``n_bits`` zero bits (natural order):
-        ``n_bits // 8`` zero bytes through this engine, the rest bit-serially."""
-        reg = self.raw_register(bytes(n_bits // 8), self._spec.init)
-        return BitwiseCRC(self._spec).process_bits(reg, [0] * (n_bits % 8))
 
     def _gather_batch(
         self, messages: Sequence[bytes], lengths: List[int], start: int

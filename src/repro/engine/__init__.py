@@ -13,13 +13,20 @@ Three layers, each reusable on its own:
   stack at once, the additive scrambler gathers every stream's keystream
   blocks over the byte-sliced keystream tables at once, and the
   multiplicative scrambler runs its delay lines on bit-packed GF(2)
-  kernels; the CRC keeps the head-zero-padding + init-fold tail contract
-  of :class:`repro.dream.system.DreamSystem`.  An engine's ``M`` is the
-  plan's look-ahead factor; the gather's block is the table stack's
-  depth.
+  kernels; the CRC keeps the head-zero-padding tail contract of
+  :class:`repro.dream.system.DreamSystem`, with the init folded into each
+  message's first gathered bytes.  An engine's ``M`` is the plan's
+  look-ahead factor; the gather's block is the table stack's depth.
 * :mod:`repro.engine.pipeline` — a chunked feed/finalize streaming API so
   long messages and many concurrent streams share the cache; CRC streams
-  advance through the byte table and the byte-sliced gather.
+  buffer bytes and advance through the byte table and the byte-sliced
+  gather.
+
+Every batch and streaming door takes and returns bytes; a scrambler's
+message bit i is bit ``i % 8`` of byte ``i // 8``.  Bit lists stay with
+the paper's bit-level engines (:class:`~repro.crc.BitwiseCRC`,
+:class:`~repro.crc.LookaheadCRC`, :class:`~repro.crc.DerbyCRC`, the
+single-stream scramblers and :class:`~repro.dream.DreamSystem`).
 * :mod:`repro.engine.parallel` — a sharded multi-worker execution layer
   that partitions by message only: batches split across a thread pool
   (numpy kernels release the GIL), and streaming pipelines spread their
@@ -40,7 +47,6 @@ from repro.engine.batch import (
     BatchAdditiveScrambler,
     BatchCRC,
     BatchMultiplicativeScrambler,
-    BatchWordScrambler,
 )
 from repro.engine.cache import (
     CacheStats,
@@ -89,7 +95,6 @@ __all__ = [
     "BatchCRC",
     "BatcherClosed",
     "BatchMultiplicativeScrambler",
-    "BatchWordScrambler",
     "CacheStats",
     "CompileCache",
     "CRCPipeline",

@@ -15,24 +15,26 @@ messages, many at once:
   interleaving in the byte basis.
 * :class:`BatchAdditiveScrambler` runs the byte-sliced keystream's batch
   door (:meth:`repro.lfsr.slicing.ByteSlicedScrambler.keystream_batch`):
-  every stream's seed steps through the ``A^{8D}`` fold together, and
-  every block's keystream rows gather in one call.
+  every stream's seed steps through the ``A^{8D}`` fold together, every
+  block's keystream rows gather in one call, and each message is XORed
+  with its row.
 * :class:`BatchMultiplicativeScrambler` packs the batch dimension into
   machine words (:class:`repro.gf2.backend.NumpyPackedBackend`): a batch
   of B bit-streams is a ``(n_bits, W)`` ``uint64`` array with
   ``W = ceil(B/64)`` — bit *b* of word ``row[b // 64]`` belongs to stream
   *b* — so one numpy call clocks all B delay lines.
 
-Tail contract (identical to :class:`repro.dream.system.DreamSystem`):
-messages are zero-padded **at the head** and the pad runs from a zero
-register, which makes it transparent (leading zeros do not change the
-message polynomial).  The spec's ``init`` preset enters a byte message
-where its register would start: XORed into its first ``ceil(w / 8)``
-gathered bytes.  A bit stream's preset would enter mid-byte, so the bit
-door folds it back in with the linear correction
-``reg = raw0 ^ (init * x^N mod G)``, N the stream's true bit length,
-clocked on the batch CRC's own engine once per distinct length in a
-call; a ragged batch adds nothing to the compile cache.
+Every door takes and returns bytes (lengths may differ within a call).
+A scrambler's message bit i is bit ``i % 8`` of byte ``i // 8``
+(lsb-first), the order of
+:meth:`repro.scrambler.AdditiveScrambler.scramble_bytes`.
+
+Tail contract of the CRC (identical to
+:class:`repro.dream.system.DreamSystem`): messages are zero-padded **at
+the head** and the pad runs from a zero register, which makes it
+transparent (leading zeros do not change the message polynomial).  The
+spec's ``init`` preset enters each message where its register would
+start: XORed into its first ``ceil(w / 8)`` gathered bytes.
 """
 
 from __future__ import annotations
@@ -51,15 +53,9 @@ from repro.errors import SpecError
 from repro.gf2.backend import NumpyPackedBackend
 from repro.gf2.polynomial import GF2Polynomial
 from repro.lfsr.slicing import ByteSlicedScrambler
-from repro.lfsr.wordlfsr import WORD64, WordLFSR, WordLFSRSpec, seed_words_from_bytes
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import bind_families, default_registry
-from repro.validation import (
-    check_bit_streams,
-    check_factor,
-    check_messages,
-    check_register_list,
-)
+from repro.validation import check_factor, check_messages, check_register_list
 
 
 def _families(reg) -> dict:
@@ -155,52 +151,25 @@ class BatchCRC:
         return self._cache
 
     # ------------------------------------------------------------------
-    def _run(
-        self,
-        messages: List[bytes],
-        bit_lengths: Optional[List[int]],
-        finalize: bool,
-    ) -> List[int]:
-        """One engine call over head-aligned byte messages, with telemetry;
-        ``bit_lengths`` are the true lengths of padded bit streams."""
+    def _run(self, messages: List[bytes], finalize: bool) -> List[int]:
+        """One engine call over checked byte messages, with telemetry."""
         if not messages:
             return []
         telemetry = default_registry().enabled
         t0 = perf_counter() if telemetry else 0.0
         lengths = list(map(len, messages))
-        registers = self._engine._registers_batch(
-            messages, lengths, True, bit_lengths, finalize
-        )
+        registers = self._engine._registers_batch(messages, lengths, finalize)
         if telemetry:
-            bits = sum(bit_lengths) if bit_lengths else 8 * sum(lengths)
-            _observe(_CRC_SERIES(), bits, perf_counter() - t0)
+            _observe(_CRC_SERIES(), 8 * sum(lengths), perf_counter() - t0)
         return registers
-
-    def _bits_to_bytes(self, bit_streams: Sequence[Sequence[int]]):
-        """Head-pad each stream to whole bytes, packed in the spec's bit order."""
-        checked = check_bit_streams(bit_streams)
-        order = "little" if self._spec.refin else "big"
-        messages = [
-            np.packbits(
-                np.concatenate((np.zeros(-len(bits) % 8, np.uint8), bits)),
-                bitorder=order,
-            ).tobytes()
-            for bits in checked
-        ]
-        return messages, [len(bits) for bits in checked]
-
-    def compute_bits_batch(self, bit_streams: Sequence[Sequence[int]]) -> List[int]:
-        """Finalized CRCs of raw bit streams (transmission order)."""
-        messages, lengths = self._bits_to_bytes(bit_streams)
-        return self._run(messages, lengths, finalize=True)
 
     def raw_registers(self, messages: Sequence[bytes]) -> List[int]:
         """Raw registers for byte messages (lengths may differ)."""
-        return self._run(check_messages(messages), None, finalize=False)
+        return self._run(check_messages(messages), finalize=False)
 
     def compute_batch(self, messages: Sequence[bytes]) -> List[int]:
         """Finalized CRCs of B byte messages (lengths may differ)."""
-        return self._run(check_messages(messages), None, finalize=True)
+        return self._run(check_messages(messages), finalize=True)
 
     def compute(self, data: bytes) -> int:
         """Single-message convenience (a batch of one)."""
@@ -213,10 +182,12 @@ class BatchAdditiveScrambler:
     Every call runs :class:`~repro.lfsr.slicing.ByteSlicedScrambler`'s
     batch door on the spec's keystream tables from the compile cache
     (:meth:`~repro.engine.cache.CompileCache.scrambler_tables`, shared
-    with every pipeline), one seed per stream.  ``M`` is the block factor
-    the engine stands for — the netlists' — and the gather's block is the
-    stack's depth.  Scrambling is an involution, so descrambling is the
-    same call.
+    with every pipeline), one seed per stream, and XORs each message with
+    its stream's keystream bytes, as
+    :meth:`~repro.scrambler.AdditiveScrambler.scramble_bytes` does for
+    one.  ``M`` is the block factor the engine stands for — the
+    netlists' — and the gather's block is the stack's depth.  Scrambling
+    is an involution, so descrambling is the same call.
     """
 
     def __init__(
@@ -249,133 +220,43 @@ class BatchAdditiveScrambler:
             seeds, batch, self._spec.degree, what="seeds", allow_zero=False
         )
 
-    def keystream_batch(self, nbits: int, batch: int, seeds: Optional[Sequence[int]] = None) -> np.ndarray:
-        """``(nbits, batch)`` keystream bits, one column per stream."""
+    def keystream_batch(
+        self, nbytes: int, batch: int, seeds: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
+        """``(batch, nbytes)`` ``uint8`` keystream bytes, one row per stream."""
         telemetry = default_registry().enabled
         t0 = perf_counter() if telemetry else 0.0
-        packed = self._engine.keystream_batch(self._check_seeds(batch, seeds), -(-nbits // 8))
-        bits = np.unpackbits(packed, axis=1, count=nbits, bitorder="little").T
+        keystream = self._engine.keystream_batch(self._check_seeds(batch, seeds), nbytes)
         if telemetry:
-            _observe_kernel("scrambler-additive", nbits * batch, perf_counter() - t0)
-        return bits
+            _observe_kernel("scrambler-additive", 8 * nbytes * batch, perf_counter() - t0)
+        return keystream
 
     def scramble_batch(
         self,
-        bit_streams: Sequence[Sequence[int]],
+        messages: Sequence[bytes],
         seeds: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
-        """XOR each stream with its keystream; returns per-stream bit lists."""
+    ) -> List[bytes]:
+        """XOR each message with its stream's keystream bytes."""
         # Validate arguments *before* any early return, so an invalid seed
-        # list is rejected even when every stream happens to be empty.
-        checked = check_bit_streams(bit_streams)
-        batch = len(checked)
-        seeds = self._check_seeds(batch, seeds)
+        # list is rejected even when every message happens to be empty.
+        checked = check_messages(messages)
+        seeds = self._check_seeds(len(checked), seeds)
         longest = max(map(len, checked), default=0)
         if longest == 0:
-            return [[] for _ in checked]
-        ks = self.keystream_batch(longest, batch, seeds)
-        return [(bits ^ ks[: len(bits), b]).tolist() for b, bits in enumerate(checked)]
-
-    def descramble_batch(
-        self,
-        bit_streams: Sequence[Sequence[int]],
-        seeds: Optional[Sequence[int]] = None,
-    ) -> List[List[int]]:
-        """Identical to :meth:`scramble_batch` (XOR is an involution)."""
-        return self.scramble_batch(bit_streams, seeds)
-
-
-class BatchWordScrambler:
-    """Frame-synchronous scrambling of B streams on word-oriented keystreams.
-
-    An alternative keystream source to :class:`BatchAdditiveScrambler`:
-    instead of a catalog LFSR's keystream tables, each stream gets its
-    own Tsaban–Vishne
-    :class:`~repro.lfsr.wordlfsr.WordLFSR` emitting one machine word per
-    step, and the batch XOR runs as one numpy operation.  Per-stream seeds
-    are word lists or byte material (stretched through
-    :func:`~repro.lfsr.wordlfsr.seed_words_from_bytes`); omitted seeds
-    derive deterministically from the stream index, so repeated calls are
-    reproducible.  Scrambling is an involution — descrambling is the same
-    call with the same seeds.
-    """
-
-    def __init__(self, spec: WordLFSRSpec = WORD64):
-        self._spec = spec
-
-    @property
-    def spec(self) -> WordLFSRSpec:
-        """The word-LFSR configuration every stream's keystream runs."""
-        return self._spec
-
-    # ------------------------------------------------------------------
-    def _check_seeds(self, batch: int, seeds) -> List[List[int]]:
-        """Per-stream word seeds (index-derived defaults when omitted)."""
-        if seeds is None:
-            return [
-                seed_words_from_bytes(self._spec, b"stream-%d" % b)
-                for b in range(batch)
-            ]
-        if len(seeds) != batch:
-            raise SpecError(f"expected {batch} seeds, got {len(seeds)}")
-        out = []
-        for s in seeds:
-            if isinstance(s, (bytes, bytearray, memoryview)):
-                out.append(seed_words_from_bytes(self._spec, bytes(s)))
-            else:
-                out.append(list(s))
-        return out
-
-    def keystream_batch(
-        self, nbits: int, batch: int, seeds=None
-    ) -> np.ndarray:
-        """``(nbits, batch)`` keystream bits, one word-LFSR per column."""
-        telemetry = default_registry().enabled
-        t0 = perf_counter() if telemetry else 0.0
-        seeds = self._check_seeds(batch, seeds)
-        if nbits == 0 or batch == 0:
-            return np.zeros((nbits, batch), dtype=np.uint8)
-        cols = [
-            WordLFSR(self._spec, seed).keystream_bits(nbits) for seed in seeds
+            return [b"" for _ in checked]
+        keystream = self.keystream_batch(longest, len(checked), seeds)
+        return [
+            (np.frombuffer(m, dtype=np.uint8) ^ row[: len(m)]).tobytes()
+            for m, row in zip(checked, keystream)
         ]
-        out = np.stack(cols, axis=1)
-        if telemetry:
-            _observe_kernel("scrambler-word", nbits * batch, perf_counter() - t0)
-        return out
-
-    def scramble_batch(
-        self,
-        bit_streams: Sequence[Sequence[int]],
-        seeds=None,
-    ) -> List[List[int]]:
-        """XOR each stream with its keystream; returns per-stream bit lists."""
-        # Validate arguments *before* any early return, so an invalid seed
-        # list is rejected even when every stream happens to be empty.
-        checked = check_bit_streams(bit_streams)
-        batch = len(checked)
-        seeds = self._check_seeds(batch, seeds)
-        if batch == 0:
-            return []
-        lengths = [len(bits) for bits in checked]
-        longest = max(lengths)
-        if longest == 0:
-            return [[] for _ in checked]
-        # Tail padding is safe here: the keystream never depends on the data.
-        data = np.zeros((longest, batch), dtype=np.uint8)
-        for b, bits in enumerate(checked):
-            if lengths[b]:
-                data[: lengths[b], b] = bits
-        ks = self.keystream_batch(longest, batch, seeds)
-        out = data ^ ks
-        return [out[: lengths[b], b].tolist() for b in range(batch)]
 
     def descramble_batch(
         self,
-        bit_streams: Sequence[Sequence[int]],
-        seeds=None,
-    ) -> List[List[int]]:
+        messages: Sequence[bytes],
+        seeds: Optional[Sequence[int]] = None,
+    ) -> List[bytes]:
         """Identical to :meth:`scramble_batch` (XOR is an involution)."""
-        return self.scramble_batch(bit_streams, seeds)
+        return self.scramble_batch(messages, seeds)
 
 
 class BatchMultiplicativeScrambler:
@@ -385,7 +266,7 @@ class BatchMultiplicativeScrambler:
     The feedback taps read the *scrambled* stream, so time stays serial —
     but each clock is a handful of W-word XORs instead of B Python-level
     shifts.  Matches :class:`repro.scrambler.multiplicative.MultiplicativeScrambler`
-    bit-for-bit per stream.
+    bit-for-bit per stream, each byte's bits taken lsb-first.
     """
 
     def __init__(self, poly: GF2Polynomial):
@@ -424,56 +305,54 @@ class BatchMultiplicativeScrambler:
 
     def _run(
         self,
-        bit_streams: Sequence[Sequence[int]],
+        messages: Sequence[bytes],
         states: Optional[Sequence[int]],
         descramble: bool,
-    ) -> List[List[int]]:
+    ) -> List[bytes]:
         # Validate arguments *before* any early return, so an invalid state
-        # list is rejected even when every stream happens to be empty.
-        checked = check_bit_streams(bit_streams)
+        # list is rejected even when every message happens to be empty.
+        checked = check_messages(messages)
         batch = len(checked)
         states = self._check_states(batch, states)
-        if batch == 0:
-            return []
+        longest = max(map(len, checked), default=0)
+        if longest == 0:
+            return [b"" for _ in checked]
         telemetry = default_registry().enabled
         t0 = perf_counter() if telemetry else 0.0
-        lengths = [len(bits) for bits in checked]
-        longest = max(lengths)
-        if longest == 0:
-            return [[] for _ in checked]
-        data = np.zeros((longest, batch), dtype=np.uint8)
-        for b, bits in enumerate(checked):
-            if lengths[b]:
-                data[: lengths[b], b] = bits
+        # Tail padding is safe: a stream's output bits depend only on its
+        # earlier bits.
+        rows = np.zeros((batch, longest), dtype=np.uint8)
+        for b, m in enumerate(checked):
+            rows[b, : len(m)] = np.frombuffer(m, dtype=np.uint8)
         kernel = self._kernel
-        packed = kernel.pack(data)
+        packed = kernel.pack(np.unpackbits(rows, axis=1, bitorder="little").T)
         line = self._delay_lines(states)
         out_rows = []
-        for n in range(longest):
+        for word in packed:
             fb = reduce(lambda acc, pos: acc ^ line[pos], self._taps[1:], line[self._taps[0]])
-            row = packed[n] ^ fb
+            row = word ^ fb
             out_rows.append(row)
             # The delay line shifts in the *scrambled* stream bit on both
             # sides of the link (received when descrambling, produced when
             # scrambling) — that is what makes the pair self-synchronizing.
-            shift_in = packed[n] if descramble else row
             line.pop()
-            line.appendleft(shift_in)
+            line.appendleft(word if descramble else row)
         bits_out = kernel.unpack(kernel.from_rows(out_rows), batch)
+        out = np.packbits(bits_out.T, axis=1, bitorder="little")
         if telemetry:
             _observe_kernel(
-                "scrambler-multiplicative", sum(lengths), perf_counter() - t0
+                "scrambler-multiplicative", 8 * sum(map(len, checked)), perf_counter() - t0
             )
-        return [bits_out[: lengths[b], b].tolist() for b in range(batch)]
+        return [out[b, : len(m)].tobytes() for b, m in enumerate(checked)]
 
     def scramble_batch(
-        self, bit_streams: Sequence[Sequence[int]], states: Optional[Sequence[int]] = None
-    ) -> List[List[int]]:
+        self, messages: Sequence[bytes], states: Optional[Sequence[int]] = None
+    ) -> List[bytes]:
         """``s = u ^ taps(delay)``, feeding back ``s`` (1/g(x) transfer)."""
-        return self._run(bit_streams, states, descramble=False)
+        return self._run(messages, states, descramble=False)
 
     def descramble_batch(
-        self, bit_streams: Sequence[Sequence[int]], states: Optional[Sequence[int]] = None
-    ) -> List[List[int]]:
+        self, messages: Sequence[bytes], states: Optional[Sequence[int]] = None
+    ) -> List[bytes]:
         """``u = s ^ taps(delay)``, feeding forward ``s`` (g(x) transfer)."""
-        return self._run(bit_streams, states, descramble=True)
+        return self._run(messages, states, descramble=True)

@@ -10,8 +10,10 @@ is seen for the first time, and they are pure functions of
 bounded LRU so repeated specs recompile at dictionary-lookup cost.
 
 The cache is deliberately generic (``get(key, builder)``) with typed
-helpers for each artifact family, and it exposes hit/miss/eviction
-counters so the benchmark harness can assert near-zero recompile cost.
+helpers for each artifact family, and it counts hits, misses and
+evictions once, under its own lock: :class:`CacheStats` and the
+registry's counters read the same counts, so the benchmark harness can
+assert near-zero recompile cost.
 Residency is bounded two ways: by entry count (``capacity``) and — since
 artifact cost scales with matrix area, not count — by an estimated byte
 budget (``max_bytes``, see :func:`estimate_entry_bytes`), which the
@@ -51,8 +53,8 @@ from repro.telemetry import (
     default_registry,
 )
 
-def _cache_gauges(reg) -> Owners:
-    """Bind the residency gauges to the live caches; returns their Owners."""
+def _cache_families(reg) -> Owners:
+    """Bind the cache families to the live caches; returns their Owners."""
     caches = Owners()
     reg.gauge(
         "engine_compile_cache_entries", "Compiled artifacts resident across caches"
@@ -61,22 +63,22 @@ def _cache_gauges(reg) -> Owners:
         "engine_compile_cache_bytes",
         "Estimated bytes of compiled artifacts resident across caches",
     ).bind(lambda: caches.sum(lambda cache: cache.size_bytes))
+    lookups = reg.counter(
+        "engine_compile_cache_lookups_total",
+        "Compile-cache lookups by result",
+        labels=("result",),
+    )
+    for result in ("hit", "miss"):
+        lookups.labels(result=result).bind(lambda result=result: caches.total(result))
+    reg.counter(
+        "engine_compile_cache_evictions_total", "Compile-cache LRU evictions"
+    ).bind(lambda: caches.total("evictions"))
     return caches
 
 
 # Bound lazily (see repro.telemetry.bind_families) so swapping the
-# default registry after import is observed by every family below.
-_METRICS = bind_families(lambda reg: {
-    "caches": _cache_gauges(reg),
-    "lookups": reg.counter(
-        "engine_compile_cache_lookups_total",
-        "Compile-cache lookups by result",
-        labels=("result",),
-    ),
-    "evictions": reg.counter(
-        "engine_compile_cache_evictions_total", "Compile-cache LRU evictions"
-    ),
-})
+# default registry after import is observed by every family above.
+_CACHES = bind_families(_cache_families)
 
 def estimate_entry_bytes(value: Any) -> int:
     """Estimated resident cost of one cached artifact, in bytes.
@@ -119,80 +121,56 @@ def _estimate(value: Any, depth: int) -> int:
 
 
 class CacheStats:
-    """Counters exposed for benchmarks and capacity tuning.
+    """A read-only view of one cache's counts, for benchmarks and capacity
+    tuning.
 
-    Increments take an internal lock so the counters stay exact when the
-    pipelines drive one cache from several threads — readers see a
-    consistent value regardless of who holds the cache's own lock.
+    The cache bumps one counts dict under its own lock, and the registry's
+    ``engine_compile_cache_lookups_total`` / ``_evictions_total`` series
+    read the same dict, so the two cannot disagree.  Counts only grow:
+    :meth:`CompileCache.clear` keeps them.
     """
 
-    __slots__ = ("_lock", "_hits", "_misses", "_evictions")
+    __slots__ = ("_counts",)
 
-    def __init__(self, hits: int = 0, misses: int = 0, evictions: int = 0):
-        self._lock = threading.Lock()
-        self._hits = hits
-        self._misses = misses
-        self._evictions = evictions
+    def __init__(self, counts: dict):
+        self._counts = counts
 
     @property
     def hits(self) -> int:
         """Lookups served from the cache."""
-        with self._lock:
-            return self._hits
+        return self._counts["hit"]
 
     @property
     def misses(self) -> int:
         """Lookups that had to run the builder."""
-        with self._lock:
-            return self._misses
+        return self._counts["miss"]
 
     @property
     def evictions(self) -> int:
         """Entries dropped by the LRU policy."""
-        with self._lock:
-            return self._evictions
+        return self._counts["evictions"]
 
     @property
     def lookups(self) -> int:
         """Total lookups (hits + misses)."""
-        with self._lock:
-            return self._hits + self._misses
+        snap = self.snapshot()
+        return snap["hits"] + snap["misses"]
 
     @property
     def hit_rate(self) -> float:
         """hits / lookups (0.0 when never used)."""
-        with self._lock:
-            lookups = self._hits + self._misses
-            return self._hits / lookups if lookups else 0.0
-
-    def record_hit(self) -> None:
-        """Count one cache hit."""
-        with self._lock:
-            self._hits += 1
-
-    def record_miss(self) -> None:
-        """Count one cache miss."""
-        with self._lock:
-            self._misses += 1
-
-    def record_eviction(self) -> None:
-        """Count one LRU eviction."""
-        with self._lock:
-            self._evictions += 1
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
+        snap = self.snapshot()
+        lookups = snap["hits"] + snap["misses"]
+        return snap["hits"] / lookups if lookups else 0.0
 
     def snapshot(self) -> dict:
         """Consistent ``{hits, misses, evictions}`` dict."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "evictions": self._evictions,
-            }
+        counts = dict(self._counts)  # one C-level copy
+        return {
+            "hits": counts["hit"],
+            "misses": counts["miss"],
+            "evictions": counts["evictions"],
+        }
 
     def __repr__(self) -> str:
         snap = self.snapshot()
@@ -205,7 +183,7 @@ class CacheStats:
 class CompileCache:
     """Bounded LRU cache over ``(artifact kind, spec, M, method)`` keys.
 
-    Thread-safe: a single lock guards the LRU order and the counters.  The
+    Thread-safe: a single lock guards the LRU order and the counts.  The
     builders themselves run outside the lock, so two threads racing on the
     same cold key may both compile — but the *first* insert wins and the
     loser's artifact is discarded, preserving the same-object identity
@@ -214,7 +192,8 @@ class CompileCache:
     to the identical netlist object, like the hardware configuration
     cache serving one bitstream).  The ``engine_compile_cache_entries`` and
     ``engine_compile_cache_bytes`` gauges read ``len(cache)`` and
-    :attr:`size_bytes` of every live cache when the registry is read.
+    :attr:`size_bytes` of every live cache when the registry is read, and
+    the lookup and eviction counters read the counts :attr:`stats` views.
     """
 
     def __init__(
@@ -232,9 +211,10 @@ class CompileCache:
         self._costs: dict = {}
         self._bytes = 0
         self._lock = threading.Lock()
-        self.stats = CacheStats()
+        self._counts = {"hit": 0, "miss": 0, "evictions": 0}
+        self.stats = CacheStats(self._counts)
         if default_registry().enabled:
-            _METRICS()["caches"].add(self)
+            _CACHES().add(self, self._counts)
 
     # ------------------------------------------------------------------
     @property
@@ -267,12 +247,11 @@ class CompileCache:
             return list(self._entries)
 
     def clear(self) -> None:
-        """Drop every resident entry and zero :attr:`stats`."""
+        """Drop every resident entry; :attr:`stats` keeps its counts."""
         with self._lock:
             self._entries.clear()
             self._costs.clear()
             self._bytes = 0
-            self.stats.reset()
 
     # ------------------------------------------------------------------
     def _insert(self, key: Hashable, value: Any) -> Any:
@@ -300,8 +279,7 @@ class CompileCache:
                 evicted_key, _ = self._entries.popitem(last=False)
                 evicted_cost = self._costs.pop(evicted_key, 0)
                 self._bytes -= evicted_cost
-                self.stats.record_eviction()
-                _METRICS()["evictions"].inc()
+                self._counts["evictions"] += 1
         return value
 
     def get(self, key: Hashable, builder: Callable[[], Any]) -> Any:
@@ -313,12 +291,10 @@ class CompileCache:
         """
         with self._lock:
             if key in self._entries:
-                self.stats.record_hit()
-                _METRICS()["lookups"].labels(result="hit").inc()
+                self._counts["hit"] += 1
                 self._entries.move_to_end(key)
                 return self._entries[key]
-            self.stats.record_miss()
-            _METRICS()["lookups"].labels(result="miss").inc()
+            self._counts["miss"] += 1
         try:
             value = builder()
         except ReproError:

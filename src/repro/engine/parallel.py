@@ -508,7 +508,7 @@ class ShardedCRCPipeline:
     finalized or aborted.  ``pump`` hands every backlogged shard to the
     thread pool, each shard pumping its own streams through the byte
     engines.  The public surface mirrors ``CRCPipeline`` — ``open`` /
-    ``feed`` / ``feed_bits`` / ``pump`` / ``finalize`` / ``abort`` — and
+    ``feed`` / ``pump`` / ``finalize`` / ``abort`` — and
     is bit-exact against it under any delivery schedule, including
     mid-stream aborts (the ``parallel:workers1-vs-workersN`` fuzz oracle
     drives exactly that).
@@ -664,15 +664,6 @@ class ShardedCRCPipeline:
         """Append message bytes to a stream (chunked calls compose)."""
         with self._lock:
             self._shard_of(stream_id).feed(stream_id, data, pump=False)
-            if pump:
-                self.pump()
-
-    def feed_bits(
-        self, stream_id: Hashable, bits: Sequence[int], pump: bool = True
-    ) -> None:
-        """Append raw message bits to a stream (chunked calls compose)."""
-        with self._lock:
-            self._shard_of(stream_id).feed_bits(stream_id, bits, pump=False)
             if pump:
                 self.pump()
 

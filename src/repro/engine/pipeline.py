@@ -6,12 +6,12 @@ may span many chunks.  :class:`CRCPipeline` and :class:`ScramblerPipeline`
 expose the classic feed/finalize interface per stream while sharing the
 compile cache underneath.
 
-A :class:`CRCPipeline` stream holds its register, the whole bytes it has
-been fed and not yet clocked in, at most 7 trailing bits a partial-byte
-``feed_bits`` left behind, and a count of the buffered bits no pump has
-counted yet.  A ``pump`` takes every whole M-bit block from every stream
-holding one and clocks that stream's counted whole bytes through a byte
-engine in one call:
+Every door takes and returns bytes.  A :class:`CRCPipeline` stream
+holds its register, the bytes it has been fed and not yet clocked in,
+and a count of the buffered bits (8 a byte) no pump has counted yet.  A
+``pump`` takes every whole M-bit block from every stream holding one and
+clocks that stream's counted whole bytes through a byte engine in one
+call:
 
 * a run of fewer than :data:`SHORT_RUN_BYTES` bytes through the byte
   table (:meth:`repro.crc.TableCRC.raw_register`, the software CRC the
@@ -27,12 +27,11 @@ The threshold was read off ``benchmarks/results/pipeline_crossover.txt``
 and reflection.  When M % 8 != 0 a block can end inside a byte: the
 pump still counts the whole block, and its last few bits wait in the
 buffer for the next pump or ``finalize``.  ``finalize`` clocks the
-remaining whole bytes through the byte engines and the last bits (fewer
-than 8) through the bit-serial core.
+remaining bytes through the byte engines.
 
 Error semantics: unknown / duplicate stream ids raise
-:class:`repro.errors.StreamError`; malformed arguments (non-bit values,
-wrong-width registers or seeds, bad factors) raise
+:class:`repro.errors.StreamError`; malformed arguments (data that is not
+bytes-like, wrong-width registers or seeds, bad factors) raise
 :class:`repro.errors.ValidationError`.
 
 Telemetry is read, not pushed: each pipeline adds itself to its kind's
@@ -53,7 +52,6 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.crc.bitwise import BitwiseCRC
 from repro.crc.slicing import ByteSlicedCRC
 from repro.crc.spec import CRCSpec
 from repro.crc.table import TableCRC
@@ -62,7 +60,7 @@ from repro.errors import StreamError, ValidationError
 from repro.lfsr.slicing import ByteSlicedScrambler
 from repro.scrambler.specs import ScramblerSpec
 from repro.telemetry import Owners, bind_families, default_registry
-from repro.validation import check_bits, check_factor, check_register, check_seed
+from repro.validation import check_factor, check_message, check_register, check_seed
 
 
 def _bind(reg) -> Dict[str, Owners]:
@@ -107,8 +105,7 @@ SHORT_RUN_BYTES = 48
 @dataclass
 class _CRCStream:
     register: int  # natural-basis raw register, as the byte engines use it
-    data: bytearray = field(default_factory=bytearray)  # whole bytes not yet clocked in
-    tail: List[int] = field(default_factory=list)  # < 8 message bits after ``data``
+    data: bytearray = field(default_factory=bytearray)  # bytes not yet clocked in
     pending: int = 0  # buffered bits no pump has counted into a block yet
 
 
@@ -124,12 +121,8 @@ class CRCPipeline:
         self._spec = spec
         self._M = check_factor(M, what="look-ahead factor M")
         self._cache = cache if cache is not None else default_cache()
-        self._serial = BitwiseCRC(spec)
         self._table = TableCRC(spec)
         self._sliced = ByteSlicedCRC(spec, self._cache.slicing_tables(spec))
-        # Any 8 consecutive transmission-order bits regroup into one byte
-        # under the spec's input reflection.
-        self._bitorder = "little" if spec.refin else "big"
         # Tests and the fuzz oracle override this per instance to pin one
         # engine: sys.maxsize sends every run to the table, 0 to the gather.
         self._short_run = SHORT_RUN_BYTES
@@ -198,50 +191,17 @@ class CRCPipeline:
         return stream_id
 
     def feed(self, stream_id: Hashable, data: bytes, pump: bool = True) -> None:
-        """Append message bytes to a stream (chunked calls compose).
-
-        The bytes are kept as they are, unless a partial-byte
-        ``feed_bits`` left the stream off a byte boundary; then they
-        shift behind its trailing bits.
-        """
+        """Append message bytes to a stream (chunked calls compose)."""
         stream = self._stream(stream_id)
         if not isinstance(data, (bytes, bytearray, memoryview)):
             raise ValidationError(
                 f"message must be bytes-like, got {type(data).__name__}"
             )
-        if len(data):
-            if stream.tail:
-                bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder=self._bitorder)
-                self._append_bits(stream, bits)
-                stream.pending += len(bits)
-            else:
-                before = len(stream.data)
-                stream.data += data
-                stream.pending += 8 * (len(stream.data) - before)
+        before = len(stream.data)
+        stream.data += data
+        stream.pending += 8 * (len(stream.data) - before)
         if pump:
             self.pump()
-
-    def feed_bits(self, stream_id: Hashable, bits: Sequence[int], pump: bool = True) -> None:
-        """Append raw message bits to a stream (chunked calls compose).
-
-        Every 8 bits become one buffered byte under the spec's input
-        reflection; fewer than 8 left over wait for the next feed.
-        """
-        stream = self._stream(stream_id)
-        checked = check_bits(bits)
-        if len(checked):
-            self._append_bits(stream, checked)
-            stream.pending += len(checked)
-        if pump:
-            self.pump()
-
-    def _append_bits(self, stream: _CRCStream, bits: np.ndarray) -> None:
-        """Regroup the stream's trailing bits and ``bits`` into whole bytes."""
-        if stream.tail:
-            bits = np.concatenate((np.array(stream.tail, dtype=np.uint8), bits))
-        whole = len(bits) - len(bits) % 8
-        stream.data += np.packbits(bits[:whole], bitorder=self._bitorder).tobytes()
-        stream.tail = bits[whole:].tolist()
 
     # ------------------------------------------------------------------
     def pump(self) -> int:
@@ -259,8 +219,7 @@ class CRCPipeline:
                 blocks = stream.pending // M
                 stream.pending -= blocks * M
                 processed += blocks
-                counted = 8 * len(stream.data) + len(stream.tail) - stream.pending
-                self._absorb(stream, counted // 8)
+                self._absorb(stream, (8 * len(stream.data) - stream.pending) // 8)
         counts = self._counts
         counts["blocks"] += processed
         counts["pumps"] += 1
@@ -275,7 +234,7 @@ class CRCPipeline:
             stream.register = engine.raw_register(data, stream.register)
 
     def finalize(self, stream_id: Hashable) -> int:
-        """Drain the stream (sub-block tail) and return its CRC.
+        """Drain the stream (its sub-block bytes) and return its CRC.
 
         An unknown id raises before the pump, so no other stream moves.
         """
@@ -291,8 +250,7 @@ class CRCPipeline:
         validates every id up front (all-or-nothing: an unknown or
         duplicated id raises before any stream is consumed), pumps once
         to advance all of them together, then drains each stream's
-        remaining bytes and bits.  Results align with ``stream_ids``
-        order.
+        remaining bytes.  Results align with ``stream_ids`` order.
         """
         ids = list(stream_ids)
         if len(set(ids)) != len(ids):
@@ -305,17 +263,14 @@ class CRCPipeline:
         return [self._finalize_drained(sid) for sid in ids]
 
     def _finalize_drained(self, stream_id: Hashable) -> int:
-        """Consume an already-pumped stream: tail drain + final XOR.
+        """Consume an already-pumped stream: drain its bytes + final XOR.
 
         The caller runs :meth:`pump` beforehand.
         """
         stream = self._stream(stream_id)
         del self._streams[stream_id]
         self._absorb(stream, len(stream.data))
-        register = stream.register
-        if stream.tail:
-            register = self._serial.process_bits(register, stream.tail)
-        return self._spec.finalize(register)
+        return self._spec.finalize(stream.register)
 
     def abort(self, stream_id: Hashable) -> None:
         """Drop a stream without computing its CRC."""
@@ -326,21 +281,23 @@ class CRCPipeline:
 @dataclass
 class _ScramblerStream:
     state: int  # register at the start of the next keystream block
-    keystream: np.ndarray  # generated keystream bits no feed has used yet
-    fed: int = 0  # bits fed so far
+    keystream: np.ndarray  # generated keystream bytes no feed has used yet
+    fed: int = 0  # bits fed so far (8 a byte)
 
 
 class ScramblerPipeline:
     """Many concurrent additive-scrambler streams on one cached table stack.
 
-    ``feed`` returns the scrambled bits immediately (the keystream never
-    depends on the data, so there is nothing to buffer).  A stream's
+    ``feed`` returns the scrambled bytes immediately (the keystream never
+    depends on the data, so there is nothing to buffer).  Message bit i is
+    bit ``i % 8`` of byte ``i // 8``, as in
+    :meth:`~repro.scrambler.AdditiveScrambler.scramble_bytes`.  A stream's
     keystream comes whole blocks at a time from
     :class:`~repro.lfsr.slicing.ByteSlicedScrambler`'s single-stream door,
-    and the bits a feed leaves unused carry over to the next one, so chunk
-    boundaries are invisible.  A stream counts ``ceil(bits fed / M)``
-    blocks on ``engine_pipeline_blocks_total``.  Descrambling is the same
-    operation.
+    and the bytes a feed leaves unused carry over to the next one, so
+    chunk boundaries are invisible.  A stream counts ``ceil(bits fed / M)``
+    blocks on ``engine_pipeline_blocks_total``, at 8 bits a byte.
+    Descrambling is the same operation.
     """
 
     def __init__(
@@ -401,23 +358,22 @@ class ScramblerPipeline:
         self._streams[stream_id] = _ScramblerStream(seed, np.zeros(0, dtype=np.uint8))
         return stream_id
 
-    def feed(self, stream_id: Hashable, bits: Sequence[int]) -> List[int]:
-        """Scramble (or descramble) one chunk; returns the output bits."""
+    def feed(self, stream_id: Hashable, data: bytes) -> bytes:
+        """Scramble (or descramble) one chunk; returns the output bytes."""
         stream = self._stream(stream_id)
-        checked = check_bits(bits)
-        n = len(checked)
+        chunk = np.frombuffer(check_message(data), dtype=np.uint8)
+        n = len(chunk)
         short = n - len(stream.keystream)
         if short > 0:
-            blocks = -(-short // (8 * self._engine.depth))
-            packed, stream.state = self._engine.run(stream.state, blocks)
-            fresh = np.unpackbits(packed, bitorder="little")
+            blocks = -(-short // self._engine.depth)
+            fresh, stream.state = self._engine.run(stream.state, blocks)
             stream.keystream = np.concatenate((stream.keystream, fresh))
-        out = checked ^ stream.keystream[:n]
+        out = chunk ^ stream.keystream[:n]
         stream.keystream = stream.keystream[n:]
         counted = -(-stream.fed // self._M)
-        stream.fed += n
+        stream.fed += 8 * n
         self._counts["blocks"] += -(-stream.fed // self._M) - counted
-        return out.tolist()
+        return out.tobytes()
 
     def close(self, stream_id: Hashable) -> None:
         """Close a stream and discard its state."""

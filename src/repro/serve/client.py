@@ -92,20 +92,27 @@ class ServeClient:
         port: int,
         max_frame: int = MAX_FRAME_BYTES,
     ) -> "ServeClient":
-        """Open a connection and consume the server hello."""
+        """Open a connection and consume the server hello.
+
+        Any failure after the connection opens (a hang-up or a garbled
+        frame before the hello, a malformed hello, another protocol
+        version, cancellation) closes the connection before it raises.
+        """
         reader, writer = await asyncio.open_connection(host, port)
-        bound_reads(writer)
-        hello, _ = await read_frame(reader, max_frame)
-        if hello.get("op") != "hello" or not hello.get("ok"):
+        try:
+            bound_reads(writer)
+            hello, _ = await read_frame(reader, max_frame)
+            if hello.get("op") != "hello" or not hello.get("ok"):
+                raise ProtocolError(f"expected server hello, got {hello!r}")
+            version = hello.get("version")
+            if version != PROTOCOL_VERSION:
+                raise ProtocolError(
+                    f"server speaks protocol version {version!r}, "
+                    f"client speaks {PROTOCOL_VERSION}"
+                )
+        except BaseException:
             writer.close()
-            raise ProtocolError(f"expected server hello, got {hello!r}")
-        version = hello.get("version")
-        if version != PROTOCOL_VERSION:
-            writer.close()
-            raise ProtocolError(
-                f"server speaks protocol version {version!r}, "
-                f"client speaks {PROTOCOL_VERSION}"
-            )
+            raise
         return cls(reader, writer, hello, max_frame)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 from repro.errors import ValidationError
 
 __all__ = [
-    "check_bit_streams",
     "check_bits",
     "check_factor",
     "check_message",
@@ -105,19 +104,6 @@ def check_bits(bits: Sequence[int], what: str = "bits") -> np.ndarray:
                 f"{what}[{idx}] is {int(arr[idx])}, expected 0 or 1"
             )
     return arr.astype(np.uint8)
-
-
-def check_bit_streams(
-    streams: Sequence[Sequence[int]], what: str = "bit_streams"
-) -> List[np.ndarray]:
-    """A batch of bit sequences, each validated via :func:`check_bits`."""
-    try:
-        items = list(streams)
-    except TypeError:
-        raise ValidationError(
-            f"{what} must be a sequence of bit sequences, got {streams!r}"
-        ) from None
-    return [check_bits(s, what=f"{what}[{i}]") for i, s in enumerate(items)]
 
 
 def check_message(data: bytes, what: str = "message") -> bytes:

@@ -15,10 +15,9 @@ reported mismatch indicts the parallel/batch/streaming candidate.
 
 from __future__ import annotations
 
-import random
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, TableCRC, get as get_crc
 from repro.crc.slicing import GATHER_MIN_ROWS, SLICE_DEPTH
@@ -151,9 +150,9 @@ class CRCDerbyOracle(Oracle):
 
 
 class CRCBatchOracle(Oracle):
-    """BitwiseCRC vs the batch engine's grouped gather, through the byte
-    and the bit door.  The case's few short payloads alone form groups
-    below :data:`~repro.crc.slicing.GATHER_MIN_ROWS`, which run message by
+    """BitwiseCRC vs the batch engine's grouped gather.  The case's few
+    short payloads alone form groups below
+    :data:`~repro.crc.slicing.GATHER_MIN_ROWS`, which run message by
     message, so batches built from them follow that reach the gather:
     each payload repeated to that many rows (an equal-length group), all
     of them cycled to that many rows (a head-padded group), and those
@@ -184,38 +183,29 @@ class CRCBatchOracle(Oracle):
                 if m not in crcs:
                     crcs[m] = serial.compute(m)
             expected = [crcs[m] for m in batch]
-            for door, got in (
-                ("compute_batch", engine.compute_batch(batch)),
-                ("compute_bits_batch",
-                 engine.compute_bits_batch([spec.message_bits(m) for m in batch])),
-            ):
-                if got != expected:
-                    i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
-                    return Discrepancy(
-                        detail=f"{door} {label} row {i} ({len(batch[i])} bytes)",
-                        expected=f"0x{expected[i]:X}",
-                        got=f"0x{got[i]:X}",
-                    )
+            got = engine.compute_batch(batch)
+            if got != expected:
+                i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
+                return Discrepancy(
+                    detail=f"compute_batch {label} row {i} ({len(batch[i])} bytes)",
+                    expected=f"0x{expected[i]:X}",
+                    got=f"0x{got[i]:X}",
+                )
         return None
 
 
 class CRCPipelineOracle(Oracle):
     """BitwiseCRC vs the streaming pipeline under the case's chunk schedule,
     interleaved deliveries and ghost-stream aborts — once per byte engine,
-    each pinned through the pipeline's private short-run threshold (every
-    run through the byte table, every run through the byte-sliced
-    gather), and once with sub-byte deliveries: every other stream takes
-    one of its chunks through ``feed_bits`` split at an odd bit offset.
-    The bits before the cut go in first, the whole bytes after it follow
-    as a ``feed`` that lands off the message's byte grid, and the last
-    few bits close the chunk."""
+    each pinned through the pipeline's private short-run threshold: every
+    run through the byte table, then every run through the byte-sliced
+    gather."""
 
     name = "crc:bitwise-vs-pipeline"
     kinds = (KIND_CRC,)
 
-    #: (pass, short-run threshold override or None for the default), see
-    #: CRCPipeline.__init__.
-    PASSES = (("table", sys.maxsize), ("sliced", 0), ("bits", None))
+    #: (pass, short-run threshold override), see CRCPipeline.__init__.
+    PASSES = (("table", sys.maxsize), ("sliced", 0))
 
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         for which, short_run in self.PASSES:
@@ -224,38 +214,12 @@ class CRCPipelineOracle(Oracle):
                 return found
         return None
 
-    @staticmethod
-    def _deliveries(case: FuzzCase, spec, split_bits: bool) -> List[List[tuple]]:
-        """Per stream, its chunks in order as ``("bytes", data)`` or
-        ``("bits", bits)`` deliveries."""
-        rng = random.Random(repr(case.to_dict()))
-        out = []
-        for i, payload in enumerate(case.payloads()):
-            plan = case.chunk_plan(i)
-            chunks, offset = [], 0
-            for size in plan:
-                chunks.append(("bytes", payload[offset : offset + size]))
-                offset += size
-            if split_bits and plan and i % 2 == 0:
-                j = rng.randrange(len(plan))
-                bits = spec.message_bits(chunks[j][1])
-                cut = 2 * rng.randrange(len(bits) // 2) + 1
-                end = len(bits) - (len(bits) - cut) % 8
-                chunks[j : j + 1] = [
-                    ("bits", bits[:cut]),
-                    ("bytes", bits_to_bytes(bits[cut:end], reflect=spec.refin)),
-                    ("bits", bits[end:]),
-                ]
-            out.append(chunks)
-        return out
-
     def _check_pass(
-        self, case: FuzzCase, cache: CompileCache, which: str, short_run: Optional[int]
+        self, case: FuzzCase, cache: CompileCache, which: str, short_run: int
     ) -> Optional[Discrepancy]:
         spec, serial = _crc_serial(case)
         pipe = CRCPipeline(spec, case.M, cache=cache)
-        if short_run is not None:
-            pipe._short_run = short_run
+        pipe._short_run = short_run
         payloads = case.payloads()
         ids = []
         for i in range(len(payloads)):
@@ -264,19 +228,17 @@ class CRCPipelineOracle(Oracle):
         ghost_ids = []
         for nbits in case.aborts:
             gid = pipe.open()
-            pipe.feed_bits(gid, [1] * nbits, pump=False)
+            pipe.feed(gid, _ghost_bytes(nbits), pump=False)
             ghost_ids.append(gid)
         # Interleave deliveries round-robin across streams; the schedule
         # is deterministic from the case so replays are exact.
-        deliveries = self._deliveries(case, spec, split_bits=which == "bits")
-        for turn in range(max(map(len, deliveries), default=0)):
-            for sid, chunks in zip(ids, deliveries):
-                if turn < len(chunks):
-                    how, chunk = chunks[turn]
-                    if how == "bits":
-                        pipe.feed_bits(sid, chunk)
-                    else:
-                        pipe.feed(sid, chunk)
+        plans = [case.chunk_plan(i) for i in range(len(payloads))]
+        offsets = [0] * len(payloads)
+        for turn in range(max(map(len, plans), default=0)):
+            for i, plan in enumerate(plans):
+                if turn < len(plan):
+                    pipe.feed(ids[i], payloads[i][offsets[i]:offsets[i] + plan[turn]])
+                    offsets[i] += plan[turn]
         for gid in ghost_ids:
             pipe.abort(gid)
         for i, payload in enumerate(payloads):
@@ -293,23 +255,46 @@ class CRCPipelineOracle(Oracle):
         return None
 
 
-def _bitserial_scramble(spec, seed: int, bits: Sequence[int]) -> List[int]:
-    """``bits`` XOR the bit-serial Galois register's keystream from ``seed``."""
+def _ghost_bytes(nbits: int) -> bytes:
+    """A ghost stream's payload: ``nbits`` rounded up to whole 0xFF bytes."""
+    return b"\xff" * -(-nbits // 8)
+
+
+def _bitserial_scramble(spec, seed: int, message: bytes) -> bytes:
+    """``message`` XOR the bit-serial Galois register's keystream from
+    ``seed``, its bits taken and packed lsb-first."""
+    bits = bytes_to_bits(message, reflect=True)
     keystream = GaloisLFSR(spec.poly, seed).keystream(len(bits))
-    return [b ^ k for b, k in zip(bits, keystream)]
+    return bits_to_bytes([b ^ k for b, k in zip(bits, keystream)], reflect=True)
 
 
-def _bit_discrepancy(detail: str, expected: List[int], got: List[int]) -> Discrepancy:
-    """A bit-stream mismatch shown as 64-bit windows from the first
-    differing bit (a long stream can agree on its first 64)."""
+def _byte_discrepancy(detail: str, expected: bytes, got: bytes) -> Discrepancy:
+    """A byte-stream mismatch shown as 32-byte hex windows from the first
+    differing byte (a long stream can agree on its first 32)."""
     at = next(
         (j for j, (a, b) in enumerate(zip(expected, got)) if a != b),
         min(len(expected), len(got)),
     )
     return Discrepancy(
-        detail=f"{detail} from bit {at}",
-        expected="".join(map(str, expected[at : at + 64])),
-        got="".join(map(str, got[at : at + 64])),
+        detail=f"{detail} from byte {at}",
+        expected=expected[at : at + 32].hex(),
+        got=got[at : at + 32].hex(),
+    )
+
+
+def _first_mismatch(
+    label: Callable[[int], str], expected: List[bytes], got: List[bytes]
+) -> Optional[Discrepancy]:
+    """The first stream ``i`` on which ``got`` differs from ``expected``
+    (a missing stream reads as empty), described by ``label(i)``."""
+    if got == expected:
+        return None
+    i = next(
+        (j for j, (a, b) in enumerate(zip(expected, got)) if a != b),
+        min(len(expected), len(got)),
+    )
+    return _byte_discrepancy(
+        label(i), expected[i] if i < len(expected) else b"", got[i] if i < len(got) else b""
     )
 
 
@@ -324,31 +309,24 @@ class AdditiveScramblerOracle(Oracle):
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         spec = get_scrambler(case.spec)
         engine = BatchAdditiveScrambler(spec, case.M, cache=cache)
-        streams = [bytes_to_bits(m, reflect=True) for m in case.payloads()]
-        seeds = [
-            _case_seed(case, i, spec.seed) for i in range(len(streams))
-        ]
+        payloads = case.payloads()
+        seeds = [_case_seed(case, i, spec.seed) for i in range(len(payloads))]
         expected = [
-            _bitserial_scramble(spec, seed, s) for s, seed in zip(streams, seeds)
+            _bitserial_scramble(spec, seed, m) for m, seed in zip(payloads, seeds)
         ]
-        got = engine.scramble_batch(streams, seeds=seeds)
+        got = engine.scramble_batch(payloads, seeds=seeds)
         single = [
-            AdditiveScrambler(spec, seed).scramble_bits(s)
-            for s, seed in zip(streams, seeds)
+            AdditiveScrambler(spec, seed).scramble_bytes(m)
+            for m, seed in zip(payloads, seeds)
         ]
         for door, result in (("scramble_batch", got), ("AdditiveScrambler", single)):
-            if result != expected:
-                i = next(j for j, (a, b) in enumerate(zip(expected, result)) if a != b)
-                return _bit_discrepancy(
-                    f"{door} stream {i} seed=0x{seeds[i]:X}", expected[i], result[i]
-                )
-        back = engine.descramble_batch(got, seeds=seeds)
-        if back != streams:
-            i = next(j for j, (a, b) in enumerate(zip(streams, back)) if a != b)
-            return _bit_discrepancy(
-                f"involution violated on stream {i}", streams[i], back[i]
+            found = _first_mismatch(
+                lambda i: f"{door} stream {i} seed=0x{seeds[i]:X}", expected, result
             )
-        return None
+            if found is not None:
+                return found
+        back = engine.descramble_batch(got, seeds=seeds)
+        return _first_mismatch(lambda i: f"involution violated on stream {i}", payloads, back)
 
 
 class ScramblerPipelineOracle(Oracle):
@@ -361,19 +339,18 @@ class ScramblerPipelineOracle(Oracle):
         spec = get_scrambler(case.spec)
         pipe = ScramblerPipeline(spec, case.M, cache=cache)
         for i, payload in enumerate(case.payloads()):
-            bits = bytes_to_bits(payload, reflect=True)
             seed = _case_seed(case, i, spec.seed)
             sid = pipe.open(seed=seed)
-            out: List[int] = []
+            out = bytearray()
             offset = 0
             for nbytes in case.chunk_plan(i):
-                out.extend(pipe.feed(sid, bits[offset : offset + 8 * nbytes]))
-                offset += 8 * nbytes
+                out += pipe.feed(sid, payload[offset : offset + nbytes])
+                offset += nbytes
             pipe.close(sid)
-            expected = _bitserial_scramble(spec, seed, bits)
+            expected = _bitserial_scramble(spec, seed, payload)
             if out != expected:
-                return _bit_discrepancy(
-                    f"pipeline stream {i} seed=0x{seed:X}", expected, out
+                return _byte_discrepancy(
+                    f"pipeline stream {i} seed=0x{seed:X}", expected, bytes(out)
                 )
         return None
 
@@ -388,29 +365,27 @@ class MultiplicativeScramblerOracle(Oracle):
     def check(self, case: FuzzCase, cache: CompileCache) -> Optional[Discrepancy]:
         poly = GF2Polynomial.from_exponents(list(case.mult_exponents()))
         engine = BatchMultiplicativeScrambler(poly)
-        streams = [bytes_to_bits(m, reflect=True) for m in case.payloads()]
-        states = [_case_seed(case, i, 0) for i in range(len(streams))]
+        payloads = case.payloads()
+        states = [_case_seed(case, i, 0) for i in range(len(payloads))]
         expected = [
-            MultiplicativeScrambler(poly, state=st).scramble_bits(s)
-            for s, st in zip(streams, states)
+            bits_to_bytes(
+                MultiplicativeScrambler(poly, state=st).scramble_bits(
+                    bytes_to_bits(m, reflect=True)
+                ),
+                reflect=True,
+            )
+            for m, st in zip(payloads, states)
         ]
-        got = engine.scramble_batch(streams, states=states)
-        if got != expected:
-            i = next(j for j, (a, b) in enumerate(zip(expected, got)) if a != b)
-            return Discrepancy(
-                detail=f"scramble_batch stream {i} state=0x{states[i]:X}",
-                expected="".join(map(str, expected[i][:64])),
-                got="".join(map(str, got[i][:64])),
-            )
+        got = engine.scramble_batch(payloads, states=states)
+        found = _first_mismatch(
+            lambda i: f"scramble_batch stream {i} state=0x{states[i]:X}", expected, got
+        )
+        if found is not None:
+            return found
         back = engine.descramble_batch(got, states=states)
-        if back != streams:
-            i = next(j for j, (a, b) in enumerate(zip(streams, back)) if a != b)
-            return Discrepancy(
-                detail=f"descramble round-trip violated on stream {i}",
-                expected="".join(map(str, streams[i][:64])),
-                got="".join(map(str, back[i][:64])),
-            )
-        return None
+        return _first_mismatch(
+            lambda i: f"descramble round-trip violated on stream {i}", payloads, back
+        )
 
 
 class PackedBackendOracle(Oracle):
@@ -531,7 +506,7 @@ class ParallelWorkersOracle(Oracle):
             ghost_ids = []
             for nbits in case.aborts:
                 gid = pipe.open()
-                pipe.feed_bits(gid, [1] * nbits, pump=False)
+                pipe.feed(gid, _ghost_bytes(nbits), pump=False)
                 ghost_ids.append(gid)
             cursors = [(i, 0) for i in range(len(payloads)) if case.chunk_plan(i)]
             while cursors:

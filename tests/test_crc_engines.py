@@ -99,6 +99,26 @@ class TestByteSlicedCRC:
                     data, register
                 ), (n, hex(register))
 
+    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
+    def test_batch_door_starts_where_raw_register_does(self, spec):
+        """``raw_registers_batch`` clocks every message from ``spec.init``,
+        as ``raw_register`` does by default: a group below the gather
+        floor, an equal-length gathered group and a ragged gathered one
+        (rows shorter than the register among them)."""
+        engine = ByteSlicedCRC(spec)
+        rng = random.Random(f"start/{spec.name}")
+        nbytes = -(-spec.width // 8)
+        below = [rng.randbytes(rng.randrange(0, 100)) for _ in range(GATHER_MIN_ROWS - 1)]
+        equal = [rng.randbytes(SLICE_DEPTH + 3) for _ in range(GATHER_MIN_ROWS)]
+        ragged = [rng.randbytes(rng.randrange(1, nbytes + 1)) for _ in range(3)]
+        ragged += [rng.randbytes(rng.randrange(1, SLICE_DEPTH)) for _ in range(GATHER_MIN_ROWS)]
+        for messages in (below, equal, ragged):
+            single = [engine.raw_register(m) for m in messages]
+            assert engine.raw_registers_batch(messages) == single
+            assert engine.raw_registers_batch(messages, finalize=True) == [
+                spec.finalize(r) for r in single
+            ]
+
     @pytest.mark.parametrize(
         "name", ["CRC-32", "CRC-16/ARC", "CRC-12/DECT", "CRC-5/USB", "CRC-64/XZ", "CRC-15/CAN"]
     )
@@ -285,13 +305,6 @@ def _mixed_lengths(spec):
             D + 1, D + 1, D + 1, 2 * D + 1, 3 * D + 5]
 
 
-def _bit_lengths(spec):
-    """Bit lengths off the byte grid, around the register and the blocks."""
-    D = 8 * SLICE_DEPTH
-    return [0, 1, 7, 9, spec.width - 3 if spec.width > 3 else 2,
-            D - 1, D + 3, D + 3, 2 * D + 13]
-
-
 class TestBatchGather:
     """``BatchCRC``: every call one grouped gather over the table stack."""
 
@@ -309,10 +322,8 @@ class TestBatchGather:
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
     def test_groups_either_side_of_the_gather_floor(self, spec, batch_cache):
         """A block-count group of ``GATHER_MIN_ROWS`` messages gathers, and
-        a smaller one runs message by message: through the byte door a
-        ragged two-block group gathers beside one message fewer of one
-        block, through the bit door a one-block group beside two
-        two-block streams."""
+        a smaller one runs message by message: a ragged two-block group
+        gathers beside one message fewer of one block."""
         rng = random.Random(f"floor/{spec.name}")
         D = SLICE_DEPTH
         sizes = [D + rng.randrange(1, 17) for _ in range(GATHER_MIN_ROWS)]
@@ -322,18 +333,12 @@ class TestBatchGather:
         engine = BatchCRC(spec, 32, cache=batch_cache)
         serial = BitwiseCRC(spec)
         assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
-        bit_sizes = [rng.randrange(1, 130) for _ in range(GATHER_MIN_ROWS)]
-        bit_sizes += [8 * D + rng.randrange(1, 40) for _ in range(2)]
-        streams = [[rng.randrange(2) for _ in range(n)] for n in bit_sizes]
-        assert engine.compute_bits_batch(streams) == [
-            serial.compute_bits(s) for s in streams
-        ]
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
     def test_equal_length_groups_at_the_edges(self, spec, batch_cache, monkeypatch):
         """Equal-length groups at the register's and the blocks' edges,
         of ``GATHER_MIN_ROWS`` rows and of one slab + 1 rows (on a 4-block
-        slab, so the last slab holds one row), through every door.  Rows
+        slab, so the last slab holds one row), through both doors.  Rows
         cycle through five payloads, each checked once bit-serially."""
         rng = random.Random(f"edges/{spec.name}")
         D, nbytes = SLICE_DEPTH, -(-spec.width // 8)
@@ -343,16 +348,11 @@ class TestBatchGather:
         for n in sorted({1, max(nbytes - 1, 1), nbytes, D - 1, D, D + 1, 2 * D + 1}):
             pool = [rng.randbytes(n) for _ in range(5)]
             raws = {m: serial.raw_register(m) for m in pool}
-            bits = {m: spec.message_bits(m) for m in pool}
             per_slab = slicing._SLAB_BLOCKS * D // n
             for rows in (GATHER_MIN_ROWS, max(GATHER_MIN_ROWS, per_slab) + 1):
                 batch = [pool[i % len(pool)] for i in range(rows)]
-                streams = [bits[m] for m in batch]
                 assert engine.compute_batch(batch) == [spec.finalize(raws[m]) for m in batch]
                 assert engine.raw_registers(batch) == [raws[m] for m in batch]
-                assert engine.compute_bits_batch(streams) == [
-                    spec.finalize(raws[m]) for m in batch
-                ]
 
     @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
     def test_ragged_init_folds_into_the_gathered_bytes(self, spec, batch_cache, monkeypatch):
@@ -398,34 +398,19 @@ class TestBatchGather:
                                (short + 1, slicing.LONG_GATHER_MIN_ROWS, 0)):
             messages = [rng.randbytes(n) for _ in range(rows)]
             clocked.clear()
-            assert engine.raw_registers_batch(messages, fold_init=True, finalize=True) == [
+            assert engine.raw_registers_batch(messages, finalize=True) == [
                 table.compute(m) for m in messages
             ]
             assert len(clocked) == alone
 
-    @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: s.name)
-    def test_bit_door_off_the_byte_grid(self, spec, batch_cache):
-        """Bit streams head-pad to whole bytes, and the init folds back in
-        at each stream's true length: the reference CRC."""
-        rng = random.Random(f"bits/{spec.name}")
-        streams = [[rng.randrange(2) for _ in range(n)] for n in _bit_lengths(spec)]
-        engine = BatchCRC(spec, 32, cache=batch_cache)
-        serial = BitwiseCRC(spec)
-        assert engine.compute_bits_batch(streams) == [
-            serial.compute_bits(s) for s in streams
-        ]
-
     def test_wider_than_64_bits_runs_per_message(self, batch_cache):
         rng = random.Random(82)
         messages = [rng.randbytes(n) for n in _mixed_lengths(DARC82)]
-        streams = [[rng.randrange(2) for _ in range(n)] for n in _bit_lengths(DARC82)]
         engine = BatchCRC(DARC82, 32, cache=batch_cache)
         serial = BitwiseCRC(DARC82)
         assert engine.compute(b"123456789") == DARC82.check
         assert engine.compute_batch(messages) == [serial.compute(m) for m in messages]
-        assert engine.compute_bits_batch(streams) == [
-            serial.compute_bits(s) for s in streams
-        ]
+        assert engine.raw_registers(messages) == [serial.raw_register(m) for m in messages]
 
     @pytest.mark.parametrize("name", ["CRC-32", "CRC-16/ARC", "CRC-12/UMTS"])
     def test_row_and_block_slabs_at_a_shallow_stack(self, name):
@@ -437,8 +422,8 @@ class TestBatchGather:
         messages = [rng.randbytes(100) for _ in range(300)]
         messages += [rng.randbytes(rng.randrange(97, 113)) for _ in range(40)]
         table = TableCRC(spec)
-        assert engine.raw_registers_batch(messages, finalize=False) == [
-            table.raw_register(m, 0) for m in messages
+        assert engine.raw_registers_batch(messages) == [
+            table.raw_register(m) for m in messages
         ]
 
     def test_threads_sharing_one_engine_keep_their_own_slabs(self, batch_cache):
@@ -487,5 +472,4 @@ class TestBatchGather:
         messages = [bytes(range(256))] * 64 + [b"", b"abc"]
         assert engine.compute_batch(messages)[-1] == BitwiseCRC(ETHERNET_CRC32).compute(b"abc")
         engine.raw_registers(messages)
-        engine.compute_bits_batch([[1, 0, 1]] * 5 + [[1] * 100])
         assert calls == []

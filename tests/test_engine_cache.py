@@ -58,17 +58,22 @@ def test_lru_eviction_order():
     assert len(cache) == 3
 
 
-def test_counters_and_reset():
+def test_counters_survive_clear():
+    """``clear`` empties the cache and keeps its counts: the registry's
+    lookup and eviction counters read them, and a counter never goes
+    backwards."""
     cache = CompileCache(capacity=2)
+    assert cache.stats.lookups == 0 and cache.stats.hit_rate == 0.0
     cache.get("x", lambda: 1)
     cache.get("x", lambda: 1)
     cache.get("y", lambda: 2)
     assert (cache.stats.hits, cache.stats.misses) == (1, 2)
     assert cache.stats.lookups == 3
-    cache.stats.reset()
-    assert cache.stats.lookups == 0 and cache.stats.hit_rate == 0.0
     cache.clear()
-    assert len(cache) == 0
+    assert len(cache) == 0 and cache.size_bytes == 0
+    assert cache.stats.snapshot() == {"hits": 1, "misses": 2, "evictions": 0}
+    cache.get("x", lambda: 1)
+    assert (cache.stats.hits, cache.stats.misses) == (1, 3)
 
 
 def test_typed_helpers_share_sub_compiles():

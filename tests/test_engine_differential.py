@@ -6,9 +6,10 @@ bit-for-bit across every implementation chain:
 * CRC: ``BatchCRC`` == ``BitwiseCRC`` == ``LookaheadCRC`` / ``DerbyCRC``
   (the paper's two bases, spot-checked);
 * additive scrambler: ``BatchAdditiveScrambler`` == ``AdditiveScrambler``
-  (including per-stream seeds) and the ``ScramblerPipeline``;
+  (including per-stream seeds) and the ``ScramblerPipeline``, on bytes;
 * multiplicative scrambler: ``BatchMultiplicativeScrambler`` ==
-  ``MultiplicativeScrambler`` with random initial states;
+  ``MultiplicativeScrambler`` with random initial states, each byte's
+  bits taken lsb-first;
 * streaming: ``CRCPipeline`` fed in random chunk sizes == ``BitwiseCRC``.
 
 Message lengths deliberately cover the tail edge cases — zero-length,
@@ -28,6 +29,7 @@ from repro.engine import (
     CRCPipeline,
     ScramblerPipeline,
 )
+from repro.gf2.bits import bits_to_bytes, bytes_to_bits
 from repro.gf2.polynomial import GF2Polynomial
 from repro.scrambler import AdditiveScrambler
 from repro.scrambler.multiplicative import MultiplicativeScrambler
@@ -92,25 +94,6 @@ def test_crc_differential(method, cache, rng):
     assert checked >= 200
 
 
-def test_crc_bit_level_differential(cache, rng):
-    """Raw bit streams of non-byte lengths against the serial engine."""
-    checked = 0
-    for _ in range(8):
-        spec = get_crc(CRC_NAMES[int(rng.integers(len(CRC_NAMES)))])
-        M = int(FACTORS[int(rng.integers(len(FACTORS)))])
-        streams = [
-            [int(b) for b in rng.integers(0, 2, size=int(n))]
-            for n in rng.integers(0, 6 * M, size=10)
-        ]
-        engine = BatchCRC(spec, M, cache=cache)
-        serial = BitwiseCRC(spec)
-        assert engine.compute_bits_batch(streams) == [
-            serial.compute_bits(s) for s in streams
-        ], (spec.name, M)
-        checked += len(streams)
-    assert checked >= 80
-
-
 def test_crc_pipeline_differential(cache, rng):
     """Chunked feeds in random sizes must match the one-shot serial CRC."""
     spec = get_crc("CRC-32")
@@ -135,6 +118,11 @@ def test_crc_pipeline_differential(cache, rng):
     ]
 
 
+def _lsb_first(scramble_bits, message: bytes) -> bytes:
+    """A bit-level scrambler run over ``message``'s bits, lsb-first."""
+    return bits_to_bytes(scramble_bits(bytes_to_bits(message, reflect=True)), reflect=True)
+
+
 def test_additive_scrambler_differential(cache, rng):
     checked = 0
     additive_specs = [s for s in SCRAMBLER_CATALOG if s.degree >= 7]
@@ -142,20 +130,17 @@ def test_additive_scrambler_differential(cache, rng):
         spec = additive_specs[int(rng.integers(len(additive_specs)))]
         M = int(FACTORS[int(rng.integers(len(FACTORS)))])
         batch = int(rng.integers(4, 12))
-        streams = [
-            [int(b) for b in rng.integers(0, 2, size=int(n))]
-            for n in rng.integers(0, 5 * M, size=batch)
-        ]
+        messages = [rng.bytes(int(n)) for n in rng.integers(0, -(-5 * M // 8) + 1, size=batch)]
         seeds = [int(s) or 1 for s in rng.integers(1, 1 << spec.degree, size=batch)]
         engine = BatchAdditiveScrambler(spec, M, cache=cache)
-        got = engine.scramble_batch(streams, seeds=seeds)
+        got = engine.scramble_batch(messages, seeds=seeds)
         expected = [
-            AdditiveScrambler(spec, seed).scramble_bits(s)
-            for s, seed in zip(streams, seeds)
+            AdditiveScrambler(spec, seed).scramble_bytes(m)
+            for m, seed in zip(messages, seeds)
         ]
         assert got == expected, (spec.name, M)
-        # Involution: descrambling recovers the plaintext bit-for-bit.
-        assert engine.descramble_batch(got, seeds=seeds) == streams
+        # Involution: descrambling recovers the plaintext byte-for-byte.
+        assert engine.descramble_batch(got, seeds=seeds) == messages
         checked += batch
     assert checked >= 40
 
@@ -164,16 +149,16 @@ def test_scrambler_pipeline_differential(cache, rng):
     spec = next(s for s in SCRAMBLER_CATALOG if s.name == "IEEE-802.16e")
     pipe = ScramblerPipeline(spec, 16, cache=cache)
     for _ in range(6):
-        bits = [int(b) for b in rng.integers(0, 2, size=int(rng.integers(1, 300)))]
+        message = rng.bytes(int(rng.integers(1, 38)))
         sid = pipe.open()
-        out = []
+        out = b""
         off = 0
-        while off < len(bits):
-            step = int(rng.integers(1, 23))
-            out.extend(pipe.feed(sid, bits[off : off + step]))
+        while off < len(message):
+            step = int(rng.integers(1, 4))
+            out += pipe.feed(sid, message[off : off + step])
             off += step
         pipe.close(sid)
-        assert out == AdditiveScrambler(spec).scramble_bits(bits)
+        assert out == AdditiveScrambler(spec).scramble_bytes(message)
 
 
 def test_multiplicative_scrambler_differential(rng):
@@ -185,18 +170,16 @@ def test_multiplicative_scrambler_differential(rng):
     for _ in range(8):
         poly = polys[int(rng.integers(len(polys)))]
         batch = int(rng.integers(4, 10))
-        streams = [
-            [int(b) for b in rng.integers(0, 2, size=int(n))]
-            for n in rng.integers(0, 150, size=batch)
-        ]
+        messages = [rng.bytes(int(n)) for n in rng.integers(0, 19, size=batch)]
         states = [int(s) for s in rng.integers(0, 1 << min(poly.degree, 30), size=batch)]
         engine = BatchMultiplicativeScrambler(poly)
-        got = engine.scramble_batch(streams, states=states)
-        expected = []
-        for s, st in zip(streams, states):
-            expected.append(MultiplicativeScrambler(poly, state=st).scramble_bits(s))
+        got = engine.scramble_batch(messages, states=states)
+        expected = [
+            _lsb_first(MultiplicativeScrambler(poly, state=st).scramble_bits, m)
+            for m, st in zip(messages, states)
+        ]
         assert got == expected, poly
         back = engine.descramble_batch(got, states=states)
-        assert back == streams, poly
+        assert back == messages, poly
         checked += batch
     assert checked >= 32

@@ -4,7 +4,7 @@ The look-ahead recurrence only sees whole M-bit blocks, so the three
 dangerous message shapes are: zero-length (no blocks at all), shorter
 than M (a single partial block), and a non-multiple-of-M tail.  Each
 engine handles them differently — ``DerbyCRC`` finishes serially,
-``BatchCRC``/``DreamSystem`` head-zero-pad and fold the init back —
+``BatchCRC``/``DreamSystem`` head-zero-pad and fold the init in —
 but all of them must agree with :class:`repro.crc.bitwise.BitwiseCRC`.
 ``BatchCRC`` has no blocks of M bits at all (it gathers bytes), so its
 edge cases are checked against the look-ahead and Derby engines too.
@@ -21,6 +21,7 @@ from repro.engine import (
     CompileCache,
     CRCPipeline,
 )
+from repro.gf2.bits import bits_to_bytes, bytes_to_bits
 from repro.gf2.polynomial import GF2Polynomial
 from repro.scrambler import AdditiveScrambler, IEEE80216E
 from repro.scrambler.multiplicative import MultiplicativeScrambler
@@ -66,7 +67,7 @@ def test_batch_crc_edges(name, method, cache):
 def test_batch_crc_empty_batch(cache):
     engine = BatchCRC(get_crc("CRC-32"), 8, cache=cache)
     assert engine.compute_batch([]) == []
-    assert engine.compute_bits_batch([]) == []
+    assert engine.raw_registers([]) == []
 
 
 def test_crc_pipeline_edges(cache):
@@ -119,19 +120,25 @@ def test_dream_executed_scrambler_edges(cache):
 def test_batch_scrambler_edges(cache):
     engine = BatchAdditiveScrambler(IEEE80216E, 16, cache=cache)
     serial = AdditiveScrambler(IEEE80216E)
-    streams = [[], [1], [0, 1] * 7, [1] * 16, [0] * 17, [1, 0] * 50]
-    got = engine.scramble_batch(streams)
-    assert got == [serial.scramble_bits(s) for s in streams]
-    assert engine.descramble_batch(got) == streams
+    messages = [b"", b"\x01", b"\xaa" * 2, b"\xff" * 3, bytes(17), b"\x55" * 50]
+    got = engine.scramble_batch(messages)
+    assert got == [serial.scramble_bytes(m) for m in messages]
+    assert engine.descramble_batch(got) == messages
     assert engine.scramble_batch([]) == []
 
 
 def test_multiplicative_scrambler_edges():
     poly = GF2Polynomial.from_exponents([7, 6, 0])
     engine = BatchMultiplicativeScrambler(poly)
-    streams = [[], [1], [0] * 6, [1] * 7, [1, 0, 1] * 5]
-    got = engine.scramble_batch(streams)
-    expected = [MultiplicativeScrambler(poly).scramble_bits(s) for s in streams]
+    messages = [b"", b"\x01", bytes(1), b"\x7f", b"\x6d" * 5]
+    got = engine.scramble_batch(messages)
+    expected = [
+        bits_to_bytes(
+            MultiplicativeScrambler(poly).scramble_bits(bytes_to_bits(m, reflect=True)),
+            reflect=True,
+        )
+        for m in messages
+    ]
     assert got == expected
-    assert engine.descramble_batch(got) == streams
+    assert engine.descramble_batch(got) == messages
     assert engine.scramble_batch([]) == []

@@ -139,12 +139,12 @@ class TestShardedPipeline:
             sharded.open(sid)
             serial.open(sid)
         for sid in ids:
-            bits = [rng.randrange(2) for _ in range(rng.randrange(0, 400))]
+            data = rng.randbytes(rng.randrange(0, 50))
             i = 0
-            while i < len(bits):
-                n = rng.randrange(1, 50)
-                sharded.feed_bits(sid, bits[i : i + n], pump=(rng.random() < 0.4))
-                serial.feed_bits(sid, bits[i : i + n], pump=False)
+            while i < len(data):
+                n = rng.randrange(1, 7)
+                sharded.feed(sid, data[i : i + n], pump=(rng.random() < 0.4))
+                serial.feed(sid, data[i : i + n], pump=False)
                 i += n
         sharded.pump()
         aborted = set(ids[::4])
@@ -159,14 +159,14 @@ class TestShardedPipeline:
 
     def test_open_prefers_least_pending(self):
         with ShardedCRCPipeline(SPEC16, 8, workers=3) as pipe:
-            for sid, nbits in (("a", 100), ("b", 5), ("c", 50)):
+            for sid, nbytes in (("a", 12), ("b", 1), ("c", 6)):
                 pipe.open(sid)
-                pipe.feed_bits(sid, [1] * nbits, pump=False)
+                pipe.feed(sid, bytes(nbytes), pump=False)
             pending = pipe.shard_pending()
-            assert sorted(pending) == [5, 50, 100]  # one stream a shard
+            assert sorted(pending) == [8, 48, 96]  # one stream a shard
             pipe.open("d")
             counts = [s.stream_count for s in pipe.shards]
-            assert counts[pending.index(5)] == 2
+            assert counts[pending.index(8)] == 2
 
     def test_open_breaks_ties_round_robin(self):
         with ShardedCRCPipeline(SPEC16, 8, workers=3) as pipe:

@@ -1,8 +1,8 @@
 """Byte streams and the per-run engine choice in :class:`~repro.engine.CRCPipeline`.
 
-Every stream holds its register, its unabsorbed whole bytes, at most 7
-trailing bits a partial-byte ``feed_bits`` left, and its pending-bit
-count.  A pump clocks each ready stream's counted whole bytes through the
+Every stream holds its register, its unabsorbed bytes and its
+pending-bit count (8 a byte).  A pump clocks each ready stream's counted
+whole bytes through the
 byte table below ``SHORT_RUN_BYTES`` and through the byte-sliced gather
 above it.  These tests pin either engine through the private
 ``_short_run`` override (``"table"``: every run on the table;
@@ -22,9 +22,9 @@ import pytest
 import repro.crc.slicing as slicing_mod
 from repro.crc import CATALOG, BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
 from repro.crc.slicing import SLICE_DEPTH, ByteSlicedCRC
-from repro.engine import BatchCRC, CompileCache, CRCPipeline
+from repro.engine import CompileCache, CRCPipeline
 from repro.engine.pipeline import SHORT_RUN_BYTES
-from repro.errors import StreamError, ValidationError
+from repro.errors import StreamError
 from repro.gf2.backend import NumpyPackedBackend
 from repro.telemetry import default_registry
 
@@ -136,36 +136,32 @@ def test_engines_agree_with_bitwise(name, M, method, cache):
 @pytest.mark.parametrize("M", [3, 8, 128])
 @pytest.mark.parametrize("name", [spec.name for spec in CATALOG])
 def test_bytes_bits_bytes_on_every_catalog_spec(name, M, cache):
-    """Bytes, a partial-byte ``feed_bits``, then bytes again into a seeded
+    """Bytes, a chunk of one to three bytes whose bits leave the stream's
+    pending count off the M-block grid, then bytes again into a seeded
     register: every reading is what the M-bit block count says, and the
     digest is the bit-serial one, on either byte engine."""
     spec = get_crc(name)
     rng = random.Random(f"{name}/{M}")
     register = rng.randrange(1 << spec.width)
     head, tail = rng.randbytes(rng.randint(0, 200)), rng.randbytes(rng.randint(1, 200))
-    mid = [rng.randrange(2) for _ in range(rng.choice((1, 3, 5, 7, 13)))]
-    bits = spec.message_bits(head) + mid + spec.message_bits(tail)
-    expected = spec.finalize(BitwiseCRC(spec).process_bits(register, bits))
+    mid = rng.randbytes(rng.randint(1, 3))
+    expected = spec.finalize(BitwiseCRC(spec).raw_register(head + mid + tail, register))
     for engine in ENGINES:
         pipe = _pipe(spec, M, cache, engine)
         sid = pipe.open(register=register)
         pending = blocks = 0
-        for how, chunk in (("bytes", head), ("bits", mid), ("bytes", tail)):
-            if how == "bits":
-                pipe.feed_bits(sid, chunk, pump=False)
-                pending += len(chunk)
-            else:
-                pipe.feed(sid, chunk, pump=False)
-                pending += 8 * len(chunk)
-            assert pipe.pending_bits(sid) == pending, (engine, how)
+        for chunk in (head, mid, tail):
+            pipe.feed(sid, chunk, pump=False)
+            pending += 8 * len(chunk)
+            assert pipe.pending_bits(sid) == pending, engine
             blocks0 = _blocks_total()
-            assert pipe.pump() == pending // M, (engine, how)
+            assert pipe.pump() == pending // M, engine
             assert _blocks_total() - blocks0 == pending // M
             blocks += pending // M
             pending %= M
-            assert pipe.pending_bits(sid) == pipe.pending_bits() == pending, (engine, how)
+            assert pipe.pending_bits(sid) == pipe.pending_bits() == pending, engine
             assert pipe.pump() == 0
-        assert blocks == len(bits) // M
+        assert blocks == 8 * len(head + mid + tail) // M
         assert pipe.finalize(sid) == expected, engine
         assert pipe.stream_count == 0 and pipe.pending_bits() == 0
 
@@ -222,7 +218,7 @@ def test_deep_backlog_runs_in_slabs(cache, monkeypatch):
 
 def test_lone_streams_never_reach_the_kernel(cache, kernel_calls):
     """No stream reaches the packed GF(2) product: not byte streams, not
-    partial-byte bits, not M % 8 != 0, not mixed-reflection or narrow
+    sub-block tails, not M % 8 != 0, not mixed-reflection or narrow
     non-reflected specs."""
     for name, M in (("CRC-32", 128), ("CRC-32", 12), ("CRC-12/UMTS", 64), ("CRC-7/MMC", 5)):
         spec = get_crc(name)
@@ -230,12 +226,10 @@ def test_lone_streams_never_reach_the_kernel(cache, kernel_calls):
         sids = [pipe.open() for _ in range(63)]
         for sid in sids:
             pipe.feed(sid, bytes(range(200)))
-        pipe.feed_bits(sids[0], [1, 0, 1], pump=False)
+        pipe.feed(sids[0], b"\x05", pump=False)
         serial = BitwiseCRC(spec)
         expected = [serial.compute(bytes(range(200)))] * len(sids)
-        expected[0] = spec.finalize(
-            serial.process_bits(spec.init, spec.message_bits(bytes(range(200))) + [1, 0, 1])
-        )
+        expected[0] = serial.compute(bytes(range(200)) + b"\x05")
         assert pipe.finalize_many(sids) == expected, name
     assert kernel_calls == []
 
@@ -315,63 +309,6 @@ def test_mixed_and_narrow_specs_take_byte_buffers(name, method, cache, kernel_ca
         assert pipe.finalize(sid) == expected, engine
     assert kernel_calls == []
     assert PAPER_ENGINES[method](spec, 16).compute(message) == expected
-
-
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-@pytest.mark.parametrize("method", ["lookahead", "derby"])
-def test_feed_bits_with_partial_bytes(engine, method, cache):
-    """Bit chunks of any length: the digests of the bit-serial reference
-    and of the batch engine's bit path.  The batch engine has no basis of
-    its own any more; ``method`` only seeds two distinct schedules."""
-    spec = get_crc("CRC-16/ARC")
-    serial = BitwiseCRC(spec)
-    rng = random.Random(f"7/{method}")
-    pipe = _pipe(spec, 16, cache, engine)
-    ids = [pipe.open() for _ in range(3)]
-    fed = [[] for _ in ids]
-    for _ in range(12):
-        for i, sid in enumerate(ids):
-            bits = [rng.randrange(2) for _ in range(rng.randint(0, 29))]
-            pipe.feed_bits(sid, bits, pump=rng.random() < 0.5)
-            fed[i].extend(bits)
-            assert pipe.pending_bits(sid) <= len(fed[i])
-    expected = [spec.finalize(serial.process_bits(spec.init, bits)) for bits in fed]
-    assert BatchCRC(spec, 16, cache=cache).compute_bits_batch(fed) == expected
-    assert [pipe.finalize(sid) for sid in ids] == expected
-
-
-@pytest.mark.parametrize("engine", sorted(ENGINES))
-@pytest.mark.parametrize("name", ["CRC-32", "CRC-16/CCITT-FALSE"])
-def test_feed_bits_after_byte_feeds_switches_the_stream(name, engine, cache):
-    """Bytes, then bits mid-stream, then bytes again: the stream leaves the
-    byte grid, later bytes shift behind its trailing bits, and every bit
-    counts."""
-    spec = get_crc(name)
-    serial = BitwiseCRC(spec)
-    pipe = _pipe(spec, 32, cache, engine)
-    sid, other = pipe.open(), pipe.open()
-    head = bytes(range(70))
-    pipe.feed(sid, head, pump=False)
-    pipe.feed(other, head, pump=False)
-    assert pipe.pending_bits(sid) == 8 * len(head)
-    mid = [1, 0, 1, 1, 0]
-    pipe.feed_bits(sid, mid, pump=False)
-    assert pipe.pending_bits(sid) == 8 * len(head) + len(mid)
-    assert pipe.pending_bits(other) == 8 * len(head)
-    assert pipe.pump() == (8 * len(head) + len(mid)) // 32 + 8 * len(head) // 32
-    tail = b"after the switch"
-    pipe.feed(sid, tail)
-    pipe.feed(other, tail)
-    assert pipe.pending_bits(sid) == (8 * len(head + tail) + len(mid)) % 32
-    bits = spec.message_bits(head) + mid + spec.message_bits(tail)
-    assert pipe.finalize(sid) == spec.finalize(serial.process_bits(spec.init, bits))
-    assert pipe.finalize(other) == serial.compute(head + tail)
-    fresh = pipe.open()
-    with pytest.raises(ValidationError):
-        pipe.feed_bits(fresh, [2])
-    assert pipe.pending_bits(fresh) == 0  # validated before anything buffered
-    pipe.feed(fresh, head)
-    assert pipe.finalize(fresh) == serial.compute(head)
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINES))

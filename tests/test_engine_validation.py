@@ -1,9 +1,10 @@
 """Input validation across the engine stack.
 
 Every public engine/pipeline entry point must reject bad input — non-bit
-values, wrong-width seeds and registers, unknown stream ids, bad block
-factors — with a typed :mod:`repro.errors` exception, and must do so
-*before* any work (or any early return) happens.
+values at the bit-level engines, anything but bytes at the batch and
+streaming engines, wrong-width seeds and registers, unknown stream ids,
+bad block factors — with a typed :mod:`repro.errors` exception, and must
+do so *before* any work (or any early return) happens.
 """
 
 import pytest
@@ -57,14 +58,19 @@ class TestBitValidation:
             MultiplicativeScrambler(MULT_POLY).scramble_bits([0, -1])
 
     def test_batch_crc_rejects_non_bit_stream(self):
-        with pytest.raises(ValidationError):
-            BatchCRC(ETHERNET_CRC32, 8).compute_bits_batch([[0, 1], [1, 9]])
+        """The batch door takes bytes only: bit streams, valid or not, are
+        rejected."""
+        with pytest.raises(ValidationError, match=r"messages\[0\]"):
+            BatchCRC(ETHERNET_CRC32, 8).compute_batch([[0, 1], [1, 9]])
 
     def test_pipeline_feed_rejects_non_bits(self):
+        """The pipeline door takes bytes only, and buffers nothing from a
+        rejected feed."""
         pipe = CRCPipeline(ETHERNET_CRC32, 8)
         sid = pipe.open()
         with pytest.raises(ValidationError):
-            pipe.feed_bits(sid, [0, 1, "x"])
+            pipe.feed(sid, [0, 1, "x"])
+        assert pipe.pending_bits(sid) == 0
 
 
 class TestSeedsAndRegisters:
@@ -128,7 +134,7 @@ class TestStreamIds:
     def test_scrambler_pipeline_unknown_stream(self):
         pipe = ScramblerPipeline(IEEE, 8)
         with pytest.raises(StreamError):
-            pipe.feed("ghost", [0, 1])
+            pipe.feed("ghost", b"\x01")
 
     def test_abort_unknown_stream(self):
         pipe = CRCPipeline(ETHERNET_CRC32, 8)
@@ -144,12 +150,12 @@ class TestValidateBeforeEarlyReturn:
     def test_additive_empty_streams_bad_seed_count(self):
         engine = BatchAdditiveScrambler(IEEE, 8)
         with pytest.raises(ValidationError, match="seeds"):
-            engine.scramble_batch([[], []], seeds=[1])
+            engine.scramble_batch([b"", b""], seeds=[1])
 
     def test_additive_empty_streams_zero_seed(self):
         engine = BatchAdditiveScrambler(IEEE, 8)
         with pytest.raises(ValidationError):
-            engine.scramble_batch([[], []], seeds=[0, 1])
+            engine.scramble_batch([b"", b""], seeds=[0, 1])
 
     def test_additive_zero_batch_bad_seeds(self):
         engine = BatchAdditiveScrambler(IEEE, 8)
@@ -159,19 +165,19 @@ class TestValidateBeforeEarlyReturn:
     def test_multiplicative_empty_streams_bad_state_count(self):
         engine = BatchMultiplicativeScrambler(MULT_POLY)
         with pytest.raises(ValidationError, match="states"):
-            engine.scramble_batch([[], []], states=[0])
+            engine.scramble_batch([b"", b""], states=[0])
 
     def test_multiplicative_empty_streams_wide_state(self):
         engine = BatchMultiplicativeScrambler(MULT_POLY)
         with pytest.raises(ValidationError):
-            engine.scramble_batch([[]], states=[1 << 7])
+            engine.scramble_batch([b""], states=[1 << 7])
 
     def test_valid_empty_streams_still_work(self):
         add = BatchAdditiveScrambler(IEEE, 8)
-        assert add.scramble_batch([[], []]) == [[], []]
+        assert add.scramble_batch([b"", b""]) == [b"", b""]
         assert add.scramble_batch([]) == []
         mult = BatchMultiplicativeScrambler(MULT_POLY)
-        assert mult.scramble_batch([[], []]) == [[], []]
+        assert mult.scramble_batch([b"", b""]) == [b"", b""]
 
 
 class TestSpecErrors:

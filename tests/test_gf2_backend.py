@@ -14,6 +14,7 @@ import pytest
 from repro.crc import BitwiseCRC, DerbyCRC, LookaheadCRC, get as get_crc
 from repro.engine import BatchCRC, BatchMultiplicativeScrambler
 from repro.gf2.backend import NumpyPackedBackend, ReferenceBackend
+from repro.gf2.bits import bits_to_bytes, bytes_to_bits
 from repro.gf2.polynomial import GF2Polynomial
 from repro.scrambler.galois import GaloisMultiplicativeScrambler
 from repro.scrambler.multiplicative import MultiplicativeScrambler
@@ -131,10 +132,15 @@ class TestScramblers:
     def test_batch_multiplicative_matches_serial(self):
         poly = GF2Polynomial((1 << 5) | (1 << 2) | 1)
         engine = BatchMultiplicativeScrambler(poly)
-        streams = [[1, 1, 0, 1] * 8, [0, 1] * 3]
+        messages = [b"\xbb" * 4, b"\xaa"]
         states = [0b10101, 0]
         expected = [
-            MultiplicativeScrambler(poly, state=st).scramble_bits(s)
-            for s, st in zip(streams, states)
+            bits_to_bytes(
+                MultiplicativeScrambler(poly, state=st).scramble_bits(
+                    bytes_to_bits(m, reflect=True)
+                ),
+                reflect=True,
+            )
+            for m, st in zip(messages, states)
         ]
-        assert engine.scramble_batch(streams, states=states) == expected
+        assert engine.scramble_batch(messages, states=states) == expected

@@ -3,7 +3,7 @@
 Every catalog scrambler, three seeds and byte lengths around the block
 depth D run through both engine doors (single stream and batch), in both
 serial bit orders, through :class:`AdditiveScrambler`'s byte door and
-through :class:`ScramblerPipeline` feeds cut at odd bit offsets; each
+through :class:`ScramblerPipeline` feeds cut at odd byte offsets; each
 must reproduce :class:`~repro.lfsr.reference.GaloisLFSR`'s keystream.
 """
 
@@ -20,9 +20,9 @@ from repro.scrambler import CATALOG, DVB, IEEE80216E, PRBS7, AdditiveScrambler
 
 D = SLICE_DEPTH
 LENGTHS = (0, 1, 7, 8, D - 1, D, D + 1, 3 * D + 5)
-#: Odd feed sizes in bits, cycled: every cut but the first lands off a
-#: byte boundary.
-CUTS = (1, 3, 7, 13, 251, 509, 1021, 2049)
+#: Odd feed sizes in bytes, cycled: cuts land inside keystream blocks
+#: and across their edges.
+CUTS = (1, 3, 7, 13, 251, 509)
 
 
 def _seeds(spec):
@@ -57,17 +57,15 @@ def test_keystream_matches_the_galois_register(spec, which, nbytes, cache):
         want = bytes(a ^ b for a, b in zip(data, keystream))
         assert single.scramble_bytes(data, lsb_first=order) == want
 
-    rng = random.Random(seed)
-    payload = [rng.getrandbits(1) for _ in bits]
     pipe = ScramblerPipeline(spec, 16, cache=cache)
     sid = pipe.open(seed=seed)
-    out, offset, i = [], 0, 0
-    while offset < len(payload):
+    out, offset, i = b"", 0, 0
+    while offset < len(data):
         cut = CUTS[i % len(CUTS)]
-        out += pipe.feed(sid, payload[offset:offset + cut])
+        out += pipe.feed(sid, data[offset:offset + cut])
         offset, i = offset + cut, i + 1
     pipe.close(sid)
-    assert out == [p ^ k for p, k in zip(payload, bits)]
+    assert out == bytes(a ^ b for a, b in zip(data, lsb))
 
 
 @pytest.mark.parametrize(

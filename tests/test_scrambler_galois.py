@@ -28,7 +28,6 @@ from repro.scrambler import (
     MultiplicativeScrambler,
     WordAdditiveScrambler,
 )
-from repro.engine import BatchWordScrambler
 
 PAYLOADS = [b"", b"\x00", b"123456789", bytes(range(64)), b"\xff" * 17]
 
@@ -139,27 +138,3 @@ class TestWordAdditiveScrambler:
         with pytest.raises(SpecError):
             WordAdditiveScrambler(WORD32, seed=[0, 0])
 
-
-class TestBatchWordScrambler:
-    def test_batch_matches_serial_streams(self):
-        engine = BatchWordScrambler(WORD32)
-        seeds = [b"stream-a", b"stream-b", b"stream-c"]
-        ks = engine.keystream_batch(64, batch=3, seeds=seeds)
-        assert ks.shape == (64, 3)
-        for b, material in enumerate(seeds):
-            words = seed_words_from_bytes(WORD32, material)
-            serial = WordLFSR(WORD32, words).keystream_bits(64)
-            assert np.array_equal(ks[:, b], serial)
-
-    def test_scramble_descramble_batch(self):
-        engine = BatchWordScrambler()
-        rng = np.random.default_rng(7)
-        streams = [
-            [int(b) for b in rng.integers(0, 2, n)] for n in (88, 0, 201)
-        ]
-        scrambled = engine.scramble_batch(streams)
-        assert engine.descramble_batch(scrambled) == streams
-
-    def test_seed_count_mismatch_rejected(self):
-        with pytest.raises(SpecError):
-            BatchWordScrambler().keystream_batch(8, batch=2, seeds=[b"one"])

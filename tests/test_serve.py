@@ -578,6 +578,58 @@ class TestClientConnection:
         run(scenario())
 
 
+    @staticmethod
+    def _failed_handshake(monkeypatch, handler, error):
+        """``ServeClient.connect`` to a bare server running ``handler``
+        raises ``error``; returns the client's writer it opened."""
+        opened = []
+        real = asyncio.open_connection
+
+        async def recording(*args, **kwargs):
+            reader, writer = await real(*args, **kwargs)
+            opened.append(writer)
+            return reader, writer
+
+        monkeypatch.setattr(asyncio, "open_connection", recording)
+
+        async def scenario():
+            async def serve(reader, writer):
+                try:
+                    await handler(writer)
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(error):
+                    await ServeClient.connect("127.0.0.1", port)
+                (writer,) = opened
+                assert writer.is_closing()
+                try:
+                    await writer.wait_closed()
+                except ConnectionError:
+                    pass
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+    def test_a_server_that_hangs_up_before_the_hello_closes_the_client(self, monkeypatch):
+        async def hang_up(writer):
+            pass  # the handler's own close ends the connection
+
+        self._failed_handshake(monkeypatch, hang_up, asyncio.IncompleteReadError)
+
+    def test_a_garbled_hello_frame_closes_the_client(self, monkeypatch):
+        async def garble(writer):
+            writer.write(struct.pack(">I", 7) + b"not{json")
+            await writer.drain()
+
+        self._failed_handshake(monkeypatch, garble, ProtocolError)
+
+
 # ----------------------------------------------------------------------
 # Backpressure
 # ----------------------------------------------------------------------

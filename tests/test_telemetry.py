@@ -400,7 +400,7 @@ class TestLazyFamilyBinding:
             assert replacement.get("engine_batch_calls_total").labels(
                 kernel="crc-sliced"
             ).value >= 1
-            BatchAdditiveScrambler(IEEE80216E, 8).scramble_batch([[1, 0, 1]])
+            BatchAdditiveScrambler(IEEE80216E, 8).scramble_batch([b"\x05"])
             assert replacement.get("engine_batch_calls_total").labels(
                 kernel="scrambler-additive"
             ).value >= 1

@@ -6,6 +6,7 @@ instrumented modules hold references into), so every assertion is a
 may have moved the same counters.
 """
 
+import sys
 import threading
 import time
 
@@ -14,7 +15,6 @@ import pytest
 from repro.crc import BitwiseCRC, ETHERNET_CRC32, MPEG2_CRC32
 from repro.dream import DreamSystem
 from repro.engine import BatchCRC, CompileCache, CRCPipeline
-from repro.engine.cache import CacheStats
 from repro.telemetry import default_registry, default_tracer, instrumented
 from repro.telemetry import MetricsRegistry, Tracer
 
@@ -65,36 +65,48 @@ class TestCompileCacheMetrics:
 
 class TestCacheStatsThreadSafety:
     def test_concurrent_recording_is_exact(self):
-        """The satellite fix: CacheStats counters must not lose updates
-        when pipelines share a cache across threads."""
-        stats = CacheStats()
-        n, workers = 5000, 8
+        """One cache driven from several threads counts every lookup once,
+        and the registry reads the same counts: no update is lost and the
+        two views cannot disagree."""
+        hits0 = _counter_value("engine_compile_cache_lookups_total", result="hit")
+        miss0 = _counter_value("engine_compile_cache_lookups_total", result="miss")
+        ev0 = _counter_value("engine_compile_cache_evictions_total")
+        cache = CompileCache(capacity=4)
+        n, workers = 2000, 8
 
-        def worker():
-            for _ in range(n):
-                stats.record_hit()
-                stats.record_miss()
-                stats.record_eviction()
+        def worker(w):
+            for i in range(n):
+                cache.get(("key", (w + i) % 6), object)
 
-        threads = [threading.Thread(target=worker) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert stats.hits == n * workers
-        assert stats.misses == n * workers
-        assert stats.evictions == n * workers
-        assert stats.lookups == 2 * n * workers
-        assert stats.hit_rate == pytest.approx(0.5)
+        threads = [threading.Thread(target=worker, args=(w,)) for w in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = cache.stats
+        assert stats.hits + stats.misses == stats.lookups == n * workers
+        assert stats.misses > 0 and stats.evictions > 0
+        hits1 = _counter_value("engine_compile_cache_lookups_total", result="hit")
+        miss1 = _counter_value("engine_compile_cache_lookups_total", result="miss")
+        ev1 = _counter_value("engine_compile_cache_evictions_total")
+        assert (hits1 - hits0, miss1 - miss0) == (stats.hits, stats.misses)
+        assert ev1 - ev0 == stats.evictions
 
     def test_snapshot_and_repr(self):
-        stats = CacheStats()
-        stats.record_hit()
-        stats.record_miss()
+        cache = CompileCache(capacity=4)
+        cache.get("k", object)
+        cache.get("k", object)
+        stats = cache.stats
         assert stats.snapshot() == {"hits": 1, "misses": 1, "evictions": 0}
         assert repr(stats) == "CacheStats(hits=1, misses=1, evictions=0)"
-        stats.reset()
-        assert stats.lookups == 0
+        assert stats.hit_rate == pytest.approx(0.5)
+        assert not hasattr(stats, "reset")  # a read-only view
 
 
 # ----------------------------------------------------------------------
@@ -129,14 +141,14 @@ class TestPipelineMetrics:
         a = pipe.open()
         b = pipe.open()
         assert pipe.stream_count == 2
-        pipe.feed_bits(a, [1] * 40, pump=False)  # 40 = 32 + 8 tail
-        pipe.feed_bits(b, [0] * 7, pump=False)
+        pipe.feed(a, bytes(5), pump=False)  # 40 = 32 + 8 tail
+        pipe.feed(b, bytes(1), pump=False)
         assert pipe.pending_bits(a) == 40
-        assert pipe.pending_bits(b) == 7
-        assert pipe.pending_bits() == 47
+        assert pipe.pending_bits(b) == 8
+        assert pipe.pending_bits() == 48
         pipe.pump()  # drains one full block from a
         assert pipe.pending_bits(a) == 8
-        assert pipe.pending_bits() == 15
+        assert pipe.pending_bits() == 16
         pipe.finalize(a)
         pipe.abort(b)
         assert pipe.stream_count == 0 and pipe.pending_bits() == 0
@@ -147,14 +159,14 @@ class TestPipelineMetrics:
         blocks0 = _counter_value("engine_pipeline_blocks_total", kind="crc")
         pipe = CRCPipeline(ETHERNET_CRC32, 32)
         sid = pipe.open()
-        pipe.feed_bits(sid, [1, 0, 1] * 20, pump=False)  # 60 bits
+        pipe.feed(sid, b"\xa5" * 7, pump=False)  # 56 bits
         assert _counter_value("engine_pipeline_streams", kind="crc") == streams0 + 1
         assert (
-            _counter_value("engine_pipeline_pending_bits", kind="crc") == pending0 + 60
+            _counter_value("engine_pipeline_pending_bits", kind="crc") == pending0 + 56
         )
         pipe.pump()  # one 32-bit block
         assert (
-            _counter_value("engine_pipeline_pending_bits", kind="crc") == pending0 + 28
+            _counter_value("engine_pipeline_pending_bits", kind="crc") == pending0 + 24
         )
         assert _counter_value("engine_pipeline_blocks_total", kind="crc") == blocks0 + 1
         pipe.finalize(sid)
@@ -176,7 +188,7 @@ class TestPipelineMetrics:
         pending0 = _counter_value("engine_pipeline_pending_bits", kind="crc")
         pipe = CRCPipeline(ETHERNET_CRC32, 32)
         sid = pipe.open()
-        pipe.feed_bits(sid, [1] * 60, pump=False)  # gauge now +60
+        pipe.feed(sid, b"\xff" * 7, pump=False)  # gauge now +56
         REG.disable()
         try:
             pipe.pump()  # consumes 32 bits while the registry is off
@@ -187,7 +199,7 @@ class TestPipelineMetrics:
         assert _counter_value("engine_pipeline_pending_bits", kind="crc") == pending0
 
     def test_gauges_survive_disabled_feed(self):
-        """The mirror-image toggle: bits fed while the registry is off
+        """The mirror-image toggle: bytes fed while the registry is off
         must not drive the gauge negative once telemetry comes back."""
         streams0 = _counter_value("engine_pipeline_streams", kind="crc")
         pending0 = _counter_value("engine_pipeline_pending_bits", kind="crc")
@@ -195,10 +207,10 @@ class TestPipelineMetrics:
         REG.disable()
         try:
             sid = pipe.open()
-            pipe.feed_bits(sid, [0, 1] * 30, pump=False)
+            pipe.feed(sid, b"\x55" * 7, pump=False)
         finally:
             REG.enable()
-        pipe.feed_bits(sid, [1] * 4, pump=False)  # reconciles: 1 stream, 64 bits
+        pipe.feed(sid, b"\x0f", pump=False)  # reconciles: 1 stream, 64 bits
         assert _counter_value("engine_pipeline_streams", kind="crc") == streams0 + 1
         assert (
             _counter_value("engine_pipeline_pending_bits", kind="crc") == pending0 + 64

@@ -167,7 +167,7 @@ class TestPipelinesMakeNoRegistryCall:
         counting.calls.clear()
         sid = pipe.open()
         pipe.feed(sid, message, pump=False)
-        pipe.feed_bits(sid, [1, 0, 1])
+        pipe.feed(sid, b"\x05")
         pipe.pump()
         digest = pipe.finalize(sid)
         second = pipe.open()
@@ -175,10 +175,7 @@ class TestPipelinesMakeNoRegistryCall:
         both = pipe.finalize_many([second])
         pipe.abort(pipe.open())
         assert counting.calls == []
-        bits = ETHERNET_CRC32.message_bits(message) + [1, 0, 1]
-        assert digest == ETHERNET_CRC32.finalize(
-            oracle.process_bits(ETHERNET_CRC32.init, bits)
-        )
+        assert digest == oracle.compute(message + b"\x05")
         assert both == [oracle.compute(message)]
         # ...and the registry still reads what the pipeline did.
         assert _samples(counting, "engine_pipeline_blocks_total", "kind")["crc"] == 40
@@ -189,9 +186,9 @@ class TestPipelinesMakeNoRegistryCall:
         pipe = ScramblerPipeline(IEEE80216E, 16)
         sid = pipe.open()
         counting.calls.clear()
-        out = pipe.feed(sid, [1, 0] * 50)
+        out = pipe.feed(sid, b"\x55" * 13)  # 104 bits: 7 blocks of 16
         assert counting.calls == []
-        assert len(out) == 100
+        assert len(out) == 13
         blocks = _samples(counting, "engine_pipeline_blocks_total", "kind")
         assert blocks["scrambler"] == 7
         assert _samples(counting, "engine_pipeline_streams", "kind")["scrambler"] == 1
