@@ -55,6 +55,9 @@ def write_trajectory_snapshot(results_dir: Path) -> Path:
     stack accumulates a diffable throughput trajectory: which kernels
     existed at PR *n* and what each one measured.  Re-running the
     benches for the same PR overwrites that PR's snapshot in place.
+    Each kernel keeps its report's ``created_unix``, so a report whose
+    module did not run since the last snapshot shows as carried forward
+    (``tools/bench_diff.py``), not as re-measured.
     """
     repo_root = results_dir.parent.parent
     index = _bench_index(repo_root)
@@ -68,6 +71,7 @@ def write_trajectory_snapshot(results_dir: Path) -> Path:
             "title": report.title,
             "params": report.params,
             "metrics": report.metrics,
+            "created_unix": json.loads(path.read_text()).get("created_unix"),
         }
     snapshot = {
         "schema": "repro-bench-trajectory/1",

@@ -1,14 +1,14 @@
 """Serve dispatch gate: the request path against the table engine.
 
 The server calls its pipeline inline on the event loop, so what one
-request costs is its op handler, the pipeline work behind it and the one
-yield to the loop the connection handler makes after each response.
+request costs is its op handler, the pipeline work behind it and its
+share of the loop: a connection answers at most one frame per loop turn.
 This benchmark drives open → feed → digest of a 512-byte payload through
 :meth:`ReproServer._dispatch`, the router every request frame goes
 through, from 32 interleaved in-process connections that each yield
-after every request as the connection handler does.  Sockets and framing
-are left out; ``bench/run.py``'s serve workloads measure those end to
-end.
+after every request, one frame per turn as a connection answers them.
+Sockets, framing and the connection's read buffer are left out;
+``bench/run.py``'s serve workloads measure those end to end.
 
 ``dispatch_speedup_vs_table`` (gated) divides that rate by
 :meth:`~repro.crc.TableCRC.compute` on the same payload, timed just
@@ -58,7 +58,7 @@ async def _dispatch_rate(server, expected):
 
     async def drive(index):
         nonlocal mismatches
-        conn = _Connection(10_000 + index, None)
+        conn = _Connection(server)
         server._connections.add(conn)
         try:
             for _ in range(DISPATCH_MSGS):

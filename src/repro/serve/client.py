@@ -100,7 +100,7 @@ class ServeClient:
         """
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            bound_reads(writer)
+            bound_reads(writer.transport)
             hello, _ = await read_frame(reader, max_frame)
             if hello.get("op") != "hello" or not hello.get("ok"):
                 raise ProtocolError(f"expected server hello, got {hello!r}")

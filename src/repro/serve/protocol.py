@@ -75,6 +75,10 @@ _PREFIX = struct.Struct("!I")
 #: Verbs a client may send.
 REQUEST_OPS = ("open-stream", "feed-chunk", "read-digest", "close-stream", "stats")
 
+#: Every header's encoder.  ``json.dumps`` with these options would build
+#: a new encoder on each call, and each message sends three frames.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
 
 def encode_frame_parts(header: dict, payload: bytes = b"") -> Tuple[bytes, bytes]:
     """Serialize one frame as ``(prefix + header, payload)`` — no payload copy.
@@ -89,7 +93,7 @@ def encode_frame_parts(header: dict, payload: bytes = b"") -> Tuple[bytes, bytes
     if len(payload):
         header = dict(header)
         header["blen"] = len(payload)
-    raw = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    raw = _ENCODER.encode(header).encode()
     if len(raw) > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame header too large ({len(raw)} bytes)")
     if len(payload) > MAX_FRAME_BYTES:
@@ -108,34 +112,51 @@ def encode_frame(header: dict, payload: bytes = b"") -> bytes:
     return head + bytes(body) if len(body) else head
 
 
+def parse_frame(
+    buffer: bytes, max_frame: int = MAX_FRAME_BYTES
+) -> Optional[Tuple[dict, bytes, int]]:
+    """The first frame of ``buffer`` as ``(header, payload, used)``, or
+    ``None`` while it is incomplete.
+
+    A reader appends each read to one buffer and takes whole frames off
+    its front.  Raises :class:`~repro.errors.ProtocolError` as soon as the
+    bytes present are malformed: an oversized header length with the
+    prefix alone, a bad or oversized ``blen`` with the header alone.
+    """
+    if len(buffer) < _PREFIX.size:
+        return None
+    (header_len,) = _PREFIX.unpack_from(buffer)
+    _check_header_len(header_len, max_frame)
+    end = _PREFIX.size + header_len
+    if len(buffer) < end:
+        return None
+    header = _parse_header(buffer[_PREFIX.size:end])
+    used = end + _payload_len(header, max_frame)
+    if len(buffer) < used:
+        return None
+    return header, bytes(buffer[end:used]), used
+
+
 def decode_frame(buffer: bytes) -> Tuple[dict, bytes, int]:
     """Parse one frame from ``buffer``; returns ``(header, payload, used)``.
 
-    A synchronous counterpart to :func:`read_frame` for tests and
-    non-asyncio consumers.  Raises :class:`~repro.errors.ProtocolError`
-    if the buffer does not hold one complete well-formed frame.
+    :func:`parse_frame` for a buffer that must hold a whole frame: raises
+    :class:`~repro.errors.ProtocolError` if it does not hold one complete
+    well-formed frame.
     """
-    if len(buffer) < _PREFIX.size:
-        raise ProtocolError("incomplete frame: missing length prefix")
-    (header_len,) = _PREFIX.unpack_from(buffer)
-    _check_header_len(header_len)
-    end = _PREFIX.size + header_len
-    if len(buffer) < end:
-        raise ProtocolError("incomplete frame: truncated header")
-    header = _parse_header(buffer[_PREFIX.size:end])
-    blen = _payload_len(header)
-    if len(buffer) < end + blen:
-        raise ProtocolError("incomplete frame: truncated payload")
-    return header, bytes(buffer[end:end + blen]), end + blen
+    frame = parse_frame(buffer)
+    if frame is None:
+        raise ProtocolError(f"incomplete frame ({len(buffer)} bytes)")
+    return frame
 
 
-def bound_reads(writer: asyncio.StreamWriter) -> None:
-    """Cap the per-read buffer of ``writer``'s transport at :data:`READ_BYTES`.
+def bound_reads(transport: asyncio.Transport) -> None:
+    """Cap the per-read buffer of ``transport`` at :data:`READ_BYTES`.
 
     Sets the ``max_size`` that asyncio's selector transports pass to
     each ``recv``.
     """
-    writer.transport.max_size = READ_BYTES
+    transport.max_size = READ_BYTES
 
 
 async def read_frame(

@@ -16,16 +16,20 @@ pipeline:
   hop costs more than the CRC of a 64-byte message.  The price is that
   a long call holds every other connection for its duration: a 1 MiB
   frame's gather takes ~5 ms on a 2-vCPU x86 host.
-* **One yield per request.**  After writing each response the handler
-  yields to the loop once.  ``StreamReader.readexactly`` does not
-  suspend on buffered frames and ``drain()`` does not suspend below the
-  write high-water mark, so without it a client that writes frames back
-  to back would be served to the end of its backlog before any other
-  connection got a turn.
+* **One frame per loop turn.**  Each connection is an
+  :class:`asyncio.Protocol` that appends every read (at most
+  :data:`~repro.serve.protocol.READ_BYTES`) to one buffer and answers
+  the whole frames at its front one at a time: while another frame may
+  be buffered, it pauses reading and answers the next one from
+  ``loop.call_soon``, so a client that writes frames back to back gets
+  one frame answered per turn, like every other connection.  While the
+  transport's write buffer is over its high-water mark the connection
+  reads and answers nothing, so a client that does not read its replies
+  is held back by TCP.
 * **Backpressure, not buffering.**  Feeds buffer their bytes, and a
   digest pumps every ready stream before it finalizes.  A feed that
   lifts the pipeline-wide pending bits over the high watermark pumps
-  inline before the connection reads its next frame — unread bytes
+  inline before the connection answers its next frame — unread bytes
   then back-pressure the client through TCP itself, so pending bits
   exceed the watermark by at most one frame.  A pump clocks in every
   whole M-bit block; what stays pending are sub-block tails that only
@@ -64,10 +68,13 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     REQUEST_OPS,
     bound_reads,
+    encode_frame,
     error_response,
-    read_frame,
-    write_frame,
+    parse_frame,
 )
+# bench/spans.py's hook_server rebinds these two names here; the server
+# itself no longer reads or writes frames through them.
+from repro.serve.protocol import read_frame, write_frame  # noqa: F401
 from repro.telemetry import (
     Owners,
     bind_families,
@@ -118,17 +125,89 @@ def _bind(reg) -> Owners:
 _OWNERS = bind_families(_bind)
 
 
-class _Connection:
-    """Per-connection book-keeping: id, owned streams, writer."""
+class _Connection(asyncio.Protocol):
+    """One client connection: its streams and the bytes it has sent that
+    are not answered yet (see "One frame per loop turn" above)."""
 
-    __slots__ = ("conn_id", "writer", "streams", "auto_ids")
+    __slots__ = ("server", "conn_id", "streams", "auto_ids", "transport",
+                 "_buffer", "_writes_paused", "_eof")
 
-    def __init__(self, conn_id: int, writer: asyncio.StreamWriter):
-        self.conn_id = conn_id
-        self.writer = writer
+    def __init__(self, server: "ReproServer"):
+        self.server = server
+        self.conn_id = next(server._conn_ids)
         #: client-visible stream id -> namespaced pipeline stream id
         self.streams: Dict[str, str] = {}
         self.auto_ids = count()
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._writes_paused = False
+        self._eof = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        bound_reads(transport)
+        self.transport = transport
+        self.server._connections.add(self)
+        self.server._counts["connections"] += 1
+        transport.write(self.server._hello)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+
+    def eof_received(self) -> bool:
+        # Answer what is buffered, then close (see _serve).
+        self._eof = True
+        self._serve()
+        return True
+
+    def pause_writing(self) -> None:
+        self._writes_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writes_paused = False
+        self._serve()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        server = self.server
+        server._connections.discard(self)
+        server._abort_streams(self)
+        server._check_no_streams()
+
+    def _serve(self) -> None:
+        """Answer the first whole frame buffered, if there is one."""
+        if self.transport.is_closing():
+            return
+        server = self.server
+        try:
+            frame = parse_frame(self._buffer, server._max_frame)
+            if frame is None:
+                if self._eof:
+                    self.transport.close()
+                else:
+                    self.transport.resume_reading()
+                return
+            header, payload, used = frame
+            del self._buffer[:used]
+            response = server._dispatch(self, header, payload)
+            wire = encode_frame(response)
+        except ProtocolError as exc:  # malformed bytes, or a reply too long to frame
+            server._counts["errors", "protocol"] += 1
+            response = error_response(None, "protocol", str(exc))
+            wire = encode_frame(response)
+        self.transport.write(wire)
+        if not response["ok"] and response["code"] == "protocol":
+            # After a framing error the byte stream has no safe
+            # resynchronization point: answer once, then hang up.
+            self.transport.close()
+        elif self._writes_paused:
+            pass  # resume_writing answers the next frame
+        elif self._buffer or self._eof:
+            # Every other connection gets a turn before the next frame.
+            self.transport.pause_reading()
+            asyncio.get_running_loop().call_soon(self._serve)
+        else:
+            self.transport.resume_reading()
 
 
 class ReproServer:
@@ -170,6 +249,7 @@ class ReproServer:
         self._max_frame = max_frame
 
         self._pipeline: Optional[CRCPipeline] = None
+        self._hello = b""  # the hello frame, encoded once by start()
         self._bound_port = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._state = "new"  # new -> serving -> draining -> closed
@@ -236,8 +316,16 @@ class ReproServer:
         if self._state != "new":
             raise ValidationError(f"cannot start a server in state {self._state!r}")
         self._pipeline = CRCPipeline(self._spec, self._M)
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self._host, port=self._requested_port
+        self._hello = encode_frame({
+            "op": "hello",
+            "ok": True,
+            "version": PROTOCOL_VERSION,
+            "standard": self._spec.name,
+            "width": self._spec.width,
+            "M": self._pipeline.M,
+        })
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._host, self._requested_port
         )
         self._bound_port = self._server.sockets[0].getsockname()[1]
         self._state = "serving"
@@ -251,63 +339,8 @@ class ReproServer:
             )
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Request handling (each connection is a _Connection protocol)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        bound_reads(writer)
-        conn = _Connection(next(self._conn_ids), writer)
-        self._connections.add(conn)
-        self._counts["connections"] += 1
-        try:
-            await write_frame(writer, {
-                "op": "hello",
-                "ok": True,
-                "version": PROTOCOL_VERSION,
-                "standard": self._spec.name,
-                "width": self._spec.width,
-                "M": self._pipeline.M,
-            })
-            await self._serve_frames(conn, reader, writer)
-        except (asyncio.IncompleteReadError, ConnectionResetError,
-                BrokenPipeError):
-            pass  # peer went away; cleanup below
-        finally:
-            self._connections.discard(conn)
-            self._abort_streams(conn)
-            self._check_no_streams()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _serve_frames(
-        self,
-        conn: _Connection,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        while True:
-            try:
-                header, payload = await read_frame(reader, self._max_frame)
-            except ProtocolError as exc:
-                # After a framing error the byte stream has no safe
-                # resynchronization point: answer once, then hang up.
-                self._counts["errors", "protocol"] += 1
-                await self._safe_write(
-                    writer, error_response(None, "protocol", str(exc))
-                )
-                return
-            response = self._dispatch(conn, header, payload)
-            await write_frame(writer, response)
-            if not response.get("ok") and response.get("code") == "protocol":
-                return
-            # Give every other connection a turn before the next
-            # buffered frame of this one.
-            await asyncio.sleep(0)
-
     def _dispatch(self, conn, header: dict, payload: bytes) -> dict:
         """Route one request; returns the response header."""
         op = header.get("op")
@@ -425,15 +458,6 @@ class ReproServer:
             "counters": dict(self.counters),
         }
 
-    async def _safe_write(
-        self, writer: asyncio.StreamWriter, header: dict
-    ) -> None:
-        """Best-effort write for error frames (the peer may be gone)."""
-        try:
-            await write_frame(writer, header)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
     def _check_no_streams(self) -> None:
         if self.stream_count == 0:
             self._no_streams.set()
@@ -504,7 +528,7 @@ class ReproServer:
             self._no_streams.set()
         self._state = "closed"
         for conn in self._connections:
-            conn.writer.close()
+            conn.transport.close()
         if self._server is not None:
             await self._server.wait_closed()
         self._flush_observability()

@@ -8,13 +8,15 @@ Six properties matter and each gets direct coverage:
   garbage decode.
 * **Correctness under multiplexing** — digests served over the wire are
   bit-exact against a serial oracle, for whole messages, chunked feeds,
-  and many interleaved connections, and stream ids are namespaced per
-  connection.
+  many interleaved connections and seeded raw-socket schedules that cut
+  frames anywhere and reset connections inside a frame, and stream ids
+  are namespaced per connection.
 * **Backpressure** — a feed that lifts the pending bits over the
   watermark is counted and pumped before its connection reads another
   frame, even when sub-block tails keep the gauge above the mark, so
   pending bits exceed the watermark by at most one frame and memory
-  never balloons with unread frames.
+  never balloons with unread frames; a client that never reads its
+  replies is held back by TCP.
 * **Drain** — while draining, open streams complete bit-exact and new
   work is refused with code ``"draining"``; afterwards the server is
   closed and its pipeline holds no stream.
@@ -30,6 +32,8 @@ through ``asyncio.run``.
 """
 
 import asyncio
+import collections
+import random
 import struct
 import threading
 
@@ -123,6 +127,49 @@ class TestProtocolFraming:
         assert header == {
             "ok": False, "code": "draining", "error": "nope", "op": "open-stream",
         }
+
+    @pytest.mark.parametrize("header, payload, wire", [
+        ({"op": "hello", "ok": True, "version": 1, "standard": "CRC-32",
+          "width": 32, "M": 128}, b"",
+         b'\x00\x00\x00K{"M":128,"ok":true,"op":"hello","standard":"CRC-32",'
+         b'"version":1,"width":32}'),
+        ({"op": "open-stream", "id": "s0", "register": 0}, b"",
+         b'\x00\x00\x00+{"id":"s0","op":"open-stream","register":0}'),
+        ({"op": "open-stream", "ok": True, "id": "auto-0"}, b"",
+         b'\x00\x00\x00,{"id":"auto-0","ok":true,"op":"open-stream"}'),
+        ({"op": "feed-chunk", "id": "s0"}, b"12345",
+         b'\x00\x00\x00&{"blen":5,"id":"s0","op":"feed-chunk"}12345'),
+        ({"op": "feed-chunk", "ok": True, "id": "s0", "pending_bits": 40}, b"",
+         b'\x00\x00\x009{"id":"s0","ok":true,"op":"feed-chunk","pending_bits":40}'),
+        ({"op": "read-digest", "id": "s0"}, b"",
+         b'\x00\x00\x00\x1e{"id":"s0","op":"read-digest"}'),
+        ({"op": "read-digest", "ok": True, "id": "s0", "digest": 3421780262,
+          "width": 32}, b"",
+         b'\x00\x00\x00G{"digest":3421780262,"id":"s0","ok":true,'
+         b'"op":"read-digest","width":32}'),
+        ({"op": "close-stream", "id": "s0"}, b"",
+         b'\x00\x00\x00\x1f{"id":"s0","op":"close-stream"}'),
+        ({"op": "close-stream", "ok": True, "id": "s0"}, b"",
+         b'\x00\x00\x00){"id":"s0","ok":true,"op":"close-stream"}'),
+        ({"op": "stats"}, b"", b'\x00\x00\x00\x0e{"op":"stats"}'),
+        ({"op": "stats", "ok": True, "state": "serving", "standard": "CRC-32",
+          "M": 128, "connections": 1, "streams": 0, "pending_bits": 0,
+          "counters": {"messages_total": 1, "connections_total": 1}}, b"",
+         b'\x00\x00\x00\xa9{"M":128,"connections":1,"counters":'
+         b'{"connections_total":1,"messages_total":1},"ok":true,"op":"stats",'
+         b'"pending_bits":0,"standard":"CRC-32","state":"serving","streams":0}'),
+        (error_response("feed-chunk", "stream",
+                        "unknown stream 'x' on this connection (0 open)"), b"",
+         b'\x00\x00\x00g{"code":"stream","error":"unknown stream \'x\' on this '
+         b'connection (0 open)","ok":false,"op":"feed-chunk"}'),
+        ({"op": "open-stream", "id": "café ☃"}, b"",
+         b'\x00\x00\x00,{"id":"caf\\u00e9 \\u2603","op":"open-stream"}'),
+    ])
+    def test_frames_are_byte_identical(self, header, payload, wire):
+        """The wire bytes of the hello, each verb's request and reply and an
+        error reply: compact separators, sorted keys (nested ones too) and
+        ASCII escapes."""
+        assert encode_frame(header, payload) == wire
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +282,7 @@ class TestFrameSizeBoundary:
                     digest = await c.compute(payload)
                     (conn,) = server._connections
                     return (digest, c._writer.transport.max_size,
-                            conn.writer.transport.max_size)
+                            conn.transport.max_size)
 
         digest, client_reads, server_reads = run(scenario())
         assert digest == ORACLE.compute(payload)
@@ -503,6 +550,62 @@ class TestServerErrors:
 
         run(scenario())
 
+    def test_a_reply_too_long_to_frame_hangs_up(self):
+        """An id of 200,000 "é" travels as 400 KB of UTF-8, but the reply
+        that echoes it would need 1.2 MB of JSON escapes: the server answers
+        a typed ``protocol`` error instead and hangs up."""
+        import json
+
+        async def scenario():
+            async with make_server() as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                await read_frame(reader)  # hello
+                raw = json.dumps({"op": "open-stream", "id": "é" * 200_000},
+                                 ensure_ascii=False).encode()
+                writer.write(struct.pack("!I", len(raw)) + raw)
+                response, _ = await read_frame(reader)
+                at_eof = await reader.read() == b""
+                writer.close()
+                await writer.wait_closed()
+                for _ in range(100):
+                    if server.stream_count == 0:
+                        break
+                    await asyncio.sleep(0.01)
+                return response, at_eof, server.stream_count
+
+        response, at_eof, streams = run(scenario())
+        assert (response["ok"], response["code"]) == (False, "protocol")
+        assert "too large" in response["error"]
+        assert at_eof and streams == 0
+
+    def test_a_client_that_half_closes_gets_every_reply(self):
+        """Frames written before the client's end of file are all answered,
+        then the server closes."""
+        async def scenario():
+            async with make_server() as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                await read_frame(reader)  # hello
+                writer.write(
+                    encode_frame({"op": "open-stream", "id": "h"})
+                    + encode_frame({"op": "feed-chunk", "id": "h"}, b"half")
+                    + encode_frame({"op": "read-digest", "id": "h"})
+                )
+                writer.write_eof()
+                replies = [(await read_frame(reader))[0] for _ in range(3)]
+                at_eof = await reader.read() == b""
+                writer.close()
+                await writer.wait_closed()
+                return replies, at_eof
+
+        replies, at_eof = run(scenario())
+        assert [r["op"] for r in replies] == ["open-stream", "feed-chunk", "read-digest"]
+        assert replies[-1]["digest"] == ORACLE.compute(b"half")
+        assert at_eof
+
     def test_close_stream_aborts_without_digest(self):
         async def scenario():
             async with make_server() as server:
@@ -567,7 +670,7 @@ class TestClientConnection:
                 try:
                     await client.stats()
                     (conn,) = server._connections
-                    conn.writer.transport.abort()
+                    conn.transport.abort()
                     with pytest.raises((asyncio.IncompleteReadError, ConnectionError)):
                         await asyncio.wait_for(client.stats(), timeout=5)
                     with pytest.raises(ProtocolError, match="connection is closed"):
@@ -707,6 +810,70 @@ class TestBackpressure:
         ]
         assert stats["counters"]["backpressure_pauses_total"] >= 1
         assert stats["pending_bits"] == 0
+
+    def test_a_client_that_never_reads_is_held_back(self):
+        """A raw client writes requests and reads no reply.  Once its
+        replies fill the socket and pass the server transport's high-water
+        mark, the server stops reading that connection: ``messages_total``
+        stops rising below the frames sent and the write buffer stays under
+        the mark plus one reply.  Another connection still gets its digest,
+        and once the client reads, every reply arrives, in order."""
+        batch = 500
+
+        def request(seq):
+            # A digest of an unknown stream: its error reply echoes the
+            # 4 KiB id, so a few thousand replies fill the socket buffers.
+            return encode_frame({"op": "read-digest", "id": f"{seq:06d}" + "." * 4096})
+
+        async def settled(server, transport, sent):
+            """Poll until nothing is answered for 0.1 s; the peak buffer."""
+            answered, quiet, peak = -1, 0, 0
+            while quiet < 5 and answered < sent:
+                await asyncio.sleep(0.02)
+                peak = max(peak, transport.get_write_buffer_size())
+                now = server.counters["messages_total"]
+                quiet = quiet + 1 if now == answered else 0
+                answered = now
+            return answered, peak
+
+        async def scenario():
+            async with make_server() as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                await read_frame(reader)  # hello
+                (conn,) = server._connections
+                transport = conn.transport
+                sent = 0
+                # Write until the replies no longer fit the socket buffers,
+                # however large this host lets them grow.
+                while sent < 100 * batch:
+                    writer.write(b"".join(map(request, range(sent, sent + batch))))
+                    sent += batch
+                    answered, peak = await settled(server, transport, sent)
+                    if answered < sent:
+                        break
+                high = transport.get_write_buffer_limits()[1]
+
+                async with await ServeClient.connect(server.host, server.port) as c:
+                    digest = await asyncio.wait_for(c.compute(b"fair"), timeout=5)
+                held = server.counters["messages_total"] - answered - 3
+
+                order = []
+                for _ in range(sent):
+                    reply, _ = await asyncio.wait_for(read_frame(reader), timeout=5)
+                    assert reply["code"] == "stream"
+                    order.append(int(reply["error"].split("'")[1][:6]))
+                writer.close()
+                await writer.wait_closed()
+                return sent, answered, peak, high, digest, held, order
+
+        sent, answered, peak, high, digest, held, order = run(scenario())
+        assert answered < sent
+        assert peak <= high + len(request(0)) + 100  # the mark plus one reply
+        assert digest == ORACLE.compute(b"fair")
+        assert held == 0  # nothing more of the held client was answered meanwhile
+        assert order == list(range(sent))
 
 
 # ----------------------------------------------------------------------
@@ -947,6 +1114,185 @@ class TestDrain:
         assert {"serve-start", "serve-drain", "serve-stop"} <= kinds
         anchor = FlightRecorder.load_anchor(flight)
         assert anchor is not None and "wall_unix" in anchor
+
+
+# ----------------------------------------------------------------------
+# Served differential: random schedules against the table oracle
+# ----------------------------------------------------------------------
+DIFF_SEEDS = range(20)
+DIFF_ROUNDS = 8
+
+
+def _cut(frames, rng, tally):
+    """One batch of frames as the writes that carry it.  Each frame may be
+    cut inside its length prefix, its JSON header and its payload, and
+    frames with no cut between them share a write."""
+    cuts, start, starts = set(), 0, []
+    for frame in frames:
+        (header_len,) = struct.unpack_from("!I", frame)
+        parts = (("prefix", 1, 4), ("header", 5, 4 + header_len),
+                 ("payload", 5 + header_len, len(frame)))
+        for part, lo, hi in parts:
+            if lo < hi and rng.random() < 0.4:
+                cuts.add(start + rng.randrange(lo, hi))
+                tally[part] += 1
+        starts.append(start)
+        start += len(frame)
+        if rng.random() < 0.5:
+            cuts.add(start)
+    wire = b"".join(frames)
+    edges = [0, *sorted(cuts - {0, len(wire)}), len(wire)]
+    writes = [wire[a:b] for a, b in zip(edges, edges[1:])]
+    tally["several"] += sum(
+        any(a < s < b for s in starts) for a, b in zip(edges, edges[1:])
+    )
+    return writes
+
+
+def _schedule(seed, tally):
+    """A seeded op schedule over 1-3 connections, with every reply the
+    server must send, worked out in advance from a model of its streams."""
+    rng = random.Random(seed)
+    conns = [{"streams": {}, "auto": 0} for _ in range(rng.randint(1, 3))]
+    reset = (rng.randrange(len(conns)), rng.randrange(DIFF_ROUNDS)) \
+        if rng.random() < 0.5 else None
+    rounds = []
+    for r in range(DIFF_ROUNDS):
+        batches = {}
+        for index, model in enumerate(conns):
+            if model is None:
+                continue
+            streams = model["streams"]
+            frames, expected = [], []
+            for _ in range(rng.randint(1, 4)):
+                op = rng.choices(("open", "feed", "digest", "close"),
+                                 (3, 4, 2, 1))[0] if streams else "open"
+                if op == "open":
+                    if rng.random() < 0.5:
+                        sid = rng.choice([f"s{k}" for k in range(len(streams) + 2)
+                                          if f"s{k}" not in streams])
+                        frames.append(encode_frame({"op": "open-stream", "id": sid}))
+                    else:
+                        while f"auto-{model['auto']}" in streams:
+                            model["auto"] += 1
+                        sid = f"auto-{model['auto']}"
+                        model["auto"] += 1
+                        frames.append(encode_frame({"op": "open-stream"}))
+                    streams[sid] = bytearray()
+                    expected.append(("open-stream", sid, None))
+                    continue
+                sid = rng.choice(sorted(streams))
+                if op == "feed":
+                    data = rng.randbytes(rng.randint(0, 3000))
+                    streams[sid] += data
+                    frames.append(encode_frame({"op": "feed-chunk", "id": sid}, data))
+                    expected.append(("feed-chunk", sid, None))
+                elif op == "digest":
+                    message = bytes(streams.pop(sid))
+                    tally["digests"] += 1
+                    frames.append(encode_frame({"op": "read-digest", "id": sid}))
+                    expected.append(("read-digest", sid, ORACLE.compute(message)))
+                else:
+                    del streams[sid]
+                    frames.append(encode_frame({"op": "close-stream", "id": sid}))
+                    expected.append(("close-stream", sid, None))
+            writes = _cut(frames, rng, tally)
+            if reset == (index, r):
+                # Stop inside a frame, then reset the connection.
+                k = rng.randrange(len(frames))
+                stop = sum(map(len, frames[:k])) + rng.randrange(1, len(frames[k]))
+                kept = []
+                for write in writes:
+                    kept.append(write[:stop])
+                    stop -= len(write)
+                    if stop <= 0:
+                        break
+                writes, expected = kept, None
+                conns[index] = None
+                tally["resets"] += 1
+            batches[index] = (writes, expected)
+        rounds.append(batches)
+    return {
+        "seed": seed,
+        "connections": len(conns),
+        "M": rng.choice((8, 64, 128, 1024)),
+        "high_watermark_bits": rng.choice((1 << 22, 8192)),
+        "rounds": rounds,
+    }
+
+
+async def _play(schedule):
+    """Run one schedule against a loopback server; returns the digests it
+    checked and the server's state once every connection has gone."""
+    rng = random.Random(schedule["seed"])
+    digests = 0
+    async with make_server(M=schedule["M"],
+                           high_watermark_bits=schedule["high_watermark_bits"]) as server:
+        ends = []
+        for _ in range(schedule["connections"]):
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            hello, _ = await read_frame(reader)
+            assert hello["op"] == "hello"
+            ends.append((reader, writer))
+        live = set(range(len(ends)))
+        for batches in schedule["rounds"]:
+            queues = {i: list(writes) for i, (writes, _) in batches.items()}
+            while queues:
+                index = rng.choice(sorted(queues))
+                ends[index][1].write(queues[index].pop(0))
+                await ends[index][1].drain()
+                for _ in range(2):  # let the server read this write alone
+                    await asyncio.sleep(0)
+                if not queues[index]:
+                    del queues[index]
+            for index, (_, expected) in batches.items():
+                reader, writer = ends[index]
+                if expected is None:
+                    writer.transport.abort()
+                    live.discard(index)
+                    continue
+                for op, sid, digest in expected:
+                    reply, _ = await asyncio.wait_for(read_frame(reader), timeout=5)
+                    assert (reply["op"], reply["ok"], reply.get("id")) == (op, True, sid)
+                    if op == "read-digest":
+                        assert reply["digest"] == digest
+                        digests += 1
+        for _, writer in ends:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+        for _ in range(500):
+            if server.stream_count == 0 and not server._connections:
+                break
+            await asyncio.sleep(0.01)
+        return (digests, server.stream_count, server.pipeline.pending_bits(),
+                len(server._connections))
+
+
+class TestServedDifferential:
+    """Seeded schedules of open (with and without an id), feed, digest and
+    close over 1-3 raw connections, each frame cut at random inside its
+    prefix, header and payload, some writes carrying several frames and
+    some connections reset inside a frame.  Every digest must equal
+    ``TableCRC``'s, and the server must end with no stream, no pending bit
+    and no connection."""
+
+    @pytest.mark.parametrize("seed", DIFF_SEEDS)
+    def test_schedule_matches_the_table_oracle(self, seed):
+        schedule = _schedule(seed, collections.Counter())
+        digests, streams, pending, connections = run(_play(schedule))
+        assert (streams, pending, connections) == (0, 0, 0)
+
+    def test_schedules_cut_every_part_of_a_frame(self):
+        """Across the seeds, the schedules cut inside every part of a frame,
+        share writes between frames, reset connections and read digests."""
+        tally = collections.Counter()
+        for seed in DIFF_SEEDS:
+            _schedule(seed, tally)
+        parts = ("prefix", "header", "payload", "several", "resets", "digests")
+        assert min(tally[part] for part in parts) > 0, tally
 
 
 # ----------------------------------------------------------------------

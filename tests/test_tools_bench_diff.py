@@ -227,6 +227,27 @@ class TestCoverageChanges:
         diff = diff_snapshots(old, new)
         assert [c["metric"] for c in diff["regressions"]] == ["other_speedup"]
 
+    def test_kernel_with_an_unchanged_stamp_is_carried_not_compared(self):
+        old = _snapshot(1, {"k": dict(_gated({"speedup": 4.0}), created_unix=100.0)})
+        new = _snapshot(2, {"k": dict(_gated({"speedup": 4.0}), created_unix=100.0)})
+        diff = diff_snapshots(old, new)
+        assert diff["comparisons"] == []
+        (skip,) = diff["skipped"]
+        assert skip["kernel"] == "k" and skip["carried"] is True
+        assert "carried forward" in format_diff(diff)
+
+    @pytest.mark.parametrize("old_stamp, new_stamp", [
+        (100.0, 200.0),  # re-measured
+        (None, 200.0),   # a snapshot folded before kernels carried a stamp
+        (None, None),
+    ])
+    def test_kernel_with_a_new_or_missing_stamp_is_compared(self, old_stamp, new_stamp):
+        old = _snapshot(1, {"k": dict(_gated({"speedup": 4.0}), created_unix=old_stamp)})
+        new = _snapshot(2, {"k": dict(_gated({"speedup": 2.0}), created_unix=new_stamp)})
+        diff = diff_snapshots(old, new)
+        assert [c["metric"] for c in diff["regressions"]] == ["speedup"]
+        assert not any(s.get("carried") for s in diff["skipped"])
+
     def test_rebase_in_old_snapshot_does_not_carry_over(self):
         old = _snapshot(1, {"k": _gated(
             {"speedup": 6.0}, params={"rebased": {"speedup": "redefined"}},

@@ -21,6 +21,14 @@ listed in the diff artifact, so a shrinking gate surface is visible —
 including a gated metric that one snapshot has and the other lacks, and
 each ratio metric of a gated kernel that only one snapshot has.
 
+Carried kernels: a snapshot folds every report under
+``benchmarks/results/``, including those of modules that did not run
+since the last one, and each kernel entry carries its report's
+``created_unix``.  A kernel whose stamp is the same in both snapshots was
+not re-measured: its values are identical, so the diff lists it under
+``skipped`` as carried forward instead of comparing it.  A kernel whose
+stamp changed, or that has none, is compared.
+
 Re-basing: when a change redefines what a gated metric divides by, its
 new value is not comparable with the old one.  The new report says so
 with a ``rebased`` map in its ``params`` (metric name -> reason); the
@@ -97,9 +105,9 @@ def diff_snapshots(
 
     Returns a diff document with one entry per metric compared, plus
     explicit ``skipped`` records for everything the gate did *not*
-    check — kernels without a gate opt-in, machine-dependent metrics,
-    and kernels present on only one side — so silent coverage loss is
-    impossible to miss in the artifact.
+    check — kernels carried forward unmeasured, kernels without a gate
+    opt-in, machine-dependent metrics, and kernels present on only one
+    side — so silent coverage loss is impossible to miss in the artifact.
     """
     comparisons: List[dict] = []
     skipped: List[dict] = []
@@ -125,6 +133,14 @@ def diff_snapshots(
                             "reason": f"kernel only in the {side} snapshot",
                             "side": side,
                         })
+            continue
+        stamp = old_k.get("created_unix")
+        if stamp is not None and stamp == new_k.get("created_unix"):
+            skipped.append({
+                "kernel": name,
+                "reason": "carried forward: not re-measured since the old snapshot",
+                "carried": True,
+            })
             continue
         if not _is_gated_kernel(new_k):
             skipped.append({"kernel": name, "reason": "no gate_* opt-in"})
